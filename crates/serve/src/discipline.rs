@@ -290,219 +290,6 @@ impl QueueDiscipline {
     }
 }
 
-impl QueueDiscipline {
-    /// Builds the step-scoped maintained order over the current queue —
-    /// the engine's fast path. Within one engine step the order keys
-    /// are fixed (the clock does not move, and queued entries' states
-    /// change only when a preempted victim is appended), so the queue
-    /// is keyed and sorted once and every subsequent selection is a
-    /// cursor read instead of a full rescan. [`QueueDiscipline::select`]
-    /// is retained as the naive reference; `tests/differential.rs` pins
-    /// the two against each other across whole serving runs.
-    pub fn build_order<R, W>(&self, queue: &VecDeque<usize>, res: R, wait: W) -> QueueOrder
-    where
-        R: Fn(usize) -> u64,
-        W: Fn(usize) -> f64,
-    {
-        let kind = match self {
-            QueueDiscipline::Fcfs => OrderKind::Fcfs,
-            QueueDiscipline::ShortestJobFirst { .. } | QueueDiscipline::PreemptiveSjf { .. } => {
-                OrderKind::Sjf
-            }
-            QueueDiscipline::BestFit => OrderKind::BestFit,
-        };
-        let mut entries: Vec<OrderEntry> = Vec::new();
-        if kind != OrderKind::Fcfs {
-            entries.extend(queue.iter().enumerate().map(|(rank, &id)| {
-                let r = res(id);
-                OrderEntry {
-                    key: self.order_key(r, wait(id)),
-                    res: r,
-                    rank,
-                }
-            }));
-            match kind {
-                // Keys are finite (reservation × clamped decay), so the
-                // fallback ordering is never consulted; rank breaks ties
-                // exactly like the reference's earliest-position rule.
-                OrderKind::Sjf => entries.sort_unstable_by(|a, b| {
-                    a.key
-                        .partial_cmp(&b.key)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.rank.cmp(&b.rank))
-                }),
-                OrderKind::BestFit => {
-                    entries.sort_unstable_by(|a, b| b.res.cmp(&a.res).then(a.rank.cmp(&b.rank)))
-                }
-                OrderKind::Fcfs => unreachable!(),
-            }
-        }
-        QueueOrder {
-            kind,
-            entries,
-            removed: Vec::new(),
-            head: 0,
-            next_rank: queue.len(),
-        }
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum OrderKind {
-    Fcfs,
-    Sjf,
-    BestFit,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct OrderEntry {
-    /// Admission-order key ([`QueueDiscipline::order_key`]) at build
-    /// time — constant for the rest of the step.
-    key: f64,
-    /// Priced reservation, for best-fit's headroom test.
-    res: u64,
-    /// Insertion rank: build-time queue position, or the append rank of
-    /// a mid-step re-queued victim. Because `VecDeque::remove` preserves
-    /// the relative order of survivors and victims are pushed to the
-    /// back, rank order always equals current queue-position order.
-    rank: usize,
-}
-
-/// A selection returned by [`QueueOrder::select`]: the candidate's
-/// current queue position (valid until the queue next changes) plus the
-/// private rank that lets the order unlink it on admission.
-#[derive(Debug, Clone, Copy)]
-pub struct QueuePick {
-    /// Position in the queue, as [`QueueDiscipline::select`] returns.
-    pub pos: usize,
-    rank: usize,
-}
-
-impl QueuePick {
-    /// Wraps a position from the reference [`QueueDiscipline::select`]
-    /// path (no maintained order to unlink from).
-    pub fn reference(pos: usize) -> Self {
-        QueuePick {
-            pos,
-            rank: usize::MAX,
-        }
-    }
-}
-
-/// A maintained admission order over one engine step's queue; see
-/// [`QueueDiscipline::build_order`]. Selection is O(1) amortized for
-/// SJF/best-fit (a cursor over the pre-sorted entries) instead of the
-/// reference's O(queue) rescan per admission.
-#[derive(Debug, Clone)]
-pub struct QueueOrder {
-    kind: OrderKind,
-    /// SJF: (key asc, rank asc); best-fit: (res desc, rank asc);
-    /// FCFS: empty (the head is always the pick).
-    entries: Vec<OrderEntry>,
-    /// Ranks already admitted, ascending — subtracted when translating
-    /// a rank to its current queue position.
-    removed: Vec<usize>,
-    /// Scan cursor: SJF admissions always take the first live entry and
-    /// best-fit's rejections are permanent within a step (headroom only
-    /// shrinks), so the cursor never needs to back up except when a
-    /// re-queued victim is inserted before it.
-    head: usize,
-    /// Rank for the next mid-step [`QueueOrder::push_requeued`].
-    next_rank: usize,
-}
-
-impl QueueOrder {
-    /// Current queue position of `rank`: its insertion rank minus every
-    /// admitted entry that sat ahead of it.
-    fn pos_of(&self, rank: usize) -> usize {
-        let admitted_before = match self.removed.binary_search(&rank) {
-            Ok(_) => unreachable!("selected rank was already admitted"),
-            Err(i) => i,
-        };
-        rank - admitted_before
-    }
-
-    fn is_removed(&self, rank: usize) -> bool {
-        self.removed.binary_search(&rank).is_ok()
-    }
-
-    /// The next admission candidate, equivalent to
-    /// [`QueueDiscipline::select`] over the same queue: FCFS picks the
-    /// head, SJF the smallest (key, rank), best-fit the largest
-    /// reservation not exceeding `headroom` (ties to the earliest
-    /// rank). Returns `None` when nothing is admissible.
-    pub fn select(&mut self, queue_len: usize, headroom: u64) -> Option<QueuePick> {
-        if queue_len == 0 {
-            return None;
-        }
-        match self.kind {
-            OrderKind::Fcfs => Some(QueuePick {
-                pos: 0,
-                rank: usize::MAX,
-            }),
-            OrderKind::Sjf => {
-                while let Some(e) = self.entries.get(self.head) {
-                    if self.is_removed(e.rank) {
-                        self.head += 1;
-                        continue;
-                    }
-                    return Some(QueuePick {
-                        pos: self.pos_of(e.rank),
-                        rank: e.rank,
-                    });
-                }
-                None
-            }
-            OrderKind::BestFit => {
-                while let Some(e) = self.entries.get(self.head) {
-                    if self.is_removed(e.rank) || e.res > headroom {
-                        self.head += 1;
-                        continue;
-                    }
-                    return Some(QueuePick {
-                        pos: self.pos_of(e.rank),
-                        rank: e.rank,
-                    });
-                }
-                None
-            }
-        }
-    }
-
-    /// Records that `pick` was admitted and removed from the queue.
-    pub fn remove(&mut self, pick: QueuePick) {
-        if self.kind == OrderKind::Fcfs {
-            return;
-        }
-        let at = self
-            .removed
-            .binary_search(&pick.rank)
-            .expect_err("rank admitted twice");
-        self.removed.insert(at, pick.rank);
-    }
-
-    /// Records a preempted victim re-queued at the back of the queue
-    /// mid-step, keyed with zero wait (its waiting epoch restarts at
-    /// eviction). Inserted in sorted position so a later selection sees
-    /// it exactly where the reference rescan would.
-    pub fn push_requeued(&mut self, key: f64, res: u64) {
-        let rank = self.next_rank;
-        self.next_rank += 1;
-        let entry = OrderEntry { key, res, rank };
-        let at = match self.kind {
-            OrderKind::Fcfs => return,
-            // The new rank is larger than every existing one, so on key
-            // ties the victim sorts after its peers.
-            OrderKind::Sjf => self.entries.partition_point(|e| e.key <= key),
-            OrderKind::BestFit => self.entries.partition_point(|e| e.res >= res),
-        };
-        self.entries.insert(at, entry);
-        if at < self.head {
-            self.head = at;
-        }
-    }
-}
-
 /// Preemption/re-queue counters a non-FCFS discipline adds to the
 /// [`crate::ServeReport`]. Present only when such a discipline actually
 /// ran, so pre-split canonical reports stay byte-identical.

@@ -19,19 +19,19 @@
 
 use std::collections::VecDeque;
 
-use alisa_kvcache::{RetainedSession, SessionKvCache};
 use alisa_memsim::HardwareSpec;
 use alisa_model::ModelConfig;
 use alisa_obs::profile::{self, Phase};
-use alisa_obs::{Event, EventKind, MetricsRegistry, NullSink, TraceSink};
+use alisa_obs::{Event, EventKind, NullSink, TraceSink};
 use alisa_sched::common::{hash_unit, FP16};
 use alisa_sched::{SimBase, StepExecutor};
 use serde::{Deserialize, Serialize};
 
 use crate::admission::AdmissionPolicy;
-use crate::discipline::{QueueDiscipline, QueueOrder, QueuePick};
+use crate::discipline::QueueDiscipline;
 use crate::metrics::{ServeReport, ServeSample, SloSpec};
-use crate::request::{RejectReason, Request, RequestState};
+use crate::replica::{ObsCtx, Replica, Reqs, Role, StepScratch};
+use crate::request::Request;
 use crate::trace::Trace;
 
 /// Timeline samples kept before decimation halves the sampling rate.
@@ -40,10 +40,8 @@ const TIMELINE_CAP: usize = 16384;
 /// A timeline recorder that deterministically halves its sampling rate
 /// once it grows past the cap, while always retaining the *first and
 /// last* sample (the Perfetto exporter and the SLO plots need both run
-/// boundaries). One implementation shared by [`ServeEngine::run`] and
-/// the multi-replica router, so per-replica timelines decimate exactly
-/// like single-engine ones. For runs that never reach the cap the
-/// output is identical to recording every step.
+/// boundaries). For runs that never reach the cap the output is
+/// identical to recording every step.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct TimelineRec {
     samples: Vec<ServeSample>,
@@ -82,10 +80,6 @@ impl TimelineRec {
 
     pub(crate) fn samples(&self) -> &[ServeSample] {
         &self.samples
-    }
-
-    pub(crate) fn into_samples(self) -> Vec<ServeSample> {
-        self.samples
     }
 }
 
@@ -287,12 +281,10 @@ impl ServeEngine {
         }
     }
 
-    /// Forces the naive reference hot paths: the rejection scan runs
-    /// every iteration instead of being event-gated, and admission
-    /// re-selects via [`QueueDiscipline::select`]'s full rescan instead
-    /// of the maintained [`crate::discipline::QueueOrder`]. Reports and
-    /// event streams must be byte-identical either way — this switch
-    /// exists so `tests/differential.rs` can prove exactly that.
+    /// Forces the naive reference hot path: the rejection scan runs
+    /// every step instead of being event-gated. Reports and event
+    /// streams must be byte-identical either way — this switch exists
+    /// so `tests/differential.rs` can prove exactly that.
     #[doc(hidden)]
     pub fn with_reference_paths(mut self, on: bool) -> Self {
         self.reference_paths = on;
@@ -460,86 +452,6 @@ impl ServeEngine {
         step_time
     }
 
-    /// Shared admission step for the request at the head of a queue:
-    /// probes the retained session pool, computes the (possibly
-    /// reuse-shrunk) reservation, checks it against the budget, evicts
-    /// LRU retained caches standing between the candidate and the
-    /// headroom, and — on success — consumes the hit and marks the
-    /// request's reused prefix. Returns the booked reservation and the
-    /// prefill job, or `None` when the candidate cannot fit even with
-    /// every retained cache evicted (the caller breaks, preserving
-    /// FCFS). One implementation shared by [`ServeEngine::run`] and
-    /// the multi-replica router, so the reuse decision cannot drift
-    /// between them. Retained caches evicted to make room are appended
-    /// to `evicted` so callers can surface them as trace events.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn admit_with_reuse(
-        &self,
-        req: &mut Request,
-        prefix_len: usize,
-        default_res: u64,
-        reserved: u64,
-        budget: u64,
-        session_kv: &mut Option<SessionKvCache>,
-        evicted: &mut Vec<RetainedSession>,
-    ) -> Option<(u64, PrefillJob)> {
-        // A preempted request re-prefills the whole context it had
-        // built (prompt + kept progress) and owes only its remaining
-        // output; a fresh request is just its trace lengths.
-        let (eff_prompt, eff_output) = if req.state == RequestState::Preempted {
-            (req.restart_prompt_len(), req.remaining_output_len())
-        } else {
-            (req.prompt_len, req.output_len)
-        };
-        let hit = session_kv.as_ref().and_then(|kv| {
-            req.session
-                .and_then(|sref| kv.peek(sref.session_id, prefix_len))
-        });
-        let (res, reuse_len) = match hit {
-            Some((seq, _)) => {
-                let new_tokens = (eff_prompt - seq).max(1);
-                (
-                    self.reuse_reservation_bytes(eff_prompt, eff_output, new_tokens),
-                    seq,
-                )
-            }
-            None => (default_res, 0),
-        };
-        if reserved + res > budget {
-            return None;
-        }
-        if let Some(kv) = session_kv.as_mut() {
-            // Retained caches yield to admission. The hit entry is
-            // about to be consumed by this very request, so it is
-            // spared and does not count against the headroom.
-            let keep = req.session.filter(|_| reuse_len > 0).map(|s| s.session_id);
-            evicted.extend(kv.evict_until(budget - reserved - res, keep));
-        }
-        if reuse_len > 0 {
-            let sref = req.session.expect("hit implies a session");
-            session_kv
-                .as_mut()
-                .expect("hit implies retention")
-                .take(sref.session_id, prefix_len);
-            req.reused_prefix = reuse_len;
-        } else if prefix_len > 0 && req.session.is_some() {
-            // Only a session turn can genuinely miss. A preempted
-            // *sessionless* re-admission also probes with a nonzero
-            // prefix (its rebuilt context), but nothing was ever
-            // retainable for it, so it must not skew the miss counter.
-            if let Some(kv) = session_kv.as_mut() {
-                kv.note_miss();
-            }
-        }
-        Some((
-            res,
-            PrefillJob {
-                prompt_len: eff_prompt,
-                reused_prefix: reuse_len,
-            },
-        ))
-    }
-
     /// Reservation a *preempted* request books on re-admission: the
     /// same final-length KV working set it held before (its final
     /// sequence length is unchanged), plus a prefill activation
@@ -566,108 +478,6 @@ impl ServeEngine {
             req.seq_len().max(1),
             self.cfg.policy.efficiency(),
         )
-    }
-
-    /// Picks the preemption victim for a blocked candidate needing
-    /// `cand_res` bytes: among `running`, the cheapest-to-restart
-    /// request whose eviction alone lets the candidate fit. Victims
-    /// must book strictly more than the candidate (big-for-small only —
-    /// preempting small jobs for big ones would recreate the
-    /// head-of-line blocking preemption exists to break, and allows
-    /// eviction ping-pong), and must themselves remain re-admissible
-    /// (their restart reservation fits an empty budget). Returns the
-    /// *position* in `running`; ties break to the earliest position.
-    ///
-    /// Takes per-id accessors instead of whole slices so the router's
-    /// parallel replica stepping can route the lookups through its
-    /// disjoint-ownership view; the engine passes plain index closures.
-    pub(crate) fn pick_victim<'r>(
-        &self,
-        running: &[usize],
-        req: impl Fn(usize) -> &'r Request,
-        res_live: impl Fn(usize) -> u64,
-        cand_res: u64,
-        reserved: u64,
-        budget: u64,
-    ) -> Option<usize> {
-        let mut best: Option<(usize, f64)> = None;
-        for (pos, &id) in running.iter().enumerate() {
-            let req = req(id);
-            if res_live(id) <= cand_res {
-                continue;
-            }
-            if reserved - res_live(id) + cand_res > budget {
-                continue;
-            }
-            if self.requeue_reservation_bytes(req) > budget {
-                continue; // evicting it would strand it forever
-            }
-            let cost = self.restart_cost(req);
-            if best.is_none_or(|(_, c)| cost < c) {
-                best = Some((pos, cost));
-            }
-        }
-        best.map(|(pos, _)| pos)
-    }
-
-    /// Evicts victim `vid` (already removed from the running set by the
-    /// caller): releases its reservation, resets its waiting epoch,
-    /// marks it `Preempted` with its progress kept, re-queues it, and —
-    /// when retention is on — retains its built KV for its session so
-    /// the re-prefill can hit the cache like any other reuse. The one
-    /// implementation shared by [`ServeEngine::run`] and the
-    /// multi-replica router, so preemption bookkeeping cannot drift
-    /// between them.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn preempt_victim(
-        &self,
-        vid: usize,
-        victim_res: u64,
-        vreq: &mut Request,
-        reserved: &mut u64,
-        budget: u64,
-        now: f64,
-        waiting_slot: &mut f64,
-        queue: &mut VecDeque<usize>,
-        session_kv: &mut Option<SessionKvCache>,
-    ) {
-        *reserved -= victim_res;
-        *waiting_slot = now;
-        let seq = vreq.seq_len();
-        let session = vreq.session;
-        vreq.state = RequestState::Preempted;
-        vreq.preemptions += 1;
-        queue.push_back(vid);
-        if let (Some(kv), Some(sref)) = (session_kv.as_mut(), session) {
-            let bytes = self.cfg.policy.gpu_kv_bytes(&self.cfg.model, seq);
-            kv.retain(sref.session_id, seq, bytes, budget - *reserved);
-        }
-    }
-
-    /// Retains a finished turn's KV working set for its session's next
-    /// turn (when the trace has one), priced through the same
-    /// policy/precision path as live reservations and capped by both
-    /// the retention budget and `headroom` (the replica-wide budget
-    /// minus live reservations). Shared by engine and router. Returns
-    /// the stored `(session_id, seq_len, bytes)` when the retain
-    /// landed, so callers can surface it as a `retention-store` event.
-    pub(crate) fn retain_finished(
-        &self,
-        req: &Request,
-        has_next_turn: bool,
-        headroom: u64,
-        session_kv: &mut Option<SessionKvCache>,
-    ) -> Option<(usize, usize, u64)> {
-        if let (Some(kv), Some(sref)) = (session_kv.as_mut(), req.session) {
-            if has_next_turn {
-                let final_len = req.final_seq_len();
-                let bytes = self.cfg.policy.gpu_kv_bytes(&self.cfg.model, final_len);
-                if kv.retain(sref.session_id, final_len, bytes, headroom) {
-                    return Some((sref.session_id, final_len, bytes));
-                }
-            }
-        }
-        None
     }
 
     /// Total GPU bytes available to request reservations.
@@ -709,45 +519,15 @@ impl ServeEngine {
         trace: &Trace,
         sink: &mut dyn TraceSink,
     ) -> ServeReport {
-        let cfg = &self.cfg;
-        let model = &cfg.model;
-        let budget = self.kv_budget();
-        let mut reg = MetricsRegistry::new();
-        macro_rules! emit {
-            ($ev:expr) => {{
-                let ev: Event = $ev;
-                reg.record(&ev);
-                sink.emit(&ev);
-            }};
-        }
-
-        let mut requests: Vec<Request> = trace
-            .entries()
-            .iter()
-            .enumerate()
-            .map(|(id, e)| Request::from_entry(id, e).expect("trace entries are pre-validated"))
-            .collect();
-        let n = requests.len();
-        // Reservations are pure functions of immutable request fields;
-        // compute once instead of per queue scan per step. These are the
-        // *no-reuse* reservations; `res_live` tracks what each admitted
-        // request actually booked (smaller on a prefix-reuse hit).
-        let res_bytes: Vec<u64> = requests
-            .iter()
-            .map(|r| self.reservation_bytes(r.prompt_len, r.output_len))
-            .collect();
-        let mut res_live = res_bytes.clone();
-
-        // Session prefix-reuse state (inert for legacy traces / no
-        // retention: every lookup misses and nothing is retained).
-        let prefix_lens = trace.prefix_lens();
-        let next_turn = trace.next_turn_exists();
-        let mut session_kv: Option<SessionKvCache> = cfg
-            .retention
-            .map(|r| SessionKvCache::new(r.pool_bytes(budget)));
+        let mut obs = ObsCtx::new(sink);
+        let mut reqs = Reqs::new(trace);
+        let n = reqs.req.len();
+        let mut replica = Replica::new(self, None, Role::Unified, false, self.reference_paths);
+        let mut scratch = StepScratch::default();
 
         // Closed-loop state: per-client entry lists and readiness.
-        let clients = cfg.closed_loop.map(|c| c.clients.max(1)).unwrap_or(0);
+        let closed_loop = self.cfg.closed_loop;
+        let clients = closed_loop.map_or(0, |c| c.clients.max(1));
         let mut client_entries: Vec<VecDeque<usize>> = vec![VecDeque::new(); clients];
         if clients > 0 {
             for id in 0..n {
@@ -756,79 +536,31 @@ impl ServeEngine {
         }
         let mut client_ready = vec![0.0f64; clients];
         let mut client_outstanding = vec![false; clients];
-
         let mut next_open_arrival = 0usize; // open-loop cursor
-        let mut queue: VecDeque<usize> = VecDeque::new();
-        let mut running: Vec<usize> = Vec::new();
-        let mut reserved = 0u64; // bytes currently reserved (KV + activations)
-                                 // Queue-entry epoch per request: its arrival for fresh
-                                 // requests, the eviction time after a preemption. Aging and
-                                 // preemption patience measure waiting from here.
-        let mut waiting_since: Vec<f64> = requests.iter().map(|r| r.arrival).collect();
-        let discipline = cfg.discipline;
-        let mut t = 0.0f64;
-        let mut timeline = TimelineRec::new();
-        let mut evicted_scratch: Vec<RetainedSession> = Vec::new();
-        // Rejection-scan gating: the per-iteration `queue.retain` can
-        // only remove something when a queued fresh request can never
-        // fit (counted at push) or when the earliest queued arrival has
-        // outlived the timeout. `min_queued_arrival` is a conservative
-        // lower bound — removals only raise the true minimum, and the
-        // gate applies the *same* `t - arrival > timeout` expression the
-        // scan does, so gating never changes which step rejects what.
-        // `reference_paths` forces the scan every iteration.
-        let force_scan = self.reference_paths;
-        let timeout_finite = cfg.queue_timeout_s.is_finite();
-        let mut infeasible_queued = 0usize;
-        let mut min_queued_arrival = f64::INFINITY;
-        // Per-step scratch, reused across iterations so the steady-state
-        // loop allocates nothing.
-        let mut newly: Vec<usize> = Vec::new();
-        let mut new_jobs: Vec<PrefillJob> = Vec::new();
-        let mut running_lens: Vec<usize> = Vec::new();
-        let mut still_running: Vec<usize> = Vec::new();
-        let mut step_count = 0u64;
-        let mut batch_sum = 0u64;
-        // Exact extrema, tracked every step — the timeline decimates
-        // on long runs, so peaks must not be derived from it.
-        let mut peak_queue_depth = 0usize;
-        let mut peak_kv_bytes = 0u64;
-
-        // Marks a request terminal and releases its client, if any.
-        let release = |req: &Request, now: f64, ready: &mut [f64], outstanding: &mut [bool]| {
-            if clients > 0 {
-                let c = req.id % clients;
-                let cl = cfg.closed_loop.expect("clients > 0 implies closed_loop");
-                let u = hash_unit(cl.seed, req.id as u64).max(1e-12);
-                ready[c] = now + cl.think_s * -u.ln();
-                outstanding[c] = false;
-            }
-        };
 
         loop {
-            let _scan = profile::timer(Phase::EventScan);
-            // ---- 1. Pump due arrivals into the queue.
+            // ---- Pump due arrivals into the queue.
+            let t = replica.t;
+            let pump = profile::timer(Phase::EventScan);
+            let mut arrive = |id: usize, at: f64, reqs: &mut Reqs, obs: &mut ObsCtx<'_>| {
+                if TRACED {
+                    obs.emit(Event {
+                        t: at,
+                        replica: None,
+                        request: Some(id),
+                        kind: EventKind::Arrival {
+                            prompt_len: reqs.req[id].prompt_len,
+                            output_len: reqs.req[id].output_len,
+                        },
+                    });
+                }
+                let res = self.reservation_bytes(reqs.req[id].prompt_len, reqs.req[id].output_len);
+                replica.enqueue(id, at, res, reqs);
+            };
             if clients == 0 {
-                while next_open_arrival < n && requests[next_open_arrival].arrival <= t {
-                    let id = next_open_arrival;
-                    if TRACED {
-                        emit!(Event {
-                            t: requests[id].arrival,
-                            replica: None,
-                            request: Some(id),
-                            kind: EventKind::Arrival {
-                                prompt_len: requests[id].prompt_len,
-                                output_len: requests[id].output_len,
-                            },
-                        });
-                    }
-                    if res_bytes[id] > budget {
-                        infeasible_queued += 1;
-                    }
-                    if timeout_finite {
-                        min_queued_arrival = min_queued_arrival.min(requests[id].arrival);
-                    }
-                    queue.push_back(id);
+                while next_open_arrival < n && reqs.req[next_open_arrival].arrival <= t {
+                    let at = reqs.req[next_open_arrival].arrival;
+                    arrive(next_open_arrival, at, &mut reqs, &mut obs);
                     next_open_arrival += 1;
                 }
             } else {
@@ -837,473 +569,60 @@ impl ServeEngine {
                         continue;
                     }
                     if let Some(&id) = client_entries[c].front() {
-                        let at = requests[id].arrival.max(client_ready[c]);
+                        let at = reqs.req[id].arrival.max(client_ready[c]);
                         if at <= t {
-                            requests[id].arrival = at; // actual submit time
-                            waiting_since[id] = at;
+                            reqs.req[id].arrival = at; // actual submit time
                             client_entries[c].pop_front();
                             client_outstanding[c] = true;
-                            if TRACED {
-                                emit!(Event {
-                                    t: at,
-                                    replica: None,
-                                    request: Some(id),
-                                    kind: EventKind::Arrival {
-                                        prompt_len: requests[id].prompt_len,
-                                        output_len: requests[id].output_len,
-                                    },
-                                });
-                            }
-                            if res_bytes[id] > budget {
-                                infeasible_queued += 1;
-                            }
-                            if timeout_finite {
-                                min_queued_arrival = min_queued_arrival.min(at);
-                            }
-                            queue.push_back(id);
+                            arrive(id, at, &mut reqs, &mut obs);
                         }
                     }
                 }
             }
+            drop(pump);
 
-            // ---- 2. Reject hopeless or timed-out queued requests.
-            // Preempted requests are exempt: they were feasible when
-            // admitted (the victim guard keeps their restart
-            // reservation feasible) and already count as admitted, so
-            // rejecting them would double-count — preemption re-queues,
-            // it never drops.
-            if force_scan
-                || infeasible_queued > 0
-                || (timeout_finite && t - min_queued_arrival > cfg.queue_timeout_s)
-            {
-                infeasible_queued = 0;
-                min_queued_arrival = f64::INFINITY;
-                queue.retain(|&id| {
-                    let req = &mut requests[id];
-                    if req.state == RequestState::Preempted {
-                        return true;
-                    }
-                    let reason = if res_bytes[id] > budget {
-                        Some(RejectReason::Infeasible)
-                    } else if t - req.arrival > cfg.queue_timeout_s {
-                        Some(RejectReason::QueueTimeout {
-                            waited_s: t - req.arrival,
-                            discipline: discipline.name(),
-                        })
-                    } else {
-                        None
-                    };
-                    if let Some(reason) = reason {
-                        req.state = RequestState::Rejected;
-                        req.reject_reason = Some(reason);
-                        if TRACED {
-                            let decision_trace = match reason {
-                                RejectReason::Infeasible => format!(
-                                    "reservation {} B > budget {budget} B under {}: can never fit",
-                                    res_bytes[id],
-                                    cfg.policy.name()
-                                ),
-                                RejectReason::QueueTimeout {
-                                    waited_s,
-                                    discipline,
-                                } => format!(
-                                    "waited {waited_s:.3}s > timeout {:.3}s in {discipline} scan",
-                                    cfg.queue_timeout_s
-                                ),
-                            };
-                            emit!(Event {
-                                t,
-                                replica: None,
-                                request: Some(id),
-                                kind: EventKind::Rejected {
-                                    reason: reason.label().to_string(),
-                                    queue_wait_s: t - req.arrival,
-                                    decision_trace,
-                                },
-                            });
-                        }
-                        release(req, t, &mut client_ready, &mut client_outstanding);
-                        false
-                    } else {
-                        if timeout_finite {
-                            min_queued_arrival = min_queued_arrival.min(req.arrival);
-                        }
-                        true
+            // ---- Step; a terminal request frees its client, if any.
+            let stepped =
+                replica.step::<TRACED>(self, &mut reqs, &mut scratch, &mut obs, |req, now| {
+                    if let Some(cl) = closed_loop {
+                        let c = req.id % clients;
+                        let u = hash_unit(cl.seed, req.id as u64).max(1e-12);
+                        client_ready[c] = now + cl.think_s * -u.ln();
+                        client_outstanding[c] = false;
                     }
                 });
-            }
-
-            // The waiting backlog peaks here: arrivals are pumped and
-            // hopeless entries dropped, but admission has not yet
-            // drained the queue.
-            peak_queue_depth = peak_queue_depth.max(queue.len());
-            drop(_scan);
-
-            // ---- 3. Admit per the queue discipline under the KV
-            // budget and batch cap. FCFS walks the queue head-first and
-            // stops at the first misfit (the legacy behaviour,
-            // byte-for-byte); SJF/best-fit reorder by the policy-priced
-            // reservation; the preemptive variant may evict a running
-            // victim for a candidate blocked past its patience. A
-            // queued turn whose session prefix KV is still retained is
-            // admitted with only its suffix needing prefill; retained
-            // caches are LRU-evicted whenever they stand between a live
-            // request and the budget.
-            newly.clear();
-            new_jobs.clear();
-            let _order = profile::timer(Phase::Discipline);
-            // The maintained order is built lazily on the step's first
-            // selection (a saturated batch never pays for it) and stays
-            // valid for the whole step: the clock is fixed, admissions
-            // unlink entries, and preempted victims are inserted where
-            // the reference rescan would find them.
-            let mut order: Option<QueueOrder> = None;
-            loop {
-                if running.len() + newly.len() >= cfg.max_batch {
-                    break;
-                }
-                let default_res = |id: usize| -> u64 {
-                    if requests[id].state == RequestState::Preempted {
-                        self.requeue_reservation_bytes(&requests[id])
-                    } else {
-                        res_bytes[id]
-                    }
-                };
-                let wait = |id: usize| t - waiting_since[id];
-                let pick = if self.reference_paths {
-                    discipline
-                        .select(&queue, budget - reserved, default_res, wait)
-                        .map(QueuePick::reference)
-                } else {
-                    order
-                        .get_or_insert_with(|| discipline.build_order(&queue, default_res, wait))
-                        .select(queue.len(), budget - reserved)
-                };
-                let Some(pick) = pick else {
-                    break;
-                };
-                let pos = pick.pos;
-                let id = queue[pos];
-                let prefix = if requests[id].state == RequestState::Preempted {
-                    requests[id].seq_len()
-                } else {
-                    prefix_lens[id]
-                };
-                let dres = default_res(id);
-                evicted_scratch.clear();
-                if let Some((res, job)) = self.admit_with_reuse(
-                    &mut requests[id],
-                    prefix,
-                    dres,
-                    reserved,
-                    budget,
-                    &mut session_kv,
-                    &mut evicted_scratch,
-                ) {
-                    queue.remove(pos);
-                    if let Some(ord) = order.as_mut() {
-                        ord.remove(pick);
-                    }
-                    res_live[id] = res;
-                    reserved += res;
-                    let req = &mut requests[id];
-                    if req.admitted_at.is_none() {
-                        req.admitted_at = Some(t);
-                    }
-                    req.state = RequestState::Prefilling;
-                    if TRACED {
-                        let session = req.session;
-                        for evd in &evicted_scratch {
-                            emit!(Event {
-                                t,
-                                replica: None,
-                                request: None,
-                                kind: EventKind::RetentionEvict {
-                                    session: evd.session_id as u64,
-                                    seq_len: evd.seq_len,
-                                    bytes: evd.bytes,
-                                },
-                            });
-                        }
-                        if job.reused_prefix > 0 {
-                            if let Some(sref) = session {
-                                emit!(Event {
-                                    t,
-                                    replica: None,
-                                    request: Some(id),
-                                    kind: EventKind::RetentionHit {
-                                        session: sref.session_id as u64,
-                                        reused_tokens: job.reused_prefix,
-                                    },
-                                });
-                            }
-                            // The reused prefix re-enters the live batch
-                            // through the GPU cache region; when that
-                            // region is quantized the bytes move through
-                            // a transcode pass.
-                            let fp16 = cfg.policy.kv_working_set_fp16(model, job.reused_prefix);
-                            let stored = cfg.policy.precision().gpu_bytes(fp16);
-                            if stored != fp16 {
-                                emit!(Event {
-                                    t,
-                                    replica: None,
-                                    request: Some(id),
-                                    kind: EventKind::Transcode {
-                                        region: "gpu".to_string(),
-                                        fp16_bytes: fp16,
-                                        stored_bytes: stored,
-                                    },
-                                });
-                            }
-                        } else if prefix > 0 && session_kv.is_some() {
-                            if let Some(sref) = session {
-                                emit!(Event {
-                                    t,
-                                    replica: None,
-                                    request: Some(id),
-                                    kind: EventKind::RetentionMiss {
-                                        session: sref.session_id as u64,
-                                    },
-                                });
-                            }
-                        }
-                        let act = model.activation_bytes_per_seq(FP16) * job.new_tokens() as u64;
-                        emit!(Event {
-                            t,
-                            replica: None,
-                            request: Some(id),
-                            kind: EventKind::Admitted {
-                                reservation_bytes: res,
-                                kv_bytes: res.saturating_sub(act),
-                                activation_bytes: act,
-                                reserved_after: reserved,
-                                budget,
-                                reused_prefix: job.reused_prefix,
-                                queue_wait_s: t - waiting_since[id],
-                            },
-                        });
-                    }
-                    new_jobs.push(job);
-                    newly.push(id);
-                    continue;
-                }
-                // The candidate does not fit. Preemptive discipline +
-                // enough patience: evict the cheapest-to-restart
-                // running victim and retry; otherwise this is the
-                // (possibly reordered) head-of-line block — stop.
-                let patient = discipline
-                    .preemption_patience()
-                    .is_some_and(|p| t - waiting_since[id] > p);
-                if patient {
-                    if let Some(vpos) = self.pick_victim(
-                        &running,
-                        |id| &requests[id],
-                        |id| res_live[id],
-                        dres,
-                        reserved,
-                        budget,
-                    ) {
-                        let vid = running.remove(vpos);
-                        if TRACED {
-                            let cost = self.restart_cost(&requests[vid]);
-                            let decision_trace = format!(
-                                "candidate {id} (res {dres} B) outwaited patience; victim {vid} \
-                                 books {} B > {dres} B and is cheapest to restart ({cost:.4}s)",
-                                res_live[vid]
-                            );
-                            emit!(Event {
-                                t,
-                                replica: None,
-                                request: Some(vid),
-                                kind: EventKind::Preempted {
-                                    victim_of: id,
-                                    restart_cost_s: cost,
-                                    decision_trace,
-                                },
-                            });
-                        }
-                        self.preempt_victim(
-                            vid,
-                            res_live[vid],
-                            &mut requests[vid],
-                            &mut reserved,
-                            budget,
-                            t,
-                            &mut waiting_since[vid],
-                            &mut queue,
-                            &mut session_kv,
-                        );
-                        if let Some(ord) = order.as_mut() {
-                            // The victim's wait restarts at eviction, so
-                            // its key is its requeue reservation undecayed
-                            // — exactly what the reference rescan computes.
-                            let vres = self.requeue_reservation_bytes(&requests[vid]);
-                            ord.push_requeued(discipline.order_key(vres, 0.0), vres);
-                        }
-                        continue;
-                    }
-                }
-                break;
-            }
-            drop(_order);
-
-            // ---- 4. Idle? Jump the clock to the next arrival.
-            if newly.is_empty() && running.is_empty() {
-                let _idle = profile::timer(Phase::EventScan);
-                let mut next_event = f64::INFINITY;
-                if clients == 0 {
-                    if next_open_arrival < n {
-                        next_event = requests[next_open_arrival].arrival;
-                    }
-                } else {
-                    for c in 0..clients {
-                        if client_outstanding[c] {
-                            continue;
-                        }
-                        if let Some(&id) = client_entries[c].front() {
-                            next_event = next_event.min(requests[id].arrival.max(client_ready[c]));
-                        }
-                    }
-                }
-                if queue.is_empty() && next_event.is_infinite() {
-                    break; // drained: no queue, no batch, no future arrivals
-                }
-                if next_event.is_finite() {
-                    t = t.max(next_event);
-                }
+            if stepped {
                 continue;
             }
 
-            // ---- 5. Execute one engine step: prefill for the newly
-            // admitted + one decode token for the running batch + the
-            // policy's per-step overhead, all priced through
-            // [`ServeEngine::step_time`] (shared with the router).
-            running_lens.clear();
-            running_lens.extend(running.iter().map(|&id| requests[id].seq_len()));
-            let step_time = {
-                let _price = profile::timer(Phase::Pricing);
-                self.step_time_sessions(&new_jobs, &running_lens)
-            };
-            let batch = running.len() + newly.len();
-            let step_started = t;
-            t += step_time;
-            step_count += 1;
-            batch_sum += batch as u64;
-            peak_kv_bytes = peak_kv_bytes.max(reserved);
-
-            // ---- 6. Account tokens and completions.
-            let _acct = profile::timer(Phase::Accounting);
-            if TRACED {
-                emit!(Event {
-                    t: step_started,
-                    replica: None,
-                    request: None,
-                    kind: EventKind::Step {
-                        dur_s: step_time,
-                        prefills: newly.len(),
-                        decodes: running_lens.len(),
-                        kv_reserved: reserved,
-                        queue_depth: queue.len(),
-                    },
-                });
-            }
-            for &id in &running {
-                requests[id].generated += 1;
-            }
-            for &id in &newly {
-                let req = &mut requests[id];
-                // A re-admitted preempted request already delivered its
-                // first token before eviction: its TTFT stands, and the
-                // re-prefill step advances its kept progress by one.
-                if req.first_token_at.is_none() {
-                    req.first_token_at = Some(t);
+            // ---- Idle: jump the clock to the next arrival.
+            let _idle = profile::timer(Phase::EventScan);
+            let mut next_event = f64::INFINITY;
+            if clients == 0 {
+                if next_open_arrival < n {
+                    next_event = reqs.req[next_open_arrival].arrival;
                 }
-                req.generated += 1;
-                req.state = RequestState::Decoding;
-                running.push(id);
-            }
-            still_running.clear();
-            for id in running.drain(..) {
-                if requests[id].generated >= requests[id].output_len {
-                    reserved -= res_live[id];
-                    let req = &mut requests[id];
-                    req.finished_at = Some(t);
-                    req.state = RequestState::Finished;
-                    if TRACED {
-                        let generated = req.generated;
-                        let e2e = t - req.arrival;
-                        emit!(Event {
-                            t,
-                            replica: None,
-                            request: Some(id),
-                            kind: EventKind::Finished {
-                                generated,
-                                e2e_s: e2e,
-                            },
-                        });
+            } else {
+                for c in 0..clients {
+                    if client_outstanding[c] {
+                        continue;
                     }
-                    release(req, t, &mut client_ready, &mut client_outstanding);
-                    let stored = self.retain_finished(
-                        &requests[id],
-                        next_turn[id],
-                        budget - reserved,
-                        &mut session_kv,
-                    );
-                    if TRACED {
-                        if let Some((sid, seq, bytes)) = stored {
-                            emit!(Event {
-                                t,
-                                replica: None,
-                                request: Some(id),
-                                kind: EventKind::RetentionStore {
-                                    session: sid as u64,
-                                    seq_len: seq,
-                                    bytes,
-                                },
-                            });
-                        }
+                    if let Some(&id) = client_entries[c].front() {
+                        next_event = next_event.min(reqs.req[id].arrival.max(client_ready[c]));
                     }
-                } else {
-                    still_running.push(id);
                 }
             }
-            std::mem::swap(&mut running, &mut still_running);
-
-            // ---- 7. Sample the timeline (decimating deterministically
-            // once it grows past the cap; the recorder keeps the first
-            // and last sample either way).
-            timeline.push(
-                step_count,
-                ServeSample {
-                    t,
-                    queue_depth: queue.len(),
-                    running: running.len(),
-                    kv_bytes: reserved,
-                },
-            );
+            if replica.queue.is_empty() && next_event.is_infinite() {
+                break; // drained: no queue, no batch, no future arrivals
+            }
+            if next_event.is_finite() {
+                replica.t = replica.t.max(next_event);
+            }
         }
 
-        let mean_batch = if step_count == 0 {
-            0.0
-        } else {
-            batch_sum as f64 / step_count as f64
-        };
-        let mut report = ServeReport::from_requests(
-            cfg.policy.name().to_string(),
-            model.name.clone(),
-            cfg.hardware.to_string(),
-            &requests,
-            cfg.slo,
-            t,
-            mean_batch,
-            timeline.into_samples(),
-            peak_queue_depth,
-            peak_kv_bytes,
-            session_kv.map(|kv| kv.stats()),
-            (!discipline.is_fcfs()).then(|| discipline.name().to_string()),
-        );
+        let mut report = replica.report(self, &reqs.req);
         if TRACED {
-            report.metrics = Some(reg.canonical_text());
+            report.metrics = Some(obs.reg.canonical_text());
         }
         report
     }

@@ -78,6 +78,7 @@ pub mod arrivals;
 pub mod discipline;
 pub mod engine;
 pub mod metrics;
+mod replica;
 pub mod request;
 pub mod router;
 pub mod trace;
@@ -88,7 +89,7 @@ pub use alisa_obs::{
     Event, EventKind, JsonlSink, MemorySink, MetricsRegistry, NullSink, TraceSink,
 };
 pub use arrivals::ArrivalProcess;
-pub use discipline::{DisciplineStats, QueueDiscipline, QueueOrder, QueuePick};
+pub use discipline::{DisciplineStats, QueueDiscipline};
 pub use engine::{derived_slo, ClosedLoopCfg, PrefillJob, RetentionCfg, ServeConfig, ServeEngine};
 pub use metrics::{LatencyStats, ServeReport, ServeSample, SloSpec};
 pub use request::{RejectReason, Request, RequestState};

@@ -33,9 +33,10 @@
 //!
 //! The simulation is a deterministic discrete-event loop: a global
 //! event heap (arrivals, handoffs, re-queues) ordered by `(time, seq)`,
-//! with each replica advancing step-by-step exactly like
+//! with each replica advancing through the same step as
 //! [`ServeEngine::run`]. A single-replica router run is byte-identical
-//! to the plain engine run — asserted by `tests/multi_replica.rs`.
+//! to the plain engine run — asserted by `tests/multi_replica.rs` and
+//! `tests/differential.rs`.
 //!
 //! # Example
 //!
@@ -68,36 +69,21 @@
 //! ```
 
 use std::cmp::Ordering;
-use std::collections::{BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BTreeSet, BinaryHeap};
 
-use alisa_kvcache::{RetainedSession, ReuseStats, SessionKvCache};
+use alisa_kvcache::ReuseStats;
 use alisa_obs::profile::{self, Phase};
-use alisa_obs::{Event, EventKind, MetricsRegistry, NullSink, TraceSink};
+use alisa_obs::{Event, EventKind, NullSink, TraceSink};
 use alisa_sched::common::mix64;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::engine::{PrefillJob, ServeConfig, ServeEngine, TimelineRec};
+use crate::engine::{ServeConfig, ServeEngine};
 use crate::metrics::{ServeReport, ServeSample};
-use crate::request::{RejectReason, Request, RequestState};
+use crate::replica::{Lifecycle, ObsCtx, Replica, Reqs, Role, StepScratch};
+use crate::request::{RejectReason, RequestState};
 use crate::trace::Trace;
-
-/// Tracing context threaded through the router's dispatch and step
-/// paths: the sink, the metrics registry accumulating alongside it, and
-/// the cached enabled flag so the untraced path pays one branch per
-/// emission site and never constructs an event.
-struct ObsCtx<'a> {
-    sink: &'a mut dyn TraceSink,
-    reg: MetricsRegistry,
-}
-
-impl ObsCtx<'_> {
-    fn emit(&mut self, ev: Event) {
-        self.reg.record(&ev);
-        self.sink.emit(&ev);
-    }
-}
 
 /// How the router distributes incoming requests across replicas.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -315,26 +301,6 @@ pub struct RouterConfig {
     /// disaggregation.
     #[serde(default)]
     pub failures: Option<FailurePlan>,
-    /// Worker threads used to advance lagging replicas between
-    /// dispatches. `1` (the default) steps them serially in index
-    /// order; larger values fan the per-replica steps out over scoped
-    /// threads. Replica steps between two dispatches touch disjoint
-    /// state (each replica only its own queue/batch and the requests it
-    /// currently owns), and the event merge assigns heap sequence
-    /// numbers in ascending replica order — exactly the serial order —
-    /// so any thread count produces a byte-identical [`RouterReport`]
-    /// and, under tracing, an identical event stream (traced runs step
-    /// serially so per-replica events interleave deterministically).
-    #[serde(default = "default_step_threads")]
-    pub step_threads: usize,
-}
-
-// Referenced by the `#[serde(default)]` attribute above; the vendored
-// no-op serde_derive expands derives to nothing, so under it this fn is
-// only reachable once the real serde is swapped in.
-#[allow(dead_code)]
-fn default_step_threads() -> usize {
-    1
 }
 
 impl RouterConfig {
@@ -348,7 +314,6 @@ impl RouterConfig {
             disagg: None,
             autoscaler: None,
             failures: None,
-            step_threads: 1,
         }
     }
 
@@ -366,15 +331,12 @@ impl RouterConfig {
             disagg: None,
             autoscaler: None,
             failures: None,
-            step_threads: 1,
         }
     }
 
-    /// Overrides the replica-stepping worker-thread count (`0` is
-    /// clamped to serial). Purely a wall-clock knob: reports and traced
-    /// event streams are byte-identical for every value.
-    pub fn with_step_threads(mut self, n: usize) -> Self {
-        self.step_threads = n.max(1);
+    /// Accepted for source compatibility and ignored: replicas step
+    /// serially, in index order.
+    pub fn with_step_threads(self, _n: usize) -> Self {
         self
     }
 
@@ -491,32 +453,6 @@ impl RouterReport {
     }
 }
 
-/// What a replica does in the fleet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Role {
-    /// Prefill + decode (no disaggregation).
-    Unified,
-    /// Prefill only; finished prompts are handed off.
-    Prefill,
-    /// Decode only; admits handed-off requests.
-    Decode,
-}
-
-/// A replica's availability in a dynamic fleet. Static fleets stay
-/// `Up` for the whole run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Lifecycle {
-    /// Admitting new work.
-    Up,
-    /// Powered down, holding nothing; the autoscaler may bring it up.
-    Standby,
-    /// Not admitting; queued work has been handed to survivors and the
-    /// running batch finishes locally, then the replica goes standby.
-    Draining,
-    /// Killed by the failure plan. Permanent.
-    Failed,
-}
-
 /// A global simulation event.
 #[derive(Debug, Clone, Copy)]
 enum EvKind {
@@ -568,39 +504,6 @@ impl Ord for Ev {
     }
 }
 
-/// Everything one replica step wants to publish to the global
-/// simulation: heap events in emission order (bounce re-queues from the
-/// timeout scan, then prefill→decode handoffs), plus the bounce/handoff
-/// counters. Steps write into a private outbox; the caller drains the
-/// outboxes in ascending replica order, assigning heap `seq` numbers at
-/// drain time — so serial and parallel sweeps hand out identical
-/// sequence numbers and the event loop stays deterministic.
-#[derive(Debug, Default)]
-struct StepOutbox {
-    events: Vec<(f64, EvKind)>,
-    requeued: usize,
-    handoffs: usize,
-    /// Per-worker step scratch, reused across sweeps (mirroring the
-    /// engine's `TopKScratch` idiom) so a replica step allocates
-    /// nothing once the buffers have grown to steady state.
-    scratch: StepScratch,
-}
-
-/// Reusable buffers for one replica step: admission staging, pricing
-/// input, and the running-batch rebuild. Contents are cleared before
-/// every use, so reuse can never leak state between steps or replicas.
-#[derive(Debug, Default)]
-struct StepScratch {
-    bounced: Vec<usize>,
-    newly: Vec<usize>,
-    new_jobs: Vec<PrefillJob>,
-    ingests: Vec<usize>,
-    evicted: Vec<RetainedSession>,
-    running_lens: Vec<usize>,
-    to_run: Vec<usize>,
-    still_running: Vec<usize>,
-}
-
 /// Incrementally-maintained replica-selection indexes — the fleet
 /// dispatch hot path at scale.
 ///
@@ -628,14 +531,14 @@ struct StepScratch {
 /// router byte-identical to the linear one (pinned by
 /// `tests/differential.rs`). Updates are O(log replicas): the router
 /// refreshes a replica's keys whenever its load signals can have moved
-/// (on enqueue, and after each step sweep).
+/// (on enqueue, and after each replica step).
 ///
 /// Fleets are no longer fixed at construction:
 /// [`DispatchIndex::remove`] takes a draining or failed replica out of
 /// every order (it can no longer be picked) and
 /// [`DispatchIndex::insert`] puts a scaled-up replica back — both
 /// O(log replicas), no rebuild. Updates to an absent replica are
-/// no-ops, so the router's blanket post-sweep re-keying needs no
+/// no-ops, so the router's blanket post-step re-keying needs no
 /// lifecycle bookkeeping.
 ///
 /// Disaggregated fleets get the tier filter baked in: each replica
@@ -808,213 +711,13 @@ impl DispatchIndex {
     }
 }
 
-/// Reusable buffers for the serial dispatch phase: the eligible /
-/// feasible candidate lists the reference selection (and the
-/// round-robin/sticky handoff pick) materializes. Owned by the run so
-/// no dispatch allocates.
+/// Reusable buffers for dispatch: the eligible / feasible candidate
+/// lists the reference selection (and the round-robin/sticky picks)
+/// materializes. Owned by the run so no dispatch allocates.
 #[derive(Debug, Default)]
 struct DispatchScratch {
     eligible: Vec<usize>,
     feasible: Vec<usize>,
-}
-
-/// Shared view over the per-request side arrays
-/// (`requests`/`res_bytes`/`queued_since`/`was_requeued`) that replica
-/// steps index by request id.
-///
-/// Between two dispatches every request id is *owned* by at most one
-/// replica — it sits in exactly one replica's queue or running batch,
-/// or in no replica at all (in flight on the event heap). A step on
-/// replica `i` only ever touches ids replica `i` owns: its timeout
-/// scan, admission, preemption, and completion paths all index through
-/// `state.queue`/`state.running`, and a bounced or handed-off id leaves
-/// the replica in the same step that publishes its heap event, so no
-/// other replica can see it until the (serial) dispatch phase re-homes
-/// it. Concurrent replica steps therefore access disjoint elements,
-/// which is what makes the raw-pointer sharing below sound.
-struct ReqView {
-    requests: *mut Request,
-    res_bytes: *mut u64,
-    queued_since: *mut f64,
-    was_requeued: *mut bool,
-    len: usize,
-}
-
-// SAFETY: the view is only shared between scoped worker threads that
-// step *distinct* replicas, and a replica step only accesses the ids
-// that replica owns (see the type-level comment): element accesses from
-// different threads never alias. All pointees are plain `Send` data.
-unsafe impl Send for ReqView {}
-unsafe impl Sync for ReqView {}
-
-#[allow(clippy::mut_from_ref)] // interior mutability via raw pointers; disjointness argued above
-impl ReqView {
-    fn new(
-        requests: &mut [Request],
-        res_bytes: &mut [u64],
-        queued_since: &mut [f64],
-        was_requeued: &mut [bool],
-    ) -> Self {
-        let len = requests.len();
-        debug_assert!(res_bytes.len() == len && queued_since.len() == len);
-        debug_assert_eq!(was_requeued.len(), len);
-        ReqView {
-            requests: requests.as_mut_ptr(),
-            res_bytes: res_bytes.as_mut_ptr(),
-            queued_since: queued_since.as_mut_ptr(),
-            was_requeued: was_requeued.as_mut_ptr(),
-            len,
-        }
-    }
-
-    fn req(&self, id: usize) -> &Request {
-        debug_assert!(id < self.len);
-        unsafe { &*self.requests.add(id) }
-    }
-
-    fn req_mut(&self, id: usize) -> &mut Request {
-        debug_assert!(id < self.len);
-        unsafe { &mut *self.requests.add(id) }
-    }
-
-    fn res(&self, id: usize) -> u64 {
-        debug_assert!(id < self.len);
-        unsafe { *self.res_bytes.add(id) }
-    }
-
-    fn set_res(&self, id: usize, v: u64) {
-        debug_assert!(id < self.len);
-        unsafe { *self.res_bytes.add(id) = v }
-    }
-
-    fn queued_since(&self, id: usize) -> f64 {
-        debug_assert!(id < self.len);
-        unsafe { *self.queued_since.add(id) }
-    }
-
-    fn queued_since_mut(&self, id: usize) -> &mut f64 {
-        debug_assert!(id < self.len);
-        unsafe { &mut *self.queued_since.add(id) }
-    }
-
-    fn was_requeued(&self, id: usize) -> bool {
-        debug_assert!(id < self.len);
-        unsafe { *self.was_requeued.add(id) }
-    }
-
-    fn set_was_requeued(&self, id: usize, v: bool) {
-        debug_assert!(id < self.len);
-        unsafe { *self.was_requeued.add(id) = v }
-    }
-}
-
-/// Mutable per-replica simulation state. The step machinery mirrors
-/// [`ServeEngine::run`] exactly (same ordering of reject scan, peak
-/// tracking, FCFS admission, pricing, accounting, and timeline
-/// decimation) so that a 1-replica fleet reproduces the single engine
-/// byte-for-byte.
-struct ReplicaState {
-    idx: usize,
-    role: Role,
-    /// Availability in a dynamic fleet; always `Up` in a static one.
-    life: Lifecycle,
-    /// When the current up (or draining) stretch began.
-    up_since: f64,
-    /// Accumulated admitting-or-draining seconds from *closed*
-    /// stretches; the open stretch (if any) is settled at drain
-    /// completion, failure, or end of run.
-    up_seconds: f64,
-    /// Relative throughput ([`ServeEngine::throughput_weight`]) the
-    /// least-* load signals are normalized by.
-    weight: f64,
-    budget: u64,
-    queue: VecDeque<usize>,
-    running: Vec<usize>,
-    reserved: u64,
-    t: f64,
-    step_count: u64,
-    batch_sum: u64,
-    peak_queue_depth: usize,
-    peak_kv_bytes: u64,
-    timeline: TimelineRec,
-    /// Replica-local retained session caches (prefix reuse), present
-    /// when the replica's config enables retention.
-    session_kv: Option<SessionKvCache>,
-}
-
-impl ReplicaState {
-    fn new(idx: usize, role: Role, engine: &ServeEngine) -> Self {
-        let budget = engine.kv_budget();
-        ReplicaState {
-            idx,
-            role,
-            life: Lifecycle::Up,
-            up_since: 0.0,
-            up_seconds: 0.0,
-            weight: engine.throughput_weight(),
-            budget,
-            queue: VecDeque::new(),
-            running: Vec::new(),
-            reserved: 0,
-            t: 0.0,
-            step_count: 0,
-            batch_sum: 0,
-            peak_queue_depth: 0,
-            peak_kv_bytes: 0,
-            timeline: TimelineRec::new(),
-            session_kv: engine
-                .config()
-                .retention
-                .map(|r| SessionKvCache::new(r.pool_bytes(budget))),
-        }
-    }
-
-    /// Whether the replica has work (queued or running requests).
-    fn busy(&self) -> bool {
-        !(self.queue.is_empty() && self.running.is_empty())
-    }
-
-    /// Outstanding requests — the least-outstanding policy's load
-    /// signal.
-    fn outstanding(&self) -> usize {
-        self.queue.len() + self.running.len()
-    }
-
-    /// KV occupancy in `[0, 1]` — the least-KV-pressure load signal.
-    fn kv_pressure(&self) -> f64 {
-        if self.budget == 0 {
-            1.0
-        } else {
-            self.reserved as f64 / self.budget as f64
-        }
-    }
-
-    /// Whether the replica accepts new dispatches.
-    fn is_admitting(&self) -> bool {
-        self.life == Lifecycle::Up
-    }
-
-    /// Throughput-normalized outstanding count — what the
-    /// least-outstanding policy actually minimizes. On a homogeneous
-    /// fleet every weight is equal, so the order (and every tie) is
-    /// exactly the raw count's.
-    fn load_norm(&self) -> f64 {
-        self.outstanding() as f64 / self.weight
-    }
-
-    /// Throughput-normalized KV occupancy — the least-KV-pressure
-    /// signal, biased toward replicas that drain their reservations
-    /// faster.
-    fn pressure_norm(&self) -> f64 {
-        self.kv_pressure() / self.weight
-    }
-
-    /// Accepts a request into the local admission queue at event time
-    /// `at` (an idle replica's clock jumps forward to it).
-    fn enqueue(&mut self, id: usize, at: f64) {
-        self.t = self.t.max(at);
-        self.queue.push_back(id);
-    }
 }
 
 /// The shared router: owns N replica engines and dispatches a trace
@@ -1090,12 +793,13 @@ impl Router {
         }
     }
 
-    /// Forces the naive reference dispatch: per-request linear
+    /// Forces the naive reference paths: per-request linear
     /// `min_by`/`min_by_key` scans over the tier instead of the
-    /// incrementally-maintained [`DispatchIndex`]. Reports and event
-    /// streams must be byte-identical either way — this switch exists
-    /// so `tests/differential.rs` and `benches/router.rs` can prove
-    /// and price exactly that.
+    /// incrementally-maintained [`DispatchIndex`], and a rejection scan
+    /// on every replica step instead of the gated one. Reports and
+    /// event streams must be byte-identical either way — this switch
+    /// exists so `tests/differential.rs` and `benches/router.rs` can
+    /// prove and price exactly that.
     #[doc(hidden)]
     pub fn with_reference_paths(mut self, on: bool) -> Self {
         self.reference_paths = on;
@@ -1170,23 +874,14 @@ impl Router {
         trace: &Trace,
         sink: &mut dyn TraceSink,
     ) -> RouterReport {
-        let mut obs = ObsCtx {
-            sink,
-            reg: MetricsRegistry::new(),
-        };
+        let mut obs = ObsCtx::new(sink);
         let n_replicas = self.engines.len();
         let disagg = self.cfg.disagg;
         let prefill_count = disagg.map_or(0, |d| d.prefill_replicas);
+        let requeue = self.cfg.requeue_on_reject && n_replicas > 1;
 
-        let mut requests: Vec<Request> = trace
-            .entries()
-            .iter()
-            .enumerate()
-            .map(|(id, e)| Request::from_entry(id, e).expect("trace entries are pre-validated"))
-            .collect();
-        let n = requests.len();
-
-        let mut states: Vec<ReplicaState> = self
+        let mut reqs = Reqs::new(trace);
+        let mut states: Vec<Replica> = self
             .engines
             .iter()
             .enumerate()
@@ -1196,7 +891,7 @@ impl Router {
                     Some(_) => Role::Decode,
                     None => Role::Unified,
                 };
-                ReplicaState::new(i, role, eng)
+                Replica::new(eng, Some(i), role, requeue, self.reference_paths)
             })
             .collect();
         let dynamic = self.fleet_dynamic();
@@ -1207,20 +902,15 @@ impl Router {
             }
         }
 
-        // Per-request side state the router owns.
-        let prefix_lens = trace.prefix_lens();
-        let next_turn = trace.next_turn_exists();
-        let mut owner: Vec<Option<usize>> = vec![None; n]; // terminal home
-        let mut res_bytes: Vec<u64> = vec![0; n]; // reservation on current replica
-        let mut queued_since: Vec<f64> = vec![0.0; n]; // timeout epoch
-        let mut was_requeued: Vec<bool> = vec![false; n];
+        // Terminal home of each request.
+        let mut owner: Vec<Option<usize>> = vec![None; reqs.req.len()];
         let mut requeued_total = 0usize;
         let mut handoffs_total = 0usize;
         let mut last_event_t = 0.0f64;
 
         let mut heap: BinaryHeap<Ev> = BinaryHeap::new();
         let mut seq = 0u64;
-        for (id, req) in requests.iter().enumerate() {
+        for (id, req) in reqs.req.iter().enumerate() {
             heap.push(Ev {
                 t: req.arrival,
                 seq,
@@ -1255,15 +945,13 @@ impl Router {
         let decode_tier = self.decode_tier();
         let mut rr_arrival = 0usize;
         let mut rr_handoff = 0usize;
-        let step_threads = self.cfg.step_threads.max(1);
-        let mut lagging: Vec<usize> = Vec::new();
-        let mut outboxes: Vec<StepOutbox> = Vec::new();
+        let mut step_scratch = StepScratch::default();
 
         // The dispatch index: maintained for the two load signals the
         // reference selection scans linearly. Round-robin and sticky
-        // picks are already O(1); `with_reference_paths(true)` drops
-        // the index so the linear scans stay reachable for the
-        // differential harness.
+        // picks index the eligible list directly;
+        // `with_reference_paths(true)` drops the index so the linear
+        // scans stay reachable for the differential harness.
         let mut index: Option<DispatchIndex> = if self.reference_paths {
             None
         } else {
@@ -1298,7 +986,7 @@ impl Router {
             // ---- 0. Dynamic fleets: a draining replica whose running
             // batch has emptied completes its drain and goes standby,
             // settling its up-time and discarding retained sessions
-            // (the next scale-up starts cold). Serial, deterministic.
+            // (the next scale-up starts cold).
             if dynamic {
                 for s in states.iter_mut() {
                     if s.life != Lifecycle::Draining || s.busy() {
@@ -1355,8 +1043,8 @@ impl Router {
                                     replica: None,
                                     request: Some(id),
                                     kind: EventKind::Arrival {
-                                        prompt_len: requests[id].prompt_len,
-                                        output_len: requests[id].output_len,
+                                        prompt_len: reqs.req[id].prompt_len,
+                                        output_len: reqs.req[id].output_len,
                                     },
                                 });
                             }
@@ -1367,10 +1055,8 @@ impl Router {
                                 None,
                                 &decode_tier,
                                 &mut states,
-                                &mut requests,
+                                &mut reqs,
                                 &mut owner,
-                                &mut res_bytes,
-                                &mut queued_since,
                                 &mut rr_arrival,
                                 &mut index,
                                 &mut dispatch_scratch,
@@ -1385,10 +1071,8 @@ impl Router {
                                 Some(from),
                                 &decode_tier,
                                 &mut states,
-                                &mut requests,
+                                &mut reqs,
                                 &mut owner,
-                                &mut res_bytes,
-                                &mut queued_since,
                                 &mut rr_arrival,
                                 &mut index,
                                 &mut dispatch_scratch,
@@ -1404,7 +1088,7 @@ impl Router {
                             // request up front unless some decode
                             // replica could hold it, and budgets are
                             // static.
-                            let req = &requests[id];
+                            let req = &reqs.req[id];
                             let fits_decode = |i: usize| {
                                 self.engines[i]
                                     .decode_reservation_bytes(req.prompt_len, req.output_len)
@@ -1434,7 +1118,7 @@ impl Router {
                                     self.pick(feasible, &states, key, &mut rr_handoff)
                                 }
                             };
-                            res_bytes[id] = self.engines[target]
+                            let res = self.engines[target]
                                 .decode_reservation_bytes(req.prompt_len, req.output_len);
                             if TRACED {
                                 // The transfer was priced on the prefill
@@ -1443,7 +1127,7 @@ impl Router {
                                 // transit, so recomputing here yields
                                 // the exact same bytes and latency.
                                 let from = owner[id].expect("handoff implies a prefill owner");
-                                let seq = requests[id].seq_len();
+                                let seq = req.seq_len();
                                 obs.emit(Event {
                                     t: ev.t,
                                     replica: Some(target),
@@ -1457,8 +1141,7 @@ impl Router {
                                 });
                             }
                             owner[id] = Some(target);
-                            queued_since[id] = ev.t;
-                            states[target].enqueue(id, ev.t);
+                            states[target].enqueue(id, ev.t, res, &mut reqs);
                             if let Some(ix) = index.as_mut() {
                                 let s = &states[target];
                                 ix.update(target, s.load_norm(), s.pressure_norm());
@@ -1470,10 +1153,8 @@ impl Router {
                                 ev.t,
                                 &a,
                                 &mut states,
-                                &mut requests,
+                                &mut reqs,
                                 &mut owner,
-                                &mut res_bytes,
-                                &mut queued_since,
                                 &mut rr_arrival,
                                 &mut index,
                                 &mut dispatch_scratch,
@@ -1494,10 +1175,8 @@ impl Router {
                                 r,
                                 ev.t,
                                 &mut states,
-                                &mut requests,
+                                &mut reqs,
                                 &mut owner,
-                                &mut res_bytes,
-                                &mut queued_since,
                                 &mut rr_arrival,
                                 &mut index,
                                 &mut dispatch_scratch,
@@ -1510,122 +1189,48 @@ impl Router {
                 }
             }
 
-            // ---- 2. No due event: advance the lagging busy replicas by
-            // one step each (bounded by the next event time so nobody
-            // races past a dispatch it should have seen).
+            // ---- 2. No due event: advance every lagging busy replica
+            // by one step, in index order (bounded by the next event
+            // time so nobody races past a dispatch it should have
+            // seen). Each step's bounces and handoffs go on the heap
+            // right after it, and its load signals are re-keyed —
+            // dispatches only read the index between sweeps.
             let limit = heap.peek().map_or(f64::INFINITY, |e| e.t);
-            lagging.clear();
-            lagging.extend((0..n_replicas).filter(|&i| states[i].busy() && states[i].t < limit));
-            // When nothing can step, either the fleet is drained (no
-            // events left) or every busy replica has reached the next
-            // event's time, which makes it due on the next iteration.
-            if lagging.is_empty() {
-                if heap.is_empty() {
-                    break;
+            let mut stepped = false;
+            for (i, s) in states.iter_mut().enumerate() {
+                if !s.busy() || s.t >= limit {
+                    continue;
                 }
-                continue;
-            }
-            // The sweep: one step per lagging replica. Steps between
-            // two dispatches are mutually independent — replica `i`
-            // touches only its own `ReplicaState` plus the request ids
-            // it currently owns (see [`ReqView`]), and publishes heap
-            // events through a private [`StepOutbox`] — so the sweep
-            // may run serially or fan out over scoped threads. Draining
-            // the outboxes in ascending replica order afterwards hands
-            // out exactly the `seq` numbers the serial loop would, so
-            // every `step_threads` value is byte-identical. Traced runs
-            // always step serially: the per-replica event emissions
-            // must interleave in the deterministic replica order.
-            if outboxes.len() < lagging.len() {
-                outboxes.resize_with(lagging.len(), StepOutbox::default);
-            }
-            let view = ReqView::new(
-                &mut requests,
-                &mut res_bytes,
-                &mut queued_since,
-                &mut was_requeued,
-            );
-            if !TRACED && step_threads > 1 && lagging.len() > 1 {
-                let workers = step_threads.min(lagging.len());
-                let per = lagging.len().div_ceil(workers);
-                let prefix_lens: &[usize] = &prefix_lens;
-                let next_turn: &[bool] = &next_turn;
-                let view = &view;
-                std::thread::scope(|scope| {
-                    let mut states_rest: &mut [ReplicaState] = &mut states;
-                    let mut ob_rest: &mut [StepOutbox] = &mut outboxes;
-                    let mut base = 0usize;
-                    for chunk in lagging.chunks(per) {
-                        // Each worker gets an exclusive `split_at_mut`
-                        // sub-slice of `states` covering its (sorted,
-                        // unique) replica indices, and the matching
-                        // outbox sub-slice — plain disjoint `&mut`s.
-                        let hi = chunk.last().expect("chunks are non-empty") + 1;
-                        let (states_part, rest) =
-                            std::mem::take(&mut states_rest).split_at_mut(hi - base);
-                        states_rest = rest;
-                        let (ob_part, rest) =
-                            std::mem::take(&mut ob_rest).split_at_mut(chunk.len());
-                        ob_rest = rest;
-                        let part_base = base;
-                        base = hi;
-                        scope.spawn(move || {
-                            // Inert per-worker sink: this branch only
-                            // runs untraced, so nothing is emitted.
-                            let mut sink = NullSink;
-                            let mut obs = ObsCtx {
-                                sink: &mut sink,
-                                reg: MetricsRegistry::new(),
-                            };
-                            for (k, &i) in chunk.iter().enumerate() {
-                                self.step_once::<false>(
-                                    i,
-                                    &mut states_part[i - part_base],
-                                    view,
-                                    prefix_lens,
-                                    next_turn,
-                                    &mut ob_part[k],
-                                    &mut obs,
-                                );
-                            }
-                        });
-                    }
-                });
-            } else {
-                for (k, &i) in lagging.iter().enumerate() {
-                    self.step_once::<TRACED>(
-                        i,
-                        &mut states[i],
-                        &view,
-                        &prefix_lens,
-                        &next_turn,
-                        &mut outboxes[k],
-                        &mut obs,
-                    );
-                }
-            }
-            // Deterministic merge: ascending replica order, `seq`
-            // assigned at drain time — identical to the serial loop's
-            // in-step pushes.
-            for ob in &mut outboxes[..lagging.len()] {
-                for (t, kind) in ob.events.drain(..) {
+                stepped = true;
+                s.step::<TRACED>(
+                    &self.engines[i],
+                    &mut reqs,
+                    &mut step_scratch,
+                    &mut obs,
+                    |_, _| {},
+                );
+                let out = &step_scratch;
+                let events = out
+                    .requeues
+                    .iter()
+                    .map(|&(t, id)| (t, EvKind::Requeue { id, from: i }))
+                    .chain(out.handoffs.iter().map(|&(t, id)| (t, EvKind::Handoff(id))));
+                for (t, kind) in events {
                     heap.push(Ev { t, seq, kind });
                     seq += 1;
                     real_events += 1;
                 }
-                requeued_total += ob.requeued;
-                ob.requeued = 0;
-                handoffs_total += ob.handoffs;
-                ob.handoffs = 0;
-            }
-            // Re-key the stepped replicas: a step can move both load
-            // signals (admission, completion, preemption, timeouts).
-            // Dispatches only ever read the index in the serial phase
-            // above, so refreshing here keeps it exact.
-            if let Some(ix) = index.as_mut() {
-                for &i in &lagging {
-                    ix.update(i, states[i].load_norm(), states[i].pressure_norm());
+                requeued_total += out.requeues.len();
+                handoffs_total += out.handoffs.len();
+                if let Some(ix) = index.as_mut() {
+                    ix.update(i, s.load_norm(), s.pressure_norm());
                 }
+            }
+            // When nothing could step, either the fleet is drained (no
+            // events left) or every busy replica has reached the next
+            // event's time, which makes it due on the next iteration.
+            if !stepped && heap.is_empty() {
+                break;
             }
         }
 
@@ -1643,7 +1248,7 @@ impl Router {
         }
 
         let mut report = self.build_report(
-            &requests,
+            &reqs,
             &states,
             &owner,
             prefill_count,
@@ -1662,7 +1267,7 @@ impl Router {
     /// `key` is the affinity key sticky policies hash: the request's
     /// real session id, or its trace index for legacy single-shot
     /// entries (reproducing the pre-session `i % sessions` fold).
-    fn pick(&self, tier: &[usize], states: &[ReplicaState], key: usize, rr: &mut usize) -> usize {
+    fn pick(&self, tier: &[usize], states: &[Replica], key: usize, rr: &mut usize) -> usize {
         debug_assert!(!tier.is_empty());
         match self.cfg.lb {
             LoadBalancePolicy::RoundRobin => {
@@ -1697,50 +1302,6 @@ impl Router {
         }
     }
 
-    /// Round-robin / sticky selection over the contiguous `tier` with
-    /// `exclude` skipped, without materializing the eligible list: the
-    /// k-th eligible replica of `[lo, hi)` minus the excluded index is
-    /// `lo + k`, shifted up by one when it lands on or beyond the
-    /// exclusion. Returns `None` when nothing is eligible. Increments
-    /// `rr` exactly when the reference pick would (a successful
-    /// round-robin selection), so the two paths stay byte-identical.
-    fn pick_cyclic(
-        &self,
-        tier: &[usize],
-        exclude: Option<usize>,
-        key: usize,
-        rr: &mut usize,
-    ) -> Option<usize> {
-        let lo = *tier.first()?;
-        let hi = lo + tier.len();
-        debug_assert!(
-            tier.windows(2).all(|w| w[1] == w[0] + 1),
-            "tiers are contiguous index ranges"
-        );
-        let excl = exclude.filter(|e| (lo..hi).contains(e));
-        let len = tier.len() - usize::from(excl.is_some());
-        if len == 0 {
-            return None;
-        }
-        let k = match self.cfg.lb {
-            LoadBalancePolicy::RoundRobin => {
-                let k = *rr % len;
-                *rr += 1;
-                k
-            }
-            LoadBalancePolicy::Sticky { sessions } => {
-                let session = (key % sessions) as u64;
-                (mix64(session) % len as u64) as usize
-            }
-            _ => unreachable!("cyclic pick is only for round-robin/sticky"),
-        };
-        let cand = lo + k;
-        Some(match excl {
-            Some(e) if cand >= e => cand + 1,
-            _ => cand,
-        })
-    }
-
     /// Routes one fresh arrival (or a re-queued bounce, with the
     /// bouncing replica excluded) to a replica, or rejects it as
     /// infeasible if no eligible replica can ever hold it.
@@ -1752,20 +1313,18 @@ impl Router {
         tier: &[usize],
         exclude: Option<usize>,
         decode_tier: &[usize],
-        states: &mut [ReplicaState],
-        requests: &mut [Request],
+        states: &mut [Replica],
+        reqs: &mut Reqs,
         owner: &mut [Option<usize>],
-        res_bytes: &mut [u64],
-        queued_since: &mut [f64],
         rr: &mut usize,
         index: &mut Option<DispatchIndex>,
         scratch: &mut DispatchScratch,
         obs: &mut ObsCtx<'_>,
     ) -> bool {
-        let req_prompt = requests[id].prompt_len;
-        let req_output = requests[id].output_len;
-        let reject = |requests: &mut [Request], obs: &mut ObsCtx<'_>, why: &dyn Fn() -> String| {
-            let req = &mut requests[id];
+        let req_prompt = reqs.req[id].prompt_len;
+        let req_output = reqs.req[id].output_len;
+        let reject = |reqs: &mut Reqs, obs: &mut ObsCtx<'_>, why: &dyn Fn() -> String| {
+            let req = &mut reqs.req[id];
             req.state = RequestState::Rejected;
             req.reject_reason = Some(RejectReason::Infeasible);
             if TRACED {
@@ -1791,7 +1350,7 @@ impl Router {
                 self.engines[i].decode_reservation_bytes(req_prompt, req_output) <= states[i].budget
             });
             if !decodable {
-                reject(requests, obs, &|| {
+                reject(reqs, obs, &|| {
                     format!(
                         "no decode replica can ever hold the decode working set of \
                          prompt {req_prompt} + output {req_output}: would strand mid-flight"
@@ -1801,12 +1360,11 @@ impl Router {
             }
         }
 
-        let key = requests[id].session.map_or(id, |s| s.session_id);
+        let key = reqs.req[id].session.map_or(id, |s| s.session_id);
         // Replica selection. Indexed least-outstanding / least-KV is
-        // one ordered-set descent; round-robin and sticky compute the
-        // k-th eligible replica arithmetically over the contiguous
-        // tier; the reference path materializes the eligible list and
-        // scans it, exactly as before the index existed.
+        // one ordered-set descent; every other pick materializes the
+        // eligible list (the tier minus the bouncer and non-admitting
+        // replicas) and selects from it.
         let picked: Option<usize> = if let Some(ix) = index.as_ref() {
             match self.cfg.lb {
                 LoadBalancePolicy::LeastOutstanding => {
@@ -1817,14 +1375,7 @@ impl Router {
                 }
                 _ => unreachable!("index implies a least-* policy"),
             }
-        } else if !self.reference_paths && !self.fleet_dynamic() {
-            self.pick_cyclic(tier, exclude, key, rr)
         } else {
-            // Reference scans, and *all* round-robin/sticky picks on a
-            // dynamic fleet: the eligible set is no longer a contiguous
-            // index range once lifecycles change, so both the optimized
-            // and reference paths materialize it (identical code ⇒
-            // identical bytes at any thread count).
             let eligible = &mut scratch.eligible;
             eligible.clear();
             eligible.extend(
@@ -1839,7 +1390,7 @@ impl Router {
             }
         };
         let Some(first) = picked else {
-            reject(requests, obs, &|| {
+            reject(reqs, obs, &|| {
                 format!("no eligible replica left (bouncer {exclude:?} excluded)")
             });
             return false;
@@ -1861,10 +1412,9 @@ impl Router {
         };
         match target {
             Some(i) => {
-                res_bytes[id] = self.engines[i].reservation_bytes(req_prompt, req_output);
                 owner[id] = Some(i);
-                queued_since[id] = at;
-                states[i].enqueue(id, at);
+                let res = self.engines[i].reservation_bytes(req_prompt, req_output);
+                states[i].enqueue(id, at, res, reqs);
                 if let Some(ix) = index.as_mut() {
                     let s = &states[i];
                     ix.update(i, s.load_norm(), s.pressure_norm());
@@ -1883,7 +1433,7 @@ impl Router {
                 true
             }
             None => {
-                reject(requests, obs, &|| {
+                reject(reqs, obs, &|| {
                     format!(
                         "reservation {} B > replica {first}'s budget {} B under {} \
                          dispatch: can never fit there",
@@ -1915,18 +1465,16 @@ impl Router {
         at: f64,
         cause: &str,
         was_running: bool,
-        states: &mut [ReplicaState],
-        requests: &mut [Request],
+        states: &mut [Replica],
+        reqs: &mut Reqs,
         owner: &mut [Option<usize>],
-        res_bytes: &mut [u64],
-        queued_since: &mut [f64],
         rr: &mut usize,
         index: &mut Option<DispatchIndex>,
         scratch: &mut DispatchScratch,
         dynamics: &mut FleetDynamicsStats,
         obs: &mut ObsCtx<'_>,
     ) {
-        let snapshot = requests[id].clone();
+        let snapshot = reqs.req[id].clone();
         let is_preempted = snapshot.state == RequestState::Preempted;
         let needed = |i: usize| -> u64 {
             if is_preempted {
@@ -1955,7 +1503,7 @@ impl Router {
             }
         };
         let Some(to) = target else {
-            let req = &mut requests[id];
+            let req = &mut reqs.req[id];
             req.state = RequestState::Rejected;
             req.reject_reason = Some(RejectReason::Infeasible);
             if TRACED {
@@ -1975,10 +1523,9 @@ impl Router {
             }
             return;
         };
-        res_bytes[id] = needed(to);
         owner[id] = Some(to);
-        queued_since[id] = at;
-        states[to].enqueue(id, at);
+        let res = needed(to);
+        states[to].enqueue(id, at, res, reqs);
         if let Some(ix) = index.as_mut() {
             let s = &states[to];
             ix.update(to, s.load_norm(), s.pressure_norm());
@@ -2028,11 +1575,9 @@ impl Router {
         &self,
         r: usize,
         at: f64,
-        states: &mut [ReplicaState],
-        requests: &mut [Request],
+        states: &mut [Replica],
+        reqs: &mut Reqs,
         owner: &mut [Option<usize>],
-        res_bytes: &mut [u64],
-        queued_since: &mut [f64],
         rr: &mut usize,
         index: &mut Option<DispatchIndex>,
         scratch: &mut DispatchScratch,
@@ -2092,21 +1637,7 @@ impl Router {
         }
         for id in queued {
             self.recover::<TRACED>(
-                id,
-                r,
-                at,
-                "failed",
-                false,
-                states,
-                requests,
-                owner,
-                res_bytes,
-                queued_since,
-                rr,
-                index,
-                scratch,
-                dynamics,
-                obs,
+                id, r, at, "failed", false, states, reqs, owner, rr, index, scratch, dynamics, obs,
             );
         }
         for id in running {
@@ -2115,23 +1646,9 @@ impl Router {
             // preempted (the re-admission path re-prefills the whole
             // sequence) without touching the preemption counters:
             // nothing was evicted by policy.
-            requests[id].state = RequestState::Preempted;
+            reqs.req[id].state = RequestState::Preempted;
             self.recover::<TRACED>(
-                id,
-                r,
-                at,
-                "failed",
-                true,
-                states,
-                requests,
-                owner,
-                res_bytes,
-                queued_since,
-                rr,
-                index,
-                scratch,
-                dynamics,
-                obs,
+                id, r, at, "failed", true, states, reqs, owner, rr, index, scratch, dynamics, obs,
             );
         }
     }
@@ -2148,11 +1665,9 @@ impl Router {
         &self,
         at: f64,
         a: &AutoscalerCfg,
-        states: &mut [ReplicaState],
-        requests: &mut [Request],
+        states: &mut [Replica],
+        reqs: &mut Reqs,
         owner: &mut [Option<usize>],
-        res_bytes: &mut [u64],
-        queued_since: &mut [f64],
         rr: &mut usize,
         index: &mut Option<DispatchIndex>,
         scratch: &mut DispatchScratch,
@@ -2163,7 +1678,7 @@ impl Router {
         let slo = &cfg0.slo;
         let lo = at - a.window_s;
         let (mut fin, mut met) = (0usize, 0usize);
-        for req in requests.iter() {
+        for req in &reqs.req {
             if let Some(f) = req.finished_at {
                 if f > lo && f <= at {
                     fin += 1;
@@ -2192,8 +1707,8 @@ impl Router {
         let mut worst_wait = 0.0f64;
         for s in states.iter() {
             for &id in &s.queue {
-                if requests[id].first_token_at.is_none() {
-                    worst_wait = worst_wait.max(at - queued_since[id]);
+                if reqs.req[id].first_token_at.is_none() {
+                    worst_wait = worst_wait.max(at - reqs.queued_since[id]);
                 }
             }
         }
@@ -2279,516 +1794,19 @@ impl Router {
             let moved: Vec<usize> = states[r].queue.drain(..).collect();
             for id in moved {
                 self.recover::<TRACED>(
-                    id,
-                    r,
-                    at,
-                    "draining",
-                    false,
-                    states,
-                    requests,
-                    owner,
-                    res_bytes,
-                    queued_since,
-                    rr,
-                    index,
-                    scratch,
-                    dynamics,
-                    obs,
+                    id, r, at, "draining", false, states, reqs, owner, rr, index, scratch,
+                    dynamics, obs,
                 );
             }
         }
-    }
-
-    /// Executes one engine step on replica `i`: timeout scan, FCFS
-    /// admission, pricing through [`ServeEngine::step_time`], token
-    /// accounting, completion/handoff handling, and timeline sampling —
-    /// the same sequence as [`ServeEngine::run`].
-    ///
-    /// Touches only `state` (replica `i`'s own) and, through `view`,
-    /// the request ids replica `i` currently owns; heap events go out
-    /// through `outbox` instead of the shared heap. That isolation is
-    /// what lets the sweep in [`Router::run_inner`] fan steps out over
-    /// threads without changing a byte of the result.
-    #[allow(clippy::too_many_arguments)]
-    fn step_once<const TRACED: bool>(
-        &self,
-        i: usize,
-        state: &mut ReplicaState,
-        view: &ReqView,
-        prefix_lens: &[usize],
-        next_turn: &[bool],
-        outbox: &mut StepOutbox,
-        obs: &mut ObsCtx<'_>,
-    ) {
-        let engine = &self.engines[i];
-        let cfg = engine.config();
-        let t = state.t;
-        let requeue_enabled = self.cfg.requeue_on_reject && self.engines.len() > 1;
-
-        // Split the outbox into disjoint field borrows so the step can
-        // publish events and reuse scratch buffers simultaneously. All
-        // scratch contents are cleared at their point of use.
-        let StepOutbox {
-            events,
-            requeued,
-            handoffs,
-            scratch,
-        } = outbox;
-        let StepScratch {
-            bounced,
-            newly,
-            new_jobs,
-            ingests,
-            evicted,
-            running_lens,
-            to_run,
-            still_running,
-        } = scratch;
-
-        // ---- 1. Bounce timed-out queued requests. Handed-off requests
-        // (first token already emitted on the prefill tier) are exempt:
-        // they are in service, not waiting for it.
-        let _scan = profile::timer(Phase::EventScan);
-        bounced.clear();
-        state.queue.retain(|&id| {
-            if view.req(id).first_token_at.is_some() {
-                return true;
-            }
-            if t - view.queued_since(id) > cfg.queue_timeout_s {
-                if requeue_enabled && !view.was_requeued(id) {
-                    view.set_was_requeued(id, true);
-                    bounced.push(id);
-                } else {
-                    let waited_s = t - view.queued_since(id);
-                    let req = view.req_mut(id);
-                    req.state = RequestState::Rejected;
-                    req.reject_reason = Some(RejectReason::QueueTimeout {
-                        waited_s,
-                        discipline: cfg.discipline.name(),
-                    });
-                    if TRACED {
-                        obs.emit(Event {
-                            t,
-                            replica: Some(i),
-                            request: Some(id),
-                            kind: EventKind::Rejected {
-                                reason: "queue-timeout".to_string(),
-                                queue_wait_s: waited_s,
-                                decision_trace: format!(
-                                    "waited {waited_s:.3}s > timeout {:.3}s in {} scan",
-                                    cfg.queue_timeout_s,
-                                    cfg.discipline.name()
-                                ),
-                            },
-                        });
-                    }
-                }
-                false
-            } else {
-                true
-            }
-        });
-        for &id in bounced.iter() {
-            *requeued += 1;
-            if TRACED {
-                obs.emit(Event {
-                    t,
-                    replica: Some(i),
-                    request: Some(id),
-                    kind: EventKind::Requeue { from: i },
-                });
-            }
-            events.push((t, EvKind::Requeue { id, from: i }));
-        }
-        state.peak_queue_depth = state.peak_queue_depth.max(state.queue.len());
-        drop(_scan);
-
-        // ---- 2. Admit per the replica's queue discipline under the KV
-        // budget and batch cap (FCFS reproduces the legacy loop
-        // byte-for-byte). A request with its first token already minted
-        // and not preempted is a handed-off decode ingest; it joins the
-        // running batch without a prefill. A fresh prefill whose
-        // session prefix KV is retained here is admitted with only its
-        // suffix needing prefill (same reuse rule as
-        // [`ServeEngine::run`]); retained caches LRU-yield to
-        // admission. Preemption is unified-replica only: a handed-off
-        // decode request cannot re-prefill on a decode-only replica, so
-        // disaggregated tiers never evict.
-        let discipline = cfg.discipline;
-        let can_preempt = state.role == Role::Unified;
-        newly.clear();
-        new_jobs.clear();
-        ingests.clear();
-        let _order = profile::timer(Phase::Discipline);
-        loop {
-            if state.running.len() + newly.len() + ingests.len() >= cfg.max_batch {
-                break;
-            }
-            let default_res = |id: usize| -> u64 {
-                let req = view.req(id);
-                if req.state == RequestState::Preempted {
-                    engine.requeue_reservation_bytes(req)
-                } else {
-                    view.res(id)
-                }
-            };
-            let Some(pos) = discipline.select(
-                &state.queue,
-                state.budget - state.reserved,
-                default_res,
-                |id| t - view.queued_since(id),
-            ) else {
-                break;
-            };
-            let id = state.queue[pos];
-            // A handed-off ingest's KV arrived whole — nothing to
-            // prefill, so nothing to reuse (prefix 0 makes the shared
-            // helper's probe inert while retained caches still yield).
-            let is_preempted = view.req(id).state == RequestState::Preempted;
-            let is_ingest = view.req(id).first_token_at.is_some() && !is_preempted;
-            let prefix = if is_preempted {
-                view.req(id).seq_len()
-            } else if is_ingest {
-                0
-            } else {
-                prefix_lens[id]
-            };
-            let dres = default_res(id);
-            evicted.clear();
-            if let Some((res, job)) = engine.admit_with_reuse(
-                view.req_mut(id),
-                prefix,
-                dres,
-                state.reserved,
-                state.budget,
-                &mut state.session_kv,
-                evicted,
-            ) {
-                state.queue.remove(pos);
-                view.set_res(id, res);
-                state.reserved += res;
-                let req = view.req_mut(id);
-                if is_ingest {
-                    req.state = RequestState::Decoding;
-                    ingests.push(id);
-                } else {
-                    if req.admitted_at.is_none() {
-                        req.admitted_at = Some(t);
-                    }
-                    req.state = RequestState::Prefilling;
-                    new_jobs.push(job);
-                    newly.push(id);
-                }
-                if TRACED {
-                    let session = view.req(id).session;
-                    for evd in evicted.iter() {
-                        obs.emit(Event {
-                            t,
-                            replica: Some(i),
-                            request: None,
-                            kind: EventKind::RetentionEvict {
-                                session: evd.session_id as u64,
-                                seq_len: evd.seq_len,
-                                bytes: evd.bytes,
-                            },
-                        });
-                    }
-                    if job.reused_prefix > 0 {
-                        if let Some(sref) = session {
-                            obs.emit(Event {
-                                t,
-                                replica: Some(i),
-                                request: Some(id),
-                                kind: EventKind::RetentionHit {
-                                    session: sref.session_id as u64,
-                                    reused_tokens: job.reused_prefix,
-                                },
-                            });
-                        }
-                        let fp16 = cfg
-                            .policy
-                            .kv_working_set_fp16(&cfg.model, job.reused_prefix);
-                        let stored = cfg.policy.precision().gpu_bytes(fp16);
-                        if stored != fp16 {
-                            obs.emit(Event {
-                                t,
-                                replica: Some(i),
-                                request: Some(id),
-                                kind: EventKind::Transcode {
-                                    region: "gpu".to_string(),
-                                    fp16_bytes: fp16,
-                                    stored_bytes: stored,
-                                },
-                            });
-                        }
-                    } else if prefix > 0 && state.session_kv.is_some() {
-                        if let Some(sref) = session {
-                            obs.emit(Event {
-                                t,
-                                replica: Some(i),
-                                request: Some(id),
-                                kind: EventKind::RetentionMiss {
-                                    session: sref.session_id as u64,
-                                },
-                            });
-                        }
-                    }
-                    // A handed-off ingest's prompt never runs through
-                    // this replica's model; it books a single-token
-                    // decode workspace.
-                    let act_tokens = if is_ingest { 1 } else { job.new_tokens() };
-                    let act = cfg
-                        .model
-                        .activation_bytes_per_seq(alisa_sched::common::FP16)
-                        * act_tokens as u64;
-                    obs.emit(Event {
-                        t,
-                        replica: Some(i),
-                        request: Some(id),
-                        kind: EventKind::Admitted {
-                            reservation_bytes: res,
-                            kv_bytes: res.saturating_sub(act),
-                            activation_bytes: act,
-                            reserved_after: state.reserved,
-                            budget: state.budget,
-                            reused_prefix: job.reused_prefix,
-                            queue_wait_s: t - view.queued_since(id),
-                        },
-                    });
-                }
-                continue;
-            }
-            // Blocked candidate: preempt the cheapest-to-restart
-            // running victim once the candidate has out-waited the
-            // discipline's patience, exactly like the single engine.
-            let patient = can_preempt
-                && discipline
-                    .preemption_patience()
-                    .is_some_and(|p| t - view.queued_since(id) > p);
-            if patient {
-                if let Some(vpos) = engine.pick_victim(
-                    &state.running,
-                    |id| view.req(id),
-                    |id| view.res(id),
-                    dres,
-                    state.reserved,
-                    state.budget,
-                ) {
-                    let vid = state.running.remove(vpos);
-                    if TRACED {
-                        let cost = engine.restart_cost(view.req(vid));
-                        let decision_trace = format!(
-                            "candidate {id} (res {dres} B) outwaited patience; victim {vid} \
-                             books {} B > {dres} B and is cheapest to restart ({cost:.4}s)",
-                            view.res(vid)
-                        );
-                        obs.emit(Event {
-                            t,
-                            replica: Some(i),
-                            request: Some(vid),
-                            kind: EventKind::Preempted {
-                                victim_of: id,
-                                restart_cost_s: cost,
-                                decision_trace,
-                            },
-                        });
-                    }
-                    engine.preempt_victim(
-                        vid,
-                        view.res(vid),
-                        view.req_mut(vid),
-                        &mut state.reserved,
-                        state.budget,
-                        t,
-                        view.queued_since_mut(vid),
-                        &mut state.queue,
-                        &mut state.session_kv,
-                    );
-                    continue;
-                }
-            }
-            break;
-        }
-
-        drop(_order);
-        if newly.is_empty() && ingests.is_empty() && state.running.is_empty() {
-            return; // nothing to do; the router controls the clock
-        }
-
-        // ---- 3. Price the step through the shared cost path.
-        running_lens.clear();
-        running_lens.extend(
-            state
-                .running
-                .iter()
-                .chain(ingests.iter())
-                .map(|&id| view.req(id).seq_len()),
-        );
-        let step_time = {
-            let _price = profile::timer(Phase::Pricing);
-            engine.step_time_sessions(new_jobs, running_lens)
-        };
-        let batch = running_lens.len() + new_jobs.len();
-        if TRACED {
-            obs.emit(Event {
-                t,
-                replica: Some(i),
-                request: None,
-                kind: EventKind::Step {
-                    dur_s: step_time,
-                    prefills: new_jobs.len(),
-                    decodes: running_lens.len(),
-                    kv_reserved: state.reserved,
-                    queue_depth: state.queue.len(),
-                },
-            });
-        }
-        let _acct = profile::timer(Phase::Accounting);
-        state.t += step_time;
-        state.step_count += 1;
-        state.batch_sum += batch as u64;
-        state.peak_kv_bytes = state.peak_kv_bytes.max(state.reserved);
-        let t_end = state.t;
-
-        // ---- 4. Account tokens and transitions.
-        for &id in state.running.iter().chain(ingests.iter()) {
-            view.req_mut(id).generated += 1;
-        }
-        to_run.clear();
-        for &id in newly.iter() {
-            let req = view.req_mut(id);
-            // Re-admitted preempted requests keep their original TTFT
-            // and advance their kept progress by one, like the engine.
-            if req.first_token_at.is_none() {
-                req.first_token_at = Some(t_end);
-            }
-            req.generated += 1;
-            req.state = RequestState::Decoding;
-            if state.role == Role::Prefill {
-                // Hand the prefilled KV to the decode tier (unless the
-                // single minted token already completes the request).
-                state.reserved -= view.res(id);
-                if req.generated >= req.output_len {
-                    req.finished_at = Some(t_end);
-                    req.state = RequestState::Finished;
-                    if TRACED {
-                        let req = view.req(id);
-                        obs.emit(Event {
-                            t: t_end,
-                            replica: Some(i),
-                            request: Some(id),
-                            kind: EventKind::Finished {
-                                generated: req.generated,
-                                e2e_s: t_end - req.arrival,
-                            },
-                        });
-                    }
-                    let stored = engine.retain_finished(
-                        view.req(id),
-                        next_turn[id],
-                        state.budget - state.reserved,
-                        &mut state.session_kv,
-                    );
-                    if TRACED {
-                        if let Some((sid, seq_len, bytes)) = stored {
-                            obs.emit(Event {
-                                t: t_end,
-                                replica: Some(i),
-                                request: Some(id),
-                                kind: EventKind::RetentionStore {
-                                    session: sid as u64,
-                                    seq_len,
-                                    bytes,
-                                },
-                            });
-                        }
-                    }
-                } else {
-                    *handoffs += 1;
-                    let transfer = engine.kv_handoff_time(view.req(id).seq_len());
-                    events.push((t_end + transfer, EvKind::Handoff(id)));
-                }
-            } else {
-                to_run.push(id);
-            }
-        }
-        // Rebuild the running batch in place: swap the prior batch into
-        // the scratch buffer, then refill `state.running` with the
-        // survivors (prior running, then ingests, then fresh prefills —
-        // the same order the allocating rebuild produced).
-        std::mem::swap(&mut state.running, still_running);
-        state.running.clear();
-        for id in still_running
-            .drain(..)
-            .chain(ingests.drain(..))
-            .chain(to_run.drain(..))
-        {
-            if view.req(id).generated >= view.req(id).output_len {
-                state.reserved -= view.res(id);
-                let req = view.req_mut(id);
-                req.finished_at = Some(t_end);
-                req.state = RequestState::Finished;
-                if TRACED {
-                    let req = view.req(id);
-                    obs.emit(Event {
-                        t: t_end,
-                        replica: Some(i),
-                        request: Some(id),
-                        kind: EventKind::Finished {
-                            generated: req.generated,
-                            e2e_s: t_end - req.arrival,
-                        },
-                    });
-                }
-                // Retain the finished turn's KV for the session's next
-                // turn, exactly like the single engine. (Under
-                // disaggregation the next turn enters at the prefill
-                // tier, so decode-side retention stays inert — sticky
-                // unified fleets are where reuse pays.)
-                let stored = engine.retain_finished(
-                    view.req(id),
-                    next_turn[id],
-                    state.budget - state.reserved,
-                    &mut state.session_kv,
-                );
-                if TRACED {
-                    if let Some((sid, seq_len, bytes)) = stored {
-                        obs.emit(Event {
-                            t: t_end,
-                            replica: Some(i),
-                            request: Some(id),
-                            kind: EventKind::RetentionStore {
-                                session: sid as u64,
-                                seq_len,
-                                bytes,
-                            },
-                        });
-                    }
-                }
-            } else {
-                state.running.push(id);
-            }
-        }
-
-        // ---- 5. Sample the timeline through the engine's shared
-        // decimation recorder (first and last sample always survive).
-        state.timeline.push(
-            state.step_count,
-            ServeSample {
-                t: t_end,
-                queue_depth: state.queue.len(),
-                running: state.running.len(),
-                kv_bytes: state.reserved,
-            },
-        );
     }
 
     /// Assembles per-replica and fleet reports.
     #[allow(clippy::too_many_arguments)]
     fn build_report(
         &self,
-        requests: &[Request],
-        states: &[ReplicaState],
+        reqs: &Reqs,
+        states: &[Replica],
         owner: &[Option<usize>],
         prefill_count: usize,
         requeued: usize,
@@ -2799,31 +1817,11 @@ impl Router {
         let replicas: Vec<ServeReport> = states
             .iter()
             .map(|s| {
-                let cfg = self.engines[s.idx].config();
-                let local: Vec<Request> = requests
-                    .iter()
+                let local: Vec<_> = (reqs.req.iter())
                     .filter(|r| owner[r.id] == Some(s.idx))
                     .cloned()
                     .collect();
-                let mean_batch = if s.step_count == 0 {
-                    0.0
-                } else {
-                    s.batch_sum as f64 / s.step_count as f64
-                };
-                ServeReport::from_requests(
-                    cfg.policy.name().to_string(),
-                    cfg.model.name.clone(),
-                    cfg.hardware.to_string(),
-                    &local,
-                    cfg.slo,
-                    s.t,
-                    mean_batch,
-                    s.timeline.samples().to_vec(),
-                    s.peak_queue_depth,
-                    s.peak_kv_bytes,
-                    s.session_kv.as_ref().map(|kv| kv.stats()),
-                    (!cfg.discipline.is_fcfs()).then(|| cfg.discipline.name().to_string()),
-                )
+                s.report(&self.engines[s.idx], &local)
             })
             .collect();
 
@@ -2846,54 +1844,23 @@ impl Router {
         merged.sort_by(|a, b| a.1.t.total_cmp(&b.1.t).then_with(|| a.0.cmp(&b.0)));
         let makespan = states.iter().map(|s| s.t).fold(last_event_t, f64::max);
         let cfg0 = self.engines[0].config();
-        let names: Vec<&str> = {
-            let mut v: Vec<&str> = self
-                .engines
-                .iter()
-                .map(|e| e.config().policy.name())
-                .collect();
-            v.dedup();
-            v
-        };
+        let cfgs = || self.engines.iter().map(ServeEngine::config);
         // Fleet reuse stats: the merged per-replica counters, present
         // iff any replica ran with retention.
         let fleet_reuse: Option<ReuseStats> = states
             .iter()
             .filter_map(|s| s.session_kv.as_ref().map(|kv| kv.stats()))
             .reduce(|a, b| a.merged(b));
-        // Fleet discipline tag: the distinct per-replica names in
-        // first-appearance order (a seen-set, not `Vec::dedup` —
-        // adjacent dedup would mislabel an [sjf, fcfs, sjf] fleet),
-        // present iff any replica ran a non-FCFS discipline (matching
-        // the per-replica emission rule).
-        let fleet_discipline = {
-            let mut d: Vec<&str> = Vec::new();
-            for e in &self.engines {
-                let name = e.config().discipline.name();
-                if !d.contains(&name) {
-                    d.push(name);
-                }
-            }
-            (!self.engines.iter().all(|e| e.config().discipline.is_fcfs())).then(|| d.join("+"))
-        };
-        // Fleet hardware tag: the distinct per-replica hardware names
-        // in first-appearance order — identical bytes to the old
-        // single-name tag for homogeneous fleets.
-        let hw = {
-            let mut h: Vec<String> = Vec::new();
-            for e in &self.engines {
-                let name = e.config().hardware.to_string();
-                if !h.contains(&name) {
-                    h.push(name);
-                }
-            }
-            format!("{}x {}", self.engines.len(), h.join("+"))
-        };
+        // The discipline tag is present iff any replica ran a non-FCFS
+        // discipline (matching the per-replica emission rule).
+        let fleet_discipline = (!cfgs().all(|c| c.discipline.is_fcfs()))
+            .then(|| fleet_tag(cfgs().map(|c| c.discipline.name())));
+        let n = self.engines.len();
         let fleet = ServeReport::from_requests(
-            format!("{}x{}", self.engines.len(), names.join("+")),
+            format!("{n}x{}", fleet_tag(cfgs().map(|c| c.policy.name()))),
             cfg0.model.name.clone(),
-            hw,
-            requests,
+            format!("{n}x {}", fleet_tag(cfgs().map(|c| c.hardware.to_string()))),
+            &reqs.req,
             cfg0.slo,
             makespan,
             mean_batch,
@@ -2917,11 +1884,26 @@ impl Router {
     }
 }
 
+/// A fleet tag: the distinct per-replica `names` in first-appearance
+/// order, joined with `+` — one name for a homogeneous fleet. (Adjacent
+/// dedup would mislabel an `[a, b, a]` fleet as `a+b+a`.)
+fn fleet_tag<S: AsRef<str> + PartialEq>(names: impl Iterator<Item = S>) -> String {
+    let mut distinct: Vec<S> = Vec::new();
+    for name in names {
+        if !distinct.contains(&name) {
+            distinct.push(name);
+        }
+    }
+    let distinct: Vec<&str> = distinct.iter().map(AsRef::as_ref).collect();
+    distinct.join("+")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::admission::AdmissionPolicy;
     use crate::arrivals::ArrivalProcess;
+    use crate::discipline::QueueDiscipline;
     use alisa_memsim::HardwareSpec;
     use alisa_model::ModelConfig;
     use alisa_workloads::LengthModel;
@@ -3143,7 +2125,6 @@ mod tests {
             }),
             autoscaler: None,
             failures: None,
-            step_threads: 1,
         };
         let router = Router::new(cfg);
         let entries: Vec<crate::trace::TraceEntry> = (0..4)
@@ -3159,6 +2140,26 @@ mod tests {
         let r = router.run(&trace);
         assert_eq!(r.fleet.completed, 4, "all requests decode on replica 2");
         assert_eq!(r.replicas[1].arrived, 0, "infeasible replica stays empty");
+    }
+
+    #[test]
+    fn fleet_tags_name_each_distinct_policy_once() {
+        // Policies alternate, so adjacent-only dedup would repeat ALISA.
+        let router = Router::new(RouterConfig::heterogeneous(vec![
+            replica_cfg(AdmissionPolicy::alisa()),
+            replica_cfg(AdmissionPolicy::vllm()).with_discipline(QueueDiscipline::sjf()),
+            replica_cfg(AdmissionPolicy::alisa()),
+        ]));
+        let r = router.run(&small_trace(2.0, 12, 3));
+        assert_eq!(r.fleet.policy, "3xALISA+vLLM");
+        assert_eq!(
+            r.fleet.discipline.as_ref().map(|d| d.discipline.as_str()),
+            Some("fcfs+sjf")
+        );
+        assert_eq!(
+            r.fleet.hardware,
+            format!("3x {}", HardwareSpec::v100_16gb())
+        );
     }
 
     #[test]
@@ -3299,12 +2300,11 @@ mod tests {
             "autoscaled capacity {} must undercut always-on {max_secs}",
             d.replica_seconds
         );
-        // Deterministic, at any thread count.
+        // Deterministic per seed.
         let again = Router::new(
             RouterConfig::homogeneous(cfg, 4)
                 .with_lb(LoadBalancePolicy::LeastOutstanding)
-                .with_autoscaler(AutoscalerCfg::new(1).with_cadence(2.0, 8.0))
-                .with_step_threads(4),
+                .with_autoscaler(AutoscalerCfg::new(1).with_cadence(2.0, 8.0)),
         )
         .run(&trace);
         assert_eq!(auto.canonical_text(), again.canonical_text());

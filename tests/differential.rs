@@ -1,17 +1,19 @@
 //! Reference-vs-optimized differential harness.
 //!
-//! PR 7 flattened the simulator's hot paths — incremental top-K
-//! selection, the indexed event queue with maintained discipline order,
-//! scratch-buffer reuse — under one contract: **not a single output
-//! byte may change**. The naive implementations were kept reachable
-//! (`ServeEngine::with_reference_paths(true)` forces the linear event
-//! scan and the re-sorting discipline pick; `GlobalSetModel::pick` is
-//! the full re-sort the scheduler no longer calls), and this harness
+//! The simulator's hot paths — incremental top-K selection, the gated
+//! queue scan, fleet dispatch indexes, scratch-buffer reuse — hold one
+//! contract: **not a single output byte may change**. The naive
+//! implementations stay reachable (`ServeEngine::with_reference_paths(true)`
+//! forces the ungated queue scan, `Router::with_reference_paths(true)`
+//! also the linear dispatch scans; `GlobalSetModel::pick` is the full
+//! re-sort the scheduler no longer calls), and this harness
 //! property-tests the optimized paths against them over arbitrary
 //! traces × queue disciplines × precision policies × retention on/off:
 //!
 //! * canonical `ServeReport` text byte-identical, traced and untraced;
 //! * the decision-trace JSONL event stream byte-identical;
+//! * a 1-replica `Router` reproducing `ServeEngine`, since both run the
+//!   one shared replica step;
 //! * `GlobalSetModel::pick_into` (cached bases + packed-key partial
 //!   sort) equal to `pick` (full comparator re-sort) across decode
 //!   walks that grow the range, cross drift epochs, and reuse scratch;
@@ -167,15 +169,15 @@ fn lb_policy(i: usize) -> LoadBalancePolicy {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// PR 8's fleet-dispatch analogue of the engine property above: the
+    /// The fleet-dispatch analogue of the engine property above: the
     /// router with indexed replica selection (per-tier
-    /// `DispatchIndex` orderings, allocation-free dispatch scratch) and
-    /// the router with `with_reference_paths(true)` — per-dispatch
-    /// linear `min_by`/`min_by_key` scans and freshly allocated
-    /// candidate lists — produce byte-identical canonical reports and
-    /// byte-identical decision-trace streams, across arbitrary traces ×
-    /// all four load-balance policies × unified/disaggregated tiers ×
-    /// requeue on/off × step-thread counts.
+    /// `DispatchIndex` orderings) and gated queue scans, and the router
+    /// with `with_reference_paths(true)` — per-dispatch linear
+    /// `min_by`/`min_by_key` scans and a scan every step — produce
+    /// byte-identical canonical reports and byte-identical
+    /// decision-trace streams, across arbitrary traces × all four
+    /// load-balance policies × unified/disaggregated tiers × requeue
+    /// on/off.
     #[test]
     fn indexed_router_matches_reference_byte_for_byte(
         trace in trace_strategy(),
@@ -183,12 +185,9 @@ proptest! {
         replicas in 2usize..5,
         disagg in 0usize..2,
         requeue in 0usize..2,
-        threads in 1usize..4,
     ) {
         let base = config(1, 0, true, true);
-        let mut cfg = RouterConfig::homogeneous(base, replicas)
-            .with_lb(lb_policy(lb))
-            .with_step_threads(threads);
+        let mut cfg = RouterConfig::homogeneous(base, replicas).with_lb(lb_policy(lb));
         if requeue == 1 {
             cfg = cfg.with_requeue();
         }
@@ -198,7 +197,7 @@ proptest! {
         let optimized = Router::new(cfg.clone());
         let reference = Router::new(cfg).with_reference_paths(true);
         let ctx = format!(
-            "lb={} replicas={replicas} disagg={disagg} requeue={requeue} threads={threads} n={}",
+            "lb={} replicas={replicas} disagg={disagg} requeue={requeue} n={}",
             lb_policy(lb).name(),
             trace.len(),
         );
@@ -235,15 +234,15 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// PR 9's dynamic-fleet extension of the router property: with an
+    /// The dynamic-fleet extension of the router property: with an
     /// autoscaler breathing replicas up and down and a seeded
     /// `FailurePlan` killing replicas mid-run, the optimized router
     /// still matches `with_reference_paths(true)` byte for byte —
-    /// canonical report and decision-trace JSONL — at every step-thread
-    /// count, across arbitrary traces × failure plans × autoscaler
-    /// on/off × all four load-balance policies. Request conservation
-    /// (`admitted + rejected == offered`, every admission completes)
-    /// holds under every kill schedule.
+    /// canonical report and decision-trace JSONL — across arbitrary
+    /// traces × failure plans × autoscaler on/off × all four
+    /// load-balance policies. Request conservation (`admitted +
+    /// rejected == offered`, every admission completes) holds under
+    /// every kill schedule.
     #[test]
     fn dynamic_fleet_matches_reference_and_conserves(
         trace in trace_strategy(),
@@ -252,13 +251,10 @@ proptest! {
         kills in 0usize..2,
         autoscale in 0usize..2,
         plan_seed in 0u64..1024,
-        threads in 1usize..4,
     ) {
         let base = config(1, 0, true, true);
         let horizon = trace.duration().max(1.0);
-        let mut cfg = RouterConfig::homogeneous(base, replicas)
-            .with_lb(lb_policy(lb))
-            .with_step_threads(threads);
+        let mut cfg = RouterConfig::homogeneous(base, replicas).with_lb(lb_policy(lb));
         let kills = kills.min(replicas - 1);
         if kills > 0 {
             cfg = cfg.with_failures(FailurePlan::seeded(plan_seed, kills, replicas, horizon));
@@ -267,29 +263,20 @@ proptest! {
             cfg = cfg.with_autoscaler(AutoscalerCfg::new(1).with_cadence(0.5, 2.0));
         }
         let optimized = Router::new(cfg.clone());
-        let reference = Router::new(cfg.clone()).with_reference_paths(true);
-        let serial = Router::new(cfg.with_step_threads(1));
+        let reference = Router::new(cfg).with_reference_paths(true);
         let ctx = format!(
             "lb={} replicas={replicas} kills={kills} autoscale={autoscale} \
-             plan_seed={plan_seed} threads={threads} n={}",
+             plan_seed={plan_seed} n={}",
             lb_policy(lb).name(),
             trace.len(),
         );
 
         let plain_ref = reference.run(&trace);
         let plain_opt = optimized.run(&trace);
-        let plain_serial = serial.run(&trace);
         prop_assert_eq!(
             plain_ref.canonical_text().into_bytes(),
             plain_opt.canonical_text().into_bytes(),
             "untraced canonical report diverged from reference: {}",
-            &ctx
-        );
-        prop_assert_eq!(
-            plain_serial.canonical_text().into_bytes(),
-            plain_opt.canonical_text().into_bytes(),
-            "canonical report diverged between 1 and {} step threads: {}",
-            threads,
             &ctx
         );
         prop_assert_eq!(
@@ -317,6 +304,65 @@ proptest! {
             &ctx
         );
         prop_assert_eq!(traced_ref, traced_opt, "report structs diverged: {}", &ctx);
+    }
+}
+
+/// A traced router stream as the single engine would emit it: without
+/// the router's dispatch decisions or the replica-0 coordinate.
+fn as_engine_stream(router_jsonl: &str) -> String {
+    router_jsonl
+        .lines()
+        .filter(|line| !line.contains("\"kind\":\"dispatch\""))
+        .map(|line| line.replacen("\"replica\":0,", "", 1) + "\n")
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The engine and the router run one shared replica step, so a
+    /// 1-replica `Router` reproduces `ServeEngine::run` — its replica
+    /// report byte for byte, and its traced event stream once the
+    /// router's own dispatch events and replica tags are set aside —
+    /// across arbitrary traces × disciplines × precision policies ×
+    /// retention × timeout. (Only requests that can never fit could
+    /// differ: the router rejects them at dispatch, the engine in its
+    /// queue scan. The generated prompts stay far below the smallest
+    /// V100 limit, vLLM's ~6k tokens.)
+    #[test]
+    fn one_replica_router_matches_the_engine(
+        trace in trace_strategy(),
+        disc in 0usize..4,
+        pol in 0usize..5,
+        retention in 0usize..2,
+        timeout in 0usize..2,
+    ) {
+        let cfg = config(disc, pol, retention == 1, timeout == 1);
+        let engine = ServeEngine::new(cfg.clone());
+        let router = Router::new(RouterConfig::homogeneous(cfg, 1));
+        let ctx = format!(
+            "disc={} policy={} retention={retention} timeout={timeout} n={}",
+            discipline(disc).name(),
+            policy(pol).name(),
+            trace.len(),
+        );
+
+        prop_assert_eq!(
+            engine.run(&trace).canonical_text().into_bytes(),
+            router.run(&trace).replicas[0].canonical_text().into_bytes(),
+            "replica report diverged from the engine's: {}",
+            &ctx
+        );
+        let mut engine_sink = MemorySink::new();
+        let mut router_sink = MemorySink::new();
+        engine.run_traced(&trace, &mut engine_sink);
+        router.run_traced(&trace, &mut router_sink);
+        prop_assert_eq!(
+            engine_sink.to_jsonl().into_bytes(),
+            as_engine_stream(&router_sink.to_jsonl()).into_bytes(),
+            "event stream diverged from the engine's: {}",
+            &ctx
+        );
     }
 }
 

@@ -8,8 +8,8 @@
 //! * every session in flight on a replica at its failure time
 //!   terminates exactly once — finished on a survivor or rejected with
 //!   a reason — never silently lost;
-//! * seeded failure plans and autoscaled runs are deterministic at any
-//!   step-thread count, so the fixtures hold regardless of host.
+//! * seeded failure plans and autoscaled runs are deterministic, so
+//!   the fixtures hold regardless of host.
 
 use alisa_memsim::HardwareSpec;
 use alisa_model::ModelConfig;
@@ -65,12 +65,11 @@ fn failure_router() -> Router {
 }
 
 /// The autoscaler fixture: ceiling 4, floor 1, fast cadence.
-fn autoscaled_router(threads: usize) -> Router {
+fn autoscaled_router() -> Router {
     Router::new(
         RouterConfig::homogeneous(v100_config(), 4)
             .with_lb(LoadBalancePolicy::LeastOutstanding)
-            .with_autoscaler(AutoscalerCfg::new(1).with_cadence(1.0, 4.0))
-            .with_step_threads(threads),
+            .with_autoscaler(AutoscalerCfg::new(1).with_cadence(1.0, 4.0)),
     )
 }
 
@@ -86,17 +85,14 @@ fn failure_run_matches_golden_fixture() {
 }
 
 #[test]
-fn autoscaled_run_matches_golden_fixture_at_any_thread_count() {
-    let trace = diurnal_trace(1100, 42);
-    for threads in [1, 4] {
-        let report = autoscaled_router(threads).run(&trace);
-        assert_eq!(
-            report.canonical_text(),
-            golden("fleet_autoscaled_seed42.txt"),
-            "autoscaled canonical report drifted at {threads} step threads \
-             (regenerate with `cargo test --test fleet -- --ignored` if intentional)"
-        );
-    }
+fn autoscaled_run_matches_golden_fixture() {
+    let report = autoscaled_router().run(&diurnal_trace(1100, 42));
+    assert_eq!(
+        report.canonical_text(),
+        golden("fleet_autoscaled_seed42.txt"),
+        "autoscaled canonical report drifted from the committed fixture \
+         (regenerate with `cargo test --test fleet -- --ignored` if intentional)"
+    );
 }
 
 /// Rewrites both fixtures from the current implementation. Ignored so
@@ -116,7 +112,7 @@ fn regenerate_golden_fixtures() {
     .expect("write failure fixture");
     std::fs::write(
         format!("{dir}/fleet_autoscaled_seed42.txt"),
-        autoscaled_router(1)
+        autoscaled_router()
             .run(&diurnal_trace(1100, 42))
             .canonical_text(),
     )

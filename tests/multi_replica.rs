@@ -77,6 +77,40 @@ fn router_reports_are_byte_identical_per_seed() {
     }
 }
 
+/// The paths that publish events from inside replica steps — timeout
+/// bounces onto the re-queue heap and prefill→decode handoffs — leave a
+/// same-seed 4-replica fleet byte-identical, for every load-balancing
+/// policy.
+#[test]
+fn step_event_paths_are_byte_identical_per_seed() {
+    let run = |lb: LoadBalancePolicy, requeue: bool, disagg: bool, timeout: f64| -> String {
+        let trace = alpaca_trace(9.0, 60, 0xF1EE7);
+        let base = replica_cfg(AdmissionPolicy::alisa()).with_queue_timeout(timeout);
+        let mut cfg = RouterConfig::homogeneous(base, 4).with_lb(lb);
+        if requeue {
+            cfg = cfg.with_requeue();
+        }
+        if disagg {
+            cfg = cfg.with_disagg(2);
+        }
+        Router::new(cfg).run(&trace).canonical_text()
+    };
+    for lb in ALL_LBS {
+        for (requeue, disagg, timeout) in [
+            (false, false, f64::INFINITY),
+            (true, false, 1.5),
+            (true, true, f64::INFINITY),
+        ] {
+            assert_eq!(
+                run(lb, requeue, disagg, timeout).as_bytes(),
+                run(lb, requeue, disagg, timeout).as_bytes(),
+                "{} requeue={requeue} disagg={disagg} timeout={timeout}",
+                lb.name()
+            );
+        }
+    }
+}
+
 /// Invariant: total admitted + rejected across replicas equals the
 /// offered load, for every policy, under light load and overload, with
 /// and without requeue/disaggregation.
@@ -191,59 +225,13 @@ fn scaling_up_helps_and_alisa_keeps_winning() {
     }
 }
 
-/// The replica-stepping worker-thread count is a pure wall-clock knob:
-/// a same-seed fleet produces byte-identical `RouterReport`s at 1, 2,
-/// 3, and 8 step threads, for every load-balancing policy, with the
-/// paths that publish events from inside replica steps — timeout
-/// bounces onto the re-queue heap and prefill→decode handoffs — and
-/// the preemption machinery all exercised.
+/// The hardest step paths: an overloaded fleet running preemptive-SJF
+/// with session-KV retention and requeue, where steps preempt,
+/// re-queue, retain, and bounce — still byte-identical per seed.
 #[test]
-fn step_threads_never_change_a_byte() {
-    let run = |threads: usize,
-               lb: LoadBalancePolicy,
-               requeue: bool,
-               disagg: bool,
-               timeout: f64|
-     -> String {
-        let trace = alpaca_trace(9.0, 60, 0xF1EE7);
-        let base = replica_cfg(AdmissionPolicy::alisa()).with_queue_timeout(timeout);
-        let mut cfg = RouterConfig::homogeneous(base, 4)
-            .with_lb(lb)
-            .with_step_threads(threads);
-        if requeue {
-            cfg = cfg.with_requeue();
-        }
-        if disagg {
-            cfg = cfg.with_disagg(2);
-        }
-        Router::new(cfg).run(&trace).canonical_text()
-    };
-    for lb in ALL_LBS {
-        for (requeue, disagg, timeout) in [
-            (false, false, f64::INFINITY),
-            (true, false, 1.5),
-            (true, true, f64::INFINITY),
-        ] {
-            let serial = run(1, lb, requeue, disagg, timeout);
-            for threads in [2usize, 3, 8] {
-                assert_eq!(
-                    serial.as_bytes(),
-                    run(threads, lb, requeue, disagg, timeout).as_bytes(),
-                    "{} requeue={requeue} disagg={disagg} threads={threads}",
-                    lb.name()
-                );
-            }
-        }
-    }
-}
-
-/// Same knob, hardest step paths: an overloaded fleet running
-/// preemptive-SJF with session-KV retention, where every step preempts,
-/// re-queues, and retains — still byte-identical at any thread count.
-#[test]
-fn step_threads_are_inert_under_preemption_and_retention() {
+fn preemptive_retention_fleet_is_byte_identical_per_seed() {
     use alisa_serve::{QueueDiscipline, RetentionCfg};
-    let run = |threads: usize| -> String {
+    let run = || -> String {
         let trace = Trace::generate(
             &ArrivalProcess::Poisson { rate: 20.0 },
             &LengthModel::heavy_tailed(),
@@ -260,18 +248,10 @@ fn step_threads_are_inert_under_preemption_and_retention() {
             .with_session_reuse(RetentionCfg::half());
         let cfg = RouterConfig::homogeneous(base, 3)
             .with_lb(LoadBalancePolicy::LeastOutstanding)
-            .with_requeue()
-            .with_step_threads(threads);
+            .with_requeue();
         Router::new(cfg).run(&trace).canonical_text()
     };
-    let serial = run(1);
-    for threads in [2usize, 4] {
-        assert_eq!(
-            serial.as_bytes(),
-            run(threads).as_bytes(),
-            "{threads} threads"
-        );
-    }
+    assert_eq!(run().as_bytes(), run().as_bytes());
 }
 
 /// Fleet-scale smoke: a 512-replica fleet dispatches through the

@@ -302,52 +302,37 @@ fn fleet_events_reconcile_with_the_router_report() {
     assert_eq!(untraced.handoffs, r.handoffs);
 }
 
-/// Parallel replica stepping never touches the observable record: a
-/// traced fleet run at `step_threads > 1` (traced runs step serially
-/// by design, so per-replica emissions interleave deterministically)
-/// produces the byte-identical JSONL event stream AND router report of
-/// the 1-thread run — and the untraced N-thread report matches both.
+/// Fleet runs are as replayable as engine runs: a traced fleet with
+/// timeout bounces re-queued across replicas produces a byte-identical
+/// JSONL event stream and router report per seed — and the untraced
+/// run matches them minus the opt-in metrics section.
 #[test]
-fn step_threads_leave_the_event_stream_byte_identical() {
+fn fleet_event_streams_are_byte_identical_per_seed() {
     let trace = heavy_trace(12.0, 50, 7);
-    let run_traced = |threads: usize| {
-        let base = v100_config(AdmissionPolicy::alisa()).with_queue_timeout(2.0);
-        let router = Router::new(
-            RouterConfig::homogeneous(base, 3)
-                .with_requeue()
-                .with_step_threads(threads),
-        );
+    let router = Router::new(
+        RouterConfig::homogeneous(
+            v100_config(AdmissionPolicy::alisa()).with_queue_timeout(2.0),
+            3,
+        )
+        .with_requeue(),
+    );
+    let run_traced = || {
         let mut sink = MemorySink::new();
         let report = router.run_traced(&trace, &mut sink);
         (report, sink.to_jsonl())
     };
-    let (mut report_1, events_1) = run_traced(1);
-    let (report_4, events_4) = run_traced(4);
+    let (mut report_a, events_a) = run_traced();
+    let (report_b, events_b) = run_traced();
+    assert_eq!(events_a.as_bytes(), events_b.as_bytes());
     assert_eq!(
-        events_1.as_bytes(),
-        events_4.as_bytes(),
-        "traced event streams must not depend on step_threads"
-    );
-    assert_eq!(
-        report_1.canonical_text().into_bytes(),
-        report_4.canonical_text().into_bytes()
+        report_a.canonical_text().into_bytes(),
+        report_b.canonical_text().into_bytes()
     );
 
-    // And the untraced parallel run agrees with the traced ones,
-    // minus the opt-in metrics section tracing appends.
-    let base = v100_config(AdmissionPolicy::alisa()).with_queue_timeout(2.0);
-    let untraced = Router::new(
-        RouterConfig::homogeneous(base, 3)
-            .with_requeue()
-            .with_step_threads(4),
-    )
-    .run(&trace);
+    let untraced = router.run(&trace);
     assert!(untraced.fleet.metrics.is_none());
-    report_1.fleet.metrics = None;
-    assert_eq!(
-        untraced, report_1,
-        "tracing must not perturb the parallel-stepped simulation"
-    );
+    report_a.fleet.metrics = None;
+    assert_eq!(untraced, report_a, "tracing must not perturb the fleet run");
 }
 
 /// A filtered per-request view reads as a coherent lifecycle: the
