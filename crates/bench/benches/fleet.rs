@@ -33,9 +33,9 @@ fn cfg() -> ServeConfig {
 fn bench_index_churn(c: &mut Criterion) {
     let mut g = c.benchmark_group("fleet_index_churn");
     for n in [8usize, 64, 512] {
-        let mut ix = DispatchIndex::new(vec![0; n], 1, true, true);
+        let mut ix = DispatchIndex::new(vec![0; n], 1);
         for i in 0..n {
-            ix.update(i, ((i * 37 + 11) % 97) as f64, 0.5);
+            ix.update(i, ((i * 37 + 11) % 97) as f64);
         }
         g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             let mut turn = 0usize;
@@ -43,9 +43,9 @@ fn bench_index_churn(c: &mut Criterion) {
                 let r = turn % n;
                 turn += 1;
                 ix.remove(r);
-                let picked = ix.least_outstanding(0, |_| true);
+                let picked = ix.least(0, |_| true);
                 ix.insert(r, 0);
-                ix.update(r, ((turn * 29) % 89) as f64, 0.25);
+                ix.update(r, ((turn * 29) % 89) as f64);
                 black_box(picked)
             });
         });

@@ -30,15 +30,15 @@ fn loads(n: usize) -> Vec<usize> {
 
 fn seeded_index(outstanding: &[usize]) -> DispatchIndex {
     let n = outstanding.len();
-    let mut ix = DispatchIndex::new(vec![0; n], 1, true, true);
+    let mut ix = DispatchIndex::new(vec![0; n], 1);
     for (i, &o) in outstanding.iter().enumerate() {
-        ix.update(i, o as f64, o as f64 / 97.0);
+        ix.update(i, o as f64);
     }
     ix
 }
 
-/// The per-request selection: the reference is exactly `Router::pick`'s
-/// `LeastOutstanding` arm (a full `min_by_key` scan over the tier), the
+/// The per-request selection: the reference is the router's
+/// `LeastOutstanding` pick (a full `min_by_key` scan over the tier), the
 /// indexed path is one leftmost B-tree descent through the same
 /// eligibility filter the dispatcher applies.
 fn bench_dispatch(c: &mut Criterion) {
@@ -59,14 +59,14 @@ fn bench_dispatch(c: &mut Criterion) {
         });
         let ix = seeded_index(&outstanding);
         g.bench_with_input(BenchmarkId::new("indexed", n), &n, |b, _| {
-            b.iter(|| black_box(ix.least_outstanding(0, |i| Some(i) != exclude)));
+            b.iter(|| black_box(ix.least(0, |i| Some(i) != exclude)));
         });
     }
     g.finish();
 }
 
 /// The full indexed per-dispatch cycle — select, then re-key the chosen
-/// replica's load signals (what the router pays after an enqueue). This
+/// replica's load signal (what the router pays after an enqueue). This
 /// is the honest amortized cost to compare against the scan.
 fn bench_dispatch_update(c: &mut Criterion) {
     let mut g = c.benchmark_group("router_dispatch_update");
@@ -76,9 +76,9 @@ fn bench_dispatch_update(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("indexed", n), &n, |b, _| {
             let mut bump = 0usize;
             b.iter(|| {
-                let picked = ix.least_outstanding(0, |_| true).expect("non-empty tier");
+                let picked = ix.least(0, |_| true).expect("non-empty tier");
                 bump += 1;
-                ix.update(picked, (outstanding[picked] + bump % 7) as f64, 0.5);
+                ix.update(picked, (outstanding[picked] + bump % 7) as f64);
                 black_box(picked)
             });
         });

@@ -1,5 +1,5 @@
 //! Criterion benchmarks for the online serving hot path: the
-//! continuous-batching engine loop (arrival pump + admission + step
+//! continuous-batching engine loop (arrival dispatch + admission + step
 //! pricing + metrics) and its supporting pieces (trace generation and
 //! report building). These guard the new subsystem's simulation cost —
 //! a serving sweep runs thousands of engine steps per policy, so step

@@ -3,7 +3,13 @@
 //! Runs the hot-path criterion suites (the vendored criterion is
 //! already "quick mode": ~50ms warm-up + ~300ms measurement per
 //! target) and compares each benchmark id against the committed
-//! baseline next to this crate's manifest:
+//! baseline next to this crate's manifest. The crate directory and the
+//! `cargo` binary come from the environment `cargo run` sets, and the
+//! suites run in that crate directory, so a copied tree (even one
+//! copied with its `target/`) benches and compares its own files. The
+//! gate cannot pass silently: it removes each baseline before its
+//! suite runs and fails if the run did not write it back, and `--check`
+//! fails when a committed id is missing from the run.
 //!
 //! * **regression** — new time exceeds `old × 1.25 + 1µs` (the flat
 //!   term keeps nanosecond-scale ids from tripping on timer jitter):
@@ -41,8 +47,14 @@ const TOLERANCE: f64 = 1.25;
 /// Flat headroom (ns) so sub-microsecond ids don't trip on jitter.
 const FLAT_NS: f64 = 1000.0;
 
-fn baseline_path(suite: &str) -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("BENCH_{suite}.json"))
+/// A variable `cargo run` sets for the program it runs.
+fn cargo_env(name: &str) -> PathBuf {
+    std::env::var_os(name)
+        .map(PathBuf::from)
+        .unwrap_or_else(|| {
+            eprintln!("bench_check: ${name} is unset; run it with `cargo run --bin bench_check`");
+            std::process::exit(2);
+        })
 }
 
 /// Parses the vendored criterion's baseline format — one
@@ -86,38 +98,54 @@ struct SuiteOutcome {
     suite: &'static str,
     /// `(id, old_ns, new_ns)` for every id that broke the threshold.
     regressions: Vec<(String, f64, f64)>,
+    /// Committed ids the run did not measure.
+    missing: Vec<String>,
     improved: usize,
 }
 
 fn main() {
     let check_only = std::env::args().any(|a| a == "--check");
+    let crate_dir = cargo_env("CARGO_MANIFEST_DIR");
+    let cargo = cargo_env("CARGO");
     let mut outcomes: Vec<SuiteOutcome> = Vec::new();
+    let mut failures: Vec<String> = Vec::new();
 
     for suite in SUITES {
-        let path = baseline_path(suite);
+        let path = crate_dir.join(format!("BENCH_{suite}.json"));
         let old_text = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("missing baseline {}: {e}", path.display()));
         let old = parse(&old_text, &path);
         let old_by_id: BTreeMap<&str, f64> =
             old.iter().map(|(id, ns, _)| (id.as_str(), *ns)).collect();
 
+        // The bench executable runs with CWD = the crate directory and
+        // rewrites `path` in place; the committed numbers are in `old`.
+        // Removing the file first means a run that writes anywhere else
+        // leaves nothing behind to be compared with itself.
         println!("== {suite}: running `cargo bench -p alisa-bench --bench {suite}` ==");
-        let status = Command::new(env!("CARGO"))
+        std::fs::remove_file(&path).expect("baseline removal must succeed");
+        let status = Command::new(&cargo)
             .args(["bench", "-p", "alisa-bench", "--bench", suite])
-            .status()
-            .expect("cargo must be runnable");
-        assert!(status.success(), "bench suite {suite} failed to run");
-
-        // The bench executable runs with CWD = this crate's manifest
-        // dir, so it rewrote `path` in place; the committed numbers are
-        // in `old`.
-        let new_text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("bench run left no {}: {e}", path.display()));
-        let new = parse(&new_text, &path);
+            .current_dir(&crate_dir)
+            .status();
+        let new_text = std::fs::read_to_string(&path);
+        if !status.as_ref().is_ok_and(|s| s.success()) || new_text.is_err() {
+            std::fs::write(&path, &old_text).expect("baseline restore must succeed");
+            failures.push(match status {
+                Ok(s) if s.success() => format!("the {suite} run did not write {}", path.display()),
+                _ => format!("bench suite {suite} failed to run"),
+            });
+            continue;
+        }
+        let new = parse(&new_text.expect("checked above"), &path);
 
         let mut outcome = SuiteOutcome {
             suite,
             regressions: Vec::new(),
+            missing: (old.iter())
+                .filter(|(id, _, _)| !new.iter().any(|(n, _, _)| n == id))
+                .map(|(id, _, _)| id.clone())
+                .collect(),
             improved: 0,
         };
         // Merge: new-run id order, each id at the best time ever seen.
@@ -152,9 +180,13 @@ fn main() {
     }
 
     println!();
-    let mut failed = false;
+    let mut failed = !failures.is_empty();
+    for f in &failures {
+        println!("{f}");
+    }
     for o in &outcomes {
-        if o.regressions.is_empty() {
+        let missing = check_only && !o.missing.is_empty();
+        if o.regressions.is_empty() && !missing {
             let action = if check_only {
                 "left as committed"
             } else {
@@ -164,8 +196,10 @@ fn main() {
                 "{:<12} OK ({} ids improved, baseline {action})",
                 o.suite, o.improved
             );
-        } else {
-            failed = true;
+            continue;
+        }
+        failed = true;
+        if !o.regressions.is_empty() {
             println!("{:<12} REGRESSED:", o.suite);
             for (id, old_ns, new_ns) in &o.regressions {
                 println!(
@@ -174,9 +208,15 @@ fn main() {
                 );
             }
         }
+        if missing {
+            println!("{:<12} MISSING from the run:", o.suite);
+            for id in &o.missing {
+                println!("  {id}");
+            }
+        }
     }
     if failed {
-        println!("\nbench_check: FAIL (threshold: old * {TOLERANCE} + {FLAT_NS} ns)");
+        println!("\nbench_check: FAIL (threshold: old * {TOLERANCE} + {FLAT_NS} ns; every committed id must run)");
         std::process::exit(1);
     }
     println!("\nbench_check: OK");

@@ -105,16 +105,21 @@ pub fn escape(s: &str) -> String {
     out
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so the cap keeps arbitrary input off the end of the
+/// stack; event lines nest two levels deep.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON document.
 ///
 /// # Errors
 ///
 /// Returns a human-readable message (with a byte offset) on malformed
-/// input or trailing garbage.
+/// input, nesting deeper than [`MAX_DEPTH`], or trailing garbage.
 pub fn parse(s: &str) -> Result<Json, String> {
     let bytes = s.as_bytes();
     let mut pos = 0usize;
-    let v = parse_value(bytes, &mut pos)?;
+    let v = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -128,12 +133,17 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses the value at `pos`, nested `depth` arrays/objects deep.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_obj(b, pos),
-        Some(b'[') => parse_arr(b, pos),
+        Some(b'{' | b'[') if depth >= MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}",
+            pos = *pos
+        )),
+        Some(b'{') => parse_obj(b, pos, depth + 1),
+        Some(b'[') => parse_arr(b, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
         Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
@@ -199,19 +209,27 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
                 *pos += 1;
             }
-            Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte safe).
-                let rest = std::str::from_utf8(&b[*pos..])
-                    .map_err(|_| "invalid utf-8 in string".to_string())?;
-                let c = rest.chars().next().expect("non-empty");
+            Some(&lead) => {
+                // Consume one UTF-8 scalar (multi-byte safe), decoding
+                // only its own bytes so long strings stay linear.
+                let width = match lead {
+                    0xF0.. => 4,
+                    0xE0.. => 3,
+                    0xC0.. => 2,
+                    _ => 1,
+                };
+                let c = (b.get(*pos..*pos + width))
+                    .and_then(|bytes| std::str::from_utf8(bytes).ok())
+                    .and_then(|s| s.chars().next())
+                    .ok_or_else(|| "invalid utf-8 in string".to_string())?;
                 out.push(c);
-                *pos += c.len_utf8();
+                *pos += width;
             }
         }
     }
 }
 
-fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_arr(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     *pos += 1; // '['
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -220,7 +238,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -233,7 +251,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_obj(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     *pos += 1; // '{'
     let mut fields = Vec::new();
     skip_ws(b, pos);
@@ -252,7 +270,7 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
             return Err(format!("expected `:` at byte {pos}", pos = *pos));
         }
         *pos += 1;
-        let value = parse_value(b, pos)?;
+        let value = parse_value(b, pos, depth)?;
         fields.push((key, value));
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -308,6 +326,23 @@ mod tests {
         for bad in ["", "{", "[1,", "{\"a\"1}", "tru", "\"x", "1 2", "{\"a\":}"] {
             assert!(parse(bad).is_err(), "{bad:?} must fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_not_a_stack_overflow() {
+        let nested = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(parse(&nested(MAX_DEPTH + 1)).is_err());
+        assert!(parse(&"[".repeat(100_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(100_000)).is_err());
+    }
+
+    #[test]
+    fn multibyte_strings_parse() {
+        assert_eq!(
+            parse("\"héllo → 世界\"").unwrap().as_str(),
+            Some("héllo → 世界")
+        );
     }
 
     #[test]

@@ -22,7 +22,7 @@ use std::time::Instant;
 pub enum Phase {
     /// `GlobalSetModel::pick` — the sparsity top-K selection.
     TopK,
-    /// Arrival pumping, rejection scan, and idle-jump bookkeeping.
+    /// The replica step's queue scan (timeouts and re-queue bounces).
     EventScan,
     /// Queue-discipline ordering, admission, and preemption search.
     Discipline,
@@ -30,7 +30,8 @@ pub enum Phase {
     Pricing,
     /// Token accounting, completions, and retention upkeep.
     Accounting,
-    /// Router event-heap pump and replica dispatch.
+    /// The fleet loop's due events: arrivals, handoffs, re-queues,
+    /// autoscaler ticks and kills, with their replica dispatch.
     Dispatch,
     /// Workload generation (`Trace::generate*`).
     TraceGen,

@@ -1,37 +1,35 @@
 //! The continuous-batching serving engine.
 //!
-//! A discrete-event loop quantized at decode steps, mirroring how real
-//! continuous-batching servers (vLLM, Orca) interleave work: each
-//! iteration pumps due arrivals into the admission queue, rejects what
-//! can never fit (or has waited past the timeout), admits in the
-//! [`QueueDiscipline`]'s order (FCFS by default) while the KV budget
-//! and batch cap allow, then executes one engine step —
-//! batched prefill for the newly admitted plus one decode token for
-//! every running request — priced through the [`StepExecutor`] cost
+//! A discrete-event simulation quantized at decode steps, mirroring how
+//! real continuous-batching servers (vLLM, Orca) interleave work: due
+//! arrivals enter the admission queue (a request that can never fit is
+//! rejected at dispatch), each step rejects what has waited past the
+//! timeout, admits in the [`QueueDiscipline`]'s order (FCFS by default)
+//! while the KV budget and batch cap allow, then executes one engine
+//! step — batched prefill for the newly admitted plus one decode token
+//! for every running request — priced through the [`StepExecutor`] cost
 //! model shared with the offline simulators. When nothing is in flight
 //! the clock jumps to the next arrival, so idle traces cost nothing to
-//! simulate.
+//! simulate. The engine has no event loop of its own: it runs as a
+//! 1-replica fleet through the router's loop ([`crate::Router`]).
 //!
 //! The KV budget is `HardwareSpec::gpu_kv_budget(weights)`, divided
 //! among requests per the [`AdmissionPolicy`]'s reservation rule — the
 //! subsystem's point: ALISA's sparsity-aware reservation admits a
 //! several-fold larger concurrent batch from the same HBM.
 
-use std::collections::VecDeque;
-
 use alisa_memsim::HardwareSpec;
 use alisa_model::ModelConfig;
-use alisa_obs::profile::{self, Phase};
-use alisa_obs::{Event, EventKind, NullSink, TraceSink};
-use alisa_sched::common::{hash_unit, FP16};
+use alisa_obs::{NullSink, TraceSink};
+use alisa_sched::common::FP16;
 use alisa_sched::{SimBase, StepExecutor};
 use serde::{Deserialize, Serialize};
 
 use crate::admission::AdmissionPolicy;
 use crate::discipline::QueueDiscipline;
 use crate::metrics::{ServeReport, ServeSample, SloSpec};
-use crate::replica::{ObsCtx, Replica, Reqs, Role, StepScratch};
 use crate::request::Request;
+use crate::router::{FleetRun, RouterConfig};
 use crate::trace::Trace;
 
 /// Timeline samples kept before decimation halves the sampling rate.
@@ -494,7 +492,7 @@ impl ServeEngine {
     }
 
     /// [`ServeEngine::run`] with structured event tracing: every
-    /// lifecycle decision — arrival, admission with its full
+    /// lifecycle decision — arrival, dispatch, admission with its full
     /// KV-pricing breakdown, rejection and preemption with a
     /// decision trace naming the losing comparison, session-retention
     /// hit/miss/store/evict, precision transcodes, step boundaries,
@@ -503,128 +501,16 @@ impl ServeEngine {
     /// only, so same-seed traces are byte-identical. With a disabled
     /// sink ([`NullSink`]) no event is even constructed and the report
     /// is byte-identical to [`ServeEngine::run`].
+    ///
+    /// The engine runs as a 1-replica fleet through the router's loop,
+    /// itself as replica 0, and reports over every request in the
+    /// trace.
     pub fn run_traced(&self, trace: &Trace, sink: &mut dyn TraceSink) -> ServeReport {
-        // Monomorphize on the tracing decision: the untraced instance
-        // compiles every emission block out of the hot loop entirely,
-        // so `run()` pays nothing for the observability layer.
-        if sink.enabled() {
-            self.run_inner::<true>(trace, sink)
-        } else {
-            self.run_inner::<false>(trace, sink)
-        }
-    }
-
-    fn run_inner<const TRACED: bool>(
-        &self,
-        trace: &Trace,
-        sink: &mut dyn TraceSink,
-    ) -> ServeReport {
-        let mut obs = ObsCtx::new(sink);
-        let mut reqs = Reqs::new(trace);
-        let n = reqs.req.len();
-        let mut replica = Replica::new(self, None, Role::Unified, false, self.reference_paths);
-        let mut scratch = StepScratch::default();
-
-        // Closed-loop state: per-client entry lists and readiness.
-        let closed_loop = self.cfg.closed_loop;
-        let clients = closed_loop.map_or(0, |c| c.clients.max(1));
-        let mut client_entries: Vec<VecDeque<usize>> = vec![VecDeque::new(); clients];
-        if clients > 0 {
-            for id in 0..n {
-                client_entries[id % clients].push_back(id);
-            }
-        }
-        let mut client_ready = vec![0.0f64; clients];
-        let mut client_outstanding = vec![false; clients];
-        let mut next_open_arrival = 0usize; // open-loop cursor
-
-        loop {
-            // ---- Pump due arrivals into the queue.
-            let t = replica.t;
-            let pump = profile::timer(Phase::EventScan);
-            let mut arrive = |id: usize, at: f64, reqs: &mut Reqs, obs: &mut ObsCtx<'_>| {
-                if TRACED {
-                    obs.emit(Event {
-                        t: at,
-                        replica: None,
-                        request: Some(id),
-                        kind: EventKind::Arrival {
-                            prompt_len: reqs.req[id].prompt_len,
-                            output_len: reqs.req[id].output_len,
-                        },
-                    });
-                }
-                let res = self.reservation_bytes(reqs.req[id].prompt_len, reqs.req[id].output_len);
-                replica.enqueue(id, at, res, reqs);
-            };
-            if clients == 0 {
-                while next_open_arrival < n && reqs.req[next_open_arrival].arrival <= t {
-                    let at = reqs.req[next_open_arrival].arrival;
-                    arrive(next_open_arrival, at, &mut reqs, &mut obs);
-                    next_open_arrival += 1;
-                }
-            } else {
-                for c in 0..clients {
-                    if client_outstanding[c] {
-                        continue;
-                    }
-                    if let Some(&id) = client_entries[c].front() {
-                        let at = reqs.req[id].arrival.max(client_ready[c]);
-                        if at <= t {
-                            reqs.req[id].arrival = at; // actual submit time
-                            client_entries[c].pop_front();
-                            client_outstanding[c] = true;
-                            arrive(id, at, &mut reqs, &mut obs);
-                        }
-                    }
-                }
-            }
-            drop(pump);
-
-            // ---- Step; a terminal request frees its client, if any.
-            let stepped =
-                replica.step::<TRACED>(self, &mut reqs, &mut scratch, &mut obs, |req, now| {
-                    if let Some(cl) = closed_loop {
-                        let c = req.id % clients;
-                        let u = hash_unit(cl.seed, req.id as u64).max(1e-12);
-                        client_ready[c] = now + cl.think_s * -u.ln();
-                        client_outstanding[c] = false;
-                    }
-                });
-            if stepped {
-                continue;
-            }
-
-            // ---- Idle: jump the clock to the next arrival.
-            let _idle = profile::timer(Phase::EventScan);
-            let mut next_event = f64::INFINITY;
-            if clients == 0 {
-                if next_open_arrival < n {
-                    next_event = reqs.req[next_open_arrival].arrival;
-                }
-            } else {
-                for c in 0..clients {
-                    if client_outstanding[c] {
-                        continue;
-                    }
-                    if let Some(&id) = client_entries[c].front() {
-                        next_event = next_event.min(reqs.req[id].arrival.max(client_ready[c]));
-                    }
-                }
-            }
-            if replica.queue.is_empty() && next_event.is_infinite() {
-                break; // drained: no queue, no batch, no future arrivals
-            }
-            if next_event.is_finite() {
-                replica.t = replica.t.max(next_event);
-            }
-        }
-
-        let mut report = replica.report(self, &reqs.req);
-        if TRACED {
-            report.metrics = Some(obs.reg.canonical_text());
-        }
-        report
+        let fleet = RouterConfig::homogeneous(self.cfg.clone(), 1);
+        let engines = std::slice::from_ref(self);
+        let mut run = FleetRun::new(engines, &fleet, self.reference_paths, trace, sink);
+        run.run();
+        run.engine_report()
     }
 }
 

@@ -426,7 +426,8 @@ impl ServeReport {
         let timeline_len: usize = need(&mut lines, "timeline")?
             .parse()
             .map_err(|_| "malformed timeline count".to_string())?;
-        let mut timeline = Vec::with_capacity(timeline_len);
+        // The count is untrusted: grow as lines actually parse.
+        let mut timeline = Vec::new();
         for _ in 0..timeline_len {
             let l = lines.next().ok_or("truncated timeline")?;
             let parts: Vec<&str> = l.split_whitespace().collect();

@@ -1,5 +1,6 @@
 //! One replica's continuous-batching step — the single step machine
-//! behind both [`ServeEngine::run`] and [`crate::Router::run`].
+//! behind the fleet loop that runs both [`ServeEngine::run`] and
+//! [`crate::Router::run`].
 //!
 //! A [`Replica`] holds one engine's queue, running batch, KV
 //! reservations, retained session caches, clock, and report counters.
@@ -7,10 +8,10 @@
 //! re-queue bounce), discipline-ordered admission with preemption and
 //! retention reuse, pricing through [`ServeEngine::step_time_sessions`],
 //! token accounting (including prefill→decode handoffs), and the
-//! timeline sample. The engine drives one replica with its arrival
-//! pump and idle jump; the router drives many with its dispatch and
-//! lockstep sweep. Per-request state lives in [`Reqs`], indexed by
-//! request id and lent to each step as plain `&mut` access.
+//! timeline sample. The fleet loop (`crate::router::FleetRun`) drives
+//! one replica for the engine and many for the router, with the same
+//! dispatch and lockstep sweep. Per-request state lives in [`Reqs`],
+//! indexed by request id and lent to each step as plain `&mut` access.
 
 use std::collections::VecDeque;
 
@@ -44,6 +45,16 @@ impl<'a> ObsCtx<'a> {
     pub(crate) fn emit(&mut self, ev: Event) {
         self.reg.record(&ev);
         self.sink.emit(&ev);
+    }
+
+    /// Whether the sink records events (the run is traced).
+    pub(crate) fn enabled(&self) -> bool {
+        self.sink.enabled()
+    }
+
+    /// The report's opt-in metrics section: present iff traced.
+    pub(crate) fn metrics(&self) -> Option<String> {
+        self.enabled().then(|| self.reg.canonical_text())
     }
 }
 
@@ -97,8 +108,8 @@ pub(crate) enum Role {
     Decode,
 }
 
-/// A replica's availability in a dynamic fleet. Static fleets and the
-/// single engine stay `Up` for the whole run.
+/// A replica's availability in a dynamic fleet. Static fleets (the
+/// single engine among them) stay `Up` for the whole run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Lifecycle {
     /// Admitting new work.
@@ -132,10 +143,8 @@ pub(crate) struct StepScratch {
 
 /// Mutable state of one serving replica plus its step.
 pub(crate) struct Replica {
+    /// Replica index in the fleet, stamped on its events.
     pub(crate) idx: usize,
-    /// Replica coordinate stamped on events: `None` for the single
-    /// engine, `Some(idx)` behind the router.
-    tag: Option<usize>,
     pub(crate) role: Role,
     /// Availability in a dynamic fleet; always `Up` in a static one.
     pub(crate) life: Lifecycle,
@@ -166,28 +175,25 @@ pub(crate) struct Replica {
     requeue: bool,
     /// Reference path: scan the queue every step, ungated.
     force_scan: bool,
-    /// Scan gate: enqueued requests that can never fit, counted at
-    /// enqueue, and a lower bound on the queued epochs. The scan can
-    /// only remove something when the first is nonzero or the bound
-    /// has outlived the timeout; the gate applies the scan's own
-    /// `t - queued_since > timeout` expression, so skipping a scan
-    /// never changes which step rejects what.
-    infeasible_queued: usize,
+    /// Scan gate: a lower bound on the queued epochs. The scan can only
+    /// remove something once the bound has outlived the timeout; the
+    /// gate applies the scan's own `t - queued_since > timeout`
+    /// expression, so skipping a scan never changes which step rejects
+    /// what.
     min_queued_since: f64,
 }
 
 impl Replica {
     pub(crate) fn new(
         engine: &ServeEngine,
-        tag: Option<usize>,
+        idx: usize,
         role: Role,
         requeue: bool,
         force_scan: bool,
     ) -> Self {
         let budget = engine.kv_budget();
         Replica {
-            idx: tag.unwrap_or(0),
-            tag,
+            idx,
             role,
             life: Lifecycle::Up,
             up_since: 0.0,
@@ -209,7 +215,6 @@ impl Replica {
                 .map(|r| SessionKvCache::new(r.pool_bytes(budget))),
             requeue,
             force_scan,
-            infeasible_queued: 0,
             min_queued_since: f64::INFINITY,
         }
     }
@@ -234,6 +239,12 @@ impl Replica {
         }
     }
 
+    /// Dispatch tier: 1 on the decode tier of a disaggregated fleet, 0
+    /// everywhere else.
+    pub(crate) fn tier(&self) -> usize {
+        usize::from(self.role == Role::Decode)
+    }
+
     /// Whether the replica accepts new dispatches.
     pub(crate) fn is_admitting(&self) -> bool {
         self.life == Lifecycle::Up
@@ -256,20 +267,28 @@ impl Replica {
 
     /// Accepts request `id` into the admission queue at time `at`,
     /// booking `res` as its waiting reservation (an idle replica's
-    /// clock jumps forward to `at`).
+    /// clock jumps forward to `at`). Dispatch, handoff and recovery
+    /// check fit first: a request that can never fit is rejected there.
     pub(crate) fn enqueue(&mut self, id: usize, at: f64, res: u64, reqs: &mut Reqs) {
+        debug_assert!(
+            res <= self.budget,
+            "request {id} can never fit replica {}",
+            self.idx
+        );
         self.t = self.t.max(at);
         reqs.res[id] = res;
         reqs.queued_since[id] = at;
-        if res > self.budget {
-            self.infeasible_queued += 1;
-        }
         self.min_queued_since = self.min_queued_since.min(at);
         self.queue.push_back(id);
     }
 
-    /// This replica's report over `requests`.
-    pub(crate) fn report(&self, engine: &ServeEngine, requests: &[Request]) -> ServeReport {
+    /// This replica's report over `requests`, ending at `makespan`.
+    pub(crate) fn report(
+        &self,
+        engine: &ServeEngine,
+        requests: &[Request],
+        makespan: f64,
+    ) -> ServeReport {
         let cfg = engine.config();
         let mean_batch = if self.step_count == 0 {
             0.0
@@ -282,7 +301,7 @@ impl Replica {
             cfg.hardware.to_string(),
             requests,
             cfg.slo,
-            self.t,
+            makespan,
             mean_batch,
             self.timeline.samples().to_vec(),
             self.peak_queue_depth,
@@ -308,7 +327,7 @@ impl Replica {
         let cfg = engine.config();
         let t = self.t;
         let budget = self.budget;
-        let tag = self.tag;
+        let replica = Some(self.idx);
         let StepScratch {
             newly,
             new_jobs,
@@ -322,17 +341,13 @@ impl Replica {
         requeues.clear();
         handoffs.clear();
 
-        // ---- 1. Reject what can never fit or has waited past the
-        // timeout — or bounce it once, when re-queue is on. Requests
-        // holding their first token (preempted, or handed off from the
-        // prefill tier) are in service, not waiting for it: preemption
-        // re-queues, it never drops.
+        // ---- 1. Reject what has waited past the timeout — or bounce
+        // it once, when re-queue is on. Requests holding their first
+        // token (preempted, or handed off from the prefill tier) are in
+        // service, not waiting for it: preemption re-queues, it never
+        // drops.
         let _scan = profile::timer(Phase::EventScan);
-        if self.force_scan
-            || self.infeasible_queued > 0
-            || t - self.min_queued_since > cfg.queue_timeout_s
-        {
-            self.infeasible_queued = 0;
+        if self.force_scan || t - self.min_queued_since > cfg.queue_timeout_s {
             let min_queued = &mut self.min_queued_since;
             *min_queued = f64::INFINITY;
             let requeue = self.requeue;
@@ -341,45 +356,35 @@ impl Replica {
                     return true;
                 }
                 let waited_s = t - reqs.queued_since[id];
-                let reason = if reqs.res[id] > budget {
-                    RejectReason::Infeasible
-                } else if waited_s > cfg.queue_timeout_s {
-                    if requeue && !reqs.was_requeued[id] {
-                        reqs.was_requeued[id] = true;
-                        requeues.push((t, id));
-                        return false;
-                    }
-                    RejectReason::QueueTimeout {
-                        waited_s,
-                        discipline: cfg.discipline.name(),
-                    }
-                } else {
+                if waited_s <= cfg.queue_timeout_s {
                     *min_queued = min_queued.min(reqs.queued_since[id]);
                     return true;
+                }
+                if requeue && !reqs.was_requeued[id] {
+                    reqs.was_requeued[id] = true;
+                    requeues.push((t, id));
+                    return false;
+                }
+                let discipline = cfg.discipline.name();
+                let reason = RejectReason::QueueTimeout {
+                    waited_s,
+                    discipline,
                 };
                 let req = &mut reqs.req[id];
                 req.state = RequestState::Rejected;
                 req.reject_reason = Some(reason);
                 if TRACED {
-                    let decision_trace = match reason {
-                        RejectReason::Infeasible => format!(
-                            "reservation {} B > budget {budget} B under {}: can never fit",
-                            reqs.res[id],
-                            cfg.policy.name()
-                        ),
-                        RejectReason::QueueTimeout { discipline, .. } => format!(
-                            "waited {waited_s:.3}s > timeout {:.3}s in {discipline} scan",
-                            cfg.queue_timeout_s
-                        ),
-                    };
                     obs.emit(Event {
                         t,
-                        replica: tag,
+                        replica,
                         request: Some(id),
                         kind: EventKind::Rejected {
                             reason: reason.label().to_string(),
                             queue_wait_s: waited_s,
-                            decision_trace,
+                            decision_trace: format!(
+                                "waited {waited_s:.3}s > timeout {:.3}s in {discipline} scan",
+                                cfg.queue_timeout_s
+                            ),
                         },
                     });
                 }
@@ -390,7 +395,7 @@ impl Replica {
                 for &(_, id) in requeues.iter() {
                     obs.emit(Event {
                         t,
-                        replica: tag,
+                        replica,
                         request: Some(id),
                         kind: EventKind::Requeue { from: self.idx },
                     });
@@ -477,7 +482,7 @@ impl Replica {
                     for evd in evicted.iter() {
                         obs.emit(Event {
                             t,
-                            replica: tag,
+                            replica,
                             request: None,
                             kind: EventKind::RetentionEvict {
                                 session: evd.session_id as u64,
@@ -490,7 +495,7 @@ impl Replica {
                         if let Some(sref) = session {
                             obs.emit(Event {
                                 t,
-                                replica: tag,
+                                replica,
                                 request: Some(id),
                                 kind: EventKind::RetentionHit {
                                     session: sref.session_id as u64,
@@ -509,7 +514,7 @@ impl Replica {
                         if stored != fp16 {
                             obs.emit(Event {
                                 t,
-                                replica: tag,
+                                replica,
                                 request: Some(id),
                                 kind: EventKind::Transcode {
                                     region: "gpu".to_string(),
@@ -522,7 +527,7 @@ impl Replica {
                         if let Some(sref) = session {
                             obs.emit(Event {
                                 t,
-                                replica: tag,
+                                replica,
                                 request: Some(id),
                                 kind: EventKind::RetentionMiss {
                                     session: sref.session_id as u64,
@@ -537,7 +542,7 @@ impl Replica {
                     let act = cfg.model.activation_bytes_per_seq(FP16) * act_tokens as u64;
                     obs.emit(Event {
                         t,
-                        replica: tag,
+                        replica,
                         request: Some(id),
                         kind: EventKind::Admitted {
                             reservation_bytes: res,
@@ -568,7 +573,7 @@ impl Replica {
                         );
                         obs.emit(Event {
                             t,
-                            replica: tag,
+                            replica,
                             request: Some(vid),
                             kind: EventKind::Preempted {
                                 victim_of: id,
@@ -607,7 +612,7 @@ impl Replica {
         if TRACED {
             obs.emit(Event {
                 t,
-                replica: tag,
+                replica,
                 request: None,
                 kind: EventKind::Step {
                     dur_s: step_time,
@@ -821,7 +826,7 @@ impl Replica {
         if TRACED {
             obs.emit(Event {
                 t: t_end,
-                replica: self.tag,
+                replica: Some(self.idx),
                 request: Some(id),
                 kind: EventKind::Finished {
                     generated: req.generated,
@@ -843,7 +848,7 @@ impl Replica {
         if TRACED && stored {
             obs.emit(Event {
                 t: t_end,
-                replica: self.tag,
+                replica: Some(self.idx),
                 request: Some(id),
                 kind: EventKind::RetentionStore {
                     session: sref.session_id as u64,

@@ -31,11 +31,14 @@
 //!   signals by each replica's [`ServeEngine::throughput_weight`] so
 //!   a fast replica is expected to carry proportionally more.
 //!
-//! The simulation is a deterministic discrete-event loop: a global
-//! event heap (arrivals, handoffs, re-queues) ordered by `(time, seq)`,
-//! with each replica advancing through the same step as
-//! [`ServeEngine::run`]. A single-replica router run is byte-identical
-//! to the plain engine run — asserted by `tests/multi_replica.rs` and
+//! The simulation is a deterministic discrete-event loop — the one loop
+//! in the crate: [`ServeEngine::run`] drives itself through it as a
+//! 1-replica fleet. Arrivals come from a source (the trace in order, or
+//! closed-loop clients), a global event heap ordered by `(time, seq)`
+//! holds handoffs, re-queues, scale ticks and kills, and lockstep
+//! sweeps advance every replica through the one shared replica step.
+//! A 1-replica router run therefore reproduces the engine run byte for
+//! byte — asserted by `tests/multi_replica.rs` and
 //! `tests/differential.rs`.
 //!
 //! # Example
@@ -74,15 +77,15 @@ use std::collections::{BTreeSet, BinaryHeap};
 use alisa_kvcache::ReuseStats;
 use alisa_obs::profile::{self, Phase};
 use alisa_obs::{Event, EventKind, NullSink, TraceSink};
-use alisa_sched::common::mix64;
+use alisa_sched::common::{hash_unit, mix64};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::engine::{ServeConfig, ServeEngine};
+use crate::engine::{ClosedLoopCfg, ServeConfig, ServeEngine};
 use crate::metrics::{ServeReport, ServeSample};
 use crate::replica::{Lifecycle, ObsCtx, Replica, Reqs, Role, StepScratch};
-use crate::request::{RejectReason, RequestState};
+use crate::request::{RejectReason, Request, RequestState};
 use crate::trace::Trace;
 
 /// How the router distributes incoming requests across replicas.
@@ -282,7 +285,8 @@ pub struct FleetDynamicsStats {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RouterConfig {
     /// Per-replica engine configurations. Policies may differ between
-    /// replicas; closed-loop gating is not supported behind the router.
+    /// replicas; closed-loop gating must agree across them, and its
+    /// clients then submit to the whole fleet.
     pub replicas: Vec<ServeConfig>,
     /// Load-balancing policy.
     pub lb: LoadBalancePolicy,
@@ -453,11 +457,10 @@ impl RouterReport {
     }
 }
 
-/// A global simulation event.
+/// A heap event. Arrivals are not heap events: the loop reads them from
+/// its [`Arrivals`] source.
 #[derive(Debug, Clone, Copy)]
 enum EvKind {
-    /// A trace request arrives at the router.
-    Arrival(usize),
     /// A prefilled request's KV transfer to the decode tier completes.
     Handoff(usize),
     /// A bounced request re-enters dispatch, excluding the replica that
@@ -504,42 +507,36 @@ impl Ord for Ev {
     }
 }
 
-/// Incrementally-maintained replica-selection indexes — the fleet
+/// Incrementally-maintained replica-selection index — the fleet
 /// dispatch hot path at scale.
 ///
 /// The reference dispatch is a linear scan: `LeastOutstanding` and
 /// `LeastKvPressure` walk every replica in the tier per request, which
 /// is O(replicas) per dispatch and dominates routing cost once fleets
-/// reach the hundreds. This structure keeps one ordered index per tier
-/// and load signal instead:
+/// reach the hundreds. This structure keeps one ordered set per tier
+/// instead, of `(key.to_bits(), replica)` pairs, where the key is the
+/// policy's load signal: the throughput-normalized outstanding count
+/// (`outstanding / weight`) or KV pressure (`(reserved / budget) /
+/// weight`). On a homogeneous fleet every weight is equal, and dividing
+/// every key by the same positive weight preserves the order and every
+/// tie.
 ///
-/// * **load** — `(load.to_bits(), replica)` pairs in a [`BTreeSet`],
-///   where load is the throughput-normalized outstanding count
-///   (`outstanding / weight` — a plain scaled count for homogeneous
-///   fleets, where dividing every key by the same positive weight
-///   preserves the order and every tie);
-/// * **KV pressure** — `(pressure.to_bits(), replica)` pairs, pressure
-///   being normalized occupancy `(reserved / budget) / weight`.
+/// Keys are non-negative finite IEEE-754 doubles, whose raw bit
+/// patterns order exactly like [`f64::total_cmp`] — so the u64 keys
+/// reproduce the reference comparator's total order bit-for-bit (the
+/// same trick the scheduler's packed top-K keys use).
 ///
-/// Both signals are non-negative finite IEEE-754 doubles, whose raw
-/// bit patterns order exactly like [`f64::total_cmp`] — so the u64
-/// keys reproduce the reference comparators' total order bit-for-bit
-/// (the same trick the scheduler's packed top-K keys use).
+/// Ties break to the lowest replica index, identical to the reference
+/// `min_by` scan, which is what makes the indexed router byte-identical
+/// to the linear one (pinned by `tests/differential.rs`). Updates are
+/// O(log replicas): the router re-keys a replica whenever its load can
+/// have moved (on enqueue, and after each replica step).
 ///
-/// Ties break to the lowest replica index in both orders — identical
-/// to the reference `min_by` scans, which is what makes the indexed
-/// router byte-identical to the linear one (pinned by
-/// `tests/differential.rs`). Updates are O(log replicas): the router
-/// refreshes a replica's keys whenever its load signals can have moved
-/// (on enqueue, and after each replica step).
-///
-/// Fleets are no longer fixed at construction:
 /// [`DispatchIndex::remove`] takes a draining or failed replica out of
-/// every order (it can no longer be picked) and
-/// [`DispatchIndex::insert`] puts a scaled-up replica back — both
-/// O(log replicas), no rebuild. Updates to an absent replica are
-/// no-ops, so the router's blanket post-step re-keying needs no
-/// lifecycle bookkeeping.
+/// its order (it can no longer be picked) and [`DispatchIndex::insert`]
+/// puts a scaled-up replica back — both O(log replicas), no rebuild.
+/// Updates to an absent replica are no-ops, so the router's blanket
+/// post-step re-keying needs no lifecycle bookkeeping.
 ///
 /// Disaggregated fleets get the tier filter baked in: each replica
 /// belongs to exactly one tier (prefill = 0, decode = 1; unified fleets
@@ -549,175 +546,251 @@ impl Ord for Ev {
 pub struct DispatchIndex {
     /// Tier of each replica.
     tier_of: Vec<usize>,
-    /// Whether each replica is currently in the orders.
+    /// Whether each replica is currently in its tier's order.
     present: Vec<bool>,
-    /// Per tier: replicas ordered by `(load bits, index)`. Empty and
-    /// unmaintained unless `track_outstanding`.
-    by_outstanding: Vec<BTreeSet<(u64, usize)>>,
-    /// Per tier: replicas ordered by `(kv-pressure bits, index)`. Empty
-    /// and unmaintained unless `track_pressure`.
-    by_pressure: Vec<BTreeSet<(u64, usize)>>,
-    /// Per replica: the `(load-bits, pressure-bits)` keys currently in
-    /// the sets, so an update can remove them without a search.
-    keys: Vec<(u64, u64)>,
-    /// Whether the load order is maintained.
-    track_outstanding: bool,
-    /// Whether the KV-pressure order is maintained.
-    track_pressure: bool,
+    /// Per tier: replicas ordered by `(key bits, index)`.
+    by_key: Vec<BTreeSet<(u64, usize)>>,
+    /// Per replica: the key bits currently in the order, so an update
+    /// can remove the entry without a search.
+    keys: Vec<u64>,
 }
 
 impl DispatchIndex {
     /// Builds an index over `tier_of.len()` replicas partitioned into
-    /// `tiers` tiers, maintaining only the orders asked for (an unused
-    /// order would cost two B-tree operations per update for nothing).
-    /// Every replica starts present with key `(0.0, 0.0)`; call
+    /// `tiers` tiers. Every replica starts present with key `0.0`; call
     /// [`DispatchIndex::update`] to seed real signals.
     ///
     /// # Panics
     ///
     /// Panics if any entry of `tier_of` is `>= tiers`.
-    pub fn new(tier_of: Vec<usize>, tiers: usize, outstanding: bool, pressure: bool) -> Self {
+    pub fn new(tier_of: Vec<usize>, tiers: usize) -> Self {
         assert!(tier_of.iter().all(|&t| t < tiers), "tier out of range");
         let n = tier_of.len();
-        let mut idx = DispatchIndex {
+        let mut by_key = vec![BTreeSet::new(); tiers];
+        for (i, &tier) in tier_of.iter().enumerate() {
+            by_key[tier].insert((0, i));
+        }
+        DispatchIndex {
             tier_of,
             present: vec![true; n],
-            by_outstanding: vec![BTreeSet::new(); tiers],
-            by_pressure: vec![BTreeSet::new(); tiers],
-            keys: vec![(0, 0); n],
-            track_outstanding: outstanding,
-            track_pressure: pressure,
-        };
-        for i in 0..n {
-            let tier = idx.tier_of[i];
-            if idx.track_outstanding {
-                idx.by_outstanding[tier].insert((0, i));
-            }
-            if idx.track_pressure {
-                idx.by_pressure[tier].insert((0, i));
-            }
+            by_key,
+            keys: vec![0; n],
         }
-        idx
     }
 
-    /// Re-keys `replica` to the given load signals, both of which must
-    /// be non-negative (counts and occupancies are), so their bit
-    /// patterns are order-preserving. A no-op for a replica that was
-    /// [`DispatchIndex::remove`]d. O(log replicas) per maintained
-    /// order.
-    pub fn update(&mut self, replica: usize, load: f64, pressure: f64) {
-        debug_assert!(
-            load >= 0.0 && pressure >= 0.0,
-            "negative signals break bit ordering"
-        );
-        if !self.present[replica] {
+    /// Re-keys `replica` to `key`, which must be non-negative (counts
+    /// and occupancies are), so its bit pattern is order-preserving. A
+    /// no-op for a replica that was [`DispatchIndex::remove`]d.
+    /// O(log replicas).
+    pub fn update(&mut self, replica: usize, key: f64) {
+        debug_assert!(key >= 0.0, "negative keys break bit ordering");
+        let bits = key.to_bits();
+        if !self.present[replica] || self.keys[replica] == bits {
             return;
         }
-        let tier = self.tier_of[replica];
-        let (old_load, old_kv) = self.keys[replica];
-        let lb = load.to_bits();
-        let kv = pressure.to_bits();
-        if self.track_outstanding && old_load != lb {
-            self.by_outstanding[tier].remove(&(old_load, replica));
-            self.by_outstanding[tier].insert((lb, replica));
-        }
-        if self.track_pressure && old_kv != kv {
-            self.by_pressure[tier].remove(&(old_kv, replica));
-            self.by_pressure[tier].insert((kv, replica));
-        }
-        self.keys[replica] = (lb, kv);
+        let order = &mut self.by_key[self.tier_of[replica]];
+        order.remove(&(self.keys[replica], replica));
+        order.insert((bits, replica));
+        self.keys[replica] = bits;
     }
 
-    /// Adds `replica` to tier `tier` with zeroed signals (scale-up).
-    /// Grows the per-replica tables if `replica` is beyond the fleet
-    /// the index was built over; a no-op if it is already present.
+    /// Adds `replica` to tier `tier` with a zero key (scale-up). Grows
+    /// the per-replica tables if `replica` is beyond the fleet the
+    /// index was built over; a no-op if it is already present.
     ///
     /// # Panics
     ///
     /// Panics if `tier` is outside the tier count given at build time.
     pub fn insert(&mut self, replica: usize, tier: usize) {
-        assert!(tier < self.by_outstanding.len(), "tier out of range");
+        assert!(tier < self.by_key.len(), "tier out of range");
         if replica >= self.present.len() {
             self.tier_of.resize(replica + 1, 0);
             self.present.resize(replica + 1, false);
-            self.keys.resize(replica + 1, (0, 0));
+            self.keys.resize(replica + 1, 0);
         }
         if self.present[replica] {
             return;
         }
         self.present[replica] = true;
         self.tier_of[replica] = tier;
-        self.keys[replica] = (0, 0);
-        if self.track_outstanding {
-            self.by_outstanding[tier].insert((0, replica));
-        }
-        if self.track_pressure {
-            self.by_pressure[tier].insert((0, replica));
-        }
+        self.keys[replica] = 0;
+        self.by_key[tier].insert((0, replica));
     }
 
-    /// Removes `replica` from every order (drain or failure): it can
-    /// no longer be picked, and updates to it become no-ops until it is
+    /// Removes `replica` from its order (drain or failure): it can no
+    /// longer be picked, and updates to it become no-ops until it is
     /// re-[`DispatchIndex::insert`]ed. A no-op if already absent.
     pub fn remove(&mut self, replica: usize) {
-        if replica >= self.present.len() || !self.present[replica] {
+        if !self.contains(replica) {
             return;
         }
         self.present[replica] = false;
-        let tier = self.tier_of[replica];
-        let (lb, kv) = self.keys[replica];
-        if self.track_outstanding {
-            self.by_outstanding[tier].remove(&(lb, replica));
-        }
-        if self.track_pressure {
-            self.by_pressure[tier].remove(&(kv, replica));
-        }
+        self.by_key[self.tier_of[replica]].remove(&(self.keys[replica], replica));
     }
 
-    /// Whether `replica` is currently in the orders.
+    /// Whether `replica` is currently in its tier's order.
     pub fn contains(&self, replica: usize) -> bool {
         self.present.get(replica).copied().unwrap_or(false)
     }
 
-    /// The tier-`tier` replica with the fewest outstanding requests
-    /// among those `ok` admits (ties to the lowest index), or `None`
-    /// if no replica qualifies. With an all-admitting filter this is
-    /// one leftmost B-tree descent — O(log replicas).
-    pub fn least_outstanding(
-        &self,
-        tier: usize,
-        mut ok: impl FnMut(usize) -> bool,
-    ) -> Option<usize> {
-        debug_assert!(self.track_outstanding);
-        self.by_outstanding[tier]
-            .iter()
-            .map(|&(_, i)| i)
-            .find(|&i| ok(i))
-    }
-
-    /// The tier-`tier` replica with the lowest KV pressure among those
-    /// `ok` admits (ties to the lowest index), or `None` if no replica
-    /// qualifies.
-    pub fn least_kv_pressure(
-        &self,
-        tier: usize,
-        mut ok: impl FnMut(usize) -> bool,
-    ) -> Option<usize> {
-        debug_assert!(self.track_pressure);
-        self.by_pressure[tier]
-            .iter()
-            .map(|&(_, i)| i)
-            .find(|&i| ok(i))
+    /// The tier-`tier` replica with the lowest key among those `ok`
+    /// admits (ties to the lowest index), or `None` if no replica
+    /// qualifies. With an all-admitting filter this is one leftmost
+    /// B-tree descent — O(log replicas).
+    pub fn least(&self, tier: usize, mut ok: impl FnMut(usize) -> bool) -> Option<usize> {
+        self.by_key[tier].iter().map(|&(_, i)| i).find(|&i| ok(i))
     }
 }
 
-/// Reusable buffers for dispatch: the eligible / feasible candidate
-/// lists the reference selection (and the round-robin/sticky picks)
-/// materializes. Owned by the run so no dispatch allocates.
-#[derive(Debug, Default)]
-struct DispatchScratch {
-    eligible: Vec<usize>,
-    feasible: Vec<usize>,
+/// The load signal a least-* policy minimizes, and the key the
+/// [`DispatchIndex`] orders replicas by: throughput-normalized KV
+/// pressure for [`LoadBalancePolicy::LeastKvPressure`], the normalized
+/// outstanding count otherwise.
+fn load_signal(lb: LoadBalancePolicy, s: &Replica) -> f64 {
+    match lb {
+        LoadBalancePolicy::LeastKvPressure => s.pressure_norm(),
+        _ => s.load_norm(),
+    }
+}
+
+/// Picks a replica from the non-empty `eligible` list per the
+/// load-balancing policy. `key` is the affinity key sticky policies
+/// hash: the request's real session id, or its trace index for legacy
+/// single-shot entries (reproducing the pre-session `i % sessions`
+/// fold).
+fn pick(
+    lb: LoadBalancePolicy,
+    eligible: &[usize],
+    states: &[Replica],
+    key: usize,
+    rr: &mut usize,
+) -> usize {
+    match lb {
+        LoadBalancePolicy::RoundRobin => {
+            let k = eligible[*rr % eligible.len()];
+            *rr += 1;
+            k
+        }
+        LoadBalancePolicy::Sticky { sessions } => {
+            let session = (key % sessions) as u64;
+            eligible[(mix64(session) % eligible.len() as u64) as usize]
+        }
+        _ => (eligible.iter().copied())
+            .min_by(|&a, &b| {
+                load_signal(lb, &states[a])
+                    .total_cmp(&load_signal(lb, &states[b]))
+                    .then_with(|| a.cmp(&b))
+            })
+            .expect("eligible is non-empty"),
+    }
+}
+
+/// Closed-loop clients: trace entry `i` belongs to client
+/// `i % clients`, and each client keeps one request in flight,
+/// submitting its next a seeded think time after the last one reached
+/// a terminal state.
+struct Clients {
+    cfg: ClosedLoopCfg,
+    /// Per client: its next trace entry (`>= n` once exhausted).
+    next: Vec<usize>,
+    /// Per client: the earliest time it may submit again.
+    ready: Vec<f64>,
+    /// Per client: whether its last request is still in flight.
+    waiting: Vec<bool>,
+}
+
+impl Clients {
+    /// Each free client's next request and its submit time, in client
+    /// order.
+    fn pending<'r>(&'r self, reqs: &'r [Request]) -> impl Iterator<Item = (usize, f64)> + 'r {
+        (0..self.next.len())
+            .filter(|&c| !self.waiting[c])
+            .filter_map(move |c| {
+                let id = self.next[c];
+                reqs.get(id).map(|r| (id, r.arrival.max(self.ready[c])))
+            })
+    }
+}
+
+/// Where the fleet loop's arrivals come from: an open-loop trace in
+/// order at its timestamps, or closed-loop clients.
+enum Arrivals {
+    /// The next trace entry to arrive.
+    Open(usize),
+    /// Closed-loop clients gate every arrival on a completion.
+    Closed(Clients),
+}
+
+impl Arrivals {
+    fn new(closed_loop: Option<ClosedLoopCfg>) -> Self {
+        match closed_loop {
+            None => Arrivals::Open(0),
+            Some(cfg) => {
+                let clients = cfg.clients.max(1);
+                Arrivals::Closed(Clients {
+                    cfg,
+                    next: (0..clients).collect(),
+                    ready: vec![0.0; clients],
+                    waiting: vec![false; clients],
+                })
+            }
+        }
+    }
+
+    /// The next arrival due by `horizon`, as `(id, submit time)`: the
+    /// trace's next entry, or the lowest-index due client's.
+    fn due(&self, horizon: f64, reqs: &[Request]) -> Option<(usize, f64)> {
+        match self {
+            Arrivals::Open(next) => reqs
+                .get(*next)
+                .map(|r| (*next, r.arrival))
+                .filter(|&(_, at)| at <= horizon),
+            Arrivals::Closed(c) => c.pending(reqs).find(|&(_, at)| at <= horizon),
+        }
+    }
+
+    /// The earliest pending submit time (+∞ when none is pending).
+    fn next_time(&self, reqs: &[Request]) -> f64 {
+        match self {
+            Arrivals::Open(next) => reqs.get(*next).map_or(f64::INFINITY, |r| r.arrival),
+            Arrivals::Closed(c) => (c.pending(reqs))
+                .map(|(_, at)| at)
+                .fold(f64::INFINITY, f64::min),
+        }
+    }
+
+    /// Whether every trace entry has been submitted.
+    fn exhausted(&self, n: usize) -> bool {
+        match self {
+            Arrivals::Open(next) => *next >= n,
+            Arrivals::Closed(c) => c.next.iter().all(|&id| id >= n),
+        }
+    }
+
+    /// Takes the due arrival `(id, at)` off the source; a closed-loop
+    /// request's arrival becomes its actual submit time.
+    fn take(&mut self, id: usize, at: f64, reqs: &mut [Request]) {
+        match self {
+            Arrivals::Open(next) => *next += 1,
+            Arrivals::Closed(c) => {
+                let k = id % c.next.len();
+                c.next[k] += c.next.len();
+                c.waiting[k] = true;
+                reqs[id].arrival = at;
+            }
+        }
+    }
+
+    /// Frees request `id`'s client, if any: the request reached a
+    /// terminal state at `now`.
+    fn release(&mut self, id: usize, now: f64) {
+        if let Arrivals::Closed(c) = self {
+            let k = id % c.next.len();
+            let u = hash_unit(c.cfg.seed, id as u64).max(1e-12);
+            c.ready[k] = now + c.cfg.think_s * -u.ln();
+            c.waiting[k] = false;
+        }
+    }
 }
 
 /// The shared router: owns N replica engines and dispatches a trace
@@ -735,15 +808,16 @@ impl Router {
     ///
     /// # Panics
     ///
-    /// Panics if the replica list is empty, any replica enables
-    /// closed-loop gating (unsupported behind a router), a sticky
-    /// policy has zero sessions, or a disaggregation split does not
-    /// leave at least one prefill and one decode replica.
+    /// Panics if the replica list is empty, the replicas disagree on
+    /// closed-loop gating, a sticky policy has zero sessions, or a
+    /// disaggregation split does not leave at least one prefill and
+    /// one decode replica.
     pub fn new(cfg: RouterConfig) -> Self {
         assert!(!cfg.replicas.is_empty(), "router needs at least 1 replica");
+        let closed_loop = cfg.replicas[0].closed_loop;
         assert!(
-            cfg.replicas.iter().all(|r| r.closed_loop.is_none()),
-            "closed-loop gating is not supported behind the router"
+            cfg.replicas.iter().all(|r| r.closed_loop == closed_loop),
+            "all replicas must agree on closed_loop"
         );
         if let LoadBalancePolicy::Sticky { sessions } = cfg.lb {
             assert!(sessions > 0, "sticky affinity needs at least 1 session");
@@ -794,7 +868,7 @@ impl Router {
     }
 
     /// Forces the naive reference paths: per-request linear
-    /// `min_by`/`min_by_key` scans over the tier instead of the
+    /// `min_by` scans over the tier instead of the
     /// incrementally-maintained [`DispatchIndex`], and a rejection scan
     /// on every replica step instead of the gated one. Reports and
     /// event streams must be byte-identical either way — this switch
@@ -816,34 +890,6 @@ impl Router {
         self.engines.len()
     }
 
-    /// Whether this run has fleet dynamics (autoscaling or injected
-    /// failures) — the paths that change replica lifecycles mid-run.
-    fn fleet_dynamic(&self) -> bool {
-        self.cfg.autoscaler.is_some()
-            || self
-                .cfg
-                .failures
-                .as_ref()
-                .is_some_and(|p| !p.kills.is_empty())
-    }
-
-    /// Replica indices eligible for fresh arrivals (the prefill tier
-    /// under disaggregation, every replica otherwise).
-    fn arrival_tier(&self) -> Vec<usize> {
-        match self.cfg.disagg {
-            Some(d) => (0..d.prefill_replicas).collect(),
-            None => (0..self.engines.len()).collect(),
-        }
-    }
-
-    /// Replica indices eligible for handed-off decode work.
-    fn decode_tier(&self) -> Vec<usize> {
-        match self.cfg.disagg {
-            Some(d) => (d.prefill_replicas..self.engines.len()).collect(),
-            None => Vec::new(),
-        }
-    }
-
     /// Replays `trace` across the fleet and returns the merged report.
     /// Deterministic: the same config and trace produce a
     /// byte-identical [`RouterReport`].
@@ -859,592 +905,481 @@ impl Router {
     /// router-wide. With a disabled sink ([`NullSink`]) no event is
     /// constructed and the report is byte-identical to [`Router::run`].
     pub fn run_traced(&self, trace: &Trace, sink: &mut dyn TraceSink) -> RouterReport {
-        // Monomorphize on the tracing decision, like
-        // `ServeEngine::run_traced`: the untraced instance compiles
-        // every emission block out of the dispatch/step hot paths.
-        if sink.enabled() {
-            self.run_inner::<true>(trace, sink)
-        } else {
-            self.run_inner::<false>(trace, sink)
-        }
+        let mut run = FleetRun::new(&self.engines, &self.cfg, self.reference_paths, trace, sink);
+        run.run();
+        run.router_report()
     }
+}
 
-    fn run_inner<const TRACED: bool>(
-        &self,
+/// One run through the fleet loop — the one event loop behind both
+/// [`Router::run`] and [`ServeEngine::run`], which runs as a 1-replica
+/// fleet.
+///
+/// Each iteration handles one due event or sweeps the replicas. An
+/// event is due once no busy replica's clock is still behind it; with
+/// every replica idle, the earliest pending time is the horizon.
+/// Arrivals come from the [`Arrivals`] source and go before a heap
+/// event at the same time. When nothing is due, a sweep advances every
+/// lagging busy replica by one step, in index order, bounded by the
+/// next pending time so nobody races past a dispatch it should have
+/// seen.
+pub(crate) struct FleetRun<'a> {
+    engines: &'a [ServeEngine],
+    cfg: &'a RouterConfig,
+    reqs: Reqs,
+    states: Vec<Replica>,
+    /// Terminal home of each request.
+    owner: Vec<Option<usize>>,
+    arrivals: Arrivals,
+    heap: BinaryHeap<Ev>,
+    seq: u64,
+    /// Real (non-autoscaler) heap events still pending: the Scale tick
+    /// re-arms only while some remain, arrivals remain, or a replica is
+    /// busy, which guarantees termination.
+    real_events: usize,
+    /// Latest arrival or real event time: the makespan's floor.
+    last_event_t: f64,
+    /// Round-robin cursors of the arrival tier (0) and decode tier (1).
+    rr: [usize; 2],
+    /// Maintained for the least-* policies unless the reference paths
+    /// are forced, which keeps the linear scans reachable for the
+    /// differential harness.
+    index: Option<DispatchIndex>,
+    /// Reusable eligible-replica list for the non-indexed picks.
+    eligible: Vec<usize>,
+    step_scratch: StepScratch,
+    dynamics: Option<FleetDynamicsStats>,
+    requeued: usize,
+    handoffs: usize,
+    obs: ObsCtx<'a>,
+}
+
+impl<'a> FleetRun<'a> {
+    /// Sets up a run of `trace` over one replica per engine, under the
+    /// fleet policies of `cfg` (its replica list is not read: the
+    /// engines carry their configs).
+    pub(crate) fn new(
+        engines: &'a [ServeEngine],
+        cfg: &'a RouterConfig,
+        reference_paths: bool,
         trace: &Trace,
-        sink: &mut dyn TraceSink,
-    ) -> RouterReport {
-        let mut obs = ObsCtx::new(sink);
-        let n_replicas = self.engines.len();
-        let disagg = self.cfg.disagg;
-        let prefill_count = disagg.map_or(0, |d| d.prefill_replicas);
-        let requeue = self.cfg.requeue_on_reject && n_replicas > 1;
-
-        let mut reqs = Reqs::new(trace);
-        let mut states: Vec<Replica> = self
-            .engines
-            .iter()
-            .enumerate()
+        sink: &'a mut dyn TraceSink,
+    ) -> Self {
+        let requeue = cfg.requeue_on_reject && engines.len() > 1;
+        let mut states: Vec<Replica> = (engines.iter().enumerate())
             .map(|(i, eng)| {
-                let role = match disagg {
+                let role = match cfg.disagg {
                     Some(d) if i < d.prefill_replicas => Role::Prefill,
                     Some(_) => Role::Decode,
                     None => Role::Unified,
                 };
-                Replica::new(eng, Some(i), role, requeue, self.reference_paths)
+                Replica::new(eng, i, role, requeue, reference_paths)
             })
             .collect();
-        let dynamic = self.fleet_dynamic();
-        let mut dynamics: Option<FleetDynamicsStats> = dynamic.then(FleetDynamicsStats::default);
-        if let Some(a) = self.cfg.autoscaler {
+        if let Some(a) = cfg.autoscaler {
             for s in states.iter_mut().skip(a.min_replicas) {
                 s.life = Lifecycle::Standby;
             }
         }
-
-        // Terminal home of each request.
-        let mut owner: Vec<Option<usize>> = vec![None; reqs.req.len()];
-        let mut requeued_total = 0usize;
-        let mut handoffs_total = 0usize;
-        let mut last_event_t = 0.0f64;
-
-        let mut heap: BinaryHeap<Ev> = BinaryHeap::new();
-        let mut seq = 0u64;
-        for (id, req) in reqs.req.iter().enumerate() {
-            heap.push(Ev {
-                t: req.arrival,
-                seq,
-                kind: EvKind::Arrival(id),
-            });
-            seq += 1;
-        }
-        if let Some(plan) = &self.cfg.failures {
-            for kill in &plan.kills {
-                heap.push(Ev {
-                    t: kill.t,
-                    seq,
-                    kind: EvKind::Fail(kill.replica),
-                });
-                seq += 1;
-            }
-        }
-        // Real (non-autoscaler) events still pending: the Scale tick
-        // re-arms only while some remain or a replica is busy, which
-        // guarantees termination.
-        let mut real_events = heap.len();
-        if let Some(a) = self.cfg.autoscaler {
-            heap.push(Ev {
-                t: a.interval_s,
-                seq,
-                kind: EvKind::Scale,
-            });
-            seq += 1;
-        }
-
-        let arrival_tier = self.arrival_tier();
-        let decode_tier = self.decode_tier();
-        let mut rr_arrival = 0usize;
-        let mut rr_handoff = 0usize;
-        let mut step_scratch = StepScratch::default();
-
-        // The dispatch index: maintained for the two load signals the
-        // reference selection scans linearly. Round-robin and sticky
-        // picks index the eligible list directly;
-        // `with_reference_paths(true)` drops the index so the linear
-        // scans stay reachable for the differential harness.
-        let mut index: Option<DispatchIndex> = if self.reference_paths {
-            None
-        } else {
-            let tier_of: Vec<usize> = match disagg {
-                Some(d) => (0..n_replicas)
-                    .map(|i| usize::from(i >= d.prefill_replicas))
-                    .collect(),
-                None => vec![0; n_replicas],
-            };
-            let tiers = if disagg.is_some() { 2 } else { 1 };
-            match self.cfg.lb {
-                LoadBalancePolicy::LeastOutstanding => {
-                    Some(DispatchIndex::new(tier_of, tiers, true, false))
+        let index = match cfg.lb {
+            LoadBalancePolicy::LeastOutstanding | LoadBalancePolicy::LeastKvPressure
+                if !reference_paths =>
+            {
+                let mut ix = DispatchIndex::new(states.iter().map(Replica::tier).collect(), 2);
+                for s in &states {
+                    ix.update(s.idx, load_signal(cfg.lb, s));
+                    if !s.is_admitting() {
+                        ix.remove(s.idx);
+                    }
                 }
-                LoadBalancePolicy::LeastKvPressure => {
-                    Some(DispatchIndex::new(tier_of, tiers, false, true))
-                }
-                _ => None,
+                Some(ix)
             }
+            _ => None,
         };
-        if let Some(ix) = index.as_mut() {
-            for s in &states {
-                ix.update(s.idx, s.load_norm(), s.pressure_norm());
-                if !s.is_admitting() {
-                    ix.remove(s.idx);
-                }
-            }
+        let dynamic =
+            cfg.autoscaler.is_some() || cfg.failures.as_ref().is_some_and(|p| !p.kills.is_empty());
+        let reqs = Reqs::new(trace);
+        let n = reqs.req.len();
+        let mut run = FleetRun {
+            engines,
+            cfg,
+            reqs,
+            states,
+            owner: vec![None; n],
+            arrivals: Arrivals::new(engines[0].config().closed_loop),
+            heap: BinaryHeap::new(),
+            seq: 0,
+            real_events: 0,
+            last_event_t: 0.0,
+            rr: [0; 2],
+            index,
+            eligible: Vec::new(),
+            step_scratch: StepScratch::default(),
+            dynamics: dynamic.then(FleetDynamicsStats::default),
+            requeued: 0,
+            handoffs: 0,
+            obs: ObsCtx::new(sink),
+        };
+        for kill in cfg.failures.iter().flat_map(|p| &p.kills) {
+            run.push(kill.t, EvKind::Fail(kill.replica));
         }
-        let mut dispatch_scratch = DispatchScratch::default();
+        if let Some(a) = cfg.autoscaler {
+            run.push(a.interval_s, EvKind::Scale);
+        }
+        run
+    }
 
+    /// Runs the loop to completion, monomorphized on the tracing
+    /// decision: the untraced instance compiles every emission block
+    /// out of the dispatch and step hot paths.
+    pub(crate) fn run(&mut self) {
+        if self.obs.enabled() {
+            self.drive::<true>();
+        } else {
+            self.drive::<false>();
+        }
+    }
+
+    fn drive<const TRACED: bool>(&mut self) {
         loop {
-            // ---- 0. Dynamic fleets: a draining replica whose running
-            // batch has emptied completes its drain and goes standby,
-            // settling its up-time and discarding retained sessions
-            // (the next scale-up starts cold).
-            if dynamic {
-                for s in states.iter_mut() {
-                    if s.life != Lifecycle::Draining || s.busy() {
-                        continue;
-                    }
-                    s.life = Lifecycle::Standby;
-                    s.up_seconds += s.t.max(s.up_since) - s.up_since;
-                    if let Some(kv) = s.session_kv.as_mut() {
-                        let evicted = kv.evict_until(0, None);
-                        if TRACED {
-                            for evd in &evicted {
-                                obs.emit(Event {
-                                    t: s.t,
-                                    replica: Some(s.idx),
-                                    request: None,
-                                    kind: EventKind::RetentionEvict {
-                                        session: evd.session_id as u64,
-                                        seq_len: evd.seq_len,
-                                        bytes: evd.bytes,
-                                    },
-                                });
-                            }
-                        }
-                    }
-                }
+            if self.dynamics.is_some() {
+                self.settle_drains::<TRACED>();
             }
-
-            // ---- 1. Dispatch every due event. An event is due once no
-            // busy replica's clock is still behind it (idle replicas
-            // jump forward on enqueue, like the single engine's idle
-            // fast-forward).
-            let busy_min = states
-                .iter()
+            let busy_min = (self.states.iter())
                 .filter(|s| s.busy())
                 .map(|s| s.t)
                 .fold(f64::INFINITY, f64::min);
-            if let Some(top) = heap.peek() {
-                if top.t <= busy_min {
-                    let _route = profile::timer(Phase::Dispatch);
-                    let ev = heap.pop().expect("peeked");
-                    // Scale ticks are bookkeeping, not workload: they
-                    // neither count as real events nor extend the
-                    // makespan (the last tick fires after the fleet has
-                    // gone quiet).
-                    if !matches!(ev.kind, EvKind::Scale) {
-                        real_events -= 1;
-                        last_event_t = last_event_t.max(ev.t);
-                    }
-                    match ev.kind {
-                        EvKind::Arrival(id) => {
-                            if TRACED {
-                                obs.emit(Event {
-                                    t: ev.t,
-                                    replica: None,
-                                    request: Some(id),
-                                    kind: EventKind::Arrival {
-                                        prompt_len: reqs.req[id].prompt_len,
-                                        output_len: reqs.req[id].output_len,
-                                    },
-                                });
-                            }
-                            self.dispatch::<TRACED>(
-                                id,
-                                ev.t,
-                                &arrival_tier,
-                                None,
-                                &decode_tier,
-                                &mut states,
-                                &mut reqs,
-                                &mut owner,
-                                &mut rr_arrival,
-                                &mut index,
-                                &mut dispatch_scratch,
-                                &mut obs,
-                            );
-                        }
-                        EvKind::Requeue { id, from } => {
-                            self.dispatch::<TRACED>(
-                                id,
-                                ev.t,
-                                &arrival_tier,
-                                Some(from),
-                                &decode_tier,
-                                &mut states,
-                                &mut reqs,
-                                &mut owner,
-                                &mut rr_arrival,
-                                &mut index,
-                                &mut dispatch_scratch,
-                                &mut obs,
-                            );
-                        }
-                        EvKind::Handoff(id) => {
-                            // Only decode replicas that can ever hold
-                            // this request's decode working set are
-                            // eligible — an infeasible head would wedge
-                            // the replica's FCFS admission forever. The
-                            // set is non-empty: dispatch() rejected the
-                            // request up front unless some decode
-                            // replica could hold it, and budgets are
-                            // static.
-                            let req = &reqs.req[id];
-                            let fits_decode = |i: usize| {
-                                self.engines[i]
-                                    .decode_reservation_bytes(req.prompt_len, req.output_len)
-                                    <= states[i].budget
-                            };
-                            let key = req.session.map_or(id, |s| s.session_id);
-                            let target = match index.as_ref() {
-                                // Indexed: walk the decode-tier order
-                                // ascending; the first feasible replica
-                                // is the reference scan's minimum.
-                                Some(ix) => match self.cfg.lb {
-                                    LoadBalancePolicy::LeastOutstanding => {
-                                        ix.least_outstanding(1, fits_decode)
-                                    }
-                                    LoadBalancePolicy::LeastKvPressure => {
-                                        ix.least_kv_pressure(1, fits_decode)
-                                    }
-                                    _ => unreachable!("index implies a least-* policy"),
-                                }
-                                .expect("dispatch admitted only decodable requests"),
-                                None => {
-                                    let feasible = &mut dispatch_scratch.feasible;
-                                    feasible.clear();
-                                    feasible.extend(
-                                        decode_tier.iter().copied().filter(|&i| fits_decode(i)),
-                                    );
-                                    self.pick(feasible, &states, key, &mut rr_handoff)
-                                }
-                            };
-                            let res = self.engines[target]
-                                .decode_reservation_bytes(req.prompt_len, req.output_len);
-                            if TRACED {
-                                // The transfer was priced on the prefill
-                                // side when the handoff was scheduled;
-                                // the sequence length has not moved in
-                                // transit, so recomputing here yields
-                                // the exact same bytes and latency.
-                                let from = owner[id].expect("handoff implies a prefill owner");
-                                let seq = req.seq_len();
-                                obs.emit(Event {
-                                    t: ev.t,
-                                    replica: Some(target),
-                                    request: Some(id),
-                                    kind: EventKind::Handoff {
-                                        from,
-                                        to: target,
-                                        bytes: self.engines[from].kv_handoff_bytes(seq),
-                                        transfer_s: self.engines[from].kv_handoff_time(seq),
-                                    },
-                                });
-                            }
-                            owner[id] = Some(target);
-                            states[target].enqueue(id, ev.t, res, &mut reqs);
-                            if let Some(ix) = index.as_mut() {
-                                let s = &states[target];
-                                ix.update(target, s.load_norm(), s.pressure_norm());
-                            }
-                        }
-                        EvKind::Scale => {
-                            let a = self.cfg.autoscaler.expect("Scale implies an autoscaler");
-                            self.scale_tick::<TRACED>(
-                                ev.t,
-                                &a,
-                                &mut states,
-                                &mut reqs,
-                                &mut owner,
-                                &mut rr_arrival,
-                                &mut index,
-                                &mut dispatch_scratch,
-                                dynamics.as_mut().expect("dynamic fleet"),
-                                &mut obs,
-                            );
-                            if real_events > 0 || states.iter().any(|s| s.busy()) {
-                                heap.push(Ev {
-                                    t: ev.t + a.interval_s,
-                                    seq,
-                                    kind: EvKind::Scale,
-                                });
-                                seq += 1;
-                            }
-                        }
-                        EvKind::Fail(r) => {
-                            self.fail_replica::<TRACED>(
-                                r,
-                                ev.t,
-                                &mut states,
-                                &mut reqs,
-                                &mut owner,
-                                &mut rr_arrival,
-                                &mut index,
-                                &mut dispatch_scratch,
-                                dynamics.as_mut().expect("dynamic fleet"),
-                                &mut obs,
-                            );
-                        }
-                    }
-                    continue;
-                }
+            let heap_t = self.heap.peek().map_or(f64::INFINITY, |e| e.t);
+            let next_t = self.arrivals.next_time(&self.reqs.req).min(heap_t);
+            let horizon = if busy_min.is_finite() {
+                busy_min
+            } else {
+                next_t
+            };
+            if horizon.is_infinite() {
+                break; // nothing busy, nothing pending
             }
-
-            // ---- 2. No due event: advance every lagging busy replica
-            // by one step, in index order (bounded by the next event
-            // time so nobody races past a dispatch it should have
-            // seen). Each step's bounces and handoffs go on the heap
-            // right after it, and its load signals are re-keyed —
-            // dispatches only read the index between sweeps.
-            let limit = heap.peek().map_or(f64::INFINITY, |e| e.t);
-            let mut stepped = false;
-            for (i, s) in states.iter_mut().enumerate() {
-                if !s.busy() || s.t >= limit {
-                    continue;
-                }
-                stepped = true;
-                s.step::<TRACED>(
-                    &self.engines[i],
-                    &mut reqs,
-                    &mut step_scratch,
-                    &mut obs,
-                    |_, _| {},
-                );
-                let out = &step_scratch;
-                let events = out
-                    .requeues
-                    .iter()
-                    .map(|&(t, id)| (t, EvKind::Requeue { id, from: i }))
-                    .chain(out.handoffs.iter().map(|&(t, id)| (t, EvKind::Handoff(id))));
-                for (t, kind) in events {
-                    heap.push(Ev { t, seq, kind });
-                    seq += 1;
-                    real_events += 1;
-                }
-                requeued_total += out.requeues.len();
-                handoffs_total += out.handoffs.len();
-                if let Some(ix) = index.as_mut() {
-                    ix.update(i, s.load_norm(), s.pressure_norm());
-                }
+            if next_t > horizon {
+                self.sweep::<TRACED>(next_t);
+                continue;
             }
-            // When nothing could step, either the fleet is drained (no
-            // events left) or every busy replica has reached the next
-            // event's time, which makes it due on the next iteration.
-            if !stepped && heap.is_empty() {
-                break;
+            let _route = profile::timer(Phase::Dispatch);
+            match self.arrivals.due(horizon, &self.reqs.req) {
+                Some((id, at)) if at <= heap_t => self.arrive::<TRACED>(id, at),
+                _ => {
+                    let ev = self.heap.pop().expect("the due event is on the heap");
+                    self.handle::<TRACED>(ev);
+                }
             }
         }
 
         // Settle the open up-time stretch of every replica still
         // admitting or draining: the fleet's capacity bill runs to the
-        // latest clock anywhere (the static-fleet makespan rule).
-        if let Some(d) = dynamics.as_mut() {
-            let final_t = states.iter().map(|s| s.t).fold(last_event_t, f64::max);
-            for s in states.iter_mut() {
+        // makespan.
+        let final_t = self.makespan();
+        if let Some(d) = self.dynamics.as_mut() {
+            for s in self.states.iter_mut() {
                 if matches!(s.life, Lifecycle::Up | Lifecycle::Draining) {
                     s.up_seconds += final_t.max(s.up_since) - s.up_since;
                 }
                 d.replica_seconds += s.up_seconds;
             }
         }
-
-        let mut report = self.build_report(
-            &reqs,
-            &states,
-            &owner,
-            prefill_count,
-            requeued_total,
-            handoffs_total,
-            last_event_t,
-            dynamics,
-        );
-        if TRACED {
-            report.fleet.metrics = Some(obs.reg.canonical_text());
-        }
-        report
     }
 
-    /// Picks a replica from `tier` per the load-balancing policy.
-    /// `key` is the affinity key sticky policies hash: the request's
-    /// real session id, or its trace index for legacy single-shot
-    /// entries (reproducing the pre-session `i % sessions` fold).
-    fn pick(&self, tier: &[usize], states: &[Replica], key: usize, rr: &mut usize) -> usize {
-        debug_assert!(!tier.is_empty());
-        match self.cfg.lb {
-            LoadBalancePolicy::RoundRobin => {
-                let k = tier[*rr % tier.len()];
-                *rr += 1;
-                k
+    /// Pushes a heap event.
+    fn push(&mut self, t: f64, kind: EvKind) {
+        if !matches!(kind, EvKind::Scale) {
+            self.real_events += 1;
+        }
+        self.heap.push(Ev {
+            t,
+            seq: self.seq,
+            kind,
+        });
+        self.seq += 1;
+    }
+
+    /// Takes arrival `id`, due at `at`, off the source and dispatches it.
+    fn arrive<const TRACED: bool>(&mut self, id: usize, at: f64) {
+        self.arrivals.take(id, at, &mut self.reqs.req);
+        self.last_event_t = self.last_event_t.max(at);
+        if TRACED {
+            self.obs.emit(Event {
+                t: at,
+                replica: None,
+                request: Some(id),
+                kind: EventKind::Arrival {
+                    prompt_len: self.reqs.req[id].prompt_len,
+                    output_len: self.reqs.req[id].output_len,
+                },
+            });
+        }
+        self.dispatch::<TRACED>(id, at, None);
+    }
+
+    /// Handles one heap event.
+    fn handle<const TRACED: bool>(&mut self, ev: Ev) {
+        // Scale ticks are bookkeeping, not workload: they neither count
+        // as real events nor extend the makespan (the last tick fires
+        // after the fleet has gone quiet).
+        if !matches!(ev.kind, EvKind::Scale) {
+            self.real_events -= 1;
+            self.last_event_t = self.last_event_t.max(ev.t);
+        }
+        match ev.kind {
+            EvKind::Requeue { id, from } => self.dispatch::<TRACED>(id, ev.t, Some(from)),
+            EvKind::Handoff(id) => self.handoff::<TRACED>(id, ev.t),
+            EvKind::Scale => {
+                let a = self.cfg.autoscaler.expect("Scale implies an autoscaler");
+                self.scale_tick::<TRACED>(ev.t, &a);
+                if self.real_events > 0
+                    || !self.arrivals.exhausted(self.reqs.req.len())
+                    || self.states.iter().any(Replica::busy)
+                {
+                    self.push(ev.t + a.interval_s, EvKind::Scale);
+                }
             }
-            LoadBalancePolicy::LeastOutstanding => tier
-                .iter()
-                .copied()
-                .min_by(|&a, &b| {
-                    states[a]
-                        .load_norm()
-                        .total_cmp(&states[b].load_norm())
-                        .then_with(|| a.cmp(&b))
-                })
-                .expect("tier is non-empty"),
-            LoadBalancePolicy::LeastKvPressure => tier
-                .iter()
-                .copied()
-                .min_by(|&a, &b| {
-                    states[a]
-                        .pressure_norm()
-                        .total_cmp(&states[b].pressure_norm())
-                        .then_with(|| a.cmp(&b))
-                })
-                .expect("tier is non-empty"),
-            LoadBalancePolicy::Sticky { sessions } => {
-                let session = (key % sessions) as u64;
-                tier[(mix64(session) % tier.len() as u64) as usize]
+            EvKind::Fail(r) => self.fail_replica::<TRACED>(r, ev.t),
+        }
+    }
+
+    /// Advances every busy replica lagging behind `limit`, the next
+    /// pending time, by one step, in index order. Each step's bounces
+    /// and handoffs go on the heap right after it, and its load signal
+    /// is re-keyed — dispatches only read the index between sweeps.
+    fn sweep<const TRACED: bool>(&mut self, limit: f64) {
+        for i in 0..self.states.len() {
+            let s = &mut self.states[i];
+            if !s.busy() || s.t >= limit {
+                continue;
+            }
+            let arrivals = &mut self.arrivals;
+            s.step::<TRACED>(
+                &self.engines[i],
+                &mut self.reqs,
+                &mut self.step_scratch,
+                &mut self.obs,
+                |req, now| arrivals.release(req.id, now),
+            );
+            for k in 0..self.step_scratch.requeues.len() {
+                let (t, id) = self.step_scratch.requeues[k];
+                self.push(t, EvKind::Requeue { id, from: i });
+            }
+            for k in 0..self.step_scratch.handoffs.len() {
+                let (t, id) = self.step_scratch.handoffs[k];
+                self.push(t, EvKind::Handoff(id));
+            }
+            self.requeued += self.step_scratch.requeues.len();
+            self.handoffs += self.step_scratch.handoffs.len();
+            self.rekey(i);
+        }
+    }
+
+    /// Dynamic fleets: a draining replica whose running batch has
+    /// emptied completes its drain and goes standby, settling its
+    /// up-time and discarding retained sessions (the next scale-up
+    /// starts cold).
+    fn settle_drains<const TRACED: bool>(&mut self) {
+        for s in self.states.iter_mut() {
+            if s.life != Lifecycle::Draining || s.busy() {
+                continue;
+            }
+            s.life = Lifecycle::Standby;
+            s.up_seconds += s.t.max(s.up_since) - s.up_since;
+            if let Some(kv) = s.session_kv.as_mut() {
+                let evicted = kv.evict_until(0, None);
+                if TRACED {
+                    for evd in &evicted {
+                        self.obs.emit(Event {
+                            t: s.t,
+                            replica: Some(s.idx),
+                            request: None,
+                            kind: EventKind::RetentionEvict {
+                                session: evd.session_id as u64,
+                                seq_len: evd.seq_len,
+                                bytes: evd.bytes,
+                            },
+                        });
+                    }
+                }
             }
         }
+    }
+
+    /// The policy's preferred admitting replica of `tier` among those
+    /// `ok` accepts: one index descent for the indexed least-* policies,
+    /// otherwise a pick from the eligible list. Shared by dispatch,
+    /// handoff and recovery.
+    fn choose(&mut self, tier: usize, key: usize, ok: impl Fn(&Replica) -> bool) -> Option<usize> {
+        let states = &self.states;
+        if let Some(ix) = &self.index {
+            return ix.least(tier, |i| ok(&states[i]));
+        }
+        let eligible = &mut self.eligible;
+        eligible.clear();
+        eligible.extend(
+            (states.iter())
+                .filter(|s| s.tier() == tier && s.is_admitting() && ok(s))
+                .map(|s| s.idx),
+        );
+        (!eligible.is_empty()).then(|| pick(self.cfg.lb, eligible, states, key, &mut self.rr[tier]))
+    }
+
+    /// Makes replica `to` request `id`'s home: enqueues it there at
+    /// `at`, booking `res`, and re-keys the replica's load signal.
+    fn place(&mut self, id: usize, to: usize, at: f64, res: u64) {
+        self.owner[id] = Some(to);
+        self.states[to].enqueue(id, at, res, &mut self.reqs);
+        self.rekey(to);
+    }
+
+    /// Refreshes replica `i`'s key in the dispatch index, if any.
+    fn rekey(&mut self, i: usize) {
+        if let Some(ix) = self.index.as_mut() {
+            ix.update(i, load_signal(self.cfg.lb, &self.states[i]));
+        }
+    }
+
+    /// Rejects request `id` at `at` as infeasible before any replica
+    /// accepted it, and frees its closed-loop client.
+    fn reject<const TRACED: bool>(&mut self, id: usize, at: f64, why: impl FnOnce() -> String) {
+        let req = &mut self.reqs.req[id];
+        req.state = RequestState::Rejected;
+        req.reject_reason = Some(RejectReason::Infeasible);
+        if TRACED {
+            self.obs.emit(Event {
+                t: at,
+                replica: None,
+                request: Some(id),
+                kind: EventKind::Rejected {
+                    reason: "infeasible".to_string(),
+                    queue_wait_s: at - req.arrival,
+                    decision_trace: why(),
+                },
+            });
+        }
+        self.arrivals.release(id, at);
     }
 
     /// Routes one fresh arrival (or a re-queued bounce, with the
     /// bouncing replica excluded) to a replica, or rejects it as
     /// infeasible if no eligible replica can ever hold it.
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch<const TRACED: bool>(
-        &self,
-        id: usize,
-        at: f64,
-        tier: &[usize],
-        exclude: Option<usize>,
-        decode_tier: &[usize],
-        states: &mut [Replica],
-        reqs: &mut Reqs,
-        owner: &mut [Option<usize>],
-        rr: &mut usize,
-        index: &mut Option<DispatchIndex>,
-        scratch: &mut DispatchScratch,
-        obs: &mut ObsCtx<'_>,
-    ) -> bool {
-        let req_prompt = reqs.req[id].prompt_len;
-        let req_output = reqs.req[id].output_len;
-        let reject = |reqs: &mut Reqs, obs: &mut ObsCtx<'_>, why: &dyn Fn() -> String| {
-            let req = &mut reqs.req[id];
-            req.state = RequestState::Rejected;
-            req.reject_reason = Some(RejectReason::Infeasible);
-            if TRACED {
-                obs.emit(Event {
-                    t: at,
-                    replica: None,
-                    request: Some(id),
-                    kind: EventKind::Rejected {
-                        reason: "infeasible".to_string(),
-                        queue_wait_s: at - req.arrival,
-                        decision_trace: why(),
-                    },
-                });
-            }
-        };
+    fn dispatch<const TRACED: bool>(&mut self, id: usize, at: f64, exclude: Option<usize>) {
+        let engines = self.engines;
+        let lb = self.cfg.lb;
+        let req = &self.reqs.req[id];
+        let (prompt, output) = (req.prompt_len, req.output_len);
+        let key = req.session.map_or(id, |s| s.session_id);
 
         // Under disaggregation a prompt must also have a decode home:
         // if no decode replica can ever hold its decode-time working
         // set, admitting it to prefill would strand it mid-flight, so
         // it is rejected up front.
-        if self.cfg.disagg.is_some() {
-            let decodable = decode_tier.iter().any(|&i| {
-                self.engines[i].decode_reservation_bytes(req_prompt, req_output) <= states[i].budget
+        if self.cfg.disagg.is_some()
+            && !self.states.iter().any(|s| {
+                s.tier() == 1 && engines[s.idx].decode_reservation_bytes(prompt, output) <= s.budget
+            })
+        {
+            self.reject::<TRACED>(id, at, || {
+                format!(
+                    "no decode replica can ever hold the decode working set of \
+                     prompt {prompt} + output {output}: would strand mid-flight"
+                )
             });
-            if !decodable {
-                reject(reqs, obs, &|| {
-                    format!(
-                        "no decode replica can ever hold the decode working set of \
-                         prompt {req_prompt} + output {req_output}: would strand mid-flight"
-                    )
-                });
-                return false;
-            }
+            return;
         }
 
-        let key = reqs.req[id].session.map_or(id, |s| s.session_id);
-        // Replica selection. Indexed least-outstanding / least-KV is
-        // one ordered-set descent; every other pick materializes the
-        // eligible list (the tier minus the bouncer and non-admitting
-        // replicas) and selects from it.
-        let picked: Option<usize> = if let Some(ix) = index.as_ref() {
-            match self.cfg.lb {
-                LoadBalancePolicy::LeastOutstanding => {
-                    ix.least_outstanding(0, |i| Some(i) != exclude)
-                }
-                LoadBalancePolicy::LeastKvPressure => {
-                    ix.least_kv_pressure(0, |i| Some(i) != exclude)
-                }
-                _ => unreachable!("index implies a least-* policy"),
-            }
-        } else {
-            let eligible = &mut scratch.eligible;
-            eligible.clear();
-            eligible.extend(
-                tier.iter()
-                    .copied()
-                    .filter(|&i| Some(i) != exclude && states[i].is_admitting()),
-            );
-            if eligible.is_empty() {
-                None
-            } else {
-                Some(self.pick(eligible, states, key, rr))
-            }
-        };
-        let Some(first) = picked else {
-            reject(reqs, obs, &|| {
+        let Some(first) = self.choose(0, key, |s| Some(s.idx) != exclude) else {
+            self.reject::<TRACED>(id, at, || {
                 format!("no eligible replica left (bouncer {exclude:?} excluded)")
             });
-            return false;
+            return;
         };
-        let fits = |i: usize| {
-            self.engines[i].reservation_bytes(req_prompt, req_output) <= states[i].budget
-        };
-        let target = if fits(first) {
-            Some(first)
+        let first_res = engines[first].reservation_bytes(prompt, output);
+        let budget = self.states[first].budget;
+        let target = if first_res <= budget {
+            Some((first, first_res))
         } else if self.cfg.requeue_on_reject {
             // The picked replica can never hold it; fall back to the
             // first other eligible replica that can (ascending tier
             // order — the same order the reference eligible list had).
-            tier.iter()
-                .copied()
-                .find(|&i| Some(i) != exclude && i != first && states[i].is_admitting() && fits(i))
+            (self.states.iter())
+                .filter(|s| {
+                    s.tier() == 0 && Some(s.idx) != exclude && s.idx != first && s.is_admitting()
+                })
+                .find_map(|s| {
+                    let res = engines[s.idx].reservation_bytes(prompt, output);
+                    (res <= s.budget).then_some((s.idx, res))
+                })
         } else {
             None
         };
-        match target {
-            Some(i) => {
-                owner[id] = Some(i);
-                let res = self.engines[i].reservation_bytes(req_prompt, req_output);
-                states[i].enqueue(id, at, res, reqs);
-                if let Some(ix) = index.as_mut() {
-                    let s = &states[i];
-                    ix.update(i, s.load_norm(), s.pressure_norm());
-                }
-                if TRACED {
-                    obs.emit(Event {
-                        t: at,
-                        replica: Some(i),
-                        request: Some(id),
-                        kind: EventKind::Dispatch {
-                            target: i,
-                            lb: self.cfg.lb.name().to_string(),
-                        },
-                    });
-                }
-                true
-            }
-            None => {
-                reject(reqs, obs, &|| {
-                    format!(
-                        "reservation {} B > replica {first}'s budget {} B under {} \
-                         dispatch: can never fit there",
-                        self.engines[first].reservation_bytes(req_prompt, req_output),
-                        states[first].budget,
-                        self.cfg.lb.name()
-                    )
-                });
-                false
-            }
+        let Some((to, res)) = target else {
+            self.reject::<TRACED>(id, at, || {
+                format!(
+                    "reservation {first_res} B > replica {first}'s budget {budget} B under {} \
+                     dispatch: can never fit there",
+                    lb.name()
+                )
+            });
+            return;
+        };
+        self.place(id, to, at, res);
+        if TRACED {
+            self.obs.emit(Event {
+                t: at,
+                replica: Some(to),
+                request: Some(id),
+                kind: EventKind::Dispatch {
+                    target: to,
+                    lb: lb.name().to_string(),
+                },
+            });
         }
+    }
+
+    /// Lands a prefilled request's KV on the decode tier. Only decode
+    /// replicas that can ever hold its decode working set are eligible
+    /// — an infeasible head would wedge the replica's FCFS admission
+    /// forever. The set is non-empty: dispatch rejected the request up
+    /// front unless some decode replica could hold it, and budgets are
+    /// static.
+    fn handoff<const TRACED: bool>(&mut self, id: usize, at: f64) {
+        let engines = self.engines;
+        let req = &self.reqs.req[id];
+        let (prompt, output) = (req.prompt_len, req.output_len);
+        let key = req.session.map_or(id, |s| s.session_id);
+        let to = self
+            .choose(1, key, |s| {
+                engines[s.idx].decode_reservation_bytes(prompt, output) <= s.budget
+            })
+            .expect("dispatch admitted only decodable requests");
+        if TRACED {
+            // The transfer was priced on the prefill side when the
+            // handoff was scheduled; the sequence length has not moved
+            // in transit, so recomputing here yields the exact same
+            // bytes and latency.
+            let from = self.owner[id].expect("handoff implies a prefill owner");
+            let seq = self.reqs.req[id].seq_len();
+            self.obs.emit(Event {
+                t: at,
+                replica: Some(to),
+                request: Some(id),
+                kind: EventKind::Handoff {
+                    from,
+                    to,
+                    bytes: engines[from].kv_handoff_bytes(seq),
+                    transfer_s: engines[from].kv_handoff_time(seq),
+                },
+            });
+        }
+        self.place(
+            id,
+            to,
+            at,
+            engines[to].decode_reservation_bytes(prompt, output),
+        );
     }
 
     /// Re-homes one request off replica `from` (draining or failed) at
@@ -1454,114 +1389,64 @@ impl Router {
     /// (priced through [`ServeEngine::step_time_sessions`] like any
     /// preempted re-admission). The target is the policy's preferred
     /// admitting survivor among those that can *ever* hold the request
-    /// — the same never-fits guard as [`Router::dispatch`], so a moved
-    /// request cannot wedge a survivor's FCFS head. With no such
-    /// survivor the request is finally rejected.
-    #[allow(clippy::too_many_arguments)]
+    /// — the same never-fits guard as dispatch, so a moved request
+    /// cannot wedge a survivor's FCFS head. With no such survivor the
+    /// request is finally rejected.
     fn recover<const TRACED: bool>(
-        &self,
+        &mut self,
         id: usize,
         from: usize,
         at: f64,
         cause: &str,
         was_running: bool,
-        states: &mut [Replica],
-        reqs: &mut Reqs,
-        owner: &mut [Option<usize>],
-        rr: &mut usize,
-        index: &mut Option<DispatchIndex>,
-        scratch: &mut DispatchScratch,
-        dynamics: &mut FleetDynamicsStats,
-        obs: &mut ObsCtx<'_>,
     ) {
-        let snapshot = reqs.req[id].clone();
-        let is_preempted = snapshot.state == RequestState::Preempted;
+        let engines = self.engines;
+        let snapshot = self.reqs.req[id].clone();
         let needed = |i: usize| -> u64 {
-            if is_preempted {
-                self.engines[i].requeue_reservation_bytes(&snapshot)
+            if snapshot.state == RequestState::Preempted {
+                engines[i].requeue_reservation_bytes(&snapshot)
             } else {
-                self.engines[i].reservation_bytes(snapshot.prompt_len, snapshot.output_len)
+                engines[i].reservation_bytes(snapshot.prompt_len, snapshot.output_len)
             }
         };
-        let ok = |i: usize| i != from && states[i].is_admitting() && needed(i) <= states[i].budget;
-        let target: Option<usize> = match index.as_ref() {
-            Some(ix) => match self.cfg.lb {
-                LoadBalancePolicy::LeastOutstanding => ix.least_outstanding(0, ok),
-                LoadBalancePolicy::LeastKvPressure => ix.least_kv_pressure(0, ok),
-                _ => unreachable!("index implies a least-* policy"),
-            },
-            None => {
-                let eligible = &mut scratch.eligible;
-                eligible.clear();
-                eligible.extend((0..states.len()).filter(|&i| ok(i)));
-                if eligible.is_empty() {
-                    None
-                } else {
-                    let key = snapshot.session.map_or(id, |s| s.session_id);
-                    Some(self.pick(eligible, states, key, rr))
-                }
-            }
-        };
-        let Some(to) = target else {
-            let req = &mut reqs.req[id];
-            req.state = RequestState::Rejected;
-            req.reject_reason = Some(RejectReason::Infeasible);
-            if TRACED {
-                obs.emit(Event {
-                    t: at,
-                    replica: None,
-                    request: Some(id),
-                    kind: EventKind::Rejected {
-                        reason: "infeasible".to_string(),
-                        queue_wait_s: at - req.arrival,
-                        decision_trace: format!(
-                            "replica {from} {cause}: no admitting survivor can ever hold \
-                             request {id}"
-                        ),
-                    },
-                });
-            }
+        let key = snapshot.session.map_or(id, |s| s.session_id);
+        let Some(to) = self.choose(0, key, |s| s.idx != from && needed(s.idx) <= s.budget) else {
+            self.reject::<TRACED>(id, at, || {
+                format!("replica {from} {cause}: no admitting survivor can ever hold request {id}")
+            });
             return;
         };
-        owner[id] = Some(to);
-        let res = needed(to);
-        states[to].enqueue(id, at, res, reqs);
-        if let Some(ix) = index.as_mut() {
-            let s = &states[to];
-            ix.update(to, s.load_norm(), s.pressure_norm());
-        }
+        self.place(id, to, at, needed(to));
+        let dynamics = self.dynamics.as_mut().expect("dynamic fleet");
         if was_running {
             dynamics.recovered += 1;
-            if TRACED {
-                obs.emit(Event {
-                    t: at,
-                    replica: Some(to),
-                    request: Some(id),
-                    kind: EventKind::SessionRecovered {
-                        from,
-                        to,
-                        rebuilt_tokens: snapshot.seq_len(),
-                        decision_trace: format!(
-                            "replica {from} {cause}: lost KV, re-prefilling {} tokens on \
-                             replica {to}",
-                            snapshot.seq_len()
-                        ),
-                    },
-                });
-            }
         } else {
             dynamics.relocated += 1;
-            if TRACED {
-                obs.emit(Event {
-                    t: at,
-                    replica: Some(to),
-                    request: Some(id),
-                    kind: EventKind::Dispatch {
-                        target: to,
-                        lb: self.cfg.lb.name().to_string(),
-                    },
-                });
-            }
+        }
+        if TRACED {
+            let kind = if was_running {
+                let rebuilt_tokens = snapshot.seq_len();
+                EventKind::SessionRecovered {
+                    from,
+                    to,
+                    rebuilt_tokens,
+                    decision_trace: format!(
+                        "replica {from} {cause}: lost KV, re-prefilling {rebuilt_tokens} \
+                         tokens on replica {to}"
+                    ),
+                }
+            } else {
+                EventKind::Dispatch {
+                    target: to,
+                    lb: self.cfg.lb.name().to_string(),
+                }
+            };
+            self.obs.emit(Event {
+                t: at,
+                replica: Some(to),
+                request: Some(id),
+                kind,
+            });
         }
     }
 
@@ -1570,35 +1455,24 @@ impl Router {
     /// queued then running requests re-home on admitting survivors in
     /// deterministic (queue order, then batch order). Idempotent: a
     /// second kill of the same replica is a no-op.
-    #[allow(clippy::too_many_arguments)]
-    fn fail_replica<const TRACED: bool>(
-        &self,
-        r: usize,
-        at: f64,
-        states: &mut [Replica],
-        reqs: &mut Reqs,
-        owner: &mut [Option<usize>],
-        rr: &mut usize,
-        index: &mut Option<DispatchIndex>,
-        scratch: &mut DispatchScratch,
-        dynamics: &mut FleetDynamicsStats,
-        obs: &mut ObsCtx<'_>,
-    ) {
-        if states[r].life == Lifecycle::Failed {
+    fn fail_replica<const TRACED: bool>(&mut self, r: usize, at: f64) {
+        let s = &mut self.states[r];
+        if s.life == Lifecycle::Failed {
             return;
         }
-        let was_standby = states[r].life == Lifecycle::Standby;
-        {
-            let s = &mut states[r];
-            s.t = s.t.max(at);
-            if !was_standby {
-                s.up_seconds += s.t.max(s.up_since) - s.up_since;
-            }
+        s.t = s.t.max(at);
+        if s.life != Lifecycle::Standby {
+            s.up_seconds += s.t.max(s.up_since) - s.up_since;
         }
-        dynamics.failures += 1;
-        let in_flight = states[r].outstanding();
+        s.life = Lifecycle::Failed;
+        let in_flight = s.outstanding();
+        let queued: Vec<usize> = s.queue.drain(..).collect();
+        let running: Vec<usize> = std::mem::take(&mut s.running);
+        s.reserved = 0;
+        let evicted = (s.session_kv.as_mut()).map_or(Vec::new(), |kv| kv.evict_until(0, None));
+        self.dynamics.as_mut().expect("dynamic fleet").failures += 1;
         if TRACED {
-            obs.emit(Event {
+            self.obs.emit(Event {
                 t: at,
                 replica: Some(r),
                 request: None,
@@ -1610,35 +1484,24 @@ impl Router {
                     ),
                 },
             });
-        }
-        states[r].life = Lifecycle::Failed;
-        if let Some(ix) = index.as_mut() {
-            ix.remove(r);
-        }
-        let queued: Vec<usize> = states[r].queue.drain(..).collect();
-        let running: Vec<usize> = std::mem::take(&mut states[r].running);
-        states[r].reserved = 0;
-        if let Some(kv) = states[r].session_kv.as_mut() {
-            let evicted = kv.evict_until(0, None);
-            if TRACED {
-                for evd in &evicted {
-                    obs.emit(Event {
-                        t: at,
-                        replica: Some(r),
-                        request: None,
-                        kind: EventKind::RetentionEvict {
-                            session: evd.session_id as u64,
-                            seq_len: evd.seq_len,
-                            bytes: evd.bytes,
-                        },
-                    });
-                }
+            for evd in &evicted {
+                self.obs.emit(Event {
+                    t: at,
+                    replica: Some(r),
+                    request: None,
+                    kind: EventKind::RetentionEvict {
+                        session: evd.session_id as u64,
+                        seq_len: evd.seq_len,
+                        bytes: evd.bytes,
+                    },
+                });
             }
         }
+        if let Some(ix) = self.index.as_mut() {
+            ix.remove(r);
+        }
         for id in queued {
-            self.recover::<TRACED>(
-                id, r, at, "failed", false, states, reqs, owner, rr, index, scratch, dynamics, obs,
-            );
+            self.recover::<TRACED>(id, r, at, "failed", false);
         }
         for id in running {
             // A mid-decode session: steps are atomic, so it was
@@ -1646,10 +1509,8 @@ impl Router {
             // preempted (the re-admission path re-prefills the whole
             // sequence) without touching the preemption counters:
             // nothing was evicted by policy.
-            reqs.req[id].state = RequestState::Preempted;
-            self.recover::<TRACED>(
-                id, r, at, "failed", true, states, reqs, owner, rr, index, scratch, dynamics, obs,
-            );
+            self.reqs.req[id].state = RequestState::Preempted;
+            self.recover::<TRACED>(id, r, at, "failed", true);
         }
     }
 
@@ -1660,25 +1521,11 @@ impl Router {
     /// starts draining the emptiest admitting replica (sustained
     /// headroom, above the floor). Every signal is pure simulation
     /// state, so the control loop is deterministic per seed.
-    #[allow(clippy::too_many_arguments)]
-    fn scale_tick<const TRACED: bool>(
-        &self,
-        at: f64,
-        a: &AutoscalerCfg,
-        states: &mut [Replica],
-        reqs: &mut Reqs,
-        owner: &mut [Option<usize>],
-        rr: &mut usize,
-        index: &mut Option<DispatchIndex>,
-        scratch: &mut DispatchScratch,
-        dynamics: &mut FleetDynamicsStats,
-        obs: &mut ObsCtx<'_>,
-    ) {
-        let cfg0 = self.engines[0].config();
-        let slo = &cfg0.slo;
+    fn scale_tick<const TRACED: bool>(&mut self, at: f64, a: &AutoscalerCfg) {
+        let slo = self.engines[0].config().slo;
         let lo = at - a.window_s;
         let (mut fin, mut met) = (0usize, 0usize);
-        for req in &reqs.req {
+        for req in &self.reqs.req {
             if let Some(f) = req.finished_at {
                 if f > lo && f <= at {
                     fin += 1;
@@ -1693,22 +1540,23 @@ impl Router {
         } else {
             met as f64 / fin as f64
         };
-        let ups = states.iter().filter(|s| s.life == Lifecycle::Up).count();
+        let up = |s: &&Replica| s.life == Lifecycle::Up;
+        let ups = self.states.iter().filter(up).count();
         let pressure = if ups == 0 {
             0.0
         } else {
-            states
+            self.states
                 .iter()
-                .filter(|s| s.life == Lifecycle::Up)
+                .filter(up)
                 .map(|s| s.kv_pressure())
                 .sum::<f64>()
                 / ups as f64
         };
         let mut worst_wait = 0.0f64;
-        for s in states.iter() {
+        for s in &self.states {
             for &id in &s.queue {
-                if reqs.req[id].first_token_at.is_none() {
-                    worst_wait = worst_wait.max(at - reqs.queued_since[id]);
+                if self.reqs.req[id].first_token_at.is_none() {
+                    worst_wait = worst_wait.max(at - self.reqs.queued_since[id]);
                 }
             }
         }
@@ -1719,34 +1567,27 @@ impl Router {
         let calm = attainment >= a.target_attainment
             && pressure < a.pressure_low
             && worst_wait < 0.5 * slo.ttft_s;
+        let dynamics = self.dynamics.as_mut().expect("dynamic fleet");
         if overload {
-            let Some(r) = states
-                .iter()
-                .find(|s| s.life == Lifecycle::Standby)
-                .map(|s| s.idx)
-            else {
+            let Some(s) = (self.states.iter_mut()).find(|s| s.life == Lifecycle::Standby) else {
                 return; // fleet ceiling reached
             };
-            {
-                let s = &mut states[r];
-                s.life = Lifecycle::Up;
-                s.t = s.t.max(at);
-                s.up_since = at;
-            }
-            if let Some(ix) = index.as_mut() {
-                ix.insert(r, 0);
-                let s = &states[r];
-                ix.update(r, s.load_norm(), s.pressure_norm());
-            }
+            s.life = Lifecycle::Up;
+            s.t = s.t.max(at);
+            s.up_since = at;
+            let r = s.idx;
             dynamics.scale_ups += 1;
+            if let Some(ix) = self.index.as_mut() {
+                ix.insert(r, 0);
+            }
+            self.rekey(r);
             if TRACED {
-                let replicas_up = states.iter().filter(|s| s.life == Lifecycle::Up).count();
-                obs.emit(Event {
+                self.obs.emit(Event {
                     t: at,
                     replica: Some(r),
                     request: None,
                     kind: EventKind::ReplicaUp {
-                        replicas_up,
+                        replicas_up: ups + 1,
                         decision_trace: format!(
                             "attainment {attainment:.3} (target {}), pressure {pressure:.3} \
                              (high {}), worst wait {worst_wait:.3}s (ttft {}s)",
@@ -1759,21 +1600,24 @@ impl Router {
             // Drain the emptiest admitting replica; ties prefer the
             // highest index so the low indices (the permanent floor)
             // stay up.
-            let r = states
-                .iter()
+            let s = (self.states.iter_mut())
                 .filter(|s| s.life == Lifecycle::Up)
-                .map(|s| s.idx)
-                .min_by_key(|&i| (states[i].outstanding(), std::cmp::Reverse(i)))
+                .min_by_key(|s| (s.outstanding(), std::cmp::Reverse(s.idx)))
                 .expect("ups > min_replicas >= 1");
-            states[r].life = Lifecycle::Draining;
-            states[r].t = states[r].t.max(at);
-            if let Some(ix) = index.as_mut() {
+            s.life = Lifecycle::Draining;
+            s.t = s.t.max(at);
+            let r = s.idx;
+            // Hand still-queued work to the survivors now; the running
+            // batch finishes locally and the drain completes once it
+            // empties (`settle_drains`).
+            let moved: Vec<usize> = s.queue.drain(..).collect();
+            dynamics.drains += 1;
+            if let Some(ix) = self.index.as_mut() {
                 ix.remove(r);
             }
-            dynamics.drains += 1;
             if TRACED {
-                let replicas_up = states.iter().filter(|s| s.life == Lifecycle::Up).count();
-                obs.emit(Event {
+                let replicas_up = ups - 1;
+                self.obs.emit(Event {
                     t: at,
                     replica: Some(r),
                     request: None,
@@ -1788,48 +1632,45 @@ impl Router {
                     },
                 });
             }
-            // Hand still-queued work to the survivors now; the running
-            // batch finishes locally and the drain completes once it
-            // empties (the scan at the top of the event loop).
-            let moved: Vec<usize> = states[r].queue.drain(..).collect();
             for id in moved {
-                self.recover::<TRACED>(
-                    id, r, at, "draining", false, states, reqs, owner, rr, index, scratch,
-                    dynamics, obs,
-                );
+                self.recover::<TRACED>(id, r, at, "draining", false);
             }
         }
     }
 
+    /// The run's makespan: the latest replica clock or event time.
+    fn makespan(&self) -> f64 {
+        (self.states.iter())
+            .map(|s| s.t)
+            .fold(self.last_event_t, f64::max)
+    }
+
+    /// The single engine's report: replica 0 over every request in the
+    /// trace, with the fleet's makespan rule.
+    pub(crate) fn engine_report(&self) -> ServeReport {
+        let mut report = self.states[0].report(&self.engines[0], &self.reqs.req, self.makespan());
+        report.metrics = self.obs.metrics();
+        report
+    }
+
     /// Assembles per-replica and fleet reports.
-    #[allow(clippy::too_many_arguments)]
-    fn build_report(
-        &self,
-        reqs: &Reqs,
-        states: &[Replica],
-        owner: &[Option<usize>],
-        prefill_count: usize,
-        requeued: usize,
-        handoffs: usize,
-        last_event_t: f64,
-        dynamics: Option<FleetDynamicsStats>,
-    ) -> RouterReport {
-        let replicas: Vec<ServeReport> = states
-            .iter()
+    fn router_report(&self) -> RouterReport {
+        let states = &self.states;
+        let replicas: Vec<ServeReport> = (states.iter())
             .map(|s| {
-                let local: Vec<_> = (reqs.req.iter())
-                    .filter(|r| owner[r.id] == Some(s.idx))
+                let local: Vec<_> = (self.reqs.req.iter())
+                    .filter(|r| self.owner[r.id] == Some(s.idx))
                     .cloned()
                     .collect();
-                s.report(&self.engines[s.idx], &local)
+                s.report(&self.engines[s.idx], &local, s.t)
             })
             .collect();
 
         // Fleet aggregates: step-weighted batch, interleaved timeline
         // (replica-local depths, globally time-sorted), worst-replica
-        // peaks, and the latest clock anywhere as makespan. SLO grading
-        // uses replica 0's SLO — `RouterConfig::homogeneous` fleets are
-        // uniform by construction.
+        // peaks, and the makespan. SLO grading uses replica 0's SLO —
+        // `RouterConfig::homogeneous` fleets are uniform by
+        // construction.
         let total_steps: u64 = states.iter().map(|s| s.step_count).sum();
         let total_batch: u64 = states.iter().map(|s| s.batch_sum).sum();
         let mean_batch = if total_steps == 0 {
@@ -1837,18 +1678,15 @@ impl Router {
         } else {
             total_batch as f64 / total_steps as f64
         };
-        let mut merged: Vec<(usize, ServeSample)> = states
-            .iter()
+        let mut merged: Vec<(usize, ServeSample)> = (states.iter())
             .flat_map(|s| s.timeline.samples().iter().map(move |&p| (s.idx, p)))
             .collect();
         merged.sort_by(|a, b| a.1.t.total_cmp(&b.1.t).then_with(|| a.0.cmp(&b.0)));
-        let makespan = states.iter().map(|s| s.t).fold(last_event_t, f64::max);
         let cfg0 = self.engines[0].config();
         let cfgs = || self.engines.iter().map(ServeEngine::config);
         // Fleet reuse stats: the merged per-replica counters, present
         // iff any replica ran with retention.
-        let fleet_reuse: Option<ReuseStats> = states
-            .iter()
+        let fleet_reuse: Option<ReuseStats> = (states.iter())
             .filter_map(|s| s.session_kv.as_ref().map(|kv| kv.stats()))
             .reduce(|a, b| a.merged(b));
         // The discipline tag is present iff any replica ran a non-FCFS
@@ -1856,13 +1694,13 @@ impl Router {
         let fleet_discipline = (!cfgs().all(|c| c.discipline.is_fcfs()))
             .then(|| fleet_tag(cfgs().map(|c| c.discipline.name())));
         let n = self.engines.len();
-        let fleet = ServeReport::from_requests(
+        let mut fleet = ServeReport::from_requests(
             format!("{n}x{}", fleet_tag(cfgs().map(|c| c.policy.name()))),
             cfg0.model.name.clone(),
             format!("{n}x {}", fleet_tag(cfgs().map(|c| c.hardware.to_string()))),
-            &reqs.req,
+            &self.reqs.req,
             cfg0.slo,
-            makespan,
+            self.makespan(),
             mean_batch,
             merged.into_iter().map(|(_, p)| p).collect(),
             states.iter().map(|s| s.peak_queue_depth).max().unwrap_or(0),
@@ -1870,16 +1708,17 @@ impl Router {
             fleet_reuse,
             fleet_discipline,
         );
+        fleet.metrics = self.obs.metrics();
 
         RouterReport {
             lb: self.cfg.lb.name().to_string(),
             requeue_on_reject: self.cfg.requeue_on_reject,
-            prefill_replicas: prefill_count,
+            prefill_replicas: self.cfg.disagg.map_or(0, |d| d.prefill_replicas),
             fleet,
             replicas,
-            requeued,
-            handoffs,
-            dynamics,
+            requeued: self.requeued,
+            handoffs: self.handoffs,
+            dynamics: self.dynamics,
         }
     }
 }
@@ -2184,17 +2023,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "closed-loop")]
-    fn closed_loop_is_rejected() {
-        let cfg = replica_cfg(AdmissionPolicy::alisa()).with_closed_loop(crate::ClosedLoopCfg {
-            clients: 2,
-            think_s: 1.0,
-            seed: 0,
-        });
-        let _ = Router::new(RouterConfig::homogeneous(cfg, 2));
-    }
-
-    #[test]
     #[should_panic(expected = "disaggregation")]
     fn disagg_needs_a_decode_tier() {
         let _ = Router::new(
@@ -2208,15 +2036,9 @@ mod tests {
         // removes (drain/failure), and re-keys, cross-checking every
         // pick against a brute-force linear mirror of the same state.
         let n = 9;
-        let mut ix = DispatchIndex::new(vec![0; n], 1, true, true);
+        let mut ix = DispatchIndex::new(vec![0; n], 1);
         let mut load = vec![0.0f64; n];
-        let mut pressure = vec![0.0f64; n];
         let mut present = vec![true; n];
-        let mirror_min = |keys: &[f64], present: &[bool]| -> Option<usize> {
-            (0..keys.len())
-                .filter(|&i| present[i])
-                .min_by(|&a, &b| keys[a].total_cmp(&keys[b]).then_with(|| a.cmp(&b)))
-        };
         // Deterministic pseudo-random walk over membership and keys.
         for step in 0..400u64 {
             let r = (mix64(step) % n as u64) as usize;
@@ -2230,28 +2052,23 @@ mod tests {
                     if !present[r] {
                         present[r] = true;
                         load[r] = 0.0;
-                        pressure[r] = 0.0;
                     }
                 }
                 _ => {
                     let l = (mix64(step ^ 0xF00D) % 13) as f64 / 1.7;
-                    let p = (mix64(step ^ 0xCAFE) % 101) as f64 / 100.0;
-                    ix.update(r, l, p);
+                    ix.update(r, l);
                     if present[r] {
                         load[r] = l;
-                        pressure[r] = p;
                     }
                 }
             }
+            let mirror = (0..n)
+                .filter(|&i| present[i])
+                .min_by(|&a, &b| load[a].total_cmp(&load[b]).then_with(|| a.cmp(&b)));
             assert_eq!(
-                ix.least_outstanding(0, |_| true),
-                mirror_min(&load, &present),
-                "outstanding pick diverged at step {step}"
-            );
-            assert_eq!(
-                ix.least_kv_pressure(0, |_| true),
-                mirror_min(&pressure, &present),
-                "pressure pick diverged at step {step}"
+                ix.least(0, |_| true),
+                mirror,
+                "pick diverged at step {step}"
             );
             for (i, &p) in present.iter().enumerate() {
                 assert_eq!(ix.contains(i), p, "membership at step {step}");
@@ -2262,7 +2079,7 @@ mod tests {
         let mirror_odd = (0..n)
             .filter(|&i| present[i] && odd_only(i))
             .min_by(|&a, &b| load[a].total_cmp(&load[b]).then_with(|| a.cmp(&b)));
-        assert_eq!(ix.least_outstanding(0, odd_only), mirror_odd);
+        assert_eq!(ix.least(0, odd_only), mirror_odd);
     }
 
     #[test]

@@ -102,6 +102,11 @@ pub enum TraceError {
         /// Entry index.
         idx: usize,
     },
+    /// Prompt plus output length at `idx` overflows `usize`.
+    LengthOverflow {
+        /// Entry index.
+        idx: usize,
+    },
     /// Lengths at `idx` do not form a valid workload.
     BadLength {
         /// Entry index.
@@ -137,6 +142,9 @@ impl std::fmt::Display for TraceError {
             }
             TraceError::NonMonotone { idx } => {
                 write!(f, "trace entry {idx}: arrival precedes entry {}", idx - 1)
+            }
+            TraceError::LengthOverflow { idx } => {
+                write!(f, "trace entry {idx}: prompt + output length overflows")
             }
             TraceError::BadLength { idx, source } => {
                 write!(f, "trace entry {idx}: {source}")
@@ -200,6 +208,9 @@ impl Trace {
                 return Err(TraceError::NonMonotone { idx });
             }
             last = e.arrival_s;
+            if e.prompt_len.checked_add(e.output_len).is_none() {
+                return Err(TraceError::LengthOverflow { idx });
+            }
             Workload::try_new(1, e.prompt_len, e.output_len)
                 .map_err(|source| TraceError::BadLength { idx, source })?;
             if let Some(sref) = e.session {
@@ -499,6 +510,10 @@ mod tests {
             Err(TraceError::BadLength { idx: 0, .. }) => {}
             other => panic!("expected BadLength, got {other:?}"),
         }
+        assert_eq!(
+            Trace::new(vec![entry(0.0, 8, 8), entry(1.0, usize::MAX, 1)]),
+            Err(TraceError::LengthOverflow { idx: 1 })
+        );
     }
 
     #[test]

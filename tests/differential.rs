@@ -12,8 +12,8 @@
 //!
 //! * canonical `ServeReport` text byte-identical, traced and untraced;
 //! * the decision-trace JSONL event stream byte-identical;
-//! * a 1-replica `Router` reproducing `ServeEngine`, since both run the
-//!   one shared replica step;
+//! * a 1-replica `Router` reproducing `ServeEngine`, since the engine
+//!   runs as a 1-replica fleet through the router's loop;
 //! * `GlobalSetModel::pick_into` (cached bases + packed-key partial
 //!   sort) equal to `pick` (full comparator re-sort) across decode
 //!   walks that grow the range, cross drift epochs, and reuse scratch;
@@ -307,28 +307,17 @@ proptest! {
     }
 }
 
-/// A traced router stream as the single engine would emit it: without
-/// the router's dispatch decisions or the replica-0 coordinate.
-fn as_engine_stream(router_jsonl: &str) -> String {
-    router_jsonl
-        .lines()
-        .filter(|line| !line.contains("\"kind\":\"dispatch\""))
-        .map(|line| line.replacen("\"replica\":0,", "", 1) + "\n")
-        .collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The engine and the router run one shared replica step, so a
-    /// 1-replica `Router` reproduces `ServeEngine::run` — its replica
-    /// report byte for byte, and its traced event stream once the
-    /// router's own dispatch events and replica tags are set aside —
+    /// The engine runs as a 1-replica fleet through the router's loop,
+    /// so a 1-replica `Router` reproduces `ServeEngine::run` — its
+    /// replica report and its traced event stream, byte for byte —
     /// across arbitrary traces × disciplines × precision policies ×
-    /// retention × timeout. (Only requests that can never fit could
-    /// differ: the router rejects them at dispatch, the engine in its
-    /// queue scan. The generated prompts stay far below the smallest
-    /// V100 limit, vLLM's ~6k tokens.)
+    /// retention × timeout. (The replica report covers the requests
+    /// replica 0 accepted, the engine's every request; they agree
+    /// because the generated prompts stay far below the smallest V100
+    /// limit, vLLM's ~6k tokens, so dispatch rejects nothing.)
     #[test]
     fn one_replica_router_matches_the_engine(
         trace in trace_strategy(),
@@ -359,7 +348,7 @@ proptest! {
         router.run_traced(&trace, &mut router_sink);
         prop_assert_eq!(
             engine_sink.to_jsonl().into_bytes(),
-            as_engine_stream(&router_sink.to_jsonl()).into_bytes(),
+            router_sink.to_jsonl().into_bytes(),
             "event stream diverged from the engine's: {}",
             &ctx
         );

@@ -6,8 +6,8 @@
 use alisa_memsim::HardwareSpec;
 use alisa_model::ModelConfig;
 use alisa_serve::{
-    AdmissionPolicy, ArrivalProcess, LoadBalancePolicy, Router, RouterConfig, ServeConfig,
-    ServeEngine, Trace,
+    AdmissionPolicy, ArrivalProcess, ClosedLoopCfg, EventKind, LoadBalancePolicy, MemorySink,
+    Router, RouterConfig, ServeConfig, ServeEngine, Trace,
 };
 use alisa_workloads::LengthModel;
 
@@ -305,4 +305,55 @@ fn disaggregation_accounting() {
     );
     assert_eq!(r.fleet.completed, r.fleet.admitted);
     assert_eq!(r.replicas[0].completed, 0, "prefill tier never finishes");
+}
+
+/// Closed-loop clients work behind the router: a 2-replica fleet never
+/// has more requests in flight than it has clients — counted from its
+/// event stream as arrivals minus terminal events — and conserves
+/// requests.
+#[test]
+fn closed_loop_fleet_bounds_in_flight_and_conserves() {
+    let clients = 6;
+    let cfg = replica_cfg(AdmissionPolicy::alisa()).with_closed_loop(ClosedLoopCfg {
+        clients,
+        think_s: 0.5,
+        seed: 11,
+    });
+    let router =
+        Router::new(RouterConfig::homogeneous(cfg, 2).with_lb(LoadBalancePolicy::LeastOutstanding));
+    let trace = Trace::generate(
+        &ArrivalProcess::ClosedLoop {
+            clients,
+            think_s: 0.5,
+        },
+        &LengthModel::alpaca().with_max_output(48),
+        120,
+        11,
+    );
+    let mut sink = MemorySink::new();
+    let r = router.run_traced(&trace, &mut sink);
+    let (mut in_flight, mut peak) = (0usize, 0usize);
+    for ev in sink.events() {
+        match ev.kind {
+            EventKind::Arrival { .. } => {
+                in_flight += 1;
+                peak = peak.max(in_flight);
+            }
+            EventKind::Finished { .. } | EventKind::Rejected { .. } => in_flight -= 1,
+            _ => {}
+        }
+    }
+    assert!(
+        peak <= clients,
+        "{peak} requests in flight > {clients} clients"
+    );
+    assert!(peak > 1, "the clients must overlap");
+    assert_eq!(in_flight, 0, "every arrival reaches a terminal state");
+    assert_eq!(r.fleet.arrived, 120);
+    assert_eq!(r.fleet.admitted + r.fleet.rejected, r.fleet.arrived);
+    assert_eq!(r.fleet.completed, r.fleet.admitted);
+    assert!(
+        r.replicas.iter().all(|x| x.arrived > 0),
+        "both replicas serve the clients"
+    );
 }

@@ -4,7 +4,9 @@
 
 use alisa_memsim::HardwareSpec;
 use alisa_model::ModelConfig;
-use alisa_serve::{AdmissionPolicy, ArrivalProcess, ServeConfig, ServeEngine, Trace};
+use alisa_serve::{
+    AdmissionPolicy, ArrivalProcess, ClosedLoopCfg, ServeConfig, ServeEngine, Trace, TraceEntry,
+};
 use alisa_workloads::LengthModel;
 
 fn v100_config(policy: AdmissionPolicy) -> ServeConfig {
@@ -146,4 +148,108 @@ fn persisted_trace_replays_identically() {
         engine.run(&trace).canonical_text(),
         engine.run(&reloaded).canonical_text()
     );
+}
+
+fn golden(name: &str) -> String {
+    let path = format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("missing fixture {path}: {e}"))
+}
+
+/// The closed-loop fixture's engine: 24 clients with 1 s mean think
+/// time in front of a vLLM V100 replica under FCFS and a 4 s timeout.
+fn closed_loop_engine() -> ServeEngine {
+    let cfg = v100_config(AdmissionPolicy::vllm())
+        .with_queue_timeout(4.0)
+        .with_closed_loop(ClosedLoopCfg {
+            clients: 24,
+            think_s: 1.0,
+            seed: 42,
+        });
+    ServeEngine::new(cfg)
+}
+
+fn closed_loop_trace() -> Trace {
+    Trace::generate(
+        &ArrivalProcess::ClosedLoop {
+            clients: 24,
+            think_s: 1.0,
+        },
+        &LengthModel::alpaca(),
+        400,
+        42,
+    )
+}
+
+/// Closed-loop gating pinned byte for byte: which client submits next,
+/// and when, decides every later arrival time, so a change to the order
+/// due clients are taken in shows up in this report.
+#[test]
+fn closed_loop_run_matches_golden_fixture() {
+    let report = closed_loop_engine().run(&closed_loop_trace());
+    assert_eq!(
+        report.canonical_text(),
+        golden("serve_closed_loop_seed42.txt"),
+        "closed-loop canonical report drifted from the committed fixture \
+         (regenerate with `cargo test --test serving -- --ignored` if intentional)"
+    );
+}
+
+/// Rewrites the closed-loop fixture from the current implementation.
+/// Ignored so a normal test run can never bless its own regression:
+/// `cargo test --test serving -- --ignored`.
+#[test]
+#[ignore]
+fn regenerate_closed_loop_fixture() {
+    let path = format!(
+        "{}/tests/golden/serve_closed_loop_seed42.txt",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let report = closed_loop_engine().run(&closed_loop_trace());
+    std::fs::write(path, report.canonical_text()).expect("write closed-loop fixture");
+}
+
+/// A request that can never fit still counts in the engine's report,
+/// and its arrival still bounds the makespan, even though nothing ever
+/// runs it.
+#[test]
+fn a_trailing_never_fit_request_is_reported() {
+    let mut cfg = v100_config(AdmissionPolicy::vllm());
+    cfg.model.max_context = 1 << 20;
+    let trace = Trace::new(vec![
+        TraceEntry::single_shot(0.0, 128, 16),
+        TraceEntry::single_shot(100.0, 500_000, 500_000),
+    ])
+    .unwrap();
+    let r = ServeEngine::new(cfg).run(&trace);
+    assert_eq!(r.arrived, 2);
+    assert_eq!(r.rejected, 1);
+    assert_eq!(r.completed, 1);
+    assert_eq!(r.makespan_s, 100.0);
+}
+
+/// A closed-loop client whose request can never fit is released like
+/// any other: its later requests still arrive and run.
+#[test]
+fn closed_loop_client_survives_a_never_fit_request() {
+    let mut cfg = v100_config(AdmissionPolicy::vllm()).with_closed_loop(ClosedLoopCfg {
+        clients: 2,
+        think_s: 0.5,
+        seed: 3,
+    });
+    cfg.model.max_context = 1 << 20;
+    let entries = (0..10)
+        .map(|i| {
+            let (prompt, output) = if i == 4 {
+                (500_000, 500_000)
+            } else {
+                (128, 16)
+            };
+            TraceEntry::single_shot(i as f64 * 1e-6, prompt, output)
+        })
+        .collect();
+    let r = ServeEngine::new(cfg).run(&Trace::new(entries).unwrap());
+    assert_eq!(r.arrived, 10);
+    assert_eq!(r.admitted, 9);
+    assert_eq!(r.rejected, 1);
+    assert_eq!(r.completed, 9);
 }
