@@ -44,7 +44,7 @@ fn bench_index_churn(c: &mut Criterion) {
                 turn += 1;
                 ix.remove(r);
                 let picked = ix.least(0, |_| true);
-                ix.insert(r, 0);
+                ix.insert(r);
                 ix.update(r, ((turn * 29) % 89) as f64);
                 black_box(picked)
             });

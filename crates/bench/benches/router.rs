@@ -1,21 +1,18 @@
-//! Criterion benchmarks for the fleet dispatch hot path and the figure
-//! sweep harness: the per-request replica selection that PR 8 turned
-//! from a linear scan into an incrementally-maintained index, the
-//! indexed select+re-key cycle (the full bookkeeping cost a dispatch
-//! pays), the end-to-end 512-replica router run on both paths, and the
-//! `SweepRunner` wall clock at 1 vs 4 worker threads.
+//! Criterion benchmarks for the fleet dispatch hot path: the
+//! per-request replica selection (an incrementally-maintained index
+//! against the linear scan it replaced), the indexed select+re-key
+//! cycle (the full bookkeeping cost a dispatch pays), and the
+//! end-to-end 512-replica router run on both paths.
 //!
 //! The acceptance gate lives in `router_dispatch`: at 512 replicas the
 //! `indexed` id must be ≥10× faster than the `reference` id — the
 //! committed `BENCH_router.json` is the evidence, and `bench_check`
 //! keeps both from regressing.
 
-use alisa_bench::{SweepJob, SweepRunner};
 use alisa_memsim::HardwareSpec;
 use alisa_model::ModelConfig;
 use alisa_serve::{
-    AdmissionPolicy, ArrivalProcess, DispatchIndex, Router, RouterConfig, ServeConfig, ServeEngine,
-    Trace,
+    AdmissionPolicy, ArrivalProcess, DispatchIndex, Router, RouterConfig, ServeConfig, Trace,
 };
 use alisa_workloads::LengthModel;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -118,41 +115,10 @@ fn bench_fleet_512(c: &mut Criterion) {
     g.finish();
 }
 
-/// Sweep harness wall clock: twelve small engine cells fanned across 1
-/// vs 4 worker threads. The 1-thread id doubles as the harness-overhead
-/// baseline (it runs the cells inline on the calling thread).
-fn bench_sweep_runner(c: &mut Criterion) {
-    let trace = Trace::generate(
-        &ArrivalProcess::Poisson { rate: 8.0 },
-        &LengthModel::alpaca().with_max_output(48),
-        96,
-        7,
-    );
-    let engine = ServeEngine::new(ServeConfig::new(
-        ModelConfig::opt_6_7b(),
-        HardwareSpec::v100_16gb(),
-        AdmissionPolicy::alisa(),
-    ));
-    let mut g = c.benchmark_group("sweep_runner_12cells");
-    for threads in [1usize, 4] {
-        let runner = SweepRunner::with_threads(threads);
-        g.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, _| {
-            b.iter(|| {
-                let jobs: Vec<SweepJob<'_, f64>> = (0..12)
-                    .map(|_| Box::new(|| engine.run(&trace).goodput_rps) as SweepJob<'_, f64>)
-                    .collect();
-                black_box(runner.run(jobs))
-            });
-        });
-    }
-    g.finish();
-}
-
 criterion_group!(
     benches,
     bench_dispatch,
     bench_dispatch_update,
-    bench_fleet_512,
-    bench_sweep_runner
+    bench_fleet_512
 );
 criterion_main!(benches);

@@ -35,8 +35,8 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 /// The hot-path suites the gate watches (scheduler inner loop, serving
-/// event loop, session reuse, fleet dispatch + sweep harness, dynamic
-/// fleet membership + failure recovery).
+/// event loop, session reuse, fleet dispatch, dynamic fleet
+/// membership + failure recovery).
 /// `kernels`/`quant` measure the numeric kernels, which this gate's
 /// callers don't touch — run them directly when that's what you
 /// changed.

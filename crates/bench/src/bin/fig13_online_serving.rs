@@ -12,31 +12,22 @@
 //! than vLLM's dense paged reservation or FlexGen's static split.
 //!
 //! ```sh
-//! cargo run --release --bin fig13_online_serving [-- --quick] [-- --seed N] [-- --threads N]
+//! cargo run --release --bin fig13_online_serving [-- --quick] [-- --seed N]
 //! ```
 //!
-//! The (rate × policy) grid cells run through the shared
-//! [`SweepRunner`]: `--threads N` fans them across worker threads
-//! (default: available parallelism) with results drained in grid
-//! order, so stdout is byte-identical to `--threads 1` — the exact
-//! serial reference — at any thread count. Each rate's trace is built
-//! once through the [`TraceCache`] and shared by every policy cell.
+//! Each rate's trace is built once and shared by every policy.
 //!
 //! Observability flags (default output is byte-identical without them):
 //! `--events <path>` streams a structured JSONL event log of the
 //! highest-rate ALISA run (validate with the `trace_check` bin, render
 //! with `alisa_obs::perfetto`); `--profile` prints a wall-time
 //! breakdown of the simulator's own phases and the `profile-json` line
-//! committed as `BENCH_profile.json`. Both force `--threads 1` so
-//! timings and event streams stay ordered. See `docs/OBSERVABILITY.md`.
+//! committed as `BENCH_profile.json`. See `docs/OBSERVABILITY.md`.
 
-use alisa_bench::{
-    banner, events_arg, f, quick_mode, row, seed_arg, ProfileScope, SweepJob, SweepRunner,
-    TraceCache,
-};
+use alisa_bench::{banner, events_arg, f, quick_mode, row, seed_arg, ProfileScope};
 use alisa_memsim::HardwareSpec;
 use alisa_model::ModelConfig;
-use alisa_serve::{AdmissionPolicy, ArrivalProcess, ServeConfig, ServeEngine, ServeReport, Trace};
+use alisa_serve::{AdmissionPolicy, ArrivalProcess, ServeConfig, ServeEngine, Trace};
 use alisa_workloads::LengthModel;
 
 fn main() {
@@ -81,34 +72,19 @@ fn main() {
         ],
     );
 
-    // Simulate the whole (rate × policy) grid through the shared sweep
-    // harness — cells are pure, printing happens below in grid order.
-    let cache = TraceCache::new();
-    let trace_for = |rate: f64| {
-        cache.get(format!("poisson:{rate}:{n}:{seed}"), || {
-            Trace::generate(&ArrivalProcess::Poisson { rate }, &lengths, n, seed)
-        })
-    };
-    let (model_ref, hw_ref) = (&model, &hw);
-    let mut jobs: Vec<SweepJob<'_, ServeReport>> = Vec::new();
-    for &rate in rates {
-        let trace = trace_for(rate);
-        for policy in policies {
-            let trace = trace.clone();
-            jobs.push(Box::new(move || {
-                let cfg = ServeConfig::new(model_ref.clone(), hw_ref.clone(), policy)
-                    .with_queue_timeout(5.0 * base.slo.ttft_s);
-                ServeEngine::new(cfg).run(&trace)
-            }));
-        }
-    }
-    let mut cells = SweepRunner::from_args().run(jobs).into_iter();
+    let timeout = 5.0 * base.slo.ttft_s;
+    let config =
+        |policy| ServeConfig::new(model.clone(), hw.clone(), policy).with_queue_timeout(timeout);
+    let traces: Vec<Trace> = rates
+        .iter()
+        .map(|&rate| Trace::generate(&ArrivalProcess::Poisson { rate }, &lengths, n, seed))
+        .collect();
 
     let mut alisa_always_wins = true;
-    for &rate in rates {
+    for (&rate, trace) in rates.iter().zip(&traces) {
         let mut goodputs = Vec::new();
         for policy in policies {
-            let report = cells.next().expect("one cell per (rate, policy)");
+            let report = ServeEngine::new(config(policy)).run(trace);
             row(
                 &format!("{rate:>6.1}    {}", policy.name()),
                 [
@@ -141,12 +117,9 @@ fn main() {
     prof.finish();
     events_arg(|sink| {
         // The highest swept rate exercises the most decision points
-        // (saturation => queueing, timeouts, rejections). The trace is
-        // a cache hit — the sweep above already built it.
-        let trace = trace_for(rates[rates.len() - 1]);
-        let cfg = ServeConfig::new(model.clone(), hw.clone(), AdmissionPolicy::alisa())
-            .with_queue_timeout(5.0 * base.slo.ttft_s);
-        let _ = ServeEngine::new(cfg).run_traced(&trace, sink);
+        // (saturation => queueing, timeouts, rejections).
+        let trace = traces.last().expect("rates is non-empty");
+        let _ = ServeEngine::new(config(AdmissionPolicy::alisa())).run_traced(trace, sink);
     });
     if !alisa_always_wins {
         // Fail loudly so the smoke test and CI catch the regression,

@@ -23,25 +23,18 @@
 //! memsim host-staged transfer model.
 //!
 //! ```sh
-//! cargo run --release --bin fig14_multi_replica [-- --quick] [-- --seed N] [-- --threads N]
+//! cargo run --release --bin fig14_multi_replica [-- --quick] [-- --seed N]
 //! ```
 //!
-//! All simulation cells — the (rate × policy × replicas) grid plus the
-//! load-balancing and disaggregation sections — run through the shared
-//! [`SweepRunner`]: `--threads N` (default: available parallelism)
-//! fans them across worker threads with results drained in grid order,
-//! so stdout is byte-identical to `--threads 1` (the exact serial
-//! reference) at any thread count; CI `cmp`s the two. Each rate's
-//! trace is built once through the [`TraceCache`] and shared by every
-//! cell, including the load-balancing section's re-use of the last
-//! rate.
+//! Each rate's trace is built once and shared by every fleet at that
+//! rate; the load-balancing and disaggregation sections re-use the
+//! last rate's.
 
-use alisa_bench::{banner, f, quick_mode, row, seed_arg, SweepJob, SweepRunner, TraceCache};
+use alisa_bench::{banner, f, quick_mode, row, seed_arg};
 use alisa_memsim::HardwareSpec;
 use alisa_model::ModelConfig;
 use alisa_serve::{
-    AdmissionPolicy, ArrivalProcess, LoadBalancePolicy, Router, RouterConfig, RouterReport,
-    ServeConfig, Trace,
+    AdmissionPolicy, ArrivalProcess, LoadBalancePolicy, Router, RouterConfig, ServeConfig, Trace,
 };
 use alisa_workloads::LengthModel;
 
@@ -76,76 +69,29 @@ fn main() {
         ["goodput", "slo%", "p99ttft", "batch", "rej"],
     );
 
-    let fleet = |policy: AdmissionPolicy, replicas: usize, lb: LoadBalancePolicy| {
+    let fleet = |policy: AdmissionPolicy, replicas: usize| {
         let cfg = ServeConfig::new(model.clone(), hw.clone(), policy).with_queue_timeout(timeout);
-        Router::new(RouterConfig::homogeneous(cfg, replicas).with_lb(lb))
+        RouterConfig::homogeneous(cfg, replicas)
     };
-
-    // Every simulation cell of this figure — the main grid, the
-    // load-balancing comparison, and the disaggregation demo — goes
-    // through the shared sweep harness as one job list in print order.
-    let cache = TraceCache::new();
-    let trace_for = |rate: f64| {
-        cache.get(format!("poisson:{rate}:{n}:{seed}"), || {
-            Trace::generate(&ArrivalProcess::Poisson { rate }, &lengths, n, seed)
-        })
-    };
-    let lb_rate = *rates.last().expect("rates is non-empty");
-    let lb_replicas = *counts.last().expect("counts is non-empty");
-    let lb_policies = [
-        LoadBalancePolicy::RoundRobin,
-        LoadBalancePolicy::LeastOutstanding,
-        LoadBalancePolicy::LeastKvPressure,
-        LoadBalancePolicy::Sticky { sessions: 16 },
-    ];
-    let fleet_ref = &fleet;
-    let mut jobs: Vec<SweepJob<'_, RouterReport>> = Vec::new();
-    for &rate in rates {
-        let trace = trace_for(rate);
-        for policy in [AdmissionPolicy::alisa(), AdmissionPolicy::vllm()] {
-            for &replicas in counts {
-                let trace = trace.clone();
-                jobs.push(Box::new(move || {
-                    fleet_ref(policy, replicas, LoadBalancePolicy::LeastOutstanding).run(&trace)
-                }));
-            }
-        }
-    }
-    let lb_trace = trace_for(lb_rate);
-    for lb in lb_policies {
-        let trace = lb_trace.clone();
-        jobs.push(Box::new(move || {
-            fleet_ref(AdmissionPolicy::alisa(), lb_replicas, lb).run(&trace)
-        }));
-    }
-    let (model_ref, hw_ref) = (&model, &hw);
-    for disagg in [false, true] {
-        let trace = lb_trace.clone();
-        jobs.push(Box::new(move || {
-            let cfg = ServeConfig::new(model_ref.clone(), hw_ref.clone(), AdmissionPolicy::alisa())
-                .with_queue_timeout(timeout);
-            let mut rc = RouterConfig::homogeneous(cfg, lb_replicas);
-            if disagg {
-                rc = rc.with_disagg(lb_replicas / 2);
-            }
-            Router::new(rc).run(&trace)
-        }));
-    }
-    let mut cells = SweepRunner::from_args().run(jobs).into_iter();
+    let traces: Vec<Trace> = rates
+        .iter()
+        .map(|&rate| Trace::generate(&ArrivalProcess::Poisson { rate }, &lengths, n, seed))
+        .collect();
 
     let mut monotone = true;
     let mut alisa_always_wins = true;
-    for &rate in rates {
+    for (&rate, trace) in rates.iter().zip(&traces) {
         let mut goodput_at = vec![vec![0.0f64; counts.len()]; 2];
         for (p, policy) in [AdmissionPolicy::alisa(), AdmissionPolicy::vllm()]
             .into_iter()
             .enumerate()
         {
             for (c, &replicas) in counts.iter().enumerate() {
-                let report = cells
-                    .next()
-                    .expect("one cell per (rate, policy, replicas)")
-                    .fleet;
+                let report = Router::new(
+                    fleet(policy, replicas).with_lb(LoadBalancePolicy::LeastOutstanding),
+                )
+                .run(trace)
+                .fleet;
                 row(
                     &format!("{rate:>6.1}    {:<7} {replicas:>3}", policy.name()),
                     [
@@ -183,17 +129,27 @@ fn main() {
     }
 
     // -- Informative: load-balancing policies at one saturated point.
+    let lb_rate = *rates.last().expect("rates is non-empty");
+    let lb_trace = traces.last().expect("rates is non-empty");
+    let lb_replicas = *counts.last().expect("counts is non-empty");
     println!("load balancing at {lb_rate:.0} req/s, {lb_replicas} ALISA replicas:");
-    for _lb in lb_policies {
-        let r = cells.next().expect("one cell per LB policy");
+    for lb in [
+        LoadBalancePolicy::RoundRobin,
+        LoadBalancePolicy::LeastOutstanding,
+        LoadBalancePolicy::LeastKvPressure,
+        LoadBalancePolicy::Sticky { sessions: 16 },
+    ] {
+        let r = Router::new(fleet(AdmissionPolicy::alisa(), lb_replicas).with_lb(lb)).run(lb_trace);
         println!("  {}", r.summary());
     }
 
     // -- Informative: prefill/decode disaggregation, KV handoffs priced
     // through the memsim host-staged transfer model.
     println!("\nunified vs prefill/decode disaggregation ({lb_replicas} ALISA replicas):");
-    let unified = cells.next().expect("unified cell");
-    let disagg = cells.next().expect("disagg cell");
+    let unified = Router::new(fleet(AdmissionPolicy::alisa(), lb_replicas)).run(lb_trace);
+    let disagg =
+        Router::new(fleet(AdmissionPolicy::alisa(), lb_replicas).with_disagg(lb_replicas / 2))
+            .run(lb_trace);
     println!("  unified            | {}", unified.fleet.summary());
     println!(
         "  {}P+{}D disagg      | {} ({} KV handoffs)",

@@ -20,19 +20,16 @@
 //! `mixed ≥ flat INT8 ≥ FP16-only`. Same seed ⇒ byte-identical output.
 //!
 //! ```sh
-//! cargo run --release --bin fig15_mixed_precision [-- --quick] [-- --seed N] [-- --threads N]
+//! cargo run --release --bin fig15_mixed_precision [-- --quick] [-- --seed N]
 //! ```
 //!
-//! The (rate × precision) grid runs through the shared [`SweepRunner`]
-//! (`--threads N`, default available parallelism; results drain in
-//! grid order so stdout is byte-identical to the `--threads 1` serial
-//! reference), with one [`TraceCache`]-memoized trace per rate.
+//! Each rate's trace is built once and shared by all three precisions.
 
 use alisa::PrecisionPolicy;
-use alisa_bench::{banner, f, quick_mode, row, seed_arg, SweepJob, SweepRunner, TraceCache};
+use alisa_bench::{banner, f, quick_mode, row, seed_arg};
 use alisa_memsim::HardwareSpec;
 use alisa_model::ModelConfig;
-use alisa_serve::{AdmissionPolicy, ArrivalProcess, ServeConfig, ServeEngine, ServeReport, Trace};
+use alisa_serve::{AdmissionPolicy, ArrivalProcess, ServeConfig, ServeEngine, Trace};
 use alisa_workloads::LengthModel;
 
 fn main() {
@@ -80,35 +77,18 @@ fn main() {
         ],
     );
 
-    // Simulate the (rate × precision) grid through the shared sweep
-    // harness; printing and the monotonicity gate run below, in order.
-    let cache = TraceCache::new();
-    let (model_ref, hw_ref) = (&model, &hw);
-    let mut jobs: Vec<SweepJob<'_, ServeReport>> = Vec::new();
-    for &rate in rates {
-        let trace = cache.get(format!("poisson:{rate}:{n}:{seed}"), || {
-            Trace::generate(&ArrivalProcess::Poisson { rate }, &lengths, n, seed)
-        });
-        for (_, precision) in &configs {
-            let (trace, precision) = (trace.clone(), *precision);
-            jobs.push(Box::new(move || {
-                let policy = AdmissionPolicy::Alisa {
-                    sparsity: 0.8,
-                    precision,
-                };
-                let cfg = ServeConfig::new(model_ref.clone(), hw_ref.clone(), policy)
-                    .with_queue_timeout(5.0 * base.slo.ttft_s);
-                ServeEngine::new(cfg).run(&trace)
-            }));
-        }
-    }
-    let mut cells = SweepRunner::from_args().run(jobs).into_iter();
-
     let mut monotone = true;
     for &rate in rates {
+        let trace = Trace::generate(&ArrivalProcess::Poisson { rate }, &lengths, n, seed);
         let mut prev_goodput = 0.0f64;
-        for (tag, _) in &configs {
-            let report = cells.next().expect("one cell per (rate, precision)");
+        for &(tag, precision) in &configs {
+            let policy = AdmissionPolicy::Alisa {
+                sparsity: 0.8,
+                precision,
+            };
+            let cfg = ServeConfig::new(model.clone(), hw.clone(), policy)
+                .with_queue_timeout(5.0 * base.slo.ttft_s);
+            let report = ServeEngine::new(cfg).run(&trace);
             row(
                 &format!("{rate:>6.1}    {tag}"),
                 [

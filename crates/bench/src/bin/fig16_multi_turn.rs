@@ -23,21 +23,18 @@
 //! vLLM+reuse. Same seed ⇒ byte-identical output.
 //!
 //! ```sh
-//! cargo run --release --bin fig16_multi_turn [-- --quick] [-- --seed N] [-- --threads N]
+//! cargo run --release --bin fig16_multi_turn [-- --quick] [-- --seed N]
 //! ```
 //!
-//! The (rate × config) grid runs through the shared [`SweepRunner`]
-//! (`--threads N`, default available parallelism; results drain in
-//! grid order so stdout is byte-identical to the `--threads 1` serial
-//! reference), with one [`TraceCache`]-memoized session trace per
-//! rate shared by all three fleet configurations.
+//! Each rate's session trace is built once and shared by all three
+//! fleet configurations.
 
-use alisa_bench::{banner, f, quick_mode, row, seed_arg, SweepJob, SweepRunner, TraceCache};
+use alisa_bench::{banner, f, quick_mode, row, seed_arg};
 use alisa_memsim::HardwareSpec;
 use alisa_model::ModelConfig;
 use alisa_serve::{
     AdmissionPolicy, ArrivalProcess, LoadBalancePolicy, RetentionCfg, Router, RouterConfig,
-    RouterReport, ServeConfig, Trace,
+    ServeConfig, Trace,
 };
 use alisa_workloads::SessionModel;
 
@@ -101,38 +98,22 @@ fn main() {
         ),
     ];
 
-    // Simulate the (rate × config) grid through the shared sweep
-    // harness; printing and the gates run below, in grid order.
-    let cache = TraceCache::new();
-    let (model_ref, hw_ref, conv_ref) = (&model, &hw, &conv);
-    let mut jobs: Vec<SweepJob<'_, RouterReport>> = Vec::new();
-    for &rate in rates {
-        let trace = cache.get(format!("sessions:{rate}:{sessions}:{seed}"), || {
-            Trace::generate_sessions(&ArrivalProcess::Poisson { rate }, conv_ref, sessions, seed)
-        });
-        for (_, policy, retention) in &configs {
-            let (trace, policy, retention) = (trace.clone(), *policy, *retention);
-            jobs.push(Box::new(move || {
-                let mut replica = ServeConfig::new(model_ref.clone(), hw_ref.clone(), policy)
-                    .with_queue_timeout(5.0 * base.slo.ttft_s);
-                if let Some(r) = retention {
-                    replica = replica.with_session_reuse(r);
-                }
-                let router = Router::new(
-                    RouterConfig::homogeneous(replica, 2).with_lb(LoadBalancePolicy::sticky()),
-                );
-                router.run(&trace)
-            }));
-        }
-    }
-    let mut cells = SweepRunner::from_args().run(jobs).into_iter();
-
     let mut reuse_always_wins = true;
     let mut alisa_always_wins = true;
     for &rate in rates {
+        let trace =
+            Trace::generate_sessions(&ArrivalProcess::Poisson { rate }, &conv, sessions, seed);
         let mut goodputs = Vec::new();
-        for (tag, _, _) in &configs {
-            let report = cells.next().expect("one cell per (rate, config)");
+        for &(tag, policy, retention) in &configs {
+            let mut replica = ServeConfig::new(model.clone(), hw.clone(), policy)
+                .with_queue_timeout(5.0 * base.slo.ttft_s);
+            if let Some(r) = retention {
+                replica = replica.with_session_reuse(r);
+            }
+            let report = Router::new(
+                RouterConfig::homogeneous(replica, 2).with_lb(LoadBalancePolicy::sticky()),
+            )
+            .run(&trace);
             let reuse = report.fleet.reuse.unwrap_or_default();
             row(
                 &format!("{rate:>6.2}   {tag}"),

@@ -26,31 +26,24 @@
 //! and ALISA sjf >= vLLM sjf. Same seed ⇒ byte-identical output.
 //!
 //! ```sh
-//! cargo run --release --bin fig17_admission [-- --quick] [-- --seed N] [-- --threads N]
+//! cargo run --release --bin fig17_admission [-- --quick] [-- --seed N]
 //! ```
 //!
-//! The (rate × discipline) grid runs through the shared
-//! [`SweepRunner`] (`--threads N`, default available parallelism;
-//! results drain in grid order so stdout is byte-identical to the
-//! `--threads 1` serial reference), with one [`TraceCache`]-memoized
-//! trace per rate shared by all five configurations.
+//! Each rate's trace is built once and shared by all five
+//! configurations.
 //!
 //! Observability flags (default output is byte-identical without them):
 //! `--events <path>` streams a structured JSONL event log of the
 //! highest-rate preemptive-SJF run — the richest stream this repo
 //! produces (admission pricing, preemption decision traces, timeout
 //! rejections); `--profile` prints the simulator's own phase breakdown.
-//! Both force `--threads 1` so timings and event streams stay ordered.
 //! See `docs/OBSERVABILITY.md`.
 
-use alisa_bench::{
-    banner, events_arg, f, quick_mode, row, seed_arg, ProfileScope, SweepJob, SweepRunner,
-    TraceCache,
-};
+use alisa_bench::{banner, events_arg, f, quick_mode, row, seed_arg, ProfileScope};
 use alisa_memsim::HardwareSpec;
 use alisa_model::ModelConfig;
 use alisa_serve::{
-    AdmissionPolicy, ArrivalProcess, QueueDiscipline, ServeConfig, ServeEngine, ServeReport, Trace,
+    AdmissionPolicy, ArrivalProcess, QueueDiscipline, ServeConfig, ServeEngine, Trace,
 };
 use alisa_workloads::LengthModel;
 
@@ -120,37 +113,23 @@ fn main() {
         ],
     );
 
-    // Simulate the (rate × discipline) grid through the shared sweep
-    // harness; printing and the gates run below, in grid order.
-    let cache = TraceCache::new();
-    let trace_for = |rate: f64| {
-        cache.get(format!("poisson:{rate}:{n}:{seed}"), || {
-            Trace::generate(&ArrivalProcess::Poisson { rate }, &lengths, n, seed)
-        })
+    let config = |policy, discipline| {
+        ServeConfig::new(model.clone(), hw.clone(), policy)
+            .with_queue_timeout(timeout)
+            .with_discipline(discipline)
     };
-    let (model_ref, hw_ref) = (&model, &hw);
-    let mut jobs: Vec<SweepJob<'_, ServeReport>> = Vec::new();
-    for &rate in rates {
-        let trace = trace_for(rate);
-        for (_, policy, discipline) in configs {
-            let trace = trace.clone();
-            jobs.push(Box::new(move || {
-                let cfg = ServeConfig::new(model_ref.clone(), hw_ref.clone(), policy)
-                    .with_queue_timeout(timeout)
-                    .with_discipline(discipline);
-                ServeEngine::new(cfg).run(&trace)
-            }));
-        }
-    }
-    let mut cells = SweepRunner::from_args().run(jobs).into_iter();
+    let traces: Vec<Trace> = rates
+        .iter()
+        .map(|&rate| Trace::generate(&ArrivalProcess::Poisson { rate }, &lengths, n, seed))
+        .collect();
 
     let mut sjf_always_wins = true;
     let mut preemptive_always_wins = true;
     let mut alisa_always_wins = true;
-    for &rate in rates {
+    for (&rate, trace) in rates.iter().zip(&traces) {
         let mut goodputs = Vec::new();
-        for (tag, _, _) in configs {
-            let report = cells.next().expect("one cell per (rate, discipline)");
+        for (tag, policy, discipline) in configs {
+            let report = ServeEngine::new(config(policy, discipline)).run(trace);
             let preempt = report
                 .discipline
                 .as_ref()
@@ -197,13 +176,10 @@ fn main() {
     prof.finish();
     events_arg(|sink| {
         // Preemptive SJF at the highest rate: the stream with every
-        // decision kind in it, preemption traces included. The trace is
-        // a cache hit — the sweep above already built it.
-        let trace = trace_for(rates[rates.len() - 1]);
-        let cfg = ServeConfig::new(model.clone(), hw.clone(), AdmissionPolicy::alisa())
-            .with_queue_timeout(timeout)
-            .with_discipline(preemptive);
-        let _ = ServeEngine::new(cfg).run_traced(&trace, sink);
+        // decision kind in it, preemption traces included.
+        let trace = traces.last().expect("rates is non-empty");
+        let cfg = config(AdmissionPolicy::alisa(), preemptive);
+        let _ = ServeEngine::new(cfg).run_traced(trace, sink);
     });
     if !(sjf_always_wins && preemptive_always_wins && alisa_always_wins) {
         // Fail loudly so the smoke test and CI catch the regression,

@@ -28,35 +28,28 @@
 //! offered) and goodput degrades gracefully (monotone within epsilon,
 //! nonzero even at k=2) with every kill catching in-flight work; the
 //! capability-aware policy beats round-robin on the mixed fleet. Same
-//! seed => byte-identical output at any `--threads`.
+//! seed => byte-identical output.
 //!
 //! ```sh
-//! cargo run --release --bin fig18_fleet_dynamics [-- --quick] [-- --seed N] [-- --threads N]
+//! cargo run --release --bin fig18_fleet_dynamics [-- --quick] [-- --seed N]
 //! ```
 //!
-//! The sweep cells run through the shared [`SweepRunner`] (`--threads
-//! N`, default available parallelism; results drain in submission
-//! order so stdout is byte-identical to the `--threads 1` serial
-//! reference), with [`TraceCache`]-memoized traces shared across
-//! configurations.
+//! Part A runs every fleet over one diurnal trace; parts B and C share
+//! one steady trace.
 //!
 //! Observability flags (default output is byte-identical without
 //! them): `--events <path>` streams a structured JSONL event log of
 //! the k=2 failure run — replica-failed events with decision traces,
 //! session-recovered events with rebuilt-token counts, retention
 //! evictions of the dead replica's sessions; `--profile` prints the
-//! simulator's own phase breakdown. Both force `--threads 1`. See
-//! `docs/OBSERVABILITY.md`.
+//! simulator's own phase breakdown. See `docs/OBSERVABILITY.md`.
 
-use alisa_bench::{
-    banner, events_arg, f, quick_mode, row, seed_arg, ProfileScope, SweepJob, SweepRunner,
-    TraceCache,
-};
+use alisa_bench::{banner, events_arg, f, quick_mode, row, seed_arg, ProfileScope};
 use alisa_memsim::HardwareSpec;
 use alisa_model::ModelConfig;
 use alisa_serve::{
     AdmissionPolicy, ArrivalProcess, AutoscalerCfg, FailurePlan, LoadBalancePolicy, Router,
-    RouterConfig, RouterReport, ServeConfig, Trace,
+    RouterConfig, ServeConfig, Trace,
 };
 use alisa_workloads::LengthModel;
 
@@ -94,93 +87,39 @@ fn main() {
         HardwareSpec::h100_80gb(),
     );
 
-    let cache = TraceCache::new();
-    let diurnal = cache.get(format!("diurnal:{n_diurnal}:{seed}"), || {
-        Trace::generate(
-            &ArrivalProcess::Diurnal {
-                rate: diurnal_rate,
-                swing,
-                period_s,
-            },
-            &lengths,
-            n_diurnal,
-            seed,
-        )
-    });
-    let steady = cache.get(format!("steady:{n_steady}:{seed}"), || {
-        Trace::generate(
-            &ArrivalProcess::Poisson { rate: steady_rate },
-            &lengths,
-            n_steady,
-            seed,
-        )
-    });
+    let diurnal = Trace::generate(
+        &ArrivalProcess::Diurnal {
+            rate: diurnal_rate,
+            swing,
+            period_s,
+        },
+        &lengths,
+        n_diurnal,
+        seed,
+    );
+    let steady = Trace::generate(
+        &ArrivalProcess::Poisson { rate: steady_rate },
+        &lengths,
+        n_steady,
+        seed,
+    );
     // Horizon for seeded kill times: the arrival span, so every kill
     // lands while traffic is still flowing.
     let horizon_s = steady.duration();
 
-    let (model_ref, hw_ref) = (&model, &hw);
-    let base =
-        move || ServeConfig::new(model_ref.clone(), hw_ref.clone(), AdmissionPolicy::alisa());
-
-    // One flat job list: A's static fleets, A's autoscaler, B's kill
-    // sweep, C's two policies. Drained in submission order below.
-    let mut jobs: Vec<SweepJob<'_, RouterReport>> = Vec::new();
-    for replicas in 1..=ceiling {
-        let trace = diurnal.clone();
-        jobs.push(Box::new(move || {
-            Router::new(
-                RouterConfig::homogeneous(base(), replicas)
-                    .with_lb(LoadBalancePolicy::LeastOutstanding),
-            )
-            .run(&trace)
-        }));
-    }
-    {
-        let trace = diurnal.clone();
-        jobs.push(Box::new(move || {
-            Router::new(
-                RouterConfig::homogeneous(base(), ceiling)
-                    .with_lb(LoadBalancePolicy::LeastOutstanding)
-                    .with_autoscaler(AutoscalerCfg::new(1).with_cadence(1.0, 4.0)),
-            )
-            .run(&trace)
-        }));
-    }
-    for k in kill_counts {
-        let trace = steady.clone();
-        jobs.push(Box::new(move || {
-            let mut rc =
-                RouterConfig::homogeneous(base(), 3).with_lb(LoadBalancePolicy::LeastOutstanding);
-            if k > 0 {
-                rc = rc.with_failures(FailurePlan::seeded(seed, k, 3, horizon_s));
-            }
-            Router::new(rc).run(&trace)
-        }));
-    }
-    for lb in [
-        LoadBalancePolicy::RoundRobin,
-        LoadBalancePolicy::LeastOutstanding,
-    ] {
-        let trace = steady.clone();
-        jobs.push(Box::new(move || {
-            Router::new(
-                RouterConfig::heterogeneous(vec![
-                    base(),
-                    base(),
-                    ServeConfig::new(
-                        model_ref.clone(),
-                        HardwareSpec::h100_80gb(),
-                        AdmissionPolicy::alisa(),
-                    ),
-                ])
-                .with_lb(lb),
-            )
-            .run(&trace)
-        }));
-    }
-    let mut cells = SweepRunner::from_args().run(jobs).into_iter();
-    let mut cell = || cells.next().expect("one report per submitted job");
+    let base = || ServeConfig::new(model.clone(), hw.clone(), AdmissionPolicy::alisa());
+    let least_out = |replicas| {
+        RouterConfig::homogeneous(base(), replicas).with_lb(LoadBalancePolicy::LeastOutstanding)
+    };
+    // Part B's fleet, and the `--events` replay's: 3 replicas, k kills.
+    let killed = |k| {
+        let rc = least_out(3);
+        if k > 0 {
+            rc.with_failures(FailurePlan::seeded(seed, k, 3, horizon_s))
+        } else {
+            rc
+        }
+    };
 
     // ---- Part A: autoscaler vs static fleet sizes ------------------
     println!("-- part A: diurnal wave, static fleets vs autoscaler --");
@@ -190,7 +129,7 @@ fn main() {
     );
     let mut static_gph = Vec::new();
     for replicas in 1..=ceiling {
-        let r = cell();
+        let r = Router::new(least_out(replicas)).run(&diurnal);
         static_gph.push(r.goodput_per_replica_hour());
         row(
             &format!("static x{replicas}"),
@@ -204,7 +143,10 @@ fn main() {
             ],
         );
     }
-    let auto = cell();
+    let auto = Router::new(
+        least_out(ceiling).with_autoscaler(AutoscalerCfg::new(1).with_cadence(1.0, 4.0)),
+    )
+    .run(&diurnal);
     let auto_d = auto.dynamics.expect("autoscaled run reports dynamics");
     let auto_gph = auto.goodput_per_replica_hour();
     row(
@@ -238,9 +180,8 @@ fn main() {
     let mut graceful = true;
     let mut kills_bite = true;
     let mut prev_goodput = f64::INFINITY;
-    let mut k2_goodput = 0.0;
     for k in kill_counts {
-        let r = cell();
+        let r = Router::new(killed(k)).run(&steady);
         let d = r.dynamics.unwrap_or_default();
         row(
             &format!("k={k}"),
@@ -269,18 +210,23 @@ fn main() {
         if k > 0 && d.recovered + d.relocated == 0 {
             kills_bite = false;
         }
-        if k == 2 {
-            k2_goodput = r.fleet.goodput_rps;
-        }
     }
-    let _ = k2_goodput;
 
     // ---- Part C: heterogeneous fleet -------------------------------
     println!("\n-- part C: 2x V100-16GB + 1x H100-80GB --");
     row("policy", ["goodput", "slo%", "v100.0", "v100.1", "h100"]);
     let mut hetero = Vec::new();
-    for tag in ["round-robin", "least-out(norm)"] {
-        let r = cell();
+    for (tag, lb) in [
+        ("round-robin", LoadBalancePolicy::RoundRobin),
+        ("least-out(norm)", LoadBalancePolicy::LeastOutstanding),
+    ] {
+        let h100 = ServeConfig::new(
+            model.clone(),
+            HardwareSpec::h100_80gb(),
+            AdmissionPolicy::alisa(),
+        );
+        let r = Router::new(RouterConfig::heterogeneous(vec![base(), base(), h100]).with_lb(lb))
+            .run(&steady);
         row(
             tag,
             [
@@ -330,14 +276,8 @@ fn main() {
     events_arg(|sink| {
         // The k=2 failure run, traced: replica-failed + session-
         // recovered decision traces plus the dead replicas' retention
-        // evictions. The trace is a cache hit from the sweep above.
-        let rc = RouterConfig::homogeneous(
-            ServeConfig::new(model.clone(), hw.clone(), AdmissionPolicy::alisa()),
-            3,
-        )
-        .with_lb(LoadBalancePolicy::LeastOutstanding)
-        .with_failures(FailurePlan::seeded(seed, 2, 3, horizon_s));
-        let _ = Router::new(rc).run_traced(&steady, sink);
+        // evictions.
+        let _ = Router::new(killed(2)).run_traced(&steady, sink);
     });
     if !(auto_beats_static
         && auto_breathes

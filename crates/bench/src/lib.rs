@@ -5,13 +5,9 @@
 //! series the paper plots. All binaries accept `--quick` to run a
 //! reduced sweep — the integration tests use it as a smoke test.
 
-use std::collections::HashMap;
 use std::fmt::Display;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
 
 use alisa_obs::{profile, JsonlSink, TraceSink};
-use alisa_serve::Trace;
 
 /// Returns true if the bare flag `name` was passed.
 pub fn flag(name: &str) -> bool {
@@ -52,127 +48,6 @@ pub fn events_arg(replay: impl FnOnce(&mut dyn TraceSink)) {
         replay(&mut sink);
         let n = sink.finish().expect("event log must flush cleanly");
         println!("\nwrote {n} events to {path}");
-    }
-}
-
-/// One grid cell of a figure sweep: a pure closure producing the cell's
-/// result (typically a `ServeReport` or `RouterReport`). Cells must not
-/// print — all output happens after the sweep, in grid order, so stdout
-/// is byte-identical at any thread count.
-pub type SweepJob<'a, T> = Box<dyn Fn() -> T + Send + Sync + 'a>;
-
-/// Deterministic parallel sweep harness shared by the fig13–fig17
-/// binaries.
-///
-/// Every figure walks a (rate × policy × replicas) grid of independent
-/// simulation cells. `SweepRunner` fans the cells across scoped worker
-/// threads (work-stealing off one atomic counter) and hands the results
-/// back **in grid order**, so the caller's serial print/gate loop — and
-/// therefore the binary's stdout — is byte-identical to a fully serial
-/// run at any `--threads` value. `--threads 1` *is* the serial run: the
-/// jobs execute in submission order on the calling thread.
-///
-/// Construction reads the command line: `--threads N` (default:
-/// available parallelism), forced to 1 when `--profile` or `--events`
-/// is present so self-profile timings and event streams stay ordered.
-pub struct SweepRunner {
-    threads: usize,
-}
-
-impl SweepRunner {
-    /// Builds a runner from `--threads`/`--profile`/`--events`.
-    pub fn from_args() -> Self {
-        let requested = arg_value("--threads")
-            .and_then(|s| s.parse().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-        let serial_only = flag("--profile") || arg_value("--events").is_some();
-        SweepRunner {
-            threads: if serial_only { 1 } else { requested },
-        }
-    }
-
-    /// A runner pinned to an explicit thread count (used by tests and
-    /// the criterion harness, which must not read the command line).
-    pub fn with_threads(threads: usize) -> Self {
-        SweepRunner {
-            threads: threads.max(1),
-        }
-    }
-
-    /// The worker-thread count this runner fans cells across.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Runs every job and returns the results in submission order.
-    ///
-    /// Serial (`threads == 1`) runs execute in order on the calling
-    /// thread; parallel runs claim cells off an atomic cursor and
-    /// write each result into its own slot, so ordering — and hence
-    /// the caller's downstream printing — never depends on the
-    /// interleaving.
-    pub fn run<T: Send>(&self, jobs: Vec<SweepJob<'_, T>>) -> Vec<T> {
-        let n = jobs.len();
-        if self.threads <= 1 || n <= 1 {
-            return jobs.into_iter().map(|job| job()).collect();
-        }
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let jobs = &jobs;
-        let slots_ref = &slots;
-        let next_ref = &next;
-        std::thread::scope(|s| {
-            for _ in 0..self.threads.min(n) {
-                s.spawn(move || loop {
-                    let i = next_ref.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let result = (jobs[i])();
-                    *slots_ref[i].lock().expect("sweep slot lock") = Some(result);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("sweep slot lock")
-                    .expect("every claimed cell stores its result")
-            })
-            .collect()
-    }
-}
-
-/// Memoized trace generation, shared across the cells of a sweep.
-///
-/// Every figure's grid re-uses one trace per (workload, rate, seed)
-/// point across all its policies/fleets — historically each cell
-/// regenerated it from scratch. The cache builds each distinct trace
-/// exactly once (the first requester builds under the lock; trace
-/// generation is deterministic, so who builds it cannot matter) and
-/// hands out [`Arc`] clones, from serial loops and parallel sweep
-/// cells alike.
-#[derive(Default)]
-pub struct TraceCache {
-    map: Mutex<HashMap<String, Arc<Trace>>>,
-}
-
-impl TraceCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns the trace for `key`, building it on first use. Keys must
-    /// uniquely describe the generation inputs (workload, rate, count,
-    /// seed) — the conventional form is `"poisson:{rate}:{n}:{seed}"`.
-    pub fn get(&self, key: impl Into<String>, build: impl FnOnce() -> Trace) -> Arc<Trace> {
-        let mut map = self.map.lock().expect("trace cache lock");
-        map.entry(key.into())
-            .or_insert_with(|| Arc::new(build()))
-            .clone()
     }
 }
 
@@ -298,48 +173,6 @@ mod tests {
     fn gib_formatting() {
         assert_eq!(gib(1 << 30), "1.0");
         assert_eq!(gib(3 * (1 << 29)), "1.5");
-    }
-
-    #[test]
-    fn sweep_runner_returns_results_in_grid_order() {
-        let jobs = |n: usize| -> Vec<SweepJob<'static, usize>> {
-            (0..n)
-                .map(|i| Box::new(move || i * i + 7) as SweepJob<'static, usize>)
-                .collect()
-        };
-        let serial = SweepRunner::with_threads(1).run(jobs(37));
-        for threads in [2usize, 4, 16] {
-            assert_eq!(
-                serial,
-                SweepRunner::with_threads(threads).run(jobs(37)),
-                "{threads} threads must preserve grid order"
-            );
-        }
-        assert!(SweepRunner::with_threads(8).run(jobs(0)).is_empty());
-        assert_eq!(SweepRunner::with_threads(0).threads(), 1);
-    }
-
-    #[test]
-    fn trace_cache_builds_each_key_once() {
-        use alisa_serve::ArrivalProcess;
-        use alisa_workloads::LengthModel;
-        let cache = TraceCache::new();
-        let builds = AtomicUsize::new(0);
-        let build = || {
-            builds.fetch_add(1, Ordering::Relaxed);
-            Trace::generate(
-                &ArrivalProcess::Poisson { rate: 2.0 },
-                &LengthModel::alpaca(),
-                8,
-                42,
-            )
-        };
-        let a = cache.get("poisson:2:8:42", build);
-        let b = cache.get("poisson:2:8:42", build);
-        assert_eq!(builds.load(Ordering::Relaxed), 1, "second get must hit");
-        assert!(Arc::ptr_eq(&a, &b));
-        cache.get("poisson:3:8:42", build);
-        assert_eq!(builds.load(Ordering::Relaxed), 2, "new key must build");
     }
 
     #[test]

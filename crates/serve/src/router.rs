@@ -146,16 +146,27 @@ pub struct DisaggCfg {
     pub prefill_replicas: usize,
 }
 
+/// The autoscaler scales up while windowed SLO attainment is below
+/// this.
+const TARGET_ATTAINMENT: f64 = 0.9;
+/// The autoscaler scales up while mean KV pressure is above this.
+const PRESSURE_HIGH: f64 = 0.7;
+/// The autoscaler drains only while mean KV pressure is below this.
+const PRESSURE_LOW: f64 = 0.3;
+
 /// The autoscaler control loop: every `interval_s` of simulation time
 /// the router reads three signals — SLO attainment over the requests
 /// finished in the trailing `window_s`, mean KV pressure across the
 /// admitting replicas, and the worst current queue wait of a request
 /// still awaiting first service — and either brings one standby
-/// replica up (overload) or starts draining the emptiest admitting
-/// replica (sustained headroom). A draining replica stops admitting,
-/// hands its queued requests to survivors, finishes what is running,
-/// and goes standby; `RouterConfig::replicas.len()` is the fleet
-/// ceiling, `min_replicas` the floor.
+/// replica up (overload: attainment below 90%, pressure above 70%, or
+/// a wait past the TTFT budget) or starts draining the emptiest
+/// admitting replica (sustained headroom: attainment at least 90%,
+/// pressure below 30%, and every wait under half the TTFT budget). A
+/// draining replica stops admitting, hands its queued requests to
+/// survivors, finishes what is running, and goes standby;
+/// `RouterConfig::replicas.len()` is the fleet ceiling, `min_replicas`
+/// the floor.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AutoscalerCfg {
     /// Replicas that always admit (the initial fleet). Must be at
@@ -166,26 +177,16 @@ pub struct AutoscalerCfg {
     /// Sliding window (seconds) the SLO-attainment signal is computed
     /// over.
     pub window_s: f64,
-    /// Scale up while windowed SLO attainment is below this.
-    pub target_attainment: f64,
-    /// Scale up while mean KV pressure is above this.
-    pub pressure_high: f64,
-    /// Drain only while mean KV pressure is below this.
-    pub pressure_low: f64,
 }
 
 impl AutoscalerCfg {
     /// Defaults tuned for the SLO-derived serving traces: evaluate
-    /// every 5 s over a 20 s window, hold 90% attainment, scale up
-    /// past 70% KV pressure, drain below 30%.
+    /// every 5 s over a 20 s window.
     pub fn new(min_replicas: usize) -> Self {
         AutoscalerCfg {
             min_replicas,
             interval_s: 5.0,
             window_s: 20.0,
-            target_attainment: 0.9,
-            pressure_high: 0.7,
-            pressure_low: 0.3,
         }
     }
 
@@ -594,27 +595,20 @@ impl DispatchIndex {
         self.keys[replica] = bits;
     }
 
-    /// Adds `replica` to tier `tier` with a zero key (scale-up). Grows
-    /// the per-replica tables if `replica` is beyond the fleet the
-    /// index was built over; a no-op if it is already present.
+    /// Puts `replica` back in its own tier's order with a zero key
+    /// (scale-up); a no-op if it is already present.
     ///
     /// # Panics
     ///
-    /// Panics if `tier` is outside the tier count given at build time.
-    pub fn insert(&mut self, replica: usize, tier: usize) {
-        assert!(tier < self.by_key.len(), "tier out of range");
-        if replica >= self.present.len() {
-            self.tier_of.resize(replica + 1, 0);
-            self.present.resize(replica + 1, false);
-            self.keys.resize(replica + 1, 0);
-        }
+    /// Panics if `replica` is outside the fleet the index was built
+    /// over.
+    pub fn insert(&mut self, replica: usize) {
         if self.present[replica] {
             return;
         }
         self.present[replica] = true;
-        self.tier_of[replica] = tier;
         self.keys[replica] = 0;
-        self.by_key[tier].insert((0, replica));
+        self.by_key[self.tier_of[replica]].insert((0, replica));
     }
 
     /// Removes `replica` from its order (drain or failure): it can no
@@ -933,10 +927,6 @@ pub(crate) struct FleetRun<'a> {
     arrivals: Arrivals,
     heap: BinaryHeap<Ev>,
     seq: u64,
-    /// Real (non-autoscaler) heap events still pending: the Scale tick
-    /// re-arms only while some remain, arrivals remain, or a replica is
-    /// busy, which guarantees termination.
-    real_events: usize,
     /// Latest arrival or real event time: the makespan's floor.
     last_event_t: f64,
     /// Round-robin cursors of the arrival tier (0) and decode tier (1).
@@ -1009,7 +999,6 @@ impl<'a> FleetRun<'a> {
             arrivals: Arrivals::new(engines[0].config().closed_loop),
             heap: BinaryHeap::new(),
             seq: 0,
-            real_events: 0,
             last_event_t: 0.0,
             rr: [0; 2],
             index,
@@ -1089,9 +1078,6 @@ impl<'a> FleetRun<'a> {
 
     /// Pushes a heap event.
     fn push(&mut self, t: f64, kind: EvKind) {
-        if !matches!(kind, EvKind::Scale) {
-            self.real_events += 1;
-        }
         self.heap.push(Ev {
             t,
             seq: self.seq,
@@ -1120,11 +1106,10 @@ impl<'a> FleetRun<'a> {
 
     /// Handles one heap event.
     fn handle<const TRACED: bool>(&mut self, ev: Ev) {
-        // Scale ticks are bookkeeping, not workload: they neither count
-        // as real events nor extend the makespan (the last tick fires
-        // after the fleet has gone quiet).
+        // Scale ticks are bookkeeping, not workload: they do not extend
+        // the makespan (the last tick fires after the fleet has gone
+        // quiet).
         if !matches!(ev.kind, EvKind::Scale) {
-            self.real_events -= 1;
             self.last_event_t = self.last_event_t.max(ev.t);
         }
         match ev.kind {
@@ -1133,7 +1118,11 @@ impl<'a> FleetRun<'a> {
             EvKind::Scale => {
                 let a = self.cfg.autoscaler.expect("Scale implies an autoscaler");
                 self.scale_tick::<TRACED>(ev.t, &a);
-                if self.real_events > 0
+                // The tick was just popped and is the only one, so the
+                // heap holds workload events alone. Re-arming only while
+                // some remain, arrivals remain, or a replica is busy
+                // guarantees termination.
+                if !self.heap.is_empty()
                     || !self.arrivals.exhausted(self.reqs.req.len())
                     || self.states.iter().any(Replica::busy)
                 {
@@ -1561,11 +1550,10 @@ impl<'a> FleetRun<'a> {
             }
         }
 
-        let overload = attainment < a.target_attainment
-            || pressure > a.pressure_high
-            || worst_wait > slo.ttft_s;
-        let calm = attainment >= a.target_attainment
-            && pressure < a.pressure_low
+        let overload =
+            attainment < TARGET_ATTAINMENT || pressure > PRESSURE_HIGH || worst_wait > slo.ttft_s;
+        let calm = attainment >= TARGET_ATTAINMENT
+            && pressure < PRESSURE_LOW
             && worst_wait < 0.5 * slo.ttft_s;
         let dynamics = self.dynamics.as_mut().expect("dynamic fleet");
         if overload {
@@ -1578,7 +1566,7 @@ impl<'a> FleetRun<'a> {
             let r = s.idx;
             dynamics.scale_ups += 1;
             if let Some(ix) = self.index.as_mut() {
-                ix.insert(r, 0);
+                ix.insert(r);
             }
             self.rekey(r);
             if TRACED {
@@ -1589,9 +1577,10 @@ impl<'a> FleetRun<'a> {
                     kind: EventKind::ReplicaUp {
                         replicas_up: ups + 1,
                         decision_trace: format!(
-                            "attainment {attainment:.3} (target {}), pressure {pressure:.3} \
-                             (high {}), worst wait {worst_wait:.3}s (ttft {}s)",
-                            a.target_attainment, a.pressure_high, slo.ttft_s
+                            "attainment {attainment:.3} (target {TARGET_ATTAINMENT}), pressure \
+                             {pressure:.3} (high {PRESSURE_HIGH}), worst wait {worst_wait:.3}s \
+                             (ttft {}s)",
+                            slo.ttft_s
                         ),
                     },
                 });
@@ -1624,10 +1613,9 @@ impl<'a> FleetRun<'a> {
                     kind: EventKind::ReplicaDrained {
                         replicas_up,
                         decision_trace: format!(
-                            "attainment {attainment:.3} >= target {}, pressure {pressure:.3} \
-                             < low {}, worst wait {worst_wait:.3}s: draining to {replicas_up} \
-                             admitting replicas",
-                            a.target_attainment, a.pressure_low
+                            "attainment {attainment:.3} >= target {TARGET_ATTAINMENT}, pressure \
+                             {pressure:.3} < low {PRESSURE_LOW}, worst wait {worst_wait:.3}s: \
+                             draining to {replicas_up} admitting replicas"
                         ),
                     },
                 });
@@ -2048,7 +2036,7 @@ mod tests {
                     present[r] = false;
                 }
                 1 => {
-                    ix.insert(r, 0);
+                    ix.insert(r);
                     if !present[r] {
                         present[r] = true;
                         load[r] = 0.0;

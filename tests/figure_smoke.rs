@@ -1,14 +1,24 @@
 //! Smoke tests: every figure binary must run to completion in `--quick`
-//! mode. This keeps the full experiment harness from rotting.
+//! mode. This keeps the full experiment harness from rotting. The
+//! serving figures (fig13–fig18) are also pinned byte-for-byte: their
+//! `--quick` stdout (default seed 42) must equal the committed
+//! `tests/golden/<bin>_quick_seed42.txt`.
 
 use std::process::Command;
 use std::time::{Duration, Instant};
 
-/// Runs `<bin> --quick`, asserting success, and returns the child's
-/// wall-clock time (including any incremental `cargo run` rebuild, so
-/// callers that budget it must warm the target dir first).
-fn run_quick(bin: &str) -> Duration {
-    let started = Instant::now();
+/// The serving figures whose `--quick` stdout is a golden fixture.
+const SERVING_FIGURES: [&str; 6] = [
+    "fig13_online_serving",
+    "fig14_multi_replica",
+    "fig15_mixed_precision",
+    "fig16_multi_turn",
+    "fig17_admission",
+    "fig18_fleet_dynamics",
+];
+
+/// Runs `<bin> --quick`, asserting success, and returns its stdout.
+fn run_quick(bin: &str) -> String {
     let out = Command::new(env!("CARGO"))
         .args([
             "run",
@@ -28,12 +38,32 @@ fn run_quick(bin: &str) -> Duration {
         "{bin} failed:\n{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stdout = String::from_utf8(out.stdout).expect("figure stdout is UTF-8");
     assert!(
         stdout.contains("===") || stdout.contains("paper"),
         "{bin} produced no output"
     );
-    started.elapsed()
+    stdout
+}
+
+fn golden_path(bin: &str) -> String {
+    format!(
+        "{}/tests/golden/{bin}_quick_seed42.txt",
+        env!("CARGO_MANIFEST_DIR")
+    )
+}
+
+/// Runs `<bin> --quick` and asserts its stdout equals the golden.
+fn run_quick_against_golden(bin: &str) {
+    let path = golden_path(bin);
+    let golden =
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("missing fixture {path}: {e}"));
+    assert_eq!(
+        run_quick(bin),
+        golden,
+        "{bin} --quick stdout drifted from {path} \
+         (regenerate with `cargo test --test figure_smoke -- --ignored` if intentional)"
+    );
 }
 
 // Fast binaries run in one combined test to amortize the cargo lock;
@@ -92,8 +122,10 @@ fn fig12_breakdown_runs() {
 #[test]
 fn fig13_online_serving_runs_within_budget() {
     const BUDGET: Duration = Duration::from_secs(240);
+    run_quick_against_golden("fig13_online_serving");
+    let started = Instant::now();
     run_quick("fig13_online_serving");
-    let elapsed = run_quick("fig13_online_serving");
+    let elapsed = started.elapsed();
     assert!(
         elapsed < BUDGET,
         "fig13 --quick took {elapsed:?}, over the {BUDGET:?} smoke budget — \
@@ -103,66 +135,37 @@ fn fig13_online_serving_runs_within_budget() {
 
 #[test]
 fn fig14_multi_replica_runs() {
-    run_quick("fig14_multi_replica");
-}
-
-/// The sweep harness contract: `--threads 1` is the exact serial
-/// reference, and any other thread count must reproduce its stdout
-/// byte-for-byte (cells run in parallel, results drain in grid order).
-/// fig14 is the richest grid (router fleets + LB + disaggregation
-/// sections), so it is the one pinned here and `cmp`-ed in CI.
-#[test]
-fn fig14_threads_do_not_change_a_byte() {
-    let run = |threads: &str| -> Vec<u8> {
-        let out = Command::new(env!("CARGO"))
-            .args([
-                "run",
-                "--quiet",
-                "--release",
-                "-p",
-                "alisa-bench",
-                "--bin",
-                "fig14_multi_replica",
-                "--",
-                "--quick",
-                "--threads",
-                threads,
-            ])
-            .output()
-            .expect("fig14 must launch");
-        assert!(
-            out.status.success(),
-            "fig14 --threads {threads} failed:\n{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        out.stdout
-    };
-    let serial = run("1");
-    for threads in ["2", "4"] {
-        assert_eq!(
-            serial,
-            run(threads),
-            "fig14 stdout must be byte-identical at --threads {threads}"
-        );
-    }
+    run_quick_against_golden("fig14_multi_replica");
 }
 
 #[test]
 fn fig15_mixed_precision_runs() {
-    run_quick("fig15_mixed_precision");
+    run_quick_against_golden("fig15_mixed_precision");
 }
 
 #[test]
 fn fig16_multi_turn_runs() {
-    run_quick("fig16_multi_turn");
+    run_quick_against_golden("fig16_multi_turn");
 }
 
 #[test]
 fn fig17_admission_runs() {
-    run_quick("fig17_admission");
+    run_quick_against_golden("fig17_admission");
 }
 
 #[test]
 fn fig18_fleet_dynamics_runs() {
-    run_quick("fig18_fleet_dynamics");
+    run_quick_against_golden("fig18_fleet_dynamics");
+}
+
+/// Rewrites the six serving-figure fixtures from the current binaries.
+/// Ignored so a normal test run can never bless its own regression;
+/// run explicitly after an intentional output change:
+/// `cargo test --test figure_smoke -- --ignored`.
+#[test]
+#[ignore]
+fn regenerate_golden_fixtures() {
+    for bin in SERVING_FIGURES {
+        std::fs::write(golden_path(bin), run_quick(bin)).expect("write figure fixture");
+    }
 }
