@@ -24,8 +24,7 @@ pub struct AttentionStep {
 ///
 /// `bias[j]` is an additive logit bias for KV row `j` — the hook through
 /// which `alisa-model` injects ALiBi-style recency and heavy-hitter sink
-/// structure (see `DESIGN.md` §2.1). Pass `None` for pure dot-product
-/// attention.
+/// structure. Pass `None` for pure dot-product attention.
 ///
 /// # Errors
 ///

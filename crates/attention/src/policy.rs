@@ -302,7 +302,7 @@ impl SwaPolicy {
 
     /// An SWA variant spending `frac ∈ [0, 1]` of the budget on the
     /// local window and the rest on globally dynamic tokens — the
-    /// design-choice ablation of `DESIGN.md` §7. `frac = 1.0`
+    /// design-choice ablation the `ablation_swa` bin sweeps. `frac = 1.0`
     /// degenerates to local attention, `frac → 0` to pure heavy-hitter
     /// selection.
     ///

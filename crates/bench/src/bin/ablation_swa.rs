@@ -1,4 +1,4 @@
-//! Design-choice ablations beyond the paper's figures (`DESIGN.md` §7):
+//! Design-choice ablations beyond the paper's figures:
 //!
 //! 1. **Local/global budget split** — the paper fixes an even split
 //!    (Algorithm 1); we sweep the local fraction from pure heavy-hitter

@@ -8,7 +8,7 @@
 //! * (c) ablation: SWA alone → +dynamic scheduling → +INT8 compression
 //!   contribute comparably, each growing with sparsity.
 //!
-//! Ablation mapping (`DESIGN.md` §7): "SWA" runs the sparse working set
+//! Ablation mapping: "SWA" runs the sparse working set
 //! under an eager, recompute-free plan (static-style placement); "+DS"
 //! adds the three-phase plan with working-set-aware placement and
 //! recomputation; "+INT8" adds KV compression.

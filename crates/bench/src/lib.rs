@@ -1,7 +1,8 @@
 //! Shared harness utilities for the figure/table binaries.
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the
-//! paper (see `DESIGN.md` §4 for the index) and prints the same rows or
+//! paper (see "Mapping modules to the paper" in `docs/ARCHITECTURE.md`
+//! for the index) and prints the same rows or
 //! series the paper plots. All binaries accept `--quick` to run a
 //! reduced sweep — the integration tests use it as a smoke test.
 

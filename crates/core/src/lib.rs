@@ -15,8 +15,9 @@
 //! 3. **KV compression** (`alisa_tensor::quant`) — channel-wise INT8
 //!    storage of offloaded KV tensors.
 //!
-//! Two evaluation paths mirror the paper's methodology (see
-//! `DESIGN.md`): a *functional* path that executes a laptop-scale
+//! Two evaluation paths mirror the paper's methodology (see "Two
+//! evaluation paths, one cost model" in `docs/ARCHITECTURE.md`): a
+//! *functional* path that executes a laptop-scale
 //! transformer for accuracy/attention statistics, and a *performance*
 //! path that runs the real scheduling algorithms at paper-scale model
 //! dimensions over an analytic hardware model.
@@ -174,8 +175,7 @@ impl Alisa {
     }
 
     /// Builds a laptop-scale functional model whose attention statistics
-    /// emulate `emulated` (scale-dependent concentration, `DESIGN.md`
-    /// §2.1).
+    /// emulate `emulated` (scale-dependent concentration).
     pub fn functional_model(&self, emulated: &ModelConfig) -> TinyTransformer {
         let init = InitSpec::default().with_concentration_for_params(emulated.params());
         TinyTransformer::structured(ModelConfig::tiny_4l(), init)

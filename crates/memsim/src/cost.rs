@@ -145,13 +145,6 @@ impl CostModel {
         self.vector_op_time(bytes)
     }
 
-    /// Bit-width-aware [`CostModel::transfer_time`]: moves
-    /// `fp16_bytes` of working-precision KV across the link stored at
-    /// `precision`, so only the reduced-width bytes pay bandwidth.
-    pub fn transfer_time_at(&self, fp16_bytes: u64, precision: KvPrecision) -> f64 {
-        self.transfer_time(precision.bytes_of_fp16(fp16_bytes))
-    }
-
     /// Bit-width-aware [`CostModel::quantize_time`]: the quantize (or
     /// dequantize) pass for `fp16_bytes` of working-precision KV headed
     /// to / coming from storage at `precision`. FP16 needs no pass and
@@ -311,10 +304,6 @@ mod tests {
         let m = model();
         let bytes = 1u64 << 26;
         // FP16: identical to the unscaled calls, zero quantize cost.
-        assert_eq!(
-            m.transfer_time_at(bytes, KvPrecision::Fp16),
-            m.transfer_time(bytes)
-        );
         assert_eq!(m.quantize_time_at(bytes, KvPrecision::Fp16), 0.0);
         assert_eq!(
             m.replica_transfer_time_at(bytes, KvPrecision::Fp16),
@@ -322,10 +311,6 @@ mod tests {
         );
         // INT8: exactly the legacy "halve the bytes, pay a quantize
         // pass over the compressed stream" pricing.
-        assert_eq!(
-            m.transfer_time_at(bytes, KvPrecision::Int8),
-            m.transfer_time(bytes / 2)
-        );
         assert_eq!(
             m.quantize_time_at(bytes, KvPrecision::Int8),
             m.quantize_time(bytes / 2)
@@ -336,10 +321,6 @@ mod tests {
     fn lower_precision_is_monotone_cheaper_on_the_link() {
         let m = model();
         let bytes = 1u64 << 26;
-        let t16 = m.transfer_time_at(bytes, KvPrecision::Fp16);
-        let t8 = m.transfer_time_at(bytes, KvPrecision::Int8);
-        let t4 = m.transfer_time_at(bytes, KvPrecision::Int4);
-        assert!(t16 > t8 && t8 > t4);
         let h16 = m.replica_transfer_time_at(bytes, KvPrecision::Fp16);
         let h8 = m.replica_transfer_time_at(bytes, KvPrecision::Int8);
         let h4 = m.replica_transfer_time_at(bytes, KvPrecision::Int4);

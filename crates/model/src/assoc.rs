@@ -1,5 +1,5 @@
 //! Hand-constructed associative-retrieval model for QA-style accuracy
-//! experiments (`DESIGN.md` §2.1).
+//! experiments.
 //!
 //! The paper evaluates 4-shot question answering, where the answer
 //! requires retrieving information stated earlier in the prompt. We

@@ -2,7 +2,7 @@
 //!
 //! Trained LLMs are unavailable offline, so the functional models are
 //! *constructed* to exhibit the three attention statistics the paper
-//! measures and exploits (`DESIGN.md` §2.1):
+//! measures and exploits:
 //!
 //! 1. **Heavy hitters** — a fraction of the vocabulary ("anchor" tokens:
 //!    think `capital`, `France` in the paper's §III-B example) receives a

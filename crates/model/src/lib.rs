@@ -1,7 +1,8 @@
 //! Transformer-decoder substrate for the ALISA reproduction.
 //!
 //! Two faithful stand-ins for the paper's trained OPT/LLaMA/Pythia
-//! checkpoints (see `DESIGN.md` §2.1):
+//! checkpoints (see "Two evaluation paths, one cost model" in
+//! `docs/ARCHITECTURE.md`):
 //!
 //! * [`config`] — model-architecture descriptions carrying the **real**
 //!   dimensions of every model the paper evaluates (layer count, hidden

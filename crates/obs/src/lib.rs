@@ -26,9 +26,8 @@
 //! * [`profile`] — self-profiling of the *simulator itself*: real
 //!   wall time bucketed into simulator phases (top-K selection,
 //!   event-queue scan, discipline ordering, step pricing, …) behind a
-//!   single atomic flag, so the ROADMAP's "close the 100× scheduler
-//!   gap" item has a measurement instrument. This is the one module
-//!   that touches wall clocks — and it never feeds event timestamps.
+//!   single atomic flag. This is the one module that touches wall
+//!   clocks — and it never feeds event timestamps.
 //! * [`perfetto`] — renders a collected event stream as Chrome
 //!   trace-event / Perfetto JSON: one lane per replica, one span per
 //!   request, instants for rejections and preemptions.

@@ -127,11 +127,6 @@ impl MetricsRegistry {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Reads a histogram, if any observation was recorded under `name`.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.hists.get(name)
-    }
-
     /// Applies the standard event → metric mapping for one event.
     pub fn record(&mut self, event: &Event) {
         match &event.kind {

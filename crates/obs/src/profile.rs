@@ -3,9 +3,7 @@
 //!
 //! This is the one module in the crate that touches wall clocks, and
 //! it never feeds event timestamps — traces stay byte-stable while
-//! the profiler measures where the *host* time goes (the instrument
-//! the ROADMAP's "close the ~120× scheduler hot-path gap" item
-//! needs before any optimization can claim a win).
+//! the profiler measures where the *host* time goes.
 //!
 //! Design: a process-global `AtomicBool` gate plus one relaxed
 //! `AtomicU64` pair (nanoseconds, calls) per [`Phase`]. Disabled cost
@@ -26,7 +24,7 @@ pub enum Phase {
     EventScan,
     /// Queue-discipline ordering, admission, and preemption search.
     Discipline,
-    /// Per-step KV pricing (`step_time_sessions`).
+    /// Per-step KV pricing (`ServeEngine::step_time`).
     Pricing,
     /// Token accounting, completions, and retention upkeep.
     Accounting,

@@ -1,9 +1,10 @@
 //! Shared simulation machinery: resident-memory setup, per-step compute
-//! pricing, and OOM report plumbing used by every system simulator.
+//! pricing, and OOM report plumbing used by every system simulator. The
+//! serving engine in `alisa-serve` prices its steps through the same
+//! [`SimBase`] compute formulas and its [`CostModel`] byte formulas.
 
 use alisa_memsim::{CostModel, HardwareSpec, MemClass, MemPool, OomError, Timeline};
 use alisa_model::ModelConfig;
-use alisa_tensor::quant::KvPrecision;
 
 use crate::report::{Outcome, RunReport};
 use crate::workload::Workload;
@@ -33,102 +34,6 @@ pub mod efficiency {
 /// engine so the traffic model cannot drift between them.
 pub fn delegated_attention_qr_bytes(b: usize, hidden_dim: usize) -> u64 {
     (2 * b * hidden_dim * FP16) as u64
-}
-
-/// Per-step cost model shared by every execution engine in the
-/// workspace — the offline batch simulators in this crate and the
-/// online serving engine in `alisa-serve` price their steps through
-/// this one interface, so compute/transfer costs can never drift apart
-/// between the two evaluation paths.
-///
-/// Object-safe on purpose: engines that only need pricing can hold a
-/// `&dyn StepExecutor` without knowing about [`SimBase`]'s pools.
-pub trait StepExecutor {
-    /// Wall-clock seconds of a prefill pass over `s` prompt tokens for a
-    /// batch of `b` sequences at framework efficiency `eff`.
-    fn prefill_time(&self, model: &ModelConfig, b: usize, s: usize, eff: f64) -> f64;
-
-    /// Wall-clock seconds of one decoding step attending `kv_tokens`
-    /// cached tokens per sequence at batch `b` (MHA + FFN).
-    fn decode_time(&self, model: &ModelConfig, b: usize, kv_tokens: usize, eff: f64) -> f64;
-
-    /// ALISA's sparse-token selection overhead for one step.
-    fn selection_time(
-        &self,
-        model: &ModelConfig,
-        b: usize,
-        seq_len: usize,
-        kept: usize,
-        history_depth: usize,
-    ) -> f64;
-
-    /// CPU–GPU link time for `bytes` in either direction.
-    fn link_time(&self, bytes: u64) -> f64;
-
-    /// Host-side memory time for `bytes` (CPU-delegated attention /
-    /// repacking).
-    fn host_memory_time(&self, bytes: u64) -> f64;
-
-    /// GPU-side quantize/dequantize time for `bytes` of KV data.
-    fn quant_time(&self, bytes: u64) -> f64;
-
-    /// Time to hand `bytes` of KV state from one replica's HBM to
-    /// another's, staged through host DRAM (device-to-host leg, CPU
-    /// repack, host-to-device leg). Prefill/decode disaggregation in
-    /// `alisa-serve` charges completed-prompt handoffs through this.
-    fn handoff_time(&self, bytes: u64) -> f64;
-
-    /// Bit-width-aware [`StepExecutor::link_time`]: `fp16_bytes` of
-    /// working-precision KV cross the link stored at `precision`, so
-    /// only the reduced bytes pay bandwidth.
-    ///
-    /// The default impls of the `*_at` methods are stated in terms of
-    /// the primitive methods above; [`SimBase`] overrides them to
-    /// delegate to the canonical `CostModel::*_at` variants (the two
-    /// formulations agree — asserted in tests).
-    fn link_time_at(&self, fp16_bytes: u64, precision: KvPrecision) -> f64 {
-        self.link_time(precision.bytes_of_fp16(fp16_bytes))
-    }
-
-    /// Bit-width-aware [`StepExecutor::quant_time`]: the quantize /
-    /// dequantize pass for `fp16_bytes` of working-precision KV stored
-    /// at `precision` (zero for FP16 — no pass needed).
-    fn quant_time_at(&self, fp16_bytes: u64, precision: KvPrecision) -> f64 {
-        if precision.is_quantized() {
-            self.quant_time(precision.bytes_of_fp16(fp16_bytes))
-        } else {
-            0.0
-        }
-    }
-
-    /// Bit-width-aware [`StepExecutor::handoff_time`]: the replica
-    /// handoff of `fp16_bytes` of working-precision KV stored at
-    /// `precision` — reduced bytes on both link legs and the host
-    /// repack, plus the sender-side quantize and receiver-side
-    /// dequantize passes when quantized.
-    fn handoff_time_at(&self, fp16_bytes: u64, precision: KvPrecision) -> f64 {
-        self.handoff_time(precision.bytes_of_fp16(fp16_bytes))
-            + 2.0 * self.quant_time_at(fp16_bytes, precision)
-    }
-
-    /// Wall-clock seconds of the *cross*-attention in a prefix-reuse
-    /// prefill: `s_new` suffix query tokens each attending `kv_tokens`
-    /// of already-resident context KV (a reused session prefix). Only
-    /// the context-length-dependent attention work is priced — the
-    /// suffix's projections, causal self-attention, and FFN are covered
-    /// by [`StepExecutor::prefill_time`] over the suffix. Stated in
-    /// terms of the primitive methods: the attended-KV-dependent part
-    /// of a decode step with `s_new` query rows.
-    fn context_attention_time(
-        &self,
-        model: &ModelConfig,
-        s_new: usize,
-        kv_tokens: usize,
-        eff: f64,
-    ) -> f64 {
-        (self.decode_time(model, s_new, kv_tokens, eff) - self.decode_time(model, s_new, 1, eff))
-            .max(0.0)
-    }
 }
 
 /// Mutable simulation state shared by all system simulators: the cost
@@ -244,6 +149,24 @@ impl SimBase {
         l * (local_sum + topk + gather)
     }
 
+    /// Compute time of the cross-attention in a prefix-reuse prefill:
+    /// `s_new` suffix queries each attending `kv_tokens` of resident
+    /// context KV. Only the context-length-dependent part of a decode
+    /// step with `s_new` query rows is charged; the suffix's own
+    /// projections, self-attention and FFN are
+    /// [`SimBase::prefill_compute`] over the suffix.
+    pub fn context_attention_time(
+        &self,
+        model: &ModelConfig,
+        s_new: usize,
+        kv_tokens: usize,
+        eff: f64,
+    ) -> f64 {
+        let (mha, ffn) = self.decode_compute(model, s_new, kv_tokens, eff);
+        let (mha_1, ffn_1) = self.decode_compute(model, s_new, 1, eff);
+        ((mha + ffn) - (mha_1 + ffn_1)).max(0.0)
+    }
+
     /// Wraps this state into a completed report.
     pub fn completed(self, system: &str, model: &ModelConfig, wl: &Workload) -> RunReport {
         RunReport {
@@ -274,59 +197,6 @@ impl SimBase {
             },
             timeline: self.timeline,
         }
-    }
-}
-
-impl StepExecutor for SimBase {
-    fn prefill_time(&self, model: &ModelConfig, b: usize, s: usize, eff: f64) -> f64 {
-        self.prefill_compute(model, b, s, eff)
-    }
-
-    fn decode_time(&self, model: &ModelConfig, b: usize, kv_tokens: usize, eff: f64) -> f64 {
-        let (mha, ffn) = self.decode_compute(model, b, kv_tokens, eff);
-        mha + ffn
-    }
-
-    fn selection_time(
-        &self,
-        model: &ModelConfig,
-        b: usize,
-        seq_len: usize,
-        kept: usize,
-        history_depth: usize,
-    ) -> f64 {
-        self.selection_overhead(model, b, seq_len, kept, history_depth)
-    }
-
-    fn link_time(&self, bytes: u64) -> f64 {
-        self.cost.transfer_time(bytes)
-    }
-
-    fn host_memory_time(&self, bytes: u64) -> f64 {
-        self.cost.cpu_pack_time(bytes)
-    }
-
-    fn quant_time(&self, bytes: u64) -> f64 {
-        self.cost.quantize_time(bytes)
-    }
-
-    fn handoff_time(&self, bytes: u64) -> f64 {
-        self.cost.replica_transfer_time(bytes)
-    }
-
-    // The *_at methods delegate to the canonical bit-width-aware
-    // variants in `alisa_memsim::CostModel` rather than relying on the
-    // trait defaults, so memsim owns the one authoritative formula.
-    fn link_time_at(&self, fp16_bytes: u64, precision: KvPrecision) -> f64 {
-        self.cost.transfer_time_at(fp16_bytes, precision)
-    }
-
-    fn quant_time_at(&self, fp16_bytes: u64, precision: KvPrecision) -> f64 {
-        self.cost.quantize_time_at(fp16_bytes, precision)
-    }
-
-    fn handoff_time_at(&self, fp16_bytes: u64, precision: KvPrecision) -> f64 {
-        self.cost.replica_transfer_time_at(fp16_bytes, precision)
     }
 }
 
@@ -426,99 +296,6 @@ mod tests {
             sel < (mha + ffn),
             "selection {sel:.4}s must not dominate compute {:.4}s",
             mha + ffn
-        );
-    }
-
-    #[test]
-    fn step_executor_matches_inherent_methods() {
-        // The trait is the shared pricing surface for alisa-serve; it
-        // must agree exactly with the inherent methods the offline
-        // simulators call.
-        let b = base();
-        let m = ModelConfig::opt_6_7b();
-        let exec: &dyn StepExecutor = &b;
-        let (mha, ffn) = b.decode_compute(&m, 16, 256, 0.85);
-        assert_eq!(exec.decode_time(&m, 16, 256, 0.85), mha + ffn);
-        assert_eq!(
-            exec.prefill_time(&m, 8, 128, 1.0),
-            b.prefill_compute(&m, 8, 128, 1.0)
-        );
-        assert_eq!(
-            exec.selection_time(&m, 8, 640, 128, 4),
-            b.selection_overhead(&m, 8, 640, 128, 4)
-        );
-        assert_eq!(exec.link_time(1 << 20), b.cost.transfer_time(1 << 20));
-        assert_eq!(
-            exec.host_memory_time(1 << 20),
-            b.cost.cpu_pack_time(1 << 20)
-        );
-        assert_eq!(exec.quant_time(1 << 20), b.cost.quantize_time(1 << 20));
-        assert_eq!(
-            exec.handoff_time(1 << 20),
-            b.cost.replica_transfer_time(1 << 20)
-        );
-    }
-
-    #[test]
-    fn precision_aware_executor_matches_cost_model_variants() {
-        // A shim that implements only the primitive methods, so the
-        // trait's *default* `*_at` formulas stay exercised and cannot
-        // silently diverge from the canonical `CostModel::*_at`
-        // variants SimBase delegates to.
-        struct Defaults<'a>(&'a SimBase);
-        impl StepExecutor for Defaults<'_> {
-            fn prefill_time(&self, m: &ModelConfig, b: usize, s: usize, e: f64) -> f64 {
-                self.0.prefill_time(m, b, s, e)
-            }
-            fn decode_time(&self, m: &ModelConfig, b: usize, kv: usize, e: f64) -> f64 {
-                self.0.decode_time(m, b, kv, e)
-            }
-            fn selection_time(
-                &self,
-                m: &ModelConfig,
-                b: usize,
-                s: usize,
-                k: usize,
-                h: usize,
-            ) -> f64 {
-                self.0.selection_time(m, b, s, k, h)
-            }
-            fn link_time(&self, bytes: u64) -> f64 {
-                self.0.link_time(bytes)
-            }
-            fn host_memory_time(&self, bytes: u64) -> f64 {
-                self.0.host_memory_time(bytes)
-            }
-            fn quant_time(&self, bytes: u64) -> f64 {
-                self.0.quant_time(bytes)
-            }
-            fn handoff_time(&self, bytes: u64) -> f64 {
-                self.0.handoff_time(bytes)
-            }
-        }
-        let b = base();
-        let defaults = Defaults(&b);
-        let exec: &dyn StepExecutor = &b;
-        let bytes = 1u64 << 22;
-        for p in [KvPrecision::Fp16, KvPrecision::Int8, KvPrecision::Int4] {
-            for e in [exec, &defaults as &dyn StepExecutor] {
-                assert_eq!(e.link_time_at(bytes, p), b.cost.transfer_time_at(bytes, p));
-                assert_eq!(e.quant_time_at(bytes, p), b.cost.quantize_time_at(bytes, p));
-                assert_eq!(
-                    e.handoff_time_at(bytes, p),
-                    b.cost.replica_transfer_time_at(bytes, p)
-                );
-            }
-        }
-        // FP16 reduces to the unscaled legacy calls.
-        assert_eq!(
-            exec.link_time_at(bytes, KvPrecision::Fp16),
-            exec.link_time(bytes)
-        );
-        assert_eq!(exec.quant_time_at(bytes, KvPrecision::Fp16), 0.0);
-        assert_eq!(
-            exec.handoff_time_at(bytes, KvPrecision::Fp16),
-            exec.handoff_time(bytes)
         );
     }
 

@@ -7,7 +7,8 @@
 //! DeepSpeed-ZeRO's weight streaming — and walks it step by step over
 //! the analytic hardware model of `alisa-memsim` at the paper's true
 //! model dimensions. Only the clock is analytic; every byte moved and
-//! every token placed follows the real algorithm (`DESIGN.md` §2.2).
+//! every token placed follows the real algorithm (see "Two evaluation
+//! paths, one cost model" in `docs/ARCHITECTURE.md`).
 //!
 //! # Example
 //!
@@ -36,7 +37,7 @@ pub mod workload;
 
 pub use accelerate::AccelerateScheduler;
 pub use alisa::{AlisaScheduler, GlobalSetModel, Plan, PlanOptimizer, TopKScratch};
-pub use common::{SimBase, StepExecutor};
+pub use common::SimBase;
 pub use deepspeed::DeepSpeedZeroScheduler;
 pub use flexgen::FlexGenScheduler;
 pub use gpu_only::GpuOnlyScheduler;

@@ -17,11 +17,12 @@
 //!   `(1 − sparsity) ×` dense KV plus a small streaming margin — so the
 //!   same HBM headroom admits a several-fold larger concurrent batch;
 //!   the price is the per-step selection overhead and offload traffic,
-//!   both charged through the shared [`StepExecutor`] cost model.
+//!   charged through the offline simulators' [`SimBase`] and
+//!   `CostModel` formulas.
 
 use alisa_model::ModelConfig;
 use alisa_sched::common::{delegated_attention_qr_bytes, efficiency, FP16};
-use alisa_sched::StepExecutor;
+use alisa_sched::SimBase;
 use alisa_tensor::quant::PrecisionPolicy;
 use serde::{Deserialize, Serialize};
 
@@ -192,7 +193,7 @@ impl AdmissionPolicy {
     }
 
     /// KV tokens per sequence the GPU attends over at `seq_len` — the
-    /// `kv_tokens` argument of [`StepExecutor::decode_time`].
+    /// `kv_tokens` argument of [`SimBase::decode_compute`].
     pub fn attended_tokens(&self, seq_len: usize) -> usize {
         match *self {
             AdmissionPolicy::Alisa { sparsity, .. } => {
@@ -220,7 +221,7 @@ impl AdmissionPolicy {
     /// the paper's flat INT8 halving.
     pub fn step_overhead(
         &self,
-        exec: &dyn StepExecutor,
+        sim: &SimBase,
         model: &ModelConfig,
         b: usize,
         mean_seq: usize,
@@ -232,7 +233,7 @@ impl AdmissionPolicy {
                 precision,
             } => {
                 let budget = self.attended_tokens(mean_seq);
-                let selection = exec.selection_time(model, b, mean_seq, budget, 4);
+                let selection = sim.selection_overhead(model, b, mean_seq, budget, 4);
                 // Each step appends one token per sequence; in steady
                 // state a `sparsity` share of it leaves the working set
                 // for host memory, and a small share of the resident
@@ -252,11 +253,11 @@ impl AdmissionPolicy {
                     precision.cpu_bytes(store) + precision.cpu_reload_bytes(reload)
                 };
                 let quant = if precision.quantizes_cpu() {
-                    exec.quant_time(link_bytes)
+                    sim.cost.quantize_time(link_bytes)
                 } else {
                     0.0
                 };
-                selection + exec.link_time(link_bytes) + quant
+                selection + sim.cost.transfer_time(link_bytes) + quant
             }
             AdmissionPolicy::VllmPaged { .. } => 0.0,
             AdmissionPolicy::FlexGenStatic { cpu_fraction } => {
@@ -269,7 +270,7 @@ impl AdmissionPolicy {
                 let cpu_bytes = (b as f64 * mean_seq as f64 * cpu_fraction * per_tok as f64) as u64;
                 let qr_bytes = delegated_attention_qr_bytes(b, model.hidden_dim);
                 let store = (b as f64 * cpu_fraction * per_tok as f64) as u64;
-                exec.host_memory_time(cpu_bytes) + exec.link_time(qr_bytes + store)
+                sim.cost.cpu_pack_time(cpu_bytes) + sim.cost.transfer_time(qr_bytes + store)
             }
         }
     }
@@ -279,7 +280,6 @@ impl AdmissionPolicy {
 mod tests {
     use super::*;
     use alisa_memsim::HardwareSpec;
-    use alisa_sched::SimBase;
 
     #[test]
     fn alisa_reserves_a_fraction_of_dense() {
@@ -315,10 +315,10 @@ mod tests {
     #[test]
     fn overheads_rank_as_expected() {
         let model = ModelConfig::opt_6_7b();
-        let exec = SimBase::new(&HardwareSpec::v100_16gb());
-        let vllm = AdmissionPolicy::vllm().step_overhead(&exec, &model, 16, 512);
-        let alisa = AdmissionPolicy::alisa().step_overhead(&exec, &model, 16, 512);
-        let flex = AdmissionPolicy::flexgen().step_overhead(&exec, &model, 16, 512);
+        let sim = SimBase::new(&HardwareSpec::v100_16gb());
+        let vllm = AdmissionPolicy::vllm().step_overhead(&sim, &model, 16, 512);
+        let alisa = AdmissionPolicy::alisa().step_overhead(&sim, &model, 16, 512);
+        let flex = AdmissionPolicy::flexgen().step_overhead(&sim, &model, 16, 512);
         assert_eq!(vllm, 0.0);
         assert!(alisa > 0.0, "ALISA pays selection + traffic");
         assert!(
@@ -330,13 +330,13 @@ mod tests {
     #[test]
     fn precision_orders_link_overhead_contribution() {
         let model = ModelConfig::opt_6_7b();
-        let exec = SimBase::new(&HardwareSpec::v100_16gb());
+        let sim = SimBase::new(&HardwareSpec::v100_16gb());
         let at = |precision| {
             AdmissionPolicy::Alisa {
                 sparsity: 0.8,
                 precision,
             }
-            .step_overhead(&exec, &model, 32, 512)
+            .step_overhead(&sim, &model, 32, 512)
         };
         let fp16 = at(PrecisionPolicy::fp16());
         let int8 = at(PrecisionPolicy::int8());

@@ -22,8 +22,8 @@
 //! * [`QueueDiscipline::PreemptiveSjf`] — SJF ordering plus victim
 //!   selection: once a blocked candidate has waited past a patience
 //!   threshold, the cheapest-to-restart running request is evicted and
-//!   re-queued (its re-prefill priced through the shared
-//!   `StepExecutor` path when it is re-admitted).
+//!   re-queued (its re-prefill priced through
+//!   [`crate::ServeEngine::step_time`] when it is re-admitted).
 //!
 //! Disciplines are pure ordering rules over `(reservation bytes, wait
 //! time, headroom)`; they never touch the pricing model, so every

@@ -7,8 +7,9 @@
 //! timeout, admits in the [`QueueDiscipline`]'s order (FCFS by default)
 //! while the KV budget and batch cap allow, then executes one engine
 //! step — batched prefill for the newly admitted plus one decode token
-//! for every running request — priced through the [`StepExecutor`] cost
-//! model shared with the offline simulators. When nothing is in flight
+//! for every running request — priced through the offline simulators'
+//! [`SimBase`] compute and `CostModel` byte formulas
+//! ([`ServeEngine::step_time`]). When nothing is in flight
 //! the clock jumps to the next arrival, so idle traces cost nothing to
 //! simulate. The engine has no event loop of its own: it runs as a
 //! 1-replica fleet through the router's loop ([`crate::Router`]).
@@ -22,7 +23,7 @@ use alisa_memsim::HardwareSpec;
 use alisa_model::ModelConfig;
 use alisa_obs::{NullSink, TraceSink};
 use alisa_sched::common::FP16;
-use alisa_sched::{SimBase, StepExecutor};
+use alisa_sched::SimBase;
 use serde::{Deserialize, Serialize};
 
 use crate::admission::AdmissionPolicy;
@@ -172,8 +173,6 @@ pub struct ServeConfig {
     /// and whether blocked candidates may preempt). FCFS — the
     /// default — reproduces pre-discipline reports byte-for-byte.
     pub discipline: QueueDiscipline,
-    /// Cap on concurrently decoding requests.
-    pub max_batch: usize,
     /// Latency SLO for goodput accounting.
     pub slo: SloSpec,
     /// Reject requests queued longer than this (seconds;
@@ -187,8 +186,8 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// Builds a config with a hardware-derived SLO, batch cap 64, and
-    /// no queue timeout.
+    /// Builds a config with a hardware-derived SLO and no queue
+    /// timeout.
     pub fn new(model: ModelConfig, hardware: HardwareSpec, policy: AdmissionPolicy) -> Self {
         let slo = derived_slo(&model, &hardware);
         ServeConfig {
@@ -196,7 +195,6 @@ impl ServeConfig {
             hardware,
             policy,
             discipline: QueueDiscipline::Fcfs,
-            max_batch: 64,
             slo,
             queue_timeout_s: f64::INFINITY,
             closed_loop: None,
@@ -204,26 +202,9 @@ impl ServeConfig {
         }
     }
 
-    /// Overrides the SLO.
-    pub fn with_slo(mut self, slo: SloSpec) -> Self {
-        self.slo = slo;
-        self
-    }
-
     /// Overrides the queue timeout.
     pub fn with_queue_timeout(mut self, seconds: f64) -> Self {
         self.queue_timeout_s = seconds;
-        self
-    }
-
-    /// Overrides the batch cap.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_batch` is zero.
-    pub fn with_max_batch(mut self, max_batch: usize) -> Self {
-        assert!(max_batch > 0, "max_batch must be positive");
-        self.max_batch = max_batch;
         self
     }
 
@@ -252,10 +233,11 @@ impl ServeConfig {
 /// dense decode step. Policy-independent, so every policy is graded
 /// against the same bar.
 pub fn derived_slo(model: &ModelConfig, hardware: &HardwareSpec) -> SloSpec {
-    let exec = SimBase::new(hardware);
+    let sim = SimBase::new(hardware);
+    let (mha, ffn) = sim.decode_compute(model, 64, 768, 0.85);
     SloSpec {
-        ttft_s: 25.0 * exec.prefill_time(model, 1, 256, 0.85),
-        tbt_s: 6.0 * exec.decode_time(model, 64, 768, 0.85),
+        ttft_s: 25.0 * sim.prefill_compute(model, 1, 256, 0.85),
+        tbt_s: 6.0 * (mha + ffn),
     }
 }
 
@@ -264,17 +246,17 @@ pub fn derived_slo(model: &ModelConfig, hardware: &HardwareSpec) -> SloSpec {
 #[derive(Debug, Clone)]
 pub struct ServeEngine {
     cfg: ServeConfig,
-    exec: SimBase,
+    sim: SimBase,
     reference_paths: bool,
 }
 
 impl ServeEngine {
     /// Builds the engine (and its cost model) for a config.
     pub fn new(cfg: ServeConfig) -> Self {
-        let exec = SimBase::new(&cfg.hardware);
+        let sim = SimBase::new(&cfg.hardware);
         ServeEngine {
             cfg,
-            exec,
+            sim,
             reference_paths: false,
         }
     }
@@ -292,11 +274,6 @@ impl ServeEngine {
     /// The config in use.
     pub fn config(&self) -> &ServeConfig {
         &self.cfg
-    }
-
-    /// The shared per-step cost model.
-    pub fn executor(&self) -> &dyn StepExecutor {
-        &self.exec
     }
 
     /// GPU bytes this engine reserves for one request (KV working set
@@ -365,21 +342,9 @@ impl ServeEngine {
             .cfg
             .policy
             .kv_working_set_fp16(&self.cfg.model, prompt_len);
-        let exec: &dyn StepExecutor = &self.exec;
-        exec.handoff_time_at(fp16, self.cfg.policy.precision().handoff)
-    }
-
-    /// Wall-clock cost of one engine step: per-request prefill passes
-    /// for the newly admitted prompts (`prefill_lens`), one decode token
-    /// for every running sequence (`running_seq_lens`, raw lengths — the
-    /// policy's attended-token rule is applied here), and the policy's
-    /// per-step selection/offload overhead. This is the single pricing
-    /// path shared by [`ServeEngine::run`] and the multi-replica
-    /// [`crate::Router`], so per-step costs cannot drift between
-    /// single-replica and fleet simulations.
-    pub fn step_time(&self, prefill_lens: &[usize], running_seq_lens: &[usize]) -> f64 {
-        let jobs: Vec<PrefillJob> = prefill_lens.iter().copied().map(PrefillJob::full).collect();
-        self.step_time_sessions(&jobs, running_seq_lens)
+        self.sim
+            .cost
+            .replica_transfer_time_at(fp16, self.cfg.policy.precision().handoff)
     }
 
     /// Relative serving capability of this replica: decode throughput
@@ -399,19 +364,22 @@ impl ServeEngine {
         REF_BATCH as f64 / dt.max(1e-12)
     }
 
-    /// [`ServeEngine::step_time`] generalized to session prefix reuse:
-    /// a [`PrefillJob`] with a reused prefix only runs its suffix
-    /// through the model (`prefill_time` over the new tokens), then
-    /// pays cross-attention of those suffix queries over the retained
-    /// sparse prefix ([`StepExecutor::context_attention_time`] at the
-    /// policy's attended-token count) plus a dequantize pass when the
-    /// GPU cache region is quantized. Jobs with nothing reused price
-    /// exactly like the legacy path, so no-retention runs are
-    /// byte-identical.
-    pub fn step_time_sessions(&self, prefills: &[PrefillJob], running_seq_lens: &[usize]) -> f64 {
+    /// Wall-clock cost of one engine step: a prefill pass per newly
+    /// admitted prompt (`prefills`), one decode token for every running
+    /// sequence (`running_seq_lens`, raw lengths — the policy's
+    /// attended-token rule is applied here), and the policy's per-step
+    /// selection/offload overhead. A [`PrefillJob`] with a reused
+    /// session prefix only runs its suffix through the model
+    /// ([`SimBase::prefill_compute`] over the new tokens), then pays
+    /// cross-attention of those suffix queries over the retained sparse
+    /// prefix ([`SimBase::context_attention_time`] at the policy's
+    /// attended-token count) plus a dequantize pass when the GPU cache
+    /// region is quantized. Every replica step in the engine and the
+    /// multi-replica [`crate::Router`] is priced here.
+    pub fn step_time(&self, prefills: &[PrefillJob], running_seq_lens: &[usize]) -> f64 {
         let cfg = &self.cfg;
         let model = &cfg.model;
-        let exec: &dyn StepExecutor = &self.exec;
+        let sim = &self.sim;
         let eff = cfg.policy.efficiency();
         // Prefills are priced per-request (chunked-prefill style):
         // attention cost is quadratic in the prompt length, so pricing a
@@ -419,12 +387,12 @@ impl ServeEngine {
         // undercharge (Cauchy–Schwarz: b·mean(s)² ≤ Σ s_i²).
         let mut step_time = 0.0;
         for p in prefills {
-            step_time += exec.prefill_time(model, 1, p.new_tokens(), eff);
+            step_time += sim.prefill_compute(model, 1, p.new_tokens(), eff);
             if p.reused_prefix > 0 {
                 let ctx = cfg.policy.attended_tokens(p.reused_prefix);
-                step_time += exec.context_attention_time(model, p.new_tokens(), ctx, eff);
+                step_time += sim.context_attention_time(model, p.new_tokens(), ctx, eff);
                 let fp16 = cfg.policy.kv_working_set_fp16(model, p.reused_prefix);
-                step_time += exec.quant_time_at(fp16, cfg.policy.precision().gpu);
+                step_time += sim.cost.quantize_time_at(fp16, cfg.policy.precision().gpu);
             }
         }
         if !running_seq_lens.is_empty() {
@@ -433,7 +401,8 @@ impl ServeEngine {
                 .map(|&s| cfg.policy.attended_tokens(s))
                 .sum::<usize>()
                 / running_seq_lens.len();
-            step_time += exec.decode_time(model, running_seq_lens.len(), mean_kv.max(1), eff);
+            let (mha, ffn) = sim.decode_compute(model, running_seq_lens.len(), mean_kv.max(1), eff);
+            step_time += mha + ffn;
         }
         let batch = running_seq_lens.len() + prefills.len();
         // The selection/offload overhead sees the *full* sequences —
@@ -443,9 +412,7 @@ impl ServeEngine {
             .sum::<usize>()
             .checked_div(batch)
         {
-            step_time += cfg
-                .policy
-                .step_overhead(exec, model, batch, mean_seq.max(1));
+            step_time += cfg.policy.step_overhead(sim, model, batch, mean_seq.max(1));
         }
         step_time
     }
@@ -464,13 +431,11 @@ impl ServeEngine {
     }
 
     /// Wall-clock cost of restarting a running request if it were
-    /// preempted now: the re-prefill of its whole built context,
-    /// priced through the shared [`StepExecutor`] path. The preemptive
-    /// discipline's victim metric — "cheapest to restart" minimizes
-    /// exactly this.
+    /// preempted now: the re-prefill of its whole built context
+    /// ([`SimBase::prefill_compute`]). The preemptive discipline's
+    /// victim metric — "cheapest to restart" minimizes exactly this.
     pub fn restart_cost(&self, req: &Request) -> f64 {
-        let exec: &dyn StepExecutor = &self.exec;
-        exec.prefill_time(
+        self.sim.prefill_compute(
             &self.cfg.model,
             1,
             req.seq_len().max(1),

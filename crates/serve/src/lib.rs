@@ -4,10 +4,13 @@
 //! `(b, s, n)` batch run?". Production serving asks a different
 //! question: under a live arrival process, how much traffic can each
 //! KV-management policy sustain *within a latency SLO*? This crate
-//! answers it with a discrete-event, request-level simulation layered
-//! on the same per-step cost model (`alisa_sched::StepExecutor`), so
-//! offline and online numbers can never disagree about what a step
-//! costs:
+//! answers it with a discrete-event, request-level simulation priced
+//! by the same formulas the offline simulators call: `SimBase` for
+//! compute and `CostModel` for bytes ([`ServeEngine::step_time`]). The
+//! two paths still differ on ALISA's per-step overhead: serving
+//! charges a fixed churn of the resident set, while the offline
+//! scheduler simulates offload, reload and recompute
+//! (`tests/pricing_grid.rs` pins the difference per cell):
 //!
 //! * [`request`] — the request lifecycle (Queued → Prefilling →
 //!   Decoding → Finished/Rejected) with per-request timestamps,

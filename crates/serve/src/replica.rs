@@ -6,7 +6,7 @@
 //! reservations, retained session caches, clock, and report counters.
 //! [`Replica::step`] runs, in order: the queue scan (rejection, or a
 //! re-queue bounce), discipline-ordered admission with preemption and
-//! retention reuse, pricing through [`ServeEngine::step_time_sessions`],
+//! retention reuse, pricing through [`ServeEngine::step_time`],
 //! token accounting (including prefill→decode handoffs), and the
 //! timeline sample. The fleet loop (`crate::router::FleetRun`) drives
 //! one replica for the engine and many for the router, with the same
@@ -24,6 +24,9 @@ use crate::engine::{PrefillJob, ServeEngine, TimelineRec};
 use crate::metrics::{ServeReport, ServeSample};
 use crate::request::{RejectReason, Request, RequestState};
 use crate::trace::Trace;
+
+/// Cap on concurrently decoding requests per replica.
+const MAX_BATCH: usize = 64;
 
 /// Tracing context threaded through a run's dispatch and step paths:
 /// the sink and the metrics registry accumulating alongside it. Every
@@ -426,7 +429,7 @@ impl Replica {
         ingests.clear();
         let _order = profile::timer(Phase::Discipline);
         loop {
-            if self.running.len() + newly.len() + ingests.len() >= cfg.max_batch {
+            if self.running.len() + newly.len() + ingests.len() >= MAX_BATCH {
                 break;
             }
             let default_res = |id: usize| -> u64 {
@@ -605,7 +608,7 @@ impl Replica {
         );
         let step_time = {
             let _price = profile::timer(Phase::Pricing);
-            engine.step_time_sessions(new_jobs, running_lens)
+            engine.step_time(new_jobs, running_lens)
         };
         let batch = running_lens.len() + new_jobs.len();
         let _acct = profile::timer(Phase::Accounting);

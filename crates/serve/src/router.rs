@@ -19,13 +19,14 @@
 //! * prefill/decode disaggregation ([`DisaggCfg`]) — designated
 //!   prefill replicas build prompt KV and hand finished prompts to
 //!   decode replicas, with the KV transfer charged through the memsim
-//!   cost model (`StepExecutor::handoff_time`),
+//!   cost model (`CostModel::replica_transfer_time_at`, via
+//!   [`ServeEngine::kv_handoff_time`]),
 //! * fleet dynamics — an [`AutoscalerCfg`]-driven control loop that
 //!   brings standby replicas up and drains them back down from
 //!   observed SLO attainment and KV pressure over a sliding window,
 //!   and seeded [`FailurePlan`] replica kills whose in-flight sessions
 //!   re-prefill on survivors (the lost-KV rebuild priced through
-//!   [`ServeEngine::step_time_sessions`], retention state discarded),
+//!   [`ServeEngine::step_time`], retention state discarded),
 //! * heterogeneous fleets — replicas may differ in hardware and
 //!   precision policy; the least-* balancers normalize their load
 //!   signals by each replica's [`ServeEngine::throughput_weight`] so
@@ -879,11 +880,6 @@ impl Router {
         &self.cfg
     }
 
-    /// Number of replicas.
-    pub fn replica_count(&self) -> usize {
-        self.engines.len()
-    }
-
     /// Replays `trace` across the fleet and returns the merged report.
     /// Deterministic: the same config and trace produce a
     /// byte-identical [`RouterReport`].
@@ -1375,7 +1371,7 @@ impl<'a> FleetRun<'a> {
     /// time `at`. `was_running` marks a session that was mid-decode at
     /// a kill: its KV is gone, the caller has set it `Preempted`, and
     /// the survivor's admission path re-prefills its whole sequence
-    /// (priced through [`ServeEngine::step_time_sessions`] like any
+    /// (priced through [`ServeEngine::step_time`] like any
     /// preempted re-admission). The target is the policy's preferred
     /// admitting survivor among those that can *ever* hold the request
     /// — the same never-fits guard as dispatch, so a moved request

@@ -125,7 +125,7 @@ mod precision_pricing {
     use alisa_memsim::HardwareSpec;
     use alisa_model::ModelConfig;
     use alisa_sched::common::FP16;
-    use alisa_sched::{SimBase, StepExecutor};
+    use alisa_sched::SimBase;
     use alisa_serve::{AdmissionPolicy, ServeConfig, ServeEngine};
     use alisa_tensor::quant::{KvPrecision, PrecisionPolicy};
 
@@ -138,7 +138,7 @@ mod precision_pricing {
     /// Exactly what the old `compression: bool` step-overhead code
     /// computed for ALISA, re-implemented from the pre-refactor source.
     fn legacy_step_overhead(
-        exec: &dyn StepExecutor,
+        sim: &SimBase,
         model: &ModelConfig,
         b: usize,
         mean_seq: usize,
@@ -147,7 +147,7 @@ mod precision_pricing {
     ) -> f64 {
         let per_tok = model.kv_bytes_per_token(FP16);
         let budget = ((mean_seq as f64 * (1.0 - sparsity)).round() as usize).clamp(1, mean_seq);
-        let selection = exec.selection_time(model, b, mean_seq, budget, 4);
+        let selection = sim.selection_overhead(model, b, mean_seq, budget, 4);
         let store = (b as f64 * sparsity * per_tok as f64) as u64;
         let reload = (b as f64 * budget as f64 * ALISA_RELOAD_FRAC * per_tok as f64) as u64;
         let link_bytes = if compression {
@@ -156,11 +156,11 @@ mod precision_pricing {
             store + reload
         };
         let quant = if compression {
-            exec.quant_time(link_bytes)
+            sim.cost.quantize_time(link_bytes)
         } else {
             0.0
         };
-        selection + exec.link_time(link_bytes) + quant
+        selection + sim.cost.transfer_time(link_bytes) + quant
     }
 
     proptest! {
@@ -176,7 +176,7 @@ mod precision_pricing {
             mean_seq in 4usize..4096,
             sparsity in 0.05f64..0.95,
         ) {
-            let exec = SimBase::new(&HardwareSpec::v100_16gb());
+            let sim = SimBase::new(&HardwareSpec::v100_16gb());
             let model = ModelConfig::opt_6_7b();
             let fp16 = AdmissionPolicy::Alisa {
                 sparsity,
@@ -187,13 +187,13 @@ mod precision_pricing {
                 precision: PrecisionPolicy::int8(),
             };
             prop_assert_eq!(
-                fp16.step_overhead(&exec, &model, b, mean_seq),
-                legacy_step_overhead(&exec, &model, b, mean_seq, sparsity, false),
+                fp16.step_overhead(&sim, &model, b, mean_seq),
+                legacy_step_overhead(&sim, &model, b, mean_seq, sparsity, false),
                 "FP16-everywhere diverged from the uncompressed formula"
             );
             prop_assert_eq!(
-                int8.step_overhead(&exec, &model, b, mean_seq),
-                legacy_step_overhead(&exec, &model, b, mean_seq, sparsity, true),
+                int8.step_overhead(&sim, &model, b, mean_seq),
+                legacy_step_overhead(&sim, &model, b, mean_seq, sparsity, true),
                 "uniform INT8 diverged from the flat-halving formula"
             );
         }

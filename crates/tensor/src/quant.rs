@@ -12,7 +12,7 @@
 //! does not map `min` to the bottom of the integer range (it appears to be
 //! a typesetting slip), so we implement the standard asymmetric affine
 //! quantizer `z = round(−min/λ)` that satisfies the stated round-trip
-//! identity exactly. See `DESIGN.md` §2.3.
+//! identity exactly.
 
 use serde::{Deserialize, Serialize};
 
@@ -571,8 +571,8 @@ pub fn dequantize(q: &QuantizedMatrix) -> Matrix {
 /// The functional accuracy path stores each token's K/V row the moment
 /// it is produced, so the quantization grain there is per-row (one scale
 /// per token row) rather than per-channel across tokens; per-row is the
-/// finer grain and bounds the paper's channel-wise error from below
-/// (`DESIGN.md` §2.3). Byte accounting for the *performance* path uses
+/// finer grain and bounds the paper's channel-wise error from below.
+/// Byte accounting for the *performance* path uses
 /// the channel-wise [`QuantizedMatrix`] instead.
 pub fn fake_quantize_row(row: &mut [f32], bits: QuantBits) {
     if row.is_empty() {

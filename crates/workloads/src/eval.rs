@@ -1,7 +1,7 @@
 //! The evaluation harness: Figure 8's metrics.
 //!
-//! Language modeling follows the relative-fidelity methodology of
-//! `DESIGN.md` §2.1: the *dense* model writes the reference text
+//! Language modeling follows a relative-fidelity methodology: the
+//! *dense* model writes the reference text
 //! (teacher-forced continuations of corpus prompts), so dense attention
 //! is optimal by construction and each sparse method's perplexity
 //! degradation measures exactly how far its attention diverged.

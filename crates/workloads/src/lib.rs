@@ -5,7 +5,7 @@
 //! question answering on PIQA / COPA / OpenBookQA / Winogrande. Real
 //! datasets and trained checkpoints are unavailable offline, so this
 //! crate generates corpora with the *statistical structure* those
-//! evaluations stress (`DESIGN.md` §2.1) and mirrors the harness's
+//! evaluations stress and mirrors the harness's
 //! metrics:
 //!
 //! * [`corpus`] — Zipf-distributed token streams with per-sequence topic

@@ -106,13 +106,6 @@ impl SessionModel {
         self
     }
 
-    /// Replaces the underlying length model (e.g. to cap outputs for
-    /// smoke tests).
-    pub fn with_lengths(mut self, lengths: LengthModel) -> Self {
-        self.lengths = lengths;
-        self
-    }
-
     /// Overrides the mean think time, keeping its shape.
     ///
     /// # Panics

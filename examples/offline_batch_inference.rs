@@ -15,7 +15,7 @@ use alisa_workloads::Dataset;
 fn main() {
     let alisa = Alisa::builder().kv_sparsity(0.7).build();
     // A laptop-scale functional model whose attention statistics emulate
-    // OPT-6.7B (DESIGN.md section 2.1).
+    // OPT-6.7B.
     let model = alisa.functional_model(&ModelConfig::opt_6_7b());
     let spec = model.init_spec();
     let corpus = Dataset::Alpaca.spec(

@@ -129,9 +129,9 @@ fn reuse_never_hurts_goodput_or_ttft() {
 #[test]
 fn reuse_prefill_pricing_is_between_suffix_and_full() {
     let engine = ServeEngine::new(v100_cfg(AdmissionPolicy::alisa()));
-    let full = engine.step_time(&[512], &[]);
-    let suffix_only = engine.step_time(&[64], &[]);
-    let reused = engine.step_time_sessions(
+    let full = engine.step_time(&[PrefillJob::full(512)], &[]);
+    let suffix_only = engine.step_time(&[PrefillJob::full(64)], &[]);
+    let reused = engine.step_time(
         &[PrefillJob {
             prompt_len: 512,
             reused_prefix: 448,
@@ -145,11 +145,6 @@ fn reuse_prefill_pricing_is_between_suffix_and_full() {
     assert!(
         reused > suffix_only,
         "context attention over the retained prefix must be charged: {reused} vs {suffix_only}"
-    );
-    // Nothing reused == the legacy pricing path, exactly.
-    assert_eq!(
-        engine.step_time_sessions(&[PrefillJob::full(512)], &[]),
-        full
     );
 }
 
