@@ -3,30 +3,25 @@
 //!
 //! A *policy* answers one question each decoding step: **which prior
 //! tokens' KV entries are worth keeping?** (paper §IV). This crate keeps
-//! that decision pure — a function of the attention-weight history — so
-//! the same policies plug into both the functional transformer
-//! (`alisa-model`) and the performance simulator (`alisa-sched`):
+//! that decision pure — a function of the attention-weight history —
+//! and [`PolicyKind::select`] runs it; the functional transformer
+//! (`alisa-model`) calls it once per attention module per step:
 //!
-//! * [`policy::DensePolicy`] — keep everything (exact attention),
-//! * [`policy::LocalPolicy`] — sliding window over recent tokens
+//! * [`PolicyKind::Dense`] — keep everything (exact attention),
+//! * [`PolicyKind::Local`] — sliding window over recent tokens
 //!   (Longformer \[3\]),
-//! * [`policy::StridedPolicy`] — fixed-stride mask (SparseTransformer \[8\]),
-//! * [`policy::SwaPolicy`] — **ALISA's Sparse Window Attention**
+//! * [`PolicyKind::Strided`] — fixed-stride mask (SparseTransformer \[8\]),
+//! * [`PolicyKind::Swa`] — **ALISA's Sparse Window Attention**
 //!   (Algorithm 1): half the budget on the most recent tokens, half on
 //!   the tokens with the largest *local* attention sum,
-//! * [`policy::H2oPolicy`] — heavy hitters by *global* attention sum
+//! * [`PolicyKind::H2o`] — heavy hitters by *global* attention sum
 //!   (H2O \[43\]), the closest prior work.
 //!
-//! [`kernels`] computes masked single-head attention and [`metrics`]
-//! scores a policy's fidelity against dense attention (Spearman ρ of the
-//! score distributions, attainable attention-weight sparsity) — the
-//! quantities plotted in Figures 4 and 10.
+//! [`metrics`] scores a policy's fidelity against dense attention
+//! (Spearman ρ of the score distributions) — the quantity plotted in
+//! Figure 4.
 
-pub mod kernels;
 pub mod metrics;
 pub mod policy;
 
-pub use policy::{
-    AttentionHistory, DensePolicy, H2oPolicy, LocalPolicy, PolicyKind, SelectionContext,
-    SparsityPolicy, StridedPolicy, SwaPolicy, TokenSelection,
-};
+pub use policy::{AttentionHistory, PolicyKind, SelectionContext, TokenSelection};

@@ -1,11 +1,9 @@
-//! Fidelity metrics for sparse attention (Figures 4 and 10).
+//! Fidelity metrics for sparse attention (Figure 4).
 //!
 //! Figure 4 compares each method's *attention-score distribution*
-//! against dense attention and reports the Spearman correlation `ρ`;
-//! Figure 10 reports the *attainable attention-weight sparsity* after
-//! applying a policy with a given KV-sparsity budget.
+//! against dense attention and reports the Spearman correlation `ρ`.
 
-use alisa_tensor::stats::{causal_attention_sparsity, spearman, zipf_fit};
+use alisa_tensor::stats::{spearman, zipf_fit};
 use alisa_tensor::Matrix;
 use serde::{Deserialize, Serialize};
 
@@ -128,17 +126,11 @@ pub fn vocab_fidelity(
     }
 }
 
-/// Attention-weight sparsity of a causal attention map at the paper's
-/// 1%-of-row-max threshold (Figures 3 and 10), skipping rows shorter
-/// than 8 realized positions to avoid trivially-dense early rows.
-pub fn attention_weight_sparsity(aw: &Matrix) -> f32 {
-    causal_attention_sparsity(aw, 0.01, 8)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::causal_attention;
+    use alisa_tensor::nn::softmax_inplace;
+    use alisa_tensor::ops::dot;
 
     fn power_law_attention(n: usize) -> Matrix {
         // Keys whose norms decay like a power law produce concentrated,
@@ -150,7 +142,13 @@ mod tests {
                 x.set(i, c, norm * if (i + c) % 2 == 0 { 1.0 } else { -0.5 });
             }
         }
-        let (aw, _) = causal_attention(&x, &x, &x, |_, _| 0.0).unwrap();
+        // Causal self-attention: row i is softmax(x_i · x_j / √4) over j ≤ i.
+        let mut aw = Matrix::zeros(n, n);
+        for i in 0..n {
+            let mut logits: Vec<f32> = (0..=i).map(|j| dot(x.row(i), x.row(j)) / 2.0).collect();
+            softmax_inplace(&mut logits);
+            aw.row_mut(i)[..=i].copy_from_slice(&logits);
+        }
         aw
     }
 
@@ -215,31 +213,5 @@ mod tests {
         let tokens: Vec<usize> = (0..n).collect();
         let rep = vocab_fidelity(&dense, &sparse, &tokens, n);
         assert!(rep.spearman_rho < 0.5, "rho {}", rep.spearman_rho);
-    }
-
-    #[test]
-    fn sparsity_of_uniform_map_is_zero() {
-        let n = 16;
-        let mut aw = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..=i {
-                aw.set(i, j, 1.0 / (i + 1) as f32);
-            }
-        }
-        assert_eq!(attention_weight_sparsity(&aw), 0.0);
-    }
-
-    #[test]
-    fn sparsity_of_peaked_map_is_high() {
-        let n = 32;
-        let mut aw = Matrix::zeros(n, n);
-        for i in 0..n {
-            // 99.9% of mass on one position, dust elsewhere.
-            for j in 0..=i {
-                aw.set(i, j, 1e-5);
-            }
-            aw.set(i, i / 2, 1.0);
-        }
-        assert!(attention_weight_sparsity(&aw) > 0.9);
     }
 }

@@ -1,10 +1,11 @@
 //! Token-selection policies (paper §IV, Algorithm 1).
 //!
-//! Each policy receives a [`SelectionContext`] — how many prior tokens
-//! exist, the KV budget, and the recent attention-weight history — and
-//! returns the [`TokenSelection`] of indices whose KV entries remain
-//! usable for the next step. Everything else (KV placement, transfer
-//! scheduling) happens downstream in `alisa-sched`.
+//! [`PolicyKind::select`] runs one policy on a [`SelectionContext`] —
+//! how many prior tokens exist, the KV budget, and the recent
+//! attention-weight history — and returns the [`TokenSelection`] of
+//! indices whose KV entries remain usable for the next step. Everything
+//! else (KV placement, transfer scheduling) happens downstream in
+//! `alisa-sched`.
 
 use alisa_tensor::ops::col_sums_range;
 use alisa_tensor::topk::top_k_indices_within;
@@ -111,6 +112,11 @@ pub struct SelectionContext<'a> {
     pub budget: usize,
     /// Recent attention-weight history for this attention module.
     pub history: &'a AttentionHistory,
+    /// Fraction of the budget SWA spends on its locally-static window,
+    /// in `[0, 1]`. The paper "evenly splits" (0.5); the `ablation_swa`
+    /// bin sweeps it. `1.0` degenerates to local attention, `0.0` to
+    /// pure heavy-hitter selection. Only [`PolicyKind::Swa`] reads it.
+    pub swa_local_fraction: f32,
 }
 
 /// The outcome of a selection: which prior positions stay usable.
@@ -171,232 +177,40 @@ impl TokenSelection {
     }
 }
 
-/// A token-selection policy. Implementations must be deterministic.
-pub trait SparsityPolicy: std::fmt::Debug {
-    /// Chooses which prior positions remain usable for the next step.
-    ///
-    /// Contract (checked by the property tests in this crate):
-    /// * returned indices are strictly ascending and `< ctx.seq_len`;
-    /// * at most `ctx.budget` indices are returned (dense ignores this);
-    /// * the selection is a pure function of `ctx`.
-    fn select(&self, ctx: &SelectionContext<'_>) -> TokenSelection;
-
-    /// Short name used in reports and figures.
-    fn name(&self) -> &'static str;
-
-    /// Whether this policy ever drops tokens (false only for dense).
-    fn is_sparse(&self) -> bool {
-        true
-    }
-}
-
-/// Exact attention: every prior token is kept (the paper's accuracy
-/// reference).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DensePolicy;
-
-impl SparsityPolicy for DensePolicy {
-    fn select(&self, ctx: &SelectionContext<'_>) -> TokenSelection {
-        TokenSelection::all(ctx.seq_len)
-    }
-
-    fn name(&self) -> &'static str {
-        "dense"
-    }
-
-    fn is_sparse(&self) -> bool {
-        false
-    }
-}
-
-/// Longformer-style local attention \[3\]: keep only the most recent
-/// `budget` tokens (a fixed-size sliding window).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LocalPolicy;
-
-impl SparsityPolicy for LocalPolicy {
-    fn select(&self, ctx: &SelectionContext<'_>) -> TokenSelection {
-        let k = ctx.budget.min(ctx.seq_len);
-        let local: Vec<usize> = (ctx.seq_len - k..ctx.seq_len).collect();
-        TokenSelection::from_parts(local, Vec::new())
-    }
-
-    fn name(&self) -> &'static str {
-        "local"
-    }
-}
-
-/// SparseTransformer-style strided attention \[8\]: keep every `stride`-th
-/// token counting back from the current position, up to the budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StridedPolicy {
-    /// Distance between kept tokens. A stride of 1 degenerates to local
-    /// attention.
-    pub stride: usize,
-}
-
-impl StridedPolicy {
-    /// Creates a strided policy; the paper's figures use the stride that
-    /// spreads the budget across the whole sequence, which callers get
-    /// via [`StridedPolicy::covering`].
-    pub fn new(stride: usize) -> Self {
-        assert!(stride > 0, "stride must be positive");
-        StridedPolicy { stride }
-    }
-
-    /// The stride that spreads `budget` kept tokens over `seq_len`
-    /// positions (≥ 1).
-    pub fn covering(seq_len: usize, budget: usize) -> Self {
-        let stride = seq_len.checked_div(budget).unwrap_or(1).max(1);
-        StridedPolicy { stride }
-    }
-}
-
-impl SparsityPolicy for StridedPolicy {
-    fn select(&self, ctx: &SelectionContext<'_>) -> TokenSelection {
-        let k = ctx.budget.min(ctx.seq_len);
-        if k == 0 || ctx.seq_len == 0 {
-            return TokenSelection::from_parts(Vec::new(), Vec::new());
-        }
-        let mut kept = Vec::with_capacity(k);
-        let mut pos = ctx.seq_len as isize - 1;
-        while pos >= 0 && kept.len() < k {
-            kept.push(pos as usize);
-            pos -= self.stride as isize;
-        }
-        TokenSelection::from_parts(kept, Vec::new())
-    }
-
-    fn name(&self) -> &'static str {
-        "strided"
-    }
-}
-
-/// **ALISA's Sparse Window Attention** (Algorithm 1).
-///
-/// The budget is split evenly: `k = ⌊budget/2⌋` *locally static* tokens
-/// (the most recent positions, preserving sequential semantics) and `k`
-/// *globally dynamic* tokens — the positions with the largest **local
-/// attention sum**, i.e. the attention mass received over just the last
-/// `history_depth` steps (line 2: `S = Σ AW[n−k : n−1]`).
-///
-/// The multi-step local sum is the paper's key hypothesis: *"multiple
-/// preceding steps can provide better hints on which tokens are more
-/// important than a single step"* — and unlike H2O's global sum it needs
-/// only O(depth · seq) state.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SwaPolicy {
-    /// Fraction of the budget spent on the locally-static window. The
-    /// paper "evenly splits" (0.5); the ablation bench sweeps this.
-    local_fraction: f32,
-}
-
-impl SwaPolicy {
-    /// Creates the SWA policy with the paper's even split (stateless;
-    /// the history lives in the caller's [`AttentionHistory`]).
-    pub fn new() -> Self {
-        SwaPolicy {
-            local_fraction: 0.5,
-        }
-    }
-
-    /// An SWA variant spending `frac ∈ [0, 1]` of the budget on the
-    /// local window and the rest on globally dynamic tokens — the
-    /// design-choice ablation the `ablation_swa` bin sweeps. `frac = 1.0`
-    /// degenerates to local attention, `frac → 0` to pure heavy-hitter
-    /// selection.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `frac` is outside `[0, 1]`.
-    pub fn with_local_fraction(frac: f32) -> Self {
-        assert!((0.0..=1.0).contains(&frac), "fraction must be in [0, 1]");
-        SwaPolicy {
-            local_fraction: frac,
-        }
-    }
-
-    /// The configured local share of the budget.
-    pub fn local_fraction(&self) -> f32 {
-        self.local_fraction
-    }
-}
-
-impl Default for SwaPolicy {
-    fn default() -> Self {
-        SwaPolicy::new()
-    }
-}
-
-impl SparsityPolicy for SwaPolicy {
-    fn select(&self, ctx: &SelectionContext<'_>) -> TokenSelection {
-        let total = ctx.budget.min(ctx.seq_len);
-        if total == 0 {
-            return TokenSelection::from_parts(Vec::new(), Vec::new());
-        }
-        // Algorithm 1 with the paper's even split as the default: the
-        // local window always keeps at least one token (the current
-        // one must stay attendable).
-        let k_local = ((total as f32 * self.local_fraction).ceil() as usize).clamp(1, total);
-        let k_global = total - k_local;
-        let local: Vec<usize> = (ctx.seq_len - k_local..ctx.seq_len).collect();
-
-        // Local attention sum over the retained history rows (line 2),
-        // restricted to candidates outside the static window (line 4).
-        let sums = ctx.history.local_sums();
-        let window_start = ctx.seq_len - k_local;
-        let candidates: Vec<usize> = (0..window_start.min(sums.len())).collect();
-        let global = top_k_indices_within(&sums, &candidates, k_global);
-        TokenSelection::from_parts(local, global)
-    }
-
-    fn name(&self) -> &'static str {
-        "swa"
-    }
-}
-
-/// H2O-style heavy-hitter selection \[43\]: same local window, but the
-/// dynamic tokens are ranked by the **global** attention sum accumulated
-/// since step 0. The paper (§II-B) contrasts this directly with SWA's
-/// local sum; globally accumulated mass favours early tokens and decays
-/// slowly when topics shift.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct H2oPolicy;
-
-impl SparsityPolicy for H2oPolicy {
-    fn select(&self, ctx: &SelectionContext<'_>) -> TokenSelection {
-        let total = ctx.budget.min(ctx.seq_len);
-        if total == 0 {
-            return TokenSelection::from_parts(Vec::new(), Vec::new());
-        }
-        let k_local = total.div_ceil(2);
-        let k_global = total - k_local;
-        let local: Vec<usize> = (ctx.seq_len - k_local..ctx.seq_len).collect();
-        let sums = ctx.history.global_sums();
-        let window_start = ctx.seq_len - k_local;
-        let candidates: Vec<usize> = (0..window_start.min(sums.len())).collect();
-        let global = top_k_indices_within(sums, &candidates, k_global);
-        TokenSelection::from_parts(local, global)
-    }
-
-    fn name(&self) -> &'static str {
-        "h2o"
-    }
-}
-
-/// Enumerates the policies compared throughout the evaluation, so
-/// experiment configs can name them in data-driven sweeps.
+/// The token-selection policies compared throughout the evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum PolicyKind {
-    /// [`DensePolicy`].
+    /// Exact attention: every prior token is kept (the paper's accuracy
+    /// reference).
     Dense,
-    /// [`LocalPolicy`].
+    /// Longformer-style local attention \[3\]: keep only the most recent
+    /// `budget` tokens (a fixed-size sliding window).
     Local,
-    /// [`StridedPolicy`] (stride chosen per-context via `covering`).
+    /// SparseTransformer-style strided attention \[8\]: keep every
+    /// `stride`-th token counting back from the current position, up to
+    /// the budget, with the stride that spreads the budget across the
+    /// whole sequence (the paper's Figure 4(c) pattern).
     Strided,
-    /// [`SwaPolicy`].
+    /// **ALISA's Sparse Window Attention** (Algorithm 1).
+    ///
+    /// The budget is split between *locally static* tokens (the most
+    /// recent positions, preserving sequential semantics; a
+    /// [`SelectionContext::swa_local_fraction`] share, rounded up) and
+    /// *globally dynamic* tokens — the positions with the largest
+    /// **local attention sum**, i.e. the attention mass received over
+    /// just the retained history steps (line 2: `S = Σ AW[n−k : n−1]`).
+    ///
+    /// The multi-step local sum is the paper's key hypothesis:
+    /// *"multiple preceding steps can provide better hints on which
+    /// tokens are more important than a single step"* — and unlike H2O's
+    /// global sum it needs only O(depth · seq) state.
     Swa,
-    /// [`H2oPolicy`].
+    /// H2O-style heavy-hitter selection \[43\]: SWA's window at the even
+    /// split, but the dynamic tokens are ranked by the **global**
+    /// attention sum accumulated since step 0. The paper (§II-B)
+    /// contrasts this directly with SWA's local sum; globally
+    /// accumulated mass favours early tokens and decays slowly when
+    /// topics shift.
     H2o,
 }
 
@@ -410,15 +224,41 @@ impl PolicyKind {
         PolicyKind::H2o,
     ];
 
-    /// Instantiates the policy. Strided spreads its budget across
-    /// `seq_len` positions, matching the paper's Figure 4(c) pattern.
-    pub fn instantiate(self, seq_len: usize, budget: usize) -> Box<dyn SparsityPolicy> {
+    /// Chooses which prior positions remain usable for the next step.
+    ///
+    /// Contract (checked by the property tests in this crate):
+    /// * returned indices are strictly ascending and `< ctx.seq_len`;
+    /// * at most `ctx.budget` indices are returned (dense ignores this);
+    /// * the selection is a pure function of `self` and `ctx`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self` is [`PolicyKind::Swa`] and
+    /// `ctx.swa_local_fraction` is outside `[0, 1]`.
+    pub fn select(self, ctx: &SelectionContext<'_>) -> TokenSelection {
+        let seq_len = ctx.seq_len;
+        let total = ctx.budget.min(seq_len);
         match self {
-            PolicyKind::Dense => Box::new(DensePolicy),
-            PolicyKind::Local => Box::new(LocalPolicy),
-            PolicyKind::Strided => Box::new(StridedPolicy::covering(seq_len, budget)),
-            PolicyKind::Swa => Box::new(SwaPolicy::new()),
-            PolicyKind::H2o => Box::new(H2oPolicy),
+            PolicyKind::Dense => TokenSelection::all(seq_len),
+            PolicyKind::Local => {
+                TokenSelection::from_parts((seq_len - total..seq_len).collect(), Vec::new())
+            }
+            PolicyKind::Strided => {
+                let stride = seq_len.checked_div(ctx.budget).unwrap_or(1).max(1);
+                let kept = (0..seq_len).rev().step_by(stride).take(total).collect();
+                TokenSelection::from_parts(kept, Vec::new())
+            }
+            PolicyKind::Swa => {
+                let frac = ctx.swa_local_fraction;
+                assert!((0.0..=1.0).contains(&frac), "fraction must be in [0, 1]");
+                // The local window keeps at least one token whenever the
+                // budget allows: the current one must stay attendable.
+                let k_local = ((total as f32 * frac).ceil() as usize).max(1).min(total);
+                window_plus_top_k(seq_len, total, k_local, &ctx.history.local_sums())
+            }
+            PolicyKind::H2o => {
+                window_plus_top_k(seq_len, total, total.div_ceil(2), ctx.history.global_sums())
+            }
         }
     }
 
@@ -440,6 +280,17 @@ impl std::fmt::Display for PolicyKind {
     }
 }
 
+/// SWA's and H2O's shared shape: the `k_local` most recent of
+/// `seq_len` positions, plus the `total − k_local` earlier positions
+/// with the largest `sums` (Algorithm 1 line 4: candidates lie outside
+/// the static window).
+fn window_plus_top_k(seq_len: usize, total: usize, k_local: usize, sums: &[f32]) -> TokenSelection {
+    let window_start = seq_len - k_local;
+    let candidates: Vec<usize> = (0..window_start.min(sums.len())).collect();
+    let global = top_k_indices_within(sums, &candidates, total - k_local);
+    TokenSelection::from_parts((window_start..seq_len).collect(), global)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -457,21 +308,21 @@ mod tests {
             seq_len,
             budget,
             history: h,
+            swa_local_fraction: 0.5,
         }
     }
 
     #[test]
     fn dense_keeps_everything() {
         let h = history_with(&[&[0.5, 0.5]]);
-        let sel = DensePolicy.select(&ctx(5, 2, &h));
+        let sel = PolicyKind::Dense.select(&ctx(5, 2, &h));
         assert_eq!(sel.kept, vec![0, 1, 2, 3, 4]);
-        assert!(!DensePolicy.is_sparse());
     }
 
     #[test]
     fn local_keeps_most_recent() {
         let h = history_with(&[&[0.5, 0.5]]);
-        let sel = LocalPolicy.select(&ctx(10, 3, &h));
+        let sel = PolicyKind::Local.select(&ctx(10, 3, &h));
         assert_eq!(sel.kept, vec![7, 8, 9]);
         assert_eq!(sel.local, vec![7, 8, 9]);
         assert!(sel.global.is_empty());
@@ -480,16 +331,18 @@ mod tests {
     #[test]
     fn strided_spreads_budget() {
         let h = history_with(&[&[0.0; 12]]);
-        let p = StridedPolicy::covering(12, 3); // stride 4
-        let sel = p.select(&ctx(12, 3, &h));
+        let sel = PolicyKind::Strided.select(&ctx(12, 3, &h)); // stride 4
         assert_eq!(sel.kept, vec![3, 7, 11]);
     }
 
     #[test]
     fn strided_stride_one_is_local() {
-        let h = history_with(&[&[0.0; 6]]);
-        let sel = StridedPolicy::new(1).select(&ctx(6, 3, &h));
-        assert_eq!(sel.kept, vec![3, 4, 5]);
+        // A budget over half the sequence covers it with stride 1.
+        let h = history_with(&[&[0.0; 5]]);
+        let c = ctx(5, 3, &h);
+        let sel = PolicyKind::Strided.select(&c);
+        assert_eq!(sel.kept, vec![2, 3, 4]);
+        assert_eq!(sel, PolicyKind::Local.select(&c));
     }
 
     #[test]
@@ -498,7 +351,7 @@ mod tests {
         let mut h = AttentionHistory::new(2);
         h.push(&[0.1, 0.8, 0.1]); // step over 3 positions
         h.push(&[0.05, 0.85, 0.05, 0.05]); // step over 4 positions
-        let sel = SwaPolicy::new().select(&ctx(8, 4, &h));
+        let sel = PolicyKind::Swa.select(&ctx(8, 4, &h));
         // 2 local (6, 7) + 2 global from positions 0..6 ranked by local sum.
         assert_eq!(sel.local, vec![6, 7]);
         assert_eq!(sel.global.len(), 2);
@@ -509,7 +362,7 @@ mod tests {
     #[test]
     fn swa_odd_budget_gives_extra_to_local() {
         let h = history_with(&[&[0.2, 0.2, 0.2, 0.2, 0.2]]);
-        let sel = SwaPolicy::new().select(&ctx(10, 5, &h));
+        let sel = PolicyKind::Swa.select(&ctx(10, 5, &h));
         assert_eq!(sel.local.len(), 3);
         assert_eq!(sel.global.len(), 2);
     }
@@ -517,7 +370,7 @@ mod tests {
     #[test]
     fn swa_with_empty_history_still_keeps_local() {
         let h = AttentionHistory::new(2);
-        let sel = SwaPolicy::new().select(&ctx(6, 4, &h));
+        let sel = PolicyKind::Swa.select(&ctx(6, 4, &h));
         assert_eq!(sel.local, vec![4, 5]);
         // No history ⇒ no informed global picks; selection may be short.
         assert!(sel.kept.len() >= 2);
@@ -526,7 +379,7 @@ mod tests {
     #[test]
     fn swa_zero_budget_keeps_nothing() {
         let h = history_with(&[&[1.0]]);
-        let sel = SwaPolicy::new().select(&ctx(5, 0, &h));
+        let sel = PolicyKind::Swa.select(&ctx(5, 0, &h));
         assert!(sel.is_empty());
         assert_eq!(sel.kv_sparsity(5), 1.0);
     }
@@ -534,7 +387,7 @@ mod tests {
     #[test]
     fn swa_budget_larger_than_seq_keeps_all() {
         let h = history_with(&[&[0.25; 4]]);
-        let sel = SwaPolicy::new().select(&ctx(4, 100, &h));
+        let sel = PolicyKind::Swa.select(&ctx(4, 100, &h));
         assert_eq!(sel.kept, vec![0, 1, 2, 3]);
     }
 
@@ -543,14 +396,17 @@ mod tests {
         let mut h = AttentionHistory::new(2);
         h.push(&[0.9, 0.05, 0.05]);
         h.push(&[0.85, 0.05, 0.05, 0.05]);
-        let c = ctx(10, 4, &h);
+        let with_frac = |swa_local_fraction| SelectionContext {
+            swa_local_fraction,
+            ..ctx(10, 4, &h)
+        };
         // frac 1.0 degenerates to a pure recency window.
-        let all_local = SwaPolicy::with_local_fraction(1.0).select(&c);
+        let all_local = PolicyKind::Swa.select(&with_frac(1.0));
         assert_eq!(all_local.kept, vec![6, 7, 8, 9]);
         assert!(all_local.global.is_empty());
         // frac near 0 keeps one local token (the current one) and fills
         // the rest with heavy hitters.
-        let mostly_global = SwaPolicy::with_local_fraction(0.0).select(&c);
+        let mostly_global = PolicyKind::Swa.select(&with_frac(0.0));
         assert_eq!(mostly_global.local, vec![9]);
         assert_eq!(mostly_global.global.len(), 3);
         assert!(mostly_global.global.contains(&0), "heavy hitter 0 kept");
@@ -559,7 +415,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "fraction must be in [0, 1]")]
     fn swa_split_rejects_bad_fraction() {
-        let _ = SwaPolicy::with_local_fraction(1.5);
+        let h = history_with(&[&[1.0]]);
+        let _ = PolicyKind::Swa.select(&SelectionContext {
+            swa_local_fraction: 1.5,
+            ..ctx(5, 2, &h)
+        });
     }
 
     #[test]
@@ -569,8 +429,8 @@ mod tests {
         h.push(&[2.0, 0.0, 0.0]);
         h.push(&[0.0, 0.0, 1.0, 0.0]);
         let c = ctx(8, 2, &h);
-        let swa = SwaPolicy::new().select(&c);
-        let h2o = H2oPolicy.select(&c);
+        let swa = PolicyKind::Swa.select(&c);
+        let h2o = PolicyKind::H2o.select(&c);
         // budget 2 → 1 local (position 7) + 1 global.
         assert_eq!(swa.local, vec![7]);
         assert_eq!(h2o.local, vec![7]);
@@ -622,13 +482,10 @@ mod tests {
     }
 
     #[test]
-    fn policy_kind_instantiates_all() {
+    fn policy_kind_selects_all() {
         let h = history_with(&[&[0.25; 4]]);
         for kind in PolicyKind::ALL {
-            let p = kind.instantiate(8, 4);
-            let sel = p.select(&ctx(8, 4, &h));
-            assert!(!sel.kept.is_empty());
-            assert_eq!(kind.label(), p.name());
+            assert!(!kind.select(&ctx(8, 4, &h)).kept.is_empty(), "{kind}");
         }
         assert_eq!(PolicyKind::Swa.to_string(), "swa");
     }

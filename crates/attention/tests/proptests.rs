@@ -1,10 +1,17 @@
-//! Property-based tests of the policy contract every implementation
-//! must uphold (see `SparsityPolicy`'s docs).
+//! Property-based tests of the selection contract every policy must
+//! uphold (see `PolicyKind::select`'s docs).
 
-use alisa_attention::policy::{
-    AttentionHistory, PolicyKind, SelectionContext, SparsityPolicy, SwaPolicy,
-};
+use alisa_attention::policy::{AttentionHistory, PolicyKind, SelectionContext};
 use proptest::prelude::*;
+
+fn ctx(seq_len: usize, budget: usize, history: &AttentionHistory) -> SelectionContext<'_> {
+    SelectionContext {
+        seq_len,
+        budget,
+        history,
+        swa_local_fraction: 0.5,
+    }
+}
 
 fn arbitrary_history() -> impl Strategy<Value = AttentionHistory> {
     (1usize..6, 1usize..40).prop_map(|(depth, seq)| {
@@ -31,9 +38,7 @@ proptest! {
         budget in 0usize..64,
     ) {
         for kind in PolicyKind::ALL {
-            let policy = kind.instantiate(seq_len, budget);
-            let ctx = SelectionContext { seq_len, budget, history: &h };
-            let sel = policy.select(&ctx);
+            let sel = kind.select(&ctx(seq_len, budget, &h));
             // Ascending and unique.
             for w in sel.kept.windows(2) {
                 prop_assert!(w[0] < w[1], "{kind}: indices must ascend");
@@ -43,7 +48,7 @@ proptest! {
                 prop_assert!(i < seq_len, "{kind}: index {i} out of range");
             }
             // Within budget (dense exempt).
-            if policy.is_sparse() {
+            if kind != PolicyKind::Dense {
                 prop_assert!(sel.kept.len() <= budget, "{kind}: budget exceeded");
             }
             // local ∪ global == kept, disjoint.
@@ -67,10 +72,8 @@ proptest! {
         budget in 1usize..48,
     ) {
         for kind in PolicyKind::ALL {
-            let ctx = SelectionContext { seq_len, budget, history: &h };
-            let a = kind.instantiate(seq_len, budget).select(&ctx);
-            let b = kind.instantiate(seq_len, budget).select(&ctx);
-            prop_assert_eq!(a, b);
+            let ctx = ctx(seq_len, budget, &h);
+            prop_assert_eq!(kind.select(&ctx), kind.select(&ctx));
         }
     }
 
@@ -84,8 +87,8 @@ proptest! {
     ) {
         let mut last_local = 0usize;
         for frac in [0.0f32, 0.25, 0.5, 0.75, 1.0] {
-            let ctx = SelectionContext { seq_len, budget, history: &h };
-            let sel = SwaPolicy::with_local_fraction(frac).select(&ctx);
+            let ctx = SelectionContext { swa_local_fraction: frac, ..ctx(seq_len, budget, &h) };
+            let sel = PolicyKind::Swa.select(&ctx);
             prop_assert!(sel.local.len() >= last_local, "local share must grow with frac");
             last_local = sel.local.len();
         }

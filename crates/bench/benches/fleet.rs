@@ -74,7 +74,7 @@ fn bench_diurnal_fleet(c: &mut Criterion) {
     let autoscaled = Router::new(
         RouterConfig::homogeneous(cfg(), 4)
             .with_lb(LoadBalancePolicy::LeastOutstanding)
-            .with_autoscaler(AutoscalerCfg::new(1).with_cadence(1.0, 4.0)),
+            .with_autoscaler(AutoscalerCfg::new(1)),
     );
     let mut g = c.benchmark_group("fleet_diurnal");
     g.bench_function("static", |b| {

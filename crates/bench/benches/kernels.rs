@@ -1,11 +1,9 @@
-//! Criterion micro-benchmarks for the algorithm-level kernels: SWA
-//! selection, attention, quantization, and the tensor primitives they
-//! sit on. These measure the *real* (functional-path) implementations.
+//! Criterion micro-benchmarks for the functional path's kernels: token
+//! selection (`PolicyKind::select`, which `TinyTransformer::decode_step`
+//! calls once per layer per step), KV quantization, and the matmul
+//! primitives.
 
-use alisa_attention::kernels::{attend_single, attend_single_sparse};
-use alisa_attention::policy::{
-    AttentionHistory, H2oPolicy, LocalPolicy, SelectionContext, SparsityPolicy, SwaPolicy,
-};
+use alisa_attention::policy::{AttentionHistory, PolicyKind, SelectionContext};
 use alisa_tensor::ops::{matmul, matmul_bt};
 use alisa_tensor::quant::{dequantize, quantize, QuantBits};
 use alisa_tensor::Matrix;
@@ -38,48 +36,17 @@ fn bench_selection(c: &mut Criterion) {
     for &seq in &[128usize, 512, 2048] {
         let h = history(seq, 4);
         let budget = seq / 5;
-        g.bench_with_input(BenchmarkId::new("swa", seq), &seq, |b, _| {
-            let ctx = SelectionContext {
-                seq_len: seq,
-                budget,
-                history: &h,
-            };
-            b.iter(|| black_box(SwaPolicy::new().select(&ctx)));
-        });
-        g.bench_with_input(BenchmarkId::new("h2o", seq), &seq, |b, _| {
-            let ctx = SelectionContext {
-                seq_len: seq,
-                budget,
-                history: &h,
-            };
-            b.iter(|| black_box(H2oPolicy.select(&ctx)));
-        });
-        g.bench_with_input(BenchmarkId::new("local", seq), &seq, |b, _| {
-            let ctx = SelectionContext {
-                seq_len: seq,
-                budget,
-                history: &h,
-            };
-            b.iter(|| black_box(LocalPolicy.select(&ctx)));
-        });
-    }
-    g.finish();
-}
-
-fn bench_attention(c: &mut Criterion) {
-    let mut g = c.benchmark_group("attention_kernel");
-    for &seq in &[128usize, 512] {
-        let d = 64usize;
-        let keys = filled(seq, d);
-        let values = filled(seq, d);
-        let q: Vec<f32> = (0..d).map(|i| (i as f32 * 0.1).sin()).collect();
-        g.bench_with_input(BenchmarkId::new("dense", seq), &seq, |b, _| {
-            b.iter(|| black_box(attend_single(&q, &keys, &values, None).unwrap()));
-        });
-        let kept: Vec<usize> = (0..seq).step_by(5).collect();
-        g.bench_with_input(BenchmarkId::new("sparse_20pct", seq), &seq, |b, _| {
-            b.iter(|| black_box(attend_single_sparse(&q, &keys, &values, None, &kept).unwrap()));
-        });
+        let ctx = SelectionContext {
+            seq_len: seq,
+            budget,
+            history: &h,
+            swa_local_fraction: 0.5,
+        };
+        for kind in [PolicyKind::Swa, PolicyKind::H2o, PolicyKind::Local] {
+            g.bench_with_input(BenchmarkId::new(kind.label(), seq), &seq, |b, _| {
+                b.iter(|| black_box(kind.select(&ctx)));
+            });
+        }
     }
     g.finish();
 }
@@ -114,11 +81,5 @@ fn bench_matmul(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_selection,
-    bench_attention,
-    bench_quantization,
-    bench_matmul
-);
+criterion_group!(benches, bench_selection, bench_quantization, bench_matmul);
 criterion_main!(benches);

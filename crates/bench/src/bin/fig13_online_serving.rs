@@ -21,8 +21,8 @@
 //! `--events <path>` streams a structured JSONL event log of the
 //! highest-rate ALISA run (validate with the `trace_check` bin, render
 //! with `alisa_obs::perfetto`); `--profile` prints a wall-time
-//! breakdown of the simulator's own phases and the `profile-json` line
-//! committed as `BENCH_profile.json`. See `docs/OBSERVABILITY.md`.
+//! breakdown of the simulator's own phases and a machine-readable
+//! `profile-json` line. See `docs/OBSERVABILITY.md`.
 
 use alisa_bench::{banner, events_arg, f, quick_mode, row, seed_arg, ProfileScope};
 use alisa_memsim::HardwareSpec;

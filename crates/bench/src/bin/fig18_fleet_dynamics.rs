@@ -143,10 +143,7 @@ fn main() {
             ],
         );
     }
-    let auto = Router::new(
-        least_out(ceiling).with_autoscaler(AutoscalerCfg::new(1).with_cadence(1.0, 4.0)),
-    )
-    .run(&diurnal);
+    let auto = Router::new(least_out(ceiling).with_autoscaler(AutoscalerCfg::new(1))).run(&diurnal);
     let auto_d = auto.dynamics.expect("autoscaled run reports dynamics");
     let auto_gph = auto.goodput_per_replica_hour();
     row(

@@ -55,8 +55,8 @@ pub fn events_arg(replay: impl FnOnce(&mut dyn TraceSink)) {
 /// Simulator self-profiling for a figure binary: construct before the
 /// sweep (arms the [`alisa_obs::profile`] collector when `--profile`
 /// was passed), call [`ProfileScope::finish`] after the sweep to print
-/// the phase breakdown plus the `profile-json` line that
-/// `BENCH_profile.json` is extracted from. Without `--profile` both
+/// the phase breakdown plus a machine-readable `profile-json` line
+/// ([`alisa_obs::ProfileReport::to_json`]). Without `--profile` both
 /// ends are no-ops and the binary's output stays byte-identical —
 /// the profiler measures host wall time only and never touches
 /// simulation clocks.

@@ -6,7 +6,7 @@
 //! re-exports every subsystem and offers the [`Alisa`] builder that
 //! wires the paper's three techniques together:
 //!
-//! 1. **Sparse Window Attention** (`alisa_attention::SwaPolicy`) —
+//! 1. **Sparse Window Attention** (`alisa_attention::PolicyKind::Swa`) —
 //!    Algorithm 1's mixture of locally-static and globally-dynamic
 //!    token selection;
 //! 2. **Three-phase dynamic scheduling** (`alisa_sched::AlisaScheduler`)

@@ -160,12 +160,6 @@ impl ModelConfig {
         Self::tiny("tiny-4l", 4, 64, 4, 256)
     }
 
-    /// Six-layer, wider functional model standing in for "larger LLMs"
-    /// in scale-trend experiments.
-    pub fn tiny_6l() -> Self {
-        Self::tiny("tiny-6l", 6, 96, 6, 256)
-    }
-
     /// Custom functional model.
     ///
     /// # Panics
@@ -230,27 +224,6 @@ impl ModelConfig {
     /// pipeline stage; the paper keeps activations in GPU).
     pub fn activation_bytes_per_seq(&self, bytes_per_elem: usize) -> u64 {
         (4 * self.hidden_dim + 2 * self.ffn_dim) as u64 * bytes_per_elem as u64
-    }
-
-    /// FLOPs to decode one token for one sequence given `kv_len` cached
-    /// tokens: weight GEMMs (≈ 2·params minus embeddings) plus attention
-    /// `QKᵀ`/`AV` (4·h·kv_len per layer).
-    pub fn decode_flops(&self, kv_len: usize) -> u64 {
-        let h = self.hidden_dim as u64;
-        let l = self.num_layers as u64;
-        let f = self.ffn_dim as u64;
-        let weight_flops = l * (8 * h * h + 4 * h * f);
-        let attn_flops = l * 4 * h * kv_len as u64;
-        weight_flops + attn_flops
-    }
-
-    /// FLOPs for a full prefill over `s` tokens for one sequence.
-    pub fn prefill_flops(&self, s: usize) -> u64 {
-        let h = self.hidden_dim as u64;
-        let l = self.num_layers as u64;
-        let f = self.ffn_dim as u64;
-        let s64 = s as u64;
-        l * (8 * h * h * s64 + 4 * h * f * s64 + 2 * s64 * s64 * h * 2)
     }
 }
 
@@ -325,29 +298,8 @@ mod tests {
     }
 
     #[test]
-    fn decode_flops_grow_with_kv_len() {
-        let cfg = ModelConfig::opt_6_7b();
-        assert!(cfg.decode_flops(1024) > cfg.decode_flops(64));
-        // Weight GEMMs dominate at short contexts: roughly 2·params.
-        let ratio = cfg.decode_flops(0) as f64 / (2.0 * cfg.params() as f64);
-        assert!(ratio > 0.9 && ratio < 1.05, "ratio {ratio}");
-    }
-
-    #[test]
-    fn prefill_flops_superlinear() {
-        let cfg = ModelConfig::opt_6_7b();
-        let f128 = cfg.prefill_flops(128) as f64;
-        let f512 = cfg.prefill_flops(512) as f64;
-        assert!(f512 > 4.0 * f128, "quadratic attention term must show");
-    }
-
-    #[test]
     fn tiny_models_are_small_and_valid() {
-        for cfg in [
-            ModelConfig::tiny_2l(),
-            ModelConfig::tiny_4l(),
-            ModelConfig::tiny_6l(),
-        ] {
+        for cfg in [ModelConfig::tiny_2l(), ModelConfig::tiny_4l()] {
             assert_eq!(cfg.family, ModelFamily::Synthetic);
             assert!(cfg.params() < 10_000_000);
             assert_eq!(cfg.hidden_dim % cfg.num_heads, 0);

@@ -9,7 +9,8 @@
 //!    positive attention-logit *sink bias* from every query. In trained
 //!    models this arises through key-projection biases; here the bias is
 //!    attached per anchor token directly, which is the same additive
-//!    logit term (see `attend_single`'s `bias` hook).
+//!    logit term (see the `sink` term of `TinyTransformer::decode_step`'s
+//!    attention logits).
 //! 2. **Recency** — an ALiBi-style per-head distance penalty
 //!    `-slope·(i-j)` concentrates mass on recent tokens.
 //! 3. **Scale-dependent concentration** — attention logits are sharpened

@@ -14,7 +14,7 @@
 //! cost are simulated in `alisa-sched`; here only *selection* affects
 //! the math, which is exactly the paper's accuracy/performance split.
 
-use alisa_attention::policy::{AttentionHistory, PolicyKind, SelectionContext, SparsityPolicy};
+use alisa_attention::policy::{AttentionHistory, PolicyKind, SelectionContext};
 use alisa_tensor::nn::{layernorm_rows, relu_inplace, softmax_inplace};
 use alisa_tensor::ops::{dot, matvec};
 use alisa_tensor::quant::{fake_quantize_row, QuantBits};
@@ -321,17 +321,12 @@ impl TinyTransformer {
             let seq_len = layer.k.rows();
 
             // One selection per attention module, shared by its heads.
-            let ctx = SelectionContext {
+            let selection = policy.kind.select(&SelectionContext {
                 seq_len,
                 budget: policy.budget,
                 history: &layer.history,
-            };
-            let selection = if policy.kind == PolicyKind::Swa {
-                alisa_attention::policy::SwaPolicy::with_local_fraction(policy.swa_local_fraction)
-                    .select(&ctx)
-            } else {
-                policy.kind.instantiate(seq_len, policy.budget).select(&ctx)
-            };
+                swa_local_fraction: policy.swa_local_fraction,
+            });
             let kept = if selection.kept.is_empty() {
                 // Degenerate budget: the current token is always usable.
                 vec![seq_len - 1]

@@ -221,9 +221,9 @@ impl ProfileReport {
         out
     }
 
-    /// Machine-readable form, the format committed as
-    /// `BENCH_profile.json`. Deterministic field order; phase totals
-    /// appear in [`PHASES`] order.
+    /// Machine-readable form, printed as the figure binaries'
+    /// `profile-json` line under `--profile`. Deterministic field order;
+    /// phase totals appear in [`PHASES`] order.
     pub fn to_json(&self) -> String {
         use std::fmt::Write as _;
         let mut s = String::new();

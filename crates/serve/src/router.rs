@@ -154,48 +154,35 @@ const TARGET_ATTAINMENT: f64 = 0.9;
 const PRESSURE_HIGH: f64 = 0.7;
 /// The autoscaler drains only while mean KV pressure is below this.
 const PRESSURE_LOW: f64 = 0.3;
+/// Simulation seconds between autoscaler evaluations.
+const SCALE_INTERVAL_S: f64 = 1.0;
+/// Sliding window (seconds) the SLO-attainment signal is computed over.
+const SCALE_WINDOW_S: f64 = 4.0;
 
-/// The autoscaler control loop: every `interval_s` of simulation time
-/// the router reads three signals — SLO attainment over the requests
-/// finished in the trailing `window_s`, mean KV pressure across the
-/// admitting replicas, and the worst current queue wait of a request
-/// still awaiting first service — and either brings one standby
-/// replica up (overload: attainment below 90%, pressure above 70%, or
-/// a wait past the TTFT budget) or starts draining the emptiest
-/// admitting replica (sustained headroom: attainment at least 90%,
-/// pressure below 30%, and every wait under half the TTFT budget). A
-/// draining replica stops admitting, hands its queued requests to
-/// survivors, finishes what is running, and goes standby;
-/// `RouterConfig::replicas.len()` is the fleet ceiling, `min_replicas`
-/// the floor.
+/// The autoscaler control loop: every `SCALE_INTERVAL_S` (1 s) of
+/// simulation time the router reads three signals — SLO attainment over
+/// the requests finished in the trailing `SCALE_WINDOW_S` (4 s), mean
+/// KV pressure across the admitting replicas, and the worst current
+/// queue wait of a request still awaiting first service — and either
+/// brings one standby replica up (overload: attainment below 90%,
+/// pressure above 70%, or a wait past the TTFT budget) or starts
+/// draining the emptiest admitting replica (sustained headroom:
+/// attainment at least 90%, pressure below 30%, and every wait under
+/// half the TTFT budget). A draining replica stops admitting, hands its
+/// queued requests to survivors, finishes what is running, and goes
+/// standby; `RouterConfig::replicas.len()` is the fleet ceiling,
+/// `min_replicas` the floor.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AutoscalerCfg {
     /// Replicas that always admit (the initial fleet). Must be at
     /// least 1 and at most the configured replica count.
     pub min_replicas: usize,
-    /// Simulation seconds between autoscaler evaluations.
-    pub interval_s: f64,
-    /// Sliding window (seconds) the SLO-attainment signal is computed
-    /// over.
-    pub window_s: f64,
 }
 
 impl AutoscalerCfg {
-    /// Defaults tuned for the SLO-derived serving traces: evaluate
-    /// every 5 s over a 20 s window.
+    /// An autoscaler that never drains below `min_replicas`.
     pub fn new(min_replicas: usize) -> Self {
-        AutoscalerCfg {
-            min_replicas,
-            interval_s: 5.0,
-            window_s: 20.0,
-        }
-    }
-
-    /// Overrides the evaluation cadence and sliding window.
-    pub fn with_cadence(mut self, interval_s: f64, window_s: f64) -> Self {
-        self.interval_s = interval_s;
-        self.window_s = window_s;
-        self
+        AutoscalerCfg { min_replicas }
     }
 }
 
@@ -474,7 +461,7 @@ enum EvKind {
         from: usize,
     },
     /// The autoscaler evaluates its signals (re-armed every
-    /// `interval_s` while real work remains).
+    /// `SCALE_INTERVAL_S` while real work remains).
     Scale,
     /// The failure plan kills the given replica.
     Fail(usize),
@@ -829,10 +816,6 @@ impl Router {
                 "autoscaler floor must be in 1..=replicas"
             );
             assert!(
-                a.interval_s > 0.0 && a.window_s > 0.0,
-                "autoscaler cadence and window must be positive"
-            );
-            assert!(
                 cfg.disagg.is_none(),
                 "fleet dynamics require a unified fleet (no disaggregation)"
             );
@@ -1008,8 +991,8 @@ impl<'a> FleetRun<'a> {
         for kill in cfg.failures.iter().flat_map(|p| &p.kills) {
             run.push(kill.t, EvKind::Fail(kill.replica));
         }
-        if let Some(a) = cfg.autoscaler {
-            run.push(a.interval_s, EvKind::Scale);
+        if cfg.autoscaler.is_some() {
+            run.push(SCALE_INTERVAL_S, EvKind::Scale);
         }
         run
     }
@@ -1122,7 +1105,7 @@ impl<'a> FleetRun<'a> {
                     || !self.arrivals.exhausted(self.reqs.req.len())
                     || self.states.iter().any(Replica::busy)
                 {
-                    self.push(ev.t + a.interval_s, EvKind::Scale);
+                    self.push(ev.t + SCALE_INTERVAL_S, EvKind::Scale);
                 }
             }
             EvKind::Fail(r) => self.fail_replica::<TRACED>(r, ev.t),
@@ -1508,7 +1491,7 @@ impl<'a> FleetRun<'a> {
     /// state, so the control loop is deterministic per seed.
     fn scale_tick<const TRACED: bool>(&mut self, at: f64, a: &AutoscalerCfg) {
         let slo = self.engines[0].config().slo;
-        let lo = at - a.window_s;
+        let lo = at - SCALE_WINDOW_S;
         let (mut fin, mut met) = (0usize, 0usize);
         for req in &self.reqs.req {
             if let Some(f) = req.finished_at {
@@ -2086,7 +2069,7 @@ mod tests {
         let auto = Router::new(
             RouterConfig::homogeneous(cfg.clone(), 4)
                 .with_lb(LoadBalancePolicy::LeastOutstanding)
-                .with_autoscaler(AutoscalerCfg::new(1).with_cadence(2.0, 8.0)),
+                .with_autoscaler(AutoscalerCfg::new(1)),
         )
         .run(&trace);
         let d = auto.dynamics.expect("autoscaled run reports dynamics");
@@ -2105,7 +2088,7 @@ mod tests {
         let again = Router::new(
             RouterConfig::homogeneous(cfg, 4)
                 .with_lb(LoadBalancePolicy::LeastOutstanding)
-                .with_autoscaler(AutoscalerCfg::new(1).with_cadence(2.0, 8.0)),
+                .with_autoscaler(AutoscalerCfg::new(1)),
         )
         .run(&trace);
         assert_eq!(auto.canonical_text(), again.canonical_text());

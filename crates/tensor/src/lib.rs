@@ -2,13 +2,14 @@
 //!
 //! The paper's algorithm (Sparse Window Attention, Algorithm 1) and its
 //! KV compression (Eq. 7) operate on dense `f32` matrices: queries, keys,
-//! values, attention weights. This crate provides exactly the kernels those
-//! code paths need — nothing more — implemented in portable, deterministic
-//! Rust so that every experiment in the repository reproduces bit-for-bit:
+//! values, attention weights. This crate provides the kernels those code
+//! paths need, implemented in portable, deterministic Rust so that every
+//! experiment in the repository reproduces bit-for-bit:
 //!
 //! * [`Matrix`] — a row-major 2-D `f32` tensor with shape checking,
-//! * [`ops`] — matmul / matvec / transpose / gather / concat,
-//! * [`nn`] — numerically-stable softmax, layer-norm, GELU,
+//!   row gather and transpose,
+//! * [`ops`] — matmul / matvec / dot / column sums,
+//! * [`nn`] — numerically-stable softmax, layer-norm, ReLU, cross-entropy,
 //! * [`quant`] — channel-wise INT8/INT4 quantization of KV tensors,
 //! * [`stats`] — Spearman correlation, attention-weight sparsity, Zipf fits,
 //! * [`topk`] — arg-max / top-k index selection used by SWA and H2O.

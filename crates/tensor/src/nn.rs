@@ -81,18 +81,6 @@ pub fn layernorm_rows(x: &Matrix, gain: &[f32], bias: &[f32], eps: f32) -> Matri
     out
 }
 
-/// GELU activation (tanh approximation), applied element-wise in place.
-///
-/// OPT uses ReLU and LLaMA uses SiLU; GELU sits between and is the
-/// conventional default for decoder FFNs. The choice does not affect any
-/// ALISA mechanism (token selection operates on attention weights only).
-pub fn gelu_inplace(m: &mut Matrix) {
-    for v in m.as_mut_slice() {
-        let x = *v;
-        *v = 0.5 * x * (1.0 + ((0.797_884_6) * (x + 0.044_715 * x * x * x)).tanh());
-    }
-}
-
 /// ReLU activation, element-wise in place (used by the OPT-style FFN).
 pub fn relu_inplace(m: &mut Matrix) {
     for v in m.as_mut_slice() {
@@ -199,15 +187,6 @@ mod tests {
         // Normalized row is [1, -1]; with gain 2 bias 1 → [3, -1].
         assert!((y.get(0, 0) - 3.0).abs() < 1e-2);
         assert!((y.get(0, 1) + 1.0).abs() < 1e-2);
-    }
-
-    #[test]
-    fn gelu_monotone_on_positives_and_zero_at_zero() {
-        let mut m = Matrix::from_rows(&[vec![0.0, 1.0, 2.0]]);
-        gelu_inplace(&mut m);
-        assert_eq!(m.get(0, 0), 0.0);
-        assert!(m.get(0, 2) > m.get(0, 1));
-        assert!(m.get(0, 1) > 0.8 && m.get(0, 1) < 0.9); // gelu(1) ≈ 0.841
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Linear-algebra kernels: matmul, matvec, scaling, element-wise ops.
+//! Linear-algebra kernels: matmul, matvec, dot products, element-wise
+//! ops and column sums.
 //!
 //! These are the exact operations Algorithm 1 performs: `Q Kᵀ` (matmul),
 //! scaling by `1/√d`, and `AW · V` (matmul). The implementations are naive
@@ -116,13 +117,6 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
-/// Multiplies every element by `s`, in place.
-pub fn scale_inplace(m: &mut Matrix, s: f32) {
-    for v in m.as_mut_slice() {
-        *v *= s;
-    }
-}
-
 /// Returns `a + b` element-wise.
 ///
 /// # Errors
@@ -143,25 +137,6 @@ pub fn add(a: &Matrix, b: &Matrix) -> Result<Matrix> {
     Ok(out)
 }
 
-/// Adds `b` into `a` in place.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] if the shapes differ.
-pub fn add_inplace(a: &mut Matrix, b: &Matrix) -> Result<()> {
-    if a.shape() != b.shape() {
-        return Err(TensorError::ShapeMismatch(format!(
-            "add_inplace {:?} += {:?}",
-            a.shape(),
-            b.shape()
-        )));
-    }
-    for (o, &x) in a.as_mut_slice().iter_mut().zip(b.as_slice()) {
-        *o += x;
-    }
-    Ok(())
-}
-
 /// Returns `a - b` element-wise.
 ///
 /// # Errors
@@ -180,24 +155,6 @@ pub fn sub(a: &Matrix, b: &Matrix) -> Result<Matrix> {
         *o -= x;
     }
     Ok(out)
-}
-
-/// Vertically concatenates matrices (all must share a column count).
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] on inconsistent column counts.
-pub fn concat_rows(parts: &[&Matrix]) -> Result<Matrix> {
-    let mut out = Matrix::default();
-    for p in parts {
-        out.append_rows(p)?;
-    }
-    Ok(out)
-}
-
-/// Sums each row, producing a column of row totals.
-pub fn row_sums(m: &Matrix) -> Vec<f32> {
-    (0..m.rows()).map(|r| m.row(r).iter().sum()).collect()
 }
 
 /// Sums each column, producing a row of column totals.
@@ -226,20 +183,6 @@ pub fn col_sums_range(m: &Matrix, lo: usize, hi: usize) -> Vec<f32> {
         }
     }
     out
-}
-
-/// Mean of each row.
-pub fn row_means(m: &Matrix) -> Vec<f32> {
-    row_sums(m)
-        .into_iter()
-        .map(|s| {
-            if m.cols() == 0 {
-                0.0
-            } else {
-                s / m.cols() as f32
-            }
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -286,34 +229,19 @@ mod tests {
 
     #[test]
     fn scale_add_sub() {
-        let mut a = Matrix::from_rows(&[vec![1.0, 2.0]]);
-        scale_inplace(&mut a, 2.0);
-        assert_eq!(a.row(0), &[2.0, 4.0]);
+        let a = Matrix::from_rows(&[vec![2.0, 4.0]]);
         let b = Matrix::from_rows(&[vec![1.0, 1.0]]);
         assert_eq!(add(&a, &b).unwrap().row(0), &[3.0, 5.0]);
         assert_eq!(sub(&a, &b).unwrap().row(0), &[1.0, 3.0]);
-        add_inplace(&mut a, &b).unwrap();
-        assert_eq!(a.row(0), &[3.0, 5.0]);
         let c = Matrix::zeros(2, 2);
         assert!(add(&a, &c).is_err());
         assert!(sub(&a, &c).is_err());
     }
 
     #[test]
-    fn concat_rows_stacks_vertically() {
-        let a = Matrix::from_rows(&[vec![1.0]]);
-        let b = Matrix::from_rows(&[vec![2.0], vec![3.0]]);
-        let c = concat_rows(&[&a, &b]).unwrap();
-        assert_eq!(c.rows(), 3);
-        assert_eq!(c.get(2, 0), 3.0);
-    }
-
-    #[test]
     fn row_and_col_sums() {
         let m = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        assert_eq!(row_sums(&m), vec![3.0, 7.0]);
         assert_eq!(col_sums(&m), vec![4.0, 6.0]);
-        assert_eq!(row_means(&m), vec![1.5, 3.5]);
     }
 
     #[test]

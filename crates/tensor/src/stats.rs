@@ -159,23 +159,6 @@ pub fn mean(xs: &[f32]) -> f32 {
     }
 }
 
-/// Population standard deviation; 0.0 for fewer than two points.
-pub fn std_dev(xs: &[f32]) -> f32 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    (xs.iter().map(|x| (x - m) * (x - m)).sum::<f32>() / xs.len() as f32).sqrt()
-}
-
-/// Geometric mean of strictly-positive values; 0.0 if any are ≤ 0.
-pub fn geomean(xs: &[f32]) -> f32 {
-    if xs.is_empty() || xs.iter().any(|&x| x <= 0.0) {
-        return 0.0;
-    }
-    (xs.iter().map(|x| x.ln()).sum::<f32>() / xs.len() as f32).exp()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -260,8 +243,5 @@ mod tests {
     fn summary_stats() {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(mean(&[2.0, 4.0]), 3.0);
-        assert!((std_dev(&[2.0, 4.0]) - 1.0).abs() < 1e-6);
-        assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-6);
-        assert_eq!(geomean(&[1.0, -1.0]), 0.0);
     }
 }

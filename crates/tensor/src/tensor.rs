@@ -287,11 +287,6 @@ impl Matrix {
         }
     }
 
-    /// Frobenius norm (root of sum of squares of all elements).
-    pub fn frobenius_norm(&self) -> f32 {
-        self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
-    }
-
     /// Element-wise maximum value; `None` for an empty matrix.
     pub fn max(&self) -> Option<f32> {
         self.data.iter().copied().reduce(f32::max)
@@ -446,12 +441,6 @@ mod tests {
         let s = m.slice_rows(1, 3);
         assert_eq!(s.rows(), 2);
         assert_eq!(s.get(0, 0), 1.0);
-    }
-
-    #[test]
-    fn frobenius_norm_matches_hand_value() {
-        let m = Matrix::from_rows(&[vec![3.0, 4.0]]);
-        assert!((m.frobenius_norm() - 5.0).abs() < 1e-6);
     }
 
     #[test]

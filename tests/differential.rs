@@ -260,7 +260,7 @@ proptest! {
             cfg = cfg.with_failures(FailurePlan::seeded(plan_seed, kills, replicas, horizon));
         }
         if autoscale == 1 {
-            cfg = cfg.with_autoscaler(AutoscalerCfg::new(1).with_cadence(0.5, 2.0));
+            cfg = cfg.with_autoscaler(AutoscalerCfg::new(1));
         }
         let optimized = Router::new(cfg.clone());
         let reference = Router::new(cfg).with_reference_paths(true);

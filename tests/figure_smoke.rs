@@ -1,8 +1,9 @@
 //! Smoke tests: every figure binary must run to completion in `--quick`
-//! mode. This keeps the full experiment harness from rotting. The
-//! serving figures (fig13–fig18) are also pinned byte-for-byte: their
+//! mode. This keeps the full experiment harness from rotting. Most are
+//! also pinned byte-for-byte: the serving figures' (fig13–fig18)
 //! `--quick` stdout (default seed 42) must equal the committed
-//! `tests/golden/<bin>_quick_seed42.txt`.
+//! `tests/golden/<bin>_quick_seed42.txt`, and the functional-path
+//! figures' (which take no seed) `tests/golden/<bin>_quick.txt`.
 
 use std::process::Command;
 use std::time::{Duration, Instant};
@@ -15,6 +16,19 @@ const SERVING_FIGURES: [&str; 6] = [
     "fig16_multi_turn",
     "fig17_admission",
     "fig18_fleet_dynamics",
+];
+
+/// The functional-path figures (they run the transformer and the
+/// selection policies, and take no `--seed`) whose `--quick` stdout is
+/// a golden fixture.
+const FUNCTIONAL_FIGURES: [&str; 7] = [
+    "fig03_sparsity",
+    "fig04_attention_patterns",
+    "fig05_weight_maps",
+    "fig07_scheduling_traces",
+    "fig08_accuracy",
+    "fig10_attainable_sparsity",
+    "ablation_swa",
 ];
 
 /// Runs `<bin> --quick`, asserting success, and returns its stdout.
@@ -47,8 +61,13 @@ fn run_quick(bin: &str) -> String {
 }
 
 fn golden_path(bin: &str) -> String {
+    let seed = if SERVING_FIGURES.contains(&bin) {
+        "_seed42"
+    } else {
+        ""
+    };
     format!(
-        "{}/tests/golden/{bin}_quick_seed42.txt",
+        "{}/tests/golden/{bin}_quick{seed}.txt",
         env!("CARGO_MANIFEST_DIR")
     )
 }
@@ -75,27 +94,29 @@ fn fast_figures_run() {
     for bin in [
         "fig01_motivation",
         "fig02_kv_caching",
-        "fig05_weight_maps",
         "fig11_attention_breakdown",
         "table01_comparison",
     ] {
         run_quick(bin);
     }
+    for bin in ["fig05_weight_maps", "fig07_scheduling_traces"] {
+        run_quick_against_golden(bin);
+    }
 }
 
 #[test]
 fn fig03_sparsity_runs() {
-    run_quick("fig03_sparsity");
+    run_quick_against_golden("fig03_sparsity");
 }
 
 #[test]
 fn fig04_attention_patterns_runs() {
-    run_quick("fig04_attention_patterns");
+    run_quick_against_golden("fig04_attention_patterns");
 }
 
 #[test]
 fn fig08_accuracy_runs() {
-    run_quick("fig08_accuracy");
+    run_quick_against_golden("fig08_accuracy");
 }
 
 #[test]
@@ -105,7 +126,12 @@ fn fig09_throughput_runs() {
 
 #[test]
 fn fig10_attainable_sparsity_runs() {
-    run_quick("fig10_attainable_sparsity");
+    run_quick_against_golden("fig10_attainable_sparsity");
+}
+
+#[test]
+fn ablation_swa_runs() {
+    run_quick_against_golden("ablation_swa");
 }
 
 #[test]
@@ -158,14 +184,15 @@ fn fig18_fleet_dynamics_runs() {
     run_quick_against_golden("fig18_fleet_dynamics");
 }
 
-/// Rewrites the six serving-figure fixtures from the current binaries.
+/// Rewrites the serving- and functional-figure fixtures from the
+/// current binaries.
 /// Ignored so a normal test run can never bless its own regression;
 /// run explicitly after an intentional output change:
 /// `cargo test --test figure_smoke -- --ignored`.
 #[test]
 #[ignore]
 fn regenerate_golden_fixtures() {
-    for bin in SERVING_FIGURES {
+    for bin in SERVING_FIGURES.into_iter().chain(FUNCTIONAL_FIGURES) {
         std::fs::write(golden_path(bin), run_quick(bin)).expect("write figure fixture");
     }
 }

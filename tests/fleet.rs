@@ -64,12 +64,12 @@ fn failure_router() -> Router {
     )
 }
 
-/// The autoscaler fixture: ceiling 4, floor 1, fast cadence.
+/// The autoscaler fixture: ceiling 4, floor 1.
 fn autoscaled_router() -> Router {
     Router::new(
         RouterConfig::homogeneous(v100_config(), 4)
             .with_lb(LoadBalancePolicy::LeastOutstanding)
-            .with_autoscaler(AutoscalerCfg::new(1).with_cadence(1.0, 4.0)),
+            .with_autoscaler(AutoscalerCfg::new(1)),
     )
 }
 
@@ -127,7 +127,7 @@ fn drained_or_failed_replica_never_admits_afterwards() {
     let router = Router::new(
         RouterConfig::homogeneous(v100_config(), 4)
             .with_lb(LoadBalancePolicy::LeastOutstanding)
-            .with_autoscaler(AutoscalerCfg::new(1).with_cadence(1.0, 4.0))
+            .with_autoscaler(AutoscalerCfg::new(1))
             .with_failures(FailurePlan::at(&[(12.0, 3)])),
     );
     let mut sink = MemorySink::new();
