@@ -7,16 +7,15 @@
 //! else (KV placement, transfer scheduling) happens downstream in
 //! `alisa-sched`.
 
-use alisa_tensor::ops::col_sums_range;
 use alisa_tensor::topk::top_k_indices_within;
-use alisa_tensor::Matrix;
 use serde::{Deserialize, Serialize};
 
 /// Rolling attention-weight history for one attention module.
 ///
 /// Row `t` holds the attention weights produced at decoding step `t`
-/// over all `seq_len` prior positions (zero-padded on the right), and is
-/// already averaged ("reduced along the head dimension", Algorithm 1).
+/// over the prior positions that existed then (older steps saw fewer),
+/// and is already averaged ("reduced along the head dimension",
+/// Algorithm 1).
 /// Only the most recent `depth` rows are retained: SWA's local attention
 /// sum needs just those, and keeping the full history would reintroduce
 /// the quadratic memory the paper's §IV-B criticizes SpAtten/H2O for.
@@ -72,21 +71,18 @@ impl AttentionHistory {
         self.rows.is_empty()
     }
 
-    /// The retained rows as a dense `(steps × seq_len)` matrix,
-    /// zero-padding short rows (older steps saw fewer positions).
-    pub fn as_matrix(&self) -> Matrix {
-        let mut m = Matrix::zeros(self.rows.len(), self.seq_len);
-        for (r, row) in self.rows.iter().enumerate() {
-            m.row_mut(r)[..row.len()].copy_from_slice(row);
-        }
-        m
-    }
-
     /// Local attention sum over the retained rows (Algorithm 1 line 2):
-    /// `S[j] = Σ_recent-steps AW[step, j]`.
+    /// `S[j] = Σ_recent-steps AW[step, j]`, one entry per position up to
+    /// [`AttentionHistory::seq_len`]. Rows are added oldest first; a row
+    /// shorter than `seq_len` contributes nothing past its end.
     pub fn local_sums(&self) -> Vec<f32> {
-        let m = self.as_matrix();
-        col_sums_range(&m, 0, m.rows())
+        let mut sums = vec![0.0; self.seq_len];
+        for row in &self.rows {
+            for (s, &w) in sums.iter_mut().zip(row) {
+                *s += w;
+            }
+        }
+        sums
     }
 
     /// Accumulated attention per position since the beginning — the
@@ -459,10 +455,10 @@ mod tests {
         h.push(&[0.5, 0.5]);
         h.push(&[0.2, 0.3, 0.5]);
         assert_eq!(h.len(), 2);
-        let m = h.as_matrix();
-        assert_eq!(m.shape(), (2, 3));
-        assert_eq!(m.get(0, 2), 0.0); // padded
-                                      // Global sums still include the evicted first row.
+        assert_eq!(h.seq_len(), 3);
+        // The shorter retained row counts as zero past its end.
+        assert_eq!(h.local_sums(), vec![0.7, 0.8, 0.5]);
+        // Global sums still include the evicted first row.
         assert!((h.global_sums()[0] - 1.7).abs() < 1e-6);
     }
 

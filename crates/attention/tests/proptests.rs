@@ -1,5 +1,6 @@
 //! Property-based tests of the selection contract every policy must
-//! uphold (see `PolicyKind::select`'s docs).
+//! uphold (see `PolicyKind::select`'s docs), and of the local attention
+//! sum SWA selects on.
 
 use alisa_attention::policy::{AttentionHistory, PolicyKind, SelectionContext};
 use proptest::prelude::*;
@@ -92,5 +93,40 @@ proptest! {
             prop_assert!(sel.local.len() >= last_local, "local share must grow with frac");
             last_local = sel.local.len();
         }
+    }
+
+    /// `local_sums` equals, bit for bit, the column sum of the retained
+    /// rows zero-padded to `seq_len` — the dense computation it replaces.
+    #[test]
+    fn local_sums_match_padded_column_sums(
+        depth in 1usize..=6,
+        rows in proptest::collection::vec(
+            proptest::collection::vec(
+                // Mostly finite weights, with signed zeros mixed in.
+                (0u8..8, -1.0e3f32..1.0e3f32).prop_map(|(pick, w)| match pick {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => w,
+                }),
+                0..24,
+            ),
+            0..12,
+        ),
+    ) {
+        let mut h = AttentionHistory::new(depth);
+        for row in &rows {
+            h.push(row);
+        }
+        let seq_len = rows.iter().map(Vec::len).max().unwrap_or(0);
+        let mut padded_sums = vec![0.0f32; seq_len];
+        for row in &rows[rows.len().saturating_sub(depth)..] {
+            let mut padded = row.clone();
+            padded.resize(seq_len, 0.0);
+            for (acc, &w) in padded_sums.iter_mut().zip(&padded) {
+                *acc += w;
+            }
+        }
+        let bits = |xs: &[f32]| xs.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        prop_assert_eq!(bits(&h.local_sums()), bits(&padded_sums));
     }
 }

@@ -1,24 +1,11 @@
-//! Criterion micro-benchmarks for the functional path's kernels: token
-//! selection (`PolicyKind::select`, which `TinyTransformer::decode_step`
-//! calls once per layer per step), KV quantization, and the matmul
-//! primitives.
+//! Criterion micro-benchmarks for the functional path's token selection:
+//! `PolicyKind::select`, which `TinyTransformer::decode_step` calls once
+//! per layer per step, for SWA, H2O and local attention at three
+//! sequence lengths. The per-row KV quantizer is timed in the `quant`
+//! suite.
 
 use alisa_attention::policy::{AttentionHistory, PolicyKind, SelectionContext};
-use alisa_tensor::ops::{matmul, matmul_bt};
-use alisa_tensor::quant::{dequantize, quantize, QuantBits};
-use alisa_tensor::Matrix;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-
-fn filled(rows: usize, cols: usize) -> Matrix {
-    Matrix::from_vec(
-        rows,
-        cols,
-        (0..rows * cols)
-            .map(|i| ((i * 37) % 101) as f32 * 0.01 - 0.5)
-            .collect(),
-    )
-    .unwrap()
-}
 
 fn history(seq: usize, depth: usize) -> AttentionHistory {
     let mut h = AttentionHistory::new(depth);
@@ -51,35 +38,5 @@ fn bench_selection(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_quantization(c: &mut Criterion) {
-    let mut g = c.benchmark_group("kv_quantization");
-    for &rows in &[64usize, 512] {
-        let m = filled(rows, 128);
-        g.bench_with_input(BenchmarkId::new("quantize_int8", rows), &rows, |b, _| {
-            b.iter(|| black_box(quantize(&m, QuantBits::Int8).unwrap()));
-        });
-        let q = quantize(&m, QuantBits::Int8).unwrap();
-        g.bench_with_input(BenchmarkId::new("dequantize_int8", rows), &rows, |b, _| {
-            b.iter(|| black_box(dequantize(&q)));
-        });
-    }
-    g.finish();
-}
-
-fn bench_matmul(c: &mut Criterion) {
-    let mut g = c.benchmark_group("matmul");
-    for &n in &[32usize, 128] {
-        let a = filled(n, n);
-        let b_mat = filled(n, n);
-        g.bench_with_input(BenchmarkId::new("matmul", n), &n, |b, _| {
-            b.iter(|| black_box(matmul(&a, &b_mat).unwrap()));
-        });
-        g.bench_with_input(BenchmarkId::new("matmul_bt", n), &n, |b, _| {
-            b.iter(|| black_box(matmul_bt(&a, &b_mat).unwrap()));
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(benches, bench_selection, bench_quantization, bench_matmul);
+criterion_group!(benches, bench_selection);
 criterion_main!(benches);

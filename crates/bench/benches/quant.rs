@@ -1,66 +1,24 @@
-//! Criterion benchmarks for the KV quantization hot path: channel-wise
-//! quantize/dequantize throughput per bit width, the INT4 code
-//! pack/unpack kernels, and per-region precision-policy byte
-//! accounting. The mixed-precision refactor routes every offload byte
-//! through these — the functional path quantizes real matrices and the
-//! pricing path calls the policy accessors once per step — so their
-//! cost floors experiment turnaround.
+//! Criterion benchmarks for the two KV-compression pieces that run: the
+//! per-row fake quantizer `TinyTransformer::decode_step` applies to each
+//! new K and V row under `kv_quant`, at INT8 and INT4, and the
+//! per-region `PrecisionPolicy` byte pricing the schedulers and the
+//! serving engine call every step.
 
-use alisa_tensor::quant::{
-    dequantize, fake_quantize_row, pack_codes, quantize, unpack_codes, PrecisionPolicy, QuantBits,
-};
-use alisa_tensor::Matrix;
+use alisa_tensor::quant::{fake_quantize_row, PrecisionPolicy, QuantBits};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
-/// A deterministic pseudo-random KV-like matrix (no RNG dependency).
-fn kv_matrix(rows: usize, cols: usize) -> Matrix {
-    let data: Vec<f32> = (0..rows * cols)
+/// A deterministic pseudo-random KV-like row (no RNG dependency).
+fn kv_row(len: usize) -> Vec<f32> {
+    (0..len)
         .map(|i| {
             let x = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
             ((x >> 40) as f32 / (1u64 << 24) as f32) - 0.5
         })
-        .collect();
-    Matrix::from_vec(rows, cols, data).unwrap()
-}
-
-fn bench_quantize(c: &mut Criterion) {
-    let m = kv_matrix(256, 128);
-    let mut g = c.benchmark_group("quantize_256x128");
-    for bits in [QuantBits::Int8, QuantBits::Int4] {
-        g.bench_with_input(BenchmarkId::from_parameter(bits), &bits, |b, &bits| {
-            b.iter(|| black_box(quantize(&m, bits).unwrap()));
-        });
-    }
-    g.finish();
-}
-
-fn bench_dequantize(c: &mut Criterion) {
-    let m = kv_matrix(256, 128);
-    let mut g = c.benchmark_group("dequantize_256x128");
-    for bits in [QuantBits::Int8, QuantBits::Int4] {
-        let q = quantize(&m, bits).unwrap();
-        g.bench_with_input(BenchmarkId::from_parameter(bits), &q, |b, q| {
-            b.iter(|| black_box(dequantize(q)));
-        });
-    }
-    g.finish();
-}
-
-fn bench_pack_unpack(c: &mut Criterion) {
-    let codes: Vec<u8> = (0..32_768).map(|i| (i % 16) as u8).collect();
-    let mut g = c.benchmark_group("int4_codes_32k");
-    g.bench_function("pack", |b| {
-        b.iter(|| black_box(pack_codes(&codes, QuantBits::Int4)));
-    });
-    let packed = pack_codes(&codes, QuantBits::Int4);
-    g.bench_function("unpack", |b| {
-        b.iter(|| black_box(unpack_codes(&packed, codes.len(), QuantBits::Int4)));
-    });
-    g.finish();
+        .collect()
 }
 
 fn bench_fake_quantize_row(c: &mut Criterion) {
-    let row: Vec<f32> = kv_matrix(1, 4096).as_slice().to_vec();
+    let row = kv_row(4096);
     let mut g = c.benchmark_group("fake_quantize_row_4096");
     for bits in [QuantBits::Int8, QuantBits::Int4] {
         g.bench_with_input(BenchmarkId::from_parameter(bits), &bits, |b, &bits| {
@@ -99,12 +57,5 @@ fn bench_policy_accounting(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_quantize,
-    bench_dequantize,
-    bench_pack_unpack,
-    bench_fake_quantize_row,
-    bench_policy_accounting
-);
+criterion_group!(benches, bench_fake_quantize_row, bench_policy_accounting);
 criterion_main!(benches);

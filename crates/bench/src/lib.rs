@@ -30,13 +30,22 @@ pub fn quick_mode() -> bool {
     flag("--quick")
 }
 
-/// Parses `--seed N` from the command line, defaulting to 42 on a
-/// missing or malformed value. Shared by every gated figure binary so
-/// seed handling cannot drift between them.
+/// Parses `--seed N` from the command line; 42 when the flag is absent.
+/// Shared by every gated figure binary so seed handling cannot drift
+/// between them.
+///
+/// A present flag must carry an unsigned 64-bit integer: a malformed or
+/// missing value prints an error to stderr and exits with status 2, so
+/// a seed sweep with a typo cannot silently rerun seed 42.
 pub fn seed_arg() -> u64 {
-    arg_value("--seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42)
+    if !flag("--seed") {
+        return 42;
+    }
+    let value = arg_value("--seed").unwrap_or_default();
+    value.parse().unwrap_or_else(|_| {
+        eprintln!("--seed must be an unsigned 64-bit integer, got `{value}`");
+        std::process::exit(2)
+    })
 }
 
 /// Handles `--events <path>` for the serving figure binaries: when the

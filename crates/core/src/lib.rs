@@ -12,8 +12,10 @@
 //! 2. **Three-phase dynamic scheduling** (`alisa_sched::AlisaScheduler`)
 //!    — Algorithm 2's GPU caching → GPU–CPU caching → recomputation
 //!    progression at token granularity;
-//! 3. **KV compression** (`alisa_tensor::quant`) — channel-wise INT8
-//!    storage of offloaded KV tensors.
+//! 3. **KV compression** (`alisa_tensor::quant`) — INT8 storage of
+//!    offloaded KV tensors: priced per cache region by
+//!    `PrecisionPolicy` on the performance path, and applied per token
+//!    row by `fake_quantize_row` on the functional path.
 //!
 //! Two evaluation paths mirror the paper's methodology (see "Two
 //! evaluation paths, one cost model" in `docs/ARCHITECTURE.md`): a

@@ -147,15 +147,6 @@ impl PagedKvStore {
             .collect()
     }
 
-    /// The block index holding token position `pos`, if appended.
-    pub fn block_of_token(&self, pos: usize) -> Option<usize> {
-        if pos < self.num_tokens() {
-            Some(pos / self.block_size)
-        } else {
-            None
-        }
-    }
-
     /// Internal fragmentation: reserved-but-unused bytes in the tail
     /// block.
     pub fn fragmented_bytes(&self) -> u64 {
@@ -205,18 +196,6 @@ mod tests {
         assert_eq!(s.swap(0, Location::Gpu), 40);
         // No-op swap is free.
         assert_eq!(s.swap(0, Location::Gpu), 0);
-    }
-
-    #[test]
-    fn block_of_token_maps_positions() {
-        let mut s = PagedKvStore::new(4, 1);
-        for _ in 0..6 {
-            s.append_token();
-        }
-        assert_eq!(s.block_of_token(0), Some(0));
-        assert_eq!(s.block_of_token(3), Some(0));
-        assert_eq!(s.block_of_token(4), Some(1));
-        assert_eq!(s.block_of_token(6), None);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! the math, which is exactly the paper's accuracy/performance split.
 
 use alisa_attention::policy::{AttentionHistory, PolicyKind, SelectionContext};
-use alisa_tensor::nn::{layernorm_rows, relu_inplace, softmax_inplace};
+use alisa_tensor::nn::{layernorm, relu_inplace, softmax_inplace};
 use alisa_tensor::ops::{dot, matvec};
 use alisa_tensor::quant::{fake_quantize_row, QuantBits};
 use alisa_tensor::Matrix;
@@ -262,11 +262,11 @@ impl TinyTransformer {
     }
 
     fn maybe_ln(&self, x: &[f32], gain: &[f32], bias: &[f32]) -> Vec<f32> {
-        if !self.apply_layernorm {
-            return x.to_vec();
+        let mut y = x.to_vec();
+        if self.apply_layernorm {
+            layernorm(&mut y, gain, bias, 1e-5);
         }
-        let m = Matrix::from_vec(1, x.len(), x.to_vec()).expect("shape");
-        layernorm_rows(&m, gain, bias, 1e-5).into_vec()
+        y
     }
 
     /// Processes one token and returns next-token logits plus attention
@@ -371,14 +371,9 @@ impl TinyTransformer {
 
             if self.apply_ffn {
                 let h2 = self.maybe_ln(&x, &lw.ln2_gain, &lw.ln2_bias);
-                let mut u = Matrix::from_vec(
-                    1,
-                    lw.b1.len(),
-                    add_bias(matvec(&lw.w1, &h2).expect("w1"), &lw.b1),
-                )
-                .expect("shape");
+                let mut u = add_bias(matvec(&lw.w1, &h2).expect("w1"), &lw.b1);
                 relu_inplace(&mut u);
-                let y = add_bias(matvec(&lw.w2, u.as_slice()).expect("w2"), &lw.b2);
+                let y = add_bias(matvec(&lw.w2, &u).expect("w2"), &lw.b2);
                 for (xi, yi) in x.iter_mut().zip(&y) {
                     *xi += yi;
                 }

@@ -56,33 +56,6 @@ impl Histogram {
         };
         *self.buckets.entry(idx).or_insert(0) += 1;
     }
-
-    /// Mean of observations (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        for (idx, n) in &other.buckets {
-            *self.buckets.entry(*idx).or_insert(0) += n;
-        }
-    }
 }
 
 /// A named collection of counters and histograms.
@@ -178,21 +151,6 @@ impl MetricsRegistry {
                 self.inc("rebuilt_tokens", *rebuilt_tokens as u64);
             }
         }
-    }
-
-    /// Merges another registry into this one (fleet-level rollups).
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (name, v) in &other.counters {
-            *self.counters.entry(name.clone()).or_insert(0) += v;
-        }
-        for (name, h) in &other.hists {
-            self.hists.entry(name.clone()).or_default().merge(h);
-        }
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.hists.is_empty()
     }
 
     /// The canonical, byte-stable text dump.
@@ -298,7 +256,6 @@ mod tests {
         assert_eq!(h.sum, 10.75);
         assert_eq!(h.min, 0.25);
         assert_eq!(h.max, 8.0);
-        assert_eq!(h.mean(), 2.6875);
     }
 
     #[test]
@@ -323,28 +280,6 @@ mod tests {
         let back = MetricsRegistry::from_canonical_text(&text).unwrap();
         assert_eq!(back, reg);
         assert_eq!(back.canonical_text(), text);
-    }
-
-    #[test]
-    fn merge_matches_recording_everything_in_one_registry() {
-        let mut a = MetricsRegistry::new();
-        a.inc("steps", 3);
-        a.observe("step_time_s", 0.5);
-        let mut b = MetricsRegistry::new();
-        b.inc("steps", 2);
-        b.inc("handoffs", 1);
-        b.observe("step_time_s", 0.25);
-        b.observe("e2e_s", 2.0);
-
-        let mut merged = a.clone();
-        merged.merge(&b);
-        let mut direct = MetricsRegistry::new();
-        direct.inc("steps", 5);
-        direct.inc("handoffs", 1);
-        direct.observe("step_time_s", 0.5);
-        direct.observe("step_time_s", 0.25);
-        direct.observe("e2e_s", 2.0);
-        assert_eq!(merged, direct);
     }
 
     #[test]

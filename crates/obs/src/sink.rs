@@ -112,11 +112,6 @@ impl<W: Write> JsonlSink<W> {
         }
     }
 
-    /// Events successfully written so far.
-    pub fn events_written(&self) -> u64 {
-        self.written
-    }
-
     /// Flushes and returns the event count, or the first write error.
     ///
     /// # Errors
@@ -183,7 +178,7 @@ mod tests {
         let mut s = JsonlSink::new(Vec::new());
         s.emit(&ev(0.5, Some(7)));
         s.emit(&ev(1.5, None));
-        assert_eq!(s.events_written(), 2);
+        assert_eq!(s.written, 2);
         let bytes = {
             let JsonlSink { writer, .. } = s;
             writer
@@ -209,7 +204,7 @@ mod tests {
         let mut s = JsonlSink::new(Failing);
         s.emit(&ev(0.0, None));
         s.emit(&ev(1.0, None)); // must not panic after first failure
-        assert_eq!(s.events_written(), 0);
+        assert_eq!(s.written, 0);
         assert!(s.finish().is_err());
     }
 }

@@ -27,8 +27,6 @@ use serde::{Deserialize, Serialize};
 ///
 /// let bursty = ArrivalProcess::Bursty { rate: 4.0, burst: 8.0, on_frac: 0.25, period_s: 10.0 };
 /// assert_eq!(bursty.name(), "bursty");
-/// assert!(!bursty.is_closed_loop());
-/// assert!(ArrivalProcess::ClosedLoop { clients: 8, think_s: 1.0 }.is_closed_loop());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum ArrivalProcess {
@@ -187,11 +185,6 @@ impl ArrivalProcess {
             }
         }
     }
-
-    /// Whether the engine must gate these arrivals on completions.
-    pub fn is_closed_loop(&self) -> bool {
-        matches!(self, ArrivalProcess::ClosedLoop { .. })
-    }
 }
 
 /// Exponential draw with the given rate via inverse CDF.
@@ -298,7 +291,6 @@ mod tests {
         let ts = p.arrival_times(64, 5);
         assert!(ts.windows(2).all(|w| w[0] < w[1]), "strictly monotone");
         assert!(ts.iter().all(|&t| t < 1e-3), "nominal arrivals ~immediate");
-        assert!(p.is_closed_loop());
     }
 
     #[test]

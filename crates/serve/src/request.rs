@@ -64,11 +64,6 @@ impl RejectReason {
         }
     }
 
-    /// Whether this is a queue-timeout rejection.
-    pub fn is_timeout(&self) -> bool {
-        matches!(self, RejectReason::QueueTimeout { .. })
-    }
-
     /// Human-readable detail, suitable for a decision trace.
     pub fn detail(&self) -> String {
         match self {

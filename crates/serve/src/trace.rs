@@ -395,21 +395,6 @@ impl Trace {
         }
     }
 
-    /// Mean offered load in requests/second (0 for degenerate traces).
-    pub fn request_rate(&self) -> f64 {
-        let d = self.duration();
-        if d <= 0.0 {
-            0.0
-        } else {
-            (self.len() - 1) as f64 / d
-        }
-    }
-
-    /// Total output-token budget across all requests.
-    pub fn total_output_tokens(&self) -> usize {
-        self.entries.iter().map(|e| e.output_len).sum()
-    }
-
     /// Serializes to a line-oriented text format. Float arrivals use
     /// Rust's shortest-round-trip formatting, so
     /// `from_text(to_text(t)) == t` exactly. Single-shot entries emit
@@ -600,12 +585,10 @@ mod tests {
     }
 
     #[test]
-    fn rate_and_duration() {
+    fn duration_spans_first_to_last_arrival() {
         let t = Trace::new(vec![entry(1.0, 8, 8), entry(2.0, 8, 8), entry(3.0, 8, 8)]).unwrap();
         assert_eq!(t.duration(), 2.0);
-        assert_eq!(t.request_rate(), 1.0);
-        assert_eq!(t.total_output_tokens(), 24);
-        assert_eq!(Trace::new(vec![]).unwrap().request_rate(), 0.0);
+        assert_eq!(Trace::new(vec![]).unwrap().duration(), 0.0);
     }
 
     #[test]

@@ -1,28 +1,38 @@
 //! Dense tensor substrate for the ALISA reproduction.
 //!
 //! The paper's algorithm (Sparse Window Attention, Algorithm 1) and its
-//! KV compression (Eq. 7) operate on dense `f32` matrices: queries, keys,
-//! values, attention weights. This crate provides the kernels those code
-//! paths need, implemented in portable, deterministic Rust so that every
-//! experiment in the repository reproduces bit-for-bit:
+//! KV compression (Eq. 7) run on the functional path one token at a
+//! time: `TinyTransformer::decode_step` in `alisa-model` projects one
+//! row, scores it against the kept cache rows and normalizes. This crate
+//! holds what that path, the figure binaries and the byte pricing call,
+//! implemented in portable, deterministic Rust so that every experiment
+//! reproduces bit-for-bit:
 //!
-//! * [`Matrix`] — a row-major 2-D `f32` tensor with shape checking,
-//!   row gather and transpose,
-//! * [`ops`] — matmul / matvec / dot / column sums,
-//! * [`nn`] — numerically-stable softmax, layer-norm, ReLU, cross-entropy,
-//! * [`quant`] — channel-wise INT8/INT4 quantization of KV tensors,
+//! * [`Matrix`] — a row-major 2-D `f32` tensor for weights, the per-layer
+//!   K/V cache and attention maps,
+//! * [`ops`] — matrix–vector and dot products,
+//! * [`nn`] — numerically-stable softmax, layer norm, ReLU, cross-entropy,
+//!   each on one row,
+//! * [`quant`] — per-row fake quantization of KV rows (Eq. 7) and the
+//!   per-region KV byte pricing of [`quant::PrecisionPolicy`],
 //! * [`stats`] — Spearman correlation, attention-weight sparsity, Zipf fits,
-//! * [`topk`] — arg-max / top-k index selection used by SWA and H2O.
+//! * [`topk`] — arg-max and the candidate-restricted top-k that SWA and
+//!   H2O select with.
 //!
 //! # Example
 //!
-//! ```
-//! use alisa_tensor::{Matrix, nn::softmax_rows};
+//! One attention head's weights over three cached keys:
 //!
-//! let logits = Matrix::from_rows(&[vec![1.0, 2.0, 3.0]]);
-//! let probs = softmax_rows(&logits);
-//! let total: f32 = probs.row(0).iter().sum();
+//! ```
+//! use alisa_tensor::{nn::softmax, ops::matvec, Matrix};
+//!
+//! let keys = Matrix::from_rows(&[vec![1.0, 0.0], vec![0.0, 1.0], vec![1.0, 1.0]]);
+//! let logits = matvec(&keys, &[1.0, 2.0]).unwrap();
+//! assert_eq!(logits, vec![1.0, 2.0, 3.0]);
+//! let weights = softmax(&logits);
+//! let total: f32 = weights.iter().sum();
 //! assert!((total - 1.0).abs() < 1e-6);
+//! assert!(weights[0] < weights[1] && weights[1] < weights[2]);
 //! ```
 
 pub mod nn;
@@ -34,26 +44,18 @@ pub mod topk;
 
 pub use tensor::Matrix;
 
-/// Error type for shape mismatches and invalid arguments in tensor kernels.
+/// Error type for shape mismatches in tensor kernels.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TensorError {
     /// Two operands had incompatible shapes; payload is a human-readable
     /// description of the two shapes involved.
     ShapeMismatch(String),
-    /// An index (row, column, or gather index) was out of range.
-    IndexOutOfRange { index: usize, len: usize },
-    /// A numeric argument was outside its valid domain (e.g. `bits == 0`).
-    InvalidArgument(String),
 }
 
 impl std::fmt::Display for TensorError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             TensorError::ShapeMismatch(msg) => write!(f, "shape mismatch: {msg}"),
-            TensorError::IndexOutOfRange { index, len } => {
-                write!(f, "index {index} out of range for length {len}")
-            }
-            TensorError::InvalidArgument(msg) => write!(f, "invalid argument: {msg}"),
         }
     }
 }

@@ -2,33 +2,15 @@
 //!
 //! The paper folds the Add + LayerNorm operations into the MHA and FFN
 //! blocks (§II-A); this module provides those pieces for the functional
-//! transformer in `alisa-model`.
+//! transformer in `alisa-model`, which works on one token's row at a
+//! time.
 
-use crate::Matrix;
-
-/// Row-wise numerically-stable softmax: `σ(x)ᵢ = exp(xᵢ - max) / Σ exp`.
+/// In-place numerically-stable softmax over a single slice:
+/// `σ(x)ᵢ = exp(xᵢ - max) / Σ exp`, the `σ(·)` of Eq. 1.
 ///
-/// This is the `σ(·)` of Eq. 1. Rows of `-∞` (fully masked) produce a
-/// uniform row rather than NaNs, which never occurs in practice because
-/// autoregressive attention always attends to at least the current token.
-///
-/// # Example
-///
-/// ```
-/// use alisa_tensor::{Matrix, nn::softmax_rows};
-///
-/// let probs = softmax_rows(&Matrix::from_rows(&[vec![0.0, 0.0]]));
-/// assert!((probs.get(0, 0) - 0.5).abs() < 1e-6);
-/// ```
-pub fn softmax_rows(logits: &Matrix) -> Matrix {
-    let mut out = logits.clone();
-    for r in 0..out.rows() {
-        softmax_inplace(out.row_mut(r));
-    }
-    out
-}
-
-/// In-place numerically-stable softmax over a single slice.
+/// A row of `-∞` (fully masked) becomes uniform rather than NaN, which
+/// never occurs in practice because autoregressive attention always
+/// attends to at least the current token.
 pub fn softmax_inplace(row: &mut [f32]) {
     if row.is_empty() {
         return;
@@ -57,33 +39,27 @@ pub fn softmax(row: &[f32]) -> Vec<f32> {
     out
 }
 
-/// Row-wise layer normalization with learned `gain` and `bias`.
-///
-/// `y = (x - mean) / sqrt(var + eps) * gain + bias`, computed per row.
+/// Layer normalization of one row in place, with learned `gain` and
+/// `bias`: `y = (x - mean) / sqrt(var + eps) * gain + bias`.
 ///
 /// # Panics
 ///
-/// Panics if `gain.len()` or `bias.len()` differ from `x.cols()`.
-pub fn layernorm_rows(x: &Matrix, gain: &[f32], bias: &[f32], eps: f32) -> Matrix {
-    assert_eq!(gain.len(), x.cols(), "layernorm gain length");
-    assert_eq!(bias.len(), x.cols(), "layernorm bias length");
-    let mut out = x.clone();
-    for r in 0..out.rows() {
-        let row = out.row_mut(r);
-        let n = row.len() as f32;
-        let mean = row.iter().sum::<f32>() / n;
-        let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / n;
-        let denom = (var + eps).sqrt();
-        for (i, v) in row.iter_mut().enumerate() {
-            *v = (*v - mean) / denom * gain[i] + bias[i];
-        }
+/// Panics if `gain.len()` or `bias.len()` differ from `x.len()`.
+pub fn layernorm(x: &mut [f32], gain: &[f32], bias: &[f32], eps: f32) {
+    assert_eq!(gain.len(), x.len(), "layernorm gain length");
+    assert_eq!(bias.len(), x.len(), "layernorm bias length");
+    let n = x.len() as f32;
+    let mean = x.iter().sum::<f32>() / n;
+    let var = x.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / n;
+    let denom = (var + eps).sqrt();
+    for (i, v) in x.iter_mut().enumerate() {
+        *v = (*v - mean) / denom * gain[i] + bias[i];
     }
-    out
 }
 
 /// ReLU activation, element-wise in place (used by the OPT-style FFN).
-pub fn relu_inplace(m: &mut Matrix) {
-    for v in m.as_mut_slice() {
+pub fn relu_inplace(x: &mut [f32]) {
+    for v in x {
         *v = v.max(0.0);
     }
 }
@@ -99,38 +75,14 @@ pub fn cross_entropy(probs: &[f32], target: usize) -> f32 {
     -(probs[target].max(1e-12).ln())
 }
 
-/// KL divergence `Σ p log(p/q)` between two probability slices.
-///
-/// Used to quantify how far a sparse-attention output distribution has
-/// drifted from dense attention (the Figure 4 analysis).
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn kl_divergence(p: &[f32], q: &[f32]) -> f32 {
-    assert_eq!(p.len(), q.len(), "kl_divergence length mismatch");
-    p.iter()
-        .zip(q)
-        .map(|(&pi, &qi)| {
-            if pi <= 0.0 {
-                0.0
-            } else {
-                pi * (pi.max(1e-12) / qi.max(1e-12)).ln()
-            }
-        })
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn softmax_rows_sum_to_one() {
-        let m = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![-5.0, 0.0, 5.0]]);
-        let s = softmax_rows(&m);
-        for r in 0..2 {
-            let total: f32 = s.row(r).iter().sum();
+        for row in [[1.0, 2.0, 3.0], [-5.0, 0.0, 5.0]] {
+            let total: f32 = softmax(&row).iter().sum();
             assert!((total - 1.0).abs() < 1e-6);
         }
     }
@@ -165,48 +117,33 @@ mod tests {
 
     #[test]
     fn layernorm_zero_mean_unit_var() {
-        let x = Matrix::from_rows(&[vec![1.0, 2.0, 3.0, 4.0]]);
-        let gain = vec![1.0; 4];
-        let bias = vec![0.0; 4];
-        let y = layernorm_rows(&x, &gain, &bias, 1e-5);
-        let mean: f32 = y.row(0).iter().sum::<f32>() / 4.0;
-        let var: f32 = y
-            .row(0)
-            .iter()
-            .map(|v| (v - mean) * (v - mean))
-            .sum::<f32>()
-            / 4.0;
+        let mut y = vec![1.0, 2.0, 3.0, 4.0];
+        layernorm(&mut y, &[1.0; 4], &[0.0; 4], 1e-5);
+        let mean: f32 = y.iter().sum::<f32>() / 4.0;
+        let var: f32 = y.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / 4.0;
         assert!(mean.abs() < 1e-5);
         assert!((var - 1.0).abs() < 1e-3);
     }
 
     #[test]
     fn layernorm_applies_gain_and_bias() {
-        let x = Matrix::from_rows(&[vec![1.0, -1.0]]);
-        let y = layernorm_rows(&x, &[2.0, 2.0], &[1.0, 1.0], 1e-5);
+        let mut y = vec![1.0, -1.0];
+        layernorm(&mut y, &[2.0, 2.0], &[1.0, 1.0], 1e-5);
         // Normalized row is [1, -1]; with gain 2 bias 1 → [3, -1].
-        assert!((y.get(0, 0) - 3.0).abs() < 1e-2);
-        assert!((y.get(0, 1) + 1.0).abs() < 1e-2);
+        assert!((y[0] - 3.0).abs() < 1e-2);
+        assert!((y[1] + 1.0).abs() < 1e-2);
     }
 
     #[test]
     fn relu_clamps_negatives() {
-        let mut m = Matrix::from_rows(&[vec![-1.0, 2.0]]);
-        relu_inplace(&mut m);
-        assert_eq!(m.row(0), &[0.0, 2.0]);
+        let mut x = vec![-1.0, 2.0];
+        relu_inplace(&mut x);
+        assert_eq!(x, vec![0.0, 2.0]);
     }
 
     #[test]
     fn cross_entropy_of_confident_prediction_is_small() {
         assert!(cross_entropy(&[0.99, 0.01], 0) < 0.02);
         assert!(cross_entropy(&[0.01, 0.99], 0) > 4.0);
-    }
-
-    #[test]
-    fn kl_divergence_zero_for_identical() {
-        let p = softmax(&[1.0, 2.0, 3.0]);
-        assert!(kl_divergence(&p, &p).abs() < 1e-6);
-        let q = softmax(&[3.0, 2.0, 1.0]);
-        assert!(kl_divergence(&p, &q) > 0.0);
     }
 }

@@ -150,15 +150,6 @@ pub fn zipf_fit(sorted_desc: &[f32]) -> (f32, f32) {
     (slope, r2)
 }
 
-/// Arithmetic mean; 0.0 for an empty slice.
-pub fn mean(xs: &[f32]) -> f32 {
-    if xs.is_empty() {
-        0.0
-    } else {
-        xs.iter().sum::<f32>() / xs.len() as f32
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,11 +228,5 @@ mod tests {
         assert_eq!(zipf_fit(&[]), (0.0, 0.0));
         assert_eq!(zipf_fit(&[1.0]), (0.0, 0.0));
         assert_eq!(zipf_fit(&[1.0, 1.0]), (0.0, 0.0)); // zero variance
-    }
-
-    #[test]
-    fn summary_stats() {
-        assert_eq!(mean(&[]), 0.0);
-        assert_eq!(mean(&[2.0, 4.0]), 3.0);
     }
 }

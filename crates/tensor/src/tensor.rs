@@ -1,11 +1,11 @@
 //! The [`Matrix`] type: a row-major 2-D `f32` tensor.
 //!
-//! Every intermediate in the ALISA pipeline — Q/K/V projections, attention
-//! weights, gathered sparse KV tensors — is a 2-D matrix (batch and head
-//! dimensions are handled by looping at the call site, mirroring how the
-//! paper's Algorithm 1 is written per-head). Row-major storage keeps
-//! per-token KV rows contiguous, which is what token-level caching moves
-//! around.
+//! The functional path keeps its weights, each layer's K/V cache and the
+//! captured attention maps as 2-D matrices; one token's query, key, value
+//! and activations are plain `f32` slices (batch and head dimensions are
+//! handled by looping at the call site, mirroring how the paper's
+//! Algorithm 1 is written per-head). Row-major storage keeps per-token KV
+//! rows contiguous, which is what token-level caching moves around.
 
 use serde::{Deserialize, Serialize};
 
@@ -15,8 +15,8 @@ use crate::{Result, TensorError};
 ///
 /// Rows are the "token" dimension throughout this repository: `K` is
 /// `(seq_len, head_dim)`, attention weights are `(q_len, kv_len)`, and a
-/// token's KV entry is one row. This makes the token-level gather used by
-/// Sparse Window Attention a contiguous-row copy.
+/// token's KV entry is one row. Reading a token that Sparse Window
+/// Attention keeps is then one contiguous row borrow.
 ///
 /// # Example
 ///
@@ -42,15 +42,6 @@ impl Matrix {
             rows,
             cols,
             data: vec![0.0; rows * cols],
-        }
-    }
-
-    /// Creates a `rows × cols` matrix with every element set to `value`.
-    pub fn full(rows: usize, cols: usize, value: f32) -> Self {
-        Matrix {
-            rows,
-            cols,
-            data: vec![value; rows * cols],
         }
     }
 
@@ -169,55 +160,10 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Copies column `c` out into a new vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c >= cols`.
-    pub fn col(&self, c: usize) -> Vec<f32> {
-        assert!(c < self.cols, "column index out of bounds");
-        (0..self.rows).map(|r| self.get(r, c)).collect()
-    }
-
-    /// The raw row-major buffer.
-    pub fn as_slice(&self) -> &[f32] {
-        &self.data
-    }
-
-    /// Mutable access to the raw row-major buffer.
-    pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        &mut self.data
-    }
-
-    /// Consumes the matrix, returning its row-major buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
-    /// Appends the rows of `other` below `self`.
+    /// Appends a single row.
     ///
     /// This is the "concatenate stored KV with the new token's KV" step of
     /// KV caching (Figure 2(b) of the paper).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if the column counts differ.
-    pub fn append_rows(&mut self, other: &Matrix) -> Result<()> {
-        if self.cols != other.cols && !self.is_empty() {
-            return Err(TensorError::ShapeMismatch(format!(
-                "cannot append {}x{} onto {}x{}",
-                other.rows, other.cols, self.rows, self.cols
-            )));
-        }
-        if self.is_empty() {
-            self.cols = other.cols;
-        }
-        self.data.extend_from_slice(&other.data);
-        self.rows += other.rows;
-        Ok(())
-    }
-
-    /// Appends a single row.
     ///
     /// # Errors
     ///
@@ -239,40 +185,6 @@ impl Matrix {
         Ok(())
     }
 
-    /// Returns a new matrix containing the given rows, in order.
-    ///
-    /// This is the `K[I, :]` / `V[I, :]` gather of Algorithm 1 line 6: the
-    /// sparse token indices `I` are packed into a dense tensor so the
-    /// subsequent matmuls stay dense and regular.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::IndexOutOfRange`] if any index `>= rows`.
-    pub fn gather_rows(&self, indices: &[usize]) -> Result<Matrix> {
-        let mut out = Matrix::zeros(indices.len(), self.cols);
-        for (dst, &src) in indices.iter().enumerate() {
-            if src >= self.rows {
-                return Err(TensorError::IndexOutOfRange {
-                    index: src,
-                    len: self.rows,
-                });
-            }
-            out.row_mut(dst).copy_from_slice(self.row(src));
-        }
-        Ok(out)
-    }
-
-    /// Returns the transpose.
-    pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.set(c, r, self.get(r, c));
-            }
-        }
-        out
-    }
-
     /// Returns a sub-matrix of rows `lo..hi` (half-open range).
     ///
     /// # Panics
@@ -290,20 +202,6 @@ impl Matrix {
     /// Element-wise maximum value; `None` for an empty matrix.
     pub fn max(&self) -> Option<f32> {
         self.data.iter().copied().reduce(f32::max)
-    }
-
-    /// Element-wise minimum value; `None` for an empty matrix.
-    pub fn min(&self) -> Option<f32> {
-        self.data.iter().copied().reduce(f32::min)
-    }
-
-    /// Mean of all elements (0.0 for an empty matrix).
-    pub fn mean(&self) -> f32 {
-        if self.data.is_empty() {
-            0.0
-        } else {
-            self.data.iter().sum::<f32>() / self.data.len() as f32
-        }
     }
 }
 
@@ -339,7 +237,7 @@ mod tests {
     fn zeros_has_correct_shape_and_content() {
         let m = Matrix::zeros(3, 4);
         assert_eq!(m.shape(), (3, 4));
-        assert!(m.as_slice().iter().all(|&x| x == 0.0));
+        assert!((0..3).all(|r| m.row(r).iter().all(|&x| x == 0.0)));
     }
 
     #[test]
@@ -374,65 +272,12 @@ mod tests {
     }
 
     #[test]
-    fn col_extracts_column() {
-        let m = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        assert_eq!(m.col(1), vec![2.0, 4.0]);
-    }
-
-    #[test]
-    fn append_rows_grows_matrix() {
-        let mut a = Matrix::from_rows(&[vec![1.0, 2.0]]);
-        let b = Matrix::from_rows(&[vec![3.0, 4.0], vec![5.0, 6.0]]);
-        a.append_rows(&b).unwrap();
-        assert_eq!(a.rows(), 3);
-        assert_eq!(a.row(2), &[5.0, 6.0]);
-    }
-
-    #[test]
-    fn append_rows_rejects_mismatched_cols() {
-        let mut a = Matrix::from_rows(&[vec![1.0, 2.0]]);
-        let b = Matrix::from_rows(&[vec![3.0]]);
-        assert!(a.append_rows(&b).is_err());
-    }
-
-    #[test]
-    fn append_rows_onto_empty_adopts_shape() {
-        let mut a = Matrix::default();
-        let b = Matrix::from_rows(&[vec![3.0, 4.0]]);
-        a.append_rows(&b).unwrap();
-        assert_eq!(a.shape(), (1, 2));
-    }
-
-    #[test]
     fn push_row_accumulates() {
         let mut m = Matrix::default();
         m.push_row(&[1.0, 2.0]).unwrap();
         m.push_row(&[3.0, 4.0]).unwrap();
         assert_eq!(m.shape(), (2, 2));
         assert!(m.push_row(&[1.0]).is_err());
-    }
-
-    #[test]
-    fn gather_rows_packs_selected_tokens() {
-        let m = Matrix::from_rows(&[vec![0.0], vec![1.0], vec![2.0], vec![3.0]]);
-        let g = m.gather_rows(&[3, 1]).unwrap();
-        assert_eq!(g.row(0), &[3.0]);
-        assert_eq!(g.row(1), &[1.0]);
-    }
-
-    #[test]
-    fn gather_rows_rejects_out_of_range() {
-        let m = Matrix::zeros(2, 1);
-        let err = m.gather_rows(&[2]).unwrap_err();
-        assert_eq!(err, TensorError::IndexOutOfRange { index: 2, len: 2 });
-    }
-
-    #[test]
-    fn transpose_swaps_dims() {
-        let m = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
-        let t = m.transpose();
-        assert_eq!(t.shape(), (3, 2));
-        assert_eq!(t.get(2, 1), 6.0);
     }
 
     #[test]
@@ -444,11 +289,10 @@ mod tests {
     }
 
     #[test]
-    fn min_max_mean() {
+    fn max_is_largest_element() {
         let m = Matrix::from_rows(&[vec![1.0, -2.0], vec![3.0, 6.0]]);
         assert_eq!(m.max(), Some(6.0));
-        assert_eq!(m.min(), Some(-2.0));
-        assert!((m.mean() - 2.0).abs() < 1e-6);
+        assert_eq!(Matrix::default().max(), None);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Index-selection helpers: arg-max, top-k, arg-sort.
+//! Index-selection helpers: arg-max and candidate-restricted top-k.
 //!
 //! Algorithm 1 line 4 (`I_g = argmaxₖ S`) selects the `k` globally dynamic
 //! tokens with the largest local attention sums. Ties are broken toward
@@ -19,40 +19,20 @@ pub fn argmax(xs: &[f32]) -> Option<usize> {
     best.map(|(i, _)| i)
 }
 
-/// Indices of the `k` largest elements, **sorted ascending by index**.
+/// Indices of the `k` largest `xs[i]` among `candidates`, **sorted
+/// ascending by index**; all candidates if `k >= candidates.len()`.
 ///
-/// Ascending index order keeps gathered KV tensors in temporal order,
-/// which downstream code relies on when re-masking. If `k >= xs.len()`,
-/// all indices are returned.
-pub fn top_k_indices(xs: &[f32], k: usize) -> Vec<usize> {
-    let k = k.min(xs.len());
-    if k == 0 {
-        return Vec::new();
-    }
-    let mut idx: Vec<usize> = (0..xs.len()).collect();
-    // Sort by value descending; ties toward larger (more recent) index.
-    idx.sort_by(|&a, &b| {
-        xs[b]
-            .partial_cmp(&xs[a])
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(b.cmp(&a))
-    });
-    let mut out: Vec<usize> = idx.into_iter().take(k).collect();
-    out.sort_unstable();
-    out
-}
-
-/// Like [`top_k_indices`] but restricted to a candidate subset.
-///
-/// SWA only draws global tokens from positions *outside* the local
-/// window; passing those candidates here keeps the selection logic in one
-/// place.
+/// SWA only draws global tokens from positions *outside* its local
+/// window, and H2O likewise; passing those positions as candidates keeps
+/// the selection logic in one place. Ascending index order keeps the
+/// kept set in temporal order.
 pub fn top_k_indices_within(xs: &[f32], candidates: &[usize], k: usize) -> Vec<usize> {
     let k = k.min(candidates.len());
     if k == 0 {
         return Vec::new();
     }
     let mut cand: Vec<usize> = candidates.to_vec();
+    // Sort by value descending; ties toward larger (more recent) index.
     cand.sort_by(|&a, &b| {
         xs[b]
             .partial_cmp(&xs[a])
@@ -64,22 +44,14 @@ pub fn top_k_indices_within(xs: &[f32], candidates: &[usize], k: usize) -> Vec<u
     out
 }
 
-/// Indices that would sort `xs` descending (stable under ties, larger
-/// index first to prefer recency).
-pub fn argsort_desc(xs: &[f32]) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..xs.len()).collect();
-    idx.sort_by(|&a, &b| {
-        xs[b]
-            .partial_cmp(&xs[a])
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(b.cmp(&a))
-    });
-    idx
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every position of `xs` as a candidate.
+    fn all(xs: &[f32]) -> Vec<usize> {
+        (0..xs.len()).collect()
+    }
 
     #[test]
     fn argmax_basic_and_empty() {
@@ -95,19 +67,21 @@ mod tests {
     #[test]
     fn top_k_returns_sorted_indices_of_largest() {
         let xs = [0.1, 0.9, 0.3, 0.7];
-        assert_eq!(top_k_indices(&xs, 2), vec![1, 3]);
+        assert_eq!(top_k_indices_within(&xs, &all(&xs), 2), vec![1, 3]);
     }
 
     #[test]
     fn top_k_handles_oversized_k() {
-        assert_eq!(top_k_indices(&[1.0, 2.0], 10), vec![0, 1]);
-        assert!(top_k_indices(&[1.0, 2.0], 0).is_empty());
+        let xs = [1.0, 2.0];
+        assert_eq!(top_k_indices_within(&xs, &all(&xs), 10), vec![0, 1]);
+        assert!(top_k_indices_within(&xs, &all(&xs), 0).is_empty());
     }
 
     #[test]
     fn top_k_tie_prefers_recent_token() {
         // Two equal values — the later position should win the single slot.
-        assert_eq!(top_k_indices(&[4.0, 4.0, 0.0], 1), vec![1]);
+        let xs = [4.0, 4.0, 0.0];
+        assert_eq!(top_k_indices_within(&xs, &all(&xs), 1), vec![1]);
     }
 
     #[test]
@@ -115,11 +89,5 @@ mod tests {
         let xs = [10.0, 1.0, 5.0, 3.0];
         // Even though index 0 is globally max, it is not a candidate.
         assert_eq!(top_k_indices_within(&xs, &[1, 2, 3], 2), vec![2, 3]);
-    }
-
-    #[test]
-    fn argsort_desc_orders_values() {
-        let xs = [0.2, 0.8, 0.5];
-        assert_eq!(argsort_desc(&xs), vec![1, 2, 0]);
     }
 }

@@ -106,17 +106,6 @@ impl SessionModel {
         self
     }
 
-    /// Overrides the mean think time, keeping its shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `think_median_s` is not positive.
-    pub fn with_think_s(mut self, think_median_s: f64) -> Self {
-        assert!(think_median_s > 0.0, "think time must be positive");
-        self.think_median_s = think_median_s;
-        self
-    }
-
     /// Number of turns of session `s` — a clamped log-normal mixture:
     /// with probability `deep_frac` the draw uses the heavy
     /// `deep_turn_median` component.
@@ -162,14 +151,6 @@ impl SessionModel {
     pub fn think_gap_s(&self, session: usize, turn: usize, seed: u64) -> f64 {
         let mut rng = self.rng(session, turn, seed, 2);
         lognormal(&mut rng, self.think_median_s, self.think_sigma).max(1e-3)
-    }
-
-    /// Total turns drawn for `sessions` conversations — an *upper
-    /// bound* on the entries a generated trace will carry: trace
-    /// generation truncates a conversation early once its next turn
-    /// would exceed [`SessionModel::max_context`].
-    pub fn total_turns(&self, sessions: usize, seed: u64) -> usize {
-        (0..sessions).map(|s| self.turns(s, seed)).sum()
     }
 
     fn rng(&self, session: usize, turn: usize, seed: u64, salt: u64) -> StdRng {
@@ -263,23 +244,14 @@ mod tests {
 
     #[test]
     fn builders_validate() {
-        let m = SessionModel::chat().with_max_turns(3).with_think_s(1.5);
+        let m = SessionModel::chat().with_max_turns(3);
         assert_eq!(m.max_turns, 3);
         assert!((0..50).all(|s| m.turns(s, 1) <= 3));
-        assert_eq!(m.think_median_s, 1.5);
     }
 
     #[test]
     #[should_panic(expected = "max_turns")]
     fn zero_turn_cap_rejected() {
         let _ = SessionModel::chat().with_max_turns(0);
-    }
-
-    #[test]
-    fn total_turns_matches_per_session_sum() {
-        let m = SessionModel::chat();
-        let total = m.total_turns(40, 9);
-        assert_eq!(total, (0..40).map(|s| m.turns(s, 9)).sum::<usize>());
-        assert!(total >= 40);
     }
 }

@@ -5,7 +5,7 @@
 //! `tests/golden/<bin>_quick_seed42.txt`, and the functional-path
 //! figures' (which take no seed) `tests/golden/<bin>_quick.txt`.
 
-use std::process::Command;
+use std::process::{Command, Output};
 use std::time::{Duration, Instant};
 
 /// The serving figures whose `--quick` stdout is a golden fixture.
@@ -31,9 +31,9 @@ const FUNCTIONAL_FIGURES: [&str; 7] = [
     "ablation_swa",
 ];
 
-/// Runs `<bin> --quick`, asserting success, and returns its stdout.
-fn run_quick(bin: &str) -> String {
-    let out = Command::new(env!("CARGO"))
+/// Runs `<bin> --quick <extra>` and returns its output.
+fn launch_quick(bin: &str, extra: &[&str]) -> Output {
+    Command::new(env!("CARGO"))
         .args([
             "run",
             "--quiet",
@@ -45,8 +45,14 @@ fn run_quick(bin: &str) -> String {
             "--",
             "--quick",
         ])
+        .args(extra)
         .output()
-        .unwrap_or_else(|e| panic!("failed to launch {bin}: {e}"));
+        .unwrap_or_else(|e| panic!("failed to launch {bin}: {e}"))
+}
+
+/// Runs `<bin> --quick`, asserting success, and returns its stdout.
+fn run_quick(bin: &str) -> String {
+    let out = launch_quick(bin, &[]);
     assert!(
         out.status.success(),
         "{bin} failed:\n{}",
@@ -157,6 +163,24 @@ fn fig13_online_serving_runs_within_budget() {
         "fig13 --quick took {elapsed:?}, over the {BUDGET:?} smoke budget — \
          a serving hot path has likely gone super-linear"
     );
+}
+
+/// A present `--seed` must parse as `u64`: a malformed or missing value
+/// exits 2 before any figure output instead of running seed 42.
+#[test]
+fn malformed_seed_is_rejected() {
+    for (args, shown) in [(&["--seed", "4x2"][..], "`4x2`"), (&["--seed"][..], "``")] {
+        let out = launch_quick("fig13_online_serving", args);
+        assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2");
+        assert!(out.stdout.is_empty(), "{args:?} must print no figure");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!(
+                "--seed must be an unsigned 64-bit integer, got {shown}"
+            )),
+            "{args:?}: {stderr}"
+        );
+    }
 }
 
 #[test]

@@ -210,7 +210,7 @@ fn timeout_rejections_name_the_scan_and_the_wait() {
         discipline: "sjf",
     };
     assert_eq!(reason.label(), "queue-timeout");
-    assert!(reason.is_timeout());
+    assert!(matches!(reason, RejectReason::QueueTimeout { .. }));
     assert_eq!(reason.detail(), "waited 1.500s; rejected by sjf scan");
 }
 
