@@ -55,7 +55,7 @@ fn main() {
 
     // ---- ALISA: token-level dynamic placement with phases.
     println!("\nALISA dynamic placement (G=GPU, c=CPU, .=deleted):\n");
-    let mut store = TokenKvStore::new(tok_bytes);
+    let mut store = TokenKvStore::new();
     for _ in 0..wl.input_len {
         store.append(Location::Gpu);
     }
@@ -79,10 +79,8 @@ fn main() {
         // past p2, every other eviction is a deletion (β = 0.5).
         let mut beta_acc = 0.0;
         while store.count(Location::Gpu) > kv_capacity_tokens {
-            let victim = store
-                .oldest_at(Location::Gpu, usize::MAX)
-                .into_iter()
-                .find(|&i| i < window_start && !global_set.contains(&i));
+            let victim = (0..window_start)
+                .find(|&i| store.location(i) == Location::Gpu && !global_set.contains(&i));
             let Some(v) = victim else { break };
             beta_acc += 0.5;
             if seq >= p2 && beta_acc >= 1.0 {

@@ -8,11 +8,13 @@
 //! * (c) ablation: SWA alone → +dynamic scheduling → +INT8 compression
 //!   contribute comparably, each growing with sparsity.
 //!
-//! Ablation mapping: "SWA" runs the sparse working set
-//! under an eager, recompute-free plan (static-style placement); "+DS"
-//! adds the three-phase plan with working-set-aware placement and
+//! (c) runs the three [`AblationLevel`]s through the `alisa` builder:
+//! "SWA" runs the sparse working set under the eager, recompute-free
+//! [`Plan::STATIC`] (static-style placement); "+DS" adds the
+//! three-phase plan with working-set-aware placement and
 //! recomputation; "+INT8" adds KV compression.
 
+use alisa::{AblationLevel, Alisa};
 use alisa_bench::{banner, f, gib, row};
 use alisa_memsim::HardwareSpec;
 use alisa_model::ModelConfig;
@@ -142,28 +144,17 @@ fn main() {
 
     // ---- (c) ablation.
     println!("\n--- (c) ablation: throughput (tok/s) ---");
-    row("kv sparsity", ["SWA", "SWA+DS", "SWA+DS+INT8"]);
+    row("kv sparsity", AblationLevel::ALL.map(AblationLevel::label));
     for &sp in &sparsities {
-        // SWA alone: eager static-style plan, no recompute, no INT8.
-        let swa = AlisaScheduler::new(sp, false)
-            .with_plan(Plan {
-                alpha: 0.5,
-                beta: 0.0,
-                p2_frac: 2.0,
-            })
-            .run(&model, &hw, &wl);
-        // +DS: the three-phase dynamic plan.
-        let ds = AlisaScheduler::new(sp, false).run(&model, &hw, &wl);
-        // +INT8: full ALISA.
-        let full = AlisaScheduler::new(sp, true).run(&model, &hw, &wl);
-        row(
-            &format!("{:.0}%", sp * 100.0),
-            [
-                f(swa.throughput()),
-                f(ds.throughput()),
-                f(full.throughput()),
-            ],
-        );
+        let throughputs = AblationLevel::ALL.map(|level| {
+            let alisa = Alisa::builder()
+                .kv_sparsity(sp)
+                .hardware(hw.clone())
+                .ablation(level)
+                .build();
+            f(alisa.simulate(&model, &wl).throughput())
+        });
+        row(&format!("{:.0}%", sp * 100.0), throughputs);
     }
     println!("paper: techniques contribute comparably; gains grow with sparsity");
 }

@@ -1,25 +1,19 @@
 //! Table I: qualitative design comparison of vLLM, FlexGen and ALISA.
 //!
 //! The rows are printed from the implementations themselves where the
-//! type system encodes them (caching granularity comes from the store
-//! types; recomputation support from the schedulers), so this table
-//! stays honest if the code changes.
+//! code encodes them (vLLM's block size from its scheduler, FlexGen's
+//! split from its store; recomputation support from the schedulers),
+//! so this table stays honest if the code changes.
 
 use alisa_bench::{banner, row};
-use alisa_kvcache::{HeadSplitStore, PagedKvStore, TokenKvStore};
-use alisa_sched::{AlisaScheduler, Plan};
+use alisa_kvcache::HeadSplitStore;
+use alisa_sched::{AlisaScheduler, Plan, VllmScheduler};
 
 fn main() {
     banner("Table I", "design comparison: vLLM / FlexGen / ALISA");
 
-    // Granularity, demonstrated by the unit each store relocates.
-    let paged = {
-        let mut s = PagedKvStore::new(16, 1);
-        for _ in 0..16 {
-            s.append_token();
-        }
-        format!("block ({} tokens)", s.block_size())
-    };
+    // Granularity: the unit each system places.
+    let paged = format!("block ({} tokens)", VllmScheduler::new().block_size);
     let head = {
         let s = HeadSplitStore::new(100, 0.25);
         format!(
@@ -28,11 +22,7 @@ fn main() {
             (s.cpu_fraction() * 100.0) as u32
         )
     };
-    let token = {
-        let mut s = TokenKvStore::new(1);
-        s.append(alisa_kvcache::Location::Gpu);
-        "token (1 token)".to_string()
-    };
+    let token = "token (1 token)";
 
     // Recomputation support from the scheduler configurations.
     let alisa_recompute = AlisaScheduler::new(0.8, true).plan.beta > 0.0
@@ -46,7 +36,7 @@ fn main() {
     row("sparse attention", ["no", "no", "yes"]);
     row(
         "caching granularity",
-        [paged.as_str(), head.as_str(), token.as_str()],
+        [paged.as_str(), head.as_str(), token],
     );
     row(
         "placement",

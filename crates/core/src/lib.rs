@@ -53,6 +53,7 @@ use alisa_attention::policy::PolicyKind;
 use alisa_memsim::HardwareSpec;
 use alisa_model::engine::GenerationConfig;
 use alisa_model::{InitSpec, ModelConfig, TinyTransformer};
+use alisa_sched::alisa::HISTORY_DEPTH;
 use alisa_sched::{AlisaScheduler, InferenceSystem, Plan, PlanOptimizer, RunReport, Workload};
 use serde::{Deserialize, Serialize};
 
@@ -60,7 +61,9 @@ use serde::{Deserialize, Serialize};
 /// Figure 12(c).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum AblationLevel {
-    /// Sparse Window Attention only (static scheduling, no compression).
+    /// Sparse Window Attention only: static scheduling under
+    /// [`Plan::STATIC`] (eager offload, no recomputation), no
+    /// compression.
     SwaOnly,
     /// SWA + three-phase dynamic scheduling.
     SwaDynamicSched,
@@ -124,13 +127,12 @@ impl Alisa {
         let mut s =
             AlisaScheduler::new(self.kv_sparsity, false).with_precision(self.kv_precision());
         s.history_depth = self.history_depth;
-        if let Some(plan) = self.plan {
-            s = s.with_plan(plan);
-        }
         if self.ablation == AblationLevel::SwaOnly {
-            // Static scheduling: no Phase III, eager offload (FlexGen-
-            // style placement but with the sparse working set).
-            s = s.without_recompute();
+            // Static scheduling: FlexGen-style placement, but with the
+            // sparse working set.
+            s = s.with_plan(Plan::STATIC);
+        } else if let Some(plan) = self.plan {
+            s = s.with_plan(plan);
         }
         s
     }
@@ -200,7 +202,7 @@ impl Default for AlisaBuilder {
         AlisaBuilder {
             kv_sparsity: 0.8,
             kv_precision: PrecisionPolicy::int8(),
-            history_depth: 4,
+            history_depth: HISTORY_DEPTH,
             plan: None,
             hardware: None,
             ablation: AblationLevel::Full,
@@ -243,7 +245,8 @@ impl AlisaBuilder {
         self
     }
 
-    /// Pins an explicit scheduling plan instead of the default.
+    /// Pins an explicit scheduling plan instead of the default
+    /// ([`AblationLevel::SwaOnly`] always runs [`Plan::STATIC`]).
     pub fn plan(mut self, plan: Plan) -> Self {
         self.plan = Some(plan);
         self
@@ -296,6 +299,7 @@ mod tests {
         let sched = swa_only.scheduler();
         assert_eq!(sched.plan.beta, 0.0);
         assert!(sched.plan.p2_frac > 1.0);
+        assert_eq!(sched.plan.alpha, 0.5, "Figure 12(c)'s eager offload");
         let full = Alisa::builder().ablation(AblationLevel::Full).build();
         assert!(full.scheduler().compresses_kv());
         assert_eq!(AblationLevel::Full.label(), "SWA+DS+INT8");

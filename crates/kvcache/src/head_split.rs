@@ -57,11 +57,6 @@ impl HeadSplitStore {
         self.cpu_fraction
     }
 
-    /// Tokens cached so far.
-    pub fn num_tokens(&self) -> usize {
-        self.tokens
-    }
-
     /// Appends `n` new tokens (their bytes split at the static ratio).
     pub fn append_tokens(&mut self, n: usize) {
         self.tokens += n;
@@ -120,7 +115,6 @@ mod tests {
         assert_eq!(s.cpu_bytes_per_token(), 300);
         assert_eq!(s.gpu_bytes(), 7000);
         assert_eq!(s.cpu_bytes(), 3000);
-        assert_eq!(s.num_tokens(), 10);
     }
 
     #[test]

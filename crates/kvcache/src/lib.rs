@@ -2,15 +2,17 @@
 //!
 //! The paper's central systems claim is about *granularity*: vLLM
 //! manages KV tensors in fixed blocks, FlexGen in static head-level
-//! splits, ALISA at the level of individual tokens. This crate
-//! implements all three placement substrates as byte-accurate state
-//! machines — the schedulers in `alisa-sched` drive them and charge the
-//! resulting traffic to the cost model:
+//! splits, ALISA at the level of individual tokens. This crate holds
+//! each system's rule once, in the form its simulator in `alisa-sched`
+//! reads it; the simulators charge the resulting bytes and traffic to
+//! the cost model:
 //!
 //! * [`token_store::TokenKvStore`] — per-token placement
-//!   (GPU / CPU / deleted), ALISA's substrate,
-//! * [`paged::PagedKvStore`] — fixed-size block pages swapped whole,
-//!   vLLM's substrate,
+//!   (GPU / CPU / deleted), ALISA's substrate. It tracks where each
+//!   token lives; the scheduler prices every move at its per-region
+//!   precision widths,
+//! * [`paged::reserved_bytes`] — whole-block booking, vLLM's substrate,
+//!   shared by the offline simulator and serving admission,
 //! * [`head_split::HeadSplitStore`] — a static fraction of every token's
 //!   KV pinned to CPU, FlexGen's substrate,
 //! * [`policies`] — eviction orderings, including the Belady oracle the
@@ -26,6 +28,5 @@ pub mod sessions;
 pub mod token_store;
 
 pub use head_split::HeadSplitStore;
-pub use paged::PagedKvStore;
 pub use sessions::{RetainedSession, ReuseStats, SessionKvCache};
 pub use token_store::{Location, NeededPartition, TokenKvStore};

@@ -63,7 +63,8 @@ pub struct ReuseStats {
     /// Retained caches evicted to make room (for admissions or newer
     /// retained sessions).
     pub evictions: usize,
-    /// Sessions whose KV was retained at turn completion.
+    /// Session caches retained: at turn completion, and for a preempted
+    /// request's built KV at preemption.
     pub retained: usize,
     /// Highest retained-pool occupancy observed, bytes.
     pub peak_retained_bytes: u64,
@@ -201,25 +202,26 @@ impl SessionKvCache {
         evicted
     }
 
-    /// Retains `bytes` of session KV covering `[0, seq_len)` at turn
-    /// completion, replacing any previous cache for the session. The
-    /// insert is skipped (returning `false`) when `bytes` exceeds the
-    /// pool cap or `global_allow` — the replica-wide headroom left by
-    /// live reservations; otherwise older sessions are evicted LRU
-    /// until both ceilings hold. On a skip, any previous cache for the
-    /// session is left in place: a shorter retained context is still a
-    /// valid prefix of every future turn, so keeping it preserves a
-    /// partial-ancestor hit.
+    /// Retains `bytes` of session KV covering `[0, seq_len)`, replacing
+    /// any previous cache for the session. The insert is skipped
+    /// (returning `None`) when `bytes` exceeds the pool cap or
+    /// `global_allow` — the replica-wide headroom left by live
+    /// reservations; otherwise older sessions are evicted LRU until
+    /// both ceilings hold, and the evicted entries are returned in
+    /// eviction order, as [`SessionKvCache::evict_until`] returns them.
+    /// On a skip, any previous cache for the session is left in place:
+    /// a shorter retained context is still a valid prefix of every
+    /// future turn, so keeping it preserves a partial-ancestor hit.
     pub fn retain(
         &mut self,
         session_id: usize,
         seq_len: usize,
         bytes: u64,
         global_allow: u64,
-    ) -> bool {
+    ) -> Option<Vec<RetainedSession>> {
         let allow = self.cap_bytes.min(global_allow);
         if bytes > allow {
-            return false;
+            return None;
         }
         // Replace any previous cache for this session, so its bytes
         // don't count against the ceilings.
@@ -227,7 +229,7 @@ impl SessionKvCache {
             self.bytes -= self.entries[pos].bytes;
             self.entries.remove(pos);
         }
-        self.evict_until(allow - bytes, None);
+        let evicted = self.evict_until(allow - bytes, None);
         self.tick += 1;
         self.entries.push(RetainedSession {
             session_id,
@@ -238,7 +240,7 @@ impl SessionKvCache {
         self.bytes += bytes;
         self.stats.retained += 1;
         self.stats.peak_retained_bytes = self.stats.peak_retained_bytes.max(self.bytes);
-        true
+        Some(evicted)
     }
 }
 
@@ -264,8 +266,8 @@ mod tests {
     #[test]
     fn retain_take_round_trip() {
         let mut kv = SessionKvCache::new(1000);
-        assert!(kv.retain(1, 100, 400, u64::MAX));
-        assert!(kv.retain(2, 50, 300, u64::MAX));
+        assert_eq!(kv.retain(1, 100, 400, u64::MAX), Some(Vec::new()));
+        assert_eq!(kv.retain(2, 50, 300, u64::MAX), Some(Vec::new()));
         assert_eq!(kv.bytes(), 700);
         assert_eq!(kv.len(), 2);
         assert_eq!(kv.peek(1, 120), Some((100, 400)));
@@ -284,7 +286,10 @@ mod tests {
         // Touch session 1 so session 2 becomes the LRU victim.
         assert!(kv.take(1, 10).is_some());
         kv.retain(1, 10, 400, u64::MAX);
-        kv.retain(3, 10, 400, u64::MAX); // needs room: evicts 2
+        // Session 3 needs room: the LRU victim, session 2, goes.
+        let evicted = kv.retain(3, 10, 400, u64::MAX).expect("fits");
+        assert_eq!(evicted.len(), 1);
+        assert_eq!((evicted[0].session_id, evicted[0].bytes), (2, 400));
         assert_eq!(kv.peek(2, 10), None);
         assert_eq!(kv.peek(1, 10), Some((10, 400)));
         assert_eq!(kv.peek(3, 10), Some((10, 400)));
@@ -294,10 +299,10 @@ mod tests {
     #[test]
     fn oversized_and_globally_disallowed_retains_are_skipped() {
         let mut kv = SessionKvCache::new(100);
-        assert!(!kv.retain(1, 10, 200, u64::MAX), "over pool cap");
-        assert!(!kv.retain(1, 10, 80, 50), "over global allowance");
+        assert!(kv.retain(1, 10, 200, u64::MAX).is_none(), "over pool cap");
+        assert!(kv.retain(1, 10, 80, 50).is_none(), "over global allowance");
         assert!(kv.is_empty());
-        assert!(kv.retain(1, 10, 80, 90));
+        assert!(kv.retain(1, 10, 80, 90).is_some());
         assert_eq!(kv.bytes(), 80);
     }
 
@@ -306,8 +311,11 @@ mod tests {
         // A shorter retained context is a valid prefix of every future
         // turn; an unstorable replacement must not destroy it.
         let mut kv = SessionKvCache::new(100);
-        assert!(kv.retain(1, 10, 60, u64::MAX));
-        assert!(!kv.retain(1, 40, 150, u64::MAX), "replacement over cap");
+        assert!(kv.retain(1, 10, 60, u64::MAX).is_some());
+        assert!(
+            kv.retain(1, 40, 150, u64::MAX).is_none(),
+            "replacement over cap"
+        );
         assert_eq!(kv.peek(1, 40), Some((10, 60)), "old prefix survives");
         assert_eq!(kv.stats().evictions, 0);
     }

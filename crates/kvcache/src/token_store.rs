@@ -3,10 +3,10 @@
 //!
 //! One entry per token position; every entry's KV bytes live on the GPU,
 //! on the CPU, or nowhere (deleted, pending recomputation — Phase III).
-//! All byte movements are returned to the caller so the scheduler can
-//! charge them to memory pools and the transfer clock.
+//! The store tracks placement only: the scheduler prices each move at
+//! its own per-region widths, so a token's bytes are modelled in one
+//! place.
 
-use alisa_tensor::quant::PrecisionPolicy;
 use serde::{Deserialize, Serialize};
 
 /// Where a token's KV tensor currently lives.
@@ -30,97 +30,29 @@ impl std::fmt::Display for Location {
     }
 }
 
-/// Byte-accurate, token-granular KV placement map for one batch.
-///
-/// `bytes_per_token` is the token's *working-precision* (FP16) width and
-/// already includes the batch factor: for a batch of `b` sequences the
-/// paper's Eq. 3 token size is `4·b·l·h` bytes. What a token actually
-/// *stores* depends on where it lives: the [`PrecisionPolicy`] maps each
-/// cache-state region to a bit width, so GPU-resident and CPU-resident
-/// bytes are accounted independently ([`TokenKvStore::gpu_bytes_per_token`]
-/// / [`TokenKvStore::cpu_bytes_per_token`]). [`TokenKvStore::new`] uses
-/// FP16 everywhere — the legacy uncompressed accounting.
+/// Token-granular KV placement map for one batch.
 ///
 /// # Example
 ///
 /// ```
-/// use alisa_kvcache::{TokenKvStore, Location};
-/// use alisa_tensor::quant::PrecisionPolicy;
+/// use alisa_kvcache::{Location, TokenKvStore};
 ///
-/// let mut store = TokenKvStore::new(1024);
+/// let mut store = TokenKvStore::new();
 /// store.append(Location::Gpu);
 /// store.append(Location::Gpu);
-/// let moved = store.relocate(0, Location::Cpu);
-/// assert_eq!(moved, 1024);
+/// store.relocate(0, Location::Cpu);
+/// assert_eq!(store.location(0), Location::Cpu);
 /// assert_eq!(store.count(Location::Gpu), 1);
-///
-/// // Under the paper's INT8 offload policy the offloaded copy (and the
-/// // link traffic) is half-width; the GPU-resident token stays FP16.
-/// let mut store = TokenKvStore::with_policy(1024, PrecisionPolicy::int8());
-/// store.append(Location::Gpu);
-/// assert_eq!(store.relocate(0, Location::Cpu), 512);
-/// assert_eq!(store.bytes_at(Location::Cpu), 512);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TokenKvStore {
-    bytes_per_token: u64,
-    precision: PrecisionPolicy,
     locations: Vec<Location>,
 }
 
 impl TokenKvStore {
-    /// Creates an empty store accounting every region at working
-    /// precision (FP16) — the legacy uncompressed behaviour.
-    pub fn new(bytes_per_token: u64) -> Self {
-        TokenKvStore::with_policy(bytes_per_token, PrecisionPolicy::fp16())
-    }
-
-    /// Creates an empty store whose per-region stored bytes follow
-    /// `precision`.
-    pub fn with_policy(bytes_per_token: u64, precision: PrecisionPolicy) -> Self {
-        TokenKvStore {
-            bytes_per_token,
-            precision,
-            locations: Vec::new(),
-        }
-    }
-
-    /// Bytes occupied by one token's KV entry at working precision
-    /// (FP16), before any region's quantization.
-    pub fn bytes_per_token(&self) -> u64 {
-        self.bytes_per_token
-    }
-
-    /// The per-region precision policy this store accounts under.
-    pub fn precision(&self) -> PrecisionPolicy {
-        self.precision
-    }
-
-    /// Stored bytes of one GPU-resident token under the policy.
-    pub fn gpu_bytes_per_token(&self) -> u64 {
-        self.precision.gpu_bytes(self.bytes_per_token)
-    }
-
-    /// Stored bytes of one CPU-resident token under the policy
-    /// (warm share + cold tail blend).
-    pub fn cpu_bytes_per_token(&self) -> u64 {
-        self.precision.cpu_bytes(self.bytes_per_token)
-    }
-
-    /// Link bytes one *reloaded* token moves (CPU → GPU): re-selected
-    /// tokens come from the warm share, so they ship at the warm `cpu`
-    /// width rather than the cold-blended average.
-    pub fn cpu_reload_bytes_per_token(&self) -> u64 {
-        self.precision.cpu_reload_bytes(self.bytes_per_token)
-    }
-
-    /// Stored bytes of one token at `location` under the policy.
-    pub fn stored_bytes_per_token(&self, location: Location) -> u64 {
-        match location {
-            Location::Gpu => self.gpu_bytes_per_token(),
-            Location::Cpu => self.cpu_bytes_per_token(),
-            Location::Deleted => 0,
-        }
+    /// Creates an empty store.
+    pub fn new() -> Self {
+        TokenKvStore::default()
     }
 
     /// Number of token positions tracked (including deleted ones).
@@ -149,29 +81,13 @@ impl TokenKvStore {
         self.locations[i]
     }
 
-    /// Moves token `i` to `to`, returning the bytes that crossed the
-    /// link (0 if the location is unchanged or the move is to/from
-    /// `Deleted` — deletion frees bytes and recomputation regenerates
-    /// them on-GPU without link traffic).
-    ///
-    /// Offload traffic is quantized *before* the device-to-host copy
-    /// and dequantized *after* the host-to-device copy (paper §V-B), so
-    /// both directions move reduced bytes, not the working width:
-    /// offloads at the blended CPU-storage width, reloads at the warm
-    /// width (re-selected tokens are warm by the cold tail's
-    /// definition).
+    /// Moves token `i` to `to`.
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of range.
-    pub fn relocate(&mut self, i: usize, to: Location) -> u64 {
-        let from = self.locations[i];
+    pub fn relocate(&mut self, i: usize, to: Location) {
         self.locations[i] = to;
-        match (from, to) {
-            (Location::Gpu, Location::Cpu) => self.cpu_bytes_per_token(),
-            (Location::Cpu, Location::Gpu) => self.cpu_reload_bytes_per_token(),
-            _ => 0,
-        }
     }
 
     /// Number of tokens at `location`.
@@ -179,35 +95,17 @@ impl TokenKvStore {
         self.locations.iter().filter(|&&l| l == location).count()
     }
 
-    /// Bytes resident at `location`, accounted at that region's storage
-    /// precision.
-    pub fn bytes_at(&self, location: Location) -> u64 {
-        self.count(location) as u64 * self.stored_bytes_per_token(location)
-    }
-
-    /// Indices currently at `location`, ascending.
-    pub fn indices_at(&self, location: Location) -> Vec<usize> {
-        self.locations
-            .iter()
-            .enumerate()
-            .filter(|(_, &l)| l == location)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// The `k` oldest (lowest-index) tokens at `location`.
-    pub fn oldest_at(&self, location: Location, k: usize) -> Vec<usize> {
-        self.indices_at(location).into_iter().take(k).collect()
-    }
-
     /// For a set of needed token indices, partitions them by where they
-    /// currently live — the scheduler's per-step working set analysis.
+    /// currently live. The allocating reference that
+    /// `tests/differential.rs` pins [`TokenKvStore::partition_needed_into`]
+    /// against; the scheduler calls the reusing variant.
     pub fn partition_needed(&self, needed: &[usize]) -> NeededPartition {
         let mut p = NeededPartition::default();
         self.partition_needed_into(needed, &mut p);
         p
     }
 
+    /// The scheduler's per-step working-set analysis:
     /// [`TokenKvStore::partition_needed`] into a caller-owned partition
     /// whose buffers are cleared and reused, so a per-step caller
     /// allocates nothing in steady state. Produces exactly the same
@@ -247,50 +145,34 @@ mod tests {
 
     #[test]
     fn append_and_count() {
-        let mut s = TokenKvStore::new(100);
+        let mut s = TokenKvStore::new();
         assert!(s.is_empty());
         assert_eq!(s.append(Location::Gpu), 0);
         assert_eq!(s.append(Location::Cpu), 1);
         assert_eq!(s.append(Location::Gpu), 2);
         assert_eq!(s.len(), 3);
         assert_eq!(s.count(Location::Gpu), 2);
-        assert_eq!(s.bytes_at(Location::Gpu), 200);
-        assert_eq!(s.bytes_at(Location::Cpu), 100);
+        assert_eq!(s.count(Location::Cpu), 1);
     }
 
     #[test]
-    fn relocate_charges_link_traffic_only_for_real_moves() {
-        let mut s = TokenKvStore::new(64);
+    fn relocate_updates_placement() {
+        let mut s = TokenKvStore::new();
         s.append(Location::Gpu);
-        assert_eq!(s.relocate(0, Location::Cpu), 64);
-        assert_eq!(s.relocate(0, Location::Cpu), 0, "no-op move is free");
-        assert_eq!(s.relocate(0, Location::Gpu), 64);
-        assert_eq!(s.relocate(0, Location::Deleted), 0, "deletion is free");
+        s.append(Location::Gpu);
+        s.relocate(0, Location::Cpu);
+        assert_eq!(s.location(0), Location::Cpu);
+        assert_eq!(s.location(1), Location::Gpu, "other tokens stay put");
+        s.relocate(0, Location::Deleted);
         assert_eq!(s.location(0), Location::Deleted);
-        // Recompute lands the token back on GPU without link traffic.
-        assert_eq!(s.relocate(0, Location::Gpu), 0);
-    }
-
-    #[test]
-    fn indices_and_oldest() {
-        let mut s = TokenKvStore::new(1);
-        for loc in [
-            Location::Gpu,
-            Location::Cpu,
-            Location::Cpu,
-            Location::Gpu,
-            Location::Cpu,
-        ] {
-            s.append(loc);
-        }
-        assert_eq!(s.indices_at(Location::Cpu), vec![1, 2, 4]);
-        assert_eq!(s.oldest_at(Location::Cpu, 2), vec![1, 2]);
-        assert_eq!(s.oldest_at(Location::Gpu, 10), vec![0, 3]);
+        // Recompute lands the token back on GPU.
+        s.relocate(0, Location::Gpu);
+        assert_eq!(s.count(Location::Gpu), 2);
     }
 
     #[test]
     fn partition_needed_splits_correctly() {
-        let mut s = TokenKvStore::new(1);
+        let mut s = TokenKvStore::new();
         s.append(Location::Gpu); // 0
         s.append(Location::Cpu); // 1
         s.append(Location::Deleted); // 2
@@ -309,38 +191,5 @@ mod tests {
     fn display_locations() {
         assert_eq!(Location::Gpu.to_string(), "gpu");
         assert_eq!(Location::Deleted.to_string(), "deleted");
-    }
-
-    #[test]
-    fn policy_accounts_regions_independently() {
-        use alisa_tensor::quant::{KvPrecision, PrecisionPolicy};
-        let mixed = PrecisionPolicy::mixed(); // gpu FP16, cpu INT8 + INT4@0.5
-        let mut s = TokenKvStore::with_policy(1024, mixed);
-        s.append(Location::Gpu);
-        s.append(Location::Gpu);
-        assert_eq!(s.gpu_bytes_per_token(), 1024, "hot window stays FP16");
-        assert_eq!(s.cpu_bytes_per_token(), 384, "INT8 warm + INT4 cold tail");
-        assert_eq!(s.bytes_at(Location::Gpu), 2048);
-        // Offload: link moves the blended CPU-storage width.
-        assert_eq!(s.relocate(0, Location::Cpu), 384);
-        assert_eq!(s.bytes_at(Location::Cpu), 384);
-        assert_eq!(s.bytes_at(Location::Gpu), 1024);
-        // Reload: a re-selected token ships at the warm (INT8) width.
-        assert_eq!(s.cpu_reload_bytes_per_token(), 512);
-        assert_eq!(s.relocate(0, Location::Gpu), 512);
-        // A fully-INT4 GPU policy shrinks the resident bytes too.
-        let aggressive = PrecisionPolicy::fp16().with_gpu(KvPrecision::Int4);
-        let mut a = TokenKvStore::with_policy(1024, aggressive);
-        a.append(Location::Gpu);
-        assert_eq!(a.bytes_at(Location::Gpu), 256);
-        assert_eq!(a.stored_bytes_per_token(Location::Deleted), 0);
-    }
-
-    #[test]
-    fn default_store_is_fp16_everywhere() {
-        let s = TokenKvStore::new(512);
-        assert!(s.precision().is_fp16_everywhere());
-        assert_eq!(s.gpu_bytes_per_token(), 512);
-        assert_eq!(s.cpu_bytes_per_token(), 512);
     }
 }

@@ -31,10 +31,21 @@ use alisa_model::ModelConfig;
 use alisa_tensor::quant::PrecisionPolicy;
 use serde::{Deserialize, Serialize};
 
-use crate::common::{efficiency, hash_unit, SimBase, FP16};
+use crate::common::{efficiency, hash_unit, resident_tokens, SimBase, FP16};
 use crate::report::RunReport;
 use crate::workload::Workload;
 use crate::InferenceSystem;
+
+/// History depth of SWA's local attention sum on the performance path:
+/// the scheduler's default, the `alisa` builder's default, and what
+/// serving admission prices selection at.
+pub const HISTORY_DEPTH: usize = 4;
+
+/// Streaming margin, in tokens, kept free for working-set tokens that
+/// stream through the GPU without being cached: the scheduler lowers
+/// its offload watermark by it, and serving admission adds it to
+/// ALISA's reservation.
+pub const MARGIN_TOKENS: u64 = 4;
 
 /// Tunable plan of Algorithm 2: `{α, β, p2}`.
 ///
@@ -55,6 +66,17 @@ pub struct Plan {
     /// Phase III trigger as a fraction of the final sequence length
     /// (`> 1.0` disables Phase III).
     pub p2_frac: f64,
+}
+
+impl Plan {
+    /// Static scheduling, the "SWA" column of Figure 12(c)'s ablation:
+    /// eager offload down to half the headroom and no Phase III, so the
+    /// sparse working set is placed the way FlexGen places KV.
+    pub const STATIC: Plan = Plan {
+        alpha: 0.5,
+        beta: 0.0,
+        p2_frac: 2.0,
+    };
 }
 
 impl Default for Plan {
@@ -101,7 +123,7 @@ impl AlisaScheduler {
             kv_sparsity,
             precision: PrecisionPolicy::from_legacy_compression(kv_compression),
             plan: Plan::default(),
-            history_depth: 4,
+            history_depth: HISTORY_DEPTH,
         }
     }
 
@@ -123,8 +145,8 @@ impl AlisaScheduler {
         self.precision.quantizes_cpu()
     }
 
-    /// Ablation helper: SWA only — no offloading benefit modelling
-    /// beyond what the budget saves, recomputation off.
+    /// Turns Phase III recomputation off and keeps the rest of the
+    /// plan: Figure 12(b)'s "recompute OFF" column.
     pub fn without_recompute(mut self) -> Self {
         self.plan.p2_frac = 2.0;
         self.plan.beta = 0.0;
@@ -298,11 +320,12 @@ impl InferenceSystem for AlisaScheduler {
 
         let b = wl.batch_size;
         let fp16_tok = model.kv_bytes_per_token(FP16) * b as u64;
-        // Per-region stored widths: the hot window occupies `gpu_tok`
-        // in HBM; an offloaded token stores (and ships) `cpu_tok`; a
-        // *reloaded* token ships at the warm-share width — re-selected
-        // tokens are warm by the cold tail's definition (both widths
-        // coincide when there is no cold tail).
+        // Per-region stored widths, the run's one byte model of a
+        // token (the store tracks placement only): the hot window
+        // occupies `gpu_tok` in HBM; an offloaded token stores (and
+        // ships) `cpu_tok`; a *reloaded* token ships at the warm-share
+        // width — re-selected tokens are warm by the cold tail's
+        // definition (both widths coincide when there is no cold tail).
         let gpu_tok = self.precision.gpu_bytes(fp16_tok);
         let cpu_tok = self.precision.cpu_bytes(fp16_tok);
         let cpu_reload_tok = self.precision.cpu_reload_bytes(fp16_tok);
@@ -311,14 +334,14 @@ impl InferenceSystem for AlisaScheduler {
         let final_seq = wl.final_seq_len();
         let p2_seq = (self.plan.p2_frac * final_seq as f64) as usize;
         let globals = GlobalSetModel::new(mix_name(model, wl));
-        let mut store = TokenKvStore::with_policy(fp16_tok, self.precision);
+        let mut store = TokenKvStore::new();
 
         // A few tokens of transient workspace stay free for streamed
         // (non-cached) working-set tokens, mirroring the layer-wise
         // scheduling the paper describes ("schedule KV tensors in a
         // layerwise manner"): only one layer's gathered KV needs to be
         // resident at a time, so a small bounce buffer suffices.
-        let margin = 4 * gpu_tok;
+        let margin = MARGIN_TOKENS * gpu_tok;
         let watermark = ((headroom as f64 * self.plan.alpha) as u64).saturating_sub(margin);
 
         // ---- Prefill: all prompt tokens, spilling the oldest to CPU if
@@ -381,7 +404,7 @@ impl InferenceSystem for AlisaScheduler {
         let mut beta_acc = 0.0f64;
         for j in 1..=wl.output_len {
             let seq_len = wl.input_len + j;
-            let budget = ((seq_len as f64 * r).round() as usize).clamp(1, seq_len);
+            let budget = resident_tokens(seq_len, r);
             let k_local = budget.div_ceil(2);
             let k_global = budget - k_local;
 
@@ -717,7 +740,7 @@ mod tests {
         let mut out = Vec::new();
         for j in 1..=200usize {
             let seq_len = 64 + j;
-            let budget = ((seq_len as f64 * 0.2).round() as usize).clamp(1, seq_len);
+            let budget = resident_tokens(seq_len, 0.2);
             let k = budget - budget.div_ceil(2);
             let range_end = seq_len - budget.div_ceil(2);
             g.pick_into(k, range_end, j, seq_len, &mut warm, &mut out);

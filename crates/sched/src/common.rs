@@ -36,6 +36,16 @@ pub fn delegated_attention_qr_bytes(b: usize, hidden_dim: usize) -> u64 {
     (2 * b * hidden_dim * FP16) as u64
 }
 
+/// Tokens of a `seq_len`-token sequence a system keeps (ALISA's SWA
+/// budget) or holds GPU-resident (FlexGen's split) when it keeps a
+/// `keep ∈ [0, 1]` share: rounded to the nearest token, never below
+/// one. One rule for the offline simulators and serving admission,
+/// which calls it for every running request on every engine step.
+#[inline]
+pub fn resident_tokens(seq_len: usize, keep: f64) -> usize {
+    ((seq_len as f64 * keep).round() as usize).clamp(1, seq_len)
+}
+
 /// Mutable simulation state shared by all system simulators: the cost
 /// model, both memory pools, and the growing timeline.
 #[derive(Debug, Clone)]
@@ -297,6 +307,15 @@ mod tests {
             "selection {sel:.4}s must not dominate compute {:.4}s",
             mha + ffn
         );
+    }
+
+    #[test]
+    fn resident_tokens_round_and_floor_at_one() {
+        assert_eq!(resident_tokens(500, 0.2), 100);
+        assert_eq!(resident_tokens(500, 1.0), 500);
+        assert_eq!(resident_tokens(7, 0.5), 4, "half rounds away from zero");
+        assert_eq!(resident_tokens(1, 0.2), 1, "never zero");
+        assert_eq!(resident_tokens(9, 0.0), 1);
     }
 
     #[test]

@@ -105,8 +105,8 @@ impl InferenceSystem for FlexGenScheduler {
 
             let seq_len = wl.input_len + j;
             // GPU computes attention over its resident share only.
-            let gpu_tokens = ((seq_len as f64) * (1.0 - frac)).round() as usize;
-            let (mha, ffn) = sim.decode_compute(model, b, gpu_tokens.max(1), efficiency::FLEXGEN);
+            let gpu_tokens = common::resident_tokens(seq_len, 1.0 - frac);
+            let (mha, ffn) = sim.decode_compute(model, b, gpu_tokens, efficiency::FLEXGEN);
             // CPU-delegated attention over the CPU share: memory-bound
             // on host DRAM (recorded as KV-access time, the "memory
             // access" bars of Figures 1 and 12).

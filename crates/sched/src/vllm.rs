@@ -12,7 +12,7 @@
 //! but large batches serialize into waves while ALISA's sparsity lets
 //! the whole batch proceed at once.
 
-use alisa_kvcache::PagedKvStore;
+use alisa_kvcache::paged::reserved_bytes;
 use alisa_memsim::{HardwareSpec, MemClass, OomError, StepRecord};
 use alisa_model::ModelConfig;
 use serde::{Deserialize, Serialize};
@@ -22,17 +22,23 @@ use crate::report::RunReport;
 use crate::workload::Workload;
 use crate::InferenceSystem;
 
+/// vLLM's default KV page size, in tokens: the offline simulator's and
+/// serving admission's default block.
+pub const BLOCK_SIZE: usize = 16;
+
 /// The vLLM baseline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct VllmScheduler {
-    /// Tokens per KV block (vLLM's default page size is 16).
+    /// Tokens per KV block (vLLM's default page size is [`BLOCK_SIZE`]).
     pub block_size: usize,
 }
 
 impl VllmScheduler {
-    /// vLLM with its default 16-token blocks.
+    /// vLLM with its default [`BLOCK_SIZE`]-token blocks.
     pub fn new() -> Self {
-        VllmScheduler { block_size: 16 }
+        VllmScheduler {
+            block_size: BLOCK_SIZE,
+        }
     }
 }
 
@@ -47,8 +53,7 @@ impl VllmScheduler {
     /// to block granularity at the final length.
     fn wave_size(&self, model: &ModelConfig, wl: &Workload, headroom: u64) -> usize {
         let per_tok = model.kv_bytes_per_token(FP16);
-        let blocks = wl.final_seq_len().div_ceil(self.block_size) as u64;
-        let per_seq = blocks * self.block_size as u64 * per_tok;
+        let per_seq = reserved_bytes(wl.final_seq_len(), self.block_size, per_tok);
         if per_seq == 0 {
             return wl.batch_size;
         }
@@ -86,11 +91,9 @@ impl InferenceSystem for VllmScheduler {
             let b = remaining.min(wave);
             remaining -= b;
             // One wave: prefill + full decode with paged accounting.
-            let mut store = PagedKvStore::new(self.block_size, per_tok * b as u64);
-            for _ in 0..wl.input_len {
-                store.append_token();
-            }
-            if let Err(e) = sim.gpu.alloc(MemClass::KvCache, store.gpu_bytes()) {
+            let wave_tok = per_tok * b as u64;
+            let mut reserved = reserved_bytes(wl.input_len, self.block_size, wave_tok);
+            if let Err(e) = sim.gpu.alloc(MemClass::KvCache, reserved) {
                 return sim.oom(self.name(), model, wl, step_counter, e);
             }
             sim.timeline.push(StepRecord {
@@ -104,15 +107,15 @@ impl InferenceSystem for VllmScheduler {
             step_counter += 1;
 
             for j in 1..=wl.output_len {
-                let before = store.gpu_bytes();
-                store.append_token();
-                let delta = store.gpu_bytes() - before;
+                let seq_len = wl.input_len + j;
+                let after = reserved_bytes(seq_len, self.block_size, wave_tok);
+                let delta = after - reserved;
+                reserved = after;
                 if delta > 0 {
                     if let Err(e) = sim.gpu.alloc(MemClass::KvCache, delta) {
                         return sim.oom(self.name(), model, wl, step_counter, e);
                     }
                 }
-                let seq_len = wl.input_len + j;
                 let (mha, ffn) = sim.decode_compute(model, b, seq_len, efficiency::VLLM);
                 sim.timeline.push(StepRecord {
                     step: step_counter,
@@ -126,7 +129,7 @@ impl InferenceSystem for VllmScheduler {
                 step_counter += 1;
             }
             // Wave done: its KV is freed for the next wave.
-            sim.gpu.free(MemClass::KvCache, store.gpu_bytes());
+            sim.gpu.free(MemClass::KvCache, reserved);
         }
         sim.completed(self.name(), model, wl)
     }

@@ -20,9 +20,10 @@
 //!   charged through the offline simulators' [`SimBase`] and
 //!   `CostModel` formulas.
 
+use alisa_kvcache::paged::reserved_bytes;
 use alisa_model::ModelConfig;
-use alisa_sched::common::{delegated_attention_qr_bytes, efficiency, FP16};
-use alisa_sched::SimBase;
+use alisa_sched::common::{delegated_attention_qr_bytes, efficiency, resident_tokens, FP16};
+use alisa_sched::{alisa, vllm, SimBase};
 use alisa_tensor::quant::PrecisionPolicy;
 use serde::{Deserialize, Serialize};
 
@@ -30,10 +31,6 @@ use serde::{Deserialize, Serialize};
 /// CPU link each step (globally-dynamic tokens drifting in and out of
 /// the top-k set; the locally-static half is pinned).
 const ALISA_RELOAD_FRAC: f64 = 0.02;
-
-/// Streaming margin on ALISA's reservation: transient buffer for
-/// non-cached working-set tokens, in tokens.
-const ALISA_MARGIN_TOKENS: u64 = 4;
 
 /// How a serving system accounts and admits KV memory.
 ///
@@ -84,7 +81,7 @@ pub enum AdmissionPolicy {
     },
     /// vLLM-style dense paged KV.
     VllmPaged {
-        /// Tokens per block (vLLM default 16).
+        /// Tokens per block (vLLM default [`vllm::BLOCK_SIZE`]).
         block_size: usize,
     },
     /// FlexGen-style static GPU/CPU split.
@@ -134,7 +131,9 @@ impl AdmissionPolicy {
 
     /// vLLM with its default block size.
     pub fn vllm() -> Self {
-        AdmissionPolicy::VllmPaged { block_size: 16 }
+        AdmissionPolicy::VllmPaged {
+            block_size: vllm::BLOCK_SIZE,
+        }
     }
 
     /// FlexGen with a 50% host split.
@@ -171,11 +170,10 @@ impl AdmissionPolicy {
         match *self {
             AdmissionPolicy::Alisa { sparsity, .. } => {
                 let resident = (final_seq_len as f64 * (1.0 - sparsity)).ceil() as u64;
-                (resident + ALISA_MARGIN_TOKENS) * per_tok
+                (resident + alisa::MARGIN_TOKENS) * per_tok
             }
             AdmissionPolicy::VllmPaged { block_size } => {
-                let blocks = final_seq_len.div_ceil(block_size) as u64;
-                blocks * block_size as u64 * per_tok
+                reserved_bytes(final_seq_len, block_size, per_tok)
             }
             AdmissionPolicy::FlexGenStatic { cpu_fraction } => {
                 let gpu_tokens = (final_seq_len as f64 * (1.0 - cpu_fraction)).ceil() as u64;
@@ -196,12 +194,10 @@ impl AdmissionPolicy {
     /// `kv_tokens` argument of [`SimBase::decode_compute`].
     pub fn attended_tokens(&self, seq_len: usize) -> usize {
         match *self {
-            AdmissionPolicy::Alisa { sparsity, .. } => {
-                ((seq_len as f64 * (1.0 - sparsity)).round() as usize).clamp(1, seq_len)
-            }
+            AdmissionPolicy::Alisa { sparsity, .. } => resident_tokens(seq_len, 1.0 - sparsity),
             AdmissionPolicy::VllmPaged { .. } => seq_len,
             AdmissionPolicy::FlexGenStatic { cpu_fraction } => {
-                ((seq_len as f64 * (1.0 - cpu_fraction)).round() as usize).clamp(1, seq_len)
+                resident_tokens(seq_len, 1.0 - cpu_fraction)
             }
         }
     }
@@ -233,7 +229,8 @@ impl AdmissionPolicy {
                 precision,
             } => {
                 let budget = self.attended_tokens(mean_seq);
-                let selection = sim.selection_overhead(model, b, mean_seq, budget, 4);
+                let selection =
+                    sim.selection_overhead(model, b, mean_seq, budget, alisa::HISTORY_DEPTH);
                 // Each step appends one token per sequence; in steady
                 // state a `sparsity` share of it leaves the working set
                 // for host memory, and a small share of the resident
@@ -298,9 +295,13 @@ mod tests {
     fn vllm_rounds_to_blocks() {
         let model = ModelConfig::opt_6_7b();
         let per_tok = model.kv_bytes_per_token(FP16);
-        let p = AdmissionPolicy::VllmPaged { block_size: 16 };
-        assert_eq!(p.gpu_kv_bytes(&model, 17), 32 * per_tok);
-        assert_eq!(p.gpu_kv_bytes(&model, 16), 16 * per_tok);
+        let p = AdmissionPolicy::vllm();
+        let block = vllm::BLOCK_SIZE;
+        assert_eq!(
+            p.gpu_kv_bytes(&model, block + 1),
+            2 * block as u64 * per_tok
+        );
+        assert_eq!(p.gpu_kv_bytes(&model, block), block as u64 * per_tok);
     }
 
     #[test]

@@ -483,16 +483,7 @@ impl Replica {
                 if TRACED {
                     let session = req.session;
                     for evd in evicted.iter() {
-                        obs.emit(Event {
-                            t,
-                            replica,
-                            request: None,
-                            kind: EventKind::RetentionEvict {
-                                session: evd.session_id as u64,
-                                seq_len: evd.seq_len,
-                                bytes: evd.bytes,
-                            },
-                        });
+                        obs.emit(evict_event(t, self.idx, evd));
                     }
                     if job.reused_prefix > 0 {
                         if let Some(sref) = session {
@@ -585,7 +576,7 @@ impl Replica {
                             },
                         });
                     }
-                    self.preempt(engine, vid, reqs, t);
+                    self.preempt::<TRACED>(engine, vid, reqs, t, obs);
                     continue;
                 }
             }
@@ -791,7 +782,14 @@ impl Replica {
     /// marks it `Preempted` with its progress kept, re-queues it, and —
     /// when retention is on — retains its built KV for its session so
     /// the re-prefill can hit the cache like any other reuse.
-    fn preempt(&mut self, engine: &ServeEngine, vid: usize, reqs: &mut Reqs, now: f64) {
+    fn preempt<const TRACED: bool>(
+        &mut self,
+        engine: &ServeEngine,
+        vid: usize,
+        reqs: &mut Reqs,
+        now: f64,
+        obs: &mut ObsCtx<'_>,
+    ) {
         self.reserved -= reqs.res[vid];
         reqs.queued_since[vid] = now;
         let vreq = &mut reqs.req[vid];
@@ -799,10 +797,8 @@ impl Replica {
         vreq.state = RequestState::Preempted;
         vreq.preemptions += 1;
         self.queue.push_back(vid);
-        if let (Some(kv), Some(sref)) = (self.session_kv.as_mut(), vreq.session) {
-            let cfg = engine.config();
-            let bytes = cfg.policy.gpu_kv_bytes(&cfg.model, seq);
-            kv.retain(sref.session_id, seq, bytes, self.budget - self.reserved);
+        if let Some(sref) = vreq.session {
+            self.retain_session::<TRACED>(engine, vid, sref.session_id, seq, now, obs);
         }
     }
 
@@ -841,24 +837,64 @@ impl Replica {
         if !reqs.next_turn[id] {
             return;
         }
-        let (Some(kv), Some(sref)) = (self.session_kv.as_mut(), req.session) else {
+        if let Some(sref) = req.session {
+            let seq_len = req.final_seq_len();
+            self.retain_session::<TRACED>(engine, id, sref.session_id, seq_len, t_end, obs);
+        }
+    }
+
+    /// Retains request `id`'s `seq_len`-token KV working set for
+    /// `session` at `t`, when retention is on — priced like a live
+    /// reservation and capped by both the retention pool and the
+    /// unreserved headroom. Traces each LRU eviction the retain makes,
+    /// then the store, so the event stream reconciles with
+    /// [`alisa_kvcache::ReuseStats`].
+    fn retain_session<const TRACED: bool>(
+        &mut self,
+        engine: &ServeEngine,
+        id: usize,
+        session: usize,
+        seq_len: usize,
+        t: f64,
+        obs: &mut ObsCtx<'_>,
+    ) {
+        let Some(kv) = self.session_kv.as_mut() else {
             return;
         };
-        let seq_len = req.final_seq_len();
         let cfg = engine.config();
         let bytes = cfg.policy.gpu_kv_bytes(&cfg.model, seq_len);
-        let stored = kv.retain(sref.session_id, seq_len, bytes, self.budget - self.reserved);
-        if TRACED && stored {
+        let Some(evicted) = kv.retain(session, seq_len, bytes, self.budget - self.reserved) else {
+            return;
+        };
+        if TRACED {
+            for evd in &evicted {
+                obs.emit(evict_event(t, self.idx, evd));
+            }
             obs.emit(Event {
-                t: t_end,
+                t,
                 replica: Some(self.idx),
                 request: Some(id),
                 kind: EventKind::RetentionStore {
-                    session: sref.session_id as u64,
+                    session: session as u64,
                     seq_len,
                     bytes,
                 },
             });
         }
+    }
+}
+
+/// The `retention-evict` event for retained cache `evd`, evicted from
+/// replica `replica` at `t`.
+pub(crate) fn evict_event(t: f64, replica: usize, evd: &RetainedSession) -> Event {
+    Event {
+        t,
+        replica: Some(replica),
+        request: None,
+        kind: EventKind::RetentionEvict {
+            session: evd.session_id as u64,
+            seq_len: evd.seq_len,
+            bytes: evd.bytes,
+        },
     }
 }

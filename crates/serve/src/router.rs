@@ -85,7 +85,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::engine::{ClosedLoopCfg, ServeConfig, ServeEngine};
 use crate::metrics::{ServeReport, ServeSample};
-use crate::replica::{Lifecycle, ObsCtx, Replica, Reqs, Role, StepScratch};
+use crate::replica::{evict_event, Lifecycle, ObsCtx, Replica, Reqs, Role, StepScratch};
 use crate::request::{RejectReason, Request, RequestState};
 use crate::trace::Trace;
 
@@ -1159,16 +1159,7 @@ impl<'a> FleetRun<'a> {
                 let evicted = kv.evict_until(0, None);
                 if TRACED {
                     for evd in &evicted {
-                        self.obs.emit(Event {
-                            t: s.t,
-                            replica: Some(s.idx),
-                            request: None,
-                            kind: EventKind::RetentionEvict {
-                                session: evd.session_id as u64,
-                                seq_len: evd.seq_len,
-                                bytes: evd.bytes,
-                            },
-                        });
+                        self.obs.emit(evict_event(s.t, s.idx, evd));
                     }
                 }
             }
@@ -1453,16 +1444,7 @@ impl<'a> FleetRun<'a> {
                 },
             });
             for evd in &evicted {
-                self.obs.emit(Event {
-                    t: at,
-                    replica: Some(r),
-                    request: None,
-                    kind: EventKind::RetentionEvict {
-                        session: evd.session_id as u64,
-                        seq_len: evd.seq_len,
-                        bytes: evd.bytes,
-                    },
-                });
+                self.obs.emit(evict_event(at, r, evd));
             }
         }
         if let Some(ix) = self.index.as_mut() {

@@ -485,8 +485,12 @@ mod tests {
         assert_eq!(mixed.precision(CacheRegion::CpuResident), KvPrecision::Int8);
         assert_eq!(mixed.precision(CacheRegion::CpuColdTail), KvPrecision::Int4);
         assert_eq!(mixed.precision(CacheRegion::Handoff), KvPrecision::Int8);
+        // The hot window stays FP16.
+        assert_eq!(mixed.gpu_bytes(1 << 20), 1 << 20);
         // Half at 1/2 width + half at 1/4 width = 3/8 of FP16.
         assert_eq!(mixed.cpu_bytes(1 << 20), 384 * 1024);
+        // A reloaded token is re-selected, so warm: it ships at INT8.
+        assert_eq!(mixed.cpu_reload_bytes(1 << 20), 1 << 19);
         assert_eq!(mixed.handoff_bytes(1 << 20), 1 << 19);
         assert!(mixed.quantizes_cpu());
         assert!(mixed.label().contains("cold:INT4"));

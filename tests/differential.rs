@@ -397,7 +397,7 @@ proptest! {
         locations in collection::vec(0usize..3, 0..96),
         needed in collection::vec(0usize..128, 0..64),
     ) {
-        let mut store = TokenKvStore::new(1024);
+        let mut store = TokenKvStore::new();
         for l in locations {
             store.append(match l {
                 0 => Location::Gpu,

@@ -1,9 +1,10 @@
 //! Smoke tests: every figure binary must run to completion in `--quick`
-//! mode. This keeps the full experiment harness from rotting. Most are
+//! mode. This keeps the full experiment harness from rotting. Each is
 //! also pinned byte-for-byte: the serving figures' (fig13–fig18)
 //! `--quick` stdout (default seed 42) must equal the committed
-//! `tests/golden/<bin>_quick_seed42.txt`, and the functional-path
-//! figures' (which take no seed) `tests/golden/<bin>_quick.txt`.
+//! `tests/golden/<bin>_quick_seed42.txt`, and the performance- and
+//! functional-path figures' (which take no seed)
+//! `tests/golden/<bin>_quick.txt`.
 
 use std::process::{Command, Output};
 use std::time::{Duration, Instant};
@@ -16,6 +17,18 @@ const SERVING_FIGURES: [&str; 6] = [
     "fig16_multi_turn",
     "fig17_admission",
     "fig18_fleet_dynamics",
+];
+
+/// The performance-path figures (they run the offline schedulers over
+/// the analytic hardware model, and take no `--seed`) whose `--quick`
+/// stdout is a golden fixture.
+const PERFORMANCE_FIGURES: [&str; 6] = [
+    "fig01_motivation",
+    "fig02_kv_caching",
+    "fig09_throughput",
+    "fig11_attention_breakdown",
+    "fig12_inference_breakdown",
+    "table01_comparison",
 ];
 
 /// The functional-path figures (they run the transformer and the
@@ -102,10 +115,9 @@ fn fast_figures_run() {
         "fig02_kv_caching",
         "fig11_attention_breakdown",
         "table01_comparison",
+        "fig05_weight_maps",
+        "fig07_scheduling_traces",
     ] {
-        run_quick(bin);
-    }
-    for bin in ["fig05_weight_maps", "fig07_scheduling_traces"] {
         run_quick_against_golden(bin);
     }
 }
@@ -127,7 +139,7 @@ fn fig08_accuracy_runs() {
 
 #[test]
 fn fig09_throughput_runs() {
-    run_quick("fig09_throughput");
+    run_quick_against_golden("fig09_throughput");
 }
 
 #[test]
@@ -142,7 +154,7 @@ fn ablation_swa_runs() {
 
 #[test]
 fn fig12_breakdown_runs() {
-    run_quick("fig12_inference_breakdown");
+    run_quick_against_golden("fig12_inference_breakdown");
 }
 
 /// The fig13 quick sweep doubles as the wall-clock tripwire for the
@@ -208,15 +220,19 @@ fn fig18_fleet_dynamics_runs() {
     run_quick_against_golden("fig18_fleet_dynamics");
 }
 
-/// Rewrites the serving- and functional-figure fixtures from the
-/// current binaries.
+/// Rewrites the serving-, performance- and functional-figure fixtures
+/// from the current binaries.
 /// Ignored so a normal test run can never bless its own regression;
 /// run explicitly after an intentional output change:
 /// `cargo test --test figure_smoke -- --ignored`.
 #[test]
 #[ignore]
 fn regenerate_golden_fixtures() {
-    for bin in SERVING_FIGURES.into_iter().chain(FUNCTIONAL_FIGURES) {
+    for bin in SERVING_FIGURES
+        .into_iter()
+        .chain(PERFORMANCE_FIGURES)
+        .chain(FUNCTIONAL_FIGURES)
+    {
         std::fs::write(golden_path(bin), run_quick(bin)).expect("write figure fixture");
     }
 }

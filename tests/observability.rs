@@ -18,15 +18,18 @@
 //!   stream;
 //! * timeout rejections carry the discipline scan and queue wait in
 //!   both the terminal `RejectReason` and the decision-trace event;
+//! * `retention-evict` and `retention-store` events equal the report's
+//!   `ReuseStats` evictions and retains, preemption retains and the
+//!   LRU evictions a retain makes included;
 //! * `ServeReport::from_canonical_text` round-trips reports with and
 //!   without the optional reuse / discipline / metrics sections.
 
 use alisa_serve::{
-    AdmissionPolicy, ArrivalProcess, Event, EventKind, MemorySink, MetricsRegistry,
-    QueueDiscipline, RejectReason, RetentionCfg, Router, RouterConfig, ServeConfig, ServeEngine,
-    ServeReport, Trace,
+    AdmissionPolicy, ArrivalProcess, Event, EventKind, LoadBalancePolicy, MemorySink,
+    MetricsRegistry, QueueDiscipline, RejectReason, RetentionCfg, Router, RouterConfig,
+    ServeConfig, ServeEngine, ServeReport, Trace,
 };
-use alisa_workloads::LengthModel;
+use alisa_workloads::{LengthModel, SessionModel};
 
 fn v100_config(policy: AdmissionPolicy) -> ServeConfig {
     ServeConfig::new(
@@ -249,6 +252,54 @@ fn report_canonical_text_round_trips() {
             "{tag}: re-canonicalized bytes must match"
         );
     }
+}
+
+/// Every retention path is traced: one `retention-evict` event per
+/// `ReuseStats::evictions` count and one `retention-store` per
+/// `ReuseStats::retained` — including a preempted request's retain and
+/// the LRU evictions a retain makes to fit. Runs the chat workload with
+/// retention and preemptive SJF at 0.4 sessions/s per replica, just
+/// past a replica's knee, on one engine and on a sticky 2-replica
+/// fleet.
+#[test]
+fn retention_events_reconcile_with_reuse_stats() {
+    let base = v100_config(AdmissionPolicy::alisa());
+    let timeout = 5.0 * base.slo.ttft_s;
+    let cfg = base
+        .with_session_reuse(RetentionCfg::half())
+        .with_discipline(QueueDiscipline::preemptive_sjf())
+        .with_queue_timeout(timeout);
+    let sessions = |rate: f64, n: usize| {
+        Trace::generate_sessions(
+            &ArrivalProcess::Poisson { rate },
+            &SessionModel::chat(),
+            n,
+            7,
+        )
+    };
+    let reconcile = |tag: &str, events: &[Event], report: &ServeReport| {
+        let reuse = report.reuse.expect("retention on");
+        let discipline = report.discipline.as_ref().expect("preemptive discipline");
+        assert!(discipline.preemptions > 0, "{tag}: the run must preempt");
+        assert!(reuse.evictions > 0, "{tag}: the run must evict");
+        let count = |kind: &str| events.iter().filter(|e| e.kind.name() == kind).count();
+        assert_eq!(
+            count("retention-evict"),
+            reuse.evictions,
+            "{tag}: evictions"
+        );
+        assert_eq!(count("retention-store"), reuse.retained, "{tag}: retains");
+    };
+
+    let mut sink = MemorySink::new();
+    let report = ServeEngine::new(cfg.clone()).run_traced(&sessions(0.4, 400), &mut sink);
+    reconcile("engine", sink.events(), &report);
+
+    let router =
+        Router::new(RouterConfig::homogeneous(cfg, 2).with_lb(LoadBalancePolicy::sticky()));
+    let mut sink = MemorySink::new();
+    let r = router.run_traced(&sessions(0.8, 320), &mut sink);
+    reconcile("fleet", sink.events(), &r.fleet);
 }
 
 /// The fleet traces too: a disaggregated router run emits dispatch and

@@ -1,6 +1,8 @@
 //! Executable checks of the paper's headline claims, at test-sized
 //! scales. Each test names the claim and the paper section it comes
-//! from; EXPERIMENTS.md records the full-scale figures.
+//! from. The figure binaries in `crates/bench` print the full-scale
+//! numbers beside the paper's; a ledger comparing the two is an open
+//! item in ROADMAP.md.
 
 use alisa_attention::policy::PolicyKind;
 use alisa_memsim::HardwareSpec;
