@@ -17,23 +17,21 @@
 //!
 //! Each rate's trace is built once and shared by every policy.
 //!
-//! Observability flags (default output is byte-identical without them):
+//! Observability flag (default output is byte-identical without it):
 //! `--events <path>` streams a structured JSONL event log of the
 //! highest-rate ALISA run (validate with the `trace_check` bin, render
-//! with `alisa_obs::perfetto`); `--profile` prints a wall-time
-//! breakdown of the simulator's own phases and a machine-readable
-//! `profile-json` line. See `docs/OBSERVABILITY.md`.
+//! with `alisa_obs::perfetto`). See `docs/OBSERVABILITY.md`.
 
-use alisa_bench::{banner, events_arg, f, quick_mode, row, seed_arg, ProfileScope};
+use alisa_bench::{banner, check_args, events_arg, f, quick_mode, row, seed_arg};
 use alisa_memsim::HardwareSpec;
 use alisa_model::ModelConfig;
 use alisa_serve::{AdmissionPolicy, ArrivalProcess, ServeConfig, ServeEngine, Trace};
 use alisa_workloads::LengthModel;
 
 fn main() {
+    check_args(&["--events"]);
     let quick = quick_mode();
     let seed = seed_arg();
-    let prof = ProfileScope::begin();
     let model = ModelConfig::opt_6_7b();
     let hw = HardwareSpec::v100_16gb();
     // Quick mode keeps the full Alpaca lengths and includes one rate
@@ -114,7 +112,6 @@ fn main() {
         }
     );
     println!("\n(paper context: sparsity-aware KV budgeting converts the offline throughput win of Fig. 9 into serving goodput)");
-    prof.finish();
     events_arg(|sink| {
         // The highest swept rate exercises the most decision points
         // (saturation => queueing, timeouts, rejections).

@@ -26,13 +26,14 @@
 //! Each rate's trace is built once and shared by all three precisions.
 
 use alisa::PrecisionPolicy;
-use alisa_bench::{banner, f, quick_mode, row, seed_arg};
+use alisa_bench::{banner, check_args, f, quick_mode, row, seed_arg};
 use alisa_memsim::HardwareSpec;
 use alisa_model::ModelConfig;
 use alisa_serve::{AdmissionPolicy, ArrivalProcess, ServeConfig, ServeEngine, Trace};
 use alisa_workloads::LengthModel;
 
 fn main() {
+    check_args(&[]);
     let quick = quick_mode();
     let seed = seed_arg();
     let model = ModelConfig::opt_6_7b();
@@ -82,10 +83,7 @@ fn main() {
         let trace = Trace::generate(&ArrivalProcess::Poisson { rate }, &lengths, n, seed);
         let mut prev_goodput = 0.0f64;
         for &(tag, precision) in &configs {
-            let policy = AdmissionPolicy::Alisa {
-                sparsity: 0.8,
-                precision,
-            };
+            let policy = AdmissionPolicy::alisa_with(precision);
             let cfg = ServeConfig::new(model.clone(), hw.clone(), policy)
                 .with_queue_timeout(5.0 * base.slo.ttft_s);
             let report = ServeEngine::new(cfg).run(&trace);

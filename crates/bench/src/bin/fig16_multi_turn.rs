@@ -29,7 +29,7 @@
 //! Each rate's session trace is built once and shared by all three
 //! fleet configurations.
 
-use alisa_bench::{banner, f, quick_mode, row, seed_arg};
+use alisa_bench::{banner, check_args, f, quick_mode, row, seed_arg};
 use alisa_memsim::HardwareSpec;
 use alisa_model::ModelConfig;
 use alisa_serve::{
@@ -39,6 +39,7 @@ use alisa_serve::{
 use alisa_workloads::SessionModel;
 
 fn main() {
+    check_args(&[]);
     let quick = quick_mode();
     let seed = seed_arg();
     let model = ModelConfig::opt_6_7b();

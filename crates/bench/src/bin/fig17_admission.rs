@@ -32,14 +32,13 @@
 //! Each rate's trace is built once and shared by all five
 //! configurations.
 //!
-//! Observability flags (default output is byte-identical without them):
+//! Observability flag (default output is byte-identical without it):
 //! `--events <path>` streams a structured JSONL event log of the
 //! highest-rate preemptive-SJF run — the richest stream this repo
 //! produces (admission pricing, preemption decision traces, timeout
-//! rejections); `--profile` prints the simulator's own phase breakdown.
-//! See `docs/OBSERVABILITY.md`.
+//! rejections). See `docs/OBSERVABILITY.md`.
 
-use alisa_bench::{banner, events_arg, f, quick_mode, row, seed_arg, ProfileScope};
+use alisa_bench::{banner, check_args, events_arg, f, quick_mode, row, seed_arg};
 use alisa_memsim::HardwareSpec;
 use alisa_model::ModelConfig;
 use alisa_serve::{
@@ -48,9 +47,9 @@ use alisa_serve::{
 use alisa_workloads::LengthModel;
 
 fn main() {
+    check_args(&["--events"]);
     let quick = quick_mode();
     let seed = seed_arg();
-    let prof = ProfileScope::begin();
     let model = ModelConfig::opt_6_7b();
     let hw = HardwareSpec::v100_16gb();
     // The fig13 rates; quick mode keeps one rate past the saturation
@@ -173,7 +172,6 @@ fn main() {
         verdict(alisa_always_wins)
     );
     println!("\n(paper context: §V-C's scheduler decides which queued request gets the freed HBM — size-aware orderings break the head-of-line blocking FCFS suffers on heavy-tailed traffic)");
-    prof.finish();
     events_arg(|sink| {
         // Preemptive SJF at the highest rate: the stream with every
         // decision kind in it, preemption traces included.

@@ -37,14 +37,14 @@
 //! Part A runs every fleet over one diurnal trace; parts B and C share
 //! one steady trace.
 //!
-//! Observability flags (default output is byte-identical without
-//! them): `--events <path>` streams a structured JSONL event log of
+//! Observability flag (default output is byte-identical without
+//! it): `--events <path>` streams a structured JSONL event log of
 //! the k=2 failure run — replica-failed events with decision traces,
 //! session-recovered events with rebuilt-token counts, retention
-//! evictions of the dead replica's sessions; `--profile` prints the
-//! simulator's own phase breakdown. See `docs/OBSERVABILITY.md`.
+//! evictions of the dead replica's sessions. See
+//! `docs/OBSERVABILITY.md`.
 
-use alisa_bench::{banner, events_arg, f, quick_mode, row, seed_arg, ProfileScope};
+use alisa_bench::{banner, check_args, events_arg, f, quick_mode, row, seed_arg};
 use alisa_memsim::HardwareSpec;
 use alisa_model::ModelConfig;
 use alisa_serve::{
@@ -54,9 +54,9 @@ use alisa_serve::{
 use alisa_workloads::LengthModel;
 
 fn main() {
+    check_args(&["--events"]);
     let quick = quick_mode();
     let seed = seed_arg();
-    let prof = ProfileScope::begin();
     let model = ModelConfig::opt_6_7b();
     let hw = HardwareSpec::v100_16gb();
     let lengths = LengthModel::alpaca().with_max_output(64);
@@ -269,7 +269,6 @@ fn main() {
         verdict(aware_wins && aware_biases)
     );
     println!("\n(paper context: the paper's evaluation holds the replica set fixed; this figure exercises the fleet layer real deployments need — elastic capacity, crash recovery priced through ALISA's own re-prefill cost model, and mixed hardware generations)");
-    prof.finish();
     events_arg(|sink| {
         // The k=2 failure run, traced: replica-failed + session-
         // recovered decision traces plus the dead replicas' retention

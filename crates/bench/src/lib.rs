@@ -8,16 +8,16 @@
 
 use std::fmt::Display;
 
-use alisa_obs::{profile, JsonlSink, TraceSink};
+use alisa_obs::{JsonlSink, TraceSink};
 
 /// Returns true if the bare flag `name` was passed.
-pub fn flag(name: &str) -> bool {
+fn flag(name: &str) -> bool {
     std::env::args().any(|a| a == name)
 }
 
 /// Returns the value following the flag `name` (e.g. `--events path`),
 /// if both are present.
-pub fn arg_value(name: &str) -> Option<String> {
+fn arg_value(name: &str) -> Option<String> {
     let args: Vec<String> = std::env::args().collect();
     args.iter()
         .position(|a| a == name)
@@ -28,6 +28,25 @@ pub fn arg_value(name: &str) -> Option<String> {
 /// Returns true if `--quick` was passed (reduced sweeps for CI/tests).
 pub fn quick_mode() -> bool {
     flag("--quick")
+}
+
+/// Exits with status 2, printing `unknown argument` to stderr, on any
+/// argument a serving figure binary does not take. Each takes
+/// `--quick` and `--seed <v>` (whose value [`seed_arg`] checks);
+/// `value_flags` names the other flags it takes, each with a value
+/// (`--events`). A bare `--` is skipped: cargo passes it through from
+/// the `[-- --quick] [-- --seed N]` notation. Without this check a typo
+/// such as `--sed 7` would print seed 42's figure.
+pub fn check_args(value_flags: &[&str]) {
+    let mut args = std::env::args().skip(1);
+    while let Some(a) = args.next() {
+        if a == "--seed" || value_flags.contains(&a.as_str()) {
+            args.next();
+        } else if a != "--quick" && a != "--" {
+            eprintln!("unknown argument `{a}`");
+            std::process::exit(2);
+        }
+    }
 }
 
 /// Parses `--seed N` from the command line; 42 when the flag is absent.
@@ -58,47 +77,6 @@ pub fn events_arg(replay: impl FnOnce(&mut dyn TraceSink)) {
         replay(&mut sink);
         let n = sink.finish().expect("event log must flush cleanly");
         println!("\nwrote {n} events to {path}");
-    }
-}
-
-/// Simulator self-profiling for a figure binary: construct before the
-/// sweep (arms the [`alisa_obs::profile`] collector when `--profile`
-/// was passed), call [`ProfileScope::finish`] after the sweep to print
-/// the phase breakdown plus a machine-readable `profile-json` line
-/// ([`alisa_obs::ProfileReport::to_json`]). Without `--profile` both
-/// ends are no-ops and the binary's output stays byte-identical —
-/// the profiler measures host wall time only and never touches
-/// simulation clocks.
-pub struct ProfileScope {
-    start: std::time::Instant,
-    on: bool,
-}
-
-impl ProfileScope {
-    /// Arms the profiler (under `--profile`) and anchors the wall
-    /// clock.
-    pub fn begin() -> Self {
-        let on = flag("--profile");
-        if on {
-            profile::reset();
-            profile::set_enabled(true);
-        }
-        ProfileScope {
-            start: std::time::Instant::now(),
-            on,
-        }
-    }
-
-    /// Stops collection and prints the breakdown (under `--profile`).
-    pub fn finish(self) {
-        if !self.on {
-            return;
-        }
-        profile::set_enabled(false);
-        let rep = profile::ProfileReport::capture(self.start.elapsed().as_nanos() as u64);
-        println!("\n--- simulator self-profile (--profile) ---");
-        print!("{}", rep.text());
-        println!("profile-json {}", rep.to_json());
     }
 }
 

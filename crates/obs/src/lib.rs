@@ -3,7 +3,7 @@
 //! The simulators report terminal aggregates (`ServeReport`,
 //! `RunReport`); this crate makes the *decisions behind them*
 //! observable. It is a leaf crate — the serving stack depends on it,
-//! never the other way around — with four layers:
+//! never the other way around — with six modules:
 //!
 //! * [`event`] — the structured [`Event`] model: one record per
 //!   lifecycle decision (arrival, admission with the full KV-pricing
@@ -26,8 +26,9 @@
 //! * [`profile`] — self-profiling of the *simulator itself*: real
 //!   wall time bucketed into simulator phases (top-K selection,
 //!   event-queue scan, discipline ordering, step pricing, …) behind a
-//!   single atomic flag. This is the one module that touches wall
-//!   clocks — and it never feeds event timestamps.
+//!   single atomic flag, which perfbench's `--trace 1` turns on. This
+//!   is the one module that touches wall clocks — and it never feeds
+//!   event timestamps.
 //! * [`perfetto`] — renders a collected event stream as Chrome
 //!   trace-event / Perfetto JSON: one lane per replica, one span per
 //!   request, instants for rejections and preemptions.

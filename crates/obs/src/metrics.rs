@@ -186,60 +186,6 @@ impl MetricsRegistry {
         }
         out
     }
-
-    /// Parses a dump produced by [`MetricsRegistry::canonical_text`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the offending line on malformed input.
-    pub fn from_canonical_text(text: &str) -> Result<Self, String> {
-        let mut reg = Self::new();
-        for line in text.lines() {
-            let mut parts = line.split_whitespace();
-            match parts.next() {
-                Some("counter") => {
-                    let name = parts.next().ok_or_else(|| bad(line))?;
-                    let v: u64 = parts
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or_else(|| bad(line))?;
-                    reg.counters.insert(name.to_string(), v);
-                }
-                Some("hist") => {
-                    let name = parts.next().ok_or_else(|| bad(line))?;
-                    let mut h = Histogram::default();
-                    for field in parts {
-                        let (key, val) = field.split_once('=').ok_or_else(|| bad(line))?;
-                        match key {
-                            "count" => h.count = val.parse().map_err(|_| bad(line))?,
-                            "sum" => h.sum = val.parse().map_err(|_| bad(line))?,
-                            "min" => h.min = val.parse().map_err(|_| bad(line))?,
-                            "max" => h.max = val.parse().map_err(|_| bad(line))?,
-                            "buckets" => {
-                                for pair in val.split(',').filter(|p| !p.is_empty()) {
-                                    let (idx, n) = pair.split_once(':').ok_or_else(|| bad(line))?;
-                                    let idx = if idx == "floor" {
-                                        FLOOR_BUCKET
-                                    } else {
-                                        idx.parse().map_err(|_| bad(line))?
-                                    };
-                                    h.buckets.insert(idx, n.parse().map_err(|_| bad(line))?);
-                                }
-                            }
-                            _ => return Err(bad(line)),
-                        }
-                    }
-                    reg.hists.insert(name.to_string(), h);
-                }
-                _ => return Err(bad(line)),
-            }
-        }
-        Ok(reg)
-    }
-}
-
-fn bad(line: &str) -> String {
-    format!("malformed metrics line `{line}`")
 }
 
 #[cfg(test)]
@@ -268,6 +214,8 @@ mod tests {
         assert_eq!(h.buckets.get(&0), Some(&1));
     }
 
+    /// Pins the dump byte for byte: counters before histograms, names in
+    /// order, and floats in their shortest round-trip form (`0`, `3`).
     #[test]
     fn canonical_text_round_trips() {
         let mut reg = MetricsRegistry::new();
@@ -276,16 +224,11 @@ mod tests {
         reg.observe("queue_wait_s", 0.0);
         reg.observe("queue_wait_s", 0.125);
         reg.observe("queue_wait_s", 3.0);
-        let text = reg.canonical_text();
-        let back = MetricsRegistry::from_canonical_text(&text).unwrap();
-        assert_eq!(back, reg);
-        assert_eq!(back.canonical_text(), text);
-    }
-
-    #[test]
-    fn malformed_dump_lines_error() {
-        for bad in ["bogus x 1", "counter only_name", "hist h count=x"] {
-            assert!(MetricsRegistry::from_canonical_text(bad).is_err(), "{bad}");
-        }
+        assert_eq!(
+            reg.canonical_text(),
+            "counter admitted 5\n\
+             counter arrived 7\n\
+             hist queue_wait_s count=3 sum=3.125 min=0 max=3 buckets=floor:1,-3:1,1:1\n"
+        );
     }
 }

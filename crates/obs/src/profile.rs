@@ -3,7 +3,10 @@
 //!
 //! This is the one module in the crate that touches wall clocks, and
 //! it never feeds event timestamps — traces stay byte-stable while
-//! the profiler measures where the *host* time goes.
+//! the profiler measures where the *host* time goes. perfbench's
+//! `--trace 1` is its front-end: it reports each phase's totals as
+//! per-layer metrics and [`ProfileReport::coverage`] as
+//! `obs.profile_coverage` (see `docs/OBSERVABILITY.md`).
 //!
 //! Design: a process-global `AtomicBool` gate plus one relaxed
 //! `AtomicU64` pair (nanoseconds, calls) per [`Phase`]. Disabled cost
@@ -37,7 +40,7 @@ pub enum Phase {
     Report,
 }
 
-/// All phases, in display order.
+/// All phases, in the order [`ProfileReport::phases`] lists them.
 pub const PHASES: [Phase; 8] = [
     Phase::TopK,
     Phase::EventScan,
@@ -50,20 +53,6 @@ pub const PHASES: [Phase; 8] = [
 ];
 
 impl Phase {
-    /// Stable display / JSON name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Phase::TopK => "topk-selection",
-            Phase::EventScan => "event-queue-scan",
-            Phase::Discipline => "discipline-ordering",
-            Phase::Pricing => "step-pricing",
-            Phase::Accounting => "token-accounting",
-            Phase::Dispatch => "router-dispatch",
-            Phase::TraceGen => "trace-generation",
-            Phase::Report => "report-build",
-        }
-    }
-
     fn index(self) -> usize {
         match self {
             Phase::TopK => 0,
@@ -184,66 +173,6 @@ impl ProfileReport {
             self.bucket_ns() as f64 / self.wall_ns as f64
         }
     }
-
-    /// The hottest phase by accumulated time.
-    pub fn top_phase(&self) -> &'static str {
-        self.phases
-            .iter()
-            .max_by_key(|(_, ns, _)| *ns)
-            .map(|(p, _, _)| p.name())
-            .unwrap_or("none")
-    }
-
-    /// Human-readable breakdown table (phases sorted hottest-first).
-    pub fn text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut rows: Vec<_> = self.phases.iter().filter(|(_, ns, _)| *ns > 0).collect();
-        rows.sort_by_key(|r| std::cmp::Reverse(r.1));
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "profile: wall {:.1} ms, buckets {:.1} ms ({:.1}% coverage), top phase {}",
-            self.wall_ns as f64 / 1e6,
-            self.bucket_ns() as f64 / 1e6,
-            self.coverage() * 100.0,
-            self.top_phase()
-        );
-        for (p, ns, calls) in rows {
-            let _ = writeln!(
-                out,
-                "  {:<20} {:>10.2} ms  {:>5.1}%  {:>10} calls",
-                p.name(),
-                *ns as f64 / 1e6,
-                *ns as f64 / self.wall_ns.max(1) as f64 * 100.0,
-                calls
-            );
-        }
-        out
-    }
-
-    /// Machine-readable form, printed as the figure binaries'
-    /// `profile-json` line under `--profile`. Deterministic field order;
-    /// phase totals appear in [`PHASES`] order.
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        let _ = write!(
-            s,
-            "{{\"wall_ns\":{},\"bucket_ns\":{},\"coverage\":{:.4},\"top_phase\":\"{}\",\"phases\":{{",
-            self.wall_ns,
-            self.bucket_ns(),
-            self.coverage(),
-            self.top_phase()
-        );
-        for (i, (p, ns, calls)) in self.phases.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "\"{}\":{{\"ns\":{ns},\"calls\":{calls}}}", p.name());
-        }
-        s.push_str("}}");
-        s
-    }
 }
 
 #[cfg(test)]
@@ -277,25 +206,7 @@ mod tests {
             .unwrap();
         assert!(disc.1 > 0, "elapsed nanos recorded");
         assert_eq!(disc.2, 1, "one call recorded");
-        assert_eq!(rep.top_phase(), "discipline-ordering");
-        assert!(rep.text().contains("discipline-ordering"));
-        let json = rep.to_json();
-        let v = crate::json::parse(&json).unwrap();
-        assert!(v.get("wall_ns").is_some());
-        assert_eq!(
-            v.get("top_phase").unwrap().as_str(),
-            Some("discipline-ordering")
-        );
-        assert_eq!(
-            v.get("phases")
-                .unwrap()
-                .get("topk-selection")
-                .unwrap()
-                .get("calls")
-                .unwrap()
-                .as_u64(),
-            Some(0)
-        );
+        assert_eq!(rep.bucket_ns(), disc.1, "only the timed phase is credited");
 
         // Reset clears totals.
         reset();

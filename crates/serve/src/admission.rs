@@ -63,7 +63,7 @@ const ALISA_RELOAD_FRAC: f64 = 0.02;
 ///
 /// // Mixed precision trims offload traffic below flat INT8 without
 /// // touching the GPU-resident reservation.
-/// let mixed = AdmissionPolicy::alisa_mixed();
+/// let mixed = AdmissionPolicy::alisa_with(PrecisionPolicy::mixed());
 /// assert_eq!(mixed.gpu_kv_bytes(&model, 640), sparse);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -95,23 +95,13 @@ impl AdmissionPolicy {
     /// ALISA at the paper's headline configuration: 80% sparsity with
     /// the §V-B INT8 offload precision ([`PrecisionPolicy::int8`]).
     pub fn alisa() -> Self {
-        AdmissionPolicy::Alisa {
-            sparsity: 0.8,
-            precision: PrecisionPolicy::int8(),
-        }
+        Self::alisa_with(PrecisionPolicy::int8())
     }
 
-    /// ALISA at 80% sparsity under the mixed-precision policy
-    /// ([`PrecisionPolicy::mixed`]): GPU hot window FP16, CPU remainder
-    /// INT8 with an INT4 cold tail, INT8 replica handoffs.
-    pub fn alisa_mixed() -> Self {
-        AdmissionPolicy::Alisa {
-            sparsity: 0.8,
-            precision: PrecisionPolicy::mixed(),
-        }
-    }
-
-    /// ALISA at 80% sparsity under an arbitrary precision policy.
+    /// ALISA at the paper's 80% sparsity under any per-region
+    /// precision policy, e.g. [`PrecisionPolicy::mixed`]: GPU hot
+    /// window FP16, CPU remainder INT8 with an INT4 cold tail, INT8
+    /// replica handoffs.
     pub fn alisa_with(precision: PrecisionPolicy) -> Self {
         AdmissionPolicy::Alisa {
             sparsity: 0.8,
@@ -356,7 +346,7 @@ mod tests {
         // Offload precision does not change the GPU-resident booking…
         assert_eq!(
             AdmissionPolicy::alisa().gpu_kv_bytes(&model, 640),
-            AdmissionPolicy::alisa_mixed().gpu_kv_bytes(&model, 640),
+            AdmissionPolicy::alisa_with(PrecisionPolicy::mixed()).gpu_kv_bytes(&model, 640),
         );
         // …but quantizing the hot window itself halves it.
         let int8_gpu =

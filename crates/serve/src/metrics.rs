@@ -342,181 +342,6 @@ impl ServeReport {
         }
         s
     }
-
-    /// Parses a dump produced by [`ServeReport::canonical_text`] back
-    /// into a report — the round trip every field must survive
-    /// byte-for-byte (the vendored `serde` is a no-op stub, so this is
-    /// the report's real serialization boundary).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the offending line on malformed input.
-    pub fn from_canonical_text(text: &str) -> Result<Self, String> {
-        let mut lines = text.lines().peekable();
-        if need(&mut lines, "serve-report")? != "v1" {
-            return Err("unsupported serve-report version".to_string());
-        }
-        let policy = need(&mut lines, "policy")?.to_string();
-        let model = need(&mut lines, "model")?.to_string();
-        let hardware = need(&mut lines, "hardware")?.to_string();
-        let counts = kv_fields(need(&mut lines, "counts")?)?;
-        let slo_kv = kv_fields(need(&mut lines, "slo")?)?;
-        let makespan_s = parse_num(need(&mut lines, "makespan")?)?;
-        let offered_window_s = parse_num(need(&mut lines, "window")?)?;
-        let goodput_rps = parse_num(need(&mut lines, "goodput")?)?;
-        let slo_attainment = parse_num(need(&mut lines, "attainment")?)?;
-        let throughput_tps = parse_num(need(&mut lines, "throughput")?)?;
-        let mean_batch = parse_num(need(&mut lines, "mean_batch")?)?;
-        let latency = |lines: &mut Lines<'_>, tag: &str| -> Result<LatencyStats, String> {
-            let f = kv_fields(need(lines, tag)?)?;
-            Ok(LatencyStats {
-                count: lookup(&f, "count")? as usize,
-                mean: lookup(&f, "mean")?,
-                p50: lookup(&f, "p50")?,
-                p90: lookup(&f, "p90")?,
-                p99: lookup(&f, "p99")?,
-                max: lookup(&f, "max")?,
-            })
-        };
-        let ttft = latency(&mut lines, "ttft")?;
-        let tbt = latency(&mut lines, "tbt")?;
-        let e2e = latency(&mut lines, "e2e")?;
-        let peaks = kv_fields(need(&mut lines, "peaks")?)?;
-
-        let mut reuse = None;
-        if lines.peek().is_some_and(|l| l.starts_with("reuse ")) {
-            let f = kv_fields(&lines.next().expect("peeked")[6..])?;
-            reuse = Some(ReuseStats {
-                hits: lookup(&f, "hits")? as usize,
-                misses: lookup(&f, "misses")? as usize,
-                reused_tokens: lookup(&f, "reused_tokens")? as u64,
-                evictions: lookup(&f, "evictions")? as usize,
-                retained: lookup(&f, "retained")? as usize,
-                peak_retained_bytes: lookup(&f, "peak_retained")? as u64,
-            });
-        }
-        let mut discipline = None;
-        if lines.peek().is_some_and(|l| l.starts_with("discipline ")) {
-            let line = lines.next().expect("peeked");
-            let rest = &line["discipline ".len()..];
-            let (name, fields) = rest
-                .split_once(' ')
-                .ok_or_else(|| format!("malformed `{line}`"))?;
-            let f = kv_fields(fields)?;
-            discipline = Some(DisciplineStats {
-                discipline: name.to_string(),
-                preemptions: lookup(&f, "preemptions")? as u64,
-                preempted_requests: lookup(&f, "preempted")? as u64,
-            });
-        }
-        let mut metrics = None;
-        if lines.peek().is_some_and(|l| l.starts_with("metrics ")) {
-            let line = lines.next().expect("peeked");
-            let count: usize = line["metrics ".len()..]
-                .parse()
-                .map_err(|_| format!("malformed `{line}`"))?;
-            let mut dump = String::new();
-            for _ in 0..count {
-                let l = lines.next().ok_or("truncated metrics section")?;
-                dump.push_str(l);
-                dump.push('\n');
-            }
-            metrics = Some(dump);
-        }
-        let timeline_len: usize = need(&mut lines, "timeline")?
-            .parse()
-            .map_err(|_| "malformed timeline count".to_string())?;
-        // The count is untrusted: grow as lines actually parse.
-        let mut timeline = Vec::new();
-        for _ in 0..timeline_len {
-            let l = lines.next().ok_or("truncated timeline")?;
-            let parts: Vec<&str> = l.split_whitespace().collect();
-            if parts.len() != 4 {
-                return Err(format!("malformed timeline sample `{l}`"));
-            }
-            timeline.push(ServeSample {
-                t: parts[0].parse().map_err(|_| format!("bad sample `{l}`"))?,
-                queue_depth: parts[1].parse().map_err(|_| format!("bad sample `{l}`"))?,
-                running: parts[2].parse().map_err(|_| format!("bad sample `{l}`"))?,
-                kv_bytes: parts[3].parse().map_err(|_| format!("bad sample `{l}`"))?,
-            });
-        }
-        if let Some(extra) = lines.next() {
-            return Err(format!("trailing line `{extra}`"));
-        }
-        Ok(ServeReport {
-            policy,
-            model,
-            hardware,
-            arrived: lookup(&counts, "arrived")? as usize,
-            admitted: lookup(&counts, "admitted")? as usize,
-            rejected: lookup(&counts, "rejected")? as usize,
-            completed: lookup(&counts, "completed")? as usize,
-            slo_met: lookup(&counts, "slo_met")? as usize,
-            makespan_s,
-            offered_window_s,
-            ttft,
-            tbt,
-            e2e,
-            slo: SloSpec {
-                ttft_s: lookup(&slo_kv, "ttft")?,
-                tbt_s: lookup(&slo_kv, "tbt")?,
-            },
-            goodput_rps,
-            slo_attainment,
-            throughput_tps,
-            mean_batch,
-            peak_queue_depth: lookup(&peaks, "queue")? as usize,
-            peak_kv_bytes: lookup(&peaks, "kv")? as u64,
-            timeline,
-            reuse,
-            discipline,
-            metrics,
-        })
-    }
-}
-
-/// The line cursor [`ServeReport::from_canonical_text`] walks.
-type Lines<'a> = std::iter::Peekable<std::str::Lines<'a>>;
-
-/// Pops the next line, requiring it to start with `tag`; returns the
-/// rest of the line.
-fn need<'a>(lines: &mut Lines<'a>, tag: &str) -> Result<&'a str, String> {
-    let line = lines
-        .next()
-        .ok_or_else(|| format!("missing `{tag}` line"))?;
-    line.strip_prefix(tag)
-        .map(str::trim_start)
-        .ok_or_else(|| format!("expected `{tag} ...`, got `{line}`"))
-}
-
-/// Splits `a=1 b=2.5` into `(key, value)` pairs.
-fn kv_fields(s: &str) -> Result<Vec<(&str, f64)>, String> {
-    s.split_whitespace()
-        .map(|field| {
-            let (k, v) = field
-                .split_once('=')
-                .ok_or_else(|| format!("malformed field `{field}`"))?;
-            let v: f64 = v
-                .parse()
-                .map_err(|_| format!("malformed field `{field}`"))?;
-            Ok((k, v))
-        })
-        .collect()
-}
-
-fn lookup(fields: &[(&str, f64)], key: &str) -> Result<f64, String> {
-    fields
-        .iter()
-        .find(|(k, _)| *k == key)
-        .map(|(_, v)| *v)
-        .ok_or_else(|| format!("missing field `{key}`"))
-}
-
-fn parse_num(s: &str) -> Result<f64, String> {
-    s.trim()
-        .parse()
-        .map_err(|_| format!("malformed number `{s}`"))
 }
 
 #[cfg(test)]

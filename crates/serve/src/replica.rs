@@ -315,10 +315,10 @@ impl Replica {
     }
 
     /// Runs one engine step at the replica clock: scan, admit, price,
-    /// account, sample. Returns `false`, leaving the clock alone, when
-    /// nothing was admitted and nothing is running. `on_done` sees
-    /// every request that reaches a terminal state, with the time it
-    /// did; timeout bounces and handoffs land in `scratch`.
+    /// account, sample. Leaves the clock alone when nothing was
+    /// admitted and nothing is running. `on_done` sees every request
+    /// that reaches a terminal state, with the time it did; timeout
+    /// bounces and handoffs land in `scratch`.
     pub(crate) fn step<const TRACED: bool>(
         &mut self,
         engine: &ServeEngine,
@@ -326,7 +326,7 @@ impl Replica {
         scratch: &mut StepScratch,
         obs: &mut ObsCtx<'_>,
         mut on_done: impl FnMut(&Request, f64),
-    ) -> bool {
+    ) {
         let cfg = engine.config();
         let t = self.t;
         let budget = self.budget;
@@ -584,7 +584,7 @@ impl Replica {
         }
         drop(_order);
         if newly.is_empty() && ingests.is_empty() && self.running.is_empty() {
-            return false;
+            return;
         }
 
         // ---- 3. Price the step: a prefill per newly admitted prompt,
@@ -671,7 +671,6 @@ impl Replica {
                 kv_bytes: self.reserved,
             },
         );
-        true
     }
 
     /// Admission for a queued candidate: probes the retained session

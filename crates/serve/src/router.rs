@@ -316,6 +316,12 @@ impl RouterConfig {
     /// [`LoadBalancePolicy::LeastKvPressure`] to get capability-aware
     /// balancing: their load signals are normalized by each replica's
     /// [`ServeEngine::throughput_weight`].
+    ///
+    /// Each replica keeps its own hardware-derived `slo` and grades its
+    /// own report against it; an H100's TTFT bar is about 6× tighter
+    /// than a V100's. The fleet report and the autoscaler grade every
+    /// request against replica 0's SLO, so per-replica `slo_met` counts
+    /// need not sum to the fleet's.
     pub fn heterogeneous(replicas: Vec<ServeConfig>) -> Self {
         RouterConfig {
             replicas,
@@ -375,15 +381,18 @@ pub struct RouterReport {
     pub requeue_on_reject: bool,
     /// Number of prefill replicas (0 when disaggregation is off).
     pub prefill_replicas: usize,
-    /// Fleet-level report over *all* requests. `mean_batch` is the
+    /// Fleet-level report over *all* requests, graded against replica
+    /// 0's SLO (the one the autoscaler reads too). `mean_batch` is the
     /// step-weighted mean across replicas; the timeline interleaves
     /// per-replica samples (each sample's depths are replica-local);
     /// the `peak_*` fields are the worst single replica's peaks.
     pub fleet: ServeReport,
     /// Per-replica reports, each over the requests whose terminal home
-    /// was that replica. Requests the router rejected before any
-    /// replica accepted them appear only in the fleet report, so
-    /// per-replica `arrived` counts can sum below the fleet's.
+    /// was that replica and graded against that replica's own SLO.
+    /// Requests the router rejected before any replica accepted them
+    /// appear only in the fleet report, so per-replica `arrived` counts
+    /// can sum below the fleet's; on a heterogeneous fleet the
+    /// per-replica `slo_met` counts need not sum to the fleet's either.
     pub replicas: Vec<ServeReport>,
     /// Requests that were bounced once and re-queued onto another
     /// replica.
@@ -1465,7 +1474,8 @@ impl<'a> FleetRun<'a> {
     }
 
     /// One autoscaler evaluation at time `at`: reads windowed SLO
-    /// attainment, mean KV pressure over admitting replicas, and the
+    /// attainment (against replica 0's SLO, as the fleet report
+    /// grades), mean KV pressure over admitting replicas, and the
     /// worst current queue wait of a request still awaiting first
     /// service, then brings one standby replica up (overload) or
     /// starts draining the emptiest admitting replica (sustained
@@ -1605,21 +1615,25 @@ impl<'a> FleetRun<'a> {
     /// Assembles per-replica and fleet reports.
     fn router_report(&self) -> RouterReport {
         let states = &self.states;
-        let replicas: Vec<ServeReport> = (states.iter())
-            .map(|s| {
-                let local: Vec<_> = (self.reqs.req.iter())
-                    .filter(|r| self.owner[r.id] == Some(s.idx))
-                    .cloned()
-                    .collect();
+        // Each replica's request ids, in trace order, split in one pass.
+        let mut owned: Vec<Vec<usize>> = vec![Vec::new(); states.len()];
+        for (id, owner) in self.owner.iter().enumerate() {
+            if let Some(o) = *owner {
+                owned[o].push(id);
+            }
+        }
+        let replicas: Vec<ServeReport> = (states.iter().zip(&owned))
+            .map(|(s, ids)| {
+                let local: Vec<_> = ids.iter().map(|&id| self.reqs.req[id].clone()).collect();
                 s.report(&self.engines[s.idx], &local, s.t)
             })
             .collect();
 
         // Fleet aggregates: step-weighted batch, interleaved timeline
         // (replica-local depths, globally time-sorted), worst-replica
-        // peaks, and the makespan. SLO grading uses replica 0's SLO —
-        // `RouterConfig::homogeneous` fleets are uniform by
-        // construction.
+        // peaks, and the makespan. Every request is graded against
+        // replica 0's SLO, as the autoscaler grades it; each replica's
+        // report above used its own (see `RouterReport::replicas`).
         let total_steps: u64 = states.iter().map(|s| s.step_count).sum();
         let total_batch: u64 = states.iter().map(|s| s.batch_sum).sum();
         let mean_batch = if total_steps == 0 {

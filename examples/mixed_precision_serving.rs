@@ -60,10 +60,7 @@ fn main() {
     println!("\n== single V100, poisson @ 8 req/s, 120 requests ==");
     let trace = Trace::generate(&ArrivalProcess::Poisson { rate: 8.0 }, &lengths, 120, seed);
     for (name, p) in &configs {
-        let policy = AdmissionPolicy::Alisa {
-            sparsity: 0.8,
-            precision: *p,
-        };
+        let policy = AdmissionPolicy::alisa_with(*p);
         let cfg = ServeConfig::new(model.clone(), hw.clone(), policy);
         let r = ServeEngine::new(cfg).run(&trace);
         println!(
@@ -78,10 +75,7 @@ fn main() {
     println!("\n== 1 prefill + 2 decode replicas, poisson @ 6 req/s ==");
     let trace = Trace::generate(&ArrivalProcess::Poisson { rate: 6.0 }, &lengths, 90, seed);
     for (name, p) in &configs {
-        let policy = AdmissionPolicy::Alisa {
-            sparsity: 0.8,
-            precision: *p,
-        };
+        let policy = AdmissionPolicy::alisa_with(*p);
         let cfg = ServeConfig::new(model.clone(), hw.clone(), policy);
         let engine = ServeEngine::new(cfg.clone());
         let router = Router::new(RouterConfig::homogeneous(cfg, 3).with_disagg(1));

@@ -78,7 +78,7 @@ fn discipline(i: usize) -> QueueDiscipline {
 fn policy(i: usize) -> AdmissionPolicy {
     match i {
         0 => AdmissionPolicy::alisa(),
-        1 => AdmissionPolicy::alisa_mixed(),
+        1 => AdmissionPolicy::alisa_with(PrecisionPolicy::mixed()),
         2 => AdmissionPolicy::alisa_with(PrecisionPolicy::int8()),
         3 => AdmissionPolicy::vllm(),
         _ => AdmissionPolicy::flexgen(),

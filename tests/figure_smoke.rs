@@ -195,6 +195,26 @@ fn malformed_seed_is_rejected() {
     }
 }
 
+/// An argument a serving figure does not take (a stale `--profile`, a
+/// typo like `--sed 7`) exits 2 before any figure output instead of
+/// printing seed 42's figure; the bare `--` of the documented
+/// `[-- --quick] [-- --seed N]` notation is accepted.
+#[test]
+fn unknown_argument_is_rejected() {
+    for args in [&["--profile"][..], &["--sed", "7"][..]] {
+        let out = launch_quick("fig13_online_serving", args);
+        assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2");
+        assert!(out.stdout.is_empty(), "{args:?} must print no figure");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown argument"), "{args:?}: {stderr}");
+    }
+    let out = launch_quick("fig13_online_serving", &["--", "--seed", "42"]);
+    assert!(out.status.success(), "a bare `--` must be accepted");
+    let golden =
+        std::fs::read_to_string(golden_path("fig13_online_serving")).expect("fig13 fixture");
+    assert_eq!(String::from_utf8_lossy(&out.stdout), golden);
+}
+
 #[test]
 fn fig14_multi_replica_runs() {
     run_quick_against_golden("fig14_multi_replica");

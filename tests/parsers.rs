@@ -1,22 +1,21 @@
-//! The text parsers survive arbitrary input: `Trace::from_text`,
-//! `Event::from_json` and `ServeReport::from_canonical_text` return
-//! `Err` on garbage, never panic (or overflow the stack). Inputs are
-//! drawn two ways: strings over each format's own alphabet, and valid
-//! documents with a few random edits (replace, insert, delete,
-//! truncate) — the edits reach deep into the parsers, where a random
-//! string would fail on its first byte.
+//! The text parsers survive arbitrary input: `Trace::from_text` and
+//! `Event::from_json` return `Err` on garbage, never panic (or overflow
+//! the stack). Inputs are drawn two ways: strings over each format's
+//! own alphabet, and valid documents with a few random edits (replace,
+//! insert, delete, truncate) — the edits reach deep into the parsers,
+//! where a random string would fail on its first byte.
 
 use alisa_memsim::HardwareSpec;
 use alisa_model::ModelConfig;
 use alisa_serve::{
     AdmissionPolicy, ArrivalProcess, Event, MemorySink, QueueDiscipline, RetentionCfg, ServeConfig,
-    ServeEngine, ServeReport, Trace, TraceError,
+    ServeEngine, Trace, TraceError,
 };
 use alisa_workloads::SessionModel;
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
-/// Characters the three formats are made of, plus a few that none of
+/// Characters the two formats are made of, plus a few that neither of
 /// them expects (a quote escape, a control character, multi-byte
 /// UTF-8).
 const ALPHABET: &[char] = &[
@@ -25,12 +24,11 @@ const ALPHABET: &[char] = &[
     '世',
 ];
 
-/// The documents the edits start from: a valid trace with sessions, a
-/// traced run's event lines, and its report (with the metrics section).
+/// The documents the edits start from: a valid trace with sessions and
+/// a traced run's event lines.
 struct Seeds {
     trace: String,
     events: Vec<String>,
-    report: String,
 }
 
 fn seeds() -> &'static Seeds {
@@ -54,11 +52,10 @@ fn build_seeds() -> Seeds {
     .with_session_reuse(RetentionCfg::half())
     .with_queue_timeout(1.0);
     let mut sink = MemorySink::new();
-    let report = ServeEngine::new(cfg).run_traced(&trace, &mut sink);
+    ServeEngine::new(cfg).run_traced(&trace, &mut sink);
     Seeds {
         trace: trace.to_text(),
         events: sink.to_jsonl().lines().map(str::to_string).collect(),
-        report: report.canonical_text(),
     }
 }
 
@@ -102,17 +99,6 @@ fn length_overflow_is_a_typed_error() {
     );
 }
 
-/// The timeline count is untrusted input: a huge one is an error, not
-/// an up-front allocation.
-#[test]
-fn huge_timeline_count_is_an_error() {
-    let report = &seeds().report;
-    let head = &report[..report.find("\ntimeline ").expect("report has a timeline") + 1];
-    let forged = format!("{head}timeline 18446744073709551615\n0 0 0 0\n");
-    assert!(ServeReport::from_canonical_text(&forged).is_err());
-    assert!(ServeReport::from_canonical_text(report).is_ok());
-}
-
 /// One line of 100,000 `[` nests far past the JSON parser's depth cap:
 /// an invalid event, not a stack overflow.
 #[test]
@@ -128,7 +114,6 @@ proptest! {
     fn parsers_survive_arbitrary_text(text in arbitrary_text()) {
         let _ = Trace::from_text(&text);
         let _ = Event::from_json(&text);
-        let _ = ServeReport::from_canonical_text(&text);
     }
 
     #[test]
@@ -139,6 +124,5 @@ proptest! {
         let seeds = seeds();
         let _ = Trace::from_text(&mutate(&seeds.trace, &edits));
         let _ = Event::from_json(&mutate(&seeds.events[line % seeds.events.len()], &edits));
-        let _ = ServeReport::from_canonical_text(&mutate(&seeds.report, &edits));
     }
 }
