@@ -1,15 +1,26 @@
 //! Figure 7: FlexGen's static scheduling vs ALISA's dynamic three-phase
-//! scheduling — rendered from *real* placement decisions rather than as
-//! an illustrative diagram.
+//! scheduling, drawn as placement traces over a 24-token KV capacity.
 //!
 //! Each row is a decoding step, each column a token position; the cell
 //! shows where that token's KV entry lives at that step (`G` = GPU,
 //! `c` = CPU, `.` = deleted/recomputed-on-demand, space = not yet
 //! created). FlexGen's split is visibly constant; ALISA's placement
 //! shifts with the sequence and enters its phases.
+//!
+//! The FlexGen half uses the simulator's own split,
+//! `head_split::solve_fraction`. The ALISA half does not run
+//! `AlisaScheduler::run`: it runs its own, simplified Algorithm 2 over a
+//! `TokenKvStore`, with the scheduler's `GlobalSetModel` picking the
+//! globals. It keeps a 0.4 caching ratio, pulls every selected CPU token
+//! back to the GPU (deleted ones stay deleted), and evicts the oldest
+//! GPU token outside the working set; past a fixed p2 (two thirds into
+//! the decode) every second eviction in a step deletes instead
+//! (β = 0.5). It has no α watermark and no rule for when a reloaded
+//! token stays cached, so its trace illustrates the phases rather than
+//! rendering the scheduler's decisions.
 
 use alisa_bench::banner;
-use alisa_kvcache::{HeadSplitStore, Location, TokenKvStore};
+use alisa_kvcache::{head_split, Location, TokenKvStore};
 use alisa_memsim::HardwareSpec;
 use alisa_model::ModelConfig;
 use alisa_sched::alisa::GlobalSetModel;
@@ -35,7 +46,7 @@ fn main() {
     let kv_capacity_tokens = 24usize.min((headroom / tok_bytes) as usize);
 
     // ---- FlexGen: offline static split, fixed forever.
-    let frac = HeadSplitStore::solve_fraction(
+    let frac = head_split::solve_fraction(
         tok_bytes,
         wl.final_seq_len(),
         kv_capacity_tokens as u64 * tok_bytes,

@@ -69,14 +69,14 @@ fn main() {
                     f64::NAN
                 });
             }
-            // ALISA with an offline-optimized plan per workload.
-            let base = Alisa::builder()
+            // ALISA with an offline-optimized plan per workload; the
+            // plan search's report is the tuned run.
+            let (_, ra) = Alisa::builder()
                 .kv_sparsity(0.8)
                 .kv_compression(true)
-                .hardware(hw.clone());
-            let alisa = base.build();
-            let (tuned, _) = alisa.optimized_for(model, &wl);
-            let ra = tuned.simulate(model, &wl);
+                .hardware(hw.clone())
+                .build()
+                .optimized_for(model, &wl);
             let ta = if ra.outcome.is_completed() {
                 ra.throughput()
             } else {

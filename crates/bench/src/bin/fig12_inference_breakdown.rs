@@ -48,9 +48,12 @@ fn main() {
     // the paper — which is why higher sparsity enters Phase III later.
     println!("\n--- (a) per-phase execution time / memory ---");
     for &sp in &sparsities {
-        let base = AlisaScheduler::new(sp, true);
-        let (plan, _) = alisa_sched::PlanOptimizer::default().optimize(&base, &model, &hw, &wl);
-        let alisa = base.with_plan(plan).run(&model, &hw, &wl);
+        let (_, alisa) = alisa_sched::PlanOptimizer::default().optimize(
+            &AlisaScheduler::new(sp, true),
+            &model,
+            &hw,
+            &wl,
+        );
         let flexgen = FlexGenScheduler::new().run(&model, &hw, &wl);
         assert!(alisa.outcome.is_completed(), "{}", alisa.summary());
         assert!(flexgen.outcome.is_completed(), "{}", flexgen.summary());

@@ -2,11 +2,11 @@
 //!
 //! The rows are printed from the implementations themselves where the
 //! code encodes them (vLLM's block size from its scheduler, FlexGen's
-//! split from its store; recomputation support from the schedulers),
-//! so this table stays honest if the code changes.
+//! split from its per-token rule; recomputation support from the
+//! schedulers), so this table stays honest if the code changes.
 
 use alisa_bench::{banner, row};
-use alisa_kvcache::HeadSplitStore;
+use alisa_kvcache::head_split;
 use alisa_sched::{AlisaScheduler, Plan, VllmScheduler};
 
 fn main() {
@@ -15,12 +15,8 @@ fn main() {
     // Granularity: the unit each system places.
     let paged = format!("block ({} tokens)", VllmScheduler::new().block_size);
     let head = {
-        let s = HeadSplitStore::new(100, 0.25);
-        format!(
-            "head split ({}%/{}%)",
-            75,
-            (s.cpu_fraction() * 100.0) as u32
-        )
+        let cpu = head_split::cpu_bytes_per_token(100, 0.25);
+        format!("head split ({}%/{}%)", 100 - cpu, cpu)
     };
     let token = "token (1 token)";
 

@@ -34,14 +34,21 @@ pub fn quick_mode() -> bool {
 /// argument a serving figure binary does not take. Each takes
 /// `--quick` and `--seed <v>` (whose value [`seed_arg`] checks);
 /// `value_flags` names the other flags it takes, each with a value
-/// (`--events`). A bare `--` is skipped: cargo passes it through from
-/// the `[-- --quick] [-- --seed N]` notation. Without this check a typo
-/// such as `--sed 7` would print seed 42's figure.
+/// (`--events`), and a value flag that ends the line or is followed by
+/// another flag also exits 2. A bare `--` is skipped: cargo passes it
+/// through from the `[-- --quick] [-- --seed N]` notation. Without this
+/// check a typo such as `--sed 7` would print seed 42's figure, and
+/// `--events --quick` would write its log to a file named `--quick`.
 pub fn check_args(value_flags: &[&str]) {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
-        if a == "--seed" || value_flags.contains(&a.as_str()) {
+        if a == "--seed" {
             args.next();
+        } else if value_flags.contains(&a.as_str()) {
+            if args.next().is_none_or(|v| v.starts_with("--")) {
+                eprintln!("`{a}` needs a value");
+                std::process::exit(2);
+            }
         } else if a != "--quick" && a != "--" {
             eprintln!("unknown argument `{a}`");
             std::process::exit(2);

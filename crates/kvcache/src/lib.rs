@@ -13,8 +13,9 @@
 //!   precision widths,
 //! * [`paged::reserved_bytes`] — whole-block booking, vLLM's substrate,
 //!   shared by the offline simulator and serving admission,
-//! * [`head_split::HeadSplitStore`] — a static fraction of every token's
-//!   KV pinned to CPU, FlexGen's substrate,
+//! * [`head_split::solve_fraction`] and [`head_split::cpu_bytes_per_token`]
+//!   — a static fraction of every token's KV pinned to CPU, FlexGen's
+//!   substrate,
 //! * [`policies`] — eviction orderings, including the Belady oracle the
 //!   paper cites as the impractical upper bound (§III-C),
 //! * [`sessions::SessionKvCache`] — retained per-session KV caches for
@@ -27,6 +28,5 @@ pub mod policies;
 pub mod sessions;
 pub mod token_store;
 
-pub use head_split::HeadSplitStore;
 pub use sessions::{RetainedSession, ReuseStats, SessionKvCache};
-pub use token_store::{Location, NeededPartition, TokenKvStore};
+pub use token_store::{Location, TokenKvStore};

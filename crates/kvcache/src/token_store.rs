@@ -94,49 +94,6 @@ impl TokenKvStore {
     pub fn count(&self, location: Location) -> usize {
         self.locations.iter().filter(|&&l| l == location).count()
     }
-
-    /// For a set of needed token indices, partitions them by where they
-    /// currently live. The allocating reference that
-    /// `tests/differential.rs` pins [`TokenKvStore::partition_needed_into`]
-    /// against; the scheduler calls the reusing variant.
-    pub fn partition_needed(&self, needed: &[usize]) -> NeededPartition {
-        let mut p = NeededPartition::default();
-        self.partition_needed_into(needed, &mut p);
-        p
-    }
-
-    /// The scheduler's per-step working-set analysis:
-    /// [`TokenKvStore::partition_needed`] into a caller-owned partition
-    /// whose buffers are cleared and reused, so a per-step caller
-    /// allocates nothing in steady state. Produces exactly the same
-    /// partition as the allocating variant.
-    pub fn partition_needed_into(&self, needed: &[usize], out: &mut NeededPartition) {
-        out.on_gpu.clear();
-        out.on_cpu.clear();
-        out.deleted.clear();
-        out.missing.clear();
-        for &i in needed {
-            match self.locations.get(i) {
-                Some(Location::Gpu) => out.on_gpu.push(i),
-                Some(Location::Cpu) => out.on_cpu.push(i),
-                Some(Location::Deleted) => out.deleted.push(i),
-                None => out.missing.push(i),
-            }
-        }
-    }
-}
-
-/// Result of [`TokenKvStore::partition_needed`].
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct NeededPartition {
-    /// Needed tokens already resident on the GPU.
-    pub on_gpu: Vec<usize>,
-    /// Needed tokens that must be loaded across the link.
-    pub on_cpu: Vec<usize>,
-    /// Needed tokens that must be recomputed (Phase III).
-    pub deleted: Vec<usize>,
-    /// Indices never appended — indicates a scheduler bug.
-    pub missing: Vec<usize>,
 }
 
 #[cfg(test)]
@@ -168,23 +125,6 @@ mod tests {
         // Recompute lands the token back on GPU.
         s.relocate(0, Location::Gpu);
         assert_eq!(s.count(Location::Gpu), 2);
-    }
-
-    #[test]
-    fn partition_needed_splits_correctly() {
-        let mut s = TokenKvStore::new();
-        s.append(Location::Gpu); // 0
-        s.append(Location::Cpu); // 1
-        s.append(Location::Deleted); // 2
-        let p = s.partition_needed(&[0, 1, 2, 9]);
-        assert_eq!(p.on_gpu, vec![0]);
-        assert_eq!(p.on_cpu, vec![1]);
-        assert_eq!(p.deleted, vec![2]);
-        assert_eq!(p.missing, vec![9]);
-        // The reusing variant clears stale contents and agrees exactly.
-        let mut reused = s.partition_needed(&[2, 9]);
-        s.partition_needed_into(&[0, 1, 2, 9], &mut reused);
-        assert_eq!(reused, p);
     }
 
     #[test]

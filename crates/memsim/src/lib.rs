@@ -7,12 +7,14 @@
 //! the paper's true model sizes without physical GPUs:
 //!
 //! * [`hardware`] — device specs and the paper's three testbed presets,
-//! * [`mempool`] — byte-accurate GPU/CPU memory pools with OOM detection,
+//! * [`mempool`] — byte-accurate GPU/CPU memory pools: usage per
+//!   [`MemClass`], and an [`OomError`] naming the pool when an
+//!   allocation does not fit,
 //! * [`cost`] — analytic timing: roofline GEMM times with a small-GEMM
 //!   utilization penalty (Figure 11), bandwidth-bound memory ops, and
 //!   PCIe transfer times,
-//! * [`timeline`] — per-step, per-component time accounting used by every
-//!   throughput/breakdown figure.
+//! * [`timeline`] — per-step, per-component time and memory records used
+//!   by every throughput/breakdown figure; peak memory is read from them.
 //!
 //! # Example
 //!

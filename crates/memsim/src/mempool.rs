@@ -21,11 +21,6 @@ pub enum MemClass {
     KvCache,
 }
 
-impl MemClass {
-    /// All classes, in the order Figure 1 stacks them.
-    pub const ALL: [MemClass; 3] = [MemClass::Weights, MemClass::Activations, MemClass::KvCache];
-}
-
 impl std::fmt::Display for MemClass {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -62,7 +57,10 @@ impl std::fmt::Display for OomError {
 
 impl std::error::Error for OomError {}
 
-/// A fixed-capacity memory pool with per-class usage accounting.
+/// A fixed-capacity memory pool with per-class usage accounting. It
+/// keeps current usage only: the simulators stamp it into each step's
+/// [`StepRecord`](crate::StepRecord), and the
+/// [`Timeline`](crate::Timeline) takes its high-water marks from those.
 ///
 /// # Example
 ///
@@ -81,7 +79,6 @@ pub struct MemPool {
     name: String,
     capacity: u64,
     used_by_class: [u64; 3],
-    peak: u64,
 }
 
 impl MemPool {
@@ -91,13 +88,7 @@ impl MemPool {
             name: name.into(),
             capacity,
             used_by_class: [0; 3],
-            peak: 0,
         }
-    }
-
-    /// The pool's name, used in OOM reports.
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// Total capacity in bytes.
@@ -113,11 +104,6 @@ impl MemPool {
     /// Bytes currently in use by one class.
     pub fn used_by(&self, class: MemClass) -> u64 {
         self.used_by_class[Self::slot(class)]
-    }
-
-    /// Highest total usage ever observed (the memory bars in Fig. 12).
-    pub fn peak(&self) -> u64 {
-        self.peak
     }
 
     /// Bytes still available.
@@ -141,7 +127,6 @@ impl MemPool {
             });
         }
         self.used_by_class[Self::slot(class)] += bytes;
-        self.peak = self.peak.max(self.used());
         Ok(())
     }
 
@@ -162,16 +147,6 @@ impl MemPool {
             self.used_by_class[slot]
         );
         self.used_by_class[slot] -= bytes;
-    }
-
-    /// Would an allocation of `bytes` succeed right now?
-    pub fn can_alloc(&self, bytes: u64) -> bool {
-        bytes <= self.available()
-    }
-
-    /// Resets usage (not peak) to zero — used between simulated runs.
-    pub fn clear(&mut self) {
-        self.used_by_class = [0; 3];
     }
 
     fn slot(class: MemClass) -> usize {
@@ -210,16 +185,6 @@ mod tests {
     }
 
     #[test]
-    fn peak_tracks_high_water_mark() {
-        let mut p = MemPool::new("GPU", 100);
-        p.alloc(MemClass::KvCache, 80).unwrap();
-        p.free(MemClass::KvCache, 50);
-        p.alloc(MemClass::KvCache, 10).unwrap();
-        assert_eq!(p.peak(), 80);
-        assert_eq!(p.used(), 40);
-    }
-
-    #[test]
     #[should_panic(expected = "freeing")]
     fn over_free_panics() {
         let mut p = MemPool::new("GPU", 100);
@@ -242,19 +207,10 @@ mod tests {
     #[test]
     fn exact_fit_succeeds() {
         let mut p = MemPool::new("GPU", 100);
-        assert!(p.can_alloc(100));
         p.alloc(MemClass::KvCache, 100).unwrap();
-        assert!(!p.can_alloc(1));
-        assert!(p.can_alloc(0));
-    }
-
-    #[test]
-    fn clear_resets_usage_but_not_peak() {
-        let mut p = MemPool::new("GPU", 100);
-        p.alloc(MemClass::KvCache, 70).unwrap();
-        p.clear();
-        assert_eq!(p.used(), 0);
-        assert_eq!(p.peak(), 70);
+        assert_eq!(p.available(), 0);
+        assert!(p.alloc(MemClass::KvCache, 1).is_err());
+        assert!(p.alloc(MemClass::KvCache, 0).is_ok());
     }
 
     #[test]

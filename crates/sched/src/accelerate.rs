@@ -5,12 +5,11 @@
 //! lives host-side and every step's attention walks all of it over CPU
 //! DRAM — the 100%-CPU case of Figure 1 (≈5× slowdown).
 
-use alisa_memsim::{HardwareSpec, MemClass, StepRecord};
+use alisa_memsim::{MemClass, MemPool, OomError, StepRecord};
 use alisa_model::ModelConfig;
 use serde::{Deserialize, Serialize};
 
 use crate::common::{self, efficiency, SimBase, FP16};
-use crate::report::RunReport;
 use crate::workload::Workload;
 use crate::InferenceSystem;
 
@@ -23,50 +22,33 @@ impl InferenceSystem for AccelerateScheduler {
         "Accelerate"
     }
 
-    fn run(&self, model: &ModelConfig, hw: &HardwareSpec, wl: &Workload) -> RunReport {
-        let mut sim = SimBase::new(hw);
-        if let Err(e) = sim.setup_resident(model, wl, true) {
-            return sim.oom(self.name(), model, wl, 0, e);
-        }
+    fn simulate(
+        &self,
+        sim: &mut SimBase,
+        model: &ModelConfig,
+        wl: &Workload,
+    ) -> Result<(), OomError> {
+        sim.setup_resident(model, wl, true)?;
         let b = wl.batch_size;
         let tok_bytes = model.kv_bytes_per_token(FP16) * b as u64;
         let total_kv = tok_bytes * wl.final_seq_len() as u64;
         // All-or-nothing: offload the whole cache iff it will not fit.
         let offload = total_kv > sim.gpu_kv_headroom();
-        let kv_class = MemClass::KvCache;
 
         let prefill_kv = tok_bytes * wl.input_len as u64;
-        let alloc_result = if offload {
-            sim.cpu.alloc(kv_class, prefill_kv)
-        } else {
-            sim.gpu.alloc(kv_class, prefill_kv)
-        };
-        if let Err(e) = alloc_result {
-            return sim.oom(self.name(), model, wl, 0, e);
-        }
-        sim.timeline.push(StepRecord {
-            step: 0,
-            phase: 0,
+        kv_pool(sim, offload).alloc(MemClass::KvCache, prefill_kv)?;
+        sim.push_step(StepRecord {
             mha_time: sim.prefill_compute(model, b, wl.input_len, efficiency::ACCELERATE),
             store_time: if offload {
                 sim.cost.transfer_time(prefill_kv)
             } else {
                 0.0
             },
-            gpu_mem: sim.gpu.used(),
-            cpu_mem: sim.cpu.used(),
             ..StepRecord::default()
         });
 
         for j in 1..=wl.output_len {
-            let alloc_result = if offload {
-                sim.cpu.alloc(kv_class, tok_bytes)
-            } else {
-                sim.gpu.alloc(kv_class, tok_bytes)
-            };
-            if let Err(e) = alloc_result {
-                return sim.oom(self.name(), model, wl, j, e);
-            }
+            kv_pool(sim, offload).alloc(MemClass::KvCache, tok_bytes)?;
             let seq_len = wl.input_len + j;
             let (mha, ffn, load, store) = if offload {
                 // GPU computes projections/FFN; attention walks the whole
@@ -81,25 +63,31 @@ impl InferenceSystem for AccelerateScheduler {
                 let (mha, ffn) = sim.decode_compute(model, b, seq_len, efficiency::ACCELERATE);
                 (mha, ffn, 0.0, 0.0)
             };
-            sim.timeline.push(StepRecord {
-                step: j,
-                phase: 0,
+            sim.push_step(StepRecord {
                 mha_time: mha,
                 ffn_time: ffn,
                 load_time: load,
                 store_time: store,
-                gpu_mem: sim.gpu.used(),
-                cpu_mem: sim.cpu.used(),
                 ..StepRecord::default()
             });
         }
-        sim.completed(self.name(), model, wl)
+        Ok(())
+    }
+}
+
+/// The pool holding the whole KV cache: host DRAM when offloaded.
+fn kv_pool(sim: &mut SimBase, offload: bool) -> &mut MemPool {
+    if offload {
+        &mut sim.cpu
+    } else {
+        &mut sim.gpu
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alisa_memsim::HardwareSpec;
 
     #[test]
     fn fits_on_gpu_when_small() {

@@ -25,8 +25,8 @@
 //! point — CPU-resident tokens at INT8, so the link moves half the
 //! bytes plus a quantize/dequantize vector op.
 
-use alisa_kvcache::{Location, NeededPartition, TokenKvStore};
-use alisa_memsim::{HardwareSpec, MemClass, StepRecord};
+use alisa_kvcache::{Location, TokenKvStore};
+use alisa_memsim::{HardwareSpec, MemClass, OomError, StepRecord};
 use alisa_model::ModelConfig;
 use alisa_tensor::quant::PrecisionPolicy;
 use serde::{Deserialize, Serialize};
@@ -312,11 +312,13 @@ impl InferenceSystem for AlisaScheduler {
         "ALISA"
     }
 
-    fn run(&self, model: &ModelConfig, hw: &HardwareSpec, wl: &Workload) -> RunReport {
-        let mut sim = SimBase::new(hw);
-        if let Err(e) = sim.setup_resident(model, wl, true) {
-            return sim.oom(self.name(), model, wl, 0, e);
-        }
+    fn simulate(
+        &self,
+        sim: &mut SimBase,
+        model: &ModelConfig,
+        wl: &Workload,
+    ) -> Result<(), OomError> {
+        sim.setup_resident(model, wl, true)?;
 
         let b = wl.batch_size;
         let fp16_tok = model.kv_bytes_per_token(FP16) * b as u64;
@@ -364,29 +366,20 @@ impl InferenceSystem for AlisaScheduler {
             gpu_kv -= gpu_tok;
             prefill_store_bytes += cpu_tok;
         }
-        if let Err(e) = sim.gpu.alloc(MemClass::KvCache, gpu_kv) {
-            return sim.oom(self.name(), model, wl, 0, e);
-        }
-        if let Err(e) = sim.cpu.alloc(
-            MemClass::KvCache,
-            store.count(Location::Cpu) as u64 * cpu_tok,
-        ) {
-            return sim.oom(self.name(), model, wl, 0, e);
-        }
+        sim.gpu.alloc(MemClass::KvCache, gpu_kv)?;
+        sim.cpu.alloc(MemClass::KvCache, prefill_store_bytes)?;
 
-        let mut rec = StepRecord {
-            step: 0,
+        sim.push_step(StepRecord {
             phase: if prefill_store_bytes > 0 { 2 } else { 1 },
             mha_time: sim.prefill_compute(model, b, wl.input_len, efficiency::FLEXGEN),
             store_time: sim.cost.transfer_time(prefill_store_bytes),
-            gpu_mem: sim.gpu.used(),
-            cpu_mem: sim.cpu.used(),
+            quant_time: if self.compresses_kv() && prefill_store_bytes > 0 {
+                sim.cost.quantize_time(prefill_store_bytes)
+            } else {
+                0.0
+            },
             ..StepRecord::default()
-        };
-        if self.compresses_kv() && prefill_store_bytes > 0 {
-            rec.quant_time = sim.cost.quantize_time(prefill_store_bytes);
-        }
-        sim.timeline.push(rec);
+        });
 
         let mut entered_phase2 = prefill_store_bytes > 0;
 
@@ -400,7 +393,6 @@ impl InferenceSystem for AlisaScheduler {
         let mut evict_order: Vec<usize> = Vec::new();
         let mut evict_globals: Vec<usize> = Vec::new();
         let mut evict_window: Vec<usize> = Vec::new();
-        let mut part = NeededPartition::default();
         let mut beta_acc = 0.0f64;
         for j in 1..=wl.output_len {
             let seq_len = wl.input_len + j;
@@ -467,44 +459,42 @@ impl InferenceSystem for AlisaScheduler {
                     } else {
                         store.relocate(victim, Location::Cpu);
                         store_bytes += cpu_tok;
-                        if let Err(e) = sim.cpu.alloc(MemClass::KvCache, cpu_tok) {
-                            return sim.oom(self.name(), model, wl, j, e);
-                        }
+                        sim.cpu.alloc(MemClass::KvCache, cpu_tok)?;
                     }
                     entered_phase2 = true;
                 }
             }
 
             // (b) Append the new token's KV on GPU.
-            if let Err(e) = sim.gpu.alloc(MemClass::KvCache, gpu_tok) {
-                return sim.oom(self.name(), model, wl, j, e);
-            }
+            sim.gpu.alloc(MemClass::KvCache, gpu_tok)?;
             store.append(Location::Gpu);
 
             // (c) Load/recompute the globals that are not GPU-resident.
             // When the watermark allows, pulled tokens are *cached* on
             // the GPU; otherwise they stream through the transient
-            // margin buffer and are charged again next step.
-            store.partition_needed_into(&global_set, &mut part);
-            debug_assert!(part.missing.is_empty(), "global set out of range");
-            for &i in &part.on_cpu {
+            // margin buffer and are charged again next step. CPU tokens
+            // go first, then deleted ones; the first pass moves CPU
+            // tokens only, so the second sees the deletions as they were.
+            for &i in &global_set {
+                if store.location(i) != Location::Cpu {
+                    continue;
+                }
                 load_bytes += cpu_reload_tok;
                 if sim.gpu.used_by(MemClass::KvCache) + gpu_tok <= watermark {
                     store.relocate(i, Location::Gpu);
                     sim.cpu.free(MemClass::KvCache, cpu_tok);
-                    sim.gpu
-                        .alloc(MemClass::KvCache, gpu_tok)
-                        .expect("within watermark");
+                    sim.gpu.alloc(MemClass::KvCache, gpu_tok)?;
                 }
                 entered_phase2 = true;
             }
-            for &i in &part.deleted {
+            for &i in &global_set {
+                if store.location(i) != Location::Deleted {
+                    continue;
+                }
                 recompute_tokens += 1;
                 if sim.gpu.used_by(MemClass::KvCache) + gpu_tok <= watermark {
                     store.relocate(i, Location::Gpu);
-                    sim.gpu
-                        .alloc(MemClass::KvCache, gpu_tok)
-                        .expect("within watermark");
+                    sim.gpu.alloc(MemClass::KvCache, gpu_tok)?;
                 }
             }
 
@@ -536,8 +526,7 @@ impl InferenceSystem for AlisaScheduler {
             } else {
                 1
             };
-            sim.timeline.push(StepRecord {
-                step: j,
+            sim.push_step(StepRecord {
                 phase,
                 mha_time: mha,
                 ffn_time: ffn,
@@ -546,12 +535,10 @@ impl InferenceSystem for AlisaScheduler {
                 store_time: sim.cost.transfer_time(store_bytes),
                 quant_time,
                 selection_time: selection,
-                gpu_mem: sim.gpu.used(),
-                cpu_mem: sim.cpu.used(),
+                ..StepRecord::default()
             });
         }
-
-        sim.completed(self.name(), model, wl)
+        Ok(())
     }
 }
 

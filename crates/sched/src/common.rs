@@ -1,12 +1,11 @@
 //! Shared simulation machinery: resident-memory setup, per-step compute
-//! pricing, and OOM report plumbing used by every system simulator. The
-//! serving engine in `alisa-serve` prices its steps through the same
-//! [`SimBase`] compute formulas and its [`CostModel`] byte formulas.
+//! pricing, and the step records of every system simulator. The serving
+//! engine in `alisa-serve` prices its steps through the same [`SimBase`]
+//! compute formulas and its [`CostModel`] byte formulas.
 
-use alisa_memsim::{CostModel, HardwareSpec, MemClass, MemPool, OomError, Timeline};
+use alisa_memsim::{CostModel, HardwareSpec, MemClass, MemPool, OomError, StepRecord, Timeline};
 use alisa_model::ModelConfig;
 
-use crate::report::{Outcome, RunReport};
 use crate::workload::Workload;
 
 /// FP16 element width used for weights/activations and (by default) KV.
@@ -101,6 +100,18 @@ impl SimBase {
         self.gpu.available()
     }
 
+    /// Appends the next step's record, stamped with its step number
+    /// (step `i` is the timeline's `i`-th record) and both pools' usage
+    /// at the end of the step.
+    pub fn push_step(&mut self, record: StepRecord) {
+        self.timeline.push(StepRecord {
+            step: self.timeline.len(),
+            gpu_mem: self.gpu.used(),
+            cpu_mem: self.cpu.used(),
+            ..record
+        });
+    }
+
     /// Compute time of one decoding step over `kv_tokens` of attended
     /// context, batch `b`, divided into (MHA including projections and
     /// norms, FFN). `eff` is the framework efficiency factor.
@@ -175,38 +186,6 @@ impl SimBase {
         let (mha, ffn) = self.decode_compute(model, s_new, kv_tokens, eff);
         let (mha_1, ffn_1) = self.decode_compute(model, s_new, 1, eff);
         ((mha + ffn) - (mha_1 + ffn_1)).max(0.0)
-    }
-
-    /// Wraps this state into a completed report.
-    pub fn completed(self, system: &str, model: &ModelConfig, wl: &Workload) -> RunReport {
-        RunReport {
-            system: system.to_string(),
-            model: model.name.clone(),
-            workload: *wl,
-            outcome: Outcome::Completed,
-            timeline: self.timeline,
-        }
-    }
-
-    /// Wraps this state into an OOM report.
-    pub fn oom(
-        self,
-        system: &str,
-        model: &ModelConfig,
-        wl: &Workload,
-        at_step: usize,
-        err: OomError,
-    ) -> RunReport {
-        RunReport {
-            system: system.to_string(),
-            model: model.name.clone(),
-            workload: *wl,
-            outcome: Outcome::Oom {
-                at_step,
-                detail: err.to_string(),
-            },
-            timeline: self.timeline,
-        }
     }
 }
 

@@ -7,12 +7,11 @@
 //! `weight_bytes / link_bandwidth`, and the GPU-resident dense KV cache
 //! is exactly why Figure 9 shows it OOMing at large batch sizes.
 
-use alisa_memsim::{HardwareSpec, MemClass, StepRecord};
+use alisa_memsim::{MemClass, OomError, StepRecord};
 use alisa_model::ModelConfig;
 use serde::{Deserialize, Serialize};
 
 use crate::common::{efficiency, SimBase, FP16};
-use crate::report::RunReport;
 use crate::workload::Workload;
 use crate::InferenceSystem;
 
@@ -25,60 +24,49 @@ impl InferenceSystem for DeepSpeedZeroScheduler {
         "DeepSpeed-ZeRO"
     }
 
-    fn run(&self, model: &ModelConfig, hw: &HardwareSpec, wl: &Workload) -> RunReport {
-        let mut sim = SimBase::new(hw);
+    fn simulate(
+        &self,
+        sim: &mut SimBase,
+        model: &ModelConfig,
+        wl: &Workload,
+    ) -> Result<(), OomError> {
         // Weights on the host; a two-layer streaming buffer on the GPU.
-        if let Err(e) = sim.setup_resident(model, wl, false) {
-            return sim.oom(self.name(), model, wl, 0, e);
-        }
+        sim.setup_resident(model, wl, false)?;
         let layer_bytes = model.weight_bytes(FP16) / model.num_layers.max(1) as u64;
-        if let Err(e) = sim.gpu.alloc(MemClass::Weights, 2 * layer_bytes) {
-            return sim.oom(self.name(), model, wl, 0, e);
-        }
+        sim.gpu.alloc(MemClass::Weights, 2 * layer_bytes)?;
 
         let b = wl.batch_size;
         let tok_bytes = model.kv_bytes_per_token(FP16) * b as u64;
         let weight_stream = sim.cost.transfer_time(model.weight_bytes(FP16));
 
         let prefill_kv = tok_bytes * wl.input_len as u64;
-        if let Err(e) = sim.gpu.alloc(MemClass::KvCache, prefill_kv) {
-            return sim.oom(self.name(), model, wl, 0, e);
-        }
-        sim.timeline.push(StepRecord {
-            step: 0,
-            phase: 0,
+        sim.gpu.alloc(MemClass::KvCache, prefill_kv)?;
+        sim.push_step(StepRecord {
             mha_time: sim.prefill_compute(model, b, wl.input_len, efficiency::DEEPSPEED),
             load_time: weight_stream,
-            gpu_mem: sim.gpu.used(),
-            cpu_mem: sim.cpu.used(),
             ..StepRecord::default()
         });
 
         for j in 1..=wl.output_len {
-            if let Err(e) = sim.gpu.alloc(MemClass::KvCache, tok_bytes) {
-                return sim.oom(self.name(), model, wl, j, e);
-            }
+            sim.gpu.alloc(MemClass::KvCache, tok_bytes)?;
             let seq_len = wl.input_len + j;
             let (mha, ffn) = sim.decode_compute(model, b, seq_len, efficiency::DEEPSPEED);
-            sim.timeline.push(StepRecord {
-                step: j,
-                phase: 0,
+            sim.push_step(StepRecord {
                 mha_time: mha,
                 ffn_time: ffn,
                 // Every step re-streams the full parameter set.
                 load_time: weight_stream,
-                gpu_mem: sim.gpu.used(),
-                cpu_mem: sim.cpu.used(),
                 ..StepRecord::default()
             });
         }
-        sim.completed(self.name(), model, wl)
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alisa_memsim::HardwareSpec;
 
     #[test]
     fn weight_streaming_dominates() {

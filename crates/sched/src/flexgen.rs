@@ -11,13 +11,12 @@
 //! of **all** cached tokens, a bill that grows linearly with sequence
 //! length while ALISA's sparse working set does not.
 
-use alisa_kvcache::HeadSplitStore;
-use alisa_memsim::{HardwareSpec, MemClass, StepRecord};
+use alisa_kvcache::head_split;
+use alisa_memsim::{MemClass, OomError, StepRecord};
 use alisa_model::ModelConfig;
 use serde::{Deserialize, Serialize};
 
 use crate::common::{self, efficiency, SimBase, FP16};
-use crate::report::RunReport;
 use crate::workload::Workload;
 use crate::InferenceSystem;
 
@@ -55,65 +54,48 @@ impl InferenceSystem for FlexGenScheduler {
         "FlexGen"
     }
 
-    fn run(&self, model: &ModelConfig, hw: &HardwareSpec, wl: &Workload) -> RunReport {
-        let mut sim = SimBase::new(hw);
-        if let Err(e) = sim.setup_resident(model, wl, true) {
-            return sim.oom(self.name(), model, wl, 0, e);
-        }
+    fn simulate(
+        &self,
+        sim: &mut SimBase,
+        model: &ModelConfig,
+        wl: &Workload,
+    ) -> Result<(), OomError> {
+        sim.setup_resident(model, wl, true)?;
         let b = wl.batch_size;
         let tok_bytes = model.kv_bytes_per_token(FP16) * b as u64;
-        let headroom = sim.gpu_kv_headroom();
         let frac = self.cpu_fraction.unwrap_or_else(|| {
-            HeadSplitStore::solve_fraction(tok_bytes, wl.final_seq_len(), headroom)
+            head_split::solve_fraction(tok_bytes, wl.final_seq_len(), sim.gpu_kv_headroom())
         });
-        let mut store = HeadSplitStore::new(tok_bytes, frac);
+        // Every token's KV splits at the static ratio; the split panics
+        // on a fraction outside [0, 1].
+        let cpu_tok = head_split::cpu_bytes_per_token(tok_bytes, frac);
+        let gpu_tok = tok_bytes - cpu_tok;
 
         // Prefill: prompt KV lands pre-split.
-        store.append_tokens(wl.input_len);
-        if let Err(e) = sim.gpu.alloc(MemClass::KvCache, store.gpu_bytes()) {
-            return sim.oom(self.name(), model, wl, 0, e);
-        }
-        if let Err(e) = sim.cpu.alloc(MemClass::KvCache, store.cpu_bytes()) {
-            return sim.oom(self.name(), model, wl, 0, e);
-        }
-        sim.timeline.push(StepRecord {
-            step: 0,
-            phase: 0,
+        let prompt = wl.input_len as u64;
+        sim.gpu.alloc(MemClass::KvCache, prompt * gpu_tok)?;
+        sim.cpu.alloc(MemClass::KvCache, prompt * cpu_tok)?;
+        sim.push_step(StepRecord {
             mha_time: sim.prefill_compute(model, b, wl.input_len, efficiency::FLEXGEN),
-            store_time: sim.cost.transfer_time(store.cpu_bytes()),
-            gpu_mem: sim.gpu.used(),
-            cpu_mem: sim.cpu.used(),
+            store_time: sim.cost.transfer_time(prompt * cpu_tok),
             ..StepRecord::default()
         });
 
         for j in 1..=wl.output_len {
-            let gpu_before = store.gpu_bytes();
-            let cpu_before = store.cpu_bytes();
-            store.append_tokens(1);
-            if let Err(e) = sim
-                .gpu
-                .alloc(MemClass::KvCache, store.gpu_bytes() - gpu_before)
-            {
-                return sim.oom(self.name(), model, wl, j, e);
-            }
-            if let Err(e) = sim
-                .cpu
-                .alloc(MemClass::KvCache, store.cpu_bytes() - cpu_before)
-            {
-                return sim.oom(self.name(), model, wl, j, e);
-            }
+            sim.gpu.alloc(MemClass::KvCache, gpu_tok)?;
+            sim.cpu.alloc(MemClass::KvCache, cpu_tok)?;
 
             let seq_len = wl.input_len + j;
             // GPU computes attention over its resident share only.
             let gpu_tokens = common::resident_tokens(seq_len, 1.0 - frac);
             let (mha, ffn) = sim.decode_compute(model, b, gpu_tokens, efficiency::FLEXGEN);
-            // CPU-delegated attention over the CPU share: memory-bound
-            // on host DRAM (recorded as KV-access time, the "memory
-            // access" bars of Figures 1 and 12).
-            let cpu_attn = sim.cost.cpu_pack_time(store.per_step_load_bytes());
+            // CPU-delegated attention over the CPU share of every cached
+            // token: memory-bound on host DRAM (recorded as KV-access
+            // time, the "memory access" bars of Figures 1 and 12).
+            let cpu_attn = sim.cost.cpu_pack_time(seq_len as u64 * cpu_tok);
             // Per-step link traffic: the new token's CPU share plus the
             // query/partial-result exchange for delegated attention.
-            let store_time = sim.cost.transfer_time(store.per_step_store_bytes());
+            let store_time = sim.cost.transfer_time(cpu_tok);
             let qr_bytes = if frac > 0.0 {
                 common::delegated_attention_qr_bytes(b, model.hidden_dim)
             } else {
@@ -121,25 +103,22 @@ impl InferenceSystem for FlexGenScheduler {
             };
             let load_time = sim.cost.transfer_time(qr_bytes) + cpu_attn;
 
-            sim.timeline.push(StepRecord {
-                step: j,
-                phase: 0,
+            sim.push_step(StepRecord {
                 mha_time: mha,
                 ffn_time: ffn,
                 load_time,
                 store_time,
-                gpu_mem: sim.gpu.used(),
-                cpu_mem: sim.cpu.used(),
                 ..StepRecord::default()
             });
         }
-        sim.completed(self.name(), model, wl)
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alisa_memsim::HardwareSpec;
 
     #[test]
     fn completes_and_splits_statically() {

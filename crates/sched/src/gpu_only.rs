@@ -2,12 +2,11 @@
 //! all — the two curves of Figure 2(c) and the "GPU only" bars of
 //! Figure 1.
 
-use alisa_memsim::{HardwareSpec, MemClass, StepRecord};
+use alisa_memsim::{MemClass, OomError, StepRecord};
 use alisa_model::ModelConfig;
 use serde::{Deserialize, Serialize};
 
 use crate::common::{SimBase, FP16};
-use crate::report::RunReport;
 use crate::workload::Workload;
 use crate::InferenceSystem;
 
@@ -40,37 +39,29 @@ impl InferenceSystem for GpuOnlyScheduler {
         }
     }
 
-    fn run(&self, model: &ModelConfig, hw: &HardwareSpec, wl: &Workload) -> RunReport {
-        let mut sim = SimBase::new(hw);
-        if let Err(e) = sim.setup_resident(model, wl, true) {
-            return sim.oom(self.name(), model, wl, 0, e);
-        }
+    fn simulate(
+        &self,
+        sim: &mut SimBase,
+        model: &ModelConfig,
+        wl: &Workload,
+    ) -> Result<(), OomError> {
+        sim.setup_resident(model, wl, true)?;
         let b = wl.batch_size;
         let tok_bytes = model.kv_bytes_per_token(FP16) * b as u64;
 
         if self.kv_caching {
-            if let Err(e) = sim
-                .gpu
-                .alloc(MemClass::KvCache, tok_bytes * wl.input_len as u64)
-            {
-                return sim.oom(self.name(), model, wl, 0, e);
-            }
+            sim.gpu
+                .alloc(MemClass::KvCache, tok_bytes * wl.input_len as u64)?;
         }
-        sim.timeline.push(StepRecord {
-            step: 0,
-            phase: 0,
+        sim.push_step(StepRecord {
             mha_time: sim.prefill_compute(model, b, wl.input_len, 1.0),
-            gpu_mem: sim.gpu.used(),
-            cpu_mem: sim.cpu.used(),
             ..StepRecord::default()
         });
 
         for j in 1..=wl.output_len {
             let seq_len = wl.input_len + j;
             let (mha, ffn) = if self.kv_caching {
-                if let Err(e) = sim.gpu.alloc(MemClass::KvCache, tok_bytes) {
-                    return sim.oom(self.name(), model, wl, j, e);
-                }
+                sim.gpu.alloc(MemClass::KvCache, tok_bytes)?;
                 sim.decode_compute(model, b, seq_len, 1.0)
             } else {
                 // Without caching, every step re-runs attention for the
@@ -78,23 +69,20 @@ impl InferenceSystem for GpuOnlyScheduler {
                 let full = sim.prefill_compute(model, b, seq_len, 1.0);
                 (full, 0.0)
             };
-            sim.timeline.push(StepRecord {
-                step: j,
-                phase: 0,
+            sim.push_step(StepRecord {
                 mha_time: mha,
                 ffn_time: ffn,
-                gpu_mem: sim.gpu.used(),
-                cpu_mem: sim.cpu.used(),
                 ..StepRecord::default()
             });
         }
-        sim.completed(self.name(), model, wl)
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alisa_memsim::HardwareSpec;
 
     #[test]
     fn kv_caching_keeps_step_time_flat() {

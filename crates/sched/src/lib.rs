@@ -45,7 +45,7 @@ pub use report::{Outcome, RunReport};
 pub use vllm::VllmScheduler;
 pub use workload::{InvalidWorkload, Workload};
 
-use alisa_memsim::HardwareSpec;
+use alisa_memsim::{HardwareSpec, OomError};
 use alisa_model::ModelConfig;
 
 /// A complete inference system that can execute a workload on simulated
@@ -54,8 +54,42 @@ pub trait InferenceSystem: std::fmt::Debug {
     /// System name as it appears in the paper's figures.
     fn name(&self) -> &'static str;
 
-    /// Simulates end-to-end inference (prefill + decode) and returns the
-    /// per-step record. Never panics on OOM — out-of-memory is a
-    /// reportable outcome (Figures 1 and 9 print "OOM" bars).
-    fn run(&self, model: &ModelConfig, hw: &HardwareSpec, wl: &Workload) -> RunReport;
+    /// Walks the system's placement algorithm over prefill and decode,
+    /// allocating from `sim`'s pools and pushing one record per step
+    /// with [`SimBase::push_step`].
+    ///
+    /// # Errors
+    ///
+    /// Returns the error of the first allocation a pool refuses. The run
+    /// stops at the step it was building, which is the number of
+    /// records pushed so far (0 = set-up or prefill).
+    fn simulate(
+        &self,
+        sim: &mut SimBase,
+        model: &ModelConfig,
+        wl: &Workload,
+    ) -> Result<(), OomError>;
+
+    /// Simulates end-to-end inference (prefill + decode) on fresh pools
+    /// and returns the per-step record. Never panics on OOM:
+    /// out-of-memory is a reported outcome (Figures 1 and 9 print "OOM"
+    /// bars), built here for every system from
+    /// [`InferenceSystem::simulate`]'s error.
+    fn run(&self, model: &ModelConfig, hw: &HardwareSpec, wl: &Workload) -> RunReport {
+        let mut sim = SimBase::new(hw);
+        let outcome = match self.simulate(&mut sim, model, wl) {
+            Ok(()) => Outcome::Completed,
+            Err(err) => Outcome::Oom {
+                at_step: sim.timeline.len(),
+                detail: err.to_string(),
+            },
+        };
+        RunReport {
+            system: self.name().to_string(),
+            model: model.name.clone(),
+            workload: *wl,
+            outcome,
+            timeline: sim.timeline,
+        }
+    }
 }

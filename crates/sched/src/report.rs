@@ -14,7 +14,7 @@ pub enum Outcome {
     /// and 9.
     Oom {
         /// Step at which the allocation failed (0 = during setup or
-        /// prefill).
+        /// prefill); the timeline holds the steps before it.
         at_step: usize,
         /// Which pool overflowed and by how much.
         detail: String,

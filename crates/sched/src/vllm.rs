@@ -13,12 +13,11 @@
 //! the whole batch proceed at once.
 
 use alisa_kvcache::paged::reserved_bytes;
-use alisa_memsim::{HardwareSpec, MemClass, OomError, StepRecord};
+use alisa_memsim::{MemClass, OomError, StepRecord};
 use alisa_model::ModelConfig;
 use serde::{Deserialize, Serialize};
 
 use crate::common::{efficiency, SimBase, FP16};
-use crate::report::RunReport;
 use crate::workload::Workload;
 use crate::InferenceSystem;
 
@@ -66,13 +65,14 @@ impl InferenceSystem for VllmScheduler {
         "vLLM"
     }
 
-    fn run(&self, model: &ModelConfig, hw: &HardwareSpec, wl: &Workload) -> RunReport {
-        let mut sim = SimBase::new(hw);
-        if let Err(e) = sim.setup_resident(model, wl, true) {
-            return sim.oom(self.name(), model, wl, 0, e);
-        }
-        let headroom = sim.gpu_kv_headroom();
-        let wave = self.wave_size(model, wl, headroom);
+    fn simulate(
+        &self,
+        sim: &mut SimBase,
+        model: &ModelConfig,
+        wl: &Workload,
+    ) -> Result<(), OomError> {
+        sim.setup_resident(model, wl, true)?;
+        let wave = self.wave_size(model, wl, sim.gpu_kv_headroom());
         if wave == 0 {
             // Not even one sequence fits: vLLM preempts forever.
             let err = OomError {
@@ -81,30 +81,22 @@ impl InferenceSystem for VllmScheduler {
                 in_use: sim.gpu.used(),
                 capacity: sim.gpu.capacity(),
             };
-            return sim.oom(self.name(), model, wl, 0, err);
+            return Err(err);
         }
 
         let per_tok = model.kv_bytes_per_token(FP16);
         let mut remaining = wl.batch_size;
-        let mut step_counter = 0usize;
         while remaining > 0 {
             let b = remaining.min(wave);
             remaining -= b;
             // One wave: prefill + full decode with paged accounting.
             let wave_tok = per_tok * b as u64;
             let mut reserved = reserved_bytes(wl.input_len, self.block_size, wave_tok);
-            if let Err(e) = sim.gpu.alloc(MemClass::KvCache, reserved) {
-                return sim.oom(self.name(), model, wl, step_counter, e);
-            }
-            sim.timeline.push(StepRecord {
-                step: step_counter,
-                phase: 0,
+            sim.gpu.alloc(MemClass::KvCache, reserved)?;
+            sim.push_step(StepRecord {
                 mha_time: sim.prefill_compute(model, b, wl.input_len, efficiency::VLLM),
-                gpu_mem: sim.gpu.used(),
-                cpu_mem: sim.cpu.used(),
                 ..StepRecord::default()
             });
-            step_counter += 1;
 
             for j in 1..=wl.output_len {
                 let seq_len = wl.input_len + j;
@@ -112,32 +104,26 @@ impl InferenceSystem for VllmScheduler {
                 let delta = after - reserved;
                 reserved = after;
                 if delta > 0 {
-                    if let Err(e) = sim.gpu.alloc(MemClass::KvCache, delta) {
-                        return sim.oom(self.name(), model, wl, step_counter, e);
-                    }
+                    sim.gpu.alloc(MemClass::KvCache, delta)?;
                 }
                 let (mha, ffn) = sim.decode_compute(model, b, seq_len, efficiency::VLLM);
-                sim.timeline.push(StepRecord {
-                    step: step_counter,
-                    phase: 0,
+                sim.push_step(StepRecord {
                     mha_time: mha,
                     ffn_time: ffn,
-                    gpu_mem: sim.gpu.used(),
-                    cpu_mem: sim.cpu.used(),
                     ..StepRecord::default()
                 });
-                step_counter += 1;
             }
             // Wave done: its KV is freed for the next wave.
             sim.gpu.free(MemClass::KvCache, reserved);
         }
-        sim.completed(self.name(), model, wl)
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alisa_memsim::HardwareSpec;
 
     #[test]
     fn single_wave_when_memory_ample() {

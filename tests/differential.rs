@@ -16,15 +16,12 @@
 //!   runs as a 1-replica fleet through the router's loop;
 //! * `GlobalSetModel::pick_into` (cached bases + packed-key partial
 //!   sort) equal to `pick` (full comparator re-sort) across decode
-//!   walks that grow the range, cross drift epochs, and reuse scratch;
-//! * `TokenKvStore::partition_needed_into` into a dirty reused buffer
-//!   equal to the allocating `partition_needed`.
+//!   walks that grow the range, cross drift epochs, and reuse scratch.
 //!
 //! Failures reproduce exactly: the vendored proptest seeds its RNG from
 //! the test path, so a red run here is a deterministic counterexample.
 
 use alisa::PrecisionPolicy;
-use alisa_kvcache::{Location, NeededPartition, TokenKvStore};
 use alisa_sched::{GlobalSetModel, TopKScratch};
 use alisa_serve::{
     AdmissionPolicy, AutoscalerCfg, FailurePlan, LoadBalancePolicy, MemorySink, QueueDiscipline,
@@ -387,28 +384,5 @@ proptest! {
                 range_end
             );
         }
-    }
-
-    /// Reusing a dirty `NeededPartition` buffer yields exactly what the
-    /// allocating variant yields, for arbitrary placements and needed
-    /// sets (including out-of-range indices, which land in `missing`).
-    #[test]
-    fn partition_needed_into_matches_allocating_variant(
-        locations in collection::vec(0usize..3, 0..96),
-        needed in collection::vec(0usize..128, 0..64),
-    ) {
-        let mut store = TokenKvStore::new();
-        for l in locations {
-            store.append(match l {
-                0 => Location::Gpu,
-                1 => Location::Cpu,
-                _ => Location::Deleted,
-            });
-        }
-        // Dirty the reused buffer first so stale contents would show.
-        let mut reused = NeededPartition::default();
-        store.partition_needed_into(&[0, 1, 2, 3, 999], &mut reused);
-        store.partition_needed_into(&needed, &mut reused);
-        prop_assert_eq!(reused, store.partition_needed(&needed));
     }
 }

@@ -44,8 +44,8 @@ const FUNCTIONAL_FIGURES: [&str; 7] = [
     "ablation_swa",
 ];
 
-/// Runs `<bin> --quick <extra>` and returns its output.
-fn launch_quick(bin: &str, extra: &[&str]) -> Output {
+/// Runs `<bin> <args>` and returns its output.
+fn launch(bin: &str, args: &[&str]) -> Output {
     Command::new(env!("CARGO"))
         .args([
             "run",
@@ -56,11 +56,15 @@ fn launch_quick(bin: &str, extra: &[&str]) -> Output {
             "--bin",
             bin,
             "--",
-            "--quick",
         ])
-        .args(extra)
+        .args(args)
         .output()
         .unwrap_or_else(|e| panic!("failed to launch {bin}: {e}"))
+}
+
+/// Runs `<bin> --quick <extra>` and returns its output.
+fn launch_quick(bin: &str, extra: &[&str]) -> Output {
+    launch(bin, &[&["--quick"], extra].concat())
 }
 
 /// Runs `<bin> --quick`, asserting success, and returns its stdout.
@@ -213,6 +217,23 @@ fn unknown_argument_is_rejected() {
     let golden =
         std::fs::read_to_string(golden_path("fig13_online_serving")).expect("fig13 fixture");
     assert_eq!(String::from_utf8_lossy(&out.stdout), golden);
+}
+
+/// `--events` takes a path: a trailing `--events`, or one followed by
+/// another flag, exits 2 before any figure output instead of writing no
+/// log (or a log named `--quick`).
+#[test]
+fn events_without_a_path_is_rejected() {
+    for args in [&["--quick", "--events"][..], &["--events", "--quick"][..]] {
+        let out = launch("fig13_online_serving", args);
+        assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2");
+        assert!(out.stdout.is_empty(), "{args:?} must print no figure");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("`--events` needs a value"),
+            "{args:?}: {stderr}"
+        );
+    }
 }
 
 #[test]
