@@ -10,6 +10,8 @@
 use alisa_bench::{banner, f, row};
 use alisa_memsim::{CostModel, HardwareSpec};
 use alisa_model::ModelConfig;
+use alisa_sched::alisa::HISTORY_DEPTH;
+use alisa_sched::common::{resident_tokens, FP16};
 
 fn main() {
     banner(
@@ -18,7 +20,6 @@ fn main() {
     );
     let b = 64usize;
     let s = 128usize;
-    let history_depth = 4usize;
 
     for model in [ModelConfig::opt_6_7b(), ModelConfig::opt_30b()] {
         let hw = HardwareSpec::for_model_params(model.params());
@@ -41,24 +42,24 @@ fn main() {
             ],
         );
         for sparsity in [0.0f64, 0.4, 0.8] {
-            let kept = ((s as f64) * (1.0 - sparsity)).round().max(1.0) as usize;
+            let kept = resident_tokens(s, 1.0 - sparsity);
             // QKᵀ over the gathered dense KV subset.
-            let qkt = cost.gemm_time(b, h, kept, 2);
-            let qkt_flops = cost.gemm_achieved_flops(b, h, kept, 2);
+            let qkt = cost.gemm_time(b, h, kept, FP16);
+            let qkt_flops = cost.gemm_achieved_flops(b, h, kept, FP16);
             // Local attention sum over the history window (sparse only).
             let (lsum, lsum_flops, gather) = if sparsity > 0.0 {
-                let bytes = (b * history_depth * s * 2) as u64;
-                let adds = (b * history_depth * s) as u64;
+                let bytes = (b * HISTORY_DEPTH * s * FP16) as u64;
+                let adds = (b * HISTORY_DEPTH * s) as u64;
                 (
                     cost.vector_op_time(bytes),
                     cost.vector_achieved_flops(adds, bytes),
-                    cost.gather_time(kept * b, 2 * h * 2),
+                    cost.gather_time(kept * b, 2 * h * FP16),
                 )
             } else {
                 (0.0, 0.0, 0.0)
             };
             let softmax_av =
-                cost.vector_op_time((b * kept * 2) as u64) + cost.gemm_time(b, kept, h, 2);
+                cost.vector_op_time((b * kept * FP16) as u64) + cost.gemm_time(b, kept, h, FP16);
             let total = qkt + lsum + gather + softmax_av;
             row(
                 &format!("{:.0}%", sparsity * 100.0),
@@ -78,8 +79,8 @@ fn main() {
             );
         }
         // The FLOPS-drop headline: dense QKᵀ vs the 80%-sparse one.
-        let dense_flops = cost.gemm_achieved_flops(b, h, s, 2);
-        let sparse_flops = cost.gemm_achieved_flops(b, h, 26, 2);
+        let dense_flops = cost.gemm_achieved_flops(b, h, s, FP16);
+        let sparse_flops = cost.gemm_achieved_flops(b, h, resident_tokens(s, 1.0 - 0.8), FP16);
         println!(
             "QKt achieved-FLOPS drop at 80% sparsity: {:.1}x (paper: significant drop from under-utilization)",
             dense_flops / sparse_flops

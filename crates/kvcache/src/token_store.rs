@@ -20,16 +20,6 @@ pub enum Location {
     Deleted,
 }
 
-impl std::fmt::Display for Location {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Location::Gpu => write!(f, "gpu"),
-            Location::Cpu => write!(f, "cpu"),
-            Location::Deleted => write!(f, "deleted"),
-        }
-    }
-}
-
 /// Token-granular KV placement map for one batch.
 ///
 /// # Example
@@ -42,7 +32,7 @@ impl std::fmt::Display for Location {
 /// store.append(Location::Gpu);
 /// store.relocate(0, Location::Cpu);
 /// assert_eq!(store.location(0), Location::Cpu);
-/// assert_eq!(store.count(Location::Gpu), 1);
+/// assert_eq!(store.location(1), Location::Gpu);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TokenKvStore {
@@ -89,11 +79,6 @@ impl TokenKvStore {
     pub fn relocate(&mut self, i: usize, to: Location) {
         self.locations[i] = to;
     }
-
-    /// Number of tokens at `location`.
-    pub fn count(&self, location: Location) -> usize {
-        self.locations.iter().filter(|&&l| l == location).count()
-    }
 }
 
 #[cfg(test)]
@@ -108,8 +93,8 @@ mod tests {
         assert_eq!(s.append(Location::Cpu), 1);
         assert_eq!(s.append(Location::Gpu), 2);
         assert_eq!(s.len(), 3);
-        assert_eq!(s.count(Location::Gpu), 2);
-        assert_eq!(s.count(Location::Cpu), 1);
+        assert_eq!(s.location(1), Location::Cpu);
+        assert_eq!(s.location(2), Location::Gpu);
     }
 
     #[test]
@@ -122,14 +107,7 @@ mod tests {
         assert_eq!(s.location(1), Location::Gpu, "other tokens stay put");
         s.relocate(0, Location::Deleted);
         assert_eq!(s.location(0), Location::Deleted);
-        // Recompute lands the token back on GPU.
         s.relocate(0, Location::Gpu);
-        assert_eq!(s.count(Location::Gpu), 2);
-    }
-
-    #[test]
-    fn display_locations() {
-        assert_eq!(Location::Gpu.to_string(), "gpu");
-        assert_eq!(Location::Deleted.to_string(), "deleted");
+        assert_eq!(s.location(0), Location::Gpu);
     }
 }

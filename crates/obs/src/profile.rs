@@ -21,7 +21,8 @@ use std::time::Instant;
 /// The disjoint simulator phases wall time is bucketed into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
-    /// `GlobalSetModel::pick` — the sparsity top-K selection.
+    /// The sparsity top-K selection: `GlobalSetModel::pick_into` on the
+    /// scheduler's hot path (and the reference `pick`).
     TopK,
     /// The replica step's queue scan (timeouts and re-queue bounces).
     EventScan,

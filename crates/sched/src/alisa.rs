@@ -9,7 +9,7 @@
 //!   are offloaded (locally-static tokens stay pinned on GPU, §V-A:
 //!   "we prefer allocating local tokens in GPU […] global tokens are
 //!   less predictable"). Globally-dynamic tokens that drifted onto the
-//!   CPU are pulled back across the link when SWA selects them.
+//!   CPU cross the link every step they are selected; never re-cached.
 //! * **Phase III — recomputation–caching**: past the `p2` sequence
 //!   length, a `β` fraction of would-be offloads is *deleted* instead of
 //!   stored; if a deleted token is later selected, its K/V rows are
@@ -307,16 +307,21 @@ pub struct TopKScratch {
     key: Vec<u128>,
 }
 
-impl InferenceSystem for AlisaScheduler {
-    fn name(&self) -> &'static str {
-        "ALISA"
-    }
-
-    fn simulate(
+impl AlisaScheduler {
+    /// [`InferenceSystem::simulate`] with a placement observer:
+    /// `on_step` sees the pools and the token placement right after the
+    /// prefill record and after each decode record is pushed, so it runs
+    /// once per timeline record (Figure 7 draws these placements).
+    ///
+    /// # Errors
+    ///
+    /// As [`InferenceSystem::simulate`].
+    pub fn simulate_with(
         &self,
         sim: &mut SimBase,
         model: &ModelConfig,
         wl: &Workload,
+        mut on_step: impl FnMut(&SimBase, &TokenKvStore),
     ) -> Result<(), OomError> {
         sim.setup_resident(model, wl, true)?;
 
@@ -380,6 +385,7 @@ impl InferenceSystem for AlisaScheduler {
             },
             ..StepRecord::default()
         });
+        on_step(sim, &store);
 
         let mut entered_phase2 = prefill_store_bytes > 0;
 
@@ -469,32 +475,20 @@ impl InferenceSystem for AlisaScheduler {
             sim.gpu.alloc(MemClass::KvCache, gpu_tok)?;
             store.append(Location::Gpu);
 
-            // (c) Load/recompute the globals that are not GPU-resident.
-            // When the watermark allows, pulled tokens are *cached* on
-            // the GPU; otherwise they stream through the transient
-            // margin buffer and are charged again next step. CPU tokens
-            // go first, then deleted ones; the first pass moves CPU
-            // tokens only, so the second sees the deletions as they were.
+            // (c) Stream in the globals that are not GPU-resident: a CPU
+            // token crosses the link, a deleted one is recomputed, and
+            // neither is cached back, so each is charged again on every
+            // step that selects it. Caching one would need GPU KV +
+            // `gpu_tok` ≤ `watermark`, which cannot hold once a token has
+            // left the GPU: (a) drains to within one token under
+            // `target`, (b) adds one token, and nothing else frees GPU KV
+            // (the prefill spill also stops within one token under
+            // `watermark`).
             for &i in &global_set {
-                if store.location(i) != Location::Cpu {
-                    continue;
-                }
-                load_bytes += cpu_reload_tok;
-                if sim.gpu.used_by(MemClass::KvCache) + gpu_tok <= watermark {
-                    store.relocate(i, Location::Gpu);
-                    sim.cpu.free(MemClass::KvCache, cpu_tok);
-                    sim.gpu.alloc(MemClass::KvCache, gpu_tok)?;
-                }
-                entered_phase2 = true;
-            }
-            for &i in &global_set {
-                if store.location(i) != Location::Deleted {
-                    continue;
-                }
-                recompute_tokens += 1;
-                if sim.gpu.used_by(MemClass::KvCache) + gpu_tok <= watermark {
-                    store.relocate(i, Location::Gpu);
-                    sim.gpu.alloc(MemClass::KvCache, gpu_tok)?;
+                match store.location(i) {
+                    Location::Gpu => {}
+                    Location::Cpu => load_bytes += cpu_reload_tok,
+                    Location::Deleted => recompute_tokens += 1,
                 }
             }
 
@@ -537,8 +531,24 @@ impl InferenceSystem for AlisaScheduler {
                 selection_time: selection,
                 ..StepRecord::default()
             });
+            on_step(sim, &store);
         }
         Ok(())
+    }
+}
+
+impl InferenceSystem for AlisaScheduler {
+    fn name(&self) -> &'static str {
+        "ALISA"
+    }
+
+    fn simulate(
+        &self,
+        sim: &mut SimBase,
+        model: &ModelConfig,
+        wl: &Workload,
+    ) -> Result<(), OomError> {
+        self.simulate_with(sim, model, wl, |_, _| {})
     }
 }
 

@@ -72,19 +72,19 @@ impl InferenceSystem for VllmScheduler {
         wl: &Workload,
     ) -> Result<(), OomError> {
         sim.setup_resident(model, wl, true)?;
+        let per_tok = model.kv_bytes_per_token(FP16);
         let wave = self.wave_size(model, wl, sim.gpu_kv_headroom());
         if wave == 0 {
-            // Not even one sequence fits: vLLM preempts forever.
-            let err = OomError {
+            // Not even one sequence's block-rounded reservation fits:
+            // vLLM preempts forever.
+            return Err(OomError {
                 pool: "GPU".to_string(),
-                requested: model.kv_bytes_per_token(FP16) * wl.final_seq_len() as u64,
+                requested: reserved_bytes(wl.final_seq_len(), self.block_size, per_tok),
                 in_use: sim.gpu.used(),
                 capacity: sim.gpu.capacity(),
-            };
-            return Err(err);
+            });
         }
 
-        let per_tok = model.kv_bytes_per_token(FP16);
         let mut remaining = wl.batch_size;
         while remaining > 0 {
             let b = remaining.min(wave);

@@ -1,13 +1,18 @@
 //! Property-based tests of scheduler invariants: for arbitrary (bounded)
 //! workloads, every system either completes or reports OOM — and when it
 //! completes, its timeline satisfies the structural invariants the
-//! figures rely on.
+//! figures rely on. ALISA's pools are also checked against its token
+//! placement at every step, through its placement observer.
 
-use alisa_memsim::HardwareSpec;
+use alisa_kvcache::Location;
+use alisa_memsim::{HardwareSpec, MemClass};
 use alisa_model::ModelConfig;
+use alisa_sched::common::FP16;
 use alisa_sched::{
-    AccelerateScheduler, AlisaScheduler, FlexGenScheduler, InferenceSystem, VllmScheduler, Workload,
+    AccelerateScheduler, AlisaScheduler, FlexGenScheduler, InferenceSystem, Plan, PlanOptimizer,
+    SimBase, VllmScheduler, Workload,
 };
+use alisa_tensor::quant::PrecisionPolicy;
 use proptest::prelude::*;
 
 fn small_workload() -> impl Strategy<Value = Workload> {
@@ -22,6 +27,26 @@ fn systems() -> Vec<Box<dyn InferenceSystem>> {
         Box::new(VllmScheduler::new()),
         Box::new(AccelerateScheduler),
     ]
+}
+
+/// FP16, the paper's INT8 offload, or mixed precision with an INT4
+/// cold tail.
+fn precision(i: usize) -> PrecisionPolicy {
+    match i {
+        0 => PrecisionPolicy::fp16(),
+        1 => PrecisionPolicy::int8(),
+        _ => PrecisionPolicy::mixed(),
+    }
+}
+
+/// The plan at grid point `(α, β, p2)` of the optimizer's default grid.
+fn grid_plan((a, b, p): (usize, usize, usize)) -> Plan {
+    let grid = PlanOptimizer::default();
+    Plan {
+        alpha: grid.alphas[a],
+        beta: grid.betas[b],
+        p2_frac: grid.p2s[p],
+    }
 }
 
 proptest! {
@@ -106,5 +131,49 @@ proptest! {
         let a = s.run(&model, &hw, &wl);
         let b = s.run(&model, &hw, &wl);
         prop_assert_eq!(a.timeline, b.timeline);
+    }
+
+    /// ALISA's pools hold what its placement says, after every record:
+    /// GPU KV is the GPU-token count at the GPU width, CPU KV the
+    /// CPU-token count at the CPU width (deleted tokens hold nothing),
+    /// and the observer runs once per timeline record. Every workload
+    /// here offloads on a V100-16GB, so each run reaches Phase II, and
+    /// Phase III too unless its plan disables it.
+    #[test]
+    fn alisa_pools_match_its_placement(
+        wl in (32usize..=64, 64usize..=256, 128usize..=256)
+            .prop_map(|(b, s, n)| Workload::new(b, s, n)),
+        sparsity in 0usize..2,
+        prec in 0usize..3,
+        plan in (0usize..3, 0usize..3, 0usize..3),
+    ) {
+        let model = ModelConfig::opt_6_7b();
+        let sys = AlisaScheduler::new([0.4, 0.8][sparsity], false)
+            .with_precision(precision(prec))
+            .with_plan(grid_plan(plan));
+        let fp16_tok = model.kv_bytes_per_token(FP16) * wl.batch_size as u64;
+        let gpu_tok = sys.precision.gpu_bytes(fp16_tok);
+        let cpu_tok = sys.precision.cpu_bytes(fp16_tok);
+        let mut sim = SimBase::new(&HardwareSpec::v100_16gb());
+        let mut calls = 0usize;
+        let mut max_phase = 0u8;
+        let mut first_miss = None;
+        let outcome = sys.simulate_with(&mut sim, &model, &wl, |sim, store| {
+            calls += 1;
+            let held = |at| (0..store.len()).filter(|&i| store.location(i) == at).count() as u64;
+            let want = (held(Location::Gpu) * gpu_tok, held(Location::Cpu) * cpu_tok);
+            let got = (sim.gpu.used_by(MemClass::KvCache), sim.cpu.used_by(MemClass::KvCache));
+            if first_miss.is_none() && (want != got || calls != sim.timeline.len()) {
+                first_miss = Some((sim.timeline.len(), calls, want, got));
+            }
+            max_phase = max_phase.max(sim.timeline.records().last().map_or(0, |r| r.phase));
+        });
+        prop_assert!(
+            first_miss.is_none(),
+            "{sys:?} on {wl:?}: (records, calls, placement bytes, pool bytes) = {first_miss:?}"
+        );
+        prop_assert_eq!(calls, sim.timeline.len());
+        prop_assert!(outcome.is_ok(), "{sys:?} on {wl:?}: {outcome:?}");
+        prop_assert_eq!(max_phase, if sys.plan.p2_frac <= 1.0 { 3 } else { 2 });
     }
 }

@@ -134,8 +134,8 @@ pub enum CacheRegion {
     /// GPU-resident hot working set (SWA's local window + cached
     /// globals) — read by attention every step.
     GpuResident,
-    /// CPU-resident sparse remainder — offloaded tokens that may be
-    /// pulled back when the global set drifts onto them.
+    /// CPU-resident sparse remainder — offloaded tokens that cross the
+    /// link again whenever the global set drifts onto them.
     CpuResident,
     /// The coldest tail of the CPU remainder (oldest offloaded tokens,
     /// least likely to be re-selected) — a `cold_frac` share of the

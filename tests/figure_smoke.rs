@@ -22,9 +22,10 @@ const SERVING_FIGURES: [&str; 6] = [
 /// The performance-path figures (they run the offline schedulers over
 /// the analytic hardware model, and take no `--seed`) whose `--quick`
 /// stdout is a golden fixture.
-const PERFORMANCE_FIGURES: [&str; 6] = [
+const PERFORMANCE_FIGURES: [&str; 7] = [
     "fig01_motivation",
     "fig02_kv_caching",
+    "fig07_scheduling_traces",
     "fig09_throughput",
     "fig11_attention_breakdown",
     "fig12_inference_breakdown",
@@ -34,11 +35,10 @@ const PERFORMANCE_FIGURES: [&str; 6] = [
 /// The functional-path figures (they run the transformer and the
 /// selection policies, and take no `--seed`) whose `--quick` stdout is
 /// a golden fixture.
-const FUNCTIONAL_FIGURES: [&str; 7] = [
+const FUNCTIONAL_FIGURES: [&str; 6] = [
     "fig03_sparsity",
     "fig04_attention_patterns",
     "fig05_weight_maps",
-    "fig07_scheduling_traces",
     "fig08_accuracy",
     "fig10_attainable_sparsity",
     "ablation_swa",

@@ -12,13 +12,15 @@
 //! Workloads: OPT-30B on a V100-16GB at Alpaca batch 4, where the FP16
 //! weights alone overflow HBM for every system that keeps them there;
 //! and OPT-6.7B on a V100-16GB at b = 64, s = 64, n = 16384, where each
-//! system runs until its GPU or CPU pool overflows.
+//! system runs until its GPU or CPU pool overflows. A second test checks
+//! that every OOM error a simulator returns names an allocation that
+//! does not fit.
 
 use alisa_memsim::HardwareSpec;
 use alisa_model::ModelConfig;
 use alisa_sched::{
     AccelerateScheduler, AlisaScheduler, DeepSpeedZeroScheduler, FlexGenScheduler,
-    GpuOnlyScheduler, InferenceSystem, VllmScheduler, Workload,
+    GpuOnlyScheduler, InferenceSystem, SimBase, VllmScheduler, Workload,
 };
 
 /// Every system the test runs, with the label its lines carry.
@@ -42,15 +44,19 @@ fn systems() -> Vec<(&'static str, Box<dyn InferenceSystem>)> {
     ]
 }
 
+/// The two overflowing workloads the fixture pins, on a V100-16GB.
+fn cases() -> [(ModelConfig, Workload); 2] {
+    [
+        (ModelConfig::opt_30b(), Workload::alpaca(4)),
+        (ModelConfig::opt_6_7b(), Workload::new(64, 64, 16384)),
+    ]
+}
+
 /// One line per (workload, system).
 fn lines() -> String {
     let hw = HardwareSpec::v100_16gb();
-    let cases = [
-        (ModelConfig::opt_30b(), Workload::alpaca(4)),
-        (ModelConfig::opt_6_7b(), Workload::new(64, 64, 16384)),
-    ];
     let mut out = String::new();
-    for (model, wl) in &cases {
+    for (model, wl) in &cases() {
         for (label, sys) in systems() {
             let r = sys.run(model, &hw, wl);
             out.push_str(&format!(
@@ -82,6 +88,33 @@ fn oom_exits_match_golden_fixture() {
         "offline OOM exits drifted from {path} \
          (regenerate with `cargo test --test offline_oom -- --ignored` if intentional)"
     );
+}
+
+/// Every OOM a simulator returns names an allocation that does not
+/// fit: `requested + in_use > capacity`. Beyond the fixture's cases,
+/// OPT-6.7B at b = 1, s = 16, n = 7377 leaves vLLM less headroom than
+/// one sequence's block-rounded reservation but more than its unrounded
+/// KV.
+#[test]
+fn every_oom_names_an_allocation_that_does_not_fit() {
+    let hw = HardwareSpec::v100_16gb();
+    let mut all = Vec::from(cases());
+    all.push((ModelConfig::opt_6_7b(), Workload::new(1, 16, 7377)));
+    let mut ooms = 0;
+    for (model, wl) in &all {
+        for (label, sys) in systems() {
+            let Err(err) = sys.simulate(&mut SimBase::new(&hw), model, wl) else {
+                continue;
+            };
+            ooms += 1;
+            assert!(
+                err.requested + err.in_use > err.capacity,
+                "{label} on {} {wl:?}: {err} fits",
+                model.name
+            );
+        }
+    }
+    assert!(ooms > 0, "no case ran out of memory");
 }
 
 /// Rewrites the OOM fixture from the current simulators. Ignored so a
