@@ -13,8 +13,8 @@
 use alisa_memsim::HardwareSpec;
 use alisa_model::ModelConfig;
 use alisa_serve::{
-    AdmissionPolicy, ArrivalProcess, AutoscalerCfg, DispatchIndex, FailurePlan, LoadBalancePolicy,
-    Router, RouterConfig, ServeConfig, Trace,
+    AdmissionPolicy, ArrivalProcess, DispatchIndex, FailurePlan, LoadBalancePolicy, Router,
+    RouterConfig, ServeConfig, Trace,
 };
 use alisa_workloads::LengthModel;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -74,7 +74,7 @@ fn bench_diurnal_fleet(c: &mut Criterion) {
     let autoscaled = Router::new(
         RouterConfig::homogeneous(cfg(), 4)
             .with_lb(LoadBalancePolicy::LeastOutstanding)
-            .with_autoscaler(AutoscalerCfg::new(1)),
+            .with_autoscaler(),
     );
     let mut g = c.benchmark_group("fleet_diurnal");
     g.bench_function("static", |b| {

@@ -1,8 +1,9 @@
 //! Criterion benchmarks for the fleet dispatch hot path: the
 //! per-request replica selection (an incrementally-maintained index
 //! against the linear scan it replaced), the indexed select+re-key
-//! cycle (the full bookkeeping cost a dispatch pays), and the
-//! end-to-end 512-replica router run on both paths.
+//! cycle (the full bookkeeping cost a dispatch pays), and an
+//! end-to-end 512-replica router run with the gated queue scan and
+//! with the ungated one.
 //!
 //! The acceptance gate lives in `router_dispatch`: at 512 replicas the
 //! `indexed` id must be ≥10× faster than the `reference` id — the
@@ -83,9 +84,11 @@ fn bench_dispatch_update(c: &mut Criterion) {
     g.finish();
 }
 
-/// End-to-end: one 512-replica fleet serving the same trace through the
-/// indexed router and through `with_reference_paths(true)` (per-dispatch
-/// linear scans + allocating candidate lists).
+/// End-to-end: one 512-replica fleet serving the same trace with each
+/// replica's rejection scan gated (`indexed`) and run on every step
+/// (`reference`, `with_reference_paths(true)`). The fleet is
+/// round-robin, which builds no `DispatchIndex` on either side, so the
+/// pair prices the gated queue scan against the ungated one.
 fn bench_fleet_512(c: &mut Criterion) {
     let trace = Trace::generate(
         &ArrivalProcess::Poisson { rate: 40.0 },

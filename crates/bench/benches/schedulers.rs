@@ -25,7 +25,7 @@ fn bench_systems(c: &mut Criterion) {
         b.iter(|| black_box(s.run(&model, &hw, &wl)));
     });
     g.bench_function("vllm", |b| {
-        let s = VllmScheduler::new();
+        let s = VllmScheduler;
         b.iter(|| black_box(s.run(&model, &hw, &wl)));
     });
     g.bench_function("accelerate", |b| {

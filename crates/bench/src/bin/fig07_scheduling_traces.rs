@@ -47,7 +47,8 @@ fn main() {
         frac * 100.0
     );
     for step in (0..wl.output_len).step_by(6) {
-        let seq = wl.input_len + step;
+        // Decode step `step` ends holding its new token, as ALISA's rows do.
+        let seq = wl.input_len + step + 1;
         let gpu_cols = ((1.0 - frac) * seq as f64).round() as usize;
         let line = "G".repeat(gpu_cols) + &"c".repeat(seq - gpu_cols);
         println!("  step {step:>3} |{line}|");

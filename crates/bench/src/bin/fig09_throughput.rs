@@ -58,7 +58,7 @@ fn main() {
                 Box::new(DeepSpeedZeroScheduler),
                 Box::new(AccelerateScheduler),
                 Box::new(FlexGenScheduler::new()),
-                Box::new(VllmScheduler::new()),
+                Box::new(VllmScheduler),
             ];
             let mut tps: Vec<f64> = Vec::new();
             for sys in &baselines {
@@ -73,7 +73,6 @@ fn main() {
             // plan search's report is the tuned run.
             let (_, ra) = Alisa::builder()
                 .kv_sparsity(0.8)
-                .kv_compression(true)
                 .hardware(hw.clone())
                 .build()
                 .optimized_for(model, &wl);

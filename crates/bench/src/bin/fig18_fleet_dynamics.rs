@@ -48,8 +48,8 @@ use alisa_bench::{banner, check_args, events_arg, f, quick_mode, row, seed_arg};
 use alisa_memsim::HardwareSpec;
 use alisa_model::ModelConfig;
 use alisa_serve::{
-    AdmissionPolicy, ArrivalProcess, AutoscalerCfg, FailurePlan, LoadBalancePolicy, Router,
-    RouterConfig, ServeConfig, Trace,
+    AdmissionPolicy, ArrivalProcess, FailurePlan, LoadBalancePolicy, Router, RouterConfig,
+    ServeConfig, Trace,
 };
 use alisa_workloads::LengthModel;
 
@@ -143,7 +143,7 @@ fn main() {
             ],
         );
     }
-    let auto = Router::new(least_out(ceiling).with_autoscaler(AutoscalerCfg::new(1))).run(&diurnal);
+    let auto = Router::new(least_out(ceiling).with_autoscaler()).run(&diurnal);
     let auto_d = auto.dynamics.expect("autoscaled run reports dynamics");
     let auto_gph = auto.goodput_per_replica_hour();
     row(

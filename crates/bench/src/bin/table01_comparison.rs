@@ -1,19 +1,19 @@
 //! Table I: qualitative design comparison of vLLM, FlexGen and ALISA.
 //!
 //! The rows are printed from the implementations themselves where the
-//! code encodes them (vLLM's block size from its scheduler, FlexGen's
+//! code encodes them (vLLM's block size from `vllm::BLOCK_SIZE`, FlexGen's
 //! split from its per-token rule; recomputation support from the
 //! schedulers), so this table stays honest if the code changes.
 
 use alisa_bench::{banner, row};
 use alisa_kvcache::head_split;
-use alisa_sched::{AlisaScheduler, Plan, VllmScheduler};
+use alisa_sched::{vllm, AlisaScheduler, Plan};
 
 fn main() {
     banner("Table I", "design comparison: vLLM / FlexGen / ALISA");
 
     // Granularity: the unit each system places.
-    let paged = format!("block ({} tokens)", VllmScheduler::new().block_size);
+    let paged = format!("block ({} tokens)", vllm::BLOCK_SIZE);
     let head = {
         let cpu = head_split::cpu_bytes_per_token(100, 0.25);
         format!("head split ({}%/{}%)", 100 - cpu, cpu)

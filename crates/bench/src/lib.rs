@@ -77,12 +77,20 @@ pub fn seed_arg() -> u64 {
 /// Handles `--events <path>` for the serving figure binaries: when the
 /// flag is present, calls `replay` with a JSONL sink streaming to the
 /// path and reports the event count; without the flag this is a no-op
-/// and the binary's output stays byte-identical.
+/// and the binary's output stays byte-identical. A path that cannot be
+/// created or written prints the I/O error to stderr and exits with
+/// status 2.
 pub fn events_arg(replay: impl FnOnce(&mut dyn TraceSink)) {
     if let Some(path) = arg_value("--events") {
-        let mut sink = JsonlSink::create(&path).expect("--events path must be writable");
+        let mut sink = JsonlSink::create(&path).unwrap_or_else(|e| {
+            eprintln!("cannot create events log {path}: {e}");
+            std::process::exit(2)
+        });
         replay(&mut sink);
-        let n = sink.finish().expect("event log must flush cleanly");
+        let n = sink.finish().unwrap_or_else(|e| {
+            eprintln!("cannot write events log {path}: {e}");
+            std::process::exit(2)
+        });
         println!("\nwrote {n} events to {path}");
     }
 }

@@ -32,10 +32,7 @@
 //! use alisa_sched::Workload;
 //!
 //! // Throughput of ALISA vs. the strongest baseline on one workload:
-//! let alisa = Alisa::builder()
-//!     .kv_sparsity(0.8)
-//!     .kv_compression(true)
-//!     .build();
+//! let alisa = Alisa::builder().kv_sparsity(0.8).build();
 //! let report = alisa.simulate(&ModelConfig::opt_6_7b(), &Workload::new(8, 128, 64));
 //! assert!(report.throughput() > 0.0);
 //! ```
@@ -93,16 +90,17 @@ impl AblationLevel {
 #[derive(Debug, Clone)]
 pub struct Alisa {
     kv_sparsity: f64,
-    kv_precision: PrecisionPolicy,
-    history_depth: usize,
+    /// The plan [`Alisa::optimized_for`] found; the scheduler's default
+    /// plan until then.
     plan: Option<Plan>,
     hardware: Option<HardwareSpec>,
     ablation: AblationLevel,
 }
 
 impl Alisa {
-    /// Starts a builder with the paper's defaults (80% KV sparsity,
-    /// INT8 compression on, history depth 4).
+    /// Starts a builder with the paper's defaults: 80% KV sparsity and
+    /// every technique on ([`AblationLevel::Full`], INT8 KV compression
+    /// included).
     pub fn builder() -> AlisaBuilder {
         AlisaBuilder::default()
     }
@@ -112,21 +110,16 @@ impl Alisa {
         self.kv_sparsity
     }
 
-    /// The per-cache-state-region KV precision policy in effect (FP16
-    /// everywhere unless the ablation level enables compression).
+    /// The per-cache-state-region KV precision policy in effect: the
+    /// paper's INT8 compression ([`PrecisionPolicy::int8`]) at
+    /// [`AblationLevel::Full`], FP16 everywhere below it.
     pub fn kv_precision(&self) -> PrecisionPolicy {
-        if self.ablation == AblationLevel::Full {
-            self.kv_precision
-        } else {
-            PrecisionPolicy::fp16()
-        }
+        PrecisionPolicy::from_legacy_compression(self.ablation == AblationLevel::Full)
     }
 
     /// The scheduler this configuration drives (performance path).
     pub fn scheduler(&self) -> AlisaScheduler {
-        let mut s =
-            AlisaScheduler::new(self.kv_sparsity, false).with_precision(self.kv_precision());
-        s.history_depth = self.history_depth;
+        let mut s = AlisaScheduler::new(self.kv_sparsity, self.ablation == AblationLevel::Full);
         if self.ablation == AblationLevel::SwaOnly {
             // Static scheduling: FlexGen-style placement, but with the
             // sparse working set.
@@ -167,7 +160,7 @@ impl Alisa {
         GenerationConfig {
             policy: PolicyKind::Swa,
             kv_sparsity: self.kv_sparsity as f32,
-            history_depth: self.history_depth,
+            history_depth: HISTORY_DEPTH,
             // The functional path stores each offloaded row at the
             // CPU-region precision (the hot GPU window stays FP16).
             kv_quant: self
@@ -190,9 +183,6 @@ impl Alisa {
 #[derive(Debug, Clone)]
 pub struct AlisaBuilder {
     kv_sparsity: f64,
-    kv_precision: PrecisionPolicy,
-    history_depth: usize,
-    plan: Option<Plan>,
     hardware: Option<HardwareSpec>,
     ablation: AblationLevel,
 }
@@ -201,9 +191,6 @@ impl Default for AlisaBuilder {
     fn default() -> Self {
         AlisaBuilder {
             kv_sparsity: 0.8,
-            kv_precision: PrecisionPolicy::int8(),
-            history_depth: HISTORY_DEPTH,
-            plan: None,
             hardware: None,
             ablation: AblationLevel::Full,
         }
@@ -219,36 +206,6 @@ impl AlisaBuilder {
     pub fn kv_sparsity(mut self, sparsity: f64) -> Self {
         assert!((0.0..1.0).contains(&sparsity), "sparsity must be in [0,1)");
         self.kv_sparsity = sparsity;
-        self
-    }
-
-    /// Enables/disables INT8 KV compression (paper §V-B) — shorthand
-    /// for the two legacy [`PrecisionPolicy`] operating points. Use
-    /// [`AlisaBuilder::kv_precision`] for mixed-precision policies.
-    pub fn kv_compression(mut self, on: bool) -> Self {
-        self.kv_precision = PrecisionPolicy::from_legacy_compression(on);
-        self
-    }
-
-    /// Sets the full per-cache-state-region KV precision policy, e.g.
-    /// [`PrecisionPolicy::mixed`] for GPU FP16 + CPU INT8 + an INT4
-    /// cold tail.
-    pub fn kv_precision(mut self, precision: PrecisionPolicy) -> Self {
-        self.kv_precision = precision;
-        self
-    }
-
-    /// Depth of SWA's local attention sum history.
-    pub fn history_depth(mut self, depth: usize) -> Self {
-        assert!(depth > 0, "history depth must be positive");
-        self.history_depth = depth;
-        self
-    }
-
-    /// Pins an explicit scheduling plan instead of the default
-    /// ([`AblationLevel::SwaOnly`] always runs [`Plan::STATIC`]).
-    pub fn plan(mut self, plan: Plan) -> Self {
-        self.plan = Some(plan);
         self
     }
 
@@ -269,9 +226,7 @@ impl AlisaBuilder {
     pub fn build(self) -> Alisa {
         Alisa {
             kv_sparsity: self.kv_sparsity,
-            kv_precision: self.kv_precision,
-            history_depth: self.history_depth,
-            plan: self.plan,
+            plan: None,
             hardware: self.hardware,
             ablation: self.ablation,
         }
@@ -303,6 +258,24 @@ mod tests {
         let full = Alisa::builder().ablation(AblationLevel::Full).build();
         assert!(full.scheduler().compresses_kv());
         assert_eq!(AblationLevel::Full.label(), "SWA+DS+INT8");
+        // Precision follows the level: INT8 offload only at `Full`, on
+        // both paths; FP16 everywhere below it.
+        for level in AblationLevel::ALL {
+            let a = Alisa::builder().ablation(level).build();
+            let full = level == AblationLevel::Full;
+            let expected = if full {
+                PrecisionPolicy::int8()
+            } else {
+                PrecisionPolicy::fp16()
+            };
+            assert_eq!(a.kv_precision(), expected, "{level:?}");
+            assert_eq!(a.scheduler().precision, expected, "{level:?}");
+            assert_eq!(
+                a.generation_config().kv_quant,
+                full.then_some(QuantBits::Int8),
+                "{level:?}"
+            );
+        }
     }
 
     #[test]
@@ -340,25 +313,5 @@ mod tests {
     #[should_panic(expected = "sparsity")]
     fn builder_rejects_bad_sparsity() {
         let _ = Alisa::builder().kv_sparsity(1.5);
-    }
-
-    #[test]
-    fn mixed_precision_policy_threads_through() {
-        let a = Alisa::builder()
-            .kv_precision(PrecisionPolicy::mixed())
-            .build();
-        let sched = a.scheduler();
-        assert!(sched.compresses_kv());
-        assert_eq!(sched.precision, PrecisionPolicy::mixed());
-        // Functional path stores offloaded rows at the CPU warm-share
-        // precision; the GPU hot window stays FP16.
-        assert_eq!(a.generation_config().kv_quant, Some(QuantBits::Int8));
-        // Non-full ablation levels disable compression entirely.
-        let swa = Alisa::builder()
-            .kv_precision(PrecisionPolicy::mixed())
-            .ablation(AblationLevel::SwaOnly)
-            .build();
-        assert!(swa.kv_precision().is_fp16_everywhere());
-        assert_eq!(swa.generation_config().kv_quant, None);
     }
 }

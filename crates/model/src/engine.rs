@@ -18,6 +18,9 @@ use serde::{Deserialize, Serialize};
 
 use crate::transformer::{KvState, StepPolicy, TinyTransformer};
 
+/// Floor on the per-step token budget, so short prefixes stay exact.
+pub const MIN_KEEP: usize = 4;
+
 /// How to run the model: sparsity policy, budget rule, storage precision,
 /// sampling parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -25,14 +28,12 @@ pub struct GenerationConfig {
     /// Token-selection policy.
     pub policy: PolicyKind,
     /// Target KV sparsity in `[0, 1)`: the budget at sequence length `n`
-    /// is `max(min_keep, round((1 - kv_sparsity) · n))`. Matches the
-    /// paper's "KV sparsity" x-axes (caching ratio `r = 1 − sparsity`).
+    /// is `round((1 - kv_sparsity) · n)`, floored at [`MIN_KEEP`]. Matches
+    /// the paper's "KV sparsity" x-axes (caching ratio `r = 1 − sparsity`).
     pub kv_sparsity: f32,
     /// Depth of the rolling attention history feeding SWA's local sum
     /// (the "multiple preceding steps" of §IV-B).
     pub history_depth: usize,
-    /// Floor on the token budget so short prefixes stay exact.
-    pub min_keep: usize,
     /// Optional reduced-precision KV storage (the paper's INT8 setting).
     pub kv_quant: Option<QuantBits>,
     /// Local share of the SWA budget (0.5 = the paper's even split).
@@ -54,7 +55,6 @@ impl Default for GenerationConfig {
             policy: PolicyKind::Dense,
             kv_sparsity: 0.0,
             history_depth: 8,
-            min_keep: 4,
             kv_quant: None,
             swa_local_fraction: 0.5,
             max_new_tokens: 32,
@@ -78,7 +78,7 @@ impl GenerationConfig {
     pub fn step_policy(&self, seq_len: usize) -> StepPolicy {
         let r = 1.0 - self.kv_sparsity.clamp(0.0, 0.999);
         let budget = ((seq_len as f32 * r).round() as usize)
-            .max(self.min_keep)
+            .max(MIN_KEEP)
             .min(seq_len.max(1));
         StepPolicy {
             kind: self.policy,
@@ -301,13 +301,12 @@ mod tests {
     fn step_policy_budget_follows_sparsity() {
         let cfg = GenerationConfig {
             kv_sparsity: 0.8,
-            min_keep: 2,
             ..GenerationConfig::default()
         };
         assert_eq!(cfg.step_policy(100).budget, 20);
         assert_eq!(
             cfg.step_policy(5).budget,
-            2.max((5.0_f32 * 0.2).round() as usize)
+            MIN_KEEP.max((5.0_f32 * 0.2).round() as usize)
         );
         // Budget never exceeds the sequence length.
         assert!(cfg.step_policy(1).budget <= 1);

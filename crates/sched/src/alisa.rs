@@ -36,10 +36,14 @@ use crate::report::RunReport;
 use crate::workload::Workload;
 use crate::InferenceSystem;
 
-/// History depth of SWA's local attention sum on the performance path:
-/// the scheduler's default, the `alisa` builder's default, and what
-/// serving admission prices selection at.
+/// History depth of SWA's local attention sum: what the scheduler and
+/// serving admission price selection at, and the depth the `alisa`
+/// front door's functional-path config runs.
 pub const HISTORY_DEPTH: usize = 4;
+
+/// Steps between the drift epochs of [`GlobalSetModel`]: the selected
+/// global set churns when an epoch rolls.
+const DRIFT_EPOCH: usize = 32;
 
 /// Streaming margin, in tokens, kept free for working-set tokens that
 /// stream through the GPU without being cached: the scheduler lowers
@@ -104,8 +108,6 @@ pub struct AlisaScheduler {
     /// Scheduling plan (defaults to [`Plan::default`]; tune with
     /// [`PlanOptimizer`]).
     pub plan: Plan,
-    /// History depth of SWA's local attention sum.
-    pub history_depth: usize,
 }
 
 impl AlisaScheduler {
@@ -123,7 +125,6 @@ impl AlisaScheduler {
             kv_sparsity,
             precision: PrecisionPolicy::from_legacy_compression(kv_compression),
             plan: Plan::default(),
-            history_depth: HISTORY_DEPTH,
         }
     }
 
@@ -165,14 +166,12 @@ impl AlisaScheduler {
 #[derive(Debug, Clone, Copy)]
 pub struct GlobalSetModel {
     seed: u64,
-    /// Steps between drift epochs (the set churns when epochs roll).
-    pub epoch: usize,
 }
 
 impl GlobalSetModel {
     /// Creates the model for one run.
     pub fn new(seed: u64) -> Self {
-        GlobalSetModel { seed, epoch: 32 }
+        GlobalSetModel { seed }
     }
 
     /// Scores position `p` at step `j`; higher = more likely selected.
@@ -180,7 +179,7 @@ impl GlobalSetModel {
         let hot = hash_unit(self.seed, p as u64);
         let drift = hash_unit(
             self.seed ^ 0xD21F,
-            (p as u64) << 20 | (j / self.epoch) as u64,
+            (p as u64) << 20 | (j / DRIFT_EPOCH) as u64,
         );
         let recency = p as f64 / seq_len.max(1) as f64;
         0.55 * hot + 0.2 * drift + 0.25 * recency
@@ -213,7 +212,7 @@ impl GlobalSetModel {
     /// buffers — the hot-path selection. The score
     /// `0.55·hot + 0.2·drift + 0.25·recency` factors into a per-position
     /// base (`hot` never changes; `drift` only changes when the
-    /// `j / epoch` bucket rolls) plus the step's recency tilt, so the
+    /// `j / DRIFT_EPOCH` bucket rolls) plus the step's recency tilt, so the
     /// base is kept in `scratch` across decode steps and extended
     /// incrementally as the selectable range grows. Selection then runs
     /// a partial sort over the precomputed scores under the *same*
@@ -235,7 +234,7 @@ impl GlobalSetModel {
         if k == 0 || range_end == 0 {
             return;
         }
-        let epoch = j / self.epoch;
+        let epoch = j / DRIFT_EPOCH;
         let TopKScratch {
             epoch_key,
             base,
@@ -295,7 +294,7 @@ impl GlobalSetModel {
 /// allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct TopKScratch {
-    /// Drift epoch (`j / epoch`) the cached bases were computed for.
+    /// Drift epoch (`j / DRIFT_EPOCH`) the cached bases were computed for.
     epoch_key: Option<usize>,
     /// `0.55·hot(p) + 0.2·drift(p, epoch)` for each cached position.
     base: Vec<f64>,
@@ -494,7 +493,7 @@ impl AlisaScheduler {
 
             // Price the step.
             let (mha, ffn) = sim.decode_compute(model, b, budget, efficiency::FLEXGEN);
-            let selection = sim.selection_overhead(model, b, seq_len, budget, self.history_depth);
+            let selection = sim.selection_overhead(model, b, seq_len, budget, HISTORY_DEPTH);
             let recompute_time = if recompute_tokens > 0 {
                 // K and V projection GEMMs per layer for the recomputed rows.
                 2.0 * model.num_layers as f64

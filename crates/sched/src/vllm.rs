@@ -21,38 +21,20 @@ use crate::common::{efficiency, SimBase, FP16};
 use crate::workload::Workload;
 use crate::InferenceSystem;
 
-/// vLLM's default KV page size, in tokens: the offline simulator's and
-/// serving admission's default block.
+/// vLLM's default KV page size, in tokens: the block of the offline
+/// simulator and of serving admission.
 pub const BLOCK_SIZE: usize = 16;
 
-/// The vLLM baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct VllmScheduler {
-    /// Tokens per KV block (vLLM's default page size is [`BLOCK_SIZE`]).
-    pub block_size: usize,
-}
-
-impl VllmScheduler {
-    /// vLLM with its default [`BLOCK_SIZE`]-token blocks.
-    pub fn new() -> Self {
-        VllmScheduler {
-            block_size: BLOCK_SIZE,
-        }
-    }
-}
-
-impl Default for VllmScheduler {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// The vLLM baseline, with [`BLOCK_SIZE`]-token KV blocks.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct VllmScheduler;
 
 impl VllmScheduler {
     /// How many sequences fit simultaneously: per-sequence KV rounded up
     /// to block granularity at the final length.
     fn wave_size(&self, model: &ModelConfig, wl: &Workload, headroom: u64) -> usize {
         let per_tok = model.kv_bytes_per_token(FP16);
-        let per_seq = reserved_bytes(wl.final_seq_len(), self.block_size, per_tok);
+        let per_seq = reserved_bytes(wl.final_seq_len(), BLOCK_SIZE, per_tok);
         if per_seq == 0 {
             return wl.batch_size;
         }
@@ -79,7 +61,7 @@ impl InferenceSystem for VllmScheduler {
             // vLLM preempts forever.
             return Err(OomError {
                 pool: "GPU".to_string(),
-                requested: reserved_bytes(wl.final_seq_len(), self.block_size, per_tok),
+                requested: reserved_bytes(wl.final_seq_len(), BLOCK_SIZE, per_tok),
                 in_use: sim.gpu.used(),
                 capacity: sim.gpu.capacity(),
             });
@@ -91,7 +73,7 @@ impl InferenceSystem for VllmScheduler {
             remaining -= b;
             // One wave: prefill + full decode with paged accounting.
             let wave_tok = per_tok * b as u64;
-            let mut reserved = reserved_bytes(wl.input_len, self.block_size, wave_tok);
+            let mut reserved = reserved_bytes(wl.input_len, BLOCK_SIZE, wave_tok);
             sim.gpu.alloc(MemClass::KvCache, reserved)?;
             sim.push_step(StepRecord {
                 mha_time: sim.prefill_compute(model, b, wl.input_len, efficiency::VLLM),
@@ -100,7 +82,7 @@ impl InferenceSystem for VllmScheduler {
 
             for j in 1..=wl.output_len {
                 let seq_len = wl.input_len + j;
-                let after = reserved_bytes(seq_len, self.block_size, wave_tok);
+                let after = reserved_bytes(seq_len, BLOCK_SIZE, wave_tok);
                 let delta = after - reserved;
                 reserved = after;
                 if delta > 0 {
@@ -127,7 +109,7 @@ mod tests {
 
     #[test]
     fn single_wave_when_memory_ample() {
-        let r = VllmScheduler::new().run(
+        let r = VllmScheduler.run(
             &ModelConfig::opt_6_7b(),
             &HardwareSpec::h100_80gb(),
             &Workload::alpaca(8),
@@ -143,13 +125,13 @@ mod tests {
         let model = ModelConfig::opt_6_7b();
         let hw = HardwareSpec::v100_16gb();
         let wl = Workload::alpaca(64);
-        let wave = VllmScheduler::new().wave_size(&model, &wl, {
+        let wave = VllmScheduler.wave_size(&model, &wl, {
             let mut sim = SimBase::new(&hw);
             sim.setup_resident(&model, &wl, true).unwrap();
             sim.gpu_kv_headroom()
         });
         assert!(wave > 0 && wave < 64, "expected waves, wave={wave}");
-        let r = VllmScheduler::new().run(&model, &hw, &wl);
+        let r = VllmScheduler.run(&model, &hw, &wl);
         assert!(r.outcome.is_completed(), "{}", r.summary());
         assert!(r.timeline.len() > 513, "multiple waves must add steps");
     }
@@ -158,8 +140,8 @@ mod tests {
     fn wave_serialization_hurts_throughput() {
         let model = ModelConfig::opt_6_7b();
         let hw = HardwareSpec::v100_16gb();
-        let small = VllmScheduler::new().run(&model, &hw, &Workload::alpaca(4));
-        let large = VllmScheduler::new().run(&model, &hw, &Workload::alpaca(64));
+        let small = VllmScheduler.run(&model, &hw, &Workload::alpaca(4));
+        let large = VllmScheduler.run(&model, &hw, &Workload::alpaca(64));
         assert!(small.outcome.is_completed() && large.outcome.is_completed());
         // Throughput should *not* scale 16× from b=4 to b=64.
         assert!(large.throughput() < small.throughput() * 16.0 * 0.8);
@@ -168,7 +150,7 @@ mod tests {
     #[test]
     fn zero_wave_is_oom() {
         // OPT-30B weights alone exceed a 16 GB V100 ⇒ setup OOM.
-        let r = VllmScheduler::new().run(
+        let r = VllmScheduler.run(
             &ModelConfig::opt_30b(),
             &HardwareSpec::v100_16gb(),
             &Workload::alpaca(4),

@@ -24,7 +24,7 @@ fn systems() -> Vec<Box<dyn InferenceSystem>> {
         Box::new(AlisaScheduler::new(0.8, true)),
         Box::new(AlisaScheduler::new(0.4, false)),
         Box::new(FlexGenScheduler::new()),
-        Box::new(VllmScheduler::new()),
+        Box::new(VllmScheduler),
         Box::new(AccelerateScheduler),
     ]
 }

@@ -9,10 +9,10 @@
 //! comparable under every pricing rule here:
 //!
 //! * [`AdmissionPolicy::VllmPaged`] reserves dense KV for the request's
-//!   final length, rounded up to paged-block granularity.
-//! * [`AdmissionPolicy::FlexGenStatic`] pins a static `1 − cpu_fraction`
-//!   share of dense KV on the GPU and pays CPU-delegated attention over
-//!   the host share every step.
+//!   final length, rounded up to [`vllm::BLOCK_SIZE`]-token blocks.
+//! * [`AdmissionPolicy::FlexGenStatic`] pins a static `1 −`
+//!   [`FLEXGEN_CPU_SHARE`] share of dense KV on the GPU and pays
+//!   CPU-delegated attention over the host share every step.
 //! * [`AdmissionPolicy::Alisa`] reserves only the sparse working set —
 //!   `(1 − sparsity) ×` dense KV plus a small streaming margin — so the
 //!   same HBM headroom admits a several-fold larger concurrent batch;
@@ -32,15 +32,20 @@ use serde::{Deserialize, Serialize};
 /// the top-k set; the locally-static half is pinned).
 const ALISA_RELOAD_FRAC: f64 = 0.02;
 
+/// Share of dense KV that FlexGen's static split keeps on the host in
+/// serving.
+pub const FLEXGEN_CPU_SHARE: f64 = 0.5;
+
 /// How a serving system accounts and admits KV memory.
 ///
 /// The three constructors give the paper's evaluated configurations;
-/// the enum variants stay public so sweeps can explore other operating
-/// points. ALISA's sparse reservation is the whole game — the same
-/// request costs it a fraction of what dense paged booking charges —
-/// and on top of it each cache-state region (GPU hot window,
-/// CPU-resident remainder, in-flight handoffs) is priced at its own
-/// [`PrecisionPolicy`] bit width:
+/// the [`AdmissionPolicy::Alisa`] variant's fields stay public so sweeps
+/// can explore other sparsity and precision points. ALISA's sparse
+/// reservation is the whole game — the same request costs it a fraction
+/// of what dense paged booking charges — and on top of it each
+/// cache-state region (GPU hot window, CPU-resident remainder,
+/// in-flight handoffs) is priced at its own [`PrecisionPolicy`] bit
+/// width:
 ///
 /// ```
 /// use alisa_model::ModelConfig;
@@ -79,16 +84,11 @@ pub enum AdmissionPolicy {
         /// flat halving.
         precision: PrecisionPolicy,
     },
-    /// vLLM-style dense paged KV.
-    VllmPaged {
-        /// Tokens per block (vLLM default [`vllm::BLOCK_SIZE`]).
-        block_size: usize,
-    },
-    /// FlexGen-style static GPU/CPU split.
-    FlexGenStatic {
-        /// Fraction of KV pinned on the host, in `[0, 1]`.
-        cpu_fraction: f64,
-    },
+    /// vLLM-style dense paged KV in [`vllm::BLOCK_SIZE`]-token blocks.
+    VllmPaged,
+    /// FlexGen-style static GPU/CPU split, with a [`FLEXGEN_CPU_SHARE`]
+    /// of KV pinned on the host.
+    FlexGenStatic,
 }
 
 impl AdmissionPolicy {
@@ -121,22 +121,20 @@ impl AdmissionPolicy {
 
     /// vLLM with its default block size.
     pub fn vllm() -> Self {
-        AdmissionPolicy::VllmPaged {
-            block_size: vllm::BLOCK_SIZE,
-        }
+        AdmissionPolicy::VllmPaged
     }
 
     /// FlexGen with a 50% host split.
     pub fn flexgen() -> Self {
-        AdmissionPolicy::FlexGenStatic { cpu_fraction: 0.5 }
+        AdmissionPolicy::FlexGenStatic
     }
 
     /// Name as used in figures.
     pub fn name(&self) -> &'static str {
         match self {
             AdmissionPolicy::Alisa { .. } => "ALISA",
-            AdmissionPolicy::VllmPaged { .. } => "vLLM",
-            AdmissionPolicy::FlexGenStatic { .. } => "FlexGen",
+            AdmissionPolicy::VllmPaged => "vLLM",
+            AdmissionPolicy::FlexGenStatic => "FlexGen",
         }
     }
 
@@ -144,7 +142,7 @@ impl AdmissionPolicy {
     /// simulators).
     pub fn efficiency(&self) -> f64 {
         match self {
-            AdmissionPolicy::VllmPaged { .. } => efficiency::VLLM,
+            AdmissionPolicy::VllmPaged => efficiency::VLLM,
             _ => efficiency::FLEXGEN,
         }
     }
@@ -162,11 +160,9 @@ impl AdmissionPolicy {
                 let resident = (final_seq_len as f64 * (1.0 - sparsity)).ceil() as u64;
                 (resident + alisa::MARGIN_TOKENS) * per_tok
             }
-            AdmissionPolicy::VllmPaged { block_size } => {
-                reserved_bytes(final_seq_len, block_size, per_tok)
-            }
-            AdmissionPolicy::FlexGenStatic { cpu_fraction } => {
-                let gpu_tokens = (final_seq_len as f64 * (1.0 - cpu_fraction)).ceil() as u64;
+            AdmissionPolicy::VllmPaged => reserved_bytes(final_seq_len, vllm::BLOCK_SIZE, per_tok),
+            AdmissionPolicy::FlexGenStatic => {
+                let gpu_tokens = (final_seq_len as f64 * (1.0 - FLEXGEN_CPU_SHARE)).ceil() as u64;
                 gpu_tokens * per_tok
             }
         }
@@ -185,10 +181,8 @@ impl AdmissionPolicy {
     pub fn attended_tokens(&self, seq_len: usize) -> usize {
         match *self {
             AdmissionPolicy::Alisa { sparsity, .. } => resident_tokens(seq_len, 1.0 - sparsity),
-            AdmissionPolicy::VllmPaged { .. } => seq_len,
-            AdmissionPolicy::FlexGenStatic { cpu_fraction } => {
-                resident_tokens(seq_len, 1.0 - cpu_fraction)
-            }
+            AdmissionPolicy::VllmPaged => seq_len,
+            AdmissionPolicy::FlexGenStatic => resident_tokens(seq_len, 1.0 - FLEXGEN_CPU_SHARE),
         }
     }
 
@@ -246,17 +240,15 @@ impl AdmissionPolicy {
                 };
                 selection + sim.cost.transfer_time(link_bytes) + quant
             }
-            AdmissionPolicy::VllmPaged { .. } => 0.0,
-            AdmissionPolicy::FlexGenStatic { cpu_fraction } => {
-                if cpu_fraction <= 0.0 {
-                    return 0.0;
-                }
+            AdmissionPolicy::VllmPaged => 0.0,
+            AdmissionPolicy::FlexGenStatic => {
                 // Host-delegated attention touches the CPU share of
                 // every cached token, every step, plus the query/partial
                 // result exchange and the new token's host share.
-                let cpu_bytes = (b as f64 * mean_seq as f64 * cpu_fraction * per_tok as f64) as u64;
+                let cpu_bytes =
+                    (b as f64 * mean_seq as f64 * FLEXGEN_CPU_SHARE * per_tok as f64) as u64;
                 let qr_bytes = delegated_attention_qr_bytes(b, model.hidden_dim);
-                let store = (b as f64 * cpu_fraction * per_tok as f64) as u64;
+                let store = (b as f64 * FLEXGEN_CPU_SHARE * per_tok as f64) as u64;
                 sim.cost.cpu_pack_time(cpu_bytes) + sim.cost.transfer_time(qr_bytes + store)
             }
         }

@@ -82,41 +82,29 @@ impl TimelineRec {
     }
 }
 
-/// Session-KV retention budget: when set, a request's KV working set is
-/// kept resident after it finishes (if a later turn of its session
-/// exists in the trace), so the follow-up turn can skip prefilling the
-/// shared conversation prefix. Retained caches are LRU-evicted whenever
-/// admission needs the room — retention competes for HBM, it never
-/// blocks a live request.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RetentionCfg {
-    /// Fraction of the replica's KV budget retained session caches may
-    /// occupy, in `[0, 1]`.
-    pub budget_frac: f64,
-}
+/// Session-KV retention: when set, a request's KV working set is kept
+/// resident after it finishes (if a later turn of its session exists in
+/// the trace), so the follow-up turn can skip prefilling the shared
+/// conversation prefix. Retained caches may occupy
+/// [`RetentionCfg::BUDGET_SHARE`] of the replica's KV budget and are
+/// LRU-evicted whenever admission needs the room — retention competes
+/// for HBM, it never blocks a live request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct RetentionCfg;
 
 impl RetentionCfg {
-    /// A retention budget of `budget_frac` of the KV budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `budget_frac` is in `[0, 1]`.
-    pub fn new(budget_frac: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&budget_frac),
-            "budget_frac must be in [0, 1]"
-        );
-        RetentionCfg { budget_frac }
-    }
+    /// Share of the replica's KV budget retained session caches may
+    /// occupy.
+    pub const BUDGET_SHARE: f64 = 0.5;
 
-    /// The default operating point: half the KV budget.
+    /// Retention at [`RetentionCfg::BUDGET_SHARE`], half the KV budget.
     pub fn half() -> Self {
-        RetentionCfg::new(0.5)
+        RetentionCfg
     }
 
     /// Retained-pool byte ceiling for a replica KV budget.
     pub(crate) fn pool_bytes(&self, budget: u64) -> u64 {
-        (budget as f64 * self.budget_frac) as u64
+        (budget as f64 * Self::BUDGET_SHARE) as u64
     }
 }
 
@@ -276,45 +264,26 @@ impl ServeEngine {
         &self.cfg
     }
 
-    /// GPU bytes this engine reserves for one request (KV working set
-    /// per the policy, plus the request's prefill activation
-    /// workspace).
-    pub fn reservation_bytes(&self, prompt_len: usize, output_len: usize) -> u64 {
-        self.reuse_reservation_bytes(prompt_len, output_len, prompt_len)
-    }
-
-    /// GPU bytes reserved for a request admitted with only `new_tokens`
-    /// of its prompt actually prefilled — the rest is a reused session
-    /// prefix whose KV is already resident (it becomes part of this
-    /// request's live reservation, so the KV term covers the full final
-    /// length), and the prefill activation workspace shrinks to the
-    /// suffix. With `new_tokens == prompt_len` this is exactly
-    /// [`ServeEngine::reservation_bytes`].
-    pub fn reuse_reservation_bytes(
-        &self,
-        prompt_len: usize,
-        output_len: usize,
-        new_tokens: usize,
-    ) -> u64 {
+    /// GPU bytes this engine reserves for a request of `prompt_len`
+    /// prompt and `output_len` output tokens that prefills `prefilled`
+    /// tokens here: the policy's KV working set at the final length,
+    /// plus a prefill activation workspace of `prefilled` tokens.
+    ///
+    /// A fresh request prefills its whole prompt. A session-reuse hit
+    /// prefills only the suffix past its retained prefix, whose KV
+    /// becomes part of this reservation (so the KV term still covers
+    /// the full final length). A decode replica receiving a handed-off
+    /// prompt books 1 token: it never runs the prompt through the model.
+    /// A preempted request re-prefills its whole built context
+    /// ([`Request::seq_len`]) and owes its
+    /// [`Request::remaining_output_len`].
+    pub fn reservation_bytes(&self, prompt_len: usize, output_len: usize, prefilled: usize) -> u64 {
         let kv = self
             .cfg
             .policy
             .gpu_kv_bytes(&self.cfg.model, prompt_len + output_len);
-        let act = self.cfg.model.activation_bytes_per_seq(FP16) * new_tokens as u64;
+        let act = self.cfg.model.activation_bytes_per_seq(FP16) * prefilled as u64;
         kv + act
-    }
-
-    /// GPU bytes reserved for a request admitted *decode-only* — its
-    /// prompt KV was prefilled on another replica and shipped over.
-    /// Same policy KV working set as [`ServeEngine::reservation_bytes`],
-    /// but only a single-token activation workspace: the decode replica
-    /// never runs the prompt through the model.
-    pub fn decode_reservation_bytes(&self, prompt_len: usize, output_len: usize) -> u64 {
-        let kv = self
-            .cfg
-            .policy
-            .gpu_kv_bytes(&self.cfg.model, prompt_len + output_len);
-        kv + self.cfg.model.activation_bytes_per_seq(FP16)
     }
 
     /// Bytes of prefilled KV state that must travel to a decode replica
@@ -415,19 +384,6 @@ impl ServeEngine {
             step_time += cfg.policy.step_overhead(sim, model, batch, mean_seq.max(1));
         }
         step_time
-    }
-
-    /// Reservation a *preempted* request books on re-admission: the
-    /// same final-length KV working set it held before (its final
-    /// sequence length is unchanged), plus a prefill activation
-    /// workspace covering the full context it must rebuild. Session
-    /// reuse can only shrink this, exactly like a fresh admission.
-    pub fn requeue_reservation_bytes(&self, req: &Request) -> u64 {
-        self.reuse_reservation_bytes(
-            req.restart_prompt_len(),
-            req.remaining_output_len(),
-            req.restart_prompt_len(),
-        )
     }
 
     /// Wall-clock cost of restarting a running request if it were

@@ -97,7 +97,7 @@ pub use engine::{derived_slo, ClosedLoopCfg, PrefillJob, RetentionCfg, ServeConf
 pub use metrics::{LatencyStats, ServeReport, ServeSample, SloSpec};
 pub use request::{RejectReason, Request, RequestState};
 pub use router::{
-    AutoscalerCfg, DisaggCfg, DispatchIndex, FailureEvent, FailurePlan, FleetDynamicsStats,
-    LoadBalancePolicy, Router, RouterConfig, RouterReport,
+    DisaggCfg, DispatchIndex, FailureEvent, FailurePlan, FleetDynamicsStats, LoadBalancePolicy,
+    Router, RouterConfig, RouterReport,
 };
 pub use trace::{SessionRef, Trace, TraceEntry, TraceError};

@@ -435,7 +435,11 @@ impl Replica {
             let default_res = |id: usize| -> u64 {
                 let req = &reqs.req[id];
                 if req.state == RequestState::Preempted {
-                    engine.requeue_reservation_bytes(req)
+                    engine.reservation_bytes(
+                        req.seq_len(),
+                        req.remaining_output_len(),
+                        req.seq_len(),
+                    )
                 } else {
                     reqs.res[id]
                 }
@@ -694,7 +698,7 @@ impl Replica {
         // built (prompt + kept progress) and owes only its remaining
         // output; a fresh request is just its trace lengths.
         let (eff_prompt, eff_output) = if req.state == RequestState::Preempted {
-            (req.restart_prompt_len(), req.remaining_output_len())
+            (req.seq_len(), req.remaining_output_len())
         } else {
             (req.prompt_len, req.output_len)
         };
@@ -706,7 +710,7 @@ impl Replica {
             Some((seq, _)) => {
                 let new_tokens = (eff_prompt - seq).max(1);
                 (
-                    engine.reuse_reservation_bytes(eff_prompt, eff_output, new_tokens),
+                    engine.reservation_bytes(eff_prompt, eff_output, new_tokens),
                     seq,
                 )
             }
@@ -765,7 +769,9 @@ impl Replica {
             if self.reserved - res + cand_res > self.budget {
                 continue;
             }
-            if engine.requeue_reservation_bytes(req) > self.budget {
+            let restart_res =
+                engine.reservation_bytes(req.seq_len(), req.remaining_output_len(), req.seq_len());
+            if restart_res > self.budget {
                 continue; // evicting it would strand it forever
             }
             let cost = engine.restart_cost(req);

@@ -138,16 +138,9 @@ impl Request {
         })
     }
 
-    /// Current sequence length: prompt plus generated tokens.
+    /// Current sequence length: prompt plus generated tokens — for a
+    /// *preempted* request, the context it must rebuild on re-admission.
     pub fn seq_len(&self) -> usize {
-        self.prompt_len + self.generated
-    }
-
-    /// The context a *preempted* request must rebuild on re-admission:
-    /// its original prompt plus every token it had generated before
-    /// eviction. Equals the plain prompt length for a request that was
-    /// never admitted.
-    pub fn restart_prompt_len(&self) -> usize {
         self.prompt_len + self.generated
     }
 
@@ -235,13 +228,12 @@ mod tests {
     #[test]
     fn restart_lengths_track_progress() {
         let mut r = Request::from_entry(0, &entry(0.0, 100, 40)).unwrap();
-        assert_eq!(r.restart_prompt_len(), 100);
+        assert_eq!(r.seq_len(), 100);
         assert_eq!(r.remaining_output_len(), 40);
         r.generated = 25;
         r.state = RequestState::Preempted;
-        assert_eq!(r.restart_prompt_len(), 125);
-        assert_eq!(r.remaining_output_len(), 15);
         assert_eq!(r.seq_len(), 125);
+        assert_eq!(r.remaining_output_len(), 15);
     }
 
     #[test]

@@ -21,9 +21,10 @@
 //!   decode replicas, with the KV transfer charged through the memsim
 //!   cost model (`CostModel::replica_transfer_time_at`, via
 //!   [`ServeEngine::kv_handoff_time`]),
-//! * fleet dynamics — an [`AutoscalerCfg`]-driven control loop that
-//!   brings standby replicas up and drains them back down from
-//!   observed SLO attainment and KV pressure over a sliding window,
+//! * fleet dynamics — an autoscaler control loop
+//!   ([`RouterConfig::with_autoscaler`]) that brings standby replicas
+//!   up and drains them back down from observed SLO attainment and KV
+//!   pressure over a sliding window,
 //!   and seeded [`FailurePlan`] replica kills whose in-flight sessions
 //!   re-prefill on survivors (the lost-KV rebuild priced through
 //!   [`ServeEngine::step_time`], retention state discarded),
@@ -154,37 +155,13 @@ const TARGET_ATTAINMENT: f64 = 0.9;
 const PRESSURE_HIGH: f64 = 0.7;
 /// The autoscaler drains only while mean KV pressure is below this.
 const PRESSURE_LOW: f64 = 0.3;
+/// Replicas that always admit: the autoscaler's initial fleet, which it
+/// never drains below.
+const MIN_REPLICAS: usize = 1;
 /// Simulation seconds between autoscaler evaluations.
 const SCALE_INTERVAL_S: f64 = 1.0;
 /// Sliding window (seconds) the SLO-attainment signal is computed over.
 const SCALE_WINDOW_S: f64 = 4.0;
-
-/// The autoscaler control loop: every `SCALE_INTERVAL_S` (1 s) of
-/// simulation time the router reads three signals — SLO attainment over
-/// the requests finished in the trailing `SCALE_WINDOW_S` (4 s), mean
-/// KV pressure across the admitting replicas, and the worst current
-/// queue wait of a request still awaiting first service — and either
-/// brings one standby replica up (overload: attainment below 90%,
-/// pressure above 70%, or a wait past the TTFT budget) or starts
-/// draining the emptiest admitting replica (sustained headroom:
-/// attainment at least 90%, pressure below 30%, and every wait under
-/// half the TTFT budget). A draining replica stops admitting, hands its
-/// queued requests to survivors, finishes what is running, and goes
-/// standby; `RouterConfig::replicas.len()` is the fleet ceiling,
-/// `min_replicas` the floor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct AutoscalerCfg {
-    /// Replicas that always admit (the initial fleet). Must be at
-    /// least 1 and at most the configured replica count.
-    pub min_replicas: usize,
-}
-
-impl AutoscalerCfg {
-    /// An autoscaler that never drains below `min_replicas`.
-    pub fn new(min_replicas: usize) -> Self {
-        AutoscalerCfg { min_replicas }
-    }
-}
 
 /// One injected replica kill.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -285,15 +262,15 @@ pub struct RouterConfig {
     pub requeue_on_reject: bool,
     /// Prefill/decode disaggregation, if enabled.
     pub disagg: Option<DisaggCfg>,
-    /// Autoscaler control loop, if enabled. Replicas beyond
-    /// `min_replicas` start standby and come up on demand;
-    /// incompatible with disaggregation.
-    #[serde(default)]
-    pub autoscaler: Option<AutoscalerCfg>,
-    /// Injected replica kills, if any; incompatible with
+    /// Whether the autoscaler control loop runs (see
+    /// [`RouterConfig::with_autoscaler`]); incompatible with
     /// disaggregation.
     #[serde(default)]
-    pub failures: Option<FailurePlan>,
+    pub autoscaler: bool,
+    /// Injected replica kills (none by default); incompatible with
+    /// disaggregation.
+    #[serde(default)]
+    pub failures: FailurePlan,
 }
 
 impl RouterConfig {
@@ -305,8 +282,8 @@ impl RouterConfig {
             lb: LoadBalancePolicy::RoundRobin,
             requeue_on_reject: false,
             disagg: None,
-            autoscaler: None,
-            failures: None,
+            autoscaler: false,
+            failures: FailurePlan::default(),
         }
     }
 
@@ -328,8 +305,8 @@ impl RouterConfig {
             lb: LoadBalancePolicy::RoundRobin,
             requeue_on_reject: false,
             disagg: None,
-            autoscaler: None,
-            failures: None,
+            autoscaler: false,
+            failures: FailurePlan::default(),
         }
     }
 
@@ -358,15 +335,28 @@ impl RouterConfig {
         self
     }
 
-    /// Enables the autoscaler control loop.
-    pub fn with_autoscaler(mut self, autoscaler: AutoscalerCfg) -> Self {
-        self.autoscaler = Some(autoscaler);
+    /// Enables the autoscaler control loop: every `SCALE_INTERVAL_S`
+    /// (1 s) of simulation time the router reads three signals — SLO
+    /// attainment over the requests finished in the trailing
+    /// `SCALE_WINDOW_S` (4 s), mean KV pressure across the admitting
+    /// replicas, and the worst current queue wait of a request still
+    /// awaiting first service — and either brings one standby replica
+    /// up (overload: attainment below 90%, pressure above 70%, or a
+    /// wait past the TTFT budget) or starts draining the emptiest
+    /// admitting replica (sustained headroom: attainment at least 90%,
+    /// pressure below 30%, and every wait under half the TTFT budget).
+    /// A draining replica stops admitting, hands its queued requests to
+    /// survivors, finishes what is running, and goes standby. Replica 0
+    /// always admits (the floor); the others start standby, and
+    /// `replicas.len()` is the fleet ceiling.
+    pub fn with_autoscaler(mut self) -> Self {
+        self.autoscaler = true;
         self
     }
 
     /// Injects the given replica-failure plan.
     pub fn with_failures(mut self, failures: FailurePlan) -> Self {
-        self.failures = Some(failures);
+        self.failures = failures;
         self
     }
 }
@@ -800,9 +790,11 @@ impl Router {
     /// # Panics
     ///
     /// Panics if the replica list is empty, the replicas disagree on
-    /// closed-loop gating, a sticky policy has zero sessions, or a
+    /// closed-loop gating, a sticky policy has zero sessions, a
     /// disaggregation split does not leave at least one prefill and
-    /// one decode replica.
+    /// one decode replica, a failure plan kills a replica outside the
+    /// fleet or at a negative or non-finite time, or an autoscaler or
+    /// a non-empty failure plan is combined with disaggregation.
     pub fn new(cfg: RouterConfig) -> Self {
         assert!(!cfg.replicas.is_empty(), "router needs at least 1 replica");
         let closed_loop = cfg.replicas[0].closed_loop;
@@ -819,33 +811,25 @@ impl Router {
                 "disaggregation needs >= 1 prefill and >= 1 decode replica"
             );
         }
-        if let Some(a) = cfg.autoscaler {
+        assert!(
+            !cfg.autoscaler || cfg.disagg.is_none(),
+            "fleet dynamics require a unified fleet (no disaggregation)"
+        );
+        for k in &cfg.failures.kills {
             assert!(
-                a.min_replicas >= 1 && a.min_replicas <= cfg.replicas.len(),
-                "autoscaler floor must be in 1..=replicas"
+                k.replica < cfg.replicas.len(),
+                "failure plan kills replica {} outside the fleet",
+                k.replica
             );
             assert!(
-                cfg.disagg.is_none(),
-                "fleet dynamics require a unified fleet (no disaggregation)"
-            );
-        }
-        if let Some(p) = &cfg.failures {
-            for k in &p.kills {
-                assert!(
-                    k.replica < cfg.replicas.len(),
-                    "failure plan kills replica {} outside the fleet",
-                    k.replica
-                );
-                assert!(
-                    k.t.is_finite() && k.t >= 0.0,
-                    "failure times must be finite and non-negative"
-                );
-            }
-            assert!(
-                p.kills.is_empty() || cfg.disagg.is_none(),
-                "fleet dynamics require a unified fleet (no disaggregation)"
+                k.t.is_finite() && k.t >= 0.0,
+                "failure times must be finite and non-negative"
             );
         }
+        assert!(
+            cfg.failures.kills.is_empty() || cfg.disagg.is_none(),
+            "fleet dynamics require a unified fleet (no disaggregation)"
+        );
         let engines = cfg.replicas.iter().cloned().map(ServeEngine::new).collect();
         Router {
             cfg,
@@ -954,8 +938,8 @@ impl<'a> FleetRun<'a> {
                 Replica::new(eng, i, role, requeue, reference_paths)
             })
             .collect();
-        if let Some(a) = cfg.autoscaler {
-            for s in states.iter_mut().skip(a.min_replicas) {
+        if cfg.autoscaler {
+            for s in states.iter_mut().skip(MIN_REPLICAS) {
                 s.life = Lifecycle::Standby;
             }
         }
@@ -974,8 +958,7 @@ impl<'a> FleetRun<'a> {
             }
             _ => None,
         };
-        let dynamic =
-            cfg.autoscaler.is_some() || cfg.failures.as_ref().is_some_and(|p| !p.kills.is_empty());
+        let dynamic = cfg.autoscaler || !cfg.failures.kills.is_empty();
         let reqs = Reqs::new(trace);
         let n = reqs.req.len();
         let mut run = FleetRun {
@@ -997,10 +980,10 @@ impl<'a> FleetRun<'a> {
             handoffs: 0,
             obs: ObsCtx::new(sink),
         };
-        for kill in cfg.failures.iter().flat_map(|p| &p.kills) {
+        for kill in &cfg.failures.kills {
             run.push(kill.t, EvKind::Fail(kill.replica));
         }
-        if cfg.autoscaler.is_some() {
+        if cfg.autoscaler {
             run.push(SCALE_INTERVAL_S, EvKind::Scale);
         }
         run
@@ -1104,8 +1087,7 @@ impl<'a> FleetRun<'a> {
             EvKind::Requeue { id, from } => self.dispatch::<TRACED>(id, ev.t, Some(from)),
             EvKind::Handoff(id) => self.handoff::<TRACED>(id, ev.t),
             EvKind::Scale => {
-                let a = self.cfg.autoscaler.expect("Scale implies an autoscaler");
-                self.scale_tick::<TRACED>(ev.t, &a);
+                self.scale_tick::<TRACED>(ev.t);
                 // The tick was just popped and is the only one, so the
                 // heap holds workload events alone. Re-arming only while
                 // some remain, arrivals remain, or a replica is busy
@@ -1246,7 +1228,7 @@ impl<'a> FleetRun<'a> {
         // it is rejected up front.
         if self.cfg.disagg.is_some()
             && !self.states.iter().any(|s| {
-                s.tier() == 1 && engines[s.idx].decode_reservation_bytes(prompt, output) <= s.budget
+                s.tier() == 1 && engines[s.idx].reservation_bytes(prompt, output, 1) <= s.budget
             })
         {
             self.reject::<TRACED>(id, at, || {
@@ -1264,7 +1246,7 @@ impl<'a> FleetRun<'a> {
             });
             return;
         };
-        let first_res = engines[first].reservation_bytes(prompt, output);
+        let first_res = engines[first].reservation_bytes(prompt, output, prompt);
         let budget = self.states[first].budget;
         let target = if first_res <= budget {
             Some((first, first_res))
@@ -1277,7 +1259,7 @@ impl<'a> FleetRun<'a> {
                     s.tier() == 0 && Some(s.idx) != exclude && s.idx != first && s.is_admitting()
                 })
                 .find_map(|s| {
-                    let res = engines[s.idx].reservation_bytes(prompt, output);
+                    let res = engines[s.idx].reservation_bytes(prompt, output, prompt);
                     (res <= s.budget).then_some((s.idx, res))
                 })
         } else {
@@ -1320,7 +1302,7 @@ impl<'a> FleetRun<'a> {
         let key = req.session.map_or(id, |s| s.session_id);
         let to = self
             .choose(1, key, |s| {
-                engines[s.idx].decode_reservation_bytes(prompt, output) <= s.budget
+                engines[s.idx].reservation_bytes(prompt, output, 1) <= s.budget
             })
             .expect("dispatch admitted only decodable requests");
         if TRACED {
@@ -1342,12 +1324,7 @@ impl<'a> FleetRun<'a> {
                 },
             });
         }
-        self.place(
-            id,
-            to,
-            at,
-            engines[to].decode_reservation_bytes(prompt, output),
-        );
+        self.place(id, to, at, engines[to].reservation_bytes(prompt, output, 1));
     }
 
     /// Re-homes one request off replica `from` (draining or failed) at
@@ -1371,11 +1348,12 @@ impl<'a> FleetRun<'a> {
         let engines = self.engines;
         let snapshot = self.reqs.req[id].clone();
         let needed = |i: usize| -> u64 {
-            if snapshot.state == RequestState::Preempted {
-                engines[i].requeue_reservation_bytes(&snapshot)
+            let (prompt, output) = if snapshot.state == RequestState::Preempted {
+                (snapshot.seq_len(), snapshot.remaining_output_len())
             } else {
-                engines[i].reservation_bytes(snapshot.prompt_len, snapshot.output_len)
-            }
+                (snapshot.prompt_len, snapshot.output_len)
+            };
+            engines[i].reservation_bytes(prompt, output, prompt)
         };
         let key = snapshot.session.map_or(id, |s| s.session_id);
         let Some(to) = self.choose(0, key, |s| s.idx != from && needed(s.idx) <= s.budget) else {
@@ -1481,7 +1459,7 @@ impl<'a> FleetRun<'a> {
     /// starts draining the emptiest admitting replica (sustained
     /// headroom, above the floor). Every signal is pure simulation
     /// state, so the control loop is deterministic per seed.
-    fn scale_tick<const TRACED: bool>(&mut self, at: f64, a: &AutoscalerCfg) {
+    fn scale_tick<const TRACED: bool>(&mut self, at: f64) {
         let slo = self.engines[0].config().slo;
         let lo = at - SCALE_WINDOW_S;
         let (mut fin, mut met) = (0usize, 0usize);
@@ -1556,14 +1534,14 @@ impl<'a> FleetRun<'a> {
                     },
                 });
             }
-        } else if calm && ups > a.min_replicas {
+        } else if calm && ups > MIN_REPLICAS {
             // Drain the emptiest admitting replica; ties prefer the
             // highest index so the low indices (the permanent floor)
             // stay up.
             let s = (self.states.iter_mut())
                 .filter(|s| s.life == Lifecycle::Up)
                 .min_by_key(|s| (s.outstanding(), std::cmp::Reverse(s.idx)))
-                .expect("ups > min_replicas >= 1");
+                .expect("ups > MIN_REPLICAS >= 1");
             s.life = Lifecycle::Draining;
             s.t = s.t.max(at);
             let r = s.idx;
@@ -1925,8 +1903,8 @@ mod tests {
             disagg: Some(DisaggCfg {
                 prefill_replicas: 1,
             }),
-            autoscaler: None,
-            failures: None,
+            autoscaler: false,
+            failures: FailurePlan::default(),
         };
         let router = Router::new(cfg);
         let entries: Vec<crate::trace::TraceEntry> = (0..4)
@@ -1935,8 +1913,8 @@ mod tests {
         let trace = Trace::new(entries).unwrap();
         // Sanity: the request really is infeasible on the vLLM decode
         // replica and feasible on the ALISA one.
-        let vllm_res = router.engines[1].decode_reservation_bytes(6000, 2200);
-        let alisa_res = router.engines[2].decode_reservation_bytes(6000, 2200);
+        let vllm_res = router.engines[1].reservation_bytes(6000, 2200, 1);
+        let alisa_res = router.engines[2].reservation_bytes(6000, 2200, 1);
         assert!(vllm_res > router.engines[1].kv_budget());
         assert!(alisa_res <= router.engines[2].kv_budget());
         let r = router.run(&trace);
@@ -2065,7 +2043,7 @@ mod tests {
         let auto = Router::new(
             RouterConfig::homogeneous(cfg.clone(), 4)
                 .with_lb(LoadBalancePolicy::LeastOutstanding)
-                .with_autoscaler(AutoscalerCfg::new(1)),
+                .with_autoscaler(),
         )
         .run(&trace);
         let d = auto.dynamics.expect("autoscaled run reports dynamics");
@@ -2084,7 +2062,7 @@ mod tests {
         let again = Router::new(
             RouterConfig::homogeneous(cfg, 4)
                 .with_lb(LoadBalancePolicy::LeastOutstanding)
-                .with_autoscaler(AutoscalerCfg::new(1)),
+                .with_autoscaler(),
         )
         .run(&trace);
         assert_eq!(auto.canonical_text(), again.canonical_text());

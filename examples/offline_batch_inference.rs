@@ -72,18 +72,14 @@ fn main() {
         100.0 * agree as f64 / total as f64
     );
 
-    // And with INT8 KV compression on top (full ALISA):
-    let full = Alisa::builder()
-        .kv_sparsity(0.7)
-        .kv_compression(true)
-        .build();
+    // The builder's default is full ALISA, INT8 KV compression on top:
     let prompt = corpus.sequence(0, prompt_len);
     let gen = generate(
         &model,
         &prompt,
         &GenerationConfig {
             max_new_tokens: new_tokens,
-            ..full.generation_config()
+            ..alisa.generation_config()
         },
     );
     println!(

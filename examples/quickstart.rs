@@ -13,10 +13,7 @@ use alisa_sched::{FlexGenScheduler, InferenceSystem, VllmScheduler, Workload};
 fn main() {
     // The paper's headline configuration: 80% KV sparsity + INT8 KV
     // compression, on the paper's model↦GPU pairing.
-    let alisa = Alisa::builder()
-        .kv_sparsity(0.8)
-        .kv_compression(true)
-        .build();
+    let alisa = Alisa::builder().kv_sparsity(0.8).build();
 
     let model = ModelConfig::opt_6_7b();
     let hw = HardwareSpec::for_model_params(model.params());
@@ -33,7 +30,7 @@ fn main() {
     // The baselines the paper compares against.
     for sys in [
         Box::new(FlexGenScheduler::new()) as Box<dyn InferenceSystem>,
-        Box::new(VllmScheduler::new()),
+        Box::new(VllmScheduler),
     ] {
         let r = sys.run(&model, &hw, &wl);
         println!("{}", r.summary());

@@ -24,8 +24,8 @@
 use alisa::PrecisionPolicy;
 use alisa_sched::{GlobalSetModel, TopKScratch};
 use alisa_serve::{
-    AdmissionPolicy, AutoscalerCfg, FailurePlan, LoadBalancePolicy, MemorySink, QueueDiscipline,
-    RetentionCfg, Router, RouterConfig, ServeConfig, ServeEngine, Trace, TraceEntry,
+    AdmissionPolicy, FailurePlan, LoadBalancePolicy, MemorySink, QueueDiscipline, RetentionCfg,
+    Router, RouterConfig, ServeConfig, ServeEngine, Trace, TraceEntry,
 };
 use proptest::prelude::*;
 
@@ -257,7 +257,7 @@ proptest! {
             cfg = cfg.with_failures(FailurePlan::seeded(plan_seed, kills, replicas, horizon));
         }
         if autoscale == 1 {
-            cfg = cfg.with_autoscaler(AutoscalerCfg::new(1));
+            cfg = cfg.with_autoscaler();
         }
         let optimized = Router::new(cfg.clone());
         let reference = Router::new(cfg).with_reference_paths(true);
@@ -359,7 +359,7 @@ proptest! {
     /// reproduce the reference comparator exactly — walked like the
     /// scheduler walks it: one persistent scratch across a growing
     /// decode range, stepping through drift-epoch boundaries (the
-    /// default epoch is 32 steps), with `k` free to exceed the range.
+    /// epoch is 32 steps), with `k` free to exceed the range.
     #[test]
     fn pick_into_matches_pick_across_decode_walks(
         seed in 0u64..(1 << 60),

@@ -35,10 +35,7 @@ fn functional_generation_under_every_policy() {
 
 #[test]
 fn simulation_and_functional_paths_share_configuration() {
-    let alisa = Alisa::builder()
-        .kv_sparsity(0.8)
-        .kv_compression(true)
-        .build();
+    let alisa = Alisa::builder().kv_sparsity(0.8).build();
     // Performance path.
     let report = alisa.simulate(&ModelConfig::opt_6_7b(), &Workload::new(8, 64, 32));
     assert!(report.outcome.is_completed());
@@ -90,7 +87,6 @@ fn alisa_beats_flexgen_under_memory_pressure() {
     let wl = Workload::new(32, 128, 256);
     let alisa = Alisa::builder()
         .kv_sparsity(0.8)
-        .kv_compression(true)
         .hardware(hw.clone())
         .build();
     let a = alisa.simulate(&model, &wl);
@@ -109,18 +105,17 @@ fn quantized_run_reduces_cpu_footprint() {
     let model = ModelConfig::opt_6_7b();
     let hw = HardwareSpec::v100_16gb();
     let wl = Workload::new(32, 128, 256);
-    let plain = Alisa::builder()
-        .kv_sparsity(0.8)
-        .kv_compression(false)
-        .hardware(hw.clone())
-        .build()
-        .simulate(&model, &wl);
-    let compressed = Alisa::builder()
-        .kv_sparsity(0.8)
-        .kv_compression(true)
-        .hardware(hw)
-        .build()
-        .simulate(&model, &wl);
+    // `Full` is `SwaDynamicSched` plus INT8 KV compression.
+    let at = |level| {
+        Alisa::builder()
+            .kv_sparsity(0.8)
+            .hardware(hw.clone())
+            .ablation(level)
+            .build()
+            .simulate(&model, &wl)
+    };
+    let plain = at(AblationLevel::SwaDynamicSched);
+    let compressed = at(AblationLevel::Full);
     assert!(
         compressed.timeline.peak_cpu_mem() < plain.timeline.peak_cpu_mem(),
         "INT8 must halve CPU-resident KV bytes"

@@ -236,6 +236,21 @@ fn events_without_a_path_is_rejected() {
     }
 }
 
+/// An `--events` path that cannot be created is an error report, not a
+/// panic: exit 2 with the path and the I/O error on stderr.
+#[test]
+fn events_path_that_cannot_be_created_is_rejected() {
+    let path = "/nonexistent/dir/x.jsonl";
+    let out = launch_quick("fig13_online_serving", &["--events", path]);
+    assert_eq!(out.status.code(), Some(2), "must exit 2");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(&format!("cannot create events log {path}: ")),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
 #[test]
 fn fig14_multi_replica_runs() {
     run_quick_against_golden("fig14_multi_replica");

@@ -15,8 +15,8 @@ use alisa_memsim::HardwareSpec;
 use alisa_model::ModelConfig;
 use alisa_obs::EventKind;
 use alisa_serve::{
-    AdmissionPolicy, ArrivalProcess, AutoscalerCfg, FailurePlan, LoadBalancePolicy, MemorySink,
-    Router, RouterConfig, ServeConfig, Trace,
+    AdmissionPolicy, ArrivalProcess, FailurePlan, LoadBalancePolicy, MemorySink, Router,
+    RouterConfig, ServeConfig, Trace,
 };
 use alisa_workloads::LengthModel;
 
@@ -69,7 +69,7 @@ fn autoscaled_router() -> Router {
     Router::new(
         RouterConfig::homogeneous(v100_config(), 4)
             .with_lb(LoadBalancePolicy::LeastOutstanding)
-            .with_autoscaler(AutoscalerCfg::new(1)),
+            .with_autoscaler(),
     )
 }
 
@@ -127,7 +127,7 @@ fn drained_or_failed_replica_never_admits_afterwards() {
     let router = Router::new(
         RouterConfig::homogeneous(v100_config(), 4)
             .with_lb(LoadBalancePolicy::LeastOutstanding)
-            .with_autoscaler(AutoscalerCfg::new(1))
+            .with_autoscaler()
             .with_failures(FailurePlan::at(&[(12.0, 3)])),
     );
     let mut sink = MemorySink::new();

@@ -38,7 +38,7 @@ fn systems() -> Vec<(&'static str, Box<dyn InferenceSystem>)> {
             "flexgen-cpu-1.0",
             Box::new(FlexGenScheduler::with_cpu_fraction(1.0)),
         ),
-        ("vllm", Box::new(VllmScheduler::new())),
+        ("vllm", Box::new(VllmScheduler)),
         ("alisa-fp16", Box::new(AlisaScheduler::new(0.8, false))),
         ("alisa-int8", Box::new(AlisaScheduler::new(0.8, true))),
     ]

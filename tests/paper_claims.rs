@@ -120,7 +120,7 @@ fn claim_vllm_small_batch_alisa_large_batch() {
     let model = ModelConfig::opt_6_7b();
     let hw = HardwareSpec::v100_16gb();
     let small = Workload::new(4, 128, 128);
-    let v_small = VllmScheduler::new().run(&model, &hw, &small);
+    let v_small = VllmScheduler.run(&model, &hw, &small);
     let a_small = AlisaScheduler::new(0.8, true).run(&model, &hw, &small);
     assert!(
         v_small.throughput() > a_small.throughput(),
@@ -130,7 +130,7 @@ fn claim_vllm_small_batch_alisa_large_batch() {
     );
 
     let large = Workload::new(64, 128, 256);
-    let v_large = VllmScheduler::new().run(&model, &hw, &large);
+    let v_large = VllmScheduler.run(&model, &hw, &large);
     let a_large = AlisaScheduler::new(0.8, true).run(&model, &hw, &large);
     assert!(
         a_large.throughput() > v_large.throughput(),

@@ -148,16 +148,15 @@ fn reuse_prefill_pricing_is_between_suffix_and_full() {
     );
 }
 
-/// Retained bytes respect the configured fraction of the KV budget.
+/// Retained bytes respect retention's share of the KV budget.
 #[test]
 fn retention_respects_its_budget_fraction() {
     let trace = chat_trace(2.0, 30, 13);
-    let frac = 0.25;
-    let cfg = v100_cfg(AdmissionPolicy::alisa()).with_session_reuse(RetentionCfg::new(frac));
+    let cfg = v100_cfg(AdmissionPolicy::alisa()).with_session_reuse(RetentionCfg::half());
     let engine = ServeEngine::new(cfg);
     let report = engine.run(&trace);
     let reuse = report.reuse.unwrap();
-    let cap = (engine.kv_budget() as f64 * frac) as u64;
+    let cap = (engine.kv_budget() as f64 * RetentionCfg::BUDGET_SHARE) as u64;
     assert!(
         reuse.peak_retained_bytes <= cap,
         "retained peak {} exceeds cap {cap}",
