@@ -32,6 +32,7 @@ fn main() {
     check_args(&["--events"]);
     let quick = quick_mode();
     let seed = seed_arg();
+    let events = events_arg();
     let model = ModelConfig::opt_6_7b();
     let hw = HardwareSpec::v100_16gb();
     // Quick mode keeps the full Alpaca lengths and includes one rate
@@ -112,12 +113,14 @@ fn main() {
         }
     );
     println!("\n(paper context: sparsity-aware KV budgeting converts the offline throughput win of Fig. 9 into serving goodput)");
-    events_arg(|sink| {
-        // The highest swept rate exercises the most decision points
-        // (saturation => queueing, timeouts, rejections).
-        let trace = traces.last().expect("rates is non-empty");
-        let _ = ServeEngine::new(config(AdmissionPolicy::alisa())).run_traced(trace, sink);
-    });
+    if let Some(log) = events {
+        log.write(|sink| {
+            // The highest swept rate exercises the most decision points
+            // (saturation => queueing, timeouts, rejections).
+            let trace = traces.last().expect("rates is non-empty");
+            let _ = ServeEngine::new(config(AdmissionPolicy::alisa())).run_traced(trace, sink);
+        });
+    }
     if !alisa_always_wins {
         // Fail loudly so the smoke test and CI catch the regression,
         // not just a human reading the table.

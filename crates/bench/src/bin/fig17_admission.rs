@@ -50,6 +50,7 @@ fn main() {
     check_args(&["--events"]);
     let quick = quick_mode();
     let seed = seed_arg();
+    let events = events_arg();
     let model = ModelConfig::opt_6_7b();
     let hw = HardwareSpec::v100_16gb();
     // The fig13 rates; quick mode keeps one rate past the saturation
@@ -172,13 +173,15 @@ fn main() {
         verdict(alisa_always_wins)
     );
     println!("\n(paper context: §V-C's scheduler decides which queued request gets the freed HBM — size-aware orderings break the head-of-line blocking FCFS suffers on heavy-tailed traffic)");
-    events_arg(|sink| {
-        // Preemptive SJF at the highest rate: the stream with every
-        // decision kind in it, preemption traces included.
-        let trace = traces.last().expect("rates is non-empty");
-        let cfg = config(AdmissionPolicy::alisa(), preemptive);
-        let _ = ServeEngine::new(cfg).run_traced(trace, sink);
-    });
+    if let Some(log) = events {
+        log.write(|sink| {
+            // Preemptive SJF at the highest rate: the stream with every
+            // decision kind in it, preemption traces included.
+            let trace = traces.last().expect("rates is non-empty");
+            let cfg = config(AdmissionPolicy::alisa(), preemptive);
+            let _ = ServeEngine::new(cfg).run_traced(trace, sink);
+        });
+    }
     if !(sjf_always_wins && preemptive_always_wins && alisa_always_wins) {
         // Fail loudly so the smoke test and CI catch the regression,
         // not just a human reading the table.

@@ -57,6 +57,7 @@ fn main() {
     check_args(&["--events"]);
     let quick = quick_mode();
     let seed = seed_arg();
+    let events = events_arg();
     let model = ModelConfig::opt_6_7b();
     let hw = HardwareSpec::v100_16gb();
     let lengths = LengthModel::alpaca().with_max_output(64);
@@ -269,12 +270,14 @@ fn main() {
         verdict(aware_wins && aware_biases)
     );
     println!("\n(paper context: the paper's evaluation holds the replica set fixed; this figure exercises the fleet layer real deployments need — elastic capacity, crash recovery priced through ALISA's own re-prefill cost model, and mixed hardware generations)");
-    events_arg(|sink| {
-        // The k=2 failure run, traced: replica-failed + session-
-        // recovered decision traces plus the dead replicas' retention
-        // evictions.
-        let _ = Router::new(killed(2)).run_traced(&steady, sink);
-    });
+    if let Some(log) = events {
+        log.write(|sink| {
+            // The k=2 failure run, traced: replica-failed + session-
+            // recovered decision traces plus the dead replicas' retention
+            // evictions.
+            let _ = Router::new(killed(2)).run_traced(&steady, sink);
+        });
+    }
     if !(auto_beats_static
         && auto_breathes
         && conserves

@@ -2,8 +2,9 @@
 //! `--events <path>` flag: every line must parse as a structured
 //! [`alisa_obs::Event`] (the parse *is* the schema check — field names,
 //! types, and kind tags are all enforced). Exits 0 with a count on
-//! success, 1 naming the first bad line otherwise. CI runs this over a
-//! fresh fig13 event log as the trace-schema smoke test.
+//! success, 1 naming the first bad line otherwise. `tests/figure_smoke.rs`
+//! runs this over fresh fig13 and fig18 event logs as the trace-schema
+//! smoke test.
 //!
 //! ```sh
 //! cargo run --release --bin fig13_online_serving -- --quick --events /tmp/e.jsonl

@@ -7,6 +7,8 @@
 //! reduced sweep — the integration tests use it as a smoke test.
 
 use std::fmt::Display;
+use std::fs::File;
+use std::io::BufWriter;
 
 use alisa_obs::{JsonlSink, TraceSink};
 
@@ -74,20 +76,34 @@ pub fn seed_arg() -> u64 {
     })
 }
 
-/// Handles `--events <path>` for the serving figure binaries: when the
-/// flag is present, calls `replay` with a JSONL sink streaming to the
-/// path and reports the event count; without the flag this is a no-op
-/// and the binary's output stays byte-identical. A path that cannot be
-/// created or written prints the I/O error to stderr and exits with
-/// status 2.
-pub fn events_arg(replay: impl FnOnce(&mut dyn TraceSink)) {
-    if let Some(path) = arg_value("--events") {
-        let mut sink = JsonlSink::create(&path).unwrap_or_else(|e| {
-            eprintln!("cannot create events log {path}: {e}");
-            std::process::exit(2)
-        });
-        replay(&mut sink);
-        let n = sink.finish().unwrap_or_else(|e| {
+/// The `--events <path>` log of a serving figure binary, opened before
+/// the figure runs so a path that cannot be created fails fast.
+pub struct EventsLog {
+    path: String,
+    sink: JsonlSink<BufWriter<File>>,
+}
+
+/// Opens the `--events <path>` log when the flag is present; without it
+/// this returns `None` and the binary's output stays byte-identical. A
+/// path that cannot be created prints the I/O error to stderr and exits
+/// with status 2 before any figure output.
+pub fn events_arg() -> Option<EventsLog> {
+    let path = arg_value("--events")?;
+    let sink = JsonlSink::create(&path).unwrap_or_else(|e| {
+        eprintln!("cannot create events log {path}: {e}");
+        std::process::exit(2)
+    });
+    Some(EventsLog { path, sink })
+}
+
+impl EventsLog {
+    /// Calls `replay` with the log's JSONL sink and reports the event
+    /// count. A log that cannot be written prints the I/O error to
+    /// stderr and exits with status 2.
+    pub fn write(mut self, replay: impl FnOnce(&mut dyn TraceSink)) {
+        replay(&mut self.sink);
+        let path = self.path;
+        let n = self.sink.finish().unwrap_or_else(|e| {
             eprintln!("cannot write events log {path}: {e}");
             std::process::exit(2)
         });

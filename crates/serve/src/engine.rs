@@ -274,9 +274,8 @@ impl ServeEngine {
     /// becomes part of this reservation (so the KV term still covers
     /// the full final length). A decode replica receiving a handed-off
     /// prompt books 1 token: it never runs the prompt through the model.
-    /// A preempted request re-prefills its whole built context
-    /// ([`Request::seq_len`]) and owes its
-    /// [`Request::remaining_output_len`].
+    /// A preempted request re-prefills the whole context it had built
+    /// and owes the rest of its output.
     pub fn reservation_bytes(&self, prompt_len: usize, output_len: usize, prefilled: usize) -> u64 {
         let kv = self
             .cfg
@@ -284,6 +283,13 @@ impl ServeEngine {
             .gpu_kv_bytes(&self.cfg.model, prompt_len + output_len);
         let act = self.cfg.model.activation_bytes_per_seq(FP16) * prefilled as u64;
         kv + act
+    }
+
+    /// The no-reuse reservation for what a request owes
+    /// ([`Request::owed`]): its context prefilled here, and its
+    /// remaining output.
+    pub(crate) fn owed_reservation(&self, (context, output): (usize, usize)) -> u64 {
+        self.reservation_bytes(context, output, context)
     }
 
     /// Bytes of prefilled KV state that must travel to a decode replica
@@ -390,7 +396,7 @@ impl ServeEngine {
     /// preempted now: the re-prefill of its whole built context
     /// ([`SimBase::prefill_compute`]). The preemptive discipline's
     /// victim metric — "cheapest to restart" minimizes exactly this.
-    pub fn restart_cost(&self, req: &Request) -> f64 {
+    pub(crate) fn restart_cost(&self, req: &Request) -> f64 {
         self.sim.prefill_compute(
             &self.cfg.model,
             1,

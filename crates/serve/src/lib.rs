@@ -12,8 +12,9 @@
 //! scheduler simulates offload, reload and recompute
 //! (`tests/pricing_grid.rs` pins the difference per cell):
 //!
-//! * [`request`] — the request lifecycle (Queued → Prefilling →
-//!   Decoding → Finished/Rejected) with per-request timestamps,
+//! * `request` (crate-private) — the request lifecycle (Queued →
+//!   Prefilling → Decoding → Finished/Rejected, with preemption back to
+//!   the queue) and the fleet loop's one record per request,
 //! * [`arrivals`] — seeded Poisson, bursty on/off, and closed-loop
 //!   arrival processes,
 //! * [`trace`] — validated, replayable traces (text round-trippable)
@@ -82,7 +83,7 @@ pub mod discipline;
 pub mod engine;
 pub mod metrics;
 mod replica;
-pub mod request;
+mod request;
 pub mod router;
 pub mod trace;
 
@@ -95,7 +96,6 @@ pub use arrivals::ArrivalProcess;
 pub use discipline::{DisciplineStats, QueueDiscipline};
 pub use engine::{derived_slo, ClosedLoopCfg, PrefillJob, RetentionCfg, ServeConfig, ServeEngine};
 pub use metrics::{LatencyStats, ServeReport, ServeSample, SloSpec};
-pub use request::{RejectReason, Request, RequestState};
 pub use router::{
     DisaggCfg, DispatchIndex, FailureEvent, FailurePlan, FleetDynamicsStats, LoadBalancePolicy,
     Router, RouterConfig, RouterReport,

@@ -25,7 +25,7 @@ pub struct SloSpec {
 
 impl SloSpec {
     /// Whether a finished request met both targets.
-    pub fn met_by(&self, r: &Request) -> bool {
+    pub(crate) fn met_by(&self, r: &Request) -> bool {
         match (r.ttft(), r.mean_tbt()) {
             (Some(ttft), Some(tbt)) => ttft <= self.ttft_s && tbt <= self.tbt_s,
             _ => false,
@@ -168,7 +168,7 @@ impl ServeReport {
         policy: String,
         model: String,
         hardware: String,
-        requests: &[Request],
+        requests: &[&Request],
         slo: SloSpec,
         makespan_s: f64,
         mean_batch: f64,
@@ -195,8 +195,7 @@ impl ServeReport {
             .iter()
             .filter(|r| r.state == RequestState::Rejected)
             .count();
-        let finished: Vec<&Request> = requests
-            .iter()
+        let finished: Vec<&Request> = (requests.iter().copied())
             .filter(|r| r.state == RequestState::Finished)
             .collect();
         let slo_met = finished.iter().filter(|r| slo.met_by(r)).count();
@@ -374,26 +373,16 @@ mod tests {
 
     #[test]
     fn slo_requires_both_targets() {
-        use crate::request::RequestState;
         let slo = SloSpec {
             ttft_s: 1.0,
             tbt_s: 0.1,
         };
-        let mut r = Request {
-            id: 0,
-            arrival: 0.0,
-            prompt_len: 8,
-            output_len: 11,
-            state: RequestState::Finished,
-            admitted_at: Some(0.1),
-            first_token_at: Some(0.5),
-            finished_at: Some(1.5),
-            reject_reason: None,
-            generated: 11,
-            session: None,
-            reused_prefix: 0,
-            preemptions: 0,
-        };
+        let mut r = Request::from_entry(&crate::trace::TraceEntry::single_shot(0.0, 8, 11));
+        r.state = RequestState::Finished;
+        r.admitted_at = Some(0.1);
+        r.first_token_at = Some(0.5);
+        r.finished_at = Some(1.5);
+        r.generated = 11;
         assert!(slo.met_by(&r)); // ttft 0.5, tbt 0.1
         r.first_token_at = Some(1.2);
         assert!(!slo.met_by(&r), "ttft 1.2 breaks the SLO");

@@ -10,8 +10,9 @@
 //! token accounting (including prefill→decode handoffs), and the
 //! timeline sample. The fleet loop (`crate::router::FleetRun`) drives
 //! one replica for the engine and many for the router, with the same
-//! dispatch and lockstep sweep. Per-request state lives in [`Reqs`],
-//! indexed by request id and lent to each step as plain `&mut` access.
+//! dispatch and lockstep sweep. Per-request state lives in one
+//! [`Request`] per request, indexed by request id and lent to each step
+//! as a `&mut` slice.
 
 use std::collections::VecDeque;
 
@@ -22,8 +23,7 @@ use alisa_sched::common::FP16;
 
 use crate::engine::{PrefillJob, ServeEngine, TimelineRec};
 use crate::metrics::{ServeReport, ServeSample};
-use crate::request::{RejectReason, Request, RequestState};
-use crate::trace::Trace;
+use crate::request::{Request, RequestState};
 
 /// Cap on concurrently decoding requests per replica.
 const MAX_BATCH: usize = 64;
@@ -58,45 +58,6 @@ impl<'a> ObsCtx<'a> {
     /// The report's opt-in metrics section: present iff traced.
     pub(crate) fn metrics(&self) -> Option<String> {
         self.enabled().then(|| self.reg.canonical_text())
-    }
-}
-
-/// Per-request simulation state, indexed by request id.
-pub(crate) struct Reqs {
-    pub(crate) req: Vec<Request>,
-    /// Bytes the request books on its replica: the no-reuse
-    /// reservation while it waits, the booked (possibly reuse-shrunk)
-    /// one once admitted.
-    pub(crate) res: Vec<u64>,
-    /// Queue-entry epoch: arrival or dispatch, or the eviction time
-    /// after a preemption. Timeouts, aging and patience measure waiting
-    /// from here.
-    pub(crate) queued_since: Vec<f64>,
-    /// Whether the request already spent its one cross-replica retry.
-    pub(crate) was_requeued: Vec<bool>,
-    /// Session prefix each turn may reuse.
-    prefix_lens: Vec<usize>,
-    /// Whether a later turn of the request's session exists.
-    next_turn: Vec<bool>,
-}
-
-impl Reqs {
-    pub(crate) fn new(trace: &Trace) -> Self {
-        let req: Vec<Request> = trace
-            .entries()
-            .iter()
-            .enumerate()
-            .map(|(id, e)| Request::from_entry(id, e).expect("trace entries are pre-validated"))
-            .collect();
-        let n = req.len();
-        Reqs {
-            req,
-            res: vec![0; n],
-            queued_since: vec![0.0; n],
-            was_requeued: vec![false; n],
-            prefix_lens: trace.prefix_lens(),
-            next_turn: trace.next_turn_exists(),
-        }
     }
 }
 
@@ -145,7 +106,9 @@ pub(crate) struct StepScratch {
 }
 
 /// Mutable state of one serving replica plus its step.
-pub(crate) struct Replica {
+pub(crate) struct Replica<'a> {
+    /// The engine whose config, budget and pricing the replica runs.
+    pub(crate) engine: &'a ServeEngine,
     /// Replica index in the fleet, stamped on its events.
     pub(crate) idx: usize,
     pub(crate) role: Role,
@@ -186,9 +149,9 @@ pub(crate) struct Replica {
     min_queued_since: f64,
 }
 
-impl Replica {
+impl<'a> Replica<'a> {
     pub(crate) fn new(
-        engine: &ServeEngine,
+        engine: &'a ServeEngine,
         idx: usize,
         role: Role,
         requeue: bool,
@@ -196,6 +159,7 @@ impl Replica {
     ) -> Self {
         let budget = engine.kv_budget();
         Replica {
+            engine,
             idx,
             role,
             life: Lifecycle::Up,
@@ -268,31 +232,29 @@ impl Replica {
         self.kv_pressure() / self.weight
     }
 
-    /// Accepts request `id` into the admission queue at time `at`,
-    /// booking `res` as its waiting reservation (an idle replica's
-    /// clock jumps forward to `at`). Dispatch, handoff and recovery
-    /// check fit first: a request that can never fit is rejected there.
-    pub(crate) fn enqueue(&mut self, id: usize, at: f64, res: u64, reqs: &mut Reqs) {
+    /// Accepts request `id` into the admission queue at time `at` and
+    /// becomes its owner, booking `res` as its waiting reservation (an
+    /// idle replica's clock jumps forward to `at`). Dispatch, handoff and
+    /// recovery check fit first: a request that can never fit is
+    /// rejected there.
+    pub(crate) fn enqueue(&mut self, id: usize, at: f64, res: u64, reqs: &mut [Request]) {
         debug_assert!(
             res <= self.budget,
             "request {id} can never fit replica {}",
             self.idx
         );
         self.t = self.t.max(at);
-        reqs.res[id] = res;
-        reqs.queued_since[id] = at;
+        let req = &mut reqs[id];
+        req.booked = res;
+        req.queued_since = at;
+        req.owner = Some(self.idx);
         self.min_queued_since = self.min_queued_since.min(at);
         self.queue.push_back(id);
     }
 
     /// This replica's report over `requests`, ending at `makespan`.
-    pub(crate) fn report(
-        &self,
-        engine: &ServeEngine,
-        requests: &[Request],
-        makespan: f64,
-    ) -> ServeReport {
-        let cfg = engine.config();
+    pub(crate) fn report(&self, requests: &[&Request], makespan: f64) -> ServeReport {
+        let cfg = self.engine.config();
         let mean_batch = if self.step_count == 0 {
             0.0
         } else {
@@ -316,17 +278,17 @@ impl Replica {
 
     /// Runs one engine step at the replica clock: scan, admit, price,
     /// account, sample. Leaves the clock alone when nothing was
-    /// admitted and nothing is running. `on_done` sees every request
-    /// that reaches a terminal state, with the time it did; timeout
-    /// bounces and handoffs land in `scratch`.
+    /// admitted and nothing is running. `on_done` sees the id of every
+    /// request that reaches a terminal state, with the time it did;
+    /// timeout bounces and handoffs land in `scratch`.
     pub(crate) fn step<const TRACED: bool>(
         &mut self,
-        engine: &ServeEngine,
-        reqs: &mut Reqs,
+        reqs: &mut [Request],
         scratch: &mut StepScratch,
         obs: &mut ObsCtx<'_>,
-        mut on_done: impl FnMut(&Request, f64),
+        mut on_done: impl FnMut(usize, f64),
     ) {
+        let engine = self.engine;
         let cfg = engine.config();
         let t = self.t;
         let budget = self.budget;
@@ -355,43 +317,38 @@ impl Replica {
             *min_queued = f64::INFINITY;
             let requeue = self.requeue;
             self.queue.retain(|&id| {
-                if reqs.req[id].first_token_at.is_some() {
+                let req = &mut reqs[id];
+                if req.first_token_at.is_some() {
                     return true;
                 }
-                let waited_s = t - reqs.queued_since[id];
+                let waited_s = t - req.queued_since;
                 if waited_s <= cfg.queue_timeout_s {
-                    *min_queued = min_queued.min(reqs.queued_since[id]);
+                    *min_queued = min_queued.min(req.queued_since);
                     return true;
                 }
-                if requeue && !reqs.was_requeued[id] {
-                    reqs.was_requeued[id] = true;
+                if requeue && !req.was_requeued {
+                    req.was_requeued = true;
                     requeues.push((t, id));
                     return false;
                 }
-                let discipline = cfg.discipline.name();
-                let reason = RejectReason::QueueTimeout {
-                    waited_s,
-                    discipline,
-                };
-                let req = &mut reqs.req[id];
                 req.state = RequestState::Rejected;
-                req.reject_reason = Some(reason);
                 if TRACED {
                     obs.emit(Event {
                         t,
                         replica,
                         request: Some(id),
                         kind: EventKind::Rejected {
-                            reason: reason.label().to_string(),
+                            reason: "queue-timeout".to_string(),
                             queue_wait_s: waited_s,
                             decision_trace: format!(
-                                "waited {waited_s:.3}s > timeout {:.3}s in {discipline} scan",
-                                cfg.queue_timeout_s
+                                "waited {waited_s:.3}s > timeout {:.3}s in {} scan",
+                                cfg.queue_timeout_s,
+                                cfg.discipline.name()
                             ),
                         },
                     });
                 }
-                on_done(req, t);
+                on_done(id, t);
                 false
             });
             if TRACED {
@@ -432,47 +389,35 @@ impl Replica {
             if self.running.len() + newly.len() + ingests.len() >= MAX_BATCH {
                 break;
             }
-            let default_res = |id: usize| -> u64 {
-                let req = &reqs.req[id];
-                if req.state == RequestState::Preempted {
-                    engine.reservation_bytes(
-                        req.seq_len(),
-                        req.remaining_output_len(),
-                        req.seq_len(),
-                    )
-                } else {
-                    reqs.res[id]
-                }
-            };
-            let Some(pos) =
-                discipline.select(&self.queue, budget - self.reserved, default_res, |id| {
-                    t - reqs.queued_since[id]
-                })
-            else {
+            let Some(pos) = discipline.select(
+                &self.queue,
+                budget - self.reserved,
+                |id| reqs[id].booked,
+                |id| t - reqs[id].queued_since,
+            ) else {
                 break;
             };
             let id = self.queue[pos];
             // A handed-off ingest's KV arrived whole — nothing to
             // prefill, so nothing to reuse (prefix 0 makes the retention
             // probe inert while retained caches still yield).
-            let is_preempted = reqs.req[id].state == RequestState::Preempted;
-            let is_ingest = reqs.req[id].first_token_at.is_some() && !is_preempted;
+            let req = &reqs[id];
+            let is_preempted = req.state == RequestState::Preempted;
+            let is_ingest = req.first_token_at.is_some() && !is_preempted;
             let prefix = if is_preempted {
-                reqs.req[id].seq_len()
+                req.seq_len()
             } else if is_ingest {
                 0
             } else {
-                reqs.prefix_lens[id]
+                req.prefix_len
             };
-            let dres = default_res(id);
+            let dres = req.booked;
             evicted.clear();
-            if let Some((res, job)) =
-                self.admit_with_reuse(engine, &mut reqs.req[id], prefix, dres, evicted)
-            {
+            if let Some((res, job)) = self.admit_with_reuse(req, prefix, evicted) {
                 self.queue.remove(pos);
-                reqs.res[id] = res;
                 self.reserved += res;
-                let req = &mut reqs.req[id];
+                let req = &mut reqs[id];
+                req.booked = res;
                 if is_ingest {
                     req.state = RequestState::Decoding;
                     ingests.push(id);
@@ -549,7 +494,7 @@ impl Replica {
                             reserved_after: self.reserved,
                             budget,
                             reused_prefix: job.reused_prefix,
-                            queue_wait_s: t - reqs.queued_since[id],
+                            queue_wait_s: t - req.queued_since,
                         },
                     });
                 }
@@ -558,16 +503,16 @@ impl Replica {
             let patient = can_preempt
                 && discipline
                     .preemption_patience()
-                    .is_some_and(|p| t - reqs.queued_since[id] > p);
+                    .is_some_and(|p| t - req.queued_since > p);
             if patient {
-                if let Some(vpos) = self.pick_victim(engine, reqs, dres) {
+                if let Some(vpos) = self.pick_victim(reqs, dres) {
                     let vid = self.running.remove(vpos);
                     if TRACED {
-                        let cost = engine.restart_cost(&reqs.req[vid]);
+                        let cost = engine.restart_cost(&reqs[vid]);
                         let decision_trace = format!(
                             "candidate {id} (res {dres} B) outwaited patience; victim {vid} \
                              books {} B > {dres} B and is cheapest to restart ({cost:.4}s)",
-                            reqs.res[vid]
+                            reqs[vid].booked
                         );
                         obs.emit(Event {
                             t,
@@ -580,7 +525,7 @@ impl Replica {
                             },
                         });
                     }
-                    self.preempt::<TRACED>(engine, vid, reqs, t, obs);
+                    self.preempt::<TRACED>(vid, reqs, t, obs);
                     continue;
                 }
             }
@@ -588,6 +533,7 @@ impl Replica {
         }
         drop(_order);
         if newly.is_empty() && ingests.is_empty() && self.running.is_empty() {
+            self.check_books(reqs);
             return;
         }
 
@@ -599,7 +545,7 @@ impl Replica {
             self.running
                 .iter()
                 .chain(ingests.iter())
-                .map(|&id| reqs.req[id].seq_len()),
+                .map(|&id| reqs[id].seq_len()),
         );
         let step_time = {
             let _price = profile::timer(Phase::Pricing);
@@ -634,10 +580,10 @@ impl Replica {
         self.running.clear();
         still_running.append(ingests);
         for &id in still_running.iter() {
-            reqs.req[id].generated += 1;
+            reqs[id].generated += 1;
         }
         for &id in newly.iter() {
-            let req = &mut reqs.req[id];
+            let req = &mut reqs[id];
             // A re-admitted preempted request already delivered its
             // first token before eviction: its TTFT stands, and the
             // re-prefill step advances its kept progress by one.
@@ -649,16 +595,16 @@ impl Replica {
             if self.role != Role::Prefill {
                 still_running.push(id);
             } else if req.generated >= req.output_len {
-                self.finish::<TRACED>(engine, reqs, id, t_end, obs, &mut on_done);
+                self.finish::<TRACED>(reqs, id, t_end, obs, &mut on_done);
             } else {
                 // Hand the prefilled KV to the decode tier.
-                self.reserved -= reqs.res[id];
+                self.reserved -= req.booked;
                 handoffs.push((t_end + engine.kv_handoff_time(req.seq_len()), id));
             }
         }
         for id in still_running.drain(..) {
-            if reqs.req[id].generated >= reqs.req[id].output_len {
-                self.finish::<TRACED>(engine, reqs, id, t_end, obs, &mut on_done);
+            if reqs[id].generated >= reqs[id].output_len {
+                self.finish::<TRACED>(reqs, id, t_end, obs, &mut on_done);
             } else {
                 self.running.push(id);
             }
@@ -675,33 +621,51 @@ impl Replica {
                 kv_bytes: self.reserved,
             },
         );
+        self.check_books(reqs);
+    }
+
+    /// Debug builds check the books a step leaves: `reserved` is what
+    /// the running batch booked, every running request is owned here,
+    /// and live reservations plus retained session caches fit the
+    /// budget.
+    fn check_books(&self, reqs: &[Request]) {
+        debug_assert_eq!(
+            self.reserved,
+            self.running.iter().map(|&id| reqs[id].booked).sum::<u64>(),
+            "replica {} reserves other than its running batch booked",
+            self.idx
+        );
+        debug_assert!(
+            self.running
+                .iter()
+                .all(|&id| reqs[id].owner == Some(self.idx)),
+            "replica {} runs a request it does not own",
+            self.idx
+        );
+        debug_assert!(
+            self.reserved + self.session_kv.as_ref().map_or(0, SessionKvCache::bytes)
+                <= self.budget,
+            "replica {}: reservations plus retained caches exceed the budget",
+            self.idx
+        );
     }
 
     /// Admission for a queued candidate: probes the retained session
     /// pool for its `prefix_len` tokens, computes the (possibly
     /// reuse-shrunk) reservation, checks it against the budget, evicts
     /// LRU retained caches standing between the candidate and the
-    /// headroom, and — on success — consumes the hit and marks the
-    /// request's reused prefix. Returns the reservation to book and the
-    /// prefill job, or `None` when the candidate cannot fit even with
-    /// every retained cache evicted. Retained caches evicted to make
-    /// room are appended to `evicted` so the step can trace them.
+    /// headroom, and — on success — consumes the hit. Returns the
+    /// reservation to book and the prefill job, or `None` when the
+    /// candidate cannot fit even with every retained cache evicted.
+    /// Retained caches evicted to make room are appended to `evicted` so
+    /// the step can trace them.
     fn admit_with_reuse(
         &mut self,
-        engine: &ServeEngine,
-        req: &mut Request,
+        req: &Request,
         prefix_len: usize,
-        default_res: u64,
         evicted: &mut Vec<RetainedSession>,
     ) -> Option<(u64, PrefillJob)> {
-        // A preempted request re-prefills the whole context it had
-        // built (prompt + kept progress) and owes only its remaining
-        // output; a fresh request is just its trace lengths.
-        let (eff_prompt, eff_output) = if req.state == RequestState::Preempted {
-            (req.seq_len(), req.remaining_output_len())
-        } else {
-            (req.prompt_len, req.output_len)
-        };
+        let (eff_prompt, eff_output) = req.owed();
         let hit = self.session_kv.as_ref().and_then(|kv| {
             req.session
                 .and_then(|sref| kv.peek(sref.session_id, prefix_len))
@@ -710,11 +674,12 @@ impl Replica {
             Some((seq, _)) => {
                 let new_tokens = (eff_prompt - seq).max(1);
                 (
-                    engine.reservation_bytes(eff_prompt, eff_output, new_tokens),
+                    self.engine
+                        .reservation_bytes(eff_prompt, eff_output, new_tokens),
                     seq,
                 )
             }
-            None => (default_res, 0),
+            None => (req.booked, 0),
         };
         if self.reserved + res > self.budget {
             return None;
@@ -729,7 +694,6 @@ impl Replica {
             if reuse_len > 0 {
                 let sref = req.session.expect("hit implies a session");
                 kv.take(sref.session_id, prefix_len);
-                req.reused_prefix = reuse_len;
             } else if prefix_len > 0 && req.session.is_some() {
                 // Only a session turn can genuinely miss. A preempted
                 // *sessionless* re-admission also probes with a nonzero
@@ -758,23 +722,20 @@ impl Replica {
     /// remain re-admissible (their restart reservation fits an empty
     /// budget). Returns the *position* in the running batch; ties break
     /// to the earliest position.
-    fn pick_victim(&self, engine: &ServeEngine, reqs: &Reqs, cand_res: u64) -> Option<usize> {
+    fn pick_victim(&self, reqs: &[Request], cand_res: u64) -> Option<usize> {
         let mut best: Option<(usize, f64)> = None;
         for (pos, &id) in self.running.iter().enumerate() {
-            let req = &reqs.req[id];
-            let res = reqs.res[id];
-            if res <= cand_res {
+            let req = &reqs[id];
+            if req.booked <= cand_res {
                 continue;
             }
-            if self.reserved - res + cand_res > self.budget {
+            if self.reserved - req.booked + cand_res > self.budget {
                 continue;
             }
-            let restart_res =
-                engine.reservation_bytes(req.seq_len(), req.remaining_output_len(), req.seq_len());
-            if restart_res > self.budget {
+            if self.engine.owed_reservation(req.owed()) > self.budget {
                 continue; // evicting it would strand it forever
             }
-            let cost = engine.restart_cost(req);
+            let cost = self.engine.restart_cost(req);
             if best.is_none_or(|(_, c)| cost < c) {
                 best = Some((pos, cost));
             }
@@ -783,27 +744,28 @@ impl Replica {
     }
 
     /// Evicts victim `vid` (already removed from the running batch):
-    /// releases its reservation, restarts its waiting epoch at `now`,
-    /// marks it `Preempted` with its progress kept, re-queues it, and —
-    /// when retention is on — retains its built KV for its session so
-    /// the re-prefill can hit the cache like any other reuse.
+    /// releases its reservation, books what it now owes as its waiting
+    /// reservation, restarts its waiting epoch at `now`, marks it
+    /// `Preempted` with its progress kept, re-queues it, and — when
+    /// retention is on — retains its built KV for its session so the
+    /// re-prefill can hit the cache like any other reuse.
     fn preempt<const TRACED: bool>(
         &mut self,
-        engine: &ServeEngine,
         vid: usize,
-        reqs: &mut Reqs,
+        reqs: &mut [Request],
         now: f64,
         obs: &mut ObsCtx<'_>,
     ) {
-        self.reserved -= reqs.res[vid];
-        reqs.queued_since[vid] = now;
-        let vreq = &mut reqs.req[vid];
-        let seq = vreq.seq_len();
+        let vreq = &mut reqs[vid];
+        self.reserved -= vreq.booked;
+        vreq.booked = self.engine.owed_reservation(vreq.owed());
+        vreq.queued_since = now;
         vreq.state = RequestState::Preempted;
         vreq.preemptions += 1;
         self.queue.push_back(vid);
         if let Some(sref) = vreq.session {
-            self.retain_session::<TRACED>(engine, vid, sref.session_id, seq, now, obs);
+            let seq = vreq.seq_len();
+            self.retain_session::<TRACED>(vid, sref.session_id, seq, now, obs);
         }
     }
 
@@ -816,15 +778,14 @@ impl Replica {
     /// are where reuse pays.)
     fn finish<const TRACED: bool>(
         &mut self,
-        engine: &ServeEngine,
-        reqs: &mut Reqs,
+        reqs: &mut [Request],
         id: usize,
         t_end: f64,
         obs: &mut ObsCtx<'_>,
-        on_done: &mut impl FnMut(&Request, f64),
+        on_done: &mut impl FnMut(usize, f64),
     ) {
-        self.reserved -= reqs.res[id];
-        let req = &mut reqs.req[id];
+        let req = &mut reqs[id];
+        self.reserved -= req.booked;
         req.finished_at = Some(t_end);
         req.state = RequestState::Finished;
         if TRACED {
@@ -838,13 +799,13 @@ impl Replica {
                 },
             });
         }
-        on_done(req, t_end);
-        if !reqs.next_turn[id] {
+        on_done(id, t_end);
+        if !req.next_turn {
             return;
         }
         if let Some(sref) = req.session {
             let seq_len = req.final_seq_len();
-            self.retain_session::<TRACED>(engine, id, sref.session_id, seq_len, t_end, obs);
+            self.retain_session::<TRACED>(id, sref.session_id, seq_len, t_end, obs);
         }
     }
 
@@ -856,7 +817,6 @@ impl Replica {
     /// [`alisa_kvcache::ReuseStats`].
     fn retain_session<const TRACED: bool>(
         &mut self,
-        engine: &ServeEngine,
         id: usize,
         session: usize,
         seq_len: usize,
@@ -866,7 +826,7 @@ impl Replica {
         let Some(kv) = self.session_kv.as_mut() else {
             return;
         };
-        let cfg = engine.config();
+        let cfg = self.engine.config();
         let bytes = cfg.policy.gpu_kv_bytes(&cfg.model, seq_len);
         let Some(evicted) = kv.retain(session, seq_len, bytes, self.budget - self.reserved) else {
             return;

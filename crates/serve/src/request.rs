@@ -11,15 +11,16 @@
 //! generated tokens are kept as progress, and re-admission re-prefills
 //! the whole context built so far (prompt + generated) before decoding
 //! resumes — preempted requests are re-queued, never dropped.
+//!
+//! A [`Request`] is also the fleet loop's one record of the request's
+//! simulation state: the bytes it books, its queue epoch, its one
+//! retry, its reusable session prefix, and the replica that owns it.
 
-use alisa_sched::{InvalidWorkload, Workload};
-use serde::{Deserialize, Serialize};
-
-use crate::trace::{SessionRef, TraceEntry};
+use crate::trace::{SessionRef, Trace, TraceEntry};
 
 /// Where a request currently sits in its lifecycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RequestState {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum RequestState {
     /// Arrived, waiting for admission.
     Queued,
     /// Admitted this step; prompt KV being built.
@@ -36,139 +37,123 @@ pub enum RequestState {
     Rejected,
 }
 
-/// Why a request was rejected.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum RejectReason {
-    /// Its KV footprint can never fit the device budget under the
-    /// active admission policy.
-    Infeasible,
-    /// It waited in the queue longer than the configured timeout. The
-    /// payload records *which* discipline scan rejected it and how
-    /// long it had waited, so the terminal state agrees exactly with
-    /// the decision-trace event emitted at rejection time.
-    QueueTimeout {
-        /// Seconds spent in queue when the timeout scan fired.
-        waited_s: f64,
-        /// Name of the queue discipline whose scan rejected it.
-        discipline: &'static str,
-    },
-}
-
-impl RejectReason {
-    /// Stable label for traces and metrics (`infeasible` /
-    /// `queue-timeout`).
-    pub fn label(&self) -> &'static str {
-        match self {
-            RejectReason::Infeasible => "infeasible",
-            RejectReason::QueueTimeout { .. } => "queue-timeout",
-        }
-    }
-
-    /// Human-readable detail, suitable for a decision trace.
-    pub fn detail(&self) -> String {
-        match self {
-            RejectReason::Infeasible => "footprint exceeds device budget".to_string(),
-            RejectReason::QueueTimeout {
-                waited_s,
-                discipline,
-            } => format!("waited {waited_s:.3}s; rejected by {discipline} scan"),
-        }
-    }
-}
-
-/// One in-flight (or completed) serving request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Request {
-    /// Position in the source trace (stable id).
-    pub id: usize,
+/// One serving request of a run: its lifecycle, and the state the fleet
+/// loop keeps for it.
+pub(crate) struct Request {
     /// Arrival time in seconds since simulation start.
-    pub arrival: f64,
+    pub(crate) arrival: f64,
     /// Prompt length in tokens.
-    pub prompt_len: usize,
+    pub(crate) prompt_len: usize,
     /// Output budget in tokens.
-    pub output_len: usize,
+    pub(crate) output_len: usize,
     /// Lifecycle state.
-    pub state: RequestState,
+    pub(crate) state: RequestState,
     /// When admission control let it in.
-    pub admitted_at: Option<f64>,
+    pub(crate) admitted_at: Option<f64>,
     /// When its first output token materialized (end of prefill step).
-    pub first_token_at: Option<f64>,
+    pub(crate) first_token_at: Option<f64>,
     /// When its last output token materialized.
-    pub finished_at: Option<f64>,
-    /// Why it was rejected, if it was.
-    pub reject_reason: Option<RejectReason>,
+    pub(crate) finished_at: Option<f64>,
     /// Output tokens generated so far.
-    pub generated: usize,
+    pub(crate) generated: usize,
     /// Session identity carried over from the trace entry (`None` for
     /// legacy single-shot requests).
-    pub session: Option<SessionRef>,
-    /// Prompt tokens whose prefill was skipped because the session's
-    /// prefix KV was still resident at admission (0 when admission
-    /// found nothing to reuse).
-    pub reused_prefix: usize,
+    pub(crate) session: Option<SessionRef>,
     /// Times this request was preempted (evicted mid-decode and
     /// re-queued by a preemptive [`crate::QueueDiscipline`]).
-    pub preemptions: usize,
+    pub(crate) preemptions: usize,
+    /// Session prefix this turn may reuse.
+    pub(crate) prefix_len: usize,
+    /// Whether a later turn of the request's session exists.
+    pub(crate) next_turn: bool,
+    /// Bytes the request books on its replica: the no-reuse reservation
+    /// of what it [`owes`](Request::owed) while it waits, the booked
+    /// (possibly reuse-shrunk) one once admitted.
+    pub(crate) booked: u64,
+    /// Queue-entry epoch: arrival or dispatch, or the eviction time
+    /// after a preemption. Timeouts, aging and patience measure waiting
+    /// from here.
+    pub(crate) queued_since: f64,
+    /// Whether the request already spent its one cross-replica retry.
+    pub(crate) was_requeued: bool,
+    /// The replica that last accepted it, and so its terminal home;
+    /// `None` while no replica has.
+    pub(crate) owner: Option<usize>,
 }
 
 impl Request {
-    /// Builds a request from a trace entry, validating the lengths
-    /// through [`Workload::try_new`] so malformed entries surface as
-    /// errors at the serve boundary instead of panicking mid-simulation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InvalidWorkload`] when either length is zero.
-    pub fn from_entry(id: usize, entry: &TraceEntry) -> Result<Self, InvalidWorkload> {
-        let wl = Workload::try_new(1, entry.prompt_len, entry.output_len)?;
-        Ok(Request {
-            id,
+    /// A fresh request from a validated trace entry (every [`Trace`]
+    /// constructor checks the lengths), with no reusable prefix and no
+    /// later turn.
+    pub(crate) fn from_entry(entry: &TraceEntry) -> Self {
+        Request {
             arrival: entry.arrival_s,
-            prompt_len: wl.input_len,
-            output_len: wl.output_len,
+            prompt_len: entry.prompt_len,
+            output_len: entry.output_len,
             state: RequestState::Queued,
             admitted_at: None,
             first_token_at: None,
             finished_at: None,
-            reject_reason: None,
             generated: 0,
             session: entry.session,
-            reused_prefix: 0,
             preemptions: 0,
-        })
+            prefix_len: 0,
+            next_turn: false,
+            booked: 0,
+            queued_since: 0.0,
+            was_requeued: false,
+            owner: None,
+        }
     }
 
-    /// Current sequence length: prompt plus generated tokens — for a
-    /// *preempted* request, the context it must rebuild on re-admission.
-    pub fn seq_len(&self) -> usize {
+    /// One request per trace entry, in trace order, each carrying its
+    /// session's reusable prefix and whether a later turn follows.
+    pub(crate) fn from_trace(trace: &Trace) -> Vec<Self> {
+        let prefix_lens = trace.prefix_lens();
+        let next_turn = trace.next_turn_exists();
+        (trace.entries().iter().enumerate())
+            .map(|(id, e)| Request {
+                prefix_len: prefix_lens[id],
+                next_turn: next_turn[id],
+                ..Request::from_entry(e)
+            })
+            .collect()
+    }
+
+    /// Current sequence length: prompt plus generated tokens.
+    pub(crate) fn seq_len(&self) -> usize {
         self.prompt_len + self.generated
     }
 
-    /// Output tokens a preempted request still owes after its kept
-    /// progress (at least 1 — a request one token short of done would
-    /// have finished, not been preempted).
-    pub fn remaining_output_len(&self) -> usize {
-        self.output_len.saturating_sub(self.generated).max(1)
+    /// What the request owes its next admission, as `(context, output)`:
+    /// the context built so far, which a preempted request re-prefills,
+    /// and the output still to generate — at least 1, since a request
+    /// one token short of done would have finished, not been preempted.
+    /// A fresh request owes its trace lengths; a running one owes what
+    /// it would if preempted now.
+    pub(crate) fn owed(&self) -> (usize, usize) {
+        let output = self.output_len.saturating_sub(self.generated).max(1);
+        (self.seq_len(), output)
     }
 
     /// Final sequence length once fully decoded.
-    pub fn final_seq_len(&self) -> usize {
+    pub(crate) fn final_seq_len(&self) -> usize {
         self.prompt_len + self.output_len
     }
 
     /// Time to first token, once known.
-    pub fn ttft(&self) -> Option<f64> {
+    pub(crate) fn ttft(&self) -> Option<f64> {
         self.first_token_at.map(|t| t - self.arrival)
     }
 
     /// End-to-end latency, once finished.
-    pub fn e2e(&self) -> Option<f64> {
+    pub(crate) fn e2e(&self) -> Option<f64> {
         self.finished_at.map(|t| t - self.arrival)
     }
 
     /// Mean time between output tokens (decode cadence). Zero for
     /// single-token outputs.
-    pub fn mean_tbt(&self) -> Option<f64> {
+    pub(crate) fn mean_tbt(&self) -> Option<f64> {
         match (self.first_token_at, self.finished_at) {
             (Some(first), Some(last)) if self.generated > 1 => {
                 Some((last - first) / (self.generated - 1) as f64)
@@ -189,7 +174,7 @@ mod tests {
 
     #[test]
     fn session_identity_rides_along() {
-        let r = Request::from_entry(0, &TraceEntry::turn(0.0, 32, 8, 4, 1)).unwrap();
+        let r = Request::from_entry(&TraceEntry::turn(0.0, 32, 8, 4, 1));
         assert_eq!(
             r.session,
             Some(SessionRef {
@@ -197,14 +182,23 @@ mod tests {
                 turn: 1
             })
         );
-        assert_eq!(r.reused_prefix, 0, "reuse is decided at admission");
-        let single = Request::from_entry(1, &entry(0.0, 8, 8)).unwrap();
+        let single = Request::from_entry(&entry(0.0, 8, 8));
         assert_eq!(single.session, None);
+        // A run's requests carry their session's reusable prefix and
+        // whether a later turn follows.
+        let trace = Trace::new(vec![
+            TraceEntry::turn(0.0, 32, 8, 4, 0),
+            TraceEntry::turn(1.0, 48, 8, 4, 1),
+        ])
+        .unwrap();
+        let reqs = Request::from_trace(&trace);
+        assert_eq!((reqs[0].prefix_len, reqs[0].next_turn), (0, true));
+        assert_eq!((reqs[1].prefix_len, reqs[1].next_turn), (40, false));
     }
 
     #[test]
     fn lifecycle_accessors() {
-        let mut r = Request::from_entry(0, &entry(1.0, 64, 8)).unwrap();
+        let mut r = Request::from_entry(&entry(1.0, 64, 8));
         assert_eq!(r.state, RequestState::Queued);
         assert_eq!(r.seq_len(), 64);
         assert_eq!(r.final_seq_len(), 72);
@@ -219,26 +213,17 @@ mod tests {
     }
 
     #[test]
-    fn malformed_entry_is_reported_not_panicked() {
-        let err = Request::from_entry(3, &entry(0.0, 0, 8)).unwrap_err();
-        assert_eq!(err.input_len, 0);
-        assert!(Request::from_entry(3, &entry(0.0, 8, 0)).is_err());
-    }
-
-    #[test]
     fn restart_lengths_track_progress() {
-        let mut r = Request::from_entry(0, &entry(0.0, 100, 40)).unwrap();
-        assert_eq!(r.seq_len(), 100);
-        assert_eq!(r.remaining_output_len(), 40);
+        let mut r = Request::from_entry(&entry(0.0, 100, 40));
+        assert_eq!(r.owed(), (100, 40));
         r.generated = 25;
         r.state = RequestState::Preempted;
-        assert_eq!(r.seq_len(), 125);
-        assert_eq!(r.remaining_output_len(), 15);
+        assert_eq!(r.owed(), (125, 15));
     }
 
     #[test]
     fn single_token_output_has_zero_tbt() {
-        let mut r = Request::from_entry(0, &entry(0.0, 4, 1)).unwrap();
+        let mut r = Request::from_entry(&entry(0.0, 4, 1));
         r.first_token_at = Some(1.0);
         r.finished_at = Some(1.0);
         r.generated = 1;

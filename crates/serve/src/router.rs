@@ -86,8 +86,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::engine::{ClosedLoopCfg, ServeConfig, ServeEngine};
 use crate::metrics::{ServeReport, ServeSample};
-use crate::replica::{evict_event, Lifecycle, ObsCtx, Replica, Reqs, Role, StepScratch};
-use crate::request::{RejectReason, Request, RequestState};
+use crate::replica::{evict_event, Lifecycle, ObsCtx, Replica, Role, StepScratch};
+use crate::request::{Request, RequestState};
 use crate::trace::Trace;
 
 /// How the router distributes incoming requests across replicas.
@@ -890,12 +890,10 @@ impl Router {
 /// next pending time so nobody races past a dispatch it should have
 /// seen.
 pub(crate) struct FleetRun<'a> {
-    engines: &'a [ServeEngine],
     cfg: &'a RouterConfig,
-    reqs: Reqs,
-    states: Vec<Replica>,
-    /// Terminal home of each request.
-    owner: Vec<Option<usize>>,
+    /// One record per trace entry, indexed by request id.
+    reqs: Vec<Request>,
+    states: Vec<Replica<'a>>,
     arrivals: Arrivals,
     heap: BinaryHeap<Ev>,
     seq: u64,
@@ -959,14 +957,10 @@ impl<'a> FleetRun<'a> {
             _ => None,
         };
         let dynamic = cfg.autoscaler || !cfg.failures.kills.is_empty();
-        let reqs = Reqs::new(trace);
-        let n = reqs.req.len();
         let mut run = FleetRun {
-            engines,
             cfg,
-            reqs,
+            reqs: Request::from_trace(trace),
             states,
-            owner: vec![None; n],
             arrivals: Arrivals::new(engines[0].config().closed_loop),
             heap: BinaryHeap::new(),
             seq: 0,
@@ -1010,7 +1004,7 @@ impl<'a> FleetRun<'a> {
                 .map(|s| s.t)
                 .fold(f64::INFINITY, f64::min);
             let heap_t = self.heap.peek().map_or(f64::INFINITY, |e| e.t);
-            let next_t = self.arrivals.next_time(&self.reqs.req).min(heap_t);
+            let next_t = self.arrivals.next_time(&self.reqs).min(heap_t);
             let horizon = if busy_min.is_finite() {
                 busy_min
             } else {
@@ -1024,7 +1018,7 @@ impl<'a> FleetRun<'a> {
                 continue;
             }
             let _route = profile::timer(Phase::Dispatch);
-            match self.arrivals.due(horizon, &self.reqs.req) {
+            match self.arrivals.due(horizon, &self.reqs) {
                 Some((id, at)) if at <= heap_t => self.arrive::<TRACED>(id, at),
                 _ => {
                     let ev = self.heap.pop().expect("the due event is on the heap");
@@ -1059,7 +1053,7 @@ impl<'a> FleetRun<'a> {
 
     /// Takes arrival `id`, due at `at`, off the source and dispatches it.
     fn arrive<const TRACED: bool>(&mut self, id: usize, at: f64) {
-        self.arrivals.take(id, at, &mut self.reqs.req);
+        self.arrivals.take(id, at, &mut self.reqs);
         self.last_event_t = self.last_event_t.max(at);
         if TRACED {
             self.obs.emit(Event {
@@ -1067,8 +1061,8 @@ impl<'a> FleetRun<'a> {
                 replica: None,
                 request: Some(id),
                 kind: EventKind::Arrival {
-                    prompt_len: self.reqs.req[id].prompt_len,
-                    output_len: self.reqs.req[id].output_len,
+                    prompt_len: self.reqs[id].prompt_len,
+                    output_len: self.reqs[id].output_len,
                 },
             });
         }
@@ -1093,7 +1087,7 @@ impl<'a> FleetRun<'a> {
                 // some remain, arrivals remain, or a replica is busy
                 // guarantees termination.
                 if !self.heap.is_empty()
-                    || !self.arrivals.exhausted(self.reqs.req.len())
+                    || !self.arrivals.exhausted(self.reqs.len())
                     || self.states.iter().any(Replica::busy)
                 {
                     self.push(ev.t + SCALE_INTERVAL_S, EvKind::Scale);
@@ -1115,11 +1109,10 @@ impl<'a> FleetRun<'a> {
             }
             let arrivals = &mut self.arrivals;
             s.step::<TRACED>(
-                &self.engines[i],
                 &mut self.reqs,
                 &mut self.step_scratch,
                 &mut self.obs,
-                |req, now| arrivals.release(req.id, now),
+                |id, now| arrivals.release(id, now),
             );
             for k in 0..self.step_scratch.requeues.len() {
                 let (t, id) = self.step_scratch.requeues[k];
@@ -1179,7 +1172,6 @@ impl<'a> FleetRun<'a> {
     /// Makes replica `to` request `id`'s home: enqueues it there at
     /// `at`, booking `res`, and re-keys the replica's load signal.
     fn place(&mut self, id: usize, to: usize, at: f64, res: u64) {
-        self.owner[id] = Some(to);
         self.states[to].enqueue(id, at, res, &mut self.reqs);
         self.rekey(to);
     }
@@ -1194,9 +1186,8 @@ impl<'a> FleetRun<'a> {
     /// Rejects request `id` at `at` as infeasible before any replica
     /// accepted it, and frees its closed-loop client.
     fn reject<const TRACED: bool>(&mut self, id: usize, at: f64, why: impl FnOnce() -> String) {
-        let req = &mut self.reqs.req[id];
+        let req = &mut self.reqs[id];
         req.state = RequestState::Rejected;
-        req.reject_reason = Some(RejectReason::Infeasible);
         if TRACED {
             self.obs.emit(Event {
                 t: at,
@@ -1216,9 +1207,8 @@ impl<'a> FleetRun<'a> {
     /// bouncing replica excluded) to a replica, or rejects it as
     /// infeasible if no eligible replica can ever hold it.
     fn dispatch<const TRACED: bool>(&mut self, id: usize, at: f64, exclude: Option<usize>) {
-        let engines = self.engines;
         let lb = self.cfg.lb;
-        let req = &self.reqs.req[id];
+        let req = &self.reqs[id];
         let (prompt, output) = (req.prompt_len, req.output_len);
         let key = req.session.map_or(id, |s| s.session_id);
 
@@ -1227,9 +1217,8 @@ impl<'a> FleetRun<'a> {
         // set, admitting it to prefill would strand it mid-flight, so
         // it is rejected up front.
         if self.cfg.disagg.is_some()
-            && !self.states.iter().any(|s| {
-                s.tier() == 1 && engines[s.idx].reservation_bytes(prompt, output, 1) <= s.budget
-            })
+            && !(self.states.iter())
+                .any(|s| s.tier() == 1 && s.engine.reservation_bytes(prompt, output, 1) <= s.budget)
         {
             self.reject::<TRACED>(id, at, || {
                 format!(
@@ -1246,7 +1235,7 @@ impl<'a> FleetRun<'a> {
             });
             return;
         };
-        let first_res = engines[first].reservation_bytes(prompt, output, prompt);
+        let first_res = (self.states[first].engine).reservation_bytes(prompt, output, prompt);
         let budget = self.states[first].budget;
         let target = if first_res <= budget {
             Some((first, first_res))
@@ -1259,7 +1248,7 @@ impl<'a> FleetRun<'a> {
                     s.tier() == 0 && Some(s.idx) != exclude && s.idx != first && s.is_admitting()
                 })
                 .find_map(|s| {
-                    let res = engines[s.idx].reservation_bytes(prompt, output, prompt);
+                    let res = s.engine.reservation_bytes(prompt, output, prompt);
                     (res <= s.budget).then_some((s.idx, res))
                 })
         } else {
@@ -1296,13 +1285,12 @@ impl<'a> FleetRun<'a> {
     /// front unless some decode replica could hold it, and budgets are
     /// static.
     fn handoff<const TRACED: bool>(&mut self, id: usize, at: f64) {
-        let engines = self.engines;
-        let req = &self.reqs.req[id];
+        let req = &self.reqs[id];
         let (prompt, output) = (req.prompt_len, req.output_len);
         let key = req.session.map_or(id, |s| s.session_id);
         let to = self
             .choose(1, key, |s| {
-                engines[s.idx].reservation_bytes(prompt, output, 1) <= s.budget
+                s.engine.reservation_bytes(prompt, output, 1) <= s.budget
             })
             .expect("dispatch admitted only decodable requests");
         if TRACED {
@@ -1310,8 +1298,9 @@ impl<'a> FleetRun<'a> {
             // handoff was scheduled; the sequence length has not moved
             // in transit, so recomputing here yields the exact same
             // bytes and latency.
-            let from = self.owner[id].expect("handoff implies a prefill owner");
-            let seq = self.reqs.req[id].seq_len();
+            let req = &self.reqs[id];
+            let from = req.owner.expect("handoff implies a prefill owner");
+            let sender = self.states[from].engine;
             self.obs.emit(Event {
                 t: at,
                 replica: Some(to),
@@ -1319,24 +1308,25 @@ impl<'a> FleetRun<'a> {
                 kind: EventKind::Handoff {
                     from,
                     to,
-                    bytes: engines[from].kv_handoff_bytes(seq),
-                    transfer_s: engines[from].kv_handoff_time(seq),
+                    bytes: sender.kv_handoff_bytes(req.seq_len()),
+                    transfer_s: sender.kv_handoff_time(req.seq_len()),
                 },
             });
         }
-        self.place(id, to, at, engines[to].reservation_bytes(prompt, output, 1));
+        let res = self.states[to].engine.reservation_bytes(prompt, output, 1);
+        self.place(id, to, at, res);
     }
 
     /// Re-homes one request off replica `from` (draining or failed) at
-    /// time `at`. `was_running` marks a session that was mid-decode at
-    /// a kill: its KV is gone, the caller has set it `Preempted`, and
-    /// the survivor's admission path re-prefills its whole sequence
-    /// (priced through [`ServeEngine::step_time`] like any
-    /// preempted re-admission). The target is the policy's preferred
-    /// admitting survivor among those that can *ever* hold the request
-    /// — the same never-fits guard as dispatch, so a moved request
-    /// cannot wedge a survivor's FCFS head. With no such survivor the
-    /// request is finally rejected.
+    /// time `at`, booking what it owes there. `was_running` marks a
+    /// session that was mid-decode at a kill: its KV is gone, the
+    /// caller has set it `Preempted`, and the survivor's admission path
+    /// re-prefills its whole sequence (priced through
+    /// [`ServeEngine::step_time`] like any preempted re-admission). The
+    /// target is the policy's preferred admitting survivor among those
+    /// that can *ever* hold the request — the same never-fits guard as
+    /// dispatch, so a moved request cannot wedge a survivor's FCFS head.
+    /// With no such survivor the request is finally rejected.
     fn recover<const TRACED: bool>(
         &mut self,
         id: usize,
@@ -1345,24 +1335,17 @@ impl<'a> FleetRun<'a> {
         cause: &str,
         was_running: bool,
     ) {
-        let engines = self.engines;
-        let snapshot = self.reqs.req[id].clone();
-        let needed = |i: usize| -> u64 {
-            let (prompt, output) = if snapshot.state == RequestState::Preempted {
-                (snapshot.seq_len(), snapshot.remaining_output_len())
-            } else {
-                (snapshot.prompt_len, snapshot.output_len)
-            };
-            engines[i].reservation_bytes(prompt, output, prompt)
-        };
-        let key = snapshot.session.map_or(id, |s| s.session_id);
-        let Some(to) = self.choose(0, key, |s| s.idx != from && needed(s.idx) <= s.budget) else {
+        let req = &self.reqs[id];
+        let key = req.session.map_or(id, |s| s.session_id);
+        let owed = req.owed();
+        let needed = |s: &Replica| s.engine.owed_reservation(owed);
+        let Some(to) = self.choose(0, key, |s| s.idx != from && needed(s) <= s.budget) else {
             self.reject::<TRACED>(id, at, || {
                 format!("replica {from} {cause}: no admitting survivor can ever hold request {id}")
             });
             return;
         };
-        self.place(id, to, at, needed(to));
+        self.place(id, to, at, needed(&self.states[to]));
         let dynamics = self.dynamics.as_mut().expect("dynamic fleet");
         if was_running {
             dynamics.recovered += 1;
@@ -1371,7 +1354,7 @@ impl<'a> FleetRun<'a> {
         }
         if TRACED {
             let kind = if was_running {
-                let rebuilt_tokens = snapshot.seq_len();
+                let rebuilt_tokens = owed.0;
                 EventKind::SessionRecovered {
                     from,
                     to,
@@ -1446,7 +1429,7 @@ impl<'a> FleetRun<'a> {
             // preempted (the re-admission path re-prefills the whole
             // sequence) without touching the preemption counters:
             // nothing was evicted by policy.
-            self.reqs.req[id].state = RequestState::Preempted;
+            self.reqs[id].state = RequestState::Preempted;
             self.recover::<TRACED>(id, r, at, "failed", true);
         }
     }
@@ -1460,10 +1443,10 @@ impl<'a> FleetRun<'a> {
     /// headroom, above the floor). Every signal is pure simulation
     /// state, so the control loop is deterministic per seed.
     fn scale_tick<const TRACED: bool>(&mut self, at: f64) {
-        let slo = self.engines[0].config().slo;
+        let slo = self.states[0].engine.config().slo;
         let lo = at - SCALE_WINDOW_S;
         let (mut fin, mut met) = (0usize, 0usize);
-        for req in &self.reqs.req {
+        for req in &self.reqs {
             if let Some(f) = req.finished_at {
                 if f > lo && f <= at {
                     fin += 1;
@@ -1493,8 +1476,9 @@ impl<'a> FleetRun<'a> {
         let mut worst_wait = 0.0f64;
         for s in &self.states {
             for &id in &s.queue {
-                if self.reqs.req[id].first_token_at.is_none() {
-                    worst_wait = worst_wait.max(at - self.reqs.queued_since[id]);
+                let req = &self.reqs[id];
+                if req.first_token_at.is_none() {
+                    worst_wait = worst_wait.max(at - req.queued_since);
                 }
             }
         }
@@ -1585,7 +1569,8 @@ impl<'a> FleetRun<'a> {
     /// The single engine's report: replica 0 over every request in the
     /// trace, with the fleet's makespan rule.
     pub(crate) fn engine_report(&self) -> ServeReport {
-        let mut report = self.states[0].report(&self.engines[0], &self.reqs.req, self.makespan());
+        let all: Vec<&Request> = self.reqs.iter().collect();
+        let mut report = self.states[0].report(&all, self.makespan());
         report.metrics = self.obs.metrics();
         report
     }
@@ -1593,18 +1578,15 @@ impl<'a> FleetRun<'a> {
     /// Assembles per-replica and fleet reports.
     fn router_report(&self) -> RouterReport {
         let states = &self.states;
-        // Each replica's request ids, in trace order, split in one pass.
-        let mut owned: Vec<Vec<usize>> = vec![Vec::new(); states.len()];
-        for (id, owner) in self.owner.iter().enumerate() {
-            if let Some(o) = *owner {
-                owned[o].push(id);
+        // Each replica's requests, in trace order, split in one pass.
+        let mut owned: Vec<Vec<&Request>> = vec![Vec::new(); states.len()];
+        for req in &self.reqs {
+            if let Some(o) = req.owner {
+                owned[o].push(req);
             }
         }
         let replicas: Vec<ServeReport> = (states.iter().zip(&owned))
-            .map(|(s, ids)| {
-                let local: Vec<_> = ids.iter().map(|&id| self.reqs.req[id].clone()).collect();
-                s.report(&self.engines[s.idx], &local, s.t)
-            })
+            .map(|(s, local)| s.report(local, s.t))
             .collect();
 
         // Fleet aggregates: step-weighted batch, interleaved timeline
@@ -1623,8 +1605,8 @@ impl<'a> FleetRun<'a> {
             .flat_map(|s| s.timeline.samples().iter().map(move |&p| (s.idx, p)))
             .collect();
         merged.sort_by(|a, b| a.1.t.total_cmp(&b.1.t).then_with(|| a.0.cmp(&b.0)));
-        let cfg0 = self.engines[0].config();
-        let cfgs = || self.engines.iter().map(ServeEngine::config);
+        let cfg0 = states[0].engine.config();
+        let cfgs = || states.iter().map(|s| s.engine.config());
         // Fleet reuse stats: the merged per-replica counters, present
         // iff any replica ran with retention.
         let fleet_reuse: Option<ReuseStats> = (states.iter())
@@ -1634,12 +1616,13 @@ impl<'a> FleetRun<'a> {
         // discipline (matching the per-replica emission rule).
         let fleet_discipline = (!cfgs().all(|c| c.discipline.is_fcfs()))
             .then(|| fleet_tag(cfgs().map(|c| c.discipline.name())));
-        let n = self.engines.len();
+        let n = states.len();
+        let all: Vec<&Request> = self.reqs.iter().collect();
         let mut fleet = ServeReport::from_requests(
             format!("{n}x{}", fleet_tag(cfgs().map(|c| c.policy.name()))),
             cfg0.model.name.clone(),
             format!("{n}x {}", fleet_tag(cfgs().map(|c| c.hardware.to_string()))),
-            &self.reqs.req,
+            &all,
             cfg0.slo,
             self.makespan(),
             mean_batch,

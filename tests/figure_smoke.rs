@@ -4,7 +4,9 @@
 //! `--quick` stdout (default seed 42) must equal the committed
 //! `tests/golden/<bin>_quick_seed42.txt`, and the performance- and
 //! functional-path figures' (which take no seed)
-//! `tests/golden/<bin>_quick.txt`.
+//! `tests/golden/<bin>_quick.txt`. The serving figures' `--events`
+//! logs must be byte-identical per seed and pass `trace_check`, and the
+//! argument errors must exit 2 before any figure output.
 
 use std::process::{Command, Output};
 use std::time::{Duration, Instant};
@@ -237,18 +239,77 @@ fn events_without_a_path_is_rejected() {
 }
 
 /// An `--events` path that cannot be created is an error report, not a
-/// panic: exit 2 with the path and the I/O error on stderr.
+/// panic: exit 2 with the path and the I/O error on stderr, before any
+/// figure output.
 #[test]
 fn events_path_that_cannot_be_created_is_rejected() {
     let path = "/nonexistent/dir/x.jsonl";
     let out = launch_quick("fig13_online_serving", &["--events", path]);
     assert_eq!(out.status.code(), Some(2), "must exit 2");
+    assert!(out.stdout.is_empty(), "must print no figure");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
         stderr.contains(&format!("cannot create events log {path}: ")),
         "{stderr}"
     );
     assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+/// Runs `<bin> --quick --seed 42 --events <log>` twice and returns the
+/// log, asserting both runs succeed, write byte-identical logs, and
+/// that `trace_check` accepts every line.
+fn deterministic_event_log(bin: &str) -> String {
+    let dir = env!("CARGO_TARGET_TMPDIR");
+    let logs = ["a", "b"].map(|run| format!("{dir}/{bin}_events_{run}.jsonl"));
+    for log in &logs {
+        let out = launch_quick(bin, &["--seed", "42", "--events", log]);
+        assert!(
+            out.status.success(),
+            "{bin} --events failed:\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+    let [a, b] = [&logs[0], &logs[1]].map(|log| std::fs::read_to_string(log).expect("event log"));
+    assert!(a == b, "{bin}: same-seed event logs differ");
+    let out = launch("trace_check", &[&logs[0]]);
+    assert!(out.status.success(), "{bin}: trace_check rejected the log");
+    assert!(
+        String::from_utf8_lossy(&out.stdout).contains("events OK"),
+        "{bin}: trace_check did not accept the log"
+    );
+    a
+}
+
+/// The event-trace smoke test: fig13's `--events` log is byte-identical
+/// per seed and parses line by line through the event schema.
+#[test]
+fn fig13_event_log_is_deterministic_and_parses() {
+    deterministic_event_log("fig13_online_serving");
+}
+
+/// fig18's `--events` log traces its replica kills and the sessions
+/// they re-home, byte-identically per seed and in schema.
+#[test]
+fn fig18_failure_event_log_is_deterministic_and_parses() {
+    let log = deterministic_event_log("fig18_fleet_dynamics");
+    for kind in ["replica-failed", "session-recovered"] {
+        assert!(log.contains(kind), "fig18's log has no {kind} event");
+    }
+}
+
+/// A line of 100,000 `[` is an invalid event (exit 1), not a stack
+/// overflow.
+#[test]
+fn trace_check_rejects_deep_nesting() {
+    let path = format!("{}/deep.jsonl", env!("CARGO_TARGET_TMPDIR"));
+    std::fs::write(&path, format!("{}\n", "[".repeat(100_000))).expect("write deep log");
+    let out = launch("trace_check", &[&path]);
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 }
 
 #[test]
