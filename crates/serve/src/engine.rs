@@ -77,8 +77,8 @@ impl TimelineRec {
         }
     }
 
-    pub(crate) fn samples(&self) -> &[ServeSample] {
-        &self.samples
+    pub(crate) fn into_samples(self) -> Vec<ServeSample> {
+        self.samples
     }
 }
 
@@ -477,7 +477,7 @@ mod tests {
             rec.push(i, sample(i));
         }
         let all: Vec<ServeSample> = (1..=100).map(sample).collect();
-        assert_eq!(rec.samples(), &all[..], "under-cap recording is lossless");
+        assert_eq!(rec.into_samples(), all, "under-cap recording is lossless");
 
         // Well past the cap (several halvings, ending off-stride).
         let last = 3 * TIMELINE_CAP as u64 + 1;
@@ -485,7 +485,7 @@ mod tests {
         for i in 1..=last {
             rec.push(i, sample(i));
         }
-        let kept = rec.samples();
+        let kept = rec.into_samples();
         assert!(
             kept.len() <= TIMELINE_CAP,
             "decimation must bound the timeline: {} > {TIMELINE_CAP}",

@@ -10,9 +10,11 @@
 //! token accounting (including prefill→decode handoffs), and the
 //! timeline sample. The fleet loop (`crate::router::FleetRun`) drives
 //! one replica for the engine and many for the router, with the same
-//! dispatch and lockstep sweep. Per-request state lives in one
-//! [`Request`] per request, indexed by request id and lent to each step
-//! as a `&mut` slice.
+//! dispatch and the same sweeps: each sweep steps, in index order, the
+//! busy replicas whose clocks lag the next pending time, found through
+//! the loop's ready heap. Per-request state lives in one [`Request`] per
+//! request, indexed by request id and lent to each step as a `&mut`
+//! slice.
 
 use std::collections::VecDeque;
 
@@ -252,8 +254,9 @@ impl<'a> Replica<'a> {
         self.queue.push_back(id);
     }
 
-    /// This replica's report over `requests`, ending at `makespan`.
-    pub(crate) fn report(&self, requests: &[&Request], makespan: f64) -> ServeReport {
+    /// This replica's report over `requests`, ending at `makespan`; its
+    /// timeline moves into the report.
+    pub(crate) fn report(self, requests: &[&Request], makespan: f64) -> ServeReport {
         let cfg = self.engine.config();
         let mean_batch = if self.step_count == 0 {
             0.0
@@ -268,7 +271,7 @@ impl<'a> Replica<'a> {
             cfg.slo,
             makespan,
             mean_batch,
-            self.timeline.samples().to_vec(),
+            self.timeline.into_samples(),
             self.peak_queue_depth,
             self.peak_kv_bytes,
             self.session_kv.as_ref().map(|kv| kv.stats()),
@@ -533,7 +536,7 @@ impl<'a> Replica<'a> {
         }
         drop(_order);
         if newly.is_empty() && ingests.is_empty() && self.running.is_empty() {
-            self.check_books(reqs);
+            self.check_books(reqs, t);
             return;
         }
 
@@ -621,14 +624,20 @@ impl<'a> Replica<'a> {
                 kv_bytes: self.reserved,
             },
         );
-        self.check_books(reqs);
+        self.check_books(reqs, t);
     }
 
-    /// Debug builds check the books a step leaves: `reserved` is what
-    /// the running batch booked, every running request is owned here,
-    /// and live reservations plus retained session caches fit the
-    /// budget.
-    fn check_books(&self, reqs: &[Request]) {
+    /// Debug builds check the books a step that began at clock `t0`
+    /// leaves: the clock has not moved backwards, `reserved` is what the
+    /// running batch booked, every running request is owned here, and
+    /// live reservations plus retained session caches fit the budget.
+    fn check_books(&self, reqs: &[Request], t0: f64) {
+        debug_assert!(
+            self.t >= t0,
+            "replica {}'s step moved its clock back from {t0} to {}",
+            self.idx,
+            self.t
+        );
         debug_assert_eq!(
             self.reserved,
             self.running.iter().map(|&id| reqs[id].booked).sum::<u64>(),

@@ -37,8 +37,10 @@
 //! in the crate: [`ServeEngine::run`] drives itself through it as a
 //! 1-replica fleet. Arrivals come from a source (the trace in order, or
 //! closed-loop clients), a global event heap ordered by `(time, seq)`
-//! holds handoffs, re-queues, scale ticks and kills, and lockstep
-//! sweeps advance every replica through the one shared replica step.
+//! holds handoffs, re-queues, scale ticks and kills, and a ready heap of
+//! the busy replicas, ordered by `(clock, index)`, says which replicas a
+//! sweep steps through the one shared replica step: only those whose
+//! clock lags the next pending time, in index order.
 //! A 1-replica router run therefore reproduces the engine run byte for
 //! byte — asserted by `tests/multi_replica.rs` and
 //! `tests/differential.rs`.
@@ -73,7 +75,7 @@
 //! assert_eq!(report.fleet.admitted + report.fleet.rejected, 24);
 //! ```
 
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::{BTreeSet, BinaryHeap};
 
 use alisa_kvcache::ReuseStats;
@@ -374,8 +376,10 @@ pub struct RouterReport {
     /// Fleet-level report over *all* requests, graded against replica
     /// 0's SLO (the one the autoscaler reads too). `mean_batch` is the
     /// step-weighted mean across replicas; the timeline interleaves
-    /// per-replica samples (each sample's depths are replica-local);
-    /// the `peak_*` fields are the worst single replica's peaks.
+    /// the per-replica timelines in `(time, replica)` order, so samples
+    /// at the same instant list the lower replica first (each sample's
+    /// depths are replica-local); the `peak_*` fields are the worst
+    /// single replica's peaks.
     pub fleet: ServeReport,
     /// Per-replica reports, each over the requests whose terminal home
     /// was that replica and graded against that replica's own SLO.
@@ -886,9 +890,14 @@ impl Router {
 /// every replica idle, the earliest pending time is the horizon.
 /// Arrivals come from the [`Arrivals`] source and go before a heap
 /// event at the same time. When nothing is due, a sweep advances every
-/// lagging busy replica by one step, in index order, bounded by the
-/// next pending time so nobody races past a dispatch it should have
-/// seen.
+/// busy replica whose clock lags the next pending time by one step, in
+/// index order, so nobody races past a dispatch it should have seen.
+///
+/// The busy replicas wait in a ready heap of `(clock bits, index)`, so
+/// neither the horizon nor a sweep visits an idle or caught-up replica.
+/// Clocks are non-negative, so their bits order like [`f64::total_cmp`]
+/// (the [`DispatchIndex`] trick). `sync_ready` renews a replica's one
+/// live entry wherever its clock or busy state can change.
 pub(crate) struct FleetRun<'a> {
     cfg: &'a RouterConfig,
     /// One record per trace entry, indexed by request id.
@@ -897,6 +906,15 @@ pub(crate) struct FleetRun<'a> {
     arrivals: Arrivals,
     heap: BinaryHeap<Ev>,
     seq: u64,
+    /// Min-heap of the busy replicas by `(clock bits, index)`. An entry
+    /// that is not its replica's `ready_key` is stale and is dropped
+    /// when it surfaces.
+    ready: BinaryHeap<Reverse<(u64, usize)>>,
+    /// Per replica: the clock bits of its live ready entry, `None` while
+    /// it is idle.
+    ready_key: Vec<Option<u64>>,
+    /// Reusable list of the replicas one sweep steps.
+    due: Vec<usize>,
     /// Latest arrival or real event time: the makespan's floor.
     last_event_t: f64,
     /// Round-robin cursors of the arrival tier (0) and decode tier (1).
@@ -957,6 +975,7 @@ impl<'a> FleetRun<'a> {
             _ => None,
         };
         let dynamic = cfg.autoscaler || !cfg.failures.kills.is_empty();
+        let n = states.len();
         let mut run = FleetRun {
             cfg,
             reqs: Request::from_trace(trace),
@@ -964,6 +983,9 @@ impl<'a> FleetRun<'a> {
             arrivals: Arrivals::new(engines[0].config().closed_loop),
             heap: BinaryHeap::new(),
             seq: 0,
+            ready: BinaryHeap::with_capacity(n),
+            ready_key: vec![None; n],
+            due: Vec::with_capacity(n),
             last_event_t: 0.0,
             rr: [0; 2],
             index,
@@ -999,10 +1021,12 @@ impl<'a> FleetRun<'a> {
             if self.dynamics.is_some() {
                 self.settle_drains::<TRACED>();
             }
-            let busy_min = (self.states.iter())
-                .filter(|s| s.busy())
-                .map(|s| s.t)
-                .fold(f64::INFINITY, f64::min);
+            debug_assert_eq!(
+                self.out_of_sync(),
+                None,
+                "a replica's ready entry is not its busy clock"
+            );
+            let busy_min = self.busy_min();
             let heap_t = self.heap.peek().map_or(f64::INFINITY, |e| e.t);
             let next_t = self.arrivals.next_time(&self.reqs).min(heap_t);
             let horizon = if busy_min.is_finite() {
@@ -1088,7 +1112,7 @@ impl<'a> FleetRun<'a> {
                 // guarantees termination.
                 if !self.heap.is_empty()
                     || !self.arrivals.exhausted(self.reqs.len())
-                    || self.states.iter().any(Replica::busy)
+                    || self.busy_min().is_finite()
                 {
                     self.push(ev.t + SCALE_INTERVAL_S, EvKind::Scale);
                 }
@@ -1097,18 +1121,67 @@ impl<'a> FleetRun<'a> {
         }
     }
 
+    /// The earliest clock of a busy replica (+∞ when all are idle): the
+    /// live top of the ready heap, once stale entries are dropped.
+    fn busy_min(&mut self) -> f64 {
+        while let Some(&Reverse((key, i))) = self.ready.peek() {
+            if self.ready_key[i] == Some(key) {
+                return f64::from_bits(key);
+            }
+            self.ready.pop();
+        }
+        f64::INFINITY
+    }
+
+    /// Renews replica `i`'s ready entry after its clock or busy state
+    /// may have changed: a busy replica gets a live entry at its clock,
+    /// an idle one none. The entry it replaces goes stale.
+    fn sync_ready(&mut self, i: usize) {
+        let s = &self.states[i];
+        let key = s.busy().then(|| s.t.to_bits());
+        if self.ready_key[i] != key {
+            self.ready_key[i] = key;
+            if let Some(key) = key {
+                self.ready.push(Reverse((key, i)));
+            }
+        }
+    }
+
+    /// The first replica whose live ready entry is not its busy clock,
+    /// if any. Debug builds check before every loop iteration, so after
+    /// every sweep and every event, that there is none.
+    fn out_of_sync(&self) -> Option<usize> {
+        let mut live = vec![false; self.states.len()];
+        for &Reverse((key, i)) in self.ready.iter() {
+            live[i] |= self.ready_key[i] == Some(key);
+        }
+        (self.states.iter()).position(|s| {
+            let want = s.busy().then(|| s.t.to_bits());
+            self.ready_key[s.idx] != want || live[s.idx] != want.is_some()
+        })
+    }
+
     /// Advances every busy replica lagging behind `limit`, the next
-    /// pending time, by one step, in index order. Each step's bounces
+    /// pending time, by one step, in index order: pops their ready
+    /// entries, steps them, and renews the entries. Each step's bounces
     /// and handoffs go on the heap right after it, and its load signal
     /// is re-keyed — dispatches only read the index between sweeps.
     fn sweep<const TRACED: bool>(&mut self, limit: f64) {
-        for i in 0..self.states.len() {
-            let s = &mut self.states[i];
-            if !s.busy() || s.t >= limit {
-                continue;
+        let mut due = std::mem::take(&mut self.due);
+        while let Some(&Reverse((key, i))) = self.ready.peek() {
+            if f64::from_bits(key) >= limit {
+                break;
             }
+            self.ready.pop();
+            if self.ready_key[i] == Some(key) {
+                self.ready_key[i] = None;
+                due.push(i);
+            }
+        }
+        due.sort_unstable();
+        for &i in &due {
             let arrivals = &mut self.arrivals;
-            s.step::<TRACED>(
+            self.states[i].step::<TRACED>(
                 &mut self.reqs,
                 &mut self.step_scratch,
                 &mut self.obs,
@@ -1125,7 +1198,10 @@ impl<'a> FleetRun<'a> {
             self.requeued += self.step_scratch.requeues.len();
             self.handoffs += self.step_scratch.handoffs.len();
             self.rekey(i);
+            self.sync_ready(i);
         }
+        due.clear();
+        self.due = due;
     }
 
     /// Dynamic fleets: a draining replica whose running batch has
@@ -1170,10 +1246,12 @@ impl<'a> FleetRun<'a> {
     }
 
     /// Makes replica `to` request `id`'s home: enqueues it there at
-    /// `at`, booking `res`, and re-keys the replica's load signal.
+    /// `at`, booking `res`, re-keys the replica's load signal and renews
+    /// its ready entry.
     fn place(&mut self, id: usize, to: usize, at: f64, res: u64) {
         self.states[to].enqueue(id, at, res, &mut self.reqs);
         self.rekey(to);
+        self.sync_ready(to);
     }
 
     /// Refreshes replica `i`'s key in the dispatch index, if any.
@@ -1420,6 +1498,7 @@ impl<'a> FleetRun<'a> {
         if let Some(ix) = self.index.as_mut() {
             ix.remove(r);
         }
+        self.sync_ready(r);
         for id in queued {
             self.recover::<TRACED>(id, r, at, "failed", false);
         }
@@ -1502,6 +1581,7 @@ impl<'a> FleetRun<'a> {
                 ix.insert(r);
             }
             self.rekey(r);
+            self.sync_ready(r);
             if TRACED {
                 self.obs.emit(Event {
                     t: at,
@@ -1537,6 +1617,7 @@ impl<'a> FleetRun<'a> {
             if let Some(ix) = self.index.as_mut() {
                 ix.remove(r);
             }
+            self.sync_ready(r);
             if TRACED {
                 let replicas_up = ups - 1;
                 self.obs.emit(Event {
@@ -1567,33 +1648,28 @@ impl<'a> FleetRun<'a> {
     }
 
     /// The single engine's report: replica 0 over every request in the
-    /// trace, with the fleet's makespan rule.
-    pub(crate) fn engine_report(&self) -> ServeReport {
+    /// trace, with the fleet's makespan rule. Consumes the run, whose
+    /// timeline moves into the report.
+    pub(crate) fn engine_report(self) -> ServeReport {
+        let makespan = self.makespan();
         let all: Vec<&Request> = self.reqs.iter().collect();
-        let mut report = self.states[0].report(&all, self.makespan());
+        let replica = (self.states.into_iter().next()).expect("a fleet has a replica");
+        let mut report = replica.report(&all, makespan);
         report.metrics = self.obs.metrics();
         report
     }
 
-    /// Assembles per-replica and fleet reports.
-    fn router_report(&self) -> RouterReport {
-        let states = &self.states;
-        // Each replica's requests, in trace order, split in one pass.
-        let mut owned: Vec<Vec<&Request>> = vec![Vec::new(); states.len()];
-        for req in &self.reqs {
-            if let Some(o) = req.owner {
-                owned[o].push(req);
-            }
-        }
-        let replicas: Vec<ServeReport> = (states.iter().zip(&owned))
-            .map(|(s, local)| s.report(local, s.t))
-            .collect();
+    /// Assembles per-replica and fleet reports. Consumes the run: each
+    /// replica's timeline moves into its report, and the fleet timeline
+    /// is merged from those.
+    fn router_report(self) -> RouterReport {
+        let makespan = self.makespan();
+        let states = self.states;
 
-        // Fleet aggregates: step-weighted batch, interleaved timeline
-        // (replica-local depths, globally time-sorted), worst-replica
-        // peaks, and the makespan. Every request is graded against
-        // replica 0's SLO, as the autoscaler grades it; each replica's
-        // report above used its own (see `RouterReport::replicas`).
+        // Fleet aggregates: step-weighted batch, worst-replica peaks,
+        // and the makespan. Every request is graded against replica 0's
+        // SLO, as the autoscaler grades it; each replica's report below
+        // uses its own (see `RouterReport::replicas`).
         let total_steps: u64 = states.iter().map(|s| s.step_count).sum();
         let total_batch: u64 = states.iter().map(|s| s.batch_sum).sum();
         let mean_batch = if total_steps == 0 {
@@ -1601,10 +1677,6 @@ impl<'a> FleetRun<'a> {
         } else {
             total_batch as f64 / total_steps as f64
         };
-        let mut merged: Vec<(usize, ServeSample)> = (states.iter())
-            .flat_map(|s| s.timeline.samples().iter().map(move |&p| (s.idx, p)))
-            .collect();
-        merged.sort_by(|a, b| a.1.t.total_cmp(&b.1.t).then_with(|| a.0.cmp(&b.0)));
         let cfg0 = states[0].engine.config();
         let cfgs = || states.iter().map(|s| s.engine.config());
         // Fleet reuse stats: the merged per-replica counters, present
@@ -1617,18 +1689,37 @@ impl<'a> FleetRun<'a> {
         let fleet_discipline = (!cfgs().all(|c| c.discipline.is_fcfs()))
             .then(|| fleet_tag(cfgs().map(|c| c.discipline.name())));
         let n = states.len();
+        let policy = format!("{n}x{}", fleet_tag(cfgs().map(|c| c.policy.name())));
+        let hardware = format!("{n}x {}", fleet_tag(cfgs().map(|c| c.hardware.to_string())));
+        let peak_queue_depth = states.iter().map(|s| s.peak_queue_depth).max().unwrap_or(0);
+        let peak_kv_bytes = states.iter().map(|s| s.peak_kv_bytes).max().unwrap_or(0);
+
+        // Each replica's requests, in trace order, split in one pass.
+        let mut owned: Vec<Vec<&Request>> = vec![Vec::new(); n];
+        for req in &self.reqs {
+            if let Some(o) = req.owner {
+                owned[o].push(req);
+            }
+        }
+        let replicas: Vec<ServeReport> = (states.into_iter().zip(&owned))
+            .map(|(s, local)| {
+                let t = s.t;
+                s.report(local, t)
+            })
+            .collect();
+
         let all: Vec<&Request> = self.reqs.iter().collect();
         let mut fleet = ServeReport::from_requests(
-            format!("{n}x{}", fleet_tag(cfgs().map(|c| c.policy.name()))),
+            policy,
             cfg0.model.name.clone(),
-            format!("{n}x {}", fleet_tag(cfgs().map(|c| c.hardware.to_string()))),
+            hardware,
             &all,
             cfg0.slo,
-            self.makespan(),
+            makespan,
             mean_batch,
-            merged.into_iter().map(|(_, p)| p).collect(),
-            states.iter().map(|s| s.peak_queue_depth).max().unwrap_or(0),
-            states.iter().map(|s| s.peak_kv_bytes).max().unwrap_or(0),
+            merge_timelines(&replicas),
+            peak_queue_depth,
+            peak_kv_bytes,
             fleet_reuse,
             fleet_discipline,
         );
@@ -1645,6 +1736,29 @@ impl<'a> FleetRun<'a> {
             dynamics: self.dynamics,
         }
     }
+}
+
+/// The fleet timeline: every replica report's timeline, merged in
+/// `(time, replica)` order. Each replica's timeline is already in time
+/// order, so this k-way merge lists exactly what a stable sort of their
+/// concatenation by time would, with no copy to sort and no sort buffer.
+/// Sample times are replica clocks, which are non-negative, so their bit
+/// patterns order like [`f64::total_cmp`].
+fn merge_timelines(replicas: &[ServeReport]) -> Vec<ServeSample> {
+    let mut merged = Vec::with_capacity(replicas.iter().map(|r| r.timeline.len()).sum());
+    let mut next = vec![0usize; replicas.len()];
+    let mut heads: BinaryHeap<Reverse<(u64, usize)>> = (replicas.iter().enumerate())
+        .filter_map(|(i, r)| r.timeline.first().map(|p| Reverse((p.t.to_bits(), i))))
+        .collect();
+    while let Some(Reverse((_, i))) = heads.pop() {
+        let timeline = &replicas[i].timeline;
+        merged.push(timeline[next[i]]);
+        next[i] += 1;
+        if let Some(p) = timeline.get(next[i]) {
+            heads.push(Reverse((p.t.to_bits(), i)));
+        }
+    }
+    merged
 }
 
 /// A fleet tag: the distinct per-replica `names` in first-appearance
@@ -2120,6 +2234,48 @@ mod tests {
             .iter()
             .all(|k| k.t >= 0.2 * 60.0 && k.t <= 0.8 * 60.0));
         assert_ne!(FailurePlan::seeded(10, 2, 4, 60.0), a, "seed must matter");
+    }
+
+    #[test]
+    fn ready_heap_follows_every_clock_and_busy_change() {
+        // Drives each re-sync point of the ready heap by hand and checks
+        // the heap after each: scale-up, enqueue, a sweep, a drain that
+        // empties a replica holding only queued work, and a kill.
+        let trace = Trace::new(vec![
+            crate::trace::TraceEntry::single_shot(0.0, 64, 400),
+            crate::trace::TraceEntry::single_shot(0.0, 64, 400),
+        ])
+        .unwrap();
+        let router = Router::new(
+            RouterConfig::homogeneous(replica_cfg(AdmissionPolicy::alisa()), 3).with_autoscaler(),
+        );
+        let mut sink = NullSink;
+        let mut run = FleetRun::new(&router.engines, &router.cfg, false, &trace, &mut sink);
+        let res = router.engines[0].reservation_bytes(64, 400, 64);
+        run.place(0, 0, 0.0, res);
+        assert_eq!(run.out_of_sync(), None, "after an enqueue");
+        // Request 0 has waited past the TTFT budget: overload brings
+        // replica 1 up.
+        let late = 2.0 * router.engines[0].config().slo.ttft_s;
+        run.scale_tick::<false>(late);
+        assert_eq!(run.states[1].life, Lifecycle::Up);
+        assert_eq!(run.out_of_sync(), None, "after a scale-up");
+        assert_eq!(run.busy_min(), 0.0);
+        run.sweep::<false>(late);
+        assert_eq!(run.out_of_sync(), None, "after a sweep");
+        assert!(!run.states[0].running.is_empty());
+        // Replica 1 holds request 1 in its queue only. Calm now: the
+        // drain picks it (ties go to the highest index) and moves the
+        // request to replica 0, leaving replica 1 idle.
+        run.place(1, 1, late, res);
+        run.scale_tick::<false>(late);
+        assert_eq!(run.states[1].life, Lifecycle::Draining);
+        assert!(!run.states[1].busy());
+        assert_eq!(run.out_of_sync(), None, "after a drain");
+        run.fail_replica::<false>(0, late);
+        assert!(!run.states[0].busy());
+        assert_eq!(run.out_of_sync(), None, "after a kill");
+        assert_eq!(run.busy_min(), f64::INFINITY);
     }
 
     #[test]

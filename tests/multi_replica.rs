@@ -1,13 +1,16 @@
 //! Integration tests of the multi-replica router: byte-level
 //! determinism per load-balancing policy, request conservation across
-//! the fleet, single-replica equivalence with the plain engine, and the
-//! scaling/disaggregation behaviour `fig14_multi_replica` gates on.
+//! the fleet, single-replica equivalence with the plain engine, the
+//! scaling/disaggregation behaviour `fig14_multi_replica` gates on,
+//! digests pinning the reports of 64- and 512-replica fleets
+//! (`tests/golden/router_wide_digests.txt`), and the `(time, replica)`
+//! order of the fleet timeline.
 
 use alisa_memsim::HardwareSpec;
 use alisa_model::ModelConfig;
 use alisa_serve::{
     AdmissionPolicy, ArrivalProcess, ClosedLoopCfg, EventKind, LoadBalancePolicy, MemorySink,
-    Router, RouterConfig, ServeConfig, ServeEngine, Trace,
+    Router, RouterConfig, RouterReport, ServeConfig, ServeEngine, ServeSample, Trace, TraceEntry,
 };
 use alisa_workloads::LengthModel;
 
@@ -254,15 +257,12 @@ fn preemptive_retention_fleet_is_byte_identical_per_seed() {
     assert_eq!(run().as_bytes(), run().as_bytes());
 }
 
-/// Fleet-scale smoke: a 512-replica fleet dispatches through the
-/// incremental `DispatchIndex` and still matches the linear-scan
-/// reference byte-for-byte, for the two indexed policies plus
-/// round-robin, under both unified and disaggregated tiers. This is the
-/// scale point the `router` criterion bench gates (≥10× over the
-/// reference scan) — here we only pin correctness.
-#[test]
-fn indexed_dispatch_matches_reference_at_512_replicas() {
-    let trace = alpaca_trace(40.0, 300, 0xA11A);
+/// The six 512-replica fleets the indexed/reference check runs and
+/// `tests/golden/router_wide_digests.txt` pins, each with its name: the
+/// two indexed policies plus round-robin, unified and with a 128-replica
+/// prefill tier.
+fn wide_512_configs() -> Vec<(String, RouterConfig)> {
+    let mut runs = Vec::new();
     for lb in [
         LoadBalancePolicy::RoundRobin,
         LoadBalancePolicy::LeastOutstanding,
@@ -271,20 +271,189 @@ fn indexed_dispatch_matches_reference_at_512_replicas() {
         for disagg in [false, true] {
             let mut cfg =
                 RouterConfig::homogeneous(replica_cfg(AdmissionPolicy::alisa()), 512).with_lb(lb);
+            let mut name = format!("512x-{}", lb.name());
             if disagg {
                 cfg = cfg.with_disagg(128);
+                name.push_str("-disagg128");
             }
-            let indexed = Router::new(cfg.clone()).run(&trace);
-            let reference = Router::new(cfg).with_reference_paths(true).run(&trace);
-            assert_eq!(
-                indexed.canonical_text().into_bytes(),
-                reference.canonical_text().into_bytes(),
-                "{} disagg={disagg}: 512-replica indexed dispatch must \
-                 reproduce the reference scan byte-for-byte",
-                lb.name()
-            );
+            runs.push((name, cfg));
         }
     }
+    runs
+}
+
+/// The trace every 512-replica fleet above serves.
+fn wide_512_trace() -> Trace {
+    alpaca_trace(40.0, 300, 0xA11A)
+}
+
+/// A 64-replica fleet alternating V100-16GB and H100-80GB replicas
+/// under least-KV-pressure dispatch, and the trace it serves.
+fn mixed_fleet() -> (Router, Trace) {
+    let replicas = (0..64)
+        .map(|i| {
+            let hw = if i % 2 == 0 {
+                HardwareSpec::v100_16gb()
+            } else {
+                HardwareSpec::h100_80gb()
+            };
+            ServeConfig::new(ModelConfig::opt_6_7b(), hw, AdmissionPolicy::alisa())
+        })
+        .collect();
+    let router = Router::new(
+        RouterConfig::heterogeneous(replicas).with_lb(LoadBalancePolicy::LeastKvPressure),
+    );
+    (router, alpaca_trace(160.0, 1500, 0x64))
+}
+
+/// The name of the mixed-hardware fleet's line in the digest fixture.
+const MIXED_FLEET: &str = "64x-v100+h100-least-kv";
+
+/// 64-bit FNV-1a over `bytes`.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// A digest line: the run's name, the length of its report's canonical
+/// text, and the text's FNV-1a-64 hash.
+fn digest_line(name: &str, report: &RouterReport) -> String {
+    let text = report.canonical_text();
+    format!("{name} {} {:016x}", text.len(), fnv1a64(text.as_bytes()))
+}
+
+/// The committed digest line of run `name`.
+fn golden_digest(name: &str) -> String {
+    let path = format!(
+        "{}/tests/golden/router_wide_digests.txt",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let text =
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("missing fixture {path}: {e}"));
+    text.lines()
+        .find(|l| l.split(' ').next() == Some(name))
+        .unwrap_or_else(|| panic!("{path} has no line for {name}"))
+        .to_string()
+}
+
+/// Fleet-scale smoke: a 512-replica fleet dispatches through the
+/// incremental `DispatchIndex` and still matches the linear-scan
+/// reference byte-for-byte, for the two indexed policies plus
+/// round-robin, under both unified and disaggregated tiers. This is the
+/// scale point the `router` criterion bench gates (≥10× over the
+/// reference scan); here both runs must also match the committed digest
+/// of the report, which the golden fixtures, at four replicas and
+/// fewer, cannot stand in for.
+#[test]
+fn indexed_dispatch_matches_reference_at_512_replicas() {
+    let trace = wide_512_trace();
+    for (name, cfg) in wide_512_configs() {
+        let indexed = Router::new(cfg.clone()).run(&trace);
+        let reference = Router::new(cfg).with_reference_paths(true).run(&trace);
+        assert_eq!(
+            indexed.canonical_text().into_bytes(),
+            reference.canonical_text().into_bytes(),
+            "{name}: 512-replica indexed dispatch must reproduce the reference scan byte-for-byte"
+        );
+        assert_eq!(
+            digest_line(&name, &indexed),
+            golden_digest(&name),
+            "{name}: report drifted from the committed digest \
+             (regenerate with `cargo test --test multi_replica -- --ignored` if intentional)"
+        );
+    }
+}
+
+/// The fleet timeline is every replica's timeline, concatenated and
+/// stable-sorted by `(t, replica)`: time order, ties to the lower
+/// replica, and one replica's samples in their own order.
+fn assert_timeline_is_time_then_replica_order(report: &RouterReport) {
+    let mut expected: Vec<(usize, ServeSample)> = (report.replicas.iter().enumerate())
+        .flat_map(|(i, r)| r.timeline.iter().map(move |&s| (i, s)))
+        .collect();
+    expected.sort_by(|a, b| a.1.t.total_cmp(&b.1.t).then_with(|| a.0.cmp(&b.0)));
+    let expected: Vec<ServeSample> = expected.into_iter().map(|(_, s)| s).collect();
+    assert!(
+        report.fleet.timeline == expected,
+        "the fleet timeline is not the replicas' timelines in (t, replica) order"
+    );
+}
+
+/// A heterogeneous 64-replica fleet: its report matches the committed
+/// digest, and its fleet timeline interleaves the replicas' timelines
+/// in `(t, replica)` order.
+#[test]
+fn mixed_hardware_fleet_matches_digest_and_merges_timelines() {
+    let (router, trace) = mixed_fleet();
+    let report = router.run(&trace);
+    assert_eq!(
+        digest_line(MIXED_FLEET, &report),
+        golden_digest(MIXED_FLEET),
+        "report drifted from the committed digest \
+         (regenerate with `cargo test --test multi_replica -- --ignored` if intentional)"
+    );
+    assert_timeline_is_time_then_replica_order(&report);
+}
+
+/// Samples from two replicas at exactly the same time merge lower
+/// replica first. Two identical replicas under round-robin take the
+/// two requests of each simultaneous pair, one each. The pair shares
+/// its prompt, so both replicas price the same steps and sample at the
+/// same instants; its output lengths differ, so the two replicas book
+/// different KV and tied samples are told apart by `kv_bytes`.
+#[test]
+fn tied_samples_merge_lower_replica_first() {
+    let entries = (0..6)
+        .flat_map(|k| {
+            let at = 5.0 * k as f64;
+            [
+                TraceEntry::single_shot(at, 128, 8),
+                TraceEntry::single_shot(at, 128, 24),
+            ]
+        })
+        .collect();
+    let trace = Trace::new(entries).expect("valid trace");
+    let report = Router::new(RouterConfig::homogeneous(
+        replica_cfg(AdmissionPolicy::alisa()),
+        2,
+    ))
+    .run(&trace);
+    let tl = &report.fleet.timeline;
+    let ties = (tl.windows(2))
+        .filter(|w| w[0].t == w[1].t && w[0] != w[1])
+        .count();
+    assert!(
+        ties > 0,
+        "the pairs must yield distinguishable tied samples"
+    );
+    assert_timeline_is_time_then_replica_order(&report);
+}
+
+/// Rewrites `tests/golden/router_wide_digests.txt` from the current
+/// implementation. Ignored so a normal test run can never bless its own
+/// regression; run explicitly after an intentional output change:
+/// `cargo test --test multi_replica -- --ignored`.
+#[test]
+#[ignore]
+fn regenerate_wide_digests() {
+    let mut lines = String::from(
+        "# run, canonical_text() length, FNV-1a-64 of canonical_text(); \
+         regenerate with `cargo test --test multi_replica -- --ignored`\n",
+    );
+    let trace = wide_512_trace();
+    for (name, cfg) in wide_512_configs() {
+        lines.push_str(&digest_line(&name, &Router::new(cfg).run(&trace)));
+        lines.push('\n');
+    }
+    let (router, trace) = mixed_fleet();
+    lines.push_str(&digest_line(MIXED_FLEET, &router.run(&trace)));
+    lines.push('\n');
+    let path = format!(
+        "{}/tests/golden/router_wide_digests.txt",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    std::fs::write(path, lines).expect("write digest fixture");
 }
 
 /// Disaggregated fleets hand every multi-token prompt off exactly once,
