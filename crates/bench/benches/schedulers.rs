@@ -1,7 +1,8 @@
 //! Criterion benchmarks of the system simulators themselves: how fast
 //! each scheduling algorithm makes its placement decisions. The ALISA
-//! scheduler does real per-step work (working-set selection, eviction
-//! scans), so its simulation cost reflects scheduling complexity.
+//! scheduler does real per-step work (working-set selection, the
+//! eviction walk), so its simulation cost reflects scheduling
+//! complexity.
 
 use alisa_memsim::HardwareSpec;
 use alisa_model::ModelConfig;

@@ -21,8 +21,8 @@ use std::time::Instant;
 /// The disjoint simulator phases wall time is bucketed into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
-    /// The sparsity top-K selection: `GlobalSetModel::pick_into` on the
-    /// scheduler's hot path (and the reference `pick`).
+    /// The sparsity top-K selection: `GlobalSetModel::pick_into`, once per
+    /// step of a scheduler memo of global sets, and the reference `pick`.
     TopK,
     /// The replica step's queue scan (timeouts and re-queue bounces).
     EventScan,

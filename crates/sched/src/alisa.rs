@@ -24,6 +24,14 @@
 //! §V-B INT8 compression is the [`PrecisionPolicy::int8`] operating
 //! point — CPU-resident tokens at INT8, so the link moves half the
 //! bytes plus a quantize/dequantize vector op.
+//!
+//! A step's global set depends on the model and the workload (the
+//! [`GlobalSetModel`] seed and the sequence length) and on the sparsity
+//! (the step's budget), never on the plan or the precision. The decode
+//! loop therefore reads each step's set from a memo that selects it the
+//! first time a run reaches the step, and [`PlanOptimizer::optimize`]
+//! lends one memo to all of its candidates, which then select each step
+//! once between them.
 
 use alisa_kvcache::{Location, TokenKvStore};
 use alisa_memsim::{HardwareSpec, MemClass, OomError, StepRecord};
@@ -34,7 +42,7 @@ use serde::{Deserialize, Serialize};
 use crate::common::{efficiency, hash_unit, resident_tokens, SimBase, FP16};
 use crate::report::RunReport;
 use crate::workload::Workload;
-use crate::InferenceSystem;
+use crate::{run_on_fresh_pools, InferenceSystem};
 
 /// History depth of SWA's local attention sum: what the scheduler and
 /// serving admission price selection at, and the depth the `alisa`
@@ -209,7 +217,7 @@ impl GlobalSetModel {
     }
 
     /// [`GlobalSetModel::pick`] with cross-step caching and reused
-    /// buffers — the hot-path selection. The score
+    /// buffers — the scheduler's selection. The score
     /// `0.55·hot + 0.2·drift + 0.25·recency` factors into a per-position
     /// base (`hot` never changes; `drift` only changes when the
     /// `j / DRIFT_EPOCH` bucket rolls) plus the step's recency tilt, so the
@@ -290,8 +298,8 @@ impl GlobalSetModel {
 /// Reusable cross-step selection state for [`GlobalSetModel::pick_into`]:
 /// cached per-position score bases (valid for one drift epoch), the
 /// current step's full score table, and the candidate-index workspace.
-/// One instance lives for a whole decode loop; steady-state selection
-/// allocates nothing.
+/// One instance lives as long as the scheduler's memo of selected sets;
+/// steady-state selection allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct TopKScratch {
     /// Drift epoch (`j / DRIFT_EPOCH`) the cached bases were computed for.
@@ -304,6 +312,107 @@ pub struct TopKScratch {
     score: Vec<f64>,
     /// Per-step packed (score bits ‖ index) keys, partially sorted.
     key: Vec<u128>,
+}
+
+/// SWA's per-step global sets for one (model, workload, sparsity), each
+/// selected by [`GlobalSetModel::pick_into`] the first time a run reaches
+/// its step. Runs walk their steps in order, so the memo fills in order,
+/// and a run that runs out of memory selects only the steps it reached.
+struct GlobalSetMemo {
+    globals: GlobalSetModel,
+    scratch: TopKScratch,
+    /// Step `j`'s set at index `j - 1`.
+    sets: Vec<Vec<usize>>,
+}
+
+impl GlobalSetMemo {
+    fn new(model: &ModelConfig, wl: &Workload) -> Self {
+        GlobalSetMemo {
+            globals: GlobalSetModel::new(mix_name(model, wl)),
+            scratch: TopKScratch::default(),
+            sets: Vec::new(),
+        }
+    }
+
+    /// Step `j`'s `k` global positions among `0..range_end` at sequence
+    /// length `seq_len`; every run sharing the memo asks for the same
+    /// arguments at a given step.
+    fn step(&mut self, k: usize, range_end: usize, j: usize, seq_len: usize) -> &[usize] {
+        if j == self.sets.len() + 1 {
+            let mut set = Vec::new();
+            self.globals
+                .pick_into(k, range_end, j, seq_len, &mut self.scratch, &mut set);
+            self.sets.push(set);
+        }
+        let set = &self.sets[j - 1];
+        debug_assert_eq!(set.len(), k.min(range_end), "a memo of another sparsity");
+        set
+    }
+}
+
+/// Step (a)'s victims in eviction order: the GPU tokens outside
+/// window ∪ globals, then the GPU-resident globals, then the window's
+/// GPU tokens, each ascending. The walk reads the placement as it goes
+/// and yields one victim per call, so it reads no further than the last
+/// victim the step takes; relocating a yielded victim leaves the rest
+/// of the order as it was, since every later victim lies ahead of the
+/// walk.
+struct EvictionWalk<'a> {
+    /// The step's global set, ascending and below `window_start`.
+    globals: &'a [usize],
+    window_start: usize,
+    /// Next position of the outside pass, then of the window pass.
+    at: usize,
+    /// Merge pointer of the outside pass: the first global not below
+    /// the position it tests.
+    merge: usize,
+    /// Next global of the globals pass.
+    global: usize,
+}
+
+impl<'a> EvictionWalk<'a> {
+    /// A walk from `first_gpu`, the lowest GPU-resident index.
+    fn new(first_gpu: usize, globals: &'a [usize], window_start: usize) -> Self {
+        // Globals below `first_gpu` are off the GPU already.
+        let skip = globals.partition_point(|&g| g < first_gpu);
+        EvictionWalk {
+            globals,
+            window_start,
+            at: first_gpu,
+            merge: skip,
+            global: skip,
+        }
+    }
+
+    /// The next victim, or `None` once no GPU token is left.
+    fn next(&mut self, store: &TokenKvStore) -> Option<usize> {
+        let on_gpu = |i: usize| store.location(i) == Location::Gpu;
+        while self.at < self.window_start {
+            let i = self.at;
+            self.at += 1;
+            while self.globals.get(self.merge).is_some_and(|&g| g < i) {
+                self.merge += 1;
+            }
+            if on_gpu(i) && self.globals.get(self.merge) != Some(&i) {
+                return Some(i);
+            }
+        }
+        while let Some(&i) = self.globals.get(self.global) {
+            self.global += 1;
+            if on_gpu(i) {
+                return Some(i);
+            }
+        }
+        // `at` is now at or past both `first_gpu` and the window start.
+        while self.at < store.len() {
+            let i = self.at;
+            self.at += 1;
+            if on_gpu(i) {
+                return Some(i);
+            }
+        }
+        None
+    }
 }
 
 impl AlisaScheduler {
@@ -320,6 +429,19 @@ impl AlisaScheduler {
         sim: &mut SimBase,
         model: &ModelConfig,
         wl: &Workload,
+        on_step: impl FnMut(&SimBase, &TokenKvStore),
+    ) -> Result<(), OomError> {
+        self.simulate_with_sets(sim, model, wl, &mut GlobalSetMemo::new(model, wl), on_step)
+    }
+
+    /// Algorithm 2 over prefill and decode, reading each step's global
+    /// set from `sets`, a memo of this model, workload and sparsity.
+    fn simulate_with_sets(
+        &self,
+        sim: &mut SimBase,
+        model: &ModelConfig,
+        wl: &Workload,
+        sets: &mut GlobalSetMemo,
         mut on_step: impl FnMut(&SimBase, &TokenKvStore),
     ) -> Result<(), OomError> {
         sim.setup_resident(model, wl, true)?;
@@ -339,7 +461,6 @@ impl AlisaScheduler {
         let r = 1.0 - self.kv_sparsity;
         let final_seq = wl.final_seq_len();
         let p2_seq = (self.plan.p2_frac * final_seq as f64) as usize;
-        let globals = GlobalSetModel::new(mix_name(model, wl));
         let mut store = TokenKvStore::new();
 
         // A few tokens of transient workspace stay free for streamed
@@ -359,14 +480,16 @@ impl AlisaScheduler {
         let mut gpu_kv = wl.input_len as u64 * gpu_tok;
         // All prompt tokens are GPU-resident and nothing else touches
         // the store here, so "oldest on GPU" is simply the next index in
-        // appending order — a cursor instead of a per-victim store scan.
-        let mut next_spill = 0usize;
+        // appending order. `first_gpu` stays on or below the lowest
+        // GPU-resident index for the whole run; it only moves forward,
+        // since no token ever returns to the GPU (step (c)).
+        let mut first_gpu = 0usize;
         while gpu_kv > watermark {
-            if next_spill >= store.len() {
+            if first_gpu >= store.len() {
                 break;
             }
-            store.relocate(next_spill, Location::Cpu);
-            next_spill += 1;
+            store.relocate(first_gpu, Location::Cpu);
+            first_gpu += 1;
             gpu_kv -= gpu_tok;
             prefill_store_bytes += cpu_tok;
         }
@@ -388,16 +511,9 @@ impl AlisaScheduler {
 
         let mut entered_phase2 = prefill_store_bytes > 0;
 
-        // ---- Decode loop (Algorithm 2). All per-step working storage
-        // is hoisted here and reused, so the steady-state loop allocates
-        // nothing; `tests/differential.rs` pins the output against the
-        // naive reference paths byte-for-byte.
+        // ---- Decode loop (Algorithm 2). Only the memo's first
+        // selection of a step allocates.
         sim.timeline.reserve(wl.output_len);
-        let mut topk = TopKScratch::default();
-        let mut global_set: Vec<usize> = Vec::new();
-        let mut evict_order: Vec<usize> = Vec::new();
-        let mut evict_globals: Vec<usize> = Vec::new();
-        let mut evict_window: Vec<usize> = Vec::new();
         let mut beta_acc = 0.0f64;
         for j in 1..=wl.output_len {
             let seq_len = wl.input_len + j;
@@ -412,49 +528,28 @@ impl AlisaScheduler {
 
             // SWA working set: pinned local window + drifting globals.
             let window_start = seq_len - k_local;
-            globals.pick_into(
-                k_global,
-                window_start,
-                j,
-                seq_len,
-                &mut topk,
-                &mut global_set,
-            );
+            let global_set = sets.step(k_global, window_start, j, seq_len);
 
             // (a) Make room for the incoming token: offload (or, in
             // Phase III, delete) the oldest GPU tokens. Working-set
             // tokens are preferred victims *last*: first anything
             // outside window ∪ globals, then globals, then the window
-            // itself (the degenerate streaming regime). Nothing is
-            // appended while draining and victims only ever leave the
-            // GPU, so the victim sequence the per-eviction rescan would
-            // produce is exactly those three classes in ascending index
-            // order — built in one pass and consumed by cursor.
+            // itself (the degenerate streaming regime), each class in
+            // ascending index order — the order a rescan of the store
+            // per eviction would give, since nothing is appended while
+            // draining and victims only ever leave the GPU. The walk
+            // starts at the lowest GPU-resident index and stops at the
+            // last victim taken.
             let target = watermark.saturating_sub(gpu_tok);
             if sim.gpu.used_by(MemClass::KvCache) > target {
-                evict_order.clear();
-                evict_globals.clear();
-                evict_window.clear();
-                for i in 0..store.len() {
-                    if store.location(i) != Location::Gpu {
-                        continue;
-                    }
-                    if i >= window_start {
-                        evict_window.push(i);
-                    } else if global_set.binary_search(&i).is_ok() {
-                        evict_globals.push(i);
-                    } else {
-                        evict_order.push(i);
-                    }
+                while first_gpu < store.len() && store.location(first_gpu) != Location::Gpu {
+                    first_gpu += 1;
                 }
-                evict_order.extend_from_slice(&evict_globals);
-                evict_order.extend_from_slice(&evict_window);
-                let mut next_victim = 0usize;
+                let mut victims = EvictionWalk::new(first_gpu, global_set, window_start);
                 while sim.gpu.used_by(MemClass::KvCache) > target {
-                    let Some(&victim) = evict_order.get(next_victim) else {
+                    let Some(victim) = victims.next(&store) else {
                         break;
                     };
-                    next_victim += 1;
                     sim.gpu.free(MemClass::KvCache, gpu_tok);
                     beta_acc += self.plan.beta;
                     if phase3 && beta_acc >= 1.0 {
@@ -483,7 +578,7 @@ impl AlisaScheduler {
             // `target`, (b) adds one token, and nothing else frees GPU KV
             // (the prefill spill also stops within one token under
             // `watermark`).
-            for &i in &global_set {
+            for &i in global_set {
                 match store.location(i) {
                     Location::Gpu => {}
                     Location::Cpu => load_bytes += cpu_reload_tok,
@@ -586,7 +681,9 @@ impl Default for PlanOptimizer {
 impl PlanOptimizer {
     /// Exhaustively profiles the candidate grid and returns the plan
     /// with the lowest completed end-to-end time (and its report).
-    /// Falls back to [`Plan::default`] if every candidate OOMs.
+    /// Falls back to [`Plan::default`] if every candidate OOMs. Each
+    /// run equals [`InferenceSystem::run`] of its plan; all of them
+    /// share one memo of the selected global sets.
     pub fn optimize(
         &self,
         base: &AlisaScheduler,
@@ -594,6 +691,13 @@ impl PlanOptimizer {
         hw: &HardwareSpec,
         wl: &Workload,
     ) -> (Plan, RunReport) {
+        let mut sets = GlobalSetMemo::new(model, wl);
+        let mut run = |plan: Plan| {
+            let sys = base.clone().with_plan(plan);
+            run_on_fresh_pools(sys.name(), model, hw, wl, |sim| {
+                sys.simulate_with_sets(sim, model, wl, &mut sets, |_, _| {})
+            })
+        };
         let mut best: Option<(Plan, RunReport)> = None;
         for &alpha in &self.alphas {
             for &beta in &self.betas {
@@ -603,8 +707,7 @@ impl PlanOptimizer {
                         beta,
                         p2_frac,
                     };
-                    let candidate = base.clone().with_plan(plan);
-                    let report = candidate.run(model, hw, wl);
+                    let report = run(plan);
                     if !report.outcome.is_completed() {
                         continue;
                     }
@@ -618,11 +721,7 @@ impl PlanOptimizer {
                 }
             }
         }
-        best.unwrap_or_else(|| {
-            let plan = Plan::default();
-            let report = base.clone().with_plan(plan).run(model, hw, wl);
-            (plan, report)
-        })
+        best.unwrap_or_else(|| (Plan::default(), run(Plan::default())))
     }
 }
 

@@ -76,20 +76,35 @@ pub trait InferenceSystem: std::fmt::Debug {
     /// bars), built here for every system from
     /// [`InferenceSystem::simulate`]'s error.
     fn run(&self, model: &ModelConfig, hw: &HardwareSpec, wl: &Workload) -> RunReport {
-        let mut sim = SimBase::new(hw);
-        let outcome = match self.simulate(&mut sim, model, wl) {
-            Ok(()) => Outcome::Completed,
-            Err(err) => Outcome::Oom {
-                at_step: sim.timeline.len(),
-                detail: err.to_string(),
-            },
-        };
-        RunReport {
-            system: self.name().to_string(),
-            model: model.name.clone(),
-            workload: *wl,
-            outcome,
-            timeline: sim.timeline,
-        }
+        run_on_fresh_pools(self.name(), model, hw, wl, |sim| {
+            self.simulate(sim, model, wl)
+        })
+    }
+}
+
+/// [`InferenceSystem::run`]'s body for any walk of `system`'s placement
+/// algorithm: runs `simulate` on fresh pools for `hw` and reports its
+/// timeline, with an OOM error as the run's outcome.
+fn run_on_fresh_pools(
+    system: &str,
+    model: &ModelConfig,
+    hw: &HardwareSpec,
+    wl: &Workload,
+    simulate: impl FnOnce(&mut SimBase) -> Result<(), OomError>,
+) -> RunReport {
+    let mut sim = SimBase::new(hw);
+    let outcome = match simulate(&mut sim) {
+        Ok(()) => Outcome::Completed,
+        Err(err) => Outcome::Oom {
+            at_step: sim.timeline.len(),
+            detail: err.to_string(),
+        },
+    };
+    RunReport {
+        system: system.to_string(),
+        model: model.name.clone(),
+        workload: *wl,
+        outcome,
+        timeline: sim.timeline,
     }
 }

@@ -2,7 +2,8 @@
 //! workloads, every system either completes or reports OOM — and when it
 //! completes, its timeline satisfies the structural invariants the
 //! figures rely on. ALISA's pools are also checked against its token
-//! placement at every step, through its placement observer.
+//! placement at every step, through its placement observer, and its
+//! plan search against independent runs of every plan in its grid.
 
 use alisa_kvcache::Location;
 use alisa_memsim::{HardwareSpec, MemClass};
@@ -10,7 +11,7 @@ use alisa_model::ModelConfig;
 use alisa_sched::common::FP16;
 use alisa_sched::{
     AccelerateScheduler, AlisaScheduler, FlexGenScheduler, InferenceSystem, Plan, PlanOptimizer,
-    SimBase, VllmScheduler, Workload,
+    RunReport, SimBase, VllmScheduler, Workload,
 };
 use alisa_tensor::quant::PrecisionPolicy;
 use proptest::prelude::*;
@@ -39,6 +40,15 @@ fn precision(i: usize) -> PrecisionPolicy {
     }
 }
 
+/// The V100-16GB, V100-32GB and H100-80GB of the paper's testbeds.
+fn hardware(i: usize) -> HardwareSpec {
+    match i {
+        0 => HardwareSpec::v100_16gb(),
+        1 => HardwareSpec::v100_32gb(),
+        _ => HardwareSpec::h100_80gb(),
+    }
+}
+
 /// The plan at grid point `(α, β, p2)` of the optimizer's default grid.
 fn grid_plan((a, b, p): (usize, usize, usize)) -> Plan {
     let grid = PlanOptimizer::default();
@@ -49,8 +59,75 @@ fn grid_plan((a, b, p): (usize, usize, usize)) -> Plan {
     }
 }
 
+/// The plan search written out: every grid plan run on its own, in the
+/// optimizer's order, the first strictly lower completed time winning,
+/// and [`Plan::default`]'s run when no plan completes.
+fn independent_search(
+    base: &AlisaScheduler,
+    model: &ModelConfig,
+    hw: &HardwareSpec,
+    wl: &Workload,
+) -> (Plan, RunReport) {
+    let mut best: Option<(Plan, RunReport)> = None;
+    for a in 0..3 {
+        for b in 0..3 {
+            for p in 0..3 {
+                let plan = grid_plan((a, b, p));
+                let report = base.clone().with_plan(plan).run(model, hw, wl);
+                let better = best
+                    .as_ref()
+                    .is_none_or(|(_, r)| report.total_time() < r.total_time());
+                if report.outcome.is_completed() && better {
+                    best = Some((plan, report));
+                }
+            }
+        }
+    }
+    best.unwrap_or_else(|| {
+        let plan = Plan::default();
+        (plan, base.clone().with_plan(plan).run(model, hw, wl))
+    })
+}
+
+/// When every candidate runs out of memory (OPT-30B's FP16 weights
+/// overflow a V100-16GB), the search returns the default plan and its
+/// run.
+#[test]
+fn plan_search_falls_back_to_the_default_plan() {
+    let (model, hw, wl) = (
+        ModelConfig::opt_30b(),
+        HardwareSpec::v100_16gb(),
+        Workload::alpaca(4),
+    );
+    let base = AlisaScheduler::new(0.8, true);
+    let (plan, report) = PlanOptimizer::default().optimize(&base, &model, &hw, &wl);
+    assert_eq!(plan, Plan::default());
+    assert!(!report.outcome.is_completed(), "{}", report.summary());
+    assert_eq!(report, base.clone().with_plan(plan).run(&model, &hw, &wl));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The plan search, whose candidates share one memo of the selected
+    /// global sets, returns the plan and the run that independent runs
+    /// of every grid plan give.
+    #[test]
+    fn plan_search_matches_independent_runs(
+        wl in (8usize..=64, 32usize..=192, 8usize..=64)
+            .prop_map(|(b, s, n)| Workload::new(b, s, n)),
+        hw in 0usize..3,
+        sparsity in 0usize..2,
+        prec in 0usize..3,
+    ) {
+        let model = ModelConfig::opt_6_7b();
+        let hw = hardware(hw);
+        let base = AlisaScheduler::new([0.4, 0.8][sparsity], false).with_precision(precision(prec));
+        prop_assert_eq!(
+            PlanOptimizer::default().optimize(&base, &model, &hw, &wl),
+            independent_search(&base, &model, &hw, &wl)
+        );
+    }
 
     /// Completed runs have positive total time, one record per step (or
     /// more, for wave-batched vLLM), and peak GPU memory within the

@@ -8,7 +8,12 @@
 //! also the linear dispatch scans; `GlobalSetModel::pick` is the full
 //! re-sort the scheduler no longer calls), and this harness
 //! property-tests the optimized paths against them over arbitrary
-//! traces × queue disciplines × precision policies × retention on/off:
+//! traces × queue disciplines × precision policies × retention on/off.
+//! The scheduler's other fast paths have no reference twin: the plan
+//! search's shared memo of global sets is checked against independent
+//! runs in `crates/sched/tests/proptests.rs`, and its eviction walk by
+//! the digests of every grid plan in `tests/alisa_grid.rs`, written
+//! before the walk replaced the whole-store classification. Here:
 //!
 //! * canonical `ServeReport` text byte-identical, traced and untraced;
 //! * the decision-trace JSONL event stream byte-identical;
