@@ -19,7 +19,7 @@ use alisa_model::engine::GenerationConfig;
 use alisa_model::{InitSpec, ModelConfig, TinyTransformer};
 use alisa_sched::alisa::GlobalSetModel;
 use alisa_tensor::quant::QuantBits;
-use alisa_workloads::{evaluate_lm, evaluate_qa, Dataset, QaTask};
+use alisa_workloads::{evaluate_qa, score_lm, Dataset, QaTask, TeacherTexts};
 
 fn main() {
     let quick = alisa_bench::quick_mode();
@@ -36,6 +36,8 @@ fn main() {
         model.config().vocab_size,
         init.anchor_count(model.config().vocab_size),
     );
+    // Every LM row below scores the same dense teacher text.
+    let teacher = TeacherTexts::generate(&model, &corpus, num_seqs, prompt_len, seq_len);
     let assoc = AssocModel::build(&AssocSpec::default());
     let qa_eps = QaTask::OpenBookQa.spec().episodes(&assoc, episodes_n);
 
@@ -50,7 +52,7 @@ fn main() {
             swa_local_fraction: frac,
             ..GenerationConfig::default().with_policy(PolicyKind::Swa, 0.8)
         };
-        let lm = evaluate_lm(&model, &corpus, &cfg, num_seqs, prompt_len, seq_len);
+        let lm = score_lm(&model, &teacher, &cfg);
         let qa = evaluate_qa(&assoc, &qa_eps, &cfg);
         row(
             &format!("{frac:.2}"),
@@ -67,7 +69,7 @@ fn main() {
             history_depth: depth,
             ..GenerationConfig::default().with_policy(PolicyKind::Swa, 0.8)
         };
-        let lm = evaluate_lm(&model, &corpus, &cfg, num_seqs, prompt_len, seq_len);
+        let lm = score_lm(&model, &teacher, &cfg);
         let qa = evaluate_qa(&assoc, &qa_eps, &cfg);
         row(
             &depth.to_string(),
@@ -88,7 +90,7 @@ fn main() {
             kv_quant: quant,
             ..GenerationConfig::default().with_policy(PolicyKind::Swa, 0.6)
         };
-        let lm = evaluate_lm(&model, &corpus, &cfg, num_seqs, prompt_len, seq_len);
+        let lm = score_lm(&model, &teacher, &cfg);
         let qa = evaluate_qa(&assoc, &qa_eps, &cfg);
         let bytes = match quant {
             None => "2".to_string(),

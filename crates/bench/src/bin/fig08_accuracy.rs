@@ -13,7 +13,7 @@ use alisa_model::assoc::{AssocModel, AssocSpec};
 use alisa_model::engine::GenerationConfig;
 use alisa_model::{InitSpec, ModelConfig, TinyTransformer};
 use alisa_tensor::quant::QuantBits;
-use alisa_workloads::{evaluate_lm, evaluate_qa, Dataset, QaTask};
+use alisa_workloads::{evaluate_qa, score_lm, Dataset, QaTask, TeacherTexts};
 
 /// The five methods of Figure 8, in its legend order.
 fn methods() -> Vec<(&'static str, PolicyKind, Option<QuantBits>)> {
@@ -84,6 +84,9 @@ fn main() {
                 lm_model.config().vocab_size,
                 init.anchor_count(lm_model.config().vocab_size),
             );
+            // The dense teacher reads neither method nor sparsity: one
+            // set of texts serves every cell of the table.
+            let teacher = TeacherTexts::generate(&lm_model, &corpus, num_seqs, prompt_len, seq_len);
             println!("\n{} — negative perplexity (higher is better):", ds.label());
             row("method \\ KV sparsity", header.iter().map(String::as_str));
             for (name, kind, quant) in methods() {
@@ -91,14 +94,7 @@ fn main() {
                     .iter()
                     .map(|&sp| {
                         let sp = if kind == PolicyKind::Dense { 0.0 } else { sp };
-                        let res = evaluate_lm(
-                            &lm_model,
-                            &corpus,
-                            &cfg(kind, sp, quant),
-                            num_seqs,
-                            prompt_len,
-                            seq_len,
-                        );
+                        let res = score_lm(&lm_model, &teacher, &cfg(kind, sp, quant));
                         f(-(res.perplexity as f64))
                     })
                     .collect();

@@ -184,6 +184,8 @@ impl AssocModel {
             }
         }
 
+        // Identity and zero weights read the same in the input-major
+        // layout `LayerWeights` takes as in the output-major one.
         let identity = Matrix::identity(h);
         let layer = LayerWeights {
             wq: identity.clone(),

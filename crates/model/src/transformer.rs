@@ -16,7 +16,7 @@
 
 use alisa_attention::policy::{AttentionHistory, PolicyKind, SelectionContext};
 use alisa_tensor::nn::{layernorm, relu_inplace, softmax_inplace};
-use alisa_tensor::ops::{dot, matvec};
+use alisa_tensor::ops::{dot, vecmat};
 use alisa_tensor::quant::{fake_quantize_row, QuantBits};
 use alisa_tensor::Matrix;
 
@@ -26,8 +26,9 @@ use crate::init::InitSpec;
 /// Weights of one transformer layer.
 #[derive(Debug, Clone)]
 pub struct LayerWeights {
-    /// Query/key/value/output projections, stored output-major
-    /// (`h_out × h_in`), applied as `y = W·x + b`.
+    /// Query/key/value/output projections, stored input-major
+    /// (`h_in × h_out`, one row per input element, the layout
+    /// [`vecmat`] reads), applied as `y = x·W + b`.
     pub wq: Matrix,
     pub wk: Matrix,
     pub wv: Matrix,
@@ -42,7 +43,8 @@ pub struct LayerWeights {
     /// Pre-FFN layernorm gain/bias.
     pub ln2_gain: Vec<f32>,
     pub ln2_bias: Vec<f32>,
-    /// FFN up-projection (`ffn × h`) and down-projection (`h × ffn`).
+    /// FFN up-projection (`h × ffn`) and down-projection (`ffn × h`),
+    /// input-major like the projections above.
     pub w1: Matrix,
     pub b1: Vec<f32>,
     pub w2: Matrix,
@@ -112,7 +114,9 @@ pub struct StepPolicy {
 pub struct TinyTransformer {
     config: ModelConfig,
     init: InitSpec,
-    /// Token embeddings (`vocab × h`), weight-tied with the LM head.
+    /// Token embeddings, weight-tied with the LM head and stored once,
+    /// input-major for the head (`h × vocab`): token `t`'s embedding is
+    /// column `t`.
     embedding: Matrix,
     /// Learned positional embeddings (`max_context × h`).
     pos: Matrix,
@@ -145,8 +149,9 @@ impl TinyTransformer {
         );
         let h = config.hidden_dim;
         let v = config.vocab_size;
-        let embedding =
-            Matrix::from_vec(v, h, init.random_buffer("embedding", v * h)).expect("shape");
+        let embedding = Matrix::from_vec(v, h, init.random_buffer("embedding", v * h))
+            .expect("shape")
+            .transpose();
         let pos = Matrix::from_vec(
             config.max_context,
             h,
@@ -175,7 +180,9 @@ impl TinyTransformer {
     }
 
     /// Builds a model from explicit parts — used by the hand-constructed
-    /// associative model in [`crate::assoc`].
+    /// associative model in [`crate::assoc`]. `embedding` holds one row
+    /// per token (`vocab × h`) and is transposed here, once, into the
+    /// LM head's input-major layout; `layers` are already input-major.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
         config: ModelConfig,
@@ -195,7 +202,7 @@ impl TinyTransformer {
             final_ln_bias: vec![0.0; h],
             config,
             init,
-            embedding,
+            embedding: embedding.transpose(),
             pos,
             layers,
             sink_bias,
@@ -209,13 +216,16 @@ impl TinyTransformer {
     fn structured_layer(cfg: &ModelConfig, init: &InitSpec, l: usize) -> LayerWeights {
         let h = cfg.hidden_dim;
         let f = cfg.ffn_dim;
-        let mk = |name: &str, rows: usize, cols: usize| {
+        // Each buffer is drawn output-major (`n_out × n_in`) and
+        // scattered once into the input-major layout.
+        let mk = |name: &str, n_out: usize, n_in: usize| {
             Matrix::from_vec(
-                rows,
-                cols,
-                init.random_buffer(&format!("{name}.{l}"), rows * cols),
+                n_out,
+                n_in,
+                init.random_buffer(&format!("{name}.{l}"), n_out * n_in),
             )
             .expect("shape")
+            .transpose()
         };
         LayerWeights {
             wq: mk("wq", h, h),
@@ -292,11 +302,15 @@ impl TinyTransformer {
         let heads = self.config.num_heads;
         let dh = self.config.head_dim();
 
-        // Embedding + positional encoding.
+        // Embedding (column `token` of the tied matrix) + positional
+        // encoding.
+        let vocab = self.config.vocab_size;
         let mut x: Vec<f32> = self
             .embedding
-            .row(token)
+            .as_slice()
             .iter()
+            .skip(token)
+            .step_by(vocab)
             .zip(self.pos.row(pos_idx))
             .map(|(e, p)| e + p)
             .collect();
@@ -306,9 +320,9 @@ impl TinyTransformer {
 
         for (li, lw) in self.layers.iter().enumerate() {
             let h1 = self.maybe_ln(&x, &lw.ln1_gain, &lw.ln1_bias);
-            let q = add_bias(matvec(&lw.wq, &h1).expect("wq"), &lw.bq);
-            let mut k = add_bias(matvec(&lw.wk, &h1).expect("wk"), &lw.bk);
-            let mut v = add_bias(matvec(&lw.wv, &h1).expect("wv"), &lw.bv);
+            let q = add_bias(vecmat(&h1, &lw.wq).expect("wq"), &lw.bq);
+            let mut k = add_bias(vecmat(&h1, &lw.wk).expect("wk"), &lw.bk);
+            let mut v = add_bias(vecmat(&h1, &lw.wv).expect("wv"), &lw.bv);
             if let Some(bits) = policy.kv_quant {
                 // KV compression: rows are stored reduced-precision and
                 // dequantized for compute (paper §V-B).
@@ -364,16 +378,16 @@ impl TinyTransformer {
             attention_rows.push(avg_weights);
             kept_last = kept;
 
-            let o = add_bias(matvec(&lw.wo, &attn_out).expect("wo"), &lw.bo);
+            let o = add_bias(vecmat(&attn_out, &lw.wo).expect("wo"), &lw.bo);
             for (xi, oi) in x.iter_mut().zip(&o) {
                 *xi += oi;
             }
 
             if self.apply_ffn {
                 let h2 = self.maybe_ln(&x, &lw.ln2_gain, &lw.ln2_bias);
-                let mut u = add_bias(matvec(&lw.w1, &h2).expect("w1"), &lw.b1);
+                let mut u = add_bias(vecmat(&h2, &lw.w1).expect("w1"), &lw.b1);
                 relu_inplace(&mut u);
-                let y = add_bias(matvec(&lw.w2, &u).expect("w2"), &lw.b2);
+                let y = add_bias(vecmat(&u, &lw.w2).expect("w2"), &lw.b2);
                 for (xi, yi) in x.iter_mut().zip(&y) {
                     *xi += yi;
                 }
@@ -381,7 +395,7 @@ impl TinyTransformer {
         }
 
         let xf = self.maybe_ln(&x, &self.final_ln_gain, &self.final_ln_bias);
-        let logits = matvec(&self.embedding, &xf).expect("lm head");
+        let logits = vecmat(&xf, &self.embedding).expect("lm head");
         StepOutput {
             logits,
             attention_rows,

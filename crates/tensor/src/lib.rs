@@ -10,7 +10,8 @@
 //!
 //! * [`Matrix`] — a row-major 2-D `f32` tensor for weights, the per-layer
 //!   K/V cache and attention maps,
-//! * [`ops`] — matrix–vector and dot products,
+//! * [`ops`] — the row-vector × matrix product over input-major weights
+//!   and the dot product,
 //! * [`nn`] — numerically-stable softmax, layer norm, ReLU, cross-entropy,
 //!   each on one row,
 //! * [`quant`] — per-row fake quantization of KV rows (Eq. 7) and the
@@ -21,13 +22,15 @@
 //!
 //! # Example
 //!
-//! One attention head's weights over three cached keys:
+//! One attention head's weights over three cached keys. [`ops::vecmat`]
+//! takes its matrix input-major (one row per element of the vector it
+//! multiplies), so the key rows are transposed first:
 //!
 //! ```
-//! use alisa_tensor::{nn::softmax, ops::matvec, Matrix};
+//! use alisa_tensor::{nn::softmax, ops::vecmat, Matrix};
 //!
 //! let keys = Matrix::from_rows(&[vec![1.0, 0.0], vec![0.0, 1.0], vec![1.0, 1.0]]);
-//! let logits = matvec(&keys, &[1.0, 2.0]).unwrap();
+//! let logits = vecmat(&[1.0, 2.0], &keys.transpose()).unwrap();
 //! assert_eq!(logits, vec![1.0, 2.0, 3.0]);
 //! let weights = softmax(&logits);
 //! let total: f32 = weights.iter().sum();

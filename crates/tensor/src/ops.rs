@@ -1,35 +1,68 @@
-//! Linear-algebra kernels: matrix–vector product and dot product.
+//! Linear-algebra kernels: row-vector × matrix product and dot product.
 //!
 //! These are the two products one decoding step of Algorithm 1 performs
-//! per token. [`matvec`] applies the projections (`W·x` for Q, K, V, the
+//! per token. [`vecmat`] applies the projections (`x·W` for Q, K, V, the
 //! output, the FFN and the LM head). Attention logits `q·Kᵀ` are one
 //! [`dot`] per head per kept key row, scaled by `1/√d`; the weighted
 //! value sum `AW·V` is accumulated row by row at the call site in
-//! `alisa-model`. No matrix–matrix product runs. The implementations
-//! are plain loops — the
-//! repository measures *placement decisions*, not kernel
-//! micro-optimizations, and determinism matters more than speed at the
-//! functional-path model scales.
+//! `alisa-model`. No matrix–matrix product runs.
+//!
+//! # Layout and summation order
+//!
+//! [`vecmat`] takes its matrix **input-major**: `w` is `in × out`, one
+//! row per input element, so the weights one input feeds to neighbouring
+//! outputs sit side by side. The kernel keeps a block of 16 outputs in a
+//! `[f32; 16]` across the whole input loop and walks the block's 16-wide
+//! slice of each row, so the compiler computes the block's lanes with
+//! vector instructions at the default target.
+//!
+//! The blocking changes no bit. Every output is the sum of its products
+//! `x[i]·w[i][j]` over the input index `i` in ascending order, starting
+//! from `-0.0`, each product rounded before it is added — exactly the
+//! value `Iterator::sum` gives over the same products — whatever the
+//! block width or the output's place in the block.
 
 use crate::{Matrix, Result, TensorError};
 
-/// Matrix–vector product `a (m×k) · v (k) -> (m)`.
+/// Outputs one block of [`vecmat`] accumulates together.
+const LANES: usize = 16;
+
+/// Row-vector × matrix product `x (in) · w (in×out) -> (out)`.
+///
+/// Output `j` is `Σᵢ x[i]·w[i][j]`, summed over ascending `i` from `-0.0`
+/// (see the module docs for why the result has exactly those bits).
 ///
 /// # Errors
 ///
-/// Returns [`TensorError::ShapeMismatch`] if `a.cols() != v.len()`.
-pub fn matvec(a: &Matrix, v: &[f32]) -> Result<Vec<f32>> {
-    if a.cols() != v.len() {
+/// Returns [`TensorError::ShapeMismatch`] if `x.len() != w.rows()`.
+pub fn vecmat(x: &[f32], w: &Matrix) -> Result<Vec<f32>> {
+    if x.len() != w.rows() {
         return Err(TensorError::ShapeMismatch(format!(
-            "matvec {}x{} . vec of len {}",
-            a.rows(),
-            a.cols(),
-            v.len()
+            "vecmat vec of len {} . {}x{}",
+            x.len(),
+            w.rows(),
+            w.cols()
         )));
     }
-    Ok((0..a.rows())
-        .map(|i| a.row(i).iter().zip(v).map(|(x, y)| x * y).sum())
-        .collect())
+    let cols = w.cols();
+    let full = cols - cols % LANES;
+    let mut y = Vec::with_capacity(cols);
+    for j in (0..full).step_by(LANES) {
+        let mut acc = [-0.0f32; LANES];
+        for (&xi, row) in x.iter().zip(w.as_slice().chunks_exact(cols)) {
+            let block: &[f32; LANES] = row[j..j + LANES].try_into().expect("block of LANES");
+            for (a, &wv) in acc.iter_mut().zip(block) {
+                *a += xi * wv;
+            }
+        }
+        y.extend_from_slice(&acc);
+    }
+    // The tail of fewer than LANES outputs, one strided column each.
+    for j in full..cols {
+        let column = w.as_slice().iter().skip(j).step_by(cols);
+        y.push(x.iter().zip(column).map(|(&xi, &wv)| xi * wv).sum());
+    }
+    Ok(y)
 }
 
 /// Dot product of two equal-length slices.
@@ -47,11 +80,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn matvec_matches_matmul() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        let v = vec![5.0, 6.0];
-        assert_eq!(matvec(&a, &v).unwrap(), vec![17.0, 39.0]);
-        assert!(matvec(&a, &[1.0]).is_err());
+    fn vecmat_multiplies_input_major() {
+        // x · w with w = [[1, 2], [3, 4]] (row i = input i).
+        let w = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
+        assert_eq!(vecmat(&[5.0, 6.0], &w).unwrap(), vec![23.0, 34.0]);
+        assert!(vecmat(&[1.0], &w).is_err());
     }
 
     #[test]

@@ -149,6 +149,35 @@ impl Matrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
+    /// The whole row-major buffer: row `r` is
+    /// `[r * cols, (r + 1) * cols)`.
+    #[inline]
+    pub fn as_slice(&self) -> &[f32] {
+        &self.data
+    }
+
+    /// The transpose `cols × rows`: element `(r, c)` moves to `(c, r)`.
+    pub fn transpose(&self) -> Matrix {
+        // Strips of 8 source rows: each output row takes a run of 8 from
+        // a strip, whose few cache lines stay hot across its columns.
+        const STRIP: usize = 8;
+        let mut data = vec![0.0; self.data.len()];
+        for r0 in (0..self.rows).step_by(STRIP) {
+            let strip = STRIP.min(self.rows - r0);
+            for c in 0..self.cols {
+                let out = &mut data[c * self.rows + r0..][..strip];
+                for (k, x) in out.iter_mut().enumerate() {
+                    *x = self.data[(r0 + k) * self.cols + c];
+                }
+            }
+        }
+        Matrix {
+            rows: self.cols,
+            cols: self.rows,
+            data,
+        }
+    }
+
     /// Mutable borrow of row `r`.
     ///
     /// # Panics
@@ -269,6 +298,16 @@ mod tests {
         let m = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
         assert_eq!(m.row(0), &[1.0, 2.0]);
         assert_eq!(m.row(1), &[3.0, 4.0]);
+    }
+
+    #[test]
+    fn transpose_swaps_rows_and_columns() {
+        let m = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
+        let t = m.transpose();
+        assert_eq!(t.shape(), (3, 2));
+        assert_eq!(t.as_slice(), &[1.0, 4.0, 2.0, 5.0, 3.0, 6.0]);
+        assert_eq!(t.transpose(), m);
+        assert_eq!(Matrix::zeros(0, 4).transpose().shape(), (4, 0));
     }
 
     #[test]

@@ -26,22 +26,26 @@ pub fn argmax(xs: &[f32]) -> Option<usize> {
 /// window, and H2O likewise; passing those positions as candidates keeps
 /// the selection logic in one place. Ascending index order keeps the
 /// kept set in temporal order.
+///
+/// The winners are found by partial selection and only they are sorted.
+/// Ranking is by value descending, ties toward the larger (more recent)
+/// index: on finite values that is a strict total order, so the `k`
+/// winners are the same set a full sort would put first.
 pub fn top_k_indices_within(xs: &[f32], candidates: &[usize], k: usize) -> Vec<usize> {
     let k = k.min(candidates.len());
     if k == 0 {
         return Vec::new();
     }
     let mut cand: Vec<usize> = candidates.to_vec();
-    // Sort by value descending; ties toward larger (more recent) index.
-    cand.sort_by(|&a, &b| {
+    cand.select_nth_unstable_by(k - 1, |&a, &b| {
         xs[b]
             .partial_cmp(&xs[a])
             .unwrap_or(std::cmp::Ordering::Equal)
             .then(b.cmp(&a))
     });
-    let mut out: Vec<usize> = cand.into_iter().take(k).collect();
-    out.sort_unstable();
-    out
+    cand.truncate(k);
+    cand.sort_unstable();
+    cand
 }
 
 #[cfg(test)]

@@ -1,13 +1,59 @@
 //! Property-based tests for the tensor substrate's core invariants.
 
 use alisa_tensor::nn::{softmax, softmax_inplace};
+use alisa_tensor::ops::vecmat;
 use alisa_tensor::quant::{fake_quantize_row, KvPrecision, PrecisionPolicy, QuantBits};
 use alisa_tensor::stats::spearman;
 use alisa_tensor::topk::top_k_indices_within;
+use alisa_tensor::{Matrix, TensorError};
 use proptest::prelude::*;
 
 fn finite_f32() -> impl Strategy<Value = f32> {
     (-1.0e3f32..1.0e3f32).prop_filter("finite", |v| v.is_finite())
+}
+
+/// A finite value that is `+0.0` or `-0.0` one time in three.
+fn signed_zero_or_finite() -> impl Strategy<Value = f32> {
+    (0u8..6, finite_f32()).prop_map(|(pick, v)| match pick {
+        0 => 0.0,
+        1 => -0.0,
+        _ => v,
+    })
+}
+
+/// An input vector, an input-major `in × out` matrix, each dimension in
+/// `0..=70` so shapes cross the kernel's 16-wide block and its tail.
+fn vecmat_operands() -> impl Strategy<Value = (Vec<f32>, Matrix)> {
+    (0usize..=70, 0usize..=70).prop_flat_map(|(n_in, n_out)| {
+        (
+            proptest::collection::vec(signed_zero_or_finite(), n_in),
+            proptest::collection::vec(signed_zero_or_finite(), n_in * n_out)
+                .prop_map(move |w| Matrix::from_vec(n_in, n_out, w).expect("shape")),
+        )
+    })
+}
+
+/// `x · w` the plain way: per output, `Iterator::sum` over the products
+/// in ascending input order.
+fn naive_vecmat(x: &[f32], w: &Matrix) -> Vec<f32> {
+    (0..w.cols())
+        .map(|j| (0..w.rows()).map(|i| x[i] * w.get(i, j)).sum())
+        .collect()
+}
+
+/// The full-sort top-k: rank every candidate (value descending, ties
+/// toward the larger index), keep the first `k`, sort them by index.
+fn full_sort_top_k(xs: &[f32], candidates: &[usize], k: usize) -> Vec<usize> {
+    let mut cand = candidates.to_vec();
+    cand.sort_by(|&a, &b| {
+        xs[b]
+            .partial_cmp(&xs[a])
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(b.cmp(&a))
+    });
+    cand.truncate(k);
+    cand.sort_unstable();
+    cand
 }
 
 proptest! {
@@ -85,6 +131,55 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// Partial selection keeps exactly the full sort's winners: values
+    /// from a four-element set force ties (`-0.0` and `0.0` compare
+    /// equal too), over every index, a random subset, and the subset
+    /// listed in reverse.
+    #[test]
+    fn top_k_matches_full_sort(
+        xs in proptest::collection::vec((0u8..4).prop_map(|v| match v {
+            0 => -0.0f32,
+            1 => 0.0,
+            2 => 0.5,
+            _ => 1.0,
+        }), 0..96),
+        mask in proptest::collection::vec(0u8..3, 96),
+        k in 0usize..100,
+    ) {
+        let every: Vec<usize> = (0..xs.len()).collect();
+        let subset: Vec<usize> = every.iter().copied().filter(|&i| mask[i] != 0).collect();
+        let reversed: Vec<usize> = subset.iter().rev().copied().collect();
+        for candidates in [every, subset, reversed] {
+            prop_assert_eq!(
+                top_k_indices_within(&xs, &candidates, k),
+                full_sort_top_k(&xs, &candidates, k)
+            );
+        }
+    }
+
+    /// `vecmat` gives every output the exact bits of the naive ascending
+    /// sum, for the inputs as drawn and for their non-positive mirror
+    /// against a matrix whose every fifth column is zero (products of
+    /// `-0.0` only, which a sum started from `+0.0` would turn into
+    /// `+0.0`); a vector of the wrong length is a shape mismatch.
+    #[test]
+    fn vecmat_matches_naive_sum_bit_for_bit((x, w) in vecmat_operands()) {
+        let mut zeroed = w.clone();
+        for i in 0..w.rows() {
+            for j in (0..w.cols()).step_by(5) {
+                zeroed.set(i, j, 0.0);
+            }
+        }
+        let non_positive: Vec<f32> = x.iter().map(|v| -v.abs()).collect();
+        for (x, w) in [(&x, &w), (&non_positive, &zeroed)] {
+            let got: Vec<u32> = vecmat(x, w).expect("shapes agree").iter().map(|v| v.to_bits()).collect();
+            let want: Vec<u32> = naive_vecmat(x, w).iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(got, want);
+        }
+        let longer: Vec<f32> = x.iter().copied().chain([1.0]).collect();
+        prop_assert!(matches!(vecmat(&longer, &w), Err(TensorError::ShapeMismatch(_))));
     }
 
     /// Spearman is symmetric and bounded in [-1, 1].

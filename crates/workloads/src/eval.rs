@@ -21,8 +21,9 @@ use crate::qa::QaEpisode;
 /// Result of a language-modeling evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct LmResult {
-    /// Mean perplexity across evaluated sequences (lower is better;
-    /// Figure 8 plots the negative so higher is better).
+    /// `exp(mean_nll)`: the exponential of the mean NLL pooled over every
+    /// scored token of every sequence (lower is better; Figure 8 plots
+    /// the negative so higher is better).
     pub perplexity: f32,
     /// Mean per-token negative log-likelihood (nats).
     pub mean_nll: f32,
@@ -39,42 +40,76 @@ pub struct QaResult {
     pub episodes: usize,
 }
 
-/// Evaluates language-modeling perplexity of `eval_cfg` (the policy
-/// under test) on teacher text written by the same model under the
-/// *dense* reference configuration.
-///
-/// `prompt_len` corpus tokens seed each sequence; the dense model
-/// continues it to `seq_len` total tokens; scoring skips the prompt.
-pub fn evaluate_lm(
-    model: &TinyTransformer,
-    corpus: &CorpusSpec,
-    eval_cfg: &GenerationConfig,
-    num_seqs: usize,
+/// The reference text of a language-modeling evaluation: per sequence,
+/// a corpus prompt continued by the model under the *dense* reference
+/// configuration. It depends on the model and the corpus only, so one
+/// set serves every policy evaluated on them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TeacherTexts {
+    /// Each sequence: its `prompt_len` prompt tokens, then the dense
+    /// continuation.
+    sequences: Vec<Vec<usize>>,
+    /// Prompt tokens at the head of every sequence; scoring skips them.
     prompt_len: usize,
-    seq_len: usize,
+}
+
+impl TeacherTexts {
+    /// Writes `num_seqs` texts: `prompt_len` corpus tokens seed each
+    /// sequence, and the dense model continues it to `seq_len` total
+    /// tokens, sampling at temperature 0.9 with the sequence index as
+    /// its seed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `prompt_len` is 0 or not below `seq_len`.
+    pub fn generate(
+        model: &TinyTransformer,
+        corpus: &CorpusSpec,
+        num_seqs: usize,
+        prompt_len: usize,
+        seq_len: usize,
+    ) -> Self {
+        assert!(seq_len > prompt_len, "need room for a continuation");
+        let teacher_cfg = GenerationConfig {
+            max_new_tokens: seq_len - prompt_len,
+            greedy: false,
+            temperature: 0.9,
+            ..GenerationConfig::default()
+        };
+        let sequences = (0..num_seqs)
+            .map(|i| {
+                let mut text = corpus.sequence(i, prompt_len);
+                let teacher = generate(
+                    model,
+                    &text,
+                    &GenerationConfig {
+                        seed: i as u64,
+                        ..teacher_cfg
+                    },
+                );
+                text.extend(&teacher.tokens);
+                text
+            })
+            .collect();
+        TeacherTexts {
+            sequences,
+            prompt_len,
+        }
+    }
+}
+
+/// Language-modeling perplexity of `eval_cfg` (the policy under test)
+/// on `teacher`'s texts, written by the same `model`, skipping each
+/// prompt.
+pub fn score_lm(
+    model: &TinyTransformer,
+    teacher: &TeacherTexts,
+    eval_cfg: &GenerationConfig,
 ) -> LmResult {
-    assert!(seq_len > prompt_len, "need room for a continuation");
-    let teacher_cfg = GenerationConfig {
-        max_new_tokens: seq_len - prompt_len,
-        greedy: false,
-        temperature: 0.9,
-        ..GenerationConfig::default()
-    };
     let mut total_nll = 0.0f64;
     let mut total_tokens = 0usize;
-    for i in 0..num_seqs {
-        let prompt = corpus.sequence(i, prompt_len);
-        let teacher = generate(
-            model,
-            &prompt,
-            &GenerationConfig {
-                seed: i as u64,
-                ..teacher_cfg
-            },
-        );
-        let mut text = prompt.clone();
-        text.extend(&teacher.tokens);
-        let score = score_sequence(model, &text, prompt_len, eval_cfg);
+    for text in &teacher.sequences {
+        let score = score_sequence(model, text, teacher.prompt_len, eval_cfg);
         total_nll += score.nll.iter().map(|&x| x as f64).sum::<f64>();
         total_tokens += score.nll.len();
     }
@@ -86,8 +121,28 @@ pub fn evaluate_lm(
     LmResult {
         perplexity: mean.exp(),
         mean_nll: mean,
-        sequences: num_seqs,
+        sequences: teacher.sequences.len(),
     }
+}
+
+/// Evaluates language-modeling perplexity of `eval_cfg` on teacher text
+/// written by the same model under the *dense* reference configuration:
+/// [`TeacherTexts::generate`], then [`score_lm`]. Callers that evaluate
+/// several policies on one model and corpus write the texts once and
+/// call [`score_lm`] for each.
+///
+/// `prompt_len` corpus tokens seed each sequence; the dense model
+/// continues it to `seq_len` total tokens; scoring skips the prompt.
+pub fn evaluate_lm(
+    model: &TinyTransformer,
+    corpus: &CorpusSpec,
+    eval_cfg: &GenerationConfig,
+    num_seqs: usize,
+    prompt_len: usize,
+    seq_len: usize,
+) -> LmResult {
+    let teacher = TeacherTexts::generate(model, corpus, num_seqs, prompt_len, seq_len);
+    score_lm(model, &teacher, eval_cfg)
 }
 
 /// Evaluates multiple-choice QA accuracy of `eval_cfg` over episodes.
@@ -196,6 +251,27 @@ mod tests {
             swa_gap <= local_gap + 1e-4,
             "swa gap {swa_gap:.4} must be <= local gap {local_gap:.4}"
         );
+    }
+
+    #[test]
+    fn one_teacher_text_scores_like_evaluate_lm() {
+        let model = lm_model();
+        let spec = InitSpec::default();
+        let corpus = Dataset::WikiText2.spec(
+            model.config().vocab_size,
+            spec.anchor_count(model.config().vocab_size),
+        );
+        let teacher = TeacherTexts::generate(&model, &corpus, 2, 8, 32);
+        for cfg in [
+            GenerationConfig::default(),
+            GenerationConfig::default().with_policy(PolicyKind::Swa, 0.8),
+        ] {
+            let shared = score_lm(&model, &teacher, &cfg);
+            let fresh = evaluate_lm(&model, &corpus, &cfg, 2, 8, 32);
+            assert_eq!(shared.perplexity.to_bits(), fresh.perplexity.to_bits());
+            assert_eq!(shared.mean_nll.to_bits(), fresh.mean_nll.to_bits());
+            assert_eq!(shared.sequences, 2);
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub mod serving;
 pub mod sessions;
 
 pub use corpus::{CorpusSpec, Dataset};
-pub use eval::{evaluate_lm, evaluate_qa, LmResult, QaResult};
+pub use eval::{evaluate_lm, evaluate_qa, score_lm, LmResult, QaResult, TeacherTexts};
 pub use qa::{QaEpisode, QaSpec, QaTask};
 pub use serving::LengthModel;
 pub use sessions::SessionModel;
