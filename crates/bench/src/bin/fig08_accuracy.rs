@@ -33,6 +33,17 @@ fn cfg(kind: PolicyKind, sparsity: f32, quant: Option<QuantBits>) -> GenerationC
     }
 }
 
+/// One table row: a cell per sparsity from `cell`, except for dense,
+/// which keeps every token at any budget, so its one cell at sparsity 0
+/// is computed once and printed in every column.
+fn cells(kind: PolicyKind, sparsities: &[f32], cell: impl Fn(f32) -> String) -> Vec<String> {
+    if kind == PolicyKind::Dense {
+        vec![cell(0.0); sparsities.len()]
+    } else {
+        sparsities.iter().map(|&sp| cell(sp)).collect()
+    }
+}
+
 fn main() {
     let quick = alisa_bench::quick_mode();
     banner(
@@ -90,14 +101,10 @@ fn main() {
             println!("\n{} — negative perplexity (higher is better):", ds.label());
             row("method \\ KV sparsity", header.iter().map(String::as_str));
             for (name, kind, quant) in methods() {
-                let vals: Vec<String> = sparsities
-                    .iter()
-                    .map(|&sp| {
-                        let sp = if kind == PolicyKind::Dense { 0.0 } else { sp };
-                        let res = score_lm(&lm_model, &teacher, &cfg(kind, sp, quant));
-                        f(-(res.perplexity as f64))
-                    })
-                    .collect();
+                let vals = cells(kind, &sparsities, |sp| {
+                    let res = score_lm(&lm_model, &teacher, &cfg(kind, sp, quant));
+                    f(-(res.perplexity as f64))
+                });
                 row(name, vals.iter().map(String::as_str));
             }
         }
@@ -106,14 +113,10 @@ fn main() {
             println!("\n{} — 4-shot accuracy:", task.label());
             row("method \\ KV sparsity", header.iter().map(String::as_str));
             for (name, kind, quant) in methods() {
-                let vals: Vec<String> = sparsities
-                    .iter()
-                    .map(|&sp| {
-                        let sp = if kind == PolicyKind::Dense { 0.0 } else { sp };
-                        let res = evaluate_qa(&assoc, &eps, &cfg(kind, sp, quant));
-                        f(res.accuracy as f64)
-                    })
-                    .collect();
+                let vals = cells(kind, &sparsities, |sp| {
+                    let res = evaluate_qa(&assoc, &eps, &cfg(kind, sp, quant));
+                    f(res.accuracy as f64)
+                });
                 row(name, vals.iter().map(String::as_str));
             }
         }

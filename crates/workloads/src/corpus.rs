@@ -23,12 +23,14 @@ use serde::{Deserialize, Serialize};
 /// and `norm` their left-to-right sum — exactly the terms, in exactly
 /// the order, the inverse-CDF walk in [`CorpusSpec::zipf_sample`] used
 /// to recompute per draw. Rebuilding the table cost ~`cap` `powf`
-/// calls per sampled token and dominated trace generation (every
-/// `LengthModel::sample` probes a 48-token document); the cache makes
-/// it one build per distinct `(cap, exponent)` per thread, with the
-/// sampling arithmetic byte-identical (pinned by the
-/// `cached_tables_match_the_recomputed_walk` test below and the trace
-/// goldens in `tests/golden/`).
+/// calls per sampled token; the cache makes it one build per distinct
+/// `(cap, exponent)` per thread, with the sampling arithmetic
+/// byte-identical (pinned by the `cached_tables_match_the_recomputed_walk`
+/// test below). Trace generation samples no background token
+/// (`LengthModel::sample` counts its probe document's anchors through
+/// [`CorpusSpec::anchor_hits`], which never resolves one), so the
+/// table serves [`CorpusSpec::sequence`]: the functional path's
+/// prompts and texts and the figure bins' documents.
 struct ZipfTable {
     weights: Vec<f64>,
     norm: f64,
@@ -151,12 +153,57 @@ impl CorpusSpec {
     /// Generates one sequence of `len` tokens; `idx` selects the
     /// document (deterministic per `(seed, idx)`).
     pub fn sequence(&self, idx: usize, len: usize) -> Vec<usize> {
+        let mut out: Vec<usize> = Vec::with_capacity(len);
+        self.walk(idx, len, |draw| {
+            let tok = match draw {
+                Draw::Topic(tok) => tok,
+                Draw::Repeat(back) => out[out.len() - back],
+                Draw::Background(u) => self.zipf_sample(u),
+            };
+            out.push(tok);
+        });
+        out
+    }
+
+    /// Number of anchor tokens (`t < anchor_count`) in
+    /// `sequence(idx, len)`, counted without building the document: the
+    /// same walk, each position resolved to an anchor flag instead of a
+    /// token. A topic is drawn from `0..anchor_count.max(1)`, so it is an
+    /// anchor iff `anchor_count > 0`; a background token's support starts
+    /// at `anchor_count.min(vocab_size - 1)`, so it is one iff
+    /// `anchor_count >= vocab_size`; a repeat copies the flag it repeats,
+    /// so only the last four flags are kept.
+    pub(crate) fn anchor_hits(&self, idx: usize, len: usize) -> usize {
+        let background = self.anchor_count >= self.vocab_size;
+        // Flags of the last four positions, each at its position mod 4.
+        let mut recent = [false; 4];
+        let (mut pos, mut hits) = (0, 0);
+        self.walk(idx, len, |draw| {
+            let anchor = match draw {
+                Draw::Topic(tok) => tok < self.anchor_count,
+                Draw::Repeat(back) => recent[(pos - back) % 4],
+                Draw::Background(_) => background,
+            };
+            recent[pos % 4] = anchor;
+            pos += 1;
+            hits += usize::from(anchor);
+        });
+        hits
+    }
+
+    /// Walks the draw stream of document `idx`, handing `visit` one
+    /// [`Draw`] per position. Every RNG draw a document makes happens
+    /// here, in this order: the topic anchors, then per position a
+    /// uniform and, by its value, a topic pick, a repeat lag or a
+    /// background uniform. [`CorpusSpec::sequence`] and
+    /// [`CorpusSpec::anchor_hits`] differ only in how they resolve the
+    /// draws.
+    fn walk(&self, idx: usize, len: usize, mut visit: impl FnMut(Draw)) {
         let mut rng = StdRng::seed_from_u64(self.seed ^ (idx as u64).wrapping_mul(0x9E3779B9));
         // This document's topic anchors, drawn from the anchor region.
         let topics: Vec<usize> = (0..self.topic_anchors)
             .map(|_| rng.gen_range(0..self.anchor_count.max(1)))
             .collect();
-        let mut out: Vec<usize> = Vec::with_capacity(len);
         let front_limit = (len as f64 * self.anchor_front_frac) as usize;
         for pos in 0..len {
             let u: f64 = rng.gen();
@@ -165,27 +212,20 @@ impl CorpusSpec {
             } else {
                 self.p_anchor * 0.1
             };
-            let tok = if u < p_anchor && !topics.is_empty() {
-                topics[rng.gen_range(0..topics.len())]
-            } else if u < p_anchor + self.p_repeat && out.len() >= 2 {
-                let back = rng.gen_range(1..=out.len().min(4));
-                out[out.len() - back]
+            visit(if u < p_anchor && !topics.is_empty() {
+                Draw::Topic(topics[rng.gen_range(0..topics.len())])
+            } else if u < p_anchor + self.p_repeat && pos >= 2 {
+                Draw::Repeat(rng.gen_range(1..=pos.min(4)))
             } else {
-                self.zipf_sample(&mut rng)
-            };
-            out.push(tok);
+                Draw::Background(rng.gen())
+            });
         }
-        out
-    }
-
-    /// Generates `count` sequences of `len` tokens.
-    pub fn sequences(&self, count: usize, len: usize) -> Vec<Vec<usize>> {
-        (0..count).map(|i| self.sequence(i, len)).collect()
     }
 
     /// Zipf sample over the non-anchor region via inverse-CDF on a
-    /// truncated harmonic series (rejection-free).
-    fn zipf_sample(&self, rng: &mut StdRng) -> usize {
+    /// truncated harmonic series (rejection-free), for the uniform `u`
+    /// in `[0, 1)`.
+    fn zipf_sample(&self, u: f64) -> usize {
         let lo = self.anchor_count.min(self.vocab_size - 1);
         let n = self.vocab_size - lo;
         // Inverse-CDF approximation for Zipf(s): u^( -1/(s-1) ) style is
@@ -195,7 +235,7 @@ impl CorpusSpec {
         // subtract walk below replays the recomputed version exactly.
         let cap = n.min(512);
         let table = zipf_table(cap, self.zipf_exponent);
-        let mut u: f64 = rng.gen::<f64>() * table.norm;
+        let mut u = u * table.norm;
         for (k, &w) in table.weights.iter().enumerate() {
             u -= w;
             if u <= 0.0 {
@@ -204,6 +244,49 @@ impl CorpusSpec {
         }
         lo + n - 1
     }
+}
+
+/// A seeded random spec for differential tests: one in ten has a
+/// one-token vocabulary, the anchor count is zero, inside the vocabulary
+/// or at least its size with equal odds, a sixth have no topics,
+/// and half front-load their anchors.
+#[cfg(test)]
+pub(crate) fn random_spec(rng: &mut StdRng) -> CorpusSpec {
+    let vocab_size = if rng.gen_bool(0.1) {
+        1
+    } else {
+        rng.gen_range(1..=700)
+    };
+    let anchor_count = match rng.gen_range(0..3) {
+        0 => 0,
+        1 => rng.gen_range(0..vocab_size),
+        _ => rng.gen_range(vocab_size..=vocab_size + 4),
+    };
+    CorpusSpec {
+        vocab_size,
+        anchor_count,
+        zipf_exponent: rng.gen_range(0.6..1.6),
+        topic_anchors: rng.gen_range(0..=5),
+        p_anchor: rng.gen_range(0.0..0.6),
+        p_repeat: rng.gen_range(0.0..0.5),
+        anchor_front_frac: if rng.gen_bool(0.5) {
+            1.0
+        } else {
+            rng.gen_range(0.0..1.0)
+        },
+        seed: rng.gen(),
+    }
+}
+
+/// What one position of a document walk drew, before it is resolved to
+/// a token.
+enum Draw {
+    /// One of the document's topic anchors.
+    Topic(usize),
+    /// A copy of the token `back` positions earlier (`1..=4`).
+    Repeat(usize),
+    /// A background Zipf token, as its uniform.
+    Background(f64),
 }
 
 #[cfg(test)]
@@ -224,7 +307,8 @@ mod tests {
     #[test]
     fn tokens_are_in_vocabulary() {
         let s = spec();
-        for seq in s.sequences(4, 128) {
+        for idx in 0..4 {
+            let seq = s.sequence(idx, 128);
             assert_eq!(seq.len(), 128);
             assert!(seq.iter().all(|&t| t < s.vocab_size));
         }
@@ -254,8 +338,8 @@ mod tests {
     fn unigram_distribution_is_skewed() {
         let s = spec();
         let mut counts = vec![0usize; s.vocab_size];
-        for seq in s.sequences(8, 256) {
-            for t in seq {
+        for idx in 0..8 {
+            for t in s.sequence(idx, 256) {
                 counts[t] += 1;
             }
         }
@@ -269,12 +353,15 @@ mod tests {
         );
     }
 
-    /// Differential pin of the weight-table cache: a reference
-    /// generator that recomputes `1/k^s` and the norm inside every draw
-    /// (the pre-cache hot path, reproduced verbatim) must emit the same
-    /// token at every position of every document, for every preset —
-    /// i.e. the cache changed where the terms live, not one bit of the
-    /// sampled stream.
+    /// Differential pin of the weight-table cache and the draw walker: a
+    /// reference generator that draws inline and recomputes `1/k^s` and
+    /// the norm inside every draw (the pre-cache hot path, reproduced
+    /// verbatim) must emit the same token at every position of every
+    /// document, for every preset and for random specs that reach what
+    /// no preset does (no topics, a front fraction below 1, anchors
+    /// filling the vocabulary, a one-token vocabulary) — i.e. the cache
+    /// and the walker changed where the terms and draws live, not one
+    /// bit of the sampled stream.
     #[test]
     fn cached_tables_match_the_recomputed_walk() {
         fn reference_sequence(spec: &CorpusSpec, idx: usize, len: usize) -> Vec<usize> {
@@ -331,6 +418,16 @@ mod tests {
                     );
                 }
             }
+        }
+        let mut rng = StdRng::seed_from_u64(0x5EC5);
+        for _ in 0..300 {
+            let spec = random_spec(&mut rng);
+            let idx = rng.gen_range(0..1_000);
+            assert_eq!(
+                spec.sequence(idx, 40),
+                reference_sequence(&spec, idx, 40),
+                "{spec:?} doc {idx}"
+            );
         }
     }
 

@@ -15,6 +15,10 @@ use serde::{Deserialize, Serialize};
 
 use crate::corpus::{CorpusSpec, Dataset};
 
+/// Tokens of the corpus document whose anchor count sets a request's
+/// topic complexity in [`LengthModel::sample`].
+const PROBE_LEN: usize = 48;
+
 /// Samples `(prompt_len, output_len)` pairs for serving traces.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LengthModel {
@@ -133,6 +137,13 @@ impl LengthModel {
 
     /// Samples the `(prompt_len, output_len)` of request `idx`,
     /// deterministic per `(seed, idx)`.
+    ///
+    /// The output median scales with the topic complexity of request
+    /// `idx`: the share of anchor tokens in the 48-token corpus
+    /// document `idx`, counted without building the document. That
+    /// probe is keyed on `(corpus.seed, idx)` only, never on `seed`, so
+    /// request `idx` has the same complexity in every trace; `seed`
+    /// moves only the length and heavy-tail draws.
     pub fn sample(&self, idx: usize, seed: u64) -> (usize, usize) {
         let mut rng = StdRng::seed_from_u64(
             seed ^ (idx as u64).wrapping_mul(0x9E3779B97F4A7C15) ^ self.corpus.seed,
@@ -140,12 +151,8 @@ impl LengthModel {
         let prompt = lognormal(&mut rng, self.prompt_median, self.prompt_sigma);
         // Topic complexity of this request's document: anchor-dense
         // documents (lots of entity recurrence) ask for longer answers.
-        let probe = self.corpus.sequence(idx, 48);
-        let anchor_hits = probe
-            .iter()
-            .filter(|&&t| t < self.corpus.anchor_count)
-            .count();
-        let complexity = 0.75 + 1.0 * anchor_hits as f64 / probe.len() as f64;
+        let anchor_hits = self.corpus.anchor_hits(idx, PROBE_LEN);
+        let complexity = 0.75 + 1.0 * anchor_hits as f64 / PROBE_LEN as f64;
         let output = lognormal(&mut rng, self.output_median * complexity, self.output_sigma);
         // Heavy-tail mixture (mirrors `SessionModel`'s long-turn draw).
         // The extra uniform is only consumed when the mixture is armed,
@@ -215,7 +222,7 @@ mod tests {
         let m = LengthModel::alpaca();
         let mut by_density: Vec<(usize, usize)> = (0..400)
             .map(|i| {
-                let probe = m.corpus.sequence(i, 48);
+                let probe = m.corpus.sequence(i, PROBE_LEN);
                 let hits = probe.iter().filter(|&&t| t < m.corpus.anchor_count).count();
                 (hits, m.sample(i, 11).1)
             })
@@ -319,5 +326,93 @@ mod tests {
     #[should_panic(expected = "heavy_mult")]
     fn sub_unit_heavy_mult_rejected() {
         let _ = LengthModel::alpaca().with_heavy_tail(0.1, 0.5);
+    }
+
+    /// `LengthModel::sample` as it was when it built its probe document
+    /// and counted the document's anchor tokens, reproduced verbatim.
+    fn reference_sample(m: &LengthModel, idx: usize, seed: u64) -> (usize, usize) {
+        let mut rng = StdRng::seed_from_u64(
+            seed ^ (idx as u64).wrapping_mul(0x9E3779B97F4A7C15) ^ m.corpus.seed,
+        );
+        let prompt = lognormal(&mut rng, m.prompt_median, m.prompt_sigma);
+        let probe = m.corpus.sequence(idx, 48);
+        let anchor_hits = probe.iter().filter(|&&t| t < m.corpus.anchor_count).count();
+        let complexity = 0.75 + 1.0 * anchor_hits as f64 / probe.len() as f64;
+        let output = lognormal(&mut rng, m.output_median * complexity, m.output_sigma);
+        let mult = if m.heavy_frac > 0.0 {
+            let giant: f64 = rng.gen();
+            if giant < m.heavy_frac {
+                m.heavy_mult
+            } else {
+                1.0
+            }
+        } else {
+            1.0
+        };
+        (
+            ((prompt * mult).round() as usize).clamp(m.min_prompt, m.max_prompt),
+            ((output * mult).round() as usize).clamp(m.min_output, m.max_output),
+        )
+    }
+
+    /// The anchor count walks the probe document's draws without
+    /// building it. On seeded random models that reach every regime of
+    /// the count (no anchors, some, anchors filling the whole
+    /// vocabulary, no topics, a front-loaded anchor rate, a one-token
+    /// vocabulary, an armed heavy-tail draw; half leave it off), the
+    /// count must equal the built document's and `sample` its
+    /// reference exactly.
+    #[test]
+    fn anchor_count_matches_the_built_probe_document() {
+        let mut rng = StdRng::seed_from_u64(0xC0FF_EE11);
+        // Models per regime, in the order of the doc comment's list.
+        let mut reached = [0usize; 7];
+        for _ in 0..2_400 {
+            let corpus = crate::corpus::random_spec(&mut rng);
+            let (vocab_size, anchor_count) = (corpus.vocab_size, corpus.anchor_count);
+            let heavy_frac = if rng.gen_bool(0.5) {
+                0.0
+            } else {
+                rng.gen_range(0.01..1.0)
+            };
+            let m = LengthModel {
+                corpus,
+                ..LengthModel::alpaca().with_heavy_tail(heavy_frac, rng.gen_range(1.0..6.0))
+            };
+            for (k, hit) in [
+                anchor_count == 0,
+                0 < anchor_count && anchor_count < vocab_size,
+                anchor_count >= vocab_size,
+                corpus.topic_anchors == 0,
+                corpus.anchor_front_frac < 1.0,
+                vocab_size == 1,
+                heavy_frac > 0.0,
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                reached[k] += usize::from(hit);
+            }
+            for _ in 0..3 {
+                let idx = rng.gen_range(0..1_000_000);
+                let seed: u64 = rng.gen();
+                let probe = corpus.sequence(idx, PROBE_LEN);
+                let want = probe.iter().filter(|&&t| t < anchor_count).count();
+                assert_eq!(
+                    corpus.anchor_hits(idx, PROBE_LEN),
+                    want,
+                    "{corpus:?} doc {idx}"
+                );
+                assert_eq!(
+                    m.sample(idx, seed),
+                    reference_sample(&m, idx, seed),
+                    "{m:?} request {idx} seed {seed}"
+                );
+            }
+        }
+        assert!(
+            reached.iter().all(|&n| n >= 100),
+            "every regime needs coverage: {reached:?}"
+        );
     }
 }
