@@ -38,8 +38,9 @@ pub fn delegated_attention_qr_bytes(b: usize, hidden_dim: usize) -> u64 {
 /// Tokens of a `seq_len`-token sequence a system keeps (ALISA's SWA
 /// budget) or holds GPU-resident (FlexGen's split) when it keeps a
 /// `keep ∈ [0, 1]` share: rounded to the nearest token, never below
-/// one. One rule for the offline simulators and serving admission,
-/// which calls it for every running request on every engine step.
+/// one. One rule for the offline simulators and serving admission.
+/// The serving engine tabulates it once per config for every length up
+/// to 4,096 and reads a running request's count from that table.
 #[inline]
 pub fn resident_tokens(seq_len: usize, keep: f64) -> usize {
     ((seq_len as f64 * keep).round() as usize).clamp(1, seq_len)
@@ -114,7 +115,10 @@ impl SimBase {
 
     /// Compute time of one decoding step over `kv_tokens` of attended
     /// context, batch `b`, divided into (MHA including projections and
-    /// norms, FFN). `eff` is the framework efficiency factor.
+    /// norms, FFN). `eff` is the framework efficiency factor. It is the
+    /// composition of its batch-only half,
+    /// [`SimBase::decode_batch_terms`], and its kv-dependent half,
+    /// [`SimBase::decode_mha`].
     pub fn decode_compute(
         &self,
         model: &ModelConfig,
@@ -122,17 +126,43 @@ impl SimBase {
         kv_tokens: usize,
         eff: f64,
     ) -> (f64, f64) {
+        let (proj, ffn) = self.decode_batch_terms(model, b, eff);
+        (self.decode_mha(model, b, kv_tokens, proj, eff), ffn)
+    }
+
+    /// The half of [`SimBase::decode_compute`] that depends on the batch
+    /// size alone: `(proj, ffn)`, the four projections' time in one
+    /// layer (before the layer count and `eff` apply) and the whole FFN
+    /// time. The serving engine tabulates it by batch size.
+    pub fn decode_batch_terms(&self, model: &ModelConfig, b: usize, eff: f64) -> (f64, f64) {
         let h = model.hidden_dim;
         let f = model.ffn_dim;
         let l = model.num_layers as f64;
         let c = &self.cost;
         let proj = 4.0 * c.gemm_time(b, h, h, FP16);
+        let ffn = l * (c.gemm_time(b, h, f, FP16) + c.gemm_time(b, f, h, FP16)) / eff;
+        (proj, ffn)
+    }
+
+    /// The kv-dependent half of [`SimBase::decode_compute`]: the MHA
+    /// time of a batch of `b` attending `kv_tokens` each, given the
+    /// `proj` that [`SimBase::decode_batch_terms`] returns for the same
+    /// `b`.
+    pub fn decode_mha(
+        &self,
+        model: &ModelConfig,
+        b: usize,
+        kv_tokens: usize,
+        proj: f64,
+        eff: f64,
+    ) -> f64 {
+        let h = model.hidden_dim;
+        let l = model.num_layers as f64;
+        let c = &self.cost;
         let qkt = c.gemm_time(b, h, kv_tokens.max(1), FP16);
         let av = c.gemm_time(b, kv_tokens.max(1), h, FP16);
         let vecs = c.vector_op_time(((b * kv_tokens.max(1) + 2 * b * h) * FP16) as u64);
-        let mha = l * (proj + qkt + av + vecs) / eff;
-        let ffn = l * (c.gemm_time(b, h, f, FP16) + c.gemm_time(b, f, h, FP16)) / eff;
-        (mha, ffn)
+        l * (proj + qkt + av + vecs) / eff
     }
 
     /// Compute time of the prefill pass over `s` prompt tokens.

@@ -177,7 +177,10 @@ impl AdmissionPolicy {
     }
 
     /// KV tokens per sequence the GPU attends over at `seq_len` — the
-    /// `kv_tokens` argument of [`SimBase::decode_compute`].
+    /// `kv_tokens` argument of [`SimBase::decode_compute`]. The engine
+    /// tabulates it once per config for lengths up to 4,096 and reads a
+    /// step's counts from that table
+    /// ([`crate::ServeEngine::step_time`]).
     pub fn attended_tokens(&self, seq_len: usize) -> usize {
         match *self {
             AdmissionPolicy::Alisa { sparsity, .. } => resident_tokens(seq_len, 1.0 - sparsity),

@@ -19,6 +19,9 @@
 //! subsystem's point: ALISA's sparsity-aware reservation admits a
 //! several-fold larger concurrent batch from the same HBM.
 
+use std::fmt;
+use std::sync::Arc;
+
 use alisa_memsim::HardwareSpec;
 use alisa_model::ModelConfig;
 use alisa_obs::{NullSink, TraceSink};
@@ -29,6 +32,7 @@ use serde::{Deserialize, Serialize};
 use crate::admission::AdmissionPolicy;
 use crate::discipline::QueueDiscipline;
 use crate::metrics::{ServeReport, ServeSample, SloSpec};
+use crate::replica::MAX_BATCH;
 use crate::request::Request;
 use crate::router::{FleetRun, RouterConfig};
 use crate::trace::Trace;
@@ -229,22 +233,77 @@ pub fn derived_slo(model: &ModelConfig, hardware: &HardwareSpec) -> SloSpec {
     }
 }
 
+/// Longest sequence whose attended-token count [`PriceTable`] holds:
+/// `SessionModel::chat().max_context`, which bounds every chat
+/// sequence. Longer ones take the formula.
+const ATTENDED_CAP: usize = 4096;
+
+/// The per-step price terms that depend on one sequence's length or on
+/// the batch size alone, tabulated once per (model, hardware, policy)
+/// from the formulas [`ServeEngine::step_time`] would otherwise call:
+/// every entry is the formula's own value, so no price moves. Immutable
+/// once built; a fleet's replicas with equal configs share one.
+pub(crate) struct PriceTable {
+    /// `attended[i]`: the policy's attended tokens at length `i + 1`.
+    attended: [u32; ATTENDED_CAP],
+    /// `batch[b]`: [`SimBase::decode_batch_terms`] at batch `b`.
+    batch: [(f64, f64); MAX_BATCH + 1],
+}
+
+impl PriceTable {
+    fn new(sim: &SimBase, cfg: &ServeConfig) -> Self {
+        let eff = cfg.policy.efficiency();
+        PriceTable {
+            attended: std::array::from_fn(|i| cfg.policy.attended_tokens(i + 1) as u32),
+            batch: std::array::from_fn(|b| sim.decode_batch_terms(&cfg.model, b, eff)),
+        }
+    }
+}
+
+impl fmt::Debug for PriceTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "PriceTable({} lengths, {} batch sizes)",
+            self.attended.len(),
+            self.batch.len()
+        )
+    }
+}
+
 /// The continuous-batching engine. Construct once per config, replay
 /// any number of traces; runs are pure functions of `(config, trace)`.
 #[derive(Debug, Clone)]
 pub struct ServeEngine {
     cfg: ServeConfig,
     sim: SimBase,
+    pub(crate) prices: Arc<PriceTable>,
     reference_paths: bool,
 }
 
 impl ServeEngine {
-    /// Builds the engine (and its cost model) for a config.
+    /// Builds the engine (its cost model and step price table) for a
+    /// config.
     pub fn new(cfg: ServeConfig) -> Self {
+        Self::sharing_prices(cfg, &[])
+    }
+
+    /// Builds the engine for `cfg`, reading the price table of the first
+    /// of `peers` with the same model, hardware and policy instead of
+    /// building one, if there is such a peer.
+    pub(crate) fn sharing_prices(cfg: ServeConfig, peers: &[ServeEngine]) -> Self {
         let sim = SimBase::new(&cfg.hardware);
+        let peer = peers.iter().find(|p| {
+            (&p.cfg.model, &p.cfg.hardware, p.cfg.policy) == (&cfg.model, &cfg.hardware, cfg.policy)
+        });
+        let prices = match peer {
+            Some(peer) => Arc::clone(&peer.prices),
+            None => Arc::new(PriceTable::new(&sim, &cfg)),
+        };
         ServeEngine {
             cfg,
             sim,
+            prices,
             reference_paths: false,
         }
     }
@@ -351,6 +410,13 @@ impl ServeEngine {
     /// attended-token count) plus a dequantize pass when the GPU cache
     /// region is quantized. Every replica step in the engine and the
     /// multi-replica [`crate::Router`] is priced here.
+    ///
+    /// The decode batch is [`SimBase::decode_compute`] at the mean
+    /// attended count. The attended counts of lengths up to 4,096 and
+    /// the batch-only half ([`SimBase::decode_batch_terms`]) of batches
+    /// up to the batch cap are read from a table built once per
+    /// (model, hardware, policy); past either end the formulas run, so
+    /// every price is the formulas' own to the bit.
     pub fn step_time(&self, prefills: &[PrefillJob], running_seq_lens: &[usize]) -> f64 {
         let cfg = &self.cfg;
         let model = &cfg.model;
@@ -364,20 +430,24 @@ impl ServeEngine {
         for p in prefills {
             step_time += sim.prefill_compute(model, 1, p.new_tokens(), eff);
             if p.reused_prefix > 0 {
-                let ctx = cfg.policy.attended_tokens(p.reused_prefix);
+                let ctx = self.attended_tokens(p.reused_prefix);
                 step_time += sim.context_attention_time(model, p.new_tokens(), ctx, eff);
                 let fp16 = cfg.policy.kv_working_set_fp16(model, p.reused_prefix);
                 step_time += sim.cost.quantize_time_at(fp16, cfg.policy.precision().gpu);
             }
         }
         if !running_seq_lens.is_empty() {
+            let b = running_seq_lens.len();
             let mean_kv = running_seq_lens
                 .iter()
-                .map(|&s| cfg.policy.attended_tokens(s))
+                .map(|&s| self.attended_tokens(s))
                 .sum::<usize>()
-                / running_seq_lens.len();
-            let (mha, ffn) = sim.decode_compute(model, running_seq_lens.len(), mean_kv.max(1), eff);
-            step_time += mha + ffn;
+                / b;
+            let (proj, ffn) = match b {
+                0..=MAX_BATCH => self.prices.batch[b],
+                _ => sim.decode_batch_terms(model, b, eff),
+            };
+            step_time += sim.decode_mha(model, b, mean_kv.max(1), proj, eff) + ffn;
         }
         let batch = running_seq_lens.len() + prefills.len();
         // The selection/offload overhead sees the *full* sequences —
@@ -390,6 +460,16 @@ impl ServeEngine {
             step_time += cfg.policy.step_overhead(sim, model, batch, mean_seq.max(1));
         }
         step_time
+    }
+
+    /// [`AdmissionPolicy::attended_tokens`] at `seq_len`, from the
+    /// price table when it holds that length.
+    #[inline]
+    fn attended_tokens(&self, seq_len: usize) -> usize {
+        match seq_len {
+            1..=ATTENDED_CAP => self.prices.attended[seq_len - 1] as usize,
+            _ => self.cfg.policy.attended_tokens(seq_len),
+        }
     }
 
     /// Wall-clock cost of restarting a running request if it were

@@ -28,7 +28,7 @@ use crate::metrics::{ServeReport, ServeSample};
 use crate::request::{Request, RequestState};
 
 /// Cap on concurrently decoding requests per replica.
-const MAX_BATCH: usize = 64;
+pub(crate) const MAX_BATCH: usize = 64;
 
 /// Tracing context threaded through a run's dispatch and step paths:
 /// the sink and the metrics registry accumulating alongside it. Every

@@ -790,6 +790,8 @@ pub struct Router {
 
 impl Router {
     /// Builds the fleet: one [`ServeEngine`] per replica config.
+    /// Replicas with an equal model, hardware and admission policy
+    /// share one step price table, built by the first of them.
     ///
     /// # Panics
     ///
@@ -834,7 +836,10 @@ impl Router {
             cfg.failures.kills.is_empty() || cfg.disagg.is_none(),
             "fleet dynamics require a unified fleet (no disaggregation)"
         );
-        let engines = cfg.replicas.iter().cloned().map(ServeEngine::new).collect();
+        let mut engines = Vec::with_capacity(cfg.replicas.len());
+        for replica in &cfg.replicas {
+            engines.push(ServeEngine::sharing_prices(replica.clone(), &engines));
+        }
         Router {
             cfg,
             engines,
@@ -2307,5 +2312,38 @@ mod tests {
             r.replicas[1].arrived,
             r.replicas[0].arrived
         );
+    }
+
+    /// Replicas with an equal model, hardware and policy read one step
+    /// price table: a 512-replica homogeneous fleet holds one, and a
+    /// 64-replica fleet alternating V100 and H100 exactly two, each
+    /// replica reading its own hardware's.
+    #[test]
+    fn equal_replicas_share_one_price_table() {
+        use std::sync::Arc;
+
+        let v100 = replica_cfg(AdmissionPolicy::alisa());
+        let fleet = Router::new(RouterConfig::homogeneous(v100.clone(), 512));
+        let first = &fleet.engines[0].prices;
+        assert!(fleet.engines.iter().all(|e| Arc::ptr_eq(&e.prices, first)));
+        assert!(
+            format!("{:?}", fleet.engines[0]).contains("PriceTable(4096 lengths, 65 batch sizes)"),
+            "the engine's Debug summarizes its price table"
+        );
+
+        let h100 = ServeConfig::new(
+            ModelConfig::opt_6_7b(),
+            HardwareSpec::h100_80gb(),
+            AdmissionPolicy::alisa(),
+        );
+        let replicas = (0..64).map(|i| [&v100, &h100][i % 2].clone()).collect();
+        let mixed = Router::new(RouterConfig::heterogeneous(replicas));
+        assert!(!Arc::ptr_eq(
+            &mixed.engines[0].prices,
+            &mixed.engines[1].prices
+        ));
+        for (i, e) in mixed.engines.iter().enumerate() {
+            assert!(Arc::ptr_eq(&e.prices, &mixed.engines[i % 2].prices));
+        }
     }
 }

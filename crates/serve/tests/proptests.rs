@@ -1,4 +1,5 @@
-//! Property-based tests of the arrival generators and trace codec.
+//! Property-based tests of the arrival generators and trace codec, the
+//! step pricing, and the queue disciplines.
 
 use alisa_serve::{ArrivalProcess, Trace};
 use alisa_workloads::LengthModel;
@@ -375,6 +376,132 @@ mod queue_disciplines {
                 "aging delayed the most-starved request: {} vs {}",
                 aged.e2e.max,
                 pure.e2e.max
+            );
+        }
+    }
+}
+
+mod step_pricing {
+    use super::*;
+    use alisa_memsim::HardwareSpec;
+    use alisa_model::ModelConfig;
+    use alisa_sched::SimBase;
+    use alisa_serve::{AdmissionPolicy, PrefillJob, ServeConfig, ServeEngine};
+    use alisa_tensor::quant::PrecisionPolicy;
+
+    /// `ServeEngine::step_time` as it read before the engine tabulated
+    /// its price terms, word for word over the public formulas it
+    /// called: the reference the table-driven pricing must equal to the
+    /// bit.
+    fn reference_step_time(
+        cfg: &ServeConfig,
+        sim: &SimBase,
+        prefills: &[PrefillJob],
+        running_seq_lens: &[usize],
+    ) -> f64 {
+        let model = &cfg.model;
+        let eff = cfg.policy.efficiency();
+        let mut step_time = 0.0;
+        for p in prefills {
+            step_time += sim.prefill_compute(model, 1, p.new_tokens(), eff);
+            if p.reused_prefix > 0 {
+                let ctx = cfg.policy.attended_tokens(p.reused_prefix);
+                step_time += sim.context_attention_time(model, p.new_tokens(), ctx, eff);
+                let fp16 = cfg.policy.kv_working_set_fp16(model, p.reused_prefix);
+                step_time += sim.cost.quantize_time_at(fp16, cfg.policy.precision().gpu);
+            }
+        }
+        if !running_seq_lens.is_empty() {
+            let mean_kv = running_seq_lens
+                .iter()
+                .map(|&s| cfg.policy.attended_tokens(s))
+                .sum::<usize>()
+                / running_seq_lens.len();
+            let (mha, ffn) = sim.decode_compute(model, running_seq_lens.len(), mean_kv.max(1), eff);
+            step_time += mha + ffn;
+        }
+        let batch = running_seq_lens.len() + prefills.len();
+        if let Some(mean_seq) = (running_seq_lens.iter().copied())
+            .chain(prefills.iter().map(|p| p.prompt_len))
+            .sum::<usize>()
+            .checked_div(batch)
+        {
+            step_time += cfg.policy.step_overhead(sim, model, batch, mean_seq.max(1));
+        }
+        step_time
+    }
+
+    /// The policy under test: ALISA at a drawn sparsity, or at exactly
+    /// 0.5 so half-token ties must round away from zero, under each of
+    /// the three precision points; vLLM; FlexGen.
+    fn policy(sel: usize, sparsity: f64) -> AdmissionPolicy {
+        let precision = [
+            PrecisionPolicy::fp16(),
+            PrecisionPolicy::int8(),
+            PrecisionPolicy::mixed(),
+        ];
+        match sel {
+            0..=2 => AdmissionPolicy::Alisa {
+                sparsity,
+                precision: precision[sel],
+            },
+            3..=5 => AdmissionPolicy::Alisa {
+                sparsity: 0.5,
+                precision: precision[sel - 3],
+            },
+            6 => AdmissionPolicy::vllm(),
+            _ => AdmissionPolicy::flexgen(),
+        }
+    }
+
+    /// A sequence length in 1–5,000, a tenth of them on the edge of the
+    /// engine's 4,096-length table: 4,095, 4,096 or 4,097.
+    fn seq_len() -> impl Strategy<Value = usize> {
+        (0usize..10, 1usize..=5000).prop_map(|(edge, s)| if edge == 0 { 4095 + s % 3 } else { s })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every step price equals the formulas' by `to_bits`: decode
+        /// batches of 1–70 (past the 64-request batch cap) at lengths
+        /// past the table's end, with 0–3 prefills, some reusing a
+        /// session prefix, on three GPUs and two models.
+        #[test]
+        fn step_time_matches_the_formulas_bit_for_bit(
+            (sel, sparsity) in (0usize..8, 0.0f64..0.95),
+            (gpu, opt_13b) in (0usize..3, 0usize..2),
+            running in collection::vec(seq_len(), 1..=70),
+            prefills in collection::vec((seq_len(), 0usize..2, 0.0f64..1.0), 0..=3),
+        ) {
+            let hardware = match gpu {
+                0 => HardwareSpec::v100_16gb(),
+                1 => HardwareSpec::v100_32gb(),
+                _ => HardwareSpec::h100_80gb(),
+            };
+            let model = if opt_13b == 1 {
+                ModelConfig::opt_13b()
+            } else {
+                ModelConfig::opt_6_7b()
+            };
+            let cfg = ServeConfig::new(model, hardware, policy(sel, sparsity));
+            let prefills: Vec<PrefillJob> = prefills
+                .into_iter()
+                .map(|(prompt_len, reuse, share)| PrefillJob {
+                    prompt_len,
+                    reused_prefix: reuse * (prompt_len as f64 * share) as usize,
+                })
+                .collect();
+            let engine = ServeEngine::new(cfg.clone());
+            let sim = SimBase::new(&cfg.hardware);
+            prop_assert_eq!(
+                engine.step_time(&prefills, &running).to_bits(),
+                reference_step_time(&cfg, &sim, &prefills, &running).to_bits(),
+                "{} on {}: prefills {:?}, running {:?}",
+                cfg.policy.name(),
+                cfg.hardware.gpu.name,
+                prefills,
+                running
             );
         }
     }
