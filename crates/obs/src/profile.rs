@@ -37,7 +37,8 @@ pub enum Phase {
     Dispatch,
     /// Workload generation (`Trace::generate*`).
     TraceGen,
-    /// Report assembly (`ServeReport::from_requests`).
+    /// Report assembly: `ServeReport::from_requests`, and the router's
+    /// merge of its replicas' timelines into the fleet timeline.
     Report,
 }
 

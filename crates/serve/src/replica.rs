@@ -11,10 +11,10 @@
 //! timeline sample. The fleet loop (`crate::router::FleetRun`) drives
 //! one replica for the engine and many for the router, with the same
 //! dispatch and the same sweeps: each sweep steps, in index order, the
-//! busy replicas whose clocks lag the next pending time, found through
-//! the loop's ready heap. Per-request state lives in one [`Request`] per
-//! request, indexed by request id and lent to each step as a `&mut`
-//! slice.
+//! busy replicas whose clocks lag the next pending time, found by one
+//! scan of the loop's flat array of busy clocks. Per-request state lives
+//! in one [`Request`] per request, indexed by request id and lent to each
+//! step as a `&mut` slice.
 
 use std::collections::VecDeque;
 

@@ -37,10 +37,10 @@
 //! in the crate: [`ServeEngine::run`] drives itself through it as a
 //! 1-replica fleet. Arrivals come from a source (the trace in order, or
 //! closed-loop clients), a global event heap ordered by `(time, seq)`
-//! holds handoffs, re-queues, scale ticks and kills, and a ready heap of
-//! the busy replicas, ordered by `(clock, index)`, says which replicas a
-//! sweep steps through the one shared replica step: only those whose
-//! clock lags the next pending time, in index order.
+//! holds handoffs, re-queues, scale ticks and kills, and one flat array
+//! of the replicas' clocks (`+∞` for an idle replica) says which
+//! replicas a sweep steps through the one shared replica step: only
+//! those whose clock lags the next pending time, in index order.
 //! A 1-replica router run therefore reproduces the engine run byte for
 //! byte — asserted by `tests/multi_replica.rs` and
 //! `tests/differential.rs`.
@@ -75,7 +75,7 @@
 //! assert_eq!(report.fleet.admitted + report.fleet.rejected, 24);
 //! ```
 
-use std::cmp::{Ordering, Reverse};
+use std::cmp::Ordering;
 use std::collections::{BTreeSet, BinaryHeap};
 
 use alisa_kvcache::ReuseStats;
@@ -898,11 +898,12 @@ impl Router {
 /// busy replica whose clock lags the next pending time by one step, in
 /// index order, so nobody races past a dispatch it should have seen.
 ///
-/// The busy replicas wait in a ready heap of `(clock bits, index)`, so
-/// neither the horizon nor a sweep visits an idle or caught-up replica.
-/// Clocks are non-negative, so their bits order like [`f64::total_cmp`]
-/// (the [`DispatchIndex`] trick). `sync_ready` renews a replica's one
-/// live entry wherever its clock or busy state can change.
+/// The busy replicas' clocks sit in one flat array, `+∞` for an idle
+/// replica: the horizon is its vectorized min, and a sweep gathers the
+/// indices below the next pending time in one branch-free pass, in index
+/// order. Below about a thousand replicas that beats a heap's upkeep
+/// (`docs/ARCHITECTURE.md`). `sync_ready` renews a replica's slot
+/// wherever its clock or busy state can change.
 pub(crate) struct FleetRun<'a> {
     cfg: &'a RouterConfig,
     /// One record per trace entry, indexed by request id.
@@ -911,14 +912,10 @@ pub(crate) struct FleetRun<'a> {
     arrivals: Arrivals,
     heap: BinaryHeap<Ev>,
     seq: u64,
-    /// Min-heap of the busy replicas by `(clock bits, index)`. An entry
-    /// that is not its replica's `ready_key` is stale and is dropped
-    /// when it surfaces.
-    ready: BinaryHeap<Reverse<(u64, usize)>>,
-    /// Per replica: the clock bits of its live ready entry, `None` while
-    /// it is idle.
-    ready_key: Vec<Option<u64>>,
-    /// Reusable list of the replicas one sweep steps.
+    /// Per replica: its clock while busy, `+∞` while idle.
+    clocks: Vec<f64>,
+    /// Reusable buffer, one slot per replica, whose prefix lists the
+    /// replicas one sweep steps.
     due: Vec<usize>,
     /// Latest arrival or real event time: the makespan's floor.
     last_event_t: f64,
@@ -988,9 +985,8 @@ impl<'a> FleetRun<'a> {
             arrivals: Arrivals::new(engines[0].config().closed_loop),
             heap: BinaryHeap::new(),
             seq: 0,
-            ready: BinaryHeap::with_capacity(n),
-            ready_key: vec![None; n],
-            due: Vec::with_capacity(n),
+            clocks: vec![f64::INFINITY; n],
+            due: vec![0; n],
             last_event_t: 0.0,
             rr: [0; 2],
             index,
@@ -1029,7 +1025,7 @@ impl<'a> FleetRun<'a> {
             debug_assert_eq!(
                 self.out_of_sync(),
                 None,
-                "a replica's ready entry is not its busy clock"
+                "a replica's ready slot is not its busy clock"
             );
             let busy_min = self.busy_min();
             let heap_t = self.heap.peek().map_or(f64::INFINITY, |e| e.t);
@@ -1126,65 +1122,55 @@ impl<'a> FleetRun<'a> {
         }
     }
 
-    /// The earliest clock of a busy replica (+∞ when all are idle): the
-    /// live top of the ready heap, once stale entries are dropped.
-    fn busy_min(&mut self) -> f64 {
-        while let Some(&Reverse((key, i))) = self.ready.peek() {
-            if self.ready_key[i] == Some(key) {
-                return f64::from_bits(key);
+    /// The earliest clock of a busy replica (+∞ when all are idle): eight
+    /// lanes of `<` selects, which vectorize to `minpd` (`f64::min` adds
+    /// NaN fixups), reduced pairwise: a 3-deep tree, not a 7-long chain.
+    fn busy_min(&self) -> f64 {
+        let min = |a: f64, b: f64| if b < a { b } else { a };
+        let (chunks, rest) = self.clocks.as_chunks::<8>();
+        let mut lanes = [f64::INFINITY; 8];
+        for chunk in chunks {
+            for (lane, &t) in lanes.iter_mut().zip(chunk) {
+                *lane = min(*lane, t);
             }
-            self.ready.pop();
         }
-        f64::INFINITY
+        let [a, b, c, d, e, f, g, h] = lanes;
+        let m = min(min(min(a, b), min(c, d)), min(min(e, f), min(g, h)));
+        rest.iter().fold(m, |m, &t| min(m, t))
     }
 
-    /// Renews replica `i`'s ready entry after its clock or busy state
-    /// may have changed: a busy replica gets a live entry at its clock,
-    /// an idle one none. The entry it replaces goes stale.
+    /// Renews replica `i`'s slot after its clock or busy state may have
+    /// changed: its clock if busy, `+∞` if idle. Busy clocks are finite
+    /// and non-negative, where the numeric min is the min by bits.
     fn sync_ready(&mut self, i: usize) {
         let s = &self.states[i];
-        let key = s.busy().then(|| s.t.to_bits());
-        if self.ready_key[i] != key {
-            self.ready_key[i] = key;
-            if let Some(key) = key {
-                self.ready.push(Reverse((key, i)));
-            }
-        }
+        debug_assert!(!s.busy() || (s.t.is_finite() && s.t.is_sign_positive()));
+        self.clocks[i] = if s.busy() { s.t } else { f64::INFINITY };
     }
 
-    /// The first replica whose live ready entry is not its busy clock,
-    /// if any. Debug builds check before every loop iteration, so after
-    /// every sweep and every event, that there is none.
+    /// The first replica whose slot is not its busy clock, if any. Debug
+    /// builds check before every loop iteration, so after every sweep
+    /// and every event, that there is none.
     fn out_of_sync(&self) -> Option<usize> {
-        let mut live = vec![false; self.states.len()];
-        for &Reverse((key, i)) in self.ready.iter() {
-            live[i] |= self.ready_key[i] == Some(key);
-        }
         (self.states.iter()).position(|s| {
-            let want = s.busy().then(|| s.t.to_bits());
-            self.ready_key[s.idx] != want || live[s.idx] != want.is_some()
+            let want = if s.busy() { s.t } else { f64::INFINITY };
+            self.clocks[s.idx].to_bits() != want.to_bits()
         })
     }
 
     /// Advances every busy replica lagging behind `limit`, the next
-    /// pending time, by one step, in index order: pops their ready
-    /// entries, steps them, and renews the entries. Each step's bounces
-    /// and handoffs go on the heap right after it, and its load signal
-    /// is re-keyed — dispatches only read the index between sweeps.
+    /// pending time, by one step, in index order: gathers their indices,
+    /// steps them, and renews their slots. Each step's bounces and
+    /// handoffs go on the heap right after it, and its load signal is
+    /// re-keyed — dispatches only read the index between sweeps.
     fn sweep<const TRACED: bool>(&mut self, limit: f64) {
         let mut due = std::mem::take(&mut self.due);
-        while let Some(&Reverse((key, i))) = self.ready.peek() {
-            if f64::from_bits(key) >= limit {
-                break;
-            }
-            self.ready.pop();
-            if self.ready_key[i] == Some(key) {
-                self.ready_key[i] = None;
-                due.push(i);
-            }
+        let mut n = 0;
+        for (i, &t) in self.clocks.iter().enumerate() {
+            due[n] = i;
+            n += usize::from(t < limit);
         }
-        due.sort_unstable();
-        for &i in &due {
+        for &i in &due[..n] {
             let arrivals = &mut self.arrivals;
             self.states[i].step::<TRACED>(
                 &mut self.reqs,
@@ -1205,7 +1191,6 @@ impl<'a> FleetRun<'a> {
             self.rekey(i);
             self.sync_ready(i);
         }
-        due.clear();
         self.due = due;
     }
 
@@ -1252,7 +1237,7 @@ impl<'a> FleetRun<'a> {
 
     /// Makes replica `to` request `id`'s home: enqueues it there at
     /// `at`, booking `res`, re-keys the replica's load signal and renews
-    /// its ready entry.
+    /// its ready slot.
     fn place(&mut self, id: usize, to: usize, at: f64, res: u64) {
         self.states[to].enqueue(id, at, res, &mut self.reqs);
         self.rekey(to);
@@ -1743,25 +1728,49 @@ impl<'a> FleetRun<'a> {
     }
 }
 
-/// The fleet timeline: every replica report's timeline, merged in
-/// `(time, replica)` order. Each replica's timeline is already in time
-/// order, so this k-way merge lists exactly what a stable sort of their
-/// concatenation by time would, with no copy to sort and no sort buffer.
-/// Sample times are replica clocks, which are non-negative, so their bit
-/// patterns order like [`f64::total_cmp`].
+/// The fleet timeline: every replica report's timeline, in `(time,
+/// replica)` order — what a stable sort of their concatenation by time
+/// lists. A stable counting sort spreads the samples over about n/4
+/// equal-width time buckets, and a stable sort finishes each bucket.
+/// Bucketing is monotone in time, so the buckets are in order; the
+/// scatter fills each bucket from its end, visiting replicas and samples
+/// backwards, so ties keep replica order. One `u32` per bucket holds its
+/// end, and after the scatter its start. Timed as report assembly, and
+/// done before [`ServeReport::from_requests`] starts its own timer.
 fn merge_timelines(replicas: &[ServeReport]) -> Vec<ServeSample> {
-    let mut merged = Vec::with_capacity(replicas.iter().map(|r| r.timeline.len()).sum());
-    let mut next = vec![0usize; replicas.len()];
-    let mut heads: BinaryHeap<Reverse<(u64, usize)>> = (replicas.iter().enumerate())
-        .filter_map(|(i, r)| r.timeline.first().map(|p| Reverse((p.t.to_bits(), i))))
-        .collect();
-    while let Some(Reverse((_, i))) = heads.pop() {
-        let timeline = &replicas[i].timeline;
-        merged.push(timeline[next[i]]);
-        next[i] += 1;
-        if let Some(p) = timeline.get(next[i]) {
-            heads.push(Reverse((p.t.to_bits(), i)));
-        }
+    let _merge = profile::timer(Phase::Report);
+    let timelines = || replicas.iter().map(|r| &r.timeline[..]);
+    let total: usize = timelines().map(<[_]>::len).sum();
+    assert!(u32::try_from(total).is_ok(), "bucket offsets are u32");
+    let Some(&first) = timelines().find_map(<[_]>::first) else {
+        return Vec::new();
+    };
+    let (mut lo, mut hi) = (first.t, first.t);
+    for t in timelines().filter(|t| !t.is_empty()) {
+        (lo, hi) = (lo.min(t[0].t), hi.max(t[t.len() - 1].t));
+    }
+    let buckets = (total / 4).max(1);
+    // With every sample at one instant, the NaN of 0 × ∞ casts to 0.
+    let scale = buckets as f64 / (hi - lo);
+    let bucket = |t: f64| (((t - lo) * scale) as usize).min(buckets - 1);
+    let mut offsets = vec![0u32; buckets];
+    for p in timelines().flatten() {
+        offsets[bucket(p.t)] += 1;
+    }
+    let mut end = 0;
+    for o in &mut offsets {
+        end += *o;
+        *o = end;
+    }
+    let mut merged = vec![first; total];
+    for p in timelines().rev().flat_map(|t| t.iter().rev()) {
+        let o = &mut offsets[bucket(p.t)];
+        *o -= 1;
+        merged[*o as usize] = *p;
+    }
+    for (b, &start) in offsets.iter().enumerate() {
+        let end = offsets.get(b + 1).map_or(total, |&e| e as usize);
+        merged[start as usize..end].sort_by(|x, y| x.t.total_cmp(&y.t));
     }
     merged
 }
@@ -2242,9 +2251,9 @@ mod tests {
     }
 
     #[test]
-    fn ready_heap_follows_every_clock_and_busy_change() {
-        // Drives each re-sync point of the ready heap by hand and checks
-        // the heap after each: scale-up, enqueue, a sweep, a drain that
+    fn ready_clocks_follow_every_clock_and_busy_change() {
+        // Drives each re-sync point of the clock array by hand and checks
+        // the array after each: enqueue, scale-up, a sweep, a drain that
         // empties a replica holding only queued work, and a kill.
         let trace = Trace::new(vec![
             crate::trace::TraceEntry::single_shot(0.0, 64, 400),
@@ -2281,6 +2290,88 @@ mod tests {
         assert!(!run.states[0].busy());
         assert_eq!(run.out_of_sync(), None, "after a kill");
         assert_eq!(run.busy_min(), f64::INFINITY);
+    }
+
+    /// Checks `merge_timelines` over one timeline per replica against its
+    /// definition: the timelines concatenated in index order and
+    /// stable-sorted by time, compared field by field, times by bits.
+    fn assert_merge_is_stable_sort(timelines: Vec<Vec<ServeSample>>) {
+        let template =
+            ServeEngine::new(replica_cfg(AdmissionPolicy::alisa())).run(&small_trace(1.0, 1, 1));
+        let reports: Vec<ServeReport> = (timelines.into_iter())
+            .map(|timeline| ServeReport {
+                timeline,
+                ..template.clone()
+            })
+            .collect();
+        let mut want: Vec<ServeSample> = reports.iter().flat_map(|r| r.timeline.clone()).collect();
+        want.sort_by(|a, b| a.t.total_cmp(&b.t));
+        let got = merge_timelines(&reports);
+        assert_eq!(got.len(), want.len());
+        for (k, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert!(
+                g.t.to_bits() == w.t.to_bits()
+                    && (g.queue_depth, g.running, g.kv_bytes)
+                        == (w.queue_depth, w.running, w.kv_bytes),
+                "sample {k}: merged {g:?}, stable sort {w:?}"
+            );
+        }
+    }
+
+    /// Sample `k` of replica `r` at time `t`: its other fields name it,
+    /// so a tie merged out of order shows.
+    fn tagged(t: f64, r: usize, k: usize) -> ServeSample {
+        ServeSample {
+            t,
+            queue_depth: r,
+            running: k,
+            kv_bytes: mix64((r << 20 | k) as u64),
+        }
+    }
+
+    #[test]
+    fn bucketed_merge_is_a_stable_sort_of_the_concatenation() {
+        assert_merge_is_stable_sort(Vec::new());
+        assert_merge_is_stable_sort(vec![Vec::new(); 7]);
+        assert_merge_is_stable_sort(vec![(0..100)
+            .map(|k| tagged(0.5 * k as f64, 0, k))
+            .collect()]);
+        // Every sample at one instant: a zero-width span.
+        let instant = |r| (0..20).map(|k| tagged(3.5, r, k)).collect();
+        assert_merge_is_stable_sort((0..50).map(instant).collect());
+        // A straggler far past the rest puts every other sample, ties
+        // across replicas among them, in the first bucket.
+        let crowded = |r: usize| {
+            (0..200)
+                .map(|k| tagged((k + r % 7) as f64 * 0.5, r, k))
+                .collect()
+        };
+        let mut fleet: Vec<Vec<ServeSample>> = (0..512).map(crowded).collect();
+        fleet.push(vec![tagged(0.0, 512, 0), tagged(1e9, 512, 1)]);
+        assert_merge_is_stable_sort(fleet);
+        // Exact ties across replicas, and within one.
+        let tied = |r: usize| {
+            (0..60)
+                .map(|k| tagged(((k + r % 3) / 2) as f64 * 0.25, r, k))
+                .collect()
+        };
+        assert_merge_is_stable_sort((0..40).map(tied).collect());
+        // Random fleets: non-decreasing clocks on a grid, so ties are common.
+        for seed in 0..200 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let fleet = (0..rng.gen_range(1..=600))
+                .map(|r| {
+                    let mut t = f64::from(rng.gen_range(0..400u32)) * 0.25;
+                    (0..rng.gen_range(0..=300))
+                        .map(|k| {
+                            t += f64::from(rng.gen_range(0..4u32)) * 0.25;
+                            tagged(t, r, k)
+                        })
+                        .collect()
+                })
+                .collect();
+            assert_merge_is_stable_sort(fleet);
+        }
     }
 
     #[test]

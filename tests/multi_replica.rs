@@ -2,15 +2,16 @@
 //! determinism per load-balancing policy, request conservation across
 //! the fleet, single-replica equivalence with the plain engine, the
 //! scaling/disaggregation behaviour `fig14_multi_replica` gates on,
-//! digests pinning the reports of 64- and 512-replica fleets
+//! digests pinning the reports of 64-, 256- and 512-replica fleets
 //! (`tests/golden/router_wide_digests.txt`), and the `(time, replica)`
 //! order of the fleet timeline.
 
 use alisa_memsim::HardwareSpec;
 use alisa_model::ModelConfig;
 use alisa_serve::{
-    AdmissionPolicy, ArrivalProcess, ClosedLoopCfg, EventKind, LoadBalancePolicy, MemorySink,
-    Router, RouterConfig, RouterReport, ServeConfig, ServeEngine, ServeSample, Trace, TraceEntry,
+    AdmissionPolicy, ArrivalProcess, ClosedLoopCfg, EventKind, FailurePlan, LoadBalancePolicy,
+    MemorySink, Router, RouterConfig, RouterReport, ServeConfig, ServeEngine, ServeSample, Trace,
+    TraceEntry,
 };
 use alisa_workloads::LengthModel;
 
@@ -309,6 +310,52 @@ fn mixed_fleet() -> (Router, Trace) {
 /// The name of the mixed-hardware fleet's line in the digest fixture.
 const MIXED_FLEET: &str = "64x-v100+h100-least-kv";
 
+/// Two more wide fleets, each with its name and trace: 256 replicas
+/// under least-KV-pressure dispatch with the autoscaler, seeded kills
+/// and re-queue, serving diurnal waves (scale-ups, drains and kills
+/// at width), and 512 replicas serving heavy-tailed traffic, whose
+/// stragglers run long past the rest of the fleet.
+fn wide_dynamic_and_straggler_fleets() -> Vec<(&'static str, Router, Trace)> {
+    let waves = Trace::generate(
+        &ArrivalProcess::Diurnal {
+            rate: 40.0,
+            swing: 0.9,
+            period_s: 10.0,
+        },
+        &LengthModel::alpaca().with_max_output(96),
+        1600,
+        0x256,
+    );
+    let dynamic = RouterConfig::homogeneous(
+        replica_cfg(AdmissionPolicy::alisa()).with_queue_timeout(1.0),
+        256,
+    )
+    .with_lb(LoadBalancePolicy::LeastKvPressure)
+    .with_requeue()
+    .with_autoscaler()
+    .with_failures(FailurePlan::seeded(0x256, 64, 256, waves.duration()));
+    let heavy = Trace::generate(
+        &ArrivalProcess::Poisson { rate: 80.0 },
+        &LengthModel::heavy_tailed(),
+        600,
+        0x4EA7,
+    );
+    let stragglers = RouterConfig::homogeneous(replica_cfg(AdmissionPolicy::alisa()), 512)
+        .with_lb(LoadBalancePolicy::LeastOutstanding);
+    vec![
+        (
+            "256x-least-kv-autoscale-kills-requeue",
+            Router::new(dynamic),
+            waves,
+        ),
+        (
+            "512x-least-outstanding-heavy-tailed",
+            Router::new(stragglers),
+            heavy,
+        ),
+    ]
+}
+
 /// 64-bit FNV-1a over `bytes`.
 fn fnv1a64(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
@@ -396,6 +443,29 @@ fn mixed_hardware_fleet_matches_digest_and_merges_timelines() {
     assert_timeline_is_time_then_replica_order(&report);
 }
 
+/// The dynamic and the straggler fleet match their committed digests,
+/// the dynamic one scales up, drains and re-homes work from killed
+/// replicas, and both fleet timelines are in `(t, replica)` order.
+#[test]
+fn dynamic_and_straggler_wide_fleets_match_digests() {
+    for (name, router, trace) in wide_dynamic_and_straggler_fleets() {
+        let report = router.run(&trace);
+        assert_eq!(
+            digest_line(name, &report),
+            golden_digest(name),
+            "{name}: report drifted from the committed digest \
+             (regenerate with `cargo test --test multi_replica -- --ignored` if intentional)"
+        );
+        if let Some(d) = report.dynamics {
+            assert!(
+                d.scale_ups > 0 && d.drains > 0 && d.recovered > 0,
+                "{name}: {d:?}"
+            );
+        }
+        assert_timeline_is_time_then_replica_order(&report);
+    }
+}
+
 /// Samples from two replicas at exactly the same time merge lower
 /// replica first. Two identical replicas under round-robin take the
 /// two requests of each simultaneous pair, one each. The pair shares
@@ -449,6 +519,10 @@ fn regenerate_wide_digests() {
     let (router, trace) = mixed_fleet();
     lines.push_str(&digest_line(MIXED_FLEET, &router.run(&trace)));
     lines.push('\n');
+    for (name, router, trace) in wide_dynamic_and_straggler_fleets() {
+        lines.push_str(&digest_line(name, &router.run(&trace)));
+        lines.push('\n');
+    }
     let path = format!(
         "{}/tests/golden/router_wide_digests.txt",
         env!("CARGO_MANIFEST_DIR")
