@@ -1,9 +1,7 @@
-//! Criterion benchmarks for the dynamic-fleet paths PR 9 added: the
-//! `DispatchIndex` membership churn an autoscaler causes (insert on
-//! scale-up, remove on drain/failure, re-key every dispatch), the
-//! end-to-end autoscaled diurnal run against its static-fleet
-//! counterpart on the same trace, and a failure-injected run paying
-//! the re-prefill recovery path.
+//! Criterion benchmarks for the dynamic-fleet paths, end to end under
+//! least-outstanding dispatch: an autoscaled diurnal run against its
+//! static-fleet counterpart on the same trace, and a failure-injected
+//! run paying the re-prefill recovery path.
 //!
 //! The committed `BENCH_fleet.json` is the regression floor and
 //! `bench_check` watches it: fleet dynamics are opt-in, so the
@@ -13,11 +11,11 @@
 use alisa_memsim::HardwareSpec;
 use alisa_model::ModelConfig;
 use alisa_serve::{
-    AdmissionPolicy, ArrivalProcess, DispatchIndex, FailurePlan, LoadBalancePolicy, Router,
-    RouterConfig, ServeConfig, Trace,
+    AdmissionPolicy, ArrivalProcess, FailurePlan, LoadBalancePolicy, Router, RouterConfig,
+    ServeConfig, Trace,
 };
 use alisa_workloads::LengthModel;
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 fn cfg() -> ServeConfig {
     ServeConfig::new(
@@ -25,32 +23,6 @@ fn cfg() -> ServeConfig {
         HardwareSpec::v100_16gb(),
         AdmissionPolicy::alisa(),
     )
-}
-
-/// Membership churn: one scale-down + scale-up + re-key + pick cycle,
-/// the per-tick work an autoscaler or failure injector adds on top of
-/// the static index. Swept across fleet sizes.
-fn bench_index_churn(c: &mut Criterion) {
-    let mut g = c.benchmark_group("fleet_index_churn");
-    for n in [8usize, 64, 512] {
-        let mut ix = DispatchIndex::new(vec![0; n], 1);
-        for i in 0..n {
-            ix.update(i, ((i * 37 + 11) % 97) as f64);
-        }
-        g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            let mut turn = 0usize;
-            b.iter(|| {
-                let r = turn % n;
-                turn += 1;
-                ix.remove(r);
-                let picked = ix.least(0, |_| true);
-                ix.insert(r);
-                ix.update(r, ((turn * 29) % 89) as f64);
-                black_box(picked)
-            });
-        });
-    }
-    g.finish();
 }
 
 /// End-to-end diurnal wave on a 4-replica fleet: `static` (all four
@@ -88,8 +60,8 @@ fn bench_diurnal_fleet(c: &mut Criterion) {
 
 /// Failure injection end to end: two kills out of eight replicas, all
 /// of the dead replicas' queue and running sets re-homed through the
-/// recovery path (re-prefill pricing, retention discard, index
-/// removal).
+/// recovery path (re-prefill pricing, retention discard, the dead
+/// replica's load slot set to `+∞`).
 fn bench_failure_recovery(c: &mut Criterion) {
     let trace = Trace::generate(
         &ArrivalProcess::Poisson { rate: 60.0 },
@@ -110,10 +82,5 @@ fn bench_failure_recovery(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_index_churn,
-    bench_diurnal_fleet,
-    bench_failure_recovery
-);
+criterion_group!(benches, bench_diurnal_fleet, bench_failure_recovery);
 criterion_main!(benches);

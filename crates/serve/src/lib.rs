@@ -97,7 +97,7 @@ pub use discipline::{DisciplineStats, QueueDiscipline};
 pub use engine::{derived_slo, ClosedLoopCfg, PrefillJob, RetentionCfg, ServeConfig, ServeEngine};
 pub use metrics::{LatencyStats, ServeReport, ServeSample, SloSpec};
 pub use router::{
-    DisaggCfg, DispatchIndex, FailureEvent, FailurePlan, FleetDynamicsStats, LoadBalancePolicy,
-    Router, RouterConfig, RouterReport,
+    DisaggCfg, FailureEvent, FailurePlan, FleetDynamicsStats, LoadBalancePolicy, Router,
+    RouterConfig, RouterReport,
 };
 pub use trace::{SessionRef, Trace, TraceEntry, TraceError};

@@ -208,12 +208,6 @@ impl<'a> Replica<'a> {
         }
     }
 
-    /// Dispatch tier: 1 on the decode tier of a disaggregated fleet, 0
-    /// everywhere else.
-    pub(crate) fn tier(&self) -> usize {
-        usize::from(self.role == Role::Decode)
-    }
-
     /// Whether the replica accepts new dispatches.
     pub(crate) fn is_admitting(&self) -> bool {
         self.life == Lifecycle::Up

@@ -40,10 +40,12 @@
 //! holds handoffs, re-queues, scale ticks and kills, and one flat array
 //! of the replicas' clocks (`+∞` for an idle replica) says which
 //! replicas a sweep steps through the one shared replica step: only
-//! those whose clock lags the next pending time, in index order.
-//! A 1-replica router run therefore reproduces the engine run byte for
+//! those whose clock lags the next pending time, in index order. A
+//! 1-replica router run therefore reproduces the engine run byte for
 //! byte — asserted by `tests/multi_replica.rs` and
-//! `tests/differential.rs`.
+//! `tests/differential.rs`. Under the least-* policies a second flat
+//! array holds each replica's load signal (`+∞` for a replica that does
+//! not admit), and a dispatch picks the least slot of its tier.
 //!
 //! # Example
 //!
@@ -76,7 +78,8 @@
 //! ```
 
 use std::cmp::Ordering;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::BinaryHeap;
+use std::ops::Range;
 
 use alisa_kvcache::ReuseStats;
 use alisa_obs::profile::{self, Phase};
@@ -499,138 +502,11 @@ impl Ord for Ev {
     }
 }
 
-/// Incrementally-maintained replica-selection index — the fleet
-/// dispatch hot path at scale.
-///
-/// The reference dispatch is a linear scan: `LeastOutstanding` and
-/// `LeastKvPressure` walk every replica in the tier per request, which
-/// is O(replicas) per dispatch and dominates routing cost once fleets
-/// reach the hundreds. This structure keeps one ordered set per tier
-/// instead, of `(key.to_bits(), replica)` pairs, where the key is the
-/// policy's load signal: the throughput-normalized outstanding count
-/// (`outstanding / weight`) or KV pressure (`(reserved / budget) /
-/// weight`). On a homogeneous fleet every weight is equal, and dividing
-/// every key by the same positive weight preserves the order and every
-/// tie.
-///
-/// Keys are non-negative finite IEEE-754 doubles, whose raw bit
-/// patterns order exactly like [`f64::total_cmp`] — so the u64 keys
-/// reproduce the reference comparator's total order bit-for-bit (the
-/// same trick the scheduler's packed top-K keys use).
-///
-/// Ties break to the lowest replica index, identical to the reference
-/// `min_by` scan, which is what makes the indexed router byte-identical
-/// to the linear one (pinned by `tests/differential.rs`). Updates are
-/// O(log replicas): the router re-keys a replica whenever its load can
-/// have moved (on enqueue, and after each replica step).
-///
-/// [`DispatchIndex::remove`] takes a draining or failed replica out of
-/// its order (it can no longer be picked) and [`DispatchIndex::insert`]
-/// puts a scaled-up replica back — both O(log replicas), no rebuild.
-/// Updates to an absent replica are no-ops, so the router's blanket
-/// post-step re-keying needs no lifecycle bookkeeping.
-///
-/// Disaggregated fleets get the tier filter baked in: each replica
-/// belongs to exactly one tier (prefill = 0, decode = 1; unified fleets
-/// are all tier 0), so a tier-restricted pick never scans or skips
-/// foreign replicas.
-#[derive(Debug, Clone, Default)]
-pub struct DispatchIndex {
-    /// Tier of each replica.
-    tier_of: Vec<usize>,
-    /// Whether each replica is currently in its tier's order.
-    present: Vec<bool>,
-    /// Per tier: replicas ordered by `(key bits, index)`.
-    by_key: Vec<BTreeSet<(u64, usize)>>,
-    /// Per replica: the key bits currently in the order, so an update
-    /// can remove the entry without a search.
-    keys: Vec<u64>,
-}
-
-impl DispatchIndex {
-    /// Builds an index over `tier_of.len()` replicas partitioned into
-    /// `tiers` tiers. Every replica starts present with key `0.0`; call
-    /// [`DispatchIndex::update`] to seed real signals.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any entry of `tier_of` is `>= tiers`.
-    pub fn new(tier_of: Vec<usize>, tiers: usize) -> Self {
-        assert!(tier_of.iter().all(|&t| t < tiers), "tier out of range");
-        let n = tier_of.len();
-        let mut by_key = vec![BTreeSet::new(); tiers];
-        for (i, &tier) in tier_of.iter().enumerate() {
-            by_key[tier].insert((0, i));
-        }
-        DispatchIndex {
-            tier_of,
-            present: vec![true; n],
-            by_key,
-            keys: vec![0; n],
-        }
-    }
-
-    /// Re-keys `replica` to `key`, which must be non-negative (counts
-    /// and occupancies are), so its bit pattern is order-preserving. A
-    /// no-op for a replica that was [`DispatchIndex::remove`]d.
-    /// O(log replicas).
-    pub fn update(&mut self, replica: usize, key: f64) {
-        debug_assert!(key >= 0.0, "negative keys break bit ordering");
-        let bits = key.to_bits();
-        if !self.present[replica] || self.keys[replica] == bits {
-            return;
-        }
-        let order = &mut self.by_key[self.tier_of[replica]];
-        order.remove(&(self.keys[replica], replica));
-        order.insert((bits, replica));
-        self.keys[replica] = bits;
-    }
-
-    /// Puts `replica` back in its own tier's order with a zero key
-    /// (scale-up); a no-op if it is already present.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `replica` is outside the fleet the index was built
-    /// over.
-    pub fn insert(&mut self, replica: usize) {
-        if self.present[replica] {
-            return;
-        }
-        self.present[replica] = true;
-        self.keys[replica] = 0;
-        self.by_key[self.tier_of[replica]].insert((0, replica));
-    }
-
-    /// Removes `replica` from its order (drain or failure): it can no
-    /// longer be picked, and updates to it become no-ops until it is
-    /// re-[`DispatchIndex::insert`]ed. A no-op if already absent.
-    pub fn remove(&mut self, replica: usize) {
-        if !self.contains(replica) {
-            return;
-        }
-        self.present[replica] = false;
-        self.by_key[self.tier_of[replica]].remove(&(self.keys[replica], replica));
-    }
-
-    /// Whether `replica` is currently in its tier's order.
-    pub fn contains(&self, replica: usize) -> bool {
-        self.present.get(replica).copied().unwrap_or(false)
-    }
-
-    /// The tier-`tier` replica with the lowest key among those `ok`
-    /// admits (ties to the lowest index), or `None` if no replica
-    /// qualifies. With an all-admitting filter this is one leftmost
-    /// B-tree descent — O(log replicas).
-    pub fn least(&self, tier: usize, mut ok: impl FnMut(usize) -> bool) -> Option<usize> {
-        self.by_key[tier].iter().map(|&(_, i)| i).find(|&i| ok(i))
-    }
-}
-
-/// The load signal a least-* policy minimizes, and the key the
-/// [`DispatchIndex`] orders replicas by: throughput-normalized KV
-/// pressure for [`LoadBalancePolicy::LeastKvPressure`], the normalized
-/// outstanding count otherwise.
+/// The load signal a least-* policy minimizes, and what a replica's load
+/// slot holds while it admits: throughput-normalized KV pressure for
+/// [`LoadBalancePolicy::LeastKvPressure`], the normalized outstanding
+/// count otherwise. On a homogeneous fleet every weight is equal, and
+/// dividing by the same positive weight keeps every order and every tie.
 fn load_signal(lb: LoadBalancePolicy, s: &Replica) -> f64 {
     match lb {
         LoadBalancePolicy::LeastKvPressure => s.pressure_norm(),
@@ -638,18 +514,62 @@ fn load_signal(lb: LoadBalancePolicy, s: &Replica) -> f64 {
     }
 }
 
-/// Picks a replica from the non-empty `eligible` list per the
-/// load-balancing policy. `key` is the affinity key sticky policies
-/// hash: the request's real session id, or its trace index for legacy
-/// single-shot entries (reproducing the pre-session `i % sessions`
-/// fold).
-fn pick(
-    lb: LoadBalancePolicy,
-    eligible: &[usize],
-    states: &[Replica],
-    key: usize,
-    rr: &mut usize,
-) -> usize {
+/// The least of `slots` (+∞ when there are none): eight lanes of `<`
+/// selects, which vectorize to `minpd` (`f64::min` adds NaN fixups),
+/// reduced pairwise: a 3-deep tree, not a 7-long chain.
+fn min_slot(slots: &[f64]) -> f64 {
+    let min = |a: f64, b: f64| if b < a { b } else { a };
+    let (chunks, rest) = slots.as_chunks::<8>();
+    let mut lanes = [f64::INFINITY; 8];
+    for chunk in chunks {
+        for (lane, &t) in lanes.iter_mut().zip(chunk) {
+            *lane = min(*lane, t);
+        }
+    }
+    let [a, b, c, d, e, f, g, h] = lanes;
+    let m = min(min(min(a, b), min(c, d)), min(min(e, f), min(g, h)));
+    rest.iter().fold(m, |m, &t| min(m, t))
+}
+
+/// The replica in `range` with the least finite load slot among those
+/// `ok` accepts, ties to the lowest index; `None` if there is none. The
+/// candidate is the first slot holding the vectorized min, looked for
+/// in the first eight-slot chunk that holds it (found by branch-free `|`
+/// compares). Only if `ok` refuses the candidate does one filtered pass
+/// with strict `<` take over, so ties still go to the lowest index.
+fn least(loads: &[f64], range: Range<usize>, ok: impl Fn(usize) -> bool) -> Option<usize> {
+    let slots = &loads[range.clone()];
+    let m = min_slot(slots);
+    if m == f64::INFINITY {
+        return None;
+    }
+    let (chunks, _) = slots.as_chunks::<8>();
+    let holds_min = |c: &[f64; 8]| c.iter().fold(false, |hit, &x| hit | (x == m));
+    let from = chunks
+        .iter()
+        .position(holds_min)
+        .map_or(8 * chunks.len(), |k| 8 * k);
+    let first = range.start
+        + from
+        + (slots[from..].iter().position(|&x| x == m)).expect("the min is a slot");
+    if ok(first) {
+        return Some(first);
+    }
+    let mut best = (None, f64::INFINITY);
+    for i in range {
+        if loads[i] < best.1 && ok(i) {
+            best = (Some(i), loads[i]);
+        }
+    }
+    best.0
+}
+
+/// Picks a replica from the non-empty `eligible` list under a
+/// round-robin or sticky policy; the least-* policies pick from the load
+/// slots instead. `key` is the affinity key sticky policies hash: the
+/// request's real session id, or its trace index for legacy single-shot
+/// entries (reproducing the pre-session `i % sessions` fold).
+fn pick(lb: LoadBalancePolicy, eligible: &[usize], key: usize, rr: &mut usize) -> usize {
     match lb {
         LoadBalancePolicy::RoundRobin => {
             let k = eligible[*rr % eligible.len()];
@@ -660,13 +580,9 @@ fn pick(
             let session = (key % sessions) as u64;
             eligible[(mix64(session) % eligible.len() as u64) as usize]
         }
-        _ => (eligible.iter().copied())
-            .min_by(|&a, &b| {
-                load_signal(lb, &states[a])
-                    .total_cmp(&load_signal(lb, &states[b]))
-                    .then_with(|| a.cmp(&b))
-            })
-            .expect("eligible is non-empty"),
+        LoadBalancePolicy::LeastOutstanding | LoadBalancePolicy::LeastKvPressure => {
+            unreachable!("the least-* policies pick from the load slots")
+        }
     }
 }
 
@@ -847,22 +763,15 @@ impl Router {
         }
     }
 
-    /// Forces the naive reference paths: per-request linear
-    /// `min_by` scans over the tier instead of the
-    /// incrementally-maintained [`DispatchIndex`], and a rejection scan
-    /// on every replica step instead of the gated one. Reports and
-    /// event streams must be byte-identical either way — this switch
-    /// exists so `tests/differential.rs` and `benches/router.rs` can
-    /// prove and price exactly that.
+    /// Forces the naive reference path on every replica: a rejection
+    /// scan on every step instead of the gated one. Reports and event
+    /// streams must be byte-identical either way — this switch exists
+    /// so `tests/differential.rs` and `benches/router.rs` can prove and
+    /// price exactly that.
     #[doc(hidden)]
     pub fn with_reference_paths(mut self, on: bool) -> Self {
         self.reference_paths = on;
         self
-    }
-
-    /// The fleet configuration.
-    pub fn config(&self) -> &RouterConfig {
-        &self.cfg
     }
 
     /// Replays `trace` across the fleet and returns the merged report.
@@ -901,9 +810,13 @@ impl Router {
 /// The busy replicas' clocks sit in one flat array, `+∞` for an idle
 /// replica: the horizon is its vectorized min, and a sweep gathers the
 /// indices below the next pending time in one branch-free pass, in index
-/// order. Below about a thousand replicas that beats a heap's upkeep
-/// (`docs/ARCHITECTURE.md`). `sync_ready` renews a replica's slot
-/// wherever its clock or busy state can change.
+/// order. Under the least-* policies the admitting replicas' load
+/// signals sit in a second one, `+∞` for a replica that does not admit,
+/// and a dispatch picks the least slot of its tier. Below about a
+/// thousand replicas the clock scans beat a heap's upkeep, and up to
+/// 8,192 the load scan runs as fast as a tree's upkeep
+/// (`docs/ARCHITECTURE.md`). `sync` renews both of a replica's slots
+/// wherever its clock, load or lifecycle can change.
 pub(crate) struct FleetRun<'a> {
     cfg: &'a RouterConfig,
     /// One record per trace entry, indexed by request id.
@@ -914,6 +827,10 @@ pub(crate) struct FleetRun<'a> {
     seq: u64,
     /// Per replica: its clock while busy, `+∞` while idle.
     clocks: Vec<f64>,
+    /// Under the least-* policies, per replica: its [`load_signal`] while
+    /// it admits, `+∞` otherwise. Empty under the other policies, so
+    /// they compute no signal.
+    loads: Vec<f64>,
     /// Reusable buffer, one slot per replica, whose prefix lists the
     /// replicas one sweep steps.
     due: Vec<usize>,
@@ -921,11 +838,8 @@ pub(crate) struct FleetRun<'a> {
     last_event_t: f64,
     /// Round-robin cursors of the arrival tier (0) and decode tier (1).
     rr: [usize; 2],
-    /// Maintained for the least-* policies unless the reference paths
-    /// are forced, which keeps the linear scans reachable for the
-    /// differential harness.
-    index: Option<DispatchIndex>,
-    /// Reusable eligible-replica list for the non-indexed picks.
+    /// Reusable eligible-replica list for the round-robin and sticky
+    /// picks.
     eligible: Vec<usize>,
     step_scratch: StepScratch,
     dynamics: Option<FleetDynamicsStats>,
@@ -961,23 +875,12 @@ impl<'a> FleetRun<'a> {
                 s.life = Lifecycle::Standby;
             }
         }
-        let index = match cfg.lb {
-            LoadBalancePolicy::LeastOutstanding | LoadBalancePolicy::LeastKvPressure
-                if !reference_paths =>
-            {
-                let mut ix = DispatchIndex::new(states.iter().map(Replica::tier).collect(), 2);
-                for s in &states {
-                    ix.update(s.idx, load_signal(cfg.lb, s));
-                    if !s.is_admitting() {
-                        ix.remove(s.idx);
-                    }
-                }
-                Some(ix)
-            }
-            _ => None,
-        };
         let dynamic = cfg.autoscaler || !cfg.failures.kills.is_empty();
         let n = states.len();
+        let load_slots = match cfg.lb {
+            LoadBalancePolicy::LeastOutstanding | LoadBalancePolicy::LeastKvPressure => n,
+            _ => 0,
+        };
         let mut run = FleetRun {
             cfg,
             reqs: Request::from_trace(trace),
@@ -986,10 +889,10 @@ impl<'a> FleetRun<'a> {
             heap: BinaryHeap::new(),
             seq: 0,
             clocks: vec![f64::INFINITY; n],
+            loads: vec![f64::INFINITY; load_slots],
             due: vec![0; n],
             last_event_t: 0.0,
             rr: [0; 2],
-            index,
             eligible: Vec::new(),
             step_scratch: StepScratch::default(),
             dynamics: dynamic.then(FleetDynamicsStats::default),
@@ -997,6 +900,9 @@ impl<'a> FleetRun<'a> {
             handoffs: 0,
             obs: ObsCtx::new(sink),
         };
+        for i in 0..n {
+            run.sync(i);
+        }
         for kill in &cfg.failures.kills {
             run.push(kill.t, EvKind::Fail(kill.replica));
         }
@@ -1025,7 +931,7 @@ impl<'a> FleetRun<'a> {
             debug_assert_eq!(
                 self.out_of_sync(),
                 None,
-                "a replica's ready slot is not its busy clock"
+                "a replica's slot is not its busy clock or its admitting load"
             );
             let busy_min = self.busy_min();
             let heap_t = self.heap.peek().map_or(f64::INFINITY, |e| e.t);
@@ -1122,47 +1028,52 @@ impl<'a> FleetRun<'a> {
         }
     }
 
-    /// The earliest clock of a busy replica (+∞ when all are idle): eight
-    /// lanes of `<` selects, which vectorize to `minpd` (`f64::min` adds
-    /// NaN fixups), reduced pairwise: a 3-deep tree, not a 7-long chain.
+    /// The earliest clock of a busy replica (+∞ when all are idle).
     fn busy_min(&self) -> f64 {
-        let min = |a: f64, b: f64| if b < a { b } else { a };
-        let (chunks, rest) = self.clocks.as_chunks::<8>();
-        let mut lanes = [f64::INFINITY; 8];
-        for chunk in chunks {
-            for (lane, &t) in lanes.iter_mut().zip(chunk) {
-                *lane = min(*lane, t);
-            }
-        }
-        let [a, b, c, d, e, f, g, h] = lanes;
-        let m = min(min(min(a, b), min(c, d)), min(min(e, f), min(g, h)));
-        rest.iter().fold(m, |m, &t| min(m, t))
+        min_slot(&self.clocks)
     }
 
-    /// Renews replica `i`'s slot after its clock or busy state may have
-    /// changed: its clock if busy, `+∞` if idle. Busy clocks are finite
-    /// and non-negative, where the numeric min is the min by bits.
-    fn sync_ready(&mut self, i: usize) {
+    /// Renews replica `i`'s slots after its clock, load or lifecycle may
+    /// have changed: its clock if busy, `+∞` if idle; and, if loads are
+    /// kept, its load signal if it admits, `+∞` if not. Clocks and loads
+    /// are finite and non-negative, where `<` on the values orders them
+    /// as their bits do.
+    fn sync(&mut self, i: usize) {
         let s = &self.states[i];
         debug_assert!(!s.busy() || (s.t.is_finite() && s.t.is_sign_positive()));
         self.clocks[i] = if s.busy() { s.t } else { f64::INFINITY };
+        if let Some(slot) = self.loads.get_mut(i) {
+            let load = load_signal(self.cfg.lb, s);
+            debug_assert!(load.is_finite() && load.is_sign_positive());
+            *slot = if s.is_admitting() {
+                load
+            } else {
+                f64::INFINITY
+            };
+        }
     }
 
-    /// The first replica whose slot is not its busy clock, if any. Debug
-    /// builds check before every loop iteration, so after every sweep
-    /// and every event, that there is none.
+    /// The first replica whose clock slot is not its busy clock, or
+    /// whose kept load slot is not its admitting load, by bits, if any.
+    /// Debug builds check before every loop iteration, so after every
+    /// sweep and every event, that there is none.
     fn out_of_sync(&self) -> Option<usize> {
         (self.states.iter()).position(|s| {
-            let want = if s.busy() { s.t } else { f64::INFINITY };
-            self.clocks[s.idx].to_bits() != want.to_bits()
+            let clock = if s.busy() { s.t } else { f64::INFINITY };
+            let load = if s.is_admitting() {
+                load_signal(self.cfg.lb, s)
+            } else {
+                f64::INFINITY
+            };
+            self.clocks[s.idx].to_bits() != clock.to_bits()
+                || (self.loads.get(s.idx)).is_some_and(|l| l.to_bits() != load.to_bits())
         })
     }
 
     /// Advances every busy replica lagging behind `limit`, the next
     /// pending time, by one step, in index order: gathers their indices,
     /// steps them, and renews their slots. Each step's bounces and
-    /// handoffs go on the heap right after it, and its load signal is
-    /// re-keyed — dispatches only read the index between sweeps.
+    /// handoffs go on the heap right after it.
     fn sweep<const TRACED: bool>(&mut self, limit: f64) {
         let mut due = std::mem::take(&mut self.due);
         let mut n = 0;
@@ -1188,8 +1099,7 @@ impl<'a> FleetRun<'a> {
             }
             self.requeued += self.step_scratch.requeues.len();
             self.handoffs += self.step_scratch.handoffs.len();
-            self.rekey(i);
-            self.sync_ready(i);
+            self.sync(i);
         }
         self.due = due;
     }
@@ -1216,39 +1126,40 @@ impl<'a> FleetRun<'a> {
         }
     }
 
+    /// Dispatch tier `tier`'s replicas: under disaggregation the first
+    /// `prefill_replicas` are tier 0 and the rest tier 1; a unified fleet
+    /// is all tier 0.
+    fn tier(&self, tier: usize) -> Range<usize> {
+        let n = self.states.len();
+        let split = self.cfg.disagg.map_or(n, |d| d.prefill_replicas);
+        if tier == 0 {
+            0..split
+        } else {
+            split..n
+        }
+    }
+
     /// The policy's preferred admitting replica of `tier` among those
-    /// `ok` accepts: one index descent for the indexed least-* policies,
+    /// `ok` accepts: the least load slot for the least-* policies,
     /// otherwise a pick from the eligible list. Shared by dispatch,
     /// handoff and recovery.
     fn choose(&mut self, tier: usize, key: usize, ok: impl Fn(&Replica) -> bool) -> Option<usize> {
+        let range = self.tier(tier);
         let states = &self.states;
-        if let Some(ix) = &self.index {
-            return ix.least(tier, |i| ok(&states[i]));
+        if !self.loads.is_empty() {
+            return least(&self.loads, range, |i| ok(&states[i]));
         }
         let eligible = &mut self.eligible;
         eligible.clear();
-        eligible.extend(
-            (states.iter())
-                .filter(|s| s.tier() == tier && s.is_admitting() && ok(s))
-                .map(|s| s.idx),
-        );
-        (!eligible.is_empty()).then(|| pick(self.cfg.lb, eligible, states, key, &mut self.rr[tier]))
+        eligible.extend(range.filter(|&i| states[i].is_admitting() && ok(&states[i])));
+        (!eligible.is_empty()).then(|| pick(self.cfg.lb, eligible, key, &mut self.rr[tier]))
     }
 
     /// Makes replica `to` request `id`'s home: enqueues it there at
-    /// `at`, booking `res`, re-keys the replica's load signal and renews
-    /// its ready slot.
+    /// `at`, booking `res`, and renews the replica's slots.
     fn place(&mut self, id: usize, to: usize, at: f64, res: u64) {
         self.states[to].enqueue(id, at, res, &mut self.reqs);
-        self.rekey(to);
-        self.sync_ready(to);
-    }
-
-    /// Refreshes replica `i`'s key in the dispatch index, if any.
-    fn rekey(&mut self, i: usize) {
-        if let Some(ix) = self.index.as_mut() {
-            ix.update(i, load_signal(self.cfg.lb, &self.states[i]));
-        }
+        self.sync(to);
     }
 
     /// Rejects request `id` at `at` as infeasible before any replica
@@ -1285,8 +1196,8 @@ impl<'a> FleetRun<'a> {
         // set, admitting it to prefill would strand it mid-flight, so
         // it is rejected up front.
         if self.cfg.disagg.is_some()
-            && !(self.states.iter())
-                .any(|s| s.tier() == 1 && s.engine.reservation_bytes(prompt, output, 1) <= s.budget)
+            && !(self.states[self.tier(1)].iter())
+                .any(|s| s.engine.reservation_bytes(prompt, output, 1) <= s.budget)
         {
             self.reject::<TRACED>(id, at, || {
                 format!(
@@ -1309,12 +1220,9 @@ impl<'a> FleetRun<'a> {
             Some((first, first_res))
         } else if self.cfg.requeue_on_reject {
             // The picked replica can never hold it; fall back to the
-            // first other eligible replica that can (ascending tier
-            // order — the same order the reference eligible list had).
-            (self.states.iter())
-                .filter(|s| {
-                    s.tier() == 0 && Some(s.idx) != exclude && s.idx != first && s.is_admitting()
-                })
+            // first other eligible replica that can, in index order.
+            (self.states[self.tier(0)].iter())
+                .filter(|s| Some(s.idx) != exclude && s.idx != first && s.is_admitting())
                 .find_map(|s| {
                     let res = s.engine.reservation_bytes(prompt, output, prompt);
                     (res <= s.budget).then_some((s.idx, res))
@@ -1485,10 +1393,7 @@ impl<'a> FleetRun<'a> {
                 self.obs.emit(evict_event(at, r, evd));
             }
         }
-        if let Some(ix) = self.index.as_mut() {
-            ix.remove(r);
-        }
-        self.sync_ready(r);
+        self.sync(r);
         for id in queued {
             self.recover::<TRACED>(id, r, at, "failed", false);
         }
@@ -1567,11 +1472,7 @@ impl<'a> FleetRun<'a> {
             s.up_since = at;
             let r = s.idx;
             dynamics.scale_ups += 1;
-            if let Some(ix) = self.index.as_mut() {
-                ix.insert(r);
-            }
-            self.rekey(r);
-            self.sync_ready(r);
+            self.sync(r);
             if TRACED {
                 self.obs.emit(Event {
                     t: at,
@@ -1604,10 +1505,7 @@ impl<'a> FleetRun<'a> {
             // empties (`settle_drains`).
             let moved: Vec<usize> = s.queue.drain(..).collect();
             dynamics.drains += 1;
-            if let Some(ix) = self.index.as_mut() {
-                ix.remove(r);
-            }
-            self.sync_ready(r);
+            self.sync(r);
             if TRACED {
                 let replicas_up = ups - 1;
                 self.obs.emit(Event {
@@ -1812,8 +1710,8 @@ mod tests {
         )
     }
 
-    /// SplitMix64 finalizer: a cheap, seedless way to drive the
-    /// membership walk in the index cross-check deterministically.
+    /// SplitMix64 finalizer: a cheap, seedless way to tag samples and
+    /// pick refusals deterministically.
     fn mix64(mut x: u64) -> u64 {
         x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
         x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -2082,56 +1980,74 @@ mod tests {
         );
     }
 
+    /// Checks `least` over `range` of `loads` against its definition: the
+    /// finite slots `ok` accepts, least by value, ties to the lowest
+    /// index.
+    fn assert_least_is_the_definition(
+        loads: &[f64],
+        range: Range<usize>,
+        ok: impl Fn(usize) -> bool,
+    ) {
+        let want = (range.clone())
+            .filter(|&i| loads[i].is_finite() && ok(i))
+            .min_by(|&a, &b| loads[a].total_cmp(&loads[b]).then(a.cmp(&b)));
+        assert_eq!(
+            least(loads, range.clone(), &ok),
+            want,
+            "{range:?} of {loads:?}"
+        );
+    }
+
     #[test]
-    fn dispatch_index_interleaved_insert_remove_matches_linear_scan() {
-        // Runtime fleet membership: interleave inserts (scale-up),
-        // removes (drain/failure), and re-keys, cross-checking every
-        // pick against a brute-force linear mirror of the same state.
-        let n = 9;
-        let mut ix = DispatchIndex::new(vec![0; n], 1);
-        let mut load = vec![0.0f64; n];
-        let mut present = vec![true; n];
-        // Deterministic pseudo-random walk over membership and keys.
-        for step in 0..400u64 {
-            let r = (mix64(step) % n as u64) as usize;
-            match mix64(step ^ 0xD15).wrapping_mul(31) % 4 {
-                0 => {
-                    ix.remove(r);
-                    present[r] = false;
-                }
-                1 => {
-                    ix.insert(r);
-                    if !present[r] {
-                        present[r] = true;
-                        load[r] = 0.0;
-                    }
-                }
-                _ => {
-                    let l = (mix64(step ^ 0xF00D) % 13) as f64 / 1.7;
-                    ix.update(r, l);
-                    if present[r] {
-                        load[r] = l;
-                    }
-                }
-            }
-            let mirror = (0..n)
-                .filter(|&i| present[i])
-                .min_by(|&a, &b| load[a].total_cmp(&load[b]).then_with(|| a.cmp(&b)));
-            assert_eq!(
-                ix.least(0, |_| true),
-                mirror,
-                "pick diverged at step {step}"
-            );
-            for (i, &p) in present.iter().enumerate() {
-                assert_eq!(ix.contains(i), p, "membership at step {step}");
-            }
+    fn least_is_the_filtered_min_ties_to_the_lowest_index() {
+        let all = |_| true;
+        let inf = f64::INFINITY;
+        assert_least_is_the_definition(&[], 0..0, all);
+        assert_least_is_the_definition(&[1.0, 0.5], 1..1, all);
+        assert_least_is_the_definition(&[inf; 20], 0..20, all);
+        // Ties at the min, within a chunk and across chunks.
+        let tied: Vec<f64> = (0..20).map(|i| [3.0, 1.0, 2.0][i % 3]).collect();
+        assert_least_is_the_definition(&tied, 0..20, all);
+        assert_least_is_the_definition(&tied, 2..20, all);
+        // The min in the remainder past the last full chunk.
+        for len in [1, 7, 9, 511] {
+            let mut loads: Vec<f64> = (0..len).map(|i| 2.0 + i as f64).collect();
+            loads[len - 1] = 0.5;
+            assert_least_is_the_definition(&loads, 0..len, all);
         }
-        // Filtered picks skip absent-filter rejections identically.
-        let odd_only = |i: usize| i % 2 == 1;
-        let mirror_odd = (0..n)
-            .filter(|&i| present[i] && odd_only(i))
-            .min_by(|&a, &b| load[a].total_cmp(&load[b]).then_with(|| a.cmp(&b)));
-        assert_eq!(ix.least(0, odd_only), mirror_odd);
+        // A decode tier off the chunk grid, with smaller slots outside it.
+        let mut loads: Vec<f64> = (0..20).map(|i| 4.0 + (i % 5) as f64).collect();
+        (loads[0], loads[2], loads[17], loads[19]) = (0.0, 0.25, 0.0, 0.25);
+        loads[16] = 1.0;
+        assert_least_is_the_definition(&loads, 3..17, all);
+        // A refused min: the next least, ties to the lowest index; and
+        // every finite slot refused, with `+∞` slots accepted.
+        assert_least_is_the_definition(&[1.0, 2.0, 2.0, inf], 0..4, |i| i != 0);
+        assert_least_is_the_definition(&[1.0, inf, 1.0, 2.0], 0..4, |i| i != 0);
+        assert_least_is_the_definition(&[1.0, 2.0, inf, inf], 0..4, |i| i > 1);
+        assert_least_is_the_definition(&[1.0, 2.0, 0.5], 0..3, |_| false);
+        // Random arrays on a coarse grid, so ties are common, about 10%
+        // of them `+∞`: every slot accepted, the least one refused, and a
+        // seeded half of them refused.
+        for seed in 0..200 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let len = rng.gen_range(1..=600);
+            let loads: Vec<f64> = (0..len)
+                .map(|_| {
+                    if rng.gen_bool(0.1) {
+                        inf
+                    } else {
+                        f64::from(rng.gen_range(0..12u32)) * 0.25
+                    }
+                })
+                .collect();
+            let start = rng.gen_range(0..len);
+            let range = start..rng.gen_range(start..=len);
+            assert_least_is_the_definition(&loads, range.clone(), all);
+            let min = least(&loads, range.clone(), all);
+            assert_least_is_the_definition(&loads, range.clone(), |i| Some(i) != min);
+            assert_least_is_the_definition(&loads, range, |i| mix64(seed ^ i as u64) & 1 == 0);
+        }
     }
 
     #[test]
@@ -2251,20 +2167,27 @@ mod tests {
     }
 
     #[test]
-    fn ready_clocks_follow_every_clock_and_busy_change() {
-        // Drives each re-sync point of the clock array by hand and checks
-        // the array after each: enqueue, scale-up, a sweep, a drain that
-        // empties a replica holding only queued work, and a kill.
+    fn fleet_slots_follow_every_clock_and_lifecycle_change() {
+        // Drives each re-sync point of the clock and load arrays by hand
+        // and checks both after each: enqueue, scale-up, a sweep, a drain
+        // that empties a replica holding only queued work, and a kill.
         let trace = Trace::new(vec![
             crate::trace::TraceEntry::single_shot(0.0, 64, 400),
             crate::trace::TraceEntry::single_shot(0.0, 64, 400),
         ])
         .unwrap();
         let router = Router::new(
-            RouterConfig::homogeneous(replica_cfg(AdmissionPolicy::alisa()), 3).with_autoscaler(),
+            RouterConfig::homogeneous(replica_cfg(AdmissionPolicy::alisa()), 3)
+                .with_lb(LoadBalancePolicy::LeastKvPressure)
+                .with_autoscaler(),
         );
         let mut sink = NullSink;
         let mut run = FleetRun::new(&router.engines, &router.cfg, false, &trace, &mut sink);
+        assert_eq!(
+            run.loads.len(),
+            3,
+            "a least-* fleet keeps a load slot per replica"
+        );
         let res = router.engines[0].reservation_bytes(64, 400, 64);
         run.place(0, 0, 0.0, res);
         assert_eq!(run.out_of_sync(), None, "after an enqueue");

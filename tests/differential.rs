@@ -1,12 +1,12 @@
 //! Reference-vs-optimized differential harness.
 //!
 //! The simulator's hot paths — incremental top-K selection, the gated
-//! queue scan, fleet dispatch indexes, scratch-buffer reuse — hold one
-//! contract: **not a single output byte may change**. The naive
-//! implementations stay reachable (`ServeEngine::with_reference_paths(true)`
-//! forces the ungated queue scan, `Router::with_reference_paths(true)`
-//! also the linear dispatch scans; `GlobalSetModel::pick` is the full
-//! re-sort the scheduler no longer calls), and this harness
+//! queue scan, scratch-buffer reuse — hold one contract: **not a single
+//! output byte may change**. The naive implementations stay reachable
+//! (`ServeEngine::with_reference_paths(true)` and
+//! `Router::with_reference_paths(true)` force the ungated queue scan;
+//! `GlobalSetModel::pick` is the full re-sort the scheduler no longer
+//! calls), and this harness
 //! property-tests the optimized paths against them over arbitrary
 //! traces × queue disciplines × precision policies × retention on/off.
 //! The scheduler's other fast paths have no reference twin: the plan
@@ -171,17 +171,15 @@ fn lb_policy(i: usize) -> LoadBalancePolicy {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The fleet-dispatch analogue of the engine property above: the
-    /// router with indexed replica selection (per-tier
-    /// `DispatchIndex` orderings) and gated queue scans, and the router
-    /// with `with_reference_paths(true)` — per-dispatch linear
-    /// `min_by`/`min_by_key` scans and a scan every step — produce
-    /// byte-identical canonical reports and byte-identical
-    /// decision-trace streams, across arbitrary traces × all four
-    /// load-balance policies × unified/disaggregated tiers × requeue
-    /// on/off.
+    /// The fleet analogue of the engine property above: the router with
+    /// gated queue scans and the router with `with_reference_paths(true)`
+    /// — a queue scan on every replica step — produce byte-identical
+    /// canonical reports and byte-identical decision-trace streams,
+    /// across arbitrary traces × all four load-balance policies ×
+    /// unified/disaggregated tiers × requeue on/off, under a 1.5 s
+    /// queue timeout whose bounces the requeue sends to another replica.
     #[test]
-    fn indexed_router_matches_reference_byte_for_byte(
+    fn gated_router_matches_reference_byte_for_byte(
         trace in trace_strategy(),
         lb in 0usize..4,
         replicas in 2usize..5,
@@ -238,10 +236,10 @@ proptest! {
 
     /// The dynamic-fleet extension of the router property: with an
     /// autoscaler breathing replicas up and down and a seeded
-    /// `FailurePlan` killing replicas mid-run, the optimized router
-    /// still matches `with_reference_paths(true)` byte for byte —
-    /// canonical report and decision-trace JSONL — across arbitrary
-    /// traces × failure plans × autoscaler on/off × all four
+    /// `FailurePlan` killing replicas mid-run, the router with gated
+    /// queue scans still matches `with_reference_paths(true)` byte for
+    /// byte — canonical report and decision-trace JSONL — across
+    /// arbitrary traces × failure plans × autoscaler on/off × all four
     /// load-balance policies. Request conservation (`admitted +
     /// rejected == offered`, every admission completes) holds under
     /// every kill schedule.
