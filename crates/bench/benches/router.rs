@@ -1,6 +1,6 @@
 //! Criterion benchmark of a wide fleet end to end: one 512-replica
 //! round-robin router run with each replica's queue scan gated
-//! (`indexed`) and run on every step (`reference`).
+//! (`gated`) and run on every step (`reference`).
 //!
 //! The committed `BENCH_router.json` is the regression floor and
 //! `bench_check` watches it. Least-* dispatch, which picks from a flat
@@ -14,7 +14,7 @@ use alisa_workloads::LengthModel;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 /// End-to-end: one 512-replica fleet serving the same trace with each
-/// replica's rejection scan gated (`indexed`) and run on every step
+/// replica's rejection scan gated (`gated`) and run on every step
 /// (`reference`, `with_reference_paths(true)`): the pair prices the
 /// gated queue scan against the ungated one.
 fn bench_fleet_512(c: &mut Criterion) {
@@ -34,11 +34,11 @@ fn bench_fleet_512(c: &mut Criterion) {
             512,
         )
     };
-    let indexed = Router::new(cfg());
+    let gated = Router::new(cfg());
     let reference = Router::new(cfg()).with_reference_paths(true);
     let mut g = c.benchmark_group("router_fleet_512");
-    g.bench_function("indexed", |b| {
-        b.iter(|| black_box(indexed.run(&trace)));
+    g.bench_function("gated", |b| {
+        b.iter(|| black_box(gated.run(&trace)));
     });
     g.bench_function("reference", |b| {
         b.iter(|| black_box(reference.run(&trace)));

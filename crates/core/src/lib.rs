@@ -43,7 +43,7 @@ pub use alisa_memsim as memsim;
 pub use alisa_model as model;
 pub use alisa_sched as sched;
 pub use alisa_tensor as tensor;
-pub use alisa_tensor::quant::{CacheRegion, KvPrecision, PrecisionPolicy};
+pub use alisa_tensor::quant::{KvPrecision, PrecisionPolicy};
 pub use alisa_workloads as workloads;
 
 use alisa_attention::policy::PolicyKind;
@@ -163,10 +163,7 @@ impl Alisa {
             history_depth: HISTORY_DEPTH,
             // The functional path stores each offloaded row at the
             // CPU-region precision (the hot GPU window stays FP16).
-            kv_quant: self
-                .kv_precision()
-                .precision(CacheRegion::CpuResident)
-                .quant_bits(),
+            kv_quant: self.kv_precision().cpu.quant_bits(),
             ..GenerationConfig::default()
         }
     }

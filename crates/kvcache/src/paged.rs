@@ -42,7 +42,7 @@ mod tests {
     }
 
     #[test]
-    fn gpu_bytes_charge_full_blocks() {
+    fn reserved_bytes_charge_full_blocks() {
         // One token, but a whole block is reserved.
         assert_eq!(reserved_bytes(1, 4, 10), 40);
         assert_eq!(reserved_bytes(17, 16, 1), 32);

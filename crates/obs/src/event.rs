@@ -103,15 +103,6 @@ pub enum EventKind {
         /// Freed bytes.
         bytes: u64,
     },
-    /// KV bytes moved between precision regions.
-    Transcode {
-        /// Target cache-state region (e.g. `gpu`).
-        region: String,
-        /// Size of the moved range at FP16.
-        fp16_bytes: u64,
-        /// Size actually stored under the region's precision policy.
-        stored_bytes: u64,
-    },
     /// One engine step completed.
     Step {
         /// Step duration in seconds (simulated).
@@ -204,7 +195,6 @@ impl EventKind {
             EventKind::RetentionMiss { .. } => "retention-miss",
             EventKind::RetentionStore { .. } => "retention-store",
             EventKind::RetentionEvict { .. } => "retention-evict",
-            EventKind::Transcode { .. } => "transcode",
             EventKind::Step { .. } => "step",
             EventKind::Finished { .. } => "finished",
             EventKind::Dispatch { .. } => "dispatch",
@@ -308,17 +298,6 @@ impl Event {
                 let _ = write!(
                     s,
                     ",\"session\":{session},\"seq_len\":{seq_len},\"bytes\":{bytes}"
-                );
-            }
-            EventKind::Transcode {
-                region,
-                fp16_bytes,
-                stored_bytes,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"region\":{},\"fp16_bytes\":{fp16_bytes},\"stored_bytes\":{stored_bytes}",
-                    escape(region)
                 );
             }
             EventKind::Step {
@@ -452,11 +431,6 @@ impl Event {
                 seq_len: uint(&v, "seq_len")? as usize,
                 bytes: uint(&v, "bytes")?,
             },
-            "transcode" => EventKind::Transcode {
-                region: text(&v, "region")?,
-                fp16_bytes: uint(&v, "fp16_bytes")?,
-                stored_bytes: uint(&v, "stored_bytes")?,
-            },
             "step" => EventKind::Step {
                 dur_s: num(&v, "dur_s")?,
                 prefills: uint(&v, "prefills")? as usize,
@@ -583,11 +557,6 @@ mod tests {
                 seq_len: 80,
                 bytes: 2560,
             },
-            EventKind::Transcode {
-                region: "gpu".into(),
-                fp16_bytes: 4096,
-                stored_bytes: 2048,
-            },
             EventKind::Step {
                 dur_s: 0.0625,
                 prefills: 1,
@@ -656,6 +625,11 @@ mod tests {
         assert!(err.contains("output_len"), "{err}");
         let err = Event::from_json(r#"{"t":1,"kind":"warp"}"#).unwrap_err();
         assert!(err.contains("warp"), "{err}");
+        // No KV changes width on its way into the FP16 hot window, so
+        // `transcode` is not a kind.
+        let line = r#"{"t":1,"kind":"transcode","region":"gpu","fp16_bytes":4,"stored_bytes":2}"#;
+        let err = Event::from_json(line).unwrap_err();
+        assert_eq!(err, "unknown event kind `transcode`");
         assert!(Event::from_json("not json").is_err());
     }
 }

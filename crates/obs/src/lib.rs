@@ -9,8 +9,8 @@
 //!   lifecycle decision (arrival, admission with the full KV-pricing
 //!   breakdown, rejection/preemption with an ADR-0004-style
 //!   `decision_trace` naming the losing comparison, session-retention
-//!   hit/miss/store/evict, precision-region transcodes, replica
-//!   dispatch and KV handoff, engine step boundaries). Timestamps are
+//!   hit/miss/store/evict, replica dispatch and KV handoff, engine
+//!   step boundaries). Timestamps are
 //!   **simulation clock only** — never wall clock — so traces are
 //!   byte-stable per seed.
 //! * [`sink`] — the [`TraceSink`] trait the engines emit into.

@@ -125,7 +125,6 @@ impl MetricsRegistry {
             EventKind::RetentionMiss { .. } => self.inc("retention_misses", 1),
             EventKind::RetentionStore { .. } => self.inc("retention_stores", 1),
             EventKind::RetentionEvict { .. } => self.inc("retention_evictions", 1),
-            EventKind::Transcode { .. } => self.inc("transcodes", 1),
             EventKind::Step {
                 dur_s,
                 prefills,

@@ -16,10 +16,10 @@
 //!   recomputed on the GPU (two projection GEMMs per layer) — cheaper
 //!   than crossing the link once sequences are long.
 //!
-//! KV bytes are priced through a per-cache-state-region
-//! [`PrecisionPolicy`]: the GPU-resident hot window, the CPU-resident
-//! sparse remainder (with an optional colder INT4 tail), and in-flight
-//! handoff bytes each store at their own
+//! The GPU-resident hot window stores FP16. The KV that leaves it is
+//! priced through a per-cache-state-region [`PrecisionPolicy`]: the
+//! CPU-resident sparse remainder (with an optional colder INT4 tail)
+//! and in-flight handoff bytes each store at their own
 //! [`KvPrecision`](alisa_tensor::quant::KvPrecision). The paper's
 //! §V-B INT8 compression is the [`PrecisionPolicy::int8`] operating
 //! point — CPU-resident tokens at INT8, so the link moves half the
@@ -450,11 +450,10 @@ impl AlisaScheduler {
         let fp16_tok = model.kv_bytes_per_token(FP16) * b as u64;
         // Per-region stored widths, the run's one byte model of a
         // token (the store tracks placement only): the hot window
-        // occupies `gpu_tok` in HBM; an offloaded token stores (and
+        // occupies `fp16_tok` in HBM; an offloaded token stores (and
         // ships) `cpu_tok`; a *reloaded* token ships at the warm-share
         // width — re-selected tokens are warm by the cold tail's
         // definition (both widths coincide when there is no cold tail).
-        let gpu_tok = self.precision.gpu_bytes(fp16_tok);
         let cpu_tok = self.precision.cpu_bytes(fp16_tok);
         let cpu_reload_tok = self.precision.cpu_reload_bytes(fp16_tok);
         let headroom = sim.gpu_kv_headroom();
@@ -468,7 +467,7 @@ impl AlisaScheduler {
         // scheduling the paper describes ("schedule KV tensors in a
         // layerwise manner"): only one layer's gathered KV needs to be
         // resident at a time, so a small bounce buffer suffices.
-        let margin = MARGIN_TOKENS * gpu_tok;
+        let margin = MARGIN_TOKENS * fp16_tok;
         let watermark = ((headroom as f64 * self.plan.alpha) as u64).saturating_sub(margin);
 
         // ---- Prefill: all prompt tokens, spilling the oldest to CPU if
@@ -477,7 +476,7 @@ impl AlisaScheduler {
         for _ in 0..wl.input_len {
             store.append(Location::Gpu);
         }
-        let mut gpu_kv = wl.input_len as u64 * gpu_tok;
+        let mut gpu_kv = wl.input_len as u64 * fp16_tok;
         // All prompt tokens are GPU-resident and nothing else touches
         // the store here, so "oldest on GPU" is simply the next index in
         // appending order. `first_gpu` stays on or below the lowest
@@ -490,7 +489,7 @@ impl AlisaScheduler {
             }
             store.relocate(first_gpu, Location::Cpu);
             first_gpu += 1;
-            gpu_kv -= gpu_tok;
+            gpu_kv -= fp16_tok;
             prefill_store_bytes += cpu_tok;
         }
         sim.gpu.alloc(MemClass::KvCache, gpu_kv)?;
@@ -540,7 +539,7 @@ impl AlisaScheduler {
             // draining and victims only ever leave the GPU. The walk
             // starts at the lowest GPU-resident index and stops at the
             // last victim taken.
-            let target = watermark.saturating_sub(gpu_tok);
+            let target = watermark.saturating_sub(fp16_tok);
             if sim.gpu.used_by(MemClass::KvCache) > target {
                 while first_gpu < store.len() && store.location(first_gpu) != Location::Gpu {
                     first_gpu += 1;
@@ -550,7 +549,7 @@ impl AlisaScheduler {
                     let Some(victim) = victims.next(&store) else {
                         break;
                     };
-                    sim.gpu.free(MemClass::KvCache, gpu_tok);
+                    sim.gpu.free(MemClass::KvCache, fp16_tok);
                     beta_acc += self.plan.beta;
                     if phase3 && beta_acc >= 1.0 {
                         // Algorithm 2 line 17: delete instead of store.
@@ -566,14 +565,14 @@ impl AlisaScheduler {
             }
 
             // (b) Append the new token's KV on GPU.
-            sim.gpu.alloc(MemClass::KvCache, gpu_tok)?;
+            sim.gpu.alloc(MemClass::KvCache, fp16_tok)?;
             store.append(Location::Gpu);
 
             // (c) Stream in the globals that are not GPU-resident: a CPU
             // token crosses the link, a deleted one is recomputed, and
             // neither is cached back, so each is charged again on every
             // step that selects it. Caching one would need GPU KV +
-            // `gpu_tok` ≤ `watermark`, which cannot hold once a token has
+            // `fp16_tok` ≤ `watermark`, which cannot hold once a token has
             // left the GPU: (a) drains to within one token under
             // `target`, (b) adds one token, and nothing else frees GPU KV
             // (the prefill spill also stops within one token under

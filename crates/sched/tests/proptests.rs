@@ -211,7 +211,7 @@ proptest! {
     }
 
     /// ALISA's pools hold what its placement says, after every record:
-    /// GPU KV is the GPU-token count at the GPU width, CPU KV the
+    /// GPU KV is the GPU-token count at FP16, CPU KV the
     /// CPU-token count at the CPU width (deleted tokens hold nothing),
     /// and the observer runs once per timeline record. Every workload
     /// here offloads on a V100-16GB, so each run reaches Phase II, and
@@ -229,7 +229,6 @@ proptest! {
             .with_precision(precision(prec))
             .with_plan(grid_plan(plan));
         let fp16_tok = model.kv_bytes_per_token(FP16) * wl.batch_size as u64;
-        let gpu_tok = sys.precision.gpu_bytes(fp16_tok);
         let cpu_tok = sys.precision.cpu_bytes(fp16_tok);
         let mut sim = SimBase::new(&HardwareSpec::v100_16gb());
         let mut calls = 0usize;
@@ -238,7 +237,7 @@ proptest! {
         let outcome = sys.simulate_with(&mut sim, &model, &wl, |sim, store| {
             calls += 1;
             let held = |at| (0..store.len()).filter(|&i| store.location(i) == at).count() as u64;
-            let want = (held(Location::Gpu) * gpu_tok, held(Location::Cpu) * cpu_tok);
+            let want = (held(Location::Gpu) * fp16_tok, held(Location::Cpu) * cpu_tok);
             let got = (sim.gpu.used_by(MemClass::KvCache), sim.cpu.used_by(MemClass::KvCache));
             if first_miss.is_none() && (want != got || calls != sim.timeline.len()) {
                 first_miss = Some((sim.timeline.len(), calls, want, got));

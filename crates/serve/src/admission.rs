@@ -42,10 +42,9 @@ pub const FLEXGEN_CPU_SHARE: f64 = 0.5;
 /// the [`AdmissionPolicy::Alisa`] variant's fields stay public so sweeps
 /// can explore other sparsity and precision points. ALISA's sparse
 /// reservation is the whole game — the same request costs it a fraction
-/// of what dense paged booking charges — and on top of it each
-/// cache-state region (GPU hot window, CPU-resident remainder,
-/// in-flight handoffs) is priced at its own [`PrecisionPolicy`] bit
-/// width:
+/// of what dense paged booking charges — and on top of it the KV that
+/// leaves the FP16 GPU hot window (the CPU-resident remainder,
+/// in-flight handoffs) is priced at its [`PrecisionPolicy`] bit width:
 ///
 /// ```
 /// use alisa_model::ModelConfig;
@@ -77,9 +76,9 @@ pub enum AdmissionPolicy {
     Alisa {
         /// KV sparsity in `[0, 1)` (paper evaluates 0.8).
         sparsity: f64,
-        /// Per-cache-state-region KV precision: what the GPU hot
-        /// window, the CPU-resident remainder (warm share + cold
-        /// tail), and replica handoffs each store at. Link and memory
+        /// Per-cache-state-region KV precision: what the CPU-resident
+        /// remainder (warm share + cold tail) and replica handoffs
+        /// each store at; the GPU hot window is FP16. Link and memory
         /// bytes are priced through this policy region by region — no
         /// flat halving.
         precision: PrecisionPolicy,
@@ -99,9 +98,8 @@ impl AdmissionPolicy {
     }
 
     /// ALISA at the paper's 80% sparsity under any per-region
-    /// precision policy, e.g. [`PrecisionPolicy::mixed`]: GPU hot
-    /// window FP16, CPU remainder INT8 with an INT4 cold tail, INT8
-    /// replica handoffs.
+    /// precision policy, e.g. [`PrecisionPolicy::mixed`]: CPU
+    /// remainder INT8 with an INT4 cold tail, INT8 replica handoffs.
     pub fn alisa_with(precision: PrecisionPolicy) -> Self {
         AdmissionPolicy::Alisa {
             sparsity: 0.8,
@@ -147,13 +145,11 @@ impl AdmissionPolicy {
         }
     }
 
-    /// Working-precision (FP16) bytes of the KV working set this
-    /// policy keeps GPU-resident for a request that will reach
-    /// `final_seq_len` tokens — the byte count *before* any region's
-    /// precision scaling. [`AdmissionPolicy::gpu_kv_bytes`] prices it
-    /// at the GPU-region width; [`crate::ServeEngine::kv_handoff_bytes`]
-    /// prices the same set at the handoff width.
-    pub fn kv_working_set_fp16(&self, model: &ModelConfig, final_seq_len: usize) -> u64 {
+    /// GPU bytes this policy reserves for a request that will reach
+    /// `final_seq_len` tokens: the KV working set it keeps GPU-resident,
+    /// at FP16. [`crate::ServeEngine::kv_handoff_bytes`] prices the same
+    /// set at the handoff width.
+    pub fn gpu_kv_bytes(&self, model: &ModelConfig, final_seq_len: usize) -> u64 {
         let per_tok = model.kv_bytes_per_token(FP16);
         match *self {
             AdmissionPolicy::Alisa { sparsity, .. } => {
@@ -166,14 +162,6 @@ impl AdmissionPolicy {
                 gpu_tokens * per_tok
             }
         }
-    }
-
-    /// GPU bytes this policy reserves for a request that will reach
-    /// `final_seq_len` tokens: the working set priced at the
-    /// GPU-region precision.
-    pub fn gpu_kv_bytes(&self, model: &ModelConfig, final_seq_len: usize) -> u64 {
-        self.precision()
-            .gpu_bytes(self.kv_working_set_fp16(model, final_seq_len))
     }
 
     /// KV tokens per sequence the GPU attends over at `seq_len` — the
@@ -335,27 +323,18 @@ mod tests {
     }
 
     #[test]
-    fn reservations_ignore_offload_precision_but_follow_gpu_precision() {
-        use alisa_tensor::quant::KvPrecision;
+    fn reservations_ignore_offload_precision() {
         let model = ModelConfig::opt_6_7b();
-        // Offload precision does not change the GPU-resident booking…
-        assert_eq!(
-            AdmissionPolicy::alisa().gpu_kv_bytes(&model, 640),
-            AdmissionPolicy::alisa_with(PrecisionPolicy::mixed()).gpu_kv_bytes(&model, 640),
-        );
-        // …but quantizing the hot window itself halves it.
-        let int8_gpu =
-            AdmissionPolicy::alisa_with(PrecisionPolicy::int8().with_gpu(KvPrecision::Int8));
-        assert_eq!(
-            int8_gpu.gpu_kv_bytes(&model, 640),
-            AdmissionPolicy::alisa().gpu_kv_bytes(&model, 640) / 2,
-        );
-        // The dense baselines stay FP16 everywhere.
-        assert!(AdmissionPolicy::vllm().precision().is_fp16_everywhere());
-        assert!(AdmissionPolicy::flexgen().precision().is_fp16_everywhere());
-        assert_eq!(
-            AdmissionPolicy::vllm().gpu_kv_bytes(&model, 640),
-            AdmissionPolicy::vllm().kv_working_set_fp16(&model, 640),
-        );
+        // Offload precision does not change the GPU-resident booking.
+        for precision in [PrecisionPolicy::fp16(), PrecisionPolicy::mixed()] {
+            assert_eq!(
+                AdmissionPolicy::alisa().gpu_kv_bytes(&model, 640),
+                AdmissionPolicy::alisa_with(precision).gpu_kv_bytes(&model, 640),
+            );
+        }
+        // The dense baselines quantize nothing.
+        for dense in [AdmissionPolicy::vllm(), AdmissionPolicy::flexgen()] {
+            assert_eq!(dense.precision(), PrecisionPolicy::fp16());
+        }
     }
 }

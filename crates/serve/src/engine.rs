@@ -358,10 +358,7 @@ impl ServeEngine {
     /// priced at the handoff-region precision of the policy's
     /// [`alisa_tensor::quant::PrecisionPolicy`].
     pub fn kv_handoff_bytes(&self, prompt_len: usize) -> u64 {
-        let fp16 = self
-            .cfg
-            .policy
-            .kv_working_set_fp16(&self.cfg.model, prompt_len);
+        let fp16 = self.cfg.policy.gpu_kv_bytes(&self.cfg.model, prompt_len);
         self.cfg.policy.precision().handoff_bytes(fp16)
     }
 
@@ -372,10 +369,7 @@ impl ServeEngine {
     /// quantized. The single handoff pricing path shared by the
     /// multi-replica [`crate::Router`] and the tests.
     pub fn kv_handoff_time(&self, prompt_len: usize) -> f64 {
-        let fp16 = self
-            .cfg
-            .policy
-            .kv_working_set_fp16(&self.cfg.model, prompt_len);
+        let fp16 = self.cfg.policy.gpu_kv_bytes(&self.cfg.model, prompt_len);
         self.sim
             .cost
             .replica_transfer_time_at(fp16, self.cfg.policy.precision().handoff)
@@ -407,8 +401,8 @@ impl ServeEngine {
     /// ([`SimBase::prefill_compute`] over the new tokens), then pays
     /// cross-attention of those suffix queries over the retained sparse
     /// prefix ([`SimBase::context_attention_time`] at the policy's
-    /// attended-token count) plus a dequantize pass when the GPU cache
-    /// region is quantized. Every replica step in the engine and the
+    /// attended-token count); the prefix is FP16 in HBM, so it needs no
+    /// dequantize pass. Every replica step in the engine and the
     /// multi-replica [`crate::Router`] is priced here.
     ///
     /// The decode batch is [`SimBase::decode_compute`] at the mean
@@ -432,8 +426,6 @@ impl ServeEngine {
             if p.reused_prefix > 0 {
                 let ctx = self.attended_tokens(p.reused_prefix);
                 step_time += sim.context_attention_time(model, p.new_tokens(), ctx, eff);
-                let fp16 = cfg.policy.kv_working_set_fp16(model, p.reused_prefix);
-                step_time += sim.cost.quantize_time_at(fp16, cfg.policy.precision().gpu);
             }
         }
         if !running_seq_lens.is_empty() {
@@ -502,12 +494,11 @@ impl ServeEngine {
     /// lifecycle decision — arrival, dispatch, admission with its full
     /// KV-pricing breakdown, rejection and preemption with a
     /// decision trace naming the losing comparison, session-retention
-    /// hit/miss/store/evict, precision transcodes, step boundaries,
-    /// completions — is emitted into `sink`, and the report gains the
-    /// opt-in metrics section. Event timestamps are simulation-clock
-    /// only, so same-seed traces are byte-identical. With a disabled
-    /// sink ([`NullSink`]) no event is even constructed and the report
-    /// is byte-identical to [`ServeEngine::run`].
+    /// hit/miss/store/evict, step boundaries, completions — is emitted into
+    /// `sink`, and the report gains the opt-in metrics section. Event
+    /// timestamps are simulation-clock only, so same-seed traces are
+    /// byte-identical. With a disabled sink ([`NullSink`]) no event is even
+    /// constructed and the report is byte-identical to [`ServeEngine::run`].
     ///
     /// The engine runs as a 1-replica fleet through the router's loop,
     /// itself as replica 0, and reports over every request in the

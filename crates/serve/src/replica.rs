@@ -443,26 +443,6 @@ impl<'a> Replica<'a> {
                                 },
                             });
                         }
-                        // The reused prefix re-enters the live batch
-                        // through the GPU cache region; when that
-                        // region is quantized the bytes move through a
-                        // transcode pass.
-                        let fp16 = cfg
-                            .policy
-                            .kv_working_set_fp16(&cfg.model, job.reused_prefix);
-                        let stored = cfg.policy.precision().gpu_bytes(fp16);
-                        if stored != fp16 {
-                            obs.emit(Event {
-                                t,
-                                replica,
-                                request: Some(id),
-                                kind: EventKind::Transcode {
-                                    region: "gpu".to_string(),
-                                    fp16_bytes: fp16,
-                                    stored_bytes: stored,
-                                },
-                            });
-                        }
                     } else if prefix > 0 && self.session_kv.is_some() {
                         if let Some(sref) = session {
                             obs.emit(Event {

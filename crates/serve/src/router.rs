@@ -564,28 +564,6 @@ fn least(loads: &[f64], range: Range<usize>, ok: impl Fn(usize) -> bool) -> Opti
     best.0
 }
 
-/// Picks a replica from the non-empty `eligible` list under a
-/// round-robin or sticky policy; the least-* policies pick from the load
-/// slots instead. `key` is the affinity key sticky policies hash: the
-/// request's real session id, or its trace index for legacy single-shot
-/// entries (reproducing the pre-session `i % sessions` fold).
-fn pick(lb: LoadBalancePolicy, eligible: &[usize], key: usize, rr: &mut usize) -> usize {
-    match lb {
-        LoadBalancePolicy::RoundRobin => {
-            let k = eligible[*rr % eligible.len()];
-            *rr += 1;
-            k
-        }
-        LoadBalancePolicy::Sticky { sessions } => {
-            let session = (key % sessions) as u64;
-            eligible[(mix64(session) % eligible.len() as u64) as usize]
-        }
-        LoadBalancePolicy::LeastOutstanding | LoadBalancePolicy::LeastKvPressure => {
-            unreachable!("the least-* policies pick from the load slots")
-        }
-    }
-}
-
 /// Closed-loop clients: trace entry `i` belongs to client
 /// `i % clients`, and each client keeps one request in flight,
 /// submitting its next a seeded think time after the last one reached
@@ -838,9 +816,6 @@ pub(crate) struct FleetRun<'a> {
     last_event_t: f64,
     /// Round-robin cursors of the arrival tier (0) and decode tier (1).
     rr: [usize; 2],
-    /// Reusable eligible-replica list for the round-robin and sticky
-    /// picks.
-    eligible: Vec<usize>,
     step_scratch: StepScratch,
     dynamics: Option<FleetDynamicsStats>,
     requeued: usize,
@@ -893,7 +868,6 @@ impl<'a> FleetRun<'a> {
             due: vec![0; n],
             last_event_t: 0.0,
             rr: [0; 2],
-            eligible: Vec::new(),
             step_scratch: StepScratch::default(),
             dynamics: dynamic.then(FleetDynamicsStats::default),
             requeued: 0,
@@ -1141,18 +1115,30 @@ impl<'a> FleetRun<'a> {
 
     /// The policy's preferred admitting replica of `tier` among those
     /// `ok` accepts: the least load slot for the least-* policies,
-    /// otherwise a pick from the eligible list. Shared by dispatch,
-    /// handoff and recovery.
+    /// otherwise the `k`-th of the `n` eligible in index order, with
+    /// `k = rr % n` (the tier's cursor then moves on) under round-robin
+    /// and `mix64(key % sessions) % n` under sticky, where `key` is the
+    /// request's session id, or its trace index for legacy single-shot
+    /// entries. Shared by dispatch, handoff and recovery.
     fn choose(&mut self, tier: usize, key: usize, ok: impl Fn(&Replica) -> bool) -> Option<usize> {
         let range = self.tier(tier);
         let states = &self.states;
         if !self.loads.is_empty() {
             return least(&self.loads, range, |i| ok(&states[i]));
         }
-        let eligible = &mut self.eligible;
-        eligible.clear();
-        eligible.extend(range.filter(|&i| states[i].is_admitting() && ok(&states[i])));
-        (!eligible.is_empty()).then(|| pick(self.cfg.lb, eligible, key, &mut self.rr[tier]))
+        let mut eligible = range.filter(|&i| states[i].is_admitting() && ok(&states[i]));
+        let n = eligible.clone().count();
+        if n == 0 {
+            return None;
+        }
+        let k = if let LoadBalancePolicy::Sticky { sessions } = self.cfg.lb {
+            (mix64((key % sessions) as u64) % n as u64) as usize
+        } else {
+            let k = self.rr[tier] % n;
+            self.rr[tier] += 1;
+            k
+        };
+        eligible.nth(k)
     }
 
     /// Makes replica `to` request `id`'s home: enqueues it there at
@@ -2047,6 +2033,69 @@ mod tests {
             let min = least(&loads, range.clone(), all);
             assert_least_is_the_definition(&loads, range.clone(), |i| Some(i) != min);
             assert_least_is_the_definition(&loads, range, |i| mix64(seed ^ i as u64) & 1 == 0);
+        }
+    }
+
+    /// The list-and-index pick `FleetRun::choose` counts its way to.
+    fn pick(lb: LoadBalancePolicy, eligible: &[usize], key: usize, rr: &mut usize) -> usize {
+        match lb {
+            LoadBalancePolicy::RoundRobin => {
+                let k = eligible[*rr % eligible.len()];
+                *rr += 1;
+                k
+            }
+            LoadBalancePolicy::Sticky { sessions } => {
+                let session = (key % sessions) as u64;
+                eligible[(mix64(session) % eligible.len() as u64) as usize]
+            }
+            _ => unreachable!("the least-* policies pick from the load slots"),
+        }
+    }
+
+    #[test]
+    fn counted_pick_is_the_list_and_index_pick() {
+        // Tier 1 is replicas 5..9; 5 and 7 book dense KV and can never
+        // hold a 6000 + 2200 decode working set. Before each pick a fifth
+        // of the replicas stop admitting; the pick runs dispatch's filter
+        // (bouncer 9 is none), handoff's, none, or one refusing all.
+        let trace = Trace::new(vec![crate::trace::TraceEntry::single_shot(0.0, 64, 64)]).unwrap();
+        let lives = [Lifecycle::Standby, Lifecycle::Draining, Lifecycle::Failed];
+        let sticky = [1, 16, usize::MAX].map(|sessions| LoadBalancePolicy::Sticky { sessions });
+        for lb in [LoadBalancePolicy::RoundRobin].into_iter().chain(sticky) {
+            let mut cfg = RouterConfig::homogeneous(replica_cfg(AdmissionPolicy::alisa()), 9);
+            cfg.replicas[5] = replica_cfg(AdmissionPolicy::vllm());
+            cfg.replicas[7] = replica_cfg(AdmissionPolicy::vllm());
+            let router = Router::new(cfg.with_lb(lb).with_disagg(5));
+            let mut sink = NullSink;
+            let mut run = FleetRun::new(&router.engines, &router.cfg, false, &trace, &mut sink);
+            run.rr[1] = 1 << 40; // a cursor far past its tier's size
+            let (mut rr, mut outcomes) = (run.rr, [0; 3]); // no pick, tier 0, tier 1
+            let mut rng = StdRng::seed_from_u64(7);
+            for _ in 0..600 {
+                for s in run.states.iter_mut() {
+                    let i = rng.gen_range(0..15usize);
+                    s.life = lives.get(i).copied().unwrap_or(Lifecycle::Up);
+                }
+                let tier = rng.gen_range(0..2);
+                let filter = rng.gen_range(0..4);
+                let bouncer = rng.gen_range(0..10);
+                // Half the keys are below 64, half anywhere in `usize`.
+                let key = rng.gen::<usize>() >> (58 * rng.gen_range(0..2));
+                let ok = |s: &Replica| match filter {
+                    0 => s.idx != bouncer,
+                    1 => s.engine.reservation_bytes(6000, 2200, 1) <= s.budget,
+                    _ => filter == 2,
+                };
+                let eligible: Vec<usize> = (run.tier(tier))
+                    .filter(|&i| run.states[i].is_admitting() && ok(&run.states[i]))
+                    .collect();
+                let want = (!eligible.is_empty()).then(|| pick(lb, &eligible, key, &mut rr[tier]));
+                let got = run.choose(tier, key, ok);
+                assert_eq!(got, want, "{lb:?}, tier {tier}, key {key}, {eligible:?}");
+                assert_eq!(run.rr, rr, "{lb:?}: the cursors move together");
+                outcomes[want.map_or(0, |_| 1 + tier)] += 1;
+            }
+            assert!(outcomes.iter().all(|&n| n > 50), "{lb:?}: {outcomes:?}");
         }
     }
 

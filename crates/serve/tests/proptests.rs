@@ -407,8 +407,6 @@ mod step_pricing {
             if p.reused_prefix > 0 {
                 let ctx = cfg.policy.attended_tokens(p.reused_prefix);
                 step_time += sim.context_attention_time(model, p.new_tokens(), ctx, eff);
-                let fp16 = cfg.policy.kv_working_set_fp16(model, p.reused_prefix);
-                step_time += sim.cost.quantize_time_at(fp16, cfg.policy.precision().gpu);
             }
         }
         if !running_seq_lens.is_empty() {

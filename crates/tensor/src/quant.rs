@@ -13,9 +13,11 @@
 //!   paper quantizes channel-wise after \[9\] (one scale per hidden
 //!   channel across tokens); that grain is not implemented.
 //! * [`PrecisionPolicy`] is what the schedulers, the serving engine and
-//!   the cost model call: it assigns a [`KvPrecision`] to each
-//!   [`CacheRegion`] and turns FP16-wide byte counts into stored bytes.
-//!   It prices bytes only; no codes are materialized.
+//!   the cost model call: it assigns a [`KvPrecision`] to each region
+//!   KV leaves the GPU through (the CPU remainder, its cold tail,
+//!   replica handoffs) and turns FP16-wide byte counts into stored
+//!   bytes. The GPU hot window is always FP16. It prices bytes only; no
+//!   codes are materialized.
 //!
 //! The paper states Eq. 7 as `x_quant = round(x/λ + z)`, `x = λ(x_quant − z)`
 //! with `λ = (max − min)/(2ᵇ − 1)` and `z = round(−2ᵇ/(max − min))`; the
@@ -127,48 +129,9 @@ impl std::fmt::Display for KvPrecision {
     }
 }
 
-/// The cache-state regions a KV byte can live in, each of which a
-/// [`PrecisionPolicy`] prices independently.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum CacheRegion {
-    /// GPU-resident hot working set (SWA's local window + cached
-    /// globals) — read by attention every step.
-    GpuResident,
-    /// CPU-resident sparse remainder — offloaded tokens that cross the
-    /// link again whenever the global set drifts onto them.
-    CpuResident,
-    /// The coldest tail of the CPU remainder (oldest offloaded tokens,
-    /// least likely to be re-selected) — a `cold_frac` share of the
-    /// CPU-resident bytes.
-    CpuColdTail,
-    /// In-flight handoff bytes: prefilled KV moving between replicas in
-    /// a disaggregated fleet.
-    Handoff,
-}
-
-impl CacheRegion {
-    /// All regions, in hot-to-cold order.
-    pub const ALL: [CacheRegion; 4] = [
-        CacheRegion::GpuResident,
-        CacheRegion::CpuResident,
-        CacheRegion::CpuColdTail,
-        CacheRegion::Handoff,
-    ];
-}
-
-impl std::fmt::Display for CacheRegion {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CacheRegion::GpuResident => write!(f, "gpu"),
-            CacheRegion::CpuResident => write!(f, "cpu"),
-            CacheRegion::CpuColdTail => write!(f, "cold"),
-            CacheRegion::Handoff => write!(f, "handoff"),
-        }
-    }
-}
-
-/// Per-cache-state-region KV precision: which [`KvPrecision`] each
-/// [`CacheRegion`] stores its bytes at.
+/// Per-cache-state-region KV precision: which [`KvPrecision`] the KV
+/// that leaves the GPU stores or ships at. The GPU hot window, which
+/// attention reads every step, is FP16 under every policy.
 ///
 /// This replaces the old `compression: bool` flag everywhere bytes are
 /// priced (cost model, token store, schedulers, admission, handoffs).
@@ -180,25 +143,23 @@ impl std::fmt::Display for CacheRegion {
 ///   FP16) prices identically to the old `compression: true` flat
 ///   halving of link bytes.
 ///
-/// Beyond them, [`PrecisionPolicy::mixed`] keeps the GPU hot window at
-/// FP16 while pushing the CPU remainder to INT8 with an INT4 cold tail
-/// and quantizing replica handoffs — the CSR-style "hot tokens high
-/// precision, cold tokens few bits" operating point.
+/// Beyond them, [`PrecisionPolicy::mixed`] pushes the CPU remainder to
+/// INT8 with an INT4 cold tail and quantizes replica handoffs — the
+/// CSR-style "hot tokens high precision, cold tokens few bits"
+/// operating point.
 ///
 /// ```
-/// use alisa_tensor::quant::{CacheRegion, KvPrecision, PrecisionPolicy};
+/// use alisa_tensor::quant::{KvPrecision, PrecisionPolicy};
 ///
 /// let mixed = PrecisionPolicy::mixed();
-/// assert_eq!(mixed.precision(CacheRegion::GpuResident), KvPrecision::Fp16);
-/// assert_eq!(mixed.precision(CacheRegion::CpuColdTail), KvPrecision::Int4);
+/// assert_eq!(mixed.cold, KvPrecision::Int4);
+/// assert_eq!(mixed.label(), "gpu:FP16 cpu:INT8 cold:INT4@0.50 ho:INT8");
 /// // 1 MiB of FP16-wide CPU KV stores at 3/8 the bytes under
 /// // INT8 + half-INT4-cold-tail: 0.5·(1/2) + 0.5·(1/4).
 /// assert_eq!(mixed.cpu_bytes(1 << 20), 384 * 1024);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PrecisionPolicy {
-    /// Precision of the GPU-resident hot working set.
-    pub gpu: KvPrecision,
     /// Precision of the CPU-resident sparse remainder (its warm share).
     pub cpu: KvPrecision,
     /// Precision of the coldest `cold_frac` share of the CPU remainder.
@@ -215,7 +176,6 @@ impl PrecisionPolicy {
     /// `compression: false` pricing.
     pub fn fp16() -> Self {
         PrecisionPolicy {
-            gpu: KvPrecision::Fp16,
             cpu: KvPrecision::Fp16,
             cold: KvPrecision::Fp16,
             cold_frac: 0.0,
@@ -223,10 +183,10 @@ impl PrecisionPolicy {
         }
     }
 
-    /// The paper's §V-B operating point: CPU-resident KV at INT8, the
-    /// GPU hot window and handoffs at FP16 — byte-identical to the
-    /// legacy `compression: true` pricing (a flat halving of offload
-    /// link bytes).
+    /// The paper's §V-B operating point: CPU-resident KV at INT8,
+    /// handoffs at FP16 — byte-identical to the legacy
+    /// `compression: true` pricing (a flat halving of offload link
+    /// bytes).
     pub fn int8() -> Self {
         PrecisionPolicy {
             cpu: KvPrecision::Int8,
@@ -235,15 +195,14 @@ impl PrecisionPolicy {
         }
     }
 
-    /// Mixed precision: GPU hot window FP16, CPU remainder INT8 with
-    /// half of it in an INT4 cold tail, handoffs INT8.
+    /// Mixed precision: CPU remainder INT8 with half of it in an INT4
+    /// cold tail, handoffs INT8.
     pub fn mixed() -> Self {
         PrecisionPolicy {
             cpu: KvPrecision::Int8,
             cold: KvPrecision::Int4,
             cold_frac: 0.5,
             handoff: KvPrecision::Int8,
-            ..PrecisionPolicy::fp16()
         }
     }
 
@@ -255,12 +214,6 @@ impl PrecisionPolicy {
         } else {
             PrecisionPolicy::fp16()
         }
-    }
-
-    /// Overrides the GPU-resident precision.
-    pub fn with_gpu(mut self, p: KvPrecision) -> Self {
-        self.gpu = p;
-        self
     }
 
     /// Overrides the CPU-resident (warm-share) precision.
@@ -286,22 +239,6 @@ impl PrecisionPolicy {
     pub fn with_handoff(mut self, p: KvPrecision) -> Self {
         self.handoff = p;
         self
-    }
-
-    /// The precision assigned to `region`.
-    pub fn precision(&self, region: CacheRegion) -> KvPrecision {
-        match region {
-            CacheRegion::GpuResident => self.gpu,
-            CacheRegion::CpuResident => self.cpu,
-            CacheRegion::CpuColdTail => self.cold,
-            CacheRegion::Handoff => self.handoff,
-        }
-    }
-
-    /// Bytes stored on the GPU for KV that is `fp16_bytes` wide at
-    /// working precision.
-    pub fn gpu_bytes(&self, fp16_bytes: u64) -> u64 {
-        self.gpu.bytes_of_fp16(fp16_bytes)
     }
 
     /// Bytes stored on the CPU for KV that is `fp16_bytes` wide at
@@ -343,16 +280,9 @@ impl PrecisionPolicy {
         self.cpu.is_quantized() || (self.cold_frac > 0.0 && self.cold.is_quantized())
     }
 
-    /// Whether every region stores at FP16 (no quantization anywhere).
-    pub fn is_fp16_everywhere(&self) -> bool {
-        CacheRegion::ALL
-            .iter()
-            .all(|&r| self.precision(r) == KvPrecision::Fp16)
-    }
-
     /// Compact figure label, e.g. `gpu:FP16 cpu:INT8 cold:INT4@0.50 ho:INT8`.
     pub fn label(&self) -> String {
-        let mut s = format!("gpu:{} cpu:{}", self.gpu, self.cpu);
+        let mut s = format!("gpu:FP16 cpu:{}", self.cpu);
         if self.cold_frac > 0.0 {
             s.push_str(&format!(" cold:{}@{:.2}", self.cold, self.cold_frac));
         }
@@ -465,13 +395,10 @@ mod tests {
     fn legacy_policies_reproduce_boolean_pricing() {
         let fp16 = PrecisionPolicy::from_legacy_compression(false);
         let int8 = PrecisionPolicy::from_legacy_compression(true);
-        assert!(fp16.is_fp16_everywhere());
-        assert!(!int8.is_fp16_everywhere());
         for bytes in [0u64, 1, 7, 1024, 999_999] {
             assert_eq!(fp16.cpu_bytes(bytes), bytes);
             assert_eq!(int8.cpu_bytes(bytes), bytes / 2, "legacy flat halving");
-            // Legacy code never repriced GPU or handoff bytes.
-            assert_eq!(int8.gpu_bytes(bytes), bytes);
+            // Legacy code never repriced handoff bytes.
             assert_eq!(int8.handoff_bytes(bytes), bytes);
         }
         assert!(!fp16.quantizes_cpu());
@@ -481,12 +408,9 @@ mod tests {
     #[test]
     fn mixed_policy_blends_cold_tail() {
         let mixed = PrecisionPolicy::mixed();
-        assert_eq!(mixed.precision(CacheRegion::GpuResident), KvPrecision::Fp16);
-        assert_eq!(mixed.precision(CacheRegion::CpuResident), KvPrecision::Int8);
-        assert_eq!(mixed.precision(CacheRegion::CpuColdTail), KvPrecision::Int4);
-        assert_eq!(mixed.precision(CacheRegion::Handoff), KvPrecision::Int8);
-        // The hot window stays FP16.
-        assert_eq!(mixed.gpu_bytes(1 << 20), 1 << 20);
+        assert_eq!(mixed.cpu, KvPrecision::Int8);
+        assert_eq!(mixed.cold, KvPrecision::Int4);
+        assert_eq!(mixed.handoff, KvPrecision::Int8);
         // Half at 1/2 width + half at 1/4 width = 3/8 of FP16.
         assert_eq!(mixed.cpu_bytes(1 << 20), 384 * 1024);
         // A reloaded token is re-selected, so warm: it ships at INT8.
@@ -500,10 +424,7 @@ mod tests {
     fn cold_tail_builder_validates_and_applies() {
         let p = PrecisionPolicy::fp16().with_cold_tail(1.0, KvPrecision::Int4);
         assert_eq!(p.cpu_bytes(1000), 250, "full tail stores everything INT4");
-        let q = PrecisionPolicy::int8()
-            .with_gpu(KvPrecision::Int8)
-            .with_handoff(KvPrecision::Int4);
-        assert_eq!(q.gpu_bytes(1000), 500);
+        let q = PrecisionPolicy::int8().with_handoff(KvPrecision::Int4);
         assert_eq!(q.handoff_bytes(1000), 250);
     }
 

@@ -203,8 +203,8 @@ fn precisions() -> [KvPrecision; 3] {
 proptest! {
     /// Accounted KV bytes are monotone non-increasing in bit-width for
     /// every region split: whichever region's precision is narrowed —
-    /// GPU hot window, CPU warm share, cold tail, or handoff — and for
-    /// any cold-tail fraction, the stored/shipped bytes never grow.
+    /// CPU warm share, cold tail, or handoff — and for any cold-tail
+    /// fraction, the stored/shipped bytes never grow.
     #[test]
     fn region_bytes_monotone_in_bit_width(
         fp16_bytes in 0u64..(1u64 << 40),
@@ -214,10 +214,6 @@ proptest! {
         for w in ps.windows(2) {
             let (wide, narrow) = (w[0], w[1]);
             prop_assert!(narrow.bytes_of_fp16(fp16_bytes) <= wide.bytes_of_fp16(fp16_bytes));
-            // GPU region.
-            let g_wide = PrecisionPolicy::fp16().with_gpu(wide);
-            let g_narrow = PrecisionPolicy::fp16().with_gpu(narrow);
-            prop_assert!(g_narrow.gpu_bytes(fp16_bytes) <= g_wide.gpu_bytes(fp16_bytes));
             // Handoff region.
             let h_wide = PrecisionPolicy::fp16().with_handoff(wide);
             let h_narrow = PrecisionPolicy::fp16().with_handoff(narrow);

@@ -2,10 +2,11 @@
 //! own bit width and watch where the bytes (and the goodput) go.
 //!
 //! The paper's §V-B switch is all-or-nothing: INT8 for every offloaded
-//! token or FP16 for everything. A [`PrecisionPolicy`] splits the cache
-//! into regions — GPU-resident hot window, CPU-resident sparse
-//! remainder (warm share + cold tail), and in-flight replica handoffs —
-//! and assigns each its own precision. This example walks the axis:
+//! token or FP16 for everything. A [`PrecisionPolicy`] splits the KV
+//! that leaves the FP16 GPU hot window into regions — CPU-resident
+//! sparse remainder (warm share + cold tail) and in-flight replica
+//! handoffs — and assigns each its own precision. This example walks
+//! the axis:
 //!
 //! 1. byte accounting per region for one decode-heavy request,
 //! 2. a single-GPU serving comparison at a saturating arrival rate,
@@ -45,12 +46,12 @@ fn main() {
 
     // ---- 1. Where do one request's KV bytes go?
     println!("== per-region bytes for one 640-token request (80% sparsity) ==");
-    let fp16_set = AdmissionPolicy::alisa().kv_working_set_fp16(&model, 640);
+    let fp16_set = AdmissionPolicy::alisa().gpu_kv_bytes(&model, 640);
     println!("working set at FP16: {:.1} MiB", mib(fp16_set));
     for (name, p) in &configs {
         println!(
             "  {name:<26} gpu {:>7.1} MiB | offloaded/link {:>6.1} MiB | handoff {:>6.1} MiB",
-            mib(p.gpu_bytes(fp16_set)),
+            mib(fp16_set),
             mib(p.cpu_bytes(fp16_set)),
             mib(p.handoff_bytes(fp16_set)),
         );

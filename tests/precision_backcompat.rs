@@ -96,7 +96,7 @@ fn legacy_bool_constructors_map_to_golden_policies() {
         PrecisionPolicy::fp16()
     });
     assert_eq!(
-        PrecisionPolicy::int8().precision(alisa::CacheRegion::Handoff),
+        PrecisionPolicy::int8().handoff,
         KvPrecision::Fp16,
         "the legacy compressed path never repriced handoffs"
     );
